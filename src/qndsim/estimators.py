@@ -236,10 +236,6 @@ class MlePath:
     estimates: tuple[float, ...]
     refined: bool
 
-    @property
-    def final(self) -> float:
-        return self.estimates[-1]
-
     def to_dict(self) -> dict:
         return {
             "checkpoints": list(self.checkpoints),
@@ -271,10 +267,6 @@ class ConsistencyResult:
     exact_probability: float
     ci_halfwidth: float
     count: int
-
-    @property
-    def within_interval(self) -> bool:
-        return abs(self.frequency - self.exact_probability) <= self.ci_halfwidth
 
     def to_dict(self) -> dict:
         return {
@@ -386,13 +378,6 @@ class CltSamples:
     def count(self) -> int:
         return int(self.residuals.size)
 
-    def to_dict(self) -> dict:
-        return {
-            "residuals": self.residuals.tolist(),
-            "excluded_boundary": self.excluded_boundary,
-            "excluded_atoms": self.excluded_atoms,
-        }
-
 
 def clt_samples(
     trajectories: Sequence[Trajectory],
@@ -455,15 +440,6 @@ class LaplaceCheck:
     denominator: float
     estimate: float
     fisher: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "estimate": self.estimate,
-            "fisher": self.fisher,
-        }
 
 
 _GL16 = np.polynomial.legendre.leggauss(16)
@@ -591,14 +567,6 @@ class RescaledKernelResult:
     fisher: float
     window_mass: float
 
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "fisher": self.fisher,
-            "window_mass": self.window_mass,
-            "window_halfwidth": float(-self.window.offsets[0] + 0.5 * self.window.spacing),
-        }
-
 
 def rescaled_posterior_kernel(
     state: StateKernel,
@@ -662,8 +630,6 @@ class GaussianKernelSpec:
     """
 
     fisher: float
-    center: float = 0.0
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.fisher <= 0:
@@ -711,8 +677,7 @@ def limit_kernel(
         c_block = np.zeros((n, n), dtype=complex)
     else:
         c_block = block / trace
-    spec = GaussianKernelSpec(fisher=fisher, center=nu_hat, scale=window.scale)
-    g = spec.values(window.offsets[:, None], window.offsets[None, :])
+    g = GaussianKernelSpec(fisher).values(window.offsets[:, None], window.offsets[None, :])
     values = g[:, :, None, None] * c_block[None, None, :, :] / h_at
     return StateKernel(values, window)
 

@@ -144,6 +144,13 @@ class ExperimentConfig:
             raise ConfigError("ensemble size must be at least 1")
         if self.k_max < 1:
             raise ConfigError("k_max must be at least 1")
+        # both limit laws live on the absolutely continuous part of the spectrum
+        if (
+            self.kind in ("clt", "kernel-convergence")
+            and isinstance(self.spectral, dict)
+            and not self.spectral.get("intervals")
+        ):
+            raise ConfigError(f"a {self.kind} experiment needs a spectral interval")
         if not self.checkpoints:
             cps = [c for c in DEFAULT_CHECKPOINTS if c <= self.k_max]
             self.checkpoints = tuple(cps + ([self.k_max] if self.k_max not in cps else []))
@@ -763,7 +770,6 @@ def run_experiment(
     out_dir=None,
     workers: int = 1,
     content_hash: str | None = None,
-    skip_probe_validation: bool = False,
 ) -> ReportBundle:
     """Simulate, estimate, and bundle one experiment deterministically.
 
@@ -776,7 +782,7 @@ def run_experiment(
     if content_hash is None:
         content_hash = git_blob_sha1(config_json.encode())
     _, model, state, probe = _build_cached(config_json)
-    if config.kind != "assumption-validation" and not skip_probe_validation:
+    if config.kind != "assumption-validation":
         probe_report = validate_probe(probe, model)
         if not probe_report.passed:
             raise ValidationFailure(probe_report)

@@ -25,7 +25,8 @@ spectrum itself.
 Expectations over outcomes use exact sums for finite outcome spaces and a
 fixed composite Gauss-Legendre rule (about 1e5 nodes, window covering at
 least 1 - 1e-12 of each outcome law, radius 8 sigma for the Gaussian
-family) for continuous ones.
+family) for continuous ones.  Every outcome x node product is evaluated in
+blocks of at most ``BLOCK_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ GAUSS_WINDOW_SIGMAS = 8.0        # tail mass below 1.3e-15 per side
 XI_QUAD_NODES = 100_096          # composite Gauss-Legendre size, 32 per panel
 IDENTIFIABILITY_NODES = 1024     # cheaper rule for pairwise L1 distances
 FD_STEP = 1e-5                   # declared central-difference step
+BLOCK_CELLS = 2_000_000          # cells per outcome x node block (16 MB of float64)
 
 _GL32 = np.polynomial.legendre.leggauss(32)
 
@@ -119,6 +121,13 @@ class ProbeExtension:
         b1 = sign * s1 / self.margin
         b2 = -s2 / self.margin**2
         return b, b1, b2
+
+
+def _blocks(n: int, width: int) -> list[slice]:
+    """Slices of range(n), each holding at most BLOCK_CELLS cells of ``width``
+    columns (but at least one row)."""
+    step = max(BLOCK_CELLS // max(width, 1), 1)
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _composite_gauss(lo: float, hi: float, total_nodes: int):
@@ -221,13 +230,9 @@ class ProbeModel:
             vals, counts = np.unique(outcomes, return_counts=True)
             return counts @ self.loglik_values(nodes, vals)
         total = np.zeros(nodes.size)
-        step = max(int(2e6 // max(nodes.size, 1)), 1)
-        for start in range(0, outcomes.size, step):
-            total += self.loglik_values(nodes, outcomes[start : start + step]).sum(axis=0)
+        for sl in _blocks(outcomes.size, nodes.size):
+            total += self.loglik_values(nodes, outcomes[sl]).sum(axis=0)
         return total
-
-    def loglik_sum_at(self, nu: float, outcomes: np.ndarray) -> float:
-        return float(self.loglik_node_sums(np.asarray([nu]), outcomes)[0])
 
     # -- sampling ------------------------------------------------------------
 
@@ -240,14 +245,15 @@ class ProbeModel:
 
     # -- expectations over outcomes -------------------------------------------
 
-    def _quadrature(self, nus: np.ndarray):
+    def _quadrature(self, nus: np.ndarray, size: int = XI_QUAD_NODES):
+        """Outcome rule (points, weights) covering the laws at ``nus``."""
         if self.outcome_space.finite:
             xq = np.asarray(self.outcome_space.values, dtype=float)
             return xq, np.ones_like(xq)
         lo, hi = self._xi_window(np.asarray(nus, dtype=float))
-        return _composite_gauss(lo, hi, XI_QUAD_NODES)
+        return _composite_gauss(lo, hi, size)
 
-    def _expect(self, nus: np.ndarray, quantities: Sequence[str], chunk: int = 16):
+    def _expect(self, nus: np.ndarray, quantities: Sequence[str]):
         """Outcome-space expectations at each nu.
 
         Supported quantities: ``norm`` = int f, ``score`` = E[dl],
@@ -256,12 +262,10 @@ class ProbeModel:
         nus = np.atleast_1d(np.asarray(nus, dtype=float))
         xq, wq = self._quadrature(nus)
         out = {q: np.empty(nus.size) for q in quantities}
-        for start in range(0, nus.size, chunk):
-            nu_blk = nus[start : start + chunk][None, :]
-            f, f1, f2 = self.density_derivs(xq[:, None], nu_blk)
+        for sl in _blocks(nus.size, xq.size):
+            f, f1, f2 = self.density_derivs(xq[:, None], nus[None, sl])
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(f > 0, f1 * f1 / np.where(f > 0, f, 1.0), 0.0)
-            sl = slice(start, start + nu_blk.size)
             if "norm" in out:
                 out["norm"][sl] = wq @ f
             if "score" in out:
@@ -291,14 +295,10 @@ class ProbeModel:
         f_nu = self.density(xq, np.float64(nu))
         w = wq * f_nu
         out = np.empty(nodes.size)
-        chunk = max(int(2e6 // max(xq.size, 1)), 1)
-        for start in range(0, nodes.size, chunk):
-            blk = nodes[start : start + chunk]
+        for sl in _blocks(nodes.size, xq.size):
             with np.errstate(divide="ignore"):
-                logf = np.log(self.density(xq[:, None], blk[None, :]))
-            out[start : start + blk.size] = w @ np.where(
-                f_nu[:, None] > 0, logf, 0.0
-            )
+                logf = np.log(self.density(xq[:, None], nodes[None, sl]))
+            out[sl] = w @ np.where(f_nu[:, None] > 0, logf, 0.0)
         return out
 
     # -- misc ------------------------------------------------------------------
@@ -557,16 +557,7 @@ def relative_entropy(probe: ProbeModel, nu: float, region_nodes) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         log_f_nu = np.where(f_nu > 0, np.log(np.where(f_nu > 0, f_nu, 1.0)), 0.0)
     base = float(np.dot(wq, f_nu * log_f_nu))
-    best = np.inf
-    chunk = max(int(2e6 // max(xq.size, 1)), 1)
-    for start in range(0, region_nodes.size, chunk):
-        blk = region_nodes[start : start + chunk]
-        f_blk = probe.density(xq[:, None], blk[None, :])
-        with np.errstate(divide="ignore"):
-            log_blk = np.log(f_blk)
-        cross = (wq * f_nu) @ np.where(f_nu[:, None] > 0, log_blk, 0.0)
-        best = min(best, float(base - cross.max()))
-    return best
+    return float(base - probe.expected_loglik(nu, region_nodes).max())
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +637,7 @@ def validate_probe(
     )
 
     # coarse outcome rule shared by the positivity and identifiability checks
-    if probe.outcome_space.finite:
-        xs = np.asarray(probe.outcome_space.values, dtype=float)
-        wq_id = np.ones(xs.size)
-    else:
-        xs, wq_id = _composite_gauss(*probe._xi_window(nodes), IDENTIFIABILITY_NODES)
+    xs, wq_id = probe._quadrature(nodes, IDENTIFIABILITY_NODES)
     fmat = probe.density(xs[:, None], nodes[None, :])
 
     qi, ni = np.unravel_index(int(np.argmin(fmat)), fmat.shape)
@@ -684,16 +671,12 @@ def validate_probe(
 
     # dominance: E_nu[ sup_nu' |l(nu'|xi)| ] finite for all grid nu
     xq, wq = probe._quadrature(nodes)
-    sup_abs = np.zeros(xq.size)
-    dens_at = np.zeros((xq.size, nodes.size))
-    step = max(int(2e6 // max(nodes.size, 1)), 1)
-    for start in range(0, xq.size, step):
-        blk = probe.density(xq[start : start + step, None], nodes[None, :])
-        dens_at[start : start + step] = blk
-        with np.errstate(divide="ignore"):
-            sup_abs[start : start + step] = np.abs(np.log(blk)).max(axis=1)
-    with np.errstate(invalid="ignore"):  # inf * 0 marks a genuine failure
-        dom = (wq * sup_abs) @ dens_at
+    dom = np.zeros(nodes.size)
+    for sl in _blocks(xq.size, nodes.size):
+        blk = probe.density(xq[sl, None], nodes[None, :])
+        # inf * 0 marks a genuine failure
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dom += (wq[sl] * np.abs(np.log(blk)).max(axis=1)) @ blk
     idx = int(np.argmax(dom))
     checks.append(
         AssumptionCheck(

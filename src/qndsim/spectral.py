@@ -418,17 +418,6 @@ class StateKernel:
     def block_size(self) -> int:
         return self.values.shape[2]
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """(N, N) view of a multiplicity-one kernel."""
-        if self.block_size != 1:
-            raise ValueError("matrix view is only defined for multiplicity 1")
-        return self.values[:, :, 0, 0]
-
-    def block_diagonal(self) -> np.ndarray:
-        """Diagonal blocks K[i, i], shape (N, n, n)."""
-        return np.einsum("iiab->iab", self.values)
-
     def block_traces(self) -> np.ndarray:
         """Per-node block traces tr_block(K[i, i]), shape (N,), real part."""
         return np.einsum("iiaa->i", self.values).real
@@ -443,9 +432,6 @@ class StateKernel:
         m = self.values * s[:, None, None, None] * s[None, :, None, None]
         nn = self.size * self.block_size
         return m.transpose(0, 2, 1, 3).reshape(nn, nn)
-
-    def normalized(self) -> "StateKernel":
-        return StateKernel(self.values / self.trace(), self.grid)
 
 
 def pure_state(model, psi) -> StateKernel:

@@ -65,6 +65,14 @@ def test_malformed_config_exits_two(tmp_path):
     assert main(["verify", "--config", str(schema)]) == 2
 
 
+@pytest.mark.parametrize("kind", ["clt", "kernel-convergence"])
+def test_atoms_only_limit_law_exits_two(tmp_path, capsys, kind):
+    cfg = _write_config(tmp_path / "cfg.json", kind=kind, region=[], hidden_nu=1.0)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "needs a spectral interval" in err
+
+
 def test_estimate_without_simulate_exits_two(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

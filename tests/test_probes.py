@@ -1,10 +1,16 @@
 """Probe families: densities, scores, Fisher information, relative entropy,
 sampling, the constant extension, and the assumption validators."""
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from qndsim import probes
 from qndsim.probes import (
     BinaryPhase,
     GaussianReadout,
@@ -225,6 +231,98 @@ def test_relative_entropy_nonnegative():
 def test_relative_entropy_empty_region():
     with pytest.raises(ProbeError):
         relative_entropy(GaussianReadout(), 0.5, [])
+
+
+# ---------------------------------------------------------------------------
+# block evaluation of outcome x node products
+
+def _block_fixture():
+    model = _grid(0.0, 1.0, 4)
+    xi_grid = np.linspace(-6.0, 7.0, 8)
+    nu_grid = np.linspace(-0.5, 1.5, 5)
+    # a floor keeps the quadratic nu-interpolation of the tails positive
+    table = 0.01 + np.exp(-0.5 * (xi_grid[:, None] - nu_grid[None, :]) ** 2)
+    tabulated = TabulatedProbe(
+        nu_grid=tuple(nu_grid), values=tuple(map(tuple, table)), xi_grid=tuple(xi_grid)
+    )
+    probes_by_name = {
+        "gaussian": bind_extension(GaussianReadout(sigma=1.0), model),
+        "tabulated": bind_extension(tabulated, model),
+    }
+    # the two outer nodes sit in the blend zone of the extension
+    return model, np.append(model.nodes, [-0.3, 1.4]), probes_by_name
+
+
+BLOCK_MODEL, BLOCK_NODES, BLOCK_PROBES = _block_fixture()
+UNBLOCKED = 10**15
+
+
+def _cells_splitting(data, n, width, min_step=1):
+    """A BLOCK_CELLS value whose block edges fall strictly inside range(n)."""
+    step = data.draw(st.integers(min_step, n - 1), label="rows per block")
+    return step * width + data.draw(st.integers(0, width - 1), label="spare cells")
+
+
+def _with_cells(cells, fn):
+    with mock.patch.object(probes, "BLOCK_CELLS", cells):
+        return fn()
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=st.sampled_from(sorted(BLOCK_PROBES)), data=st.data())
+def test_blocked_loglik_sums_match_unblocked(name, data):
+    probe = BLOCK_PROBES[name]
+    outcomes = np.random.default_rng(RNG_SEED).normal(0.4, 1.0, 40)
+    cells = _cells_splitting(data, outcomes.size, BLOCK_NODES.size)
+
+    def run():
+        return probe.loglik_node_sums(BLOCK_NODES, outcomes)
+
+    blocked, whole = _with_cells(cells, run), _with_cells(UNBLOCKED, run)
+    np.testing.assert_allclose(blocked, whole, rtol=1e-12)
+
+
+def _outcome_expectations(probe, nu=0.3):
+    return {
+        "expected_loglik": probe.expected_loglik(nu, BLOCK_NODES),
+        "relative_entropy": relative_entropy(probe, nu, BLOCK_NODES[2:]),
+        **probe._expect(BLOCK_NODES, ("norm", "score", "fisher", "d2")),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _unblocked_expectations(name):
+    return _with_cells(UNBLOCKED, lambda: _outcome_expectations(BLOCK_PROBES[name]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(sorted(BLOCK_PROBES)), data=st.data())
+def test_blocked_outcome_expectations_match_unblocked(name, data):
+    probe = BLOCK_PROBES[name]
+    cells = _cells_splitting(data, BLOCK_NODES.size, probes.XI_QUAD_NODES)
+    blocked = _with_cells(cells, lambda: _outcome_expectations(probe))
+    whole = _unblocked_expectations(name)
+    assert blocked.keys() == whole.keys()
+    for key in whole:
+        # the mean score cancels to rounding level, hence the absolute floor
+        np.testing.assert_allclose(blocked[key], whole[key], rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=4, deadline=None)
+@given(name=st.sampled_from(sorted(BLOCK_PROBES)), data=st.data())
+def test_blocked_dominance_matches_dense_formula(name, data):
+    probe = BLOCK_PROBES[name]
+    nodes = BLOCK_MODEL.nodes
+    # the dense quadrature x grid formula the validator used to evaluate
+    xq, wq = probe._quadrature(nodes)
+    dens_at = probe.density(xq[:, None], nodes[None, :])
+    with np.errstate(divide="ignore"):
+        sup_abs = np.abs(np.log(dens_at)).max(axis=1)
+    dense = (wq * sup_abs) @ dens_at
+    cells = _cells_splitting(data, xq.size, nodes.size, min_step=xq.size // 40)
+    check = _with_cells(cells, lambda: validate_probe(probe, BLOCK_MODEL))["dominance"]
+    assert check.worst_value == pytest.approx(dense.max(), rel=1e-12)
+    assert check.passed
 
 
 # ---------------------------------------------------------------------------
