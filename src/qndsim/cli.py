@@ -30,6 +30,7 @@ from .harness import (
     simulate_ensemble,
     validate_config,
 )
+from .estimators import WindowError
 from .probes import ProbeError
 from .spectral import RegionError, SpectralModelError
 
@@ -184,6 +185,7 @@ def main(argv=None) -> int:
         ProbeError,
         RegionError,
         SpectralModelError,
+        WindowError,
         FileNotFoundError,
         json.JSONDecodeError,
     ) as exc:

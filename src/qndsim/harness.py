@@ -101,6 +101,7 @@ DEFAULT_TOLERANCES = {
 }
 
 DEFAULT_WINDOW = {"sigmas": 8.0, "nodes": 201, "min_sigmas": 2.0}
+KS_MIN_SAMPLES = 50  # below this the asymptotic Kolmogorov p-value is not used
 
 
 class ConfigError(ValueError):
@@ -151,6 +152,10 @@ class ExperimentConfig:
             and not self.spectral.get("intervals")
         ):
             raise ConfigError(f"a {self.kind} experiment needs a spectral interval")
+        if self.kind == "clt" and self.ensemble < KS_MIN_SAMPLES:
+            raise ConfigError(
+                f"a clt experiment needs an ensemble of at least {KS_MIN_SAMPLES}"
+            )
         if not self.checkpoints:
             cps = [c for c in DEFAULT_CHECKPOINTS if c <= self.k_max]
             self.checkpoints = tuple(cps + ([self.k_max] if self.k_max not in cps else []))
@@ -283,8 +288,10 @@ def ks_test(samples, reference_cdf) -> KsResult:
     """One-sample Kolmogorov-Smirnov statistic with its asymptotic p-value."""
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
-    if n < 50:
-        raise ValueError(f"Kolmogorov-Smirnov test needs at least 50 samples, got {n}")
+    if n < KS_MIN_SAMPLES:
+        raise ValueError(
+            f"Kolmogorov-Smirnov test needs at least {KS_MIN_SAMPLES} samples, got {n}"
+        )
     cdf = np.asarray(reference_cdf(x), dtype=float)
     steps = np.arange(1, n + 1) / n
     d = float(np.max(np.maximum(steps - cdf, cdf - (steps - 1.0 / n))))

@@ -26,7 +26,8 @@ Expectations over outcomes use exact sums for finite outcome spaces and a
 fixed composite Gauss-Legendre rule (about 1e5 nodes, window covering at
 least 1 - 1e-12 of each outcome law, radius 8 sigma for the Gaussian
 family) for continuous ones.  Every outcome x node product is evaluated in
-blocks of at most ``BLOCK_CELLS`` cells.
+blocks of at most ``BLOCK_CELLS`` cells.  The Gaussian relative entropy has a
+closed form on the spectrum hull and uses the rule only in the blend margin.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ class ProbeExtension:
         nu = np.asarray(nu, dtype=float)
         return (nu >= self.lo - self.margin) & (nu <= self.hi + self.margin)
 
+    def covers(self, nu) -> bool:
+        """True when every nu lies in [lo, hi], where the blend is the identity."""
+        nu = np.asarray(nu, dtype=float)
+        return bool(np.all((nu >= self.lo) & (nu <= self.hi)))
+
     def blend(self, nu):
         """Bump b(nu) with derivatives: 1 on [lo, hi], 0 beyond the margin."""
         nu = np.asarray(nu, dtype=float)
@@ -179,7 +185,7 @@ class ProbeModel:
 
     def density(self, xi, nu) -> np.ndarray:
         f = self._raw_density(xi, nu)
-        if self.extension is None:
+        if self.extension is None or self.extension.covers(nu):
             return f
         b, _, _ = self.extension.blend(nu)
         # b*f + (1-b) is the same convex blend as 1 + b*(f-1) without the
@@ -188,7 +194,7 @@ class ProbeModel:
 
     def density_derivs(self, xi, nu):
         f, f1, f2 = self._raw_density_derivs(xi, nu)
-        if self.extension is None:
+        if self.extension is None or self.extension.covers(nu):
             return f, f1, f2
         b, b1, b2 = self.extension.blend(nu)
         g = b * f + (1.0 - b)
@@ -301,6 +307,15 @@ class ProbeModel:
             out[sl] = w @ np.where(f_nu[:, None] > 0, logf, 0.0)
         return out
 
+    def relative_entropy(self, nu: float, nodes: np.ndarray) -> float:
+        """min over nodes of KL(f(.|nu) || f(.|node)) by outcome quadrature."""
+        xq, wq = self._quadrature(np.asarray([nu]))
+        f_nu = self.density(xq, np.float64(nu))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_f_nu = np.where(f_nu > 0, np.log(np.where(f_nu > 0, f_nu, 1.0)), 0.0)
+        base = float(np.dot(wq, f_nu * log_f_nu))
+        return float(base - self.expected_loglik(nu, nodes).max())
+
     # -- misc ------------------------------------------------------------------
 
     def with_extension(self, lo: float, hi: float, margin: float) -> "ProbeModel":
@@ -338,11 +353,17 @@ class GaussianReadout(ProbeModel):
 
     def loglik_values(self, nodes, outcomes):
         nodes = np.asarray(nodes, dtype=float)
-        ext = self.extension
-        if ext is not None and (np.any(nodes < ext.lo) or np.any(nodes > ext.hi)):
+        if self.extension is not None and not self.extension.covers(nodes):
             return super().loglik_values(nodes, outcomes)  # blend zone reached
         d = np.asarray(outcomes, dtype=float)[:, None] - nodes[None, :]
         return -0.5 * (d / self.sigma) ** 2 - np.log(np.sqrt(2.0 * np.pi) * self.sigma)
+
+    def relative_entropy(self, nu, nodes):
+        """Closed form min (nu - node)^2 / 2 sigma^2 off the blend zone."""
+        nodes = np.asarray(nodes, dtype=float)
+        if self.extension is not None and not self.extension.covers(np.append(nodes, nu)):
+            return super().relative_entropy(nu, nodes)  # blend zone reached
+        return float(0.5 * (np.abs(nodes - nu).min() / self.sigma) ** 2)
 
     def _raw_sample(self, nu, size, rng):
         return nu + self.sigma * rng.standard_normal(size)
@@ -457,8 +478,12 @@ class TabulatedProbe(ProbeModel):
     def _nus(self) -> np.ndarray:
         return np.asarray(self.nu_grid, dtype=float)
 
-    def _rows_at(self, nu):
-        """Quadratic interpolation of table rows in nu; shape (R, *nu.shape)."""
+    def _rows_at(self, nu, rows=slice(None)):
+        """Quadratic interpolation of table rows in nu.
+
+        All rows by default, shape (R, *nu.shape); with an index array
+        ``rows`` broadcasting against nu, only row ``rows[..., m]`` at ``nu[m]``.
+        """
         nus = self._nus
         nu = np.asarray(nu, dtype=float)
         j = np.clip(np.searchsorted(nus, nu) - 1, 1, nus.size - 2)
@@ -467,23 +492,22 @@ class TabulatedProbe(ProbeModel):
         w1 = (nu - x0) * (nu - x2) / ((x1 - x0) * (x1 - x2))
         w2 = (nu - x0) * (nu - x1) / ((x2 - x0) * (x2 - x1))
         t = self._table
-        return w0 * t[:, j - 1] + w1 * t[:, j] + w2 * t[:, j + 1]
+        return w0 * t[rows, j - 1] + w1 * t[rows, j] + w2 * t[rows, j + 1]
 
     def _value_at(self, xi, nu):
         shape = xi.shape
         xi = np.atleast_1d(xi).ravel()
         nu = np.atleast_1d(nu).ravel()
-        rows = self._rows_at(nu)  # (R, M)
-        cols = np.arange(xi.size)
         if self.outcomes is not None:
             outs = np.asarray(self.outcomes, dtype=float)
             idx = np.argmin(np.abs(xi[:, None] - outs[None, :]), axis=1)
-            vals = rows[idx, cols]
+            vals = self._rows_at(nu, idx)
         else:
             grid = np.asarray(self.xi_grid, dtype=float)
             q = np.clip(np.searchsorted(grid, xi) - 1, 0, grid.size - 2)
             t = np.clip((xi - grid[q]) / (grid[q + 1] - grid[q]), 0.0, 1.0)
-            vals = (1.0 - t) * rows[q, cols] + t * rows[q + 1, cols]
+            below, above = self._rows_at(nu, np.stack([q, q + 1]))
+            vals = (1.0 - t) * below + t * above
         return vals.reshape(shape)
 
     def _raw_density(self, xi, nu):
@@ -552,12 +576,7 @@ def relative_entropy(probe: ProbeModel, nu: float, region_nodes) -> float:
     region_nodes = np.atleast_1d(np.asarray(region_nodes, dtype=float))
     if region_nodes.size == 0:
         raise ProbeError("relative entropy needs a nonempty region")
-    xq, wq = probe._quadrature(np.asarray([nu]))
-    f_nu = probe.density(xq, np.float64(nu))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_f_nu = np.where(f_nu > 0, np.log(np.where(f_nu > 0, f_nu, 1.0)), 0.0)
-    base = float(np.dot(wq, f_nu * log_f_nu))
-    return float(base - probe.expected_loglik(nu, region_nodes).max())
+    return probe.relative_entropy(nu, region_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +642,11 @@ def validate_probe(
     checks: list[AssumptionCheck] = []
     caveats: list[str] = []
 
+    # one outcome pass for normalization, mean score and curvature
+    stats = probe._expect(nodes, ("norm", "score", "d2"))
+
     # normalization: int f(.|nu) dmu = 1 on the spectrum
-    norms = probe.normalization(nodes)
+    norms = stats["norm"]
     idx = int(np.argmax(np.abs(norms - 1.0)))
     checks.append(
         AssumptionCheck(
@@ -724,7 +746,6 @@ def validate_probe(
     )
 
     # score mean-zero and strictly positive curvature
-    stats = probe._expect(nodes, ("score", "d2"))
     idx = int(np.argmax(np.abs(stats["score"])))
     checks.append(
         AssumptionCheck(

@@ -73,6 +73,39 @@ def test_atoms_only_limit_law_exits_two(tmp_path, capsys, kind):
     assert err.count("\n") == 1 and "needs a spectral interval" in err
 
 
+def _interval_config(path: Path, **overrides) -> Path:
+    return _write_config(
+        path,
+        spectral={"intervals": [[0.0, 1.0]], "h": {"name": "uniform"}, "nodes_per_interval": 40},
+        probe={"kind": "gaussian-readout", "sigma": 1.0},
+        state={"type": "pure", "psi": {"name": "flat"}},
+        region=[],
+        hidden_nu=0.5,
+        **overrides,
+    )
+
+
+def test_kernel_window_leaving_spectrum_exits_two(tmp_path, capsys):
+    # at k=1 the zoom window of a sigma=1 readout is far wider than [0, 1]
+    cfg = _interval_config(
+        tmp_path / "cfg.json",
+        kind="kernel-convergence",
+        k_max=100,
+        checkpoints=[1, 100],
+        ensemble=2,
+    )
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exits the spectrum" in err
+
+
+def test_clt_ensemble_too_small_for_ks_exits_two(tmp_path, capsys):
+    cfg = _interval_config(tmp_path / "cfg.json", kind="clt", k_max=10, ensemble=10)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ensemble of at least 50" in err
+
+
 def test_estimate_without_simulate_exits_two(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -2,6 +2,7 @@
 sampling, the constant extension, and the assumption validators."""
 
 import functools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from qndsim.probes import (
     BinaryPhase,
     GaussianReadout,
     ProbeError,
+    ProbeModel,
     TabulatedProbe,
     ZeroDensityError,
     bind_extension,
@@ -233,6 +235,52 @@ def test_relative_entropy_empty_region():
         relative_entropy(GaussianReadout(), 0.5, [])
 
 
+KL_MODEL = _grid(0.0, 1.0, 40)
+
+
+def _region_nodes(data):
+    mask = data.draw(
+        st.lists(st.booleans(), min_size=KL_MODEL.size, max_size=KL_MODEL.size)
+        .filter(any),
+        label="region mask",
+    )
+    return KL_MODEL.nodes[np.asarray(mask)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    sigma=st.floats(0.3, 3.0),
+    nu=st.floats(*KL_MODEL.hull),
+    bound=st.booleans(),
+    data=st.data(),
+)
+def test_gaussian_relative_entropy_closed_form_matches_quadrature(sigma, nu, bound, data):
+    probe = GaussianReadout(sigma=sigma)
+    if bound:
+        probe = bind_extension(probe, KL_MODEL)
+    nodes = _region_nodes(data)
+    closed = probe.relative_entropy(nu, nodes)
+    assert closed == 0.5 * (np.abs(nodes - nu).min() / sigma) ** 2
+    # the outcome quadrature of the base class is the oracle
+    assert closed == pytest.approx(ProbeModel.relative_entropy(probe, nu, nodes), abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sigma=st.floats(0.3, 3.0), nu_outside=st.booleans(), data=st.data())
+def test_gaussian_relative_entropy_in_margin_zone_is_quadrature(sigma, nu_outside, data):
+    probe = bind_extension(GaussianReadout(sigma=sigma), KL_MODEL)
+    ext = probe.extension
+    margin_zone = st.one_of(
+        st.floats(ext.lo - ext.margin, ext.lo, exclude_max=True),
+        st.floats(ext.hi, ext.hi + ext.margin, exclude_min=True),
+    )
+    nu = data.draw(margin_zone if nu_outside else st.floats(ext.lo, ext.hi), label="nu")
+    nodes = _region_nodes(data)
+    if not nu_outside:
+        nodes = np.append(nodes, data.draw(margin_zone, label="margin node"))
+    assert probe.relative_entropy(nu, nodes) == ProbeModel.relative_entropy(probe, nu, nodes)
+
+
 # ---------------------------------------------------------------------------
 # block evaluation of outcome x node products
 
@@ -361,6 +409,39 @@ def test_extension_blend_derivatives_consistent():
         assert abs((fp - 2 * float(f) + fm) / step**2 - float(f2)) < 1e-2
 
 
+BLEND_MODEL = _grid(0.0, 1.0, 20)
+BLEND_PROBES = {
+    name: bind_extension(family, BLEND_MODEL)
+    for name, family in {
+        "gaussian": GaussianReadout(sigma=1.0),
+        "binary": BinaryPhase.embedded(0.0, 1.0),
+        "tabulated": BLOCK_PROBES["tabulated"],
+        "tabulated-finite": TabulatedProbe(
+            nu_grid=(-0.5, 0.25, 0.75, 1.5),
+            values=((0.2, 0.3, 0.6, 0.7), (0.8, 0.7, 0.4, 0.3)),
+            outcomes=(0.0, 1.0),
+        ),
+    }.items()
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLEND_PROBES))
+def test_interior_densities_equal_the_blend_formula(name):
+    probe = BLEND_PROBES[name]
+    xq, _ = probe._quadrature(BLEND_MODEL.nodes, probes.IDENTIFIABILITY_NODES)
+    xi, nu = xq[:, None], BLEND_MODEL.nodes[None, :]
+    b, b1, b2 = probe.extension.blend(nu)
+    assert np.all(b == 1.0)
+    f, f1, f2 = probe._raw_density_derivs(xi, nu)
+    raw = probe._raw_density(xi, nu)
+    # the skipped blend, written out; equal up to the sign of zero
+    np.testing.assert_array_equal(probe.density(xi, nu), b * raw + (1.0 - b))
+    g, g1, g2 = probe.density_derivs(xi, nu)
+    np.testing.assert_array_equal(g, b * f + (1.0 - b))
+    np.testing.assert_array_equal(g1, b1 * (f - 1.0) + b * f1)
+    np.testing.assert_array_equal(g2, b2 * (f - 1.0) + 2.0 * b1 * f1 + b * f2)
+
+
 def test_extension_preserves_tiny_densities():
     # the blend must not flush far-tail Gaussian densities to zero
     model = _grid(0.0, 1.0, 50)
@@ -393,6 +474,16 @@ def test_validator_accepts_gaussian():
     model = _grid(0.0, 1.0, 40)
     report = validate_probe(bind_extension(GaussianReadout(sigma=1.0), model), model)
     assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("name", sorted(BLEND_PROBES))
+def test_validator_single_pass_matches_separate_expectations(name):
+    probe = BLEND_PROBES[name]
+    report = validate_probe(probe, BLEND_MODEL, n_derivative_pairs=1)
+    nodes = BLEND_MODEL.nodes
+    assert report["normalization"].worst_value == np.abs(probe.normalization(nodes) - 1.0).max()
+    assert report["score-mean-zero"].worst_value == np.abs(probe.score_mean(nodes)).max()
+    assert report["positive-curvature"].worst_value == -probe.mean_d2_loglik(nodes).max()
 
 
 def test_validator_accepts_binary_inside_safe_range():
@@ -456,6 +547,63 @@ def test_tabulated_density_matches_source():
     approx = probe.density(xs[:, None], nus[None, :])
     truth = exact.density(xs[:, None], nus[None, :])
     assert np.max(np.abs(approx - truth)) < 1e-3
+
+
+def _all_rows_value_at(probe, xi, nu):
+    """The former evaluation: every table row interpolated at every cell."""
+    shape = xi.shape
+    xi = np.atleast_1d(xi).ravel()
+    nu = np.atleast_1d(nu).ravel()
+    rows = probe._rows_at(nu)  # (R, M)
+    cols = np.arange(xi.size)
+    if probe.outcomes is not None:
+        outs = np.asarray(probe.outcomes, dtype=float)
+        idx = np.argmin(np.abs(xi[:, None] - outs[None, :]), axis=1)
+        vals = rows[idx, cols]
+    else:
+        grid = np.asarray(probe.xi_grid, dtype=float)
+        q = np.clip(np.searchsorted(grid, xi) - 1, 0, grid.size - 2)
+        t = np.clip((xi - grid[q]) / (grid[q + 1] - grid[q]), 0.0, 1.0)
+        vals = (1.0 - t) * rows[q, cols] + t * rows[q + 1, cols]
+    return vals.reshape(shape)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    finite=st.booleans(),
+    n_rows=st.integers(2, 6),
+    n_nus=st.integers(3, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tabulated_value_at_matches_all_rows_formula(finite, n_rows, n_nus, seed):
+    rng = np.random.default_rng(seed)
+    nu_grid = np.sort(rng.uniform(-1.0, 2.0, n_nus)) + np.arange(n_nus)
+    table = rng.uniform(0.0, 1.0, (n_rows, n_nus))
+    points = np.sort(rng.uniform(-3.0, 3.0, n_rows)) + np.arange(n_rows)
+    probe = TabulatedProbe(
+        nu_grid=tuple(nu_grid),
+        values=tuple(map(tuple, table)),
+        outcomes=tuple(points) if finite else None,
+        xi_grid=None if finite else tuple(points),
+    )
+    # cells inside, between and beyond both grids
+    xi = rng.uniform(points[0] - 1.0, points[-1] + 1.0, (7, 5))
+    nu = rng.uniform(nu_grid[0] - 1.0, nu_grid[-1] + 1.0, (7, 5))
+    np.testing.assert_array_equal(probe._value_at(xi, nu), _all_rows_value_at(probe, xi, nu))
+
+
+def test_tabulated_value_at_memory_is_per_cell():
+    probe = _tabulated_gaussian()  # 521 rows: the former rule took about 240 MB here
+    rng = np.random.default_rng(RNG_SEED)
+    xi = rng.uniform(-6.0, 7.0, 20_000)
+    nu = rng.uniform(0.0, 1.0, 20_000)
+    tracemalloc.start()
+    try:
+        probe._value_at(xi, nu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 def test_tabulated_rejection_sampler_moments():
