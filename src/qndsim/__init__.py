@@ -65,10 +65,8 @@ from .estimators import (
     CltSamples,
     ConsistencyResult,
     EstimatorReport,
-    GaussianKernelSpec,
     LaplaceCheck,
     MlePath,
-    QuadraticInterpolant,
     RateTrace,
     RescaledKernelResult,
     WindowError,

@@ -49,8 +49,6 @@ __all__ = [
     "RescaledKernelResult",
     "WindowGrid",
     "WindowError",
-    "GaussianKernelSpec",
-    "QuadraticInterpolant",
     "EstimatorReport",
     "mle",
     "mle_path",
@@ -79,52 +77,45 @@ class WindowError(ValueError):
 # ---------------------------------------------------------------------------
 # sub-grid interpolation
 
-class QuadraticInterpolant:
-    """Local three-point Lagrange interpolation on a sorted grid.
+def _stencil(xs: np.ndarray, x, domain) -> tuple[np.ndarray, np.ndarray]:
+    """Local three-point Lagrange rule on sorted nodes ``xs``.
 
     Each query uses the parabola through the three nodes nearest to it, the
-    standard second-order reconstruction.  Queries outside ``domain`` raise;
-    the domain defaults to the node hull and is widened to the owning
-    interval by callers that know it.
+    standard second-order reconstruction: query ``m`` is interpolated by
+    weights ``w[m]`` (shape (M, 3)) on nodes ``first[m] + (0, 1, 2)``.
+    Queries outside ``domain`` (the node hull widened to the owning
+    interval) raise.
     """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi = domain
+    if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
+        raise ValueError(f"interpolation bracket failure: query outside [{lo}, {hi}]")
+    j = np.searchsorted(xs, x)
+    left = np.clip(j - 1, 0, xs.size - 1)
+    right = np.clip(j, 0, xs.size - 1)
+    c = np.where(np.abs(x - xs[left]) <= np.abs(x - xs[right]), left, right)
+    c = np.clip(c, 1, xs.size - 2)
+    x0, x1, x2 = xs[c - 1], xs[c], xs[c + 1]
+    w = np.stack(
+        [
+            (x - x1) * (x - x2) / ((x0 - x1) * (x0 - x2)),
+            (x - x0) * (x - x2) / ((x1 - x0) * (x1 - x2)),
+            (x - x0) * (x - x1) / ((x2 - x0) * (x2 - x1)),
+        ],
+        axis=1,
+    )
+    return c - 1, w
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray | None = None, domain=None):
-        xs = np.asarray(xs, dtype=float)
-        if xs.size < 3:
-            raise ValueError("quadratic interpolation needs at least 3 nodes")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("interpolation nodes must be strictly increasing")
-        self.xs = xs
-        self.ys = None if ys is None else np.asarray(ys)
-        self.domain = (xs[0], xs[-1]) if domain is None else (float(domain[0]), float(domain[1]))
 
-    def weight_matrix(self, x) -> np.ndarray:
-        """Dense (len(x), len(xs)) matrix with three weights per row."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        lo, hi = self.domain
-        if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
-            raise ValueError(
-                f"interpolation bracket failure: query outside [{lo}, {hi}]"
-            )
-        xs = self.xs
-        j = np.searchsorted(xs, x)
-        left = np.clip(j - 1, 0, xs.size - 1)
-        right = np.clip(j, 0, xs.size - 1)
-        c = np.where(np.abs(x - xs[left]) <= np.abs(x - xs[right]), left, right)
-        c = np.clip(c, 1, xs.size - 2)
-        x0, x1, x2 = xs[c - 1], xs[c], xs[c + 1]
-        w = np.zeros((x.size, xs.size))
-        rows = np.arange(x.size)
-        w[rows, c - 1] = (x - x1) * (x - x2) / ((x0 - x1) * (x0 - x2))
-        w[rows, c] = (x - x0) * (x - x2) / ((x1 - x0) * (x1 - x2))
-        w[rows, c + 1] = (x - x0) * (x - x1) / ((x2 - x0) * (x2 - x1))
-        return w
+def _apply_stencil(first: np.ndarray, w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``sum_s w[m, s] * values[first[m] + s]`` along axis 0, in index order."""
+    w = w.reshape(w.shape + (1,) * (values.ndim - 1))
+    return w[:, 0] * values[first] + w[:, 1] * values[first + 1] + w[:, 2] * values[first + 2]
 
-    def __call__(self, x):
-        if self.ys is None:
-            raise ValueError("interpolant was built without values")
-        out = self.weight_matrix(x) @ self.ys
-        return out if np.ndim(x) else float(out[0])
+
+def _interpolate(xs: np.ndarray, ys: np.ndarray, x, domain) -> np.ndarray:
+    """Values at ``x`` of the three-point rule through ``(xs, ys)``."""
+    return _apply_stencil(*_stencil(xs, x, domain), ys)
 
 
 def _interval_subgrid(model: SpectralModel, nu: float):
@@ -390,7 +381,8 @@ def clt_samples(
 
     Needs mixture-sampled trajectories (hidden value recorded) and sub-grid
     refinement.  Hidden values within ``margin_stds / sqrt(k F)`` of their
-    interval's boundary, or sitting on atoms, are excluded and counted.
+    interval's boundary, or sitting on atoms, are excluded and counted; the
+    residuals of the rest are returned, possibly none.
     """
     residuals = []
     excluded_boundary = 0
@@ -414,8 +406,6 @@ def clt_samples(
             continue
         estimate = mle(traj, k, model, probe, refine=True)
         residuals.append(math.sqrt(k * fisher) * (estimate - nu))
-    if not residuals:
-        raise ValueError("all trajectories were excluded; widen the spectrum")
     return CltSamples(
         residuals=np.asarray(residuals),
         excluded_boundary=excluded_boundary,
@@ -454,9 +444,9 @@ def laplace_condition_check(
     sums = trajectory.loglik_at(k, probe, model.nodes)
     nu_hat = mle(trajectory, k, model, probe, refine=True)
     sl, (a, b) = _interval_subgrid(model, nu_hat)
-    interp = QuadraticInterpolant(model.nodes[sl], sums[sl], domain=(a, b))
+    xs, ys = model.nodes[sl], sums[sl]
     fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
-    l_hat = interp(nu_hat)
+    l_hat = float(_interpolate(xs, ys, nu_hat, (a, b))[0])
 
     sqrt_k = math.sqrt(k)
     edges = sqrt_k * (np.linspace(a, b, (sl.stop - sl.start) + 1) - nu_hat)
@@ -465,7 +455,7 @@ def laplace_condition_check(
     half = 0.5 * np.diff(edges)
     xq = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
     wq = (half[:, None] * w0[None, :]).ravel()
-    expo = interp.weight_matrix(nu_hat + xq / sqrt_k) @ sums[sl] - l_hat
+    expo = _interpolate(xs, ys, nu_hat + xq / sqrt_k, (a, b)) - l_hat
     numerator = float(wq @ np.exp(np.clip(expo, None, 50.0)))
     denominator = math.sqrt(2.0 * math.pi / fisher)
     return LaplaceCheck(
@@ -509,13 +499,6 @@ class WindowGrid:
     def positions(self) -> np.ndarray:
         """Original-variable positions of the window nodes."""
         return self.center + self.offsets / self.scale
-
-    def matches(self, other: "WindowGrid") -> bool:
-        return (
-            self.offsets.size == other.offsets.size
-            and np.array_equal(self.offsets, other.offsets)
-            and np.array_equal(self.hvals, other.hvals)
-        )
 
 
 def build_window_grid(
@@ -594,14 +577,14 @@ def rescaled_posterior_kernel(
         model, nu_hat, k, fisher, window_sigmas, window_nodes, min_sigmas
     )
     sl, (a, b) = _interval_subgrid(model, nu_hat)
-    interp = QuadraticInterpolant(model.nodes[sl], domain=(a, b))
-    wmat = interp.weight_matrix(window.positions)
+    first, w = _stencil(model.nodes[sl], window.positions, (a, b))
 
     shift = float(sums.max())
-    half_log = 0.5 * (wmat @ sums[sl] - shift)
+    half_log = 0.5 * (_apply_stencil(first, w, sums[sl]) - shift)
     amp = np.exp(half_log)
-    base = np.einsum("qi,ijab->qjab", wmat, state.values[sl, sl])
-    base = np.einsum("qjab,rj->qrab", base, wmat)
+    # rows, then columns, of the (N, N, n, n) initial kernel
+    rows = _apply_stencil(first, w, state.values[sl, sl])
+    base = np.moveaxis(_apply_stencil(first, w, np.moveaxis(rows, 1, 0)), 0, 1)
     values = base * amp[:, None, None, None] * amp[None, :, None, None]
     raw = StateKernel(values, window)
     window_trace = raw.trace() / window.scale
@@ -621,33 +604,6 @@ def rescaled_posterior_kernel(
     )
 
 
-@dataclass(frozen=True)
-class GaussianKernelSpec:
-    """Normalized Gaussian kernel with inverse-variance ``fisher``.
-
-    ``values(x, y) = exp(-fisher (x^2 + y^2) / 4) / integral exp(-fisher
-    t^2 / 2) dt``; its diagonal integrates to one.
-    """
-
-    fisher: float
-
-    def __post_init__(self):
-        if self.fisher <= 0:
-            raise ValueError("fisher must be positive")
-
-    @property
-    def normalization(self) -> float:
-        return math.sqrt(2.0 * math.pi / self.fisher)
-
-    def values(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.exp(-0.25 * self.fisher * (x**2 + y**2)) / self.normalization
-
-    def diagonal(self, x) -> np.ndarray:
-        return self.values(x, x)
-
-
 def limit_kernel(
     model: SpectralModel,
     state: StateKernel,
@@ -663,21 +619,25 @@ def limit_kernel(
     Gaussian kernel with inverse variance ``fisher``, and ``h`` the
     spectral density at the estimate.
     """
+    if fisher <= 0:
+        raise ValueError("fisher must be positive")
     sl, (a, b) = _interval_subgrid(model, nu_hat)
     h_at = float(np.asarray(model.h_fn(np.asarray([nu_hat])))[0])
     if h_at <= 0:
         raise ValueError(f"spectral density vanishes at nu={nu_hat}")
-    interp = QuadraticInterpolant(model.nodes[sl], domain=(a, b))
-    w = interp.weight_matrix(np.asarray([nu_hat]))[0]
-    diag_blocks = np.einsum("iiab->iab", state.values[sl, sl])
-    block = np.einsum("i,iab->ab", w, diag_blocks)
+    first, w = _stencil(model.nodes[sl], nu_hat, (a, b))
+    idx = sl.start + first[0] + np.arange(3)
+    block = np.einsum("i,iab->ab", w[0], state.values[idx, idx])
     trace = float(np.trace(block).real)
     n = window.multiplicity
     if trace <= 0.0:
         c_block = np.zeros((n, n), dtype=complex)
     else:
         c_block = block / trace
-    g = GaussianKernelSpec(fisher).values(window.offsets[:, None], window.offsets[None, :])
+    x = window.offsets
+    g = np.exp(-0.25 * fisher * (x[:, None] ** 2 + x[None, :] ** 2)) / math.sqrt(
+        2.0 * math.pi / fisher
+    )
     values = g[:, :, None, None] * c_block[None, None, :, :] / h_at
     return StateKernel(values, window)
 
@@ -685,37 +645,21 @@ def limit_kernel(
 # ---------------------------------------------------------------------------
 # trace norm
 
-def trace_norm_distance(a: StateKernel, b: StateKernel, weights=None) -> float:
+def trace_norm_distance(a: StateKernel, b: StateKernel) -> float:
     """Sum of singular values of the difference of mass-weighted matrices.
 
     A norm distance: symmetric, triangle inequality, zero only for equal
-    kernels.  Both kernels must live on the same grid unless explicit
-    weights are supplied.
+    kernels.  Both kernels must live on one grid: the same object, or grids
+    with equal nodes and masses.
     """
-    same = a.grid is b.grid
-    if not same and isinstance(a.grid, WindowGrid) and isinstance(b.grid, WindowGrid):
-        same = a.grid.matches(b.grid)
-    if not same and weights is None:
-        ga, gb = a.grid, b.grid
-        same = (
-            ga.nodes.size == gb.nodes.size
-            and np.array_equal(ga.nodes, gb.nodes)
-            and np.array_equal(ga.mass, gb.mass)
-        )
-    if not same and weights is None:
+    ga, gb = a.grid, b.grid
+    if ga is not gb and not (
+        np.array_equal(ga.nodes, gb.nodes) and np.array_equal(ga.mass, gb.mass)
+    ):
         raise ValueError("kernels live on mismatched grids")
-    if weights is None:
-        ma, mb = a.weighted_matrix(), b.weighted_matrix()
-    else:
-        s = np.sqrt(np.asarray(weights, dtype=float))
-
-        def _weighted(kernel):
-            m = kernel.values * s[:, None, None, None] * s[None, :, None, None]
-            nn = kernel.size * kernel.block_size
-            return m.transpose(0, 2, 1, 3).reshape(nn, nn)
-
-        ma, mb = _weighted(a), _weighted(b)
-    return float(np.linalg.svd(ma - mb, compute_uv=False).sum())
+    return float(
+        np.linalg.svd(a.weighted_matrix() - b.weighted_matrix(), compute_uv=False).sum()
+    )
 
 
 # ---------------------------------------------------------------------------

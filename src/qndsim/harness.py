@@ -141,16 +141,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind: {self.kind!r}")
         if self.sampler not in ("de-finetti", "sequential"):
             raise ConfigError(f"unknown sampler: {self.sampler!r}")
-        if self.ensemble < 1:
-            raise ConfigError("ensemble size must be at least 1")
-        if self.k_max < 1:
-            raise ConfigError("k_max must be at least 1")
+        for name in ("spectral", "probe", "state", "tolerances", "window"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a JSON object")
+        for name, least in (("k_max", 1), ("ensemble", 1), ("seed", 0)):
+            _require_count(name, getattr(self, name), least)
         # both limit laws live on the absolutely continuous part of the spectrum
-        if (
-            self.kind in ("clt", "kernel-convergence")
-            and isinstance(self.spectral, dict)
-            and not self.spectral.get("intervals")
-        ):
+        if self.kind in ("clt", "kernel-convergence") and not self.spectral.get("intervals"):
             raise ConfigError(f"a {self.kind} experiment needs a spectral interval")
         if self.kind == "clt" and self.ensemble < KS_MIN_SAMPLES:
             raise ConfigError(
@@ -162,11 +159,14 @@ class ExperimentConfig:
         self.checkpoints = tuple(sorted({int(c) for c in self.checkpoints}))
         if self.checkpoints[-1] > self.k_max:
             raise ConfigError("checkpoints must not exceed k_max")
+        if self.checkpoints[-1] < 1:
+            raise ConfigError("at least one checkpoint must be positive")
         self.region = tuple(
             tuple(c) if isinstance(c, (list, tuple)) else float(c) for c in self.region
         )
         self.tolerances = {**DEFAULT_TOLERANCES, **self.tolerances}
         self.window = {**DEFAULT_WINDOW, **self.window}
+        _require_count("window nodes", self.window["nodes"], 1)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -196,6 +196,11 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+def _require_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def canonical_json(tree) -> str:
@@ -239,6 +244,13 @@ def _psi_from_spec(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def build_state(model: SpectralModel, spec: dict) -> StateKernel:
+    try:
+        return _state_from_spec(model, spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad state declaration: {exc}") from exc
+
+
+def _state_from_spec(model: SpectralModel, spec: dict) -> StateKernel:
     kind = spec.get("type", "pure")
     if kind == "pure":
         psi_spec = spec.get("psi", {"name": "flat"})
@@ -261,7 +273,10 @@ def build_probe(config_or_dict, model: SpectralModel) -> ProbeModel:
         if isinstance(config_or_dict, ExperimentConfig)
         else config_or_dict
     )
-    probe = probe_from_config(spec)
+    try:
+        probe = probe_from_config(spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad probe declaration: {exc}") from exc
     return bind_extension(probe, model)
 
 
@@ -513,6 +528,12 @@ def estimate_ensemble(
         samples = est.clt_samples(
             trajectories, k_max, model, probe, margin_stds=tol["boundary_margin_stds"]
         )
+        if samples.count < KS_MIN_SAMPLES:
+            raise ConfigError(
+                f"only {samples.count} of {len(trajectories)} clt trajectories remain "
+                f"({samples.excluded_boundary} excluded near an interval boundary, "
+                f"{samples.excluded_atoms} on atoms); at least {KS_MIN_SAMPLES} are needed"
+            )
         res = samples.residuals
         report.clt_residuals = res.tolist()
         report.extra["clt_excluded_boundary"] = samples.excluded_boundary

@@ -33,6 +33,7 @@ closed form on the spectrum hull and uses the rule only in the blend margin.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -470,11 +471,12 @@ class TabulatedProbe(ProbeModel):
             return FiniteOutcomes(tuple(float(v) for v in self.outcomes))
         return RealLine()
 
-    @property
+    # built once per instance; a frozen dataclass still has an instance dict
+    @functools.cached_property
     def _table(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
-    @property
+    @functools.cached_property
     def _nus(self) -> np.ndarray:
         return np.asarray(self.nu_grid, dtype=float)
 

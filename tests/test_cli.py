@@ -9,6 +9,7 @@ import pytest
 from qndsim.cli import main
 
 SEED = 20260810
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -104,6 +105,56 @@ def test_clt_ensemble_too_small_for_ks_exits_two(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "ensemble of at least 50" in err
+
+
+@pytest.mark.parametrize(
+    "overrides, remaining",
+    [
+        ({"hidden_nu": 0.02, "ensemble": 60}, "only 0 of 60"),  # all at the boundary
+        ({"ensemble": 55}, "only 45 of 55"),  # too few left for the KS test
+    ],
+    ids=["all-excluded", "below-ks-minimum"],
+)
+def test_clt_exclusions_below_ks_minimum_exit_two(tmp_path, capsys, overrides, remaining):
+    tree = json.loads((CONFIGS / "clt_gaussian.json").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**tree, **overrides}))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and remaining in err and "excluded" in err
+
+
+_TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"probe": {"kind": "tabulated", **_TABLE}}, "bad probe declaration"),
+        ({"state": {"type": "diagonal"}}, "bad state declaration"),
+        ({"state": {"type": "diagonal", "weights": [1.0]}}, "bad state declaration"),
+        ({"spectral": [1, 2]}, "spectral must be a JSON object"),
+        ({"k_max": "abc"}, "k_max must be an integer"),
+        ({"seed": -1}, "seed must be an integer of at least 0"),
+        ({"kind": "rate-convergence", "checkpoints": [0]}, "checkpoint must be positive"),
+        ({"window": {"nodes": 0}}, "window nodes must be an integer of at least 1"),
+    ],
+    ids=[
+        "tabulated-without-nu-grid",
+        "diagonal-without-weights",
+        "diagonal-wrong-length",
+        "spectral-not-object",
+        "k-max-string",
+        "negative-seed",
+        "no-positive-checkpoint",
+        "zero-window-nodes",
+    ],
+)
+def test_malformed_declarations_exit_two(tmp_path, capsys, overrides, message):
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
 
 
 def test_estimate_without_simulate_exits_two(tmp_path, capsys):

@@ -3,11 +3,14 @@ rescaled kernels, the Gaussian limit, and the trace-norm distance."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qndsim.estimators import (
-    GaussianKernelSpec,
-    QuadraticInterpolant,
     WindowError,
+    _interpolate,
+    _interval_subgrid,
+    _stencil,
     build_window_grid,
     clt_samples,
     laplace_condition_check,
@@ -307,16 +310,16 @@ def test_window_error_without_continuum():
         rescaled_posterior_kernel(state, traj, 50, model, probe)
 
 
-def test_gaussian_kernel_spec_normalization():
+def test_limit_kernel_gaussian_normalization():
+    # flat h and unit block: the window trace is the integral of the diagonal
+    model, _, state = _gaussian_setup(200)
     for fisher in (0.25, 1.0, 9.0):
-        spec = GaussianKernelSpec(fisher=fisher)
-        half = 8.0 / np.sqrt(fisher)
-        xs = np.linspace(-half, half, 4001)
-        dx = xs[1] - xs[0]
-        assert abs(np.sum(spec.diagonal(xs)) * dx - 1.0) < 1e-8
-    assert GaussianKernelSpec(1.0).values(0.0, 0.0) == pytest.approx(
-        1.0 / np.sqrt(2.0 * np.pi), abs=1e-12
-    )
+        window = build_window_grid(model, 0.5, 10_000, fisher, window_nodes=401)
+        assert -window.offsets[0] > 7.9 / np.sqrt(fisher)  # the full eight sigmas
+        limit = limit_kernel(model, state, 0.5, fisher, window)
+        assert abs(limit.trace() - 1.0) < 1e-8
+    with pytest.raises(ValueError, match="fisher"):
+        limit_kernel(model, state, 0.5, 0.0, window)
 
 
 def test_limit_kernel_unit_block_and_zero_case():
@@ -324,8 +327,9 @@ def test_limit_kernel_unit_block_and_zero_case():
     window = build_window_grid(model, 0.5, 10_000, 1.0)
     limit = limit_kernel(model, state, 0.5, 1.0, window)
     # flat h and unit block: the diagonal is the normalized Gaussian itself
+    x = window.offsets[100]
     assert limit.values[100, 100, 0, 0].real == pytest.approx(
-        GaussianKernelSpec(1.0).diagonal(window.offsets[100]), rel=1e-12
+        np.exp(-0.5 * x**2) / np.sqrt(2.0 * np.pi), rel=1e-12
     )
     assert abs(limit.trace() - 1.0) < 1e-6
 
@@ -394,14 +398,15 @@ def test_trace_norm_mismatched_grids():
     m2, _, s2 = _gaussian_setup(12)
     with pytest.raises(ValueError):
         trace_norm_distance(s1, s2)
-
-
-def test_trace_norm_explicit_weights():
-    model, _, state = _gaussian_setup(15)
-    other = diagonal_state(model, np.full(model.size, 1.0 / model.size))
-    d1 = trace_norm_distance(state, other)
-    d2 = trace_norm_distance(state, other, weights=model.mass)
-    assert d1 == pytest.approx(d2, abs=1e-14)
+    # equal nodes and masses on distinct grid objects are one grid
+    m3, _, s3 = _gaussian_setup(10)
+    assert m3 is not m1 and trace_norm_distance(s1, s3) == 0.0
+    # equal nodes but different masses are not
+    tilted = build_spectral_model(
+        intervals=[(0.0, 1.0)], h={"name": "linear"}, nodes_per_interval=10
+    )
+    with pytest.raises(ValueError):
+        trace_norm_distance(s1, pure_state(tilted, lambda nu: np.ones_like(nu)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +415,61 @@ def test_trace_norm_explicit_weights():
 def test_quadratic_interpolant_reproduces_parabolas():
     xs = np.linspace(0.0, 1.0, 11)
     ys = 3.0 * xs**2 - 2.0 * xs + 0.5
-    interp = QuadraticInterpolant(xs, ys)
     qs = np.linspace(0.0, 1.0, 57)
-    assert np.max(np.abs(interp(qs) - (3.0 * qs**2 - 2.0 * qs + 0.5))) < 1e-12
+    got = _interpolate(xs, ys, qs, (0.0, 1.0))
+    assert np.max(np.abs(got - (3.0 * qs**2 - 2.0 * qs + 0.5))) < 1e-12
 
 
 def test_quadratic_interpolant_bracket_failure():
-    interp = QuadraticInterpolant(np.linspace(0.0, 1.0, 5), np.zeros(5))
     with pytest.raises(ValueError, match="bracket"):
-        interp(1.5)
+        _stencil(np.linspace(0.0, 1.0, 5), 1.5, (0.0, 1.0))
+
+
+def _dense_weights(first, w, n):
+    """The stencil as the dense (M, n) matrix with three weights per row."""
+    dense = np.zeros((first.size, n))
+    rows = np.arange(first.size)
+    for s in range(3):
+        dense[rows, first + s] = w[:, s]
+    return dense
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_nodes=st.integers(3, 60),
+    multiplicity=st.integers(1, 2),
+    pure=st.booleans(),
+    k=st.integers(4, 400),
+    window_nodes=st.integers(1, 80),
+    window_sigmas=st.floats(2.5, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rescaled_kernel_equals_dense_einsum_oracle(
+    n_nodes, multiplicity, pure, k, window_nodes, window_sigmas, seed
+):
+    rng = np.random.default_rng(seed)
+    model = build_spectral_model(
+        intervals=[(0.0, 1.0)], nodes_per_interval=n_nodes, multiplicity=multiplicity
+    )
+    probe = bind_extension(GaussianReadout(sigma=0.1), model)
+    if pure:
+        shape = (model.size, multiplicity)
+        state = pure_state(model, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    else:
+        state = diagonal_state(model, rng.random(model.size) + 0.01)
+    traj = _manual_trajectory(probe, model, 0.5 + 0.1 * rng.standard_normal(k))
+    zoom = rescaled_posterior_kernel(
+        state, traj, k, model, probe, window_sigmas=window_sigmas, window_nodes=window_nodes
+    )
+
+    # the dense two-einsum formula the stencil replaced
+    sl, (a, b) = _interval_subgrid(model, zoom.estimate)
+    xs = model.nodes[sl]
+    wmat = _dense_weights(*_stencil(xs, zoom.window.positions, (a, b)), xs.size)
+    base = np.einsum("qi,ijab->qjab", wmat, state.values[sl, sl])
+    base = np.einsum("qjab,rj->qrab", base, wmat)
+    sums = traj.loglik_at(k, probe, model.nodes)
+    amp = np.exp(0.5 * (_interpolate(xs, sums[sl], zoom.window.positions, (a, b)) - sums.max()))
+    values = base * amp[:, None, None, None] * amp[None, :, None, None]
+    oracle = values / StateKernel(values, zoom.window).trace()
+    assert np.array_equal(zoom.kernel.values, oracle)

@@ -31,6 +31,10 @@ GOLDEN = {
         "summary.json": "d48a63e8d2e8ad7870ca2786018e5d5a84f103866f7a27c185ef51404435b978",
         "estimator_report.json": "04db96a145df8c73d8db9448b490843d6efbafa146e6a9dab6186320955416a1",
     },
+    "kernel_convergence": {
+        "summary.json": "73d2c4c0b59f241f44dc3f861761e3e5dd8750659bae4abc04b307230282ca5b",
+        "estimator_report.json": "68cb3c875ae1f170c28759a47d055f71af44d4207b8fb9713286918eb9aab45b",
+    },
     "rate_convergence": {
         "summary.json": "8cff48f00d970eb990a186b6b4e1f72d741017dd159f384a6e18e0df7034ea8c",
         "estimator_report.json": "83e20739919138563d5ab30c9edf59b430feeb95e34b07e8d5a3a10741ecc173",

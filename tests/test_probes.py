@@ -592,6 +592,13 @@ def test_tabulated_value_at_matches_all_rows_formula(finite, n_rows, n_nus, seed
     np.testing.assert_array_equal(probe._value_at(xi, nu), _all_rows_value_at(probe, xi, nu))
 
 
+def test_tabulated_tables_are_built_once():
+    probe = _tabulated_gaussian()
+    assert probe._table is probe._table and probe._nus is probe._nus
+    np.testing.assert_array_equal(probe._table, np.asarray(probe.values, dtype=float))
+    np.testing.assert_array_equal(probe._nus, np.asarray(probe.nu_grid, dtype=float))
+
+
 def test_tabulated_value_at_memory_is_per_cell():
     probe = _tabulated_gaussian()  # 521 rows: the former rule took about 240 MB here
     rng = np.random.default_rng(RNG_SEED)
