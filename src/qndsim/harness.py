@@ -156,17 +156,24 @@ class ExperimentConfig:
         if not self.checkpoints:
             cps = [c for c in DEFAULT_CHECKPOINTS if c <= self.k_max]
             self.checkpoints = tuple(cps + ([self.k_max] if self.k_max not in cps else []))
-        self.checkpoints = tuple(sorted({int(c) for c in self.checkpoints}))
+        self.checkpoints = _coerced(
+            "checkpoints", self.checkpoints, lambda v: tuple(sorted({int(c) for c in v}))
+        )
         if self.checkpoints[-1] > self.k_max:
             raise ConfigError("checkpoints must not exceed k_max")
         if self.checkpoints[-1] < 1:
             raise ConfigError("at least one checkpoint must be positive")
-        self.region = tuple(
-            tuple(c) if isinstance(c, (list, tuple)) else float(c) for c in self.region
-        )
-        self.tolerances = {**DEFAULT_TOLERANCES, **self.tolerances}
+        self.region = _coerced("region", self.region, lambda v: tuple(
+            tuple(map(float, c)) if isinstance(c, (list, tuple)) else float(c) for c in v
+        ))
+        if self.hidden_nu is not None:
+            self.hidden_nu = _coerced("hidden_nu", self.hidden_nu, float)
+        tol = {**DEFAULT_TOLERANCES, **self.tolerances}
+        self.tolerances = {k: _coerced(f"tolerance {k}", v, float) for k, v in tol.items()}
         self.window = {**DEFAULT_WINDOW, **self.window}
         _require_count("window nodes", self.window["nodes"], 1)
+        for k in ("sigmas", "min_sigmas"):
+            self.window[k] = _coerced(f"window {k}", self.window[k], float)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -177,12 +184,6 @@ class ExperimentConfig:
         missing = {"kind", "spectral", "probe", "state"} - set(d)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
-        d = dict(d)
-        for key in ("checkpoints", "region"):
-            if key in d:
-                d[key] = tuple(
-                    tuple(c) if isinstance(c, list) else c for c in d[key]
-                )
         return cls(**d)
 
     def to_dict(self) -> dict:
@@ -196,6 +197,14 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+def _coerced(name: str, value, convert):
+    """convert(value), with a ConfigError naming the field if it fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be numeric, got {value!r}") from exc
 
 
 def _require_count(name: str, value, least: int) -> None:
@@ -267,14 +276,9 @@ def _state_from_spec(model: SpectralModel, spec: dict) -> StateKernel:
     raise ConfigError(f"unknown state type: {kind!r}")
 
 
-def build_probe(config_or_dict, model: SpectralModel) -> ProbeModel:
-    spec = (
-        config_or_dict.probe
-        if isinstance(config_or_dict, ExperimentConfig)
-        else config_or_dict
-    )
+def build_probe(config: ExperimentConfig, model: SpectralModel) -> ProbeModel:
     try:
-        probe = probe_from_config(spec)
+        probe = probe_from_config(config.probe)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad probe declaration: {exc}") from exc
     return bind_extension(probe, model)
@@ -369,17 +373,7 @@ class TestResult:
         raise ValueError(f"unknown comparison {self.comparison!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "comparison": self.comparison,
-            "passed": self.passed,
-            "sample_size": self.sample_size,
-            "config_hash": self.config_hash,
-            "content_hash": self.content_hash,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -424,10 +418,6 @@ def simulate_ensemble(config: ExperimentConfig, workers: int = 1) -> list[Trajec
 
 # ---------------------------------------------------------------------------
 # estimation per experiment kind
-
-def _standard_normal_cdf(x):
-    return ndtr(x)
-
 
 def estimate_ensemble(
     config: ExperimentConfig,
@@ -538,7 +528,7 @@ def estimate_ensemble(
         report.clt_residuals = res.tolist()
         report.extra["clt_excluded_boundary"] = samples.excluded_boundary
         report.extra["clt_excluded_atoms"] = samples.excluded_atoms
-        ks = ks_test(res, _standard_normal_cdf)
+        ks = ks_test(res, ndtr)
         add_result(
             "clt-ks",
             "standardized estimator residuals are standard normal "

@@ -26,8 +26,9 @@ Expectations over outcomes use exact sums for finite outcome spaces and a
 fixed composite Gauss-Legendre rule (about 1e5 nodes, window covering at
 least 1 - 1e-12 of each outcome law, radius 8 sigma for the Gaussian
 family) for continuous ones.  Every outcome x node product is evaluated in
-blocks of at most ``BLOCK_CELLS`` cells.  The Gaussian relative entropy has a
-closed form on the spectrum hull and uses the rule only in the blend margin.
+blocks of at most ``BLOCK_CELLS`` cells.  On the spectrum hull the Gaussian
+log-likelihood sums, relative entropy and Fisher information have closed
+forms; the generic paths run only when the blend margin is reached.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ GAUSS_WINDOW_SIGMAS = 8.0        # tail mass below 1.3e-15 per side
 XI_QUAD_NODES = 100_096          # composite Gauss-Legendre size, 32 per panel
 IDENTIFIABILITY_NODES = 1024     # cheaper rule for pairwise L1 distances
 FD_STEP = 1e-5                   # declared central-difference step
-BLOCK_CELLS = 2_000_000          # cells per outcome x node block (16 MB of float64)
+BLOCK_CELLS = 100_000            # cells per outcome x node block (0.8 MB of float64)
 
 _GL32 = np.polynomial.legendre.leggauss(32)
 
@@ -261,26 +262,31 @@ class ProbeModel:
         return _composite_gauss(lo, hi, size)
 
     def _expect(self, nus: np.ndarray, quantities: Sequence[str]):
-        """Outcome-space expectations at each nu.
+        """Outcome-space expectations at each nu, in one sweep over outcome rows.
 
         Supported quantities: ``norm`` = int f, ``score`` = E[dl],
-        ``fisher`` = E[dl^2], ``d2`` = E[d2l].
+        ``fisher`` = E[dl^2], ``d2`` = E[d2l], and ``dominance`` =
+        E[sup |l(nu'|xi)|] with the sup over the nus passed.
         """
         nus = np.atleast_1d(np.asarray(nus, dtype=float))
         xq, wq = self._quadrature(nus)
-        out = {q: np.empty(nus.size) for q in quantities}
-        for sl in _blocks(nus.size, xq.size):
-            f, f1, f2 = self.density_derivs(xq[:, None], nus[None, sl])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(f > 0, f1 * f1 / np.where(f > 0, f, 1.0), 0.0)
+        out = {q: np.zeros(nus.size) for q in quantities}
+        for sl in _blocks(xq.size, nus.size):
+            f, f1, f2 = self.density_derivs(xq[sl, None], nus[None, :])
+            w = wq[sl]
+            ratio = np.divide(f1 * f1, f, out=np.zeros_like(f), where=f > 0)
+            if "dominance" in out:
+                # inf * 0 marks a genuine failure
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    out["dominance"] += (w * np.abs(np.log(f)).max(axis=1)) @ f
             if "norm" in out:
-                out["norm"][sl] = wq @ f
+                out["norm"] += w @ f
             if "score" in out:
-                out["score"][sl] = wq @ f1
+                out["score"] += w @ f1
             if "fisher" in out:
-                out["fisher"][sl] = wq @ ratio
+                out["fisher"] += w @ ratio
             if "d2" in out:
-                out["d2"][sl] = wq @ (f2 - ratio)
+                out["d2"] += w @ (f2 - ratio)
         return out
 
     def normalization(self, nus) -> np.ndarray:
@@ -358,6 +364,28 @@ class GaussianReadout(ProbeModel):
             return super().loglik_values(nodes, outcomes)  # blend zone reached
         d = np.asarray(outcomes, dtype=float)[:, None] - nodes[None, :]
         return -0.5 * (d / self.sigma) ** 2 - np.log(np.sqrt(2.0 * np.pi) * self.sigma)
+
+    def loglik_node_sums(self, nodes, outcomes):
+        """Sums from centred outcome statistics off the blend zone: with m the mean
+        and r = xi - m, sum (xi - nu)^2 = sum r^2 + (m - nu)(2 sum r + k (m - nu))."""
+        nodes = np.asarray(nodes, dtype=float)
+        xi = np.asarray(outcomes, dtype=float)
+        if xi.size == 0:
+            return np.zeros(nodes.size)
+        if self.extension is not None and not self.extension.covers(nodes):
+            return super().loglik_node_sums(nodes, xi)  # blend zone reached
+        m = xi.mean()
+        r = xi - m
+        d = m - nodes
+        quad = (r * r).sum() + d * (2.0 * r.sum() + xi.size * d)
+        return -quad / (2.0 * self.sigma**2) - xi.size * np.log(np.sqrt(2.0 * np.pi) * self.sigma)
+
+    def fisher(self, nus):
+        """Closed form 1 / sigma^2 off the blend zone."""
+        nus = np.atleast_1d(np.asarray(nus, dtype=float))
+        if self.extension is not None and not self.extension.covers(nus):
+            return super().fisher(nus)  # blend zone reached
+        return np.full(nus.size, 1.0 / self.sigma**2)
 
     def relative_entropy(self, nu, nodes):
         """Closed form min (nu - node)^2 / 2 sigma^2 off the blend zone."""
@@ -644,8 +672,8 @@ def validate_probe(
     checks: list[AssumptionCheck] = []
     caveats: list[str] = []
 
-    # one outcome pass for normalization, mean score and curvature
-    stats = probe._expect(nodes, ("norm", "score", "d2"))
+    # one outcome sweep for normalization, dominance, mean score and curvature
+    stats = probe._expect(nodes, ("norm", "score", "d2", "dominance"))
 
     # normalization: int f(.|nu) dmu = 1 on the spectrum
     norms = stats["norm"]
@@ -694,13 +722,7 @@ def validate_probe(
     )
 
     # dominance: E_nu[ sup_nu' |l(nu'|xi)| ] finite for all grid nu
-    xq, wq = probe._quadrature(nodes)
-    dom = np.zeros(nodes.size)
-    for sl in _blocks(xq.size, nodes.size):
-        blk = probe.density(xq[sl, None], nodes[None, :])
-        # inf * 0 marks a genuine failure
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dom += (wq[sl] * np.abs(np.log(blk)).max(axis=1)) @ blk
+    dom = stats["dominance"]
     idx = int(np.argmax(dom))
     checks.append(
         AssumptionCheck(

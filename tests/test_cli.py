@@ -138,6 +138,11 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         ({"seed": -1}, "seed must be an integer of at least 0"),
         ({"kind": "rate-convergence", "checkpoints": [0]}, "checkpoint must be positive"),
         ({"window": {"nodes": 0}}, "window nodes must be an integer of at least 1"),
+        ({"checkpoints": ["abc"]}, "checkpoints must be numeric"),
+        ({"region": [["a", "b"]]}, "region must be numeric"),
+        ({"hidden_nu": "x"}, "hidden_nu must be numeric"),
+        ({"tolerances": {"rate_rel_tol": "x"}}, "tolerance rate_rel_tol must be numeric"),
+        ({"window": {"sigmas": "x"}}, "window sigmas must be numeric"),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -148,6 +153,11 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "negative-seed",
         "no-positive-checkpoint",
         "zero-window-nodes",
+        "checkpoints-string",
+        "region-string",
+        "hidden-nu-string",
+        "tolerance-string",
+        "window-sigmas-string",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, overrides, message):

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = {
     "assumption_validation": {
         "summary.json": "3a63cc66dd1a7b81acbe0f9f05456b5a0e19a905355365158cbc241950c53508",
-        "estimator_report.json": "fbb0e4bf418b07447224f7a95f664d2d437bfd9a38ca0b97c37a662c209ff24d",
+        "estimator_report.json": "130240bbc95d705dbe7268d5fb41877b2c584b1f1911485de3917cca7b6c1583",
     },
     "born_frequency": {
         "summary.json": "ce20c57285e1f607e7245996a0a358ac0ffc7e295e679272880342c397d5c2dd",
@@ -28,16 +28,16 @@ GOLDEN = {
         "estimator_report.json": "cf7220241dda0b0c2dcb7506fb8e34ae259a8218fddf3cc5e7e380e089a131b0",
     },
     "clt_gaussian": {
-        "summary.json": "d48a63e8d2e8ad7870ca2786018e5d5a84f103866f7a27c185ef51404435b978",
-        "estimator_report.json": "04db96a145df8c73d8db9448b490843d6efbafa146e6a9dab6186320955416a1",
+        "summary.json": "06119abeea97391aa57357556f5467a9da468710fff900ec0be85865f949dd9a",
+        "estimator_report.json": "f1aa70a4c41c4e066784cf688c24d7c249a158766bb0899d1e44869b3c23bbe0",
     },
     "kernel_convergence": {
-        "summary.json": "73d2c4c0b59f241f44dc3f861761e3e5dd8750659bae4abc04b307230282ca5b",
-        "estimator_report.json": "68cb3c875ae1f170c28759a47d055f71af44d4207b8fb9713286918eb9aab45b",
+        "summary.json": "38fc10fcf277b60c45675333f7548df725ace6bac53aa4b710e67a427a184a5a",
+        "estimator_report.json": "3ad0bb8955121bb177af451f138ca18149589225d3e780ce8af6a1a569413e83",
     },
     "rate_convergence": {
-        "summary.json": "8cff48f00d970eb990a186b6b4e1f72d741017dd159f384a6e18e0df7034ea8c",
-        "estimator_report.json": "83e20739919138563d5ab30c9edf59b430feeb95e34b07e8d5a3a10741ecc173",
+        "summary.json": "62a5412f6c2938fcb17a64d585b320551bc46551a67bcccd0517445887c8a1f6",
+        "estimator_report.json": "652e7eae13450bd52509e056be325b53a194a3dd446a043ec9dea32344ab7245",
     },
 }
 

@@ -2,12 +2,13 @@
 sampling, the constant extension, and the assumption validators."""
 
 import functools
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -130,6 +131,25 @@ def test_gaussian_fisher_information():
                 nu + 10 * sigma,
             )
             assert abs(f[list(nodes).index(nu)] - oracle / sigma**4) < 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(sigma=st.floats(0.01, 10.0), bound=st.booleans())
+def test_gaussian_fisher_closed_form_matches_quadrature(sigma, bound):
+    probe = GaussianReadout(sigma=sigma)
+    if bound:
+        probe = bind_extension(probe, BLEND_MODEL)
+    nodes = BLEND_MODEL.nodes
+    closed = probe.fisher(nodes)
+    assert np.all(closed == 1.0 / sigma**2)
+    # the outcome quadrature of the base class is the oracle
+    np.testing.assert_allclose(closed, ProbeModel.fisher(probe, nodes), rtol=1e-10)
+
+
+def test_gaussian_fisher_in_margin_zone_is_quadrature():
+    probe = bind_extension(GaussianReadout(sigma=0.5), BLEND_MODEL)
+    nodes = np.append(BLEND_MODEL.nodes, BLEND_MODEL.hull[1] + 0.5 * probe.extension.margin)
+    np.testing.assert_array_equal(probe.fisher(nodes), ProbeModel.fisher(probe, nodes))
 
 
 def test_binary_fisher_information():
@@ -282,6 +302,68 @@ def test_gaussian_relative_entropy_in_margin_zone_is_quadrature(sigma, nu_outsid
 
 
 # ---------------------------------------------------------------------------
+# Gaussian log-likelihood sums from sufficient statistics
+
+def _fsum_oracle(sigma, nodes, outcomes):
+    """Per node, the fsum of the log-likelihood terms and the summed magnitude
+    of their two parts (the two can cancel in a term, or across terms)."""
+    quad = 0.5 * ((outcomes[:, None] - nodes[None, :]) / sigma) ** 2
+    const = np.log(np.sqrt(2.0 * np.pi) * sigma)
+    oracle = np.array([math.fsum(col) for col in (-quad - const).T])
+    scale = np.array([math.fsum(col) for col in quad.T]) + outcomes.size * abs(const)
+    return oracle, scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    log10_sigma=st.floats(-3.0, 0.5),
+    k=st.integers(1, 10_000),
+    mean=st.one_of(st.floats(-50.0, 50.0), st.floats(*KL_MODEL.hull)),
+    bound=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a narrow law centred between nodes: the rounding of the float mean alone
+# would cost more than the cell-by-cell sums lose
+@example(log10_sigma=-3.0, k=3_000, mean=0.51, bound=False, seed=1)
+def test_gaussian_loglik_sums_from_sufficient_statistics(log10_sigma, k, mean, bound, seed):
+    sigma = 10.0**log10_sigma
+    probe = GaussianReadout(sigma=sigma)
+    if bound:
+        probe = bind_extension(probe, KL_MODEL)
+    nodes = KL_MODEL.nodes
+    outcomes = mean + sigma * np.random.default_rng(seed).standard_normal(k)
+    fast = probe.loglik_node_sums(nodes, outcomes)
+    cells = ProbeModel.loglik_node_sums(probe, nodes, outcomes)
+    oracle, scale = _fsum_oracle(sigma, nodes, outcomes)
+    # no less accurate than the cell-by-cell sums, up to a few units of rounding
+    err_fast = np.abs(fast - oracle) / scale
+    err_cells = np.abs(cells - oracle) / scale
+    assert err_fast.max() <= err_cells.max() + 4 * np.finfo(float).eps
+    # rtol 1e-12 against that magnitude, as the sums themselves can cancel
+    assert np.all(np.abs(fast - cells) <= 1e-12 * scale)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sigma=st.floats(0.3, 3.0), k=st.integers(1, 200), data=st.data())
+def test_gaussian_loglik_sums_in_margin_zone_are_the_cell_sums(sigma, k, data):
+    probe = bind_extension(GaussianReadout(sigma=sigma), KL_MODEL)
+    ext = probe.extension
+    margin_node = data.draw(
+        st.one_of(
+            st.floats(ext.lo - ext.margin, ext.lo, exclude_max=True),
+            st.floats(ext.hi, ext.hi + ext.margin, exclude_min=True),
+        ),
+        label="margin node",
+    )
+    nodes = np.append(KL_MODEL.nodes, margin_node)
+    outcomes = np.random.default_rng(k).normal(0.5, sigma, k)
+    np.testing.assert_array_equal(
+        probe.loglik_node_sums(nodes, outcomes),
+        ProbeModel.loglik_node_sums(probe, nodes, outcomes),
+    )
+
+
+# ---------------------------------------------------------------------------
 # block evaluation of outcome x node products
 
 def _block_fixture():
@@ -347,7 +429,9 @@ def _unblocked_expectations(name):
 @given(name=st.sampled_from(sorted(BLOCK_PROBES)), data=st.data())
 def test_blocked_outcome_expectations_match_unblocked(name, data):
     probe = BLOCK_PROBES[name]
-    cells = _cells_splitting(data, BLOCK_NODES.size, probes.XI_QUAD_NODES)
+    # block edges fall inside the outcome rows of the one expectation sweep
+    xi_rows = probes.XI_QUAD_NODES
+    cells = _cells_splitting(data, xi_rows, BLOCK_NODES.size, min_step=xi_rows // 40)
     blocked = _with_cells(cells, lambda: _outcome_expectations(probe))
     whole = _unblocked_expectations(name)
     assert blocked.keys() == whole.keys()
