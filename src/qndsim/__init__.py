@@ -41,21 +41,17 @@ from .probes import (
     ZeroDensityError,
     bind_extension,
     fisher_information,
-    log_likelihood,
     probe_from_config,
     relative_entropy,
-    sample_outcome,
     validate_probe,
 )
 from .trajectories import (
-    PosteriorSnapshot,
     SeedRecord,
     Trajectory,
     definetti_sample,
     exact_tuple_distribution,
     log_prior_weights,
     posterior_kernel,
-    posterior_snapshot,
     posterior_weights,
     sample_ensemble,
     sequential_sample,

@@ -53,6 +53,7 @@ __all__ = [
     "mle",
     "mle_path",
     "mle_consistency_stat",
+    "rate_region",
     "rate_trace",
     "clt_samples",
     "laplace_condition_check",
@@ -324,6 +325,22 @@ class RateTrace:
         }
 
 
+def rate_region(model: SpectralModel, state: StateKernel, region):
+    """Node mask of a rate region and the log prior weights.
+
+    Raises ``RegionError`` when the region misses the grid or carries no
+    prior spectral mass.
+    """
+    mask = model.region_mask(region)
+    log_prior = log_prior_weights(state)
+    if not np.any(np.isfinite(log_prior[mask])):
+        raise RegionError(
+            "region has zero prior spectral mass; the rate statement assumes "
+            "the region meets the support of the initial spectral measure"
+        )
+    return mask, log_prior
+
+
 def rate_trace(
     state: StateKernel,
     trajectory: Trajectory,
@@ -332,13 +349,7 @@ def rate_trace(
     model: SpectralModel,
     probe,
 ) -> RateTrace:
-    mask = model.region_mask(region)
-    log_prior = log_prior_weights(state)
-    if not np.any(np.isfinite(log_prior[mask])):
-        raise RegionError(
-            "region has zero prior spectral mass; the rate statement assumes "
-            "the region meets the support of the initial spectral measure"
-        )
+    mask, log_prior = rate_region(model, state, region)
     cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= len(trajectory)})
     values = []
     for c in cps:

@@ -290,6 +290,11 @@ def _build_cached(config_json: str):
     model = build_model(config)
     state = build_state(model, config.state)
     probe = build_probe(config, model)
+    # a region the run cannot use fails here, before validation and sampling
+    if config.kind == "born-frequency":
+        model.region_mask(config.region)
+    elif config.kind == "rate-convergence":
+        est.rate_region(model, state, config.region)
     return config, model, state, probe
 
 

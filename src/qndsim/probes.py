@@ -22,13 +22,17 @@ blend (quintic smoothstep over a declared margin), which keeps the second
 log-derivative bounded globally while leaving the family untouched on the
 spectrum itself.
 
-Expectations over outcomes use exact sums for finite outcome spaces and a
-fixed composite Gauss-Legendre rule (about 1e5 nodes, window covering at
-least 1 - 1e-12 of each outcome law, radius 8 sigma for the Gaussian
-family) for continuous ones.  Every outcome x node product is evaluated in
-blocks of at most ``BLOCK_CELLS`` cells.  On the spectrum hull the Gaussian
-log-likelihood sums, relative entropy and Fisher information have closed
-forms; the generic paths run only when the blend margin is reached.
+Every expectation over outcomes (normalization, mean score, Fisher
+information, relative entropy and the validator's checks) uses one rule per
+probe, ``ProbeModel._quadrature``: exact sums on finite outcome spaces, and
+otherwise 32 Gauss-Legendre points on each panel the family places.  The
+Gaussian family cuts its window of radius 8 sigma around the laws into panels
+no wider than sigma / 2; a continuous tabulated family puts one panel on each
+cell of its ``xi_grid``, so no kink of the linear interpolation falls inside
+a panel.  Outcome x node products are evaluated in blocks of at most
+``BLOCK_CELLS`` cells.  On the spectrum hull the Gaussian log-likelihood sums,
+relative entropy and Fisher information have closed forms; the generic paths
+run only when the blend margin is reached.
 """
 
 from __future__ import annotations
@@ -52,18 +56,15 @@ __all__ = [
     "TabulatedProbe",
     "AssumptionCheck",
     "ProbeValidationReport",
-    "log_likelihood",
     "fisher_information",
     "relative_entropy",
-    "sample_outcome",
     "validate_probe",
     "bind_extension",
     "probe_from_config",
 ]
 
 GAUSS_WINDOW_SIGMAS = 8.0        # tail mass below 1.3e-15 per side
-XI_QUAD_NODES = 100_096          # composite Gauss-Legendre size, 32 per panel
-IDENTIFIABILITY_NODES = 1024     # cheaper rule for pairwise L1 distances
+GAUSS_PANEL_SIGMAS = 0.5         # widest Gauss-Legendre panel, in sigmas
 FD_STEP = 1e-5                   # declared central-difference step
 BLOCK_CELLS = 100_000            # cells per outcome x node block (0.8 MB of float64)
 
@@ -138,11 +139,9 @@ def _blocks(n: int, width: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
-def _composite_gauss(lo: float, hi: float, total_nodes: int):
-    """Composite 32-point Gauss-Legendre rule on [lo, hi]."""
+def _composite_gauss(edges: np.ndarray):
+    """32-point Gauss-Legendre rule on each panel between consecutive edges."""
     x0, w0 = _GL32
-    panels = max(int(np.ceil(total_nodes / x0.size)), 1)
-    edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     xq = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
@@ -154,7 +153,7 @@ class ProbeModel:
     """Base class wiring raw density families to the common contract.
 
     Subclasses provide ``_raw_density``, ``_raw_density_derivs``,
-    ``_raw_sample`` and, for continuous outcomes, ``_xi_window``; the base
+    ``_raw_sample`` and, for continuous outcomes, ``_xi_panels``; the base
     class layers the constant-extension blend, log-likelihood plumbing and
     outcome-space expectations on top.
     """
@@ -180,7 +179,8 @@ class ProbeModel:
     def _raw_sample(self, nu: float, size: int, rng) -> np.ndarray:
         raise NotImplementedError
 
-    def _xi_window(self, nus: np.ndarray) -> tuple[float, float]:
+    def _xi_panels(self, nus: np.ndarray) -> np.ndarray:
+        """Panel edges of the outcome rule covering the laws at ``nus``."""
         raise NotImplementedError
 
     # -- densities with the extension blend ---------------------------------
@@ -253,20 +253,18 @@ class ProbeModel:
 
     # -- expectations over outcomes -------------------------------------------
 
-    def _quadrature(self, nus: np.ndarray, size: int = XI_QUAD_NODES):
-        """Outcome rule (points, weights) covering the laws at ``nus``."""
+    def _quadrature(self, nus: np.ndarray):
+        """The outcome rule (points, weights) covering the laws at ``nus``."""
         if self.outcome_space.finite:
             xq = np.asarray(self.outcome_space.values, dtype=float)
             return xq, np.ones_like(xq)
-        lo, hi = self._xi_window(np.asarray(nus, dtype=float))
-        return _composite_gauss(lo, hi, size)
+        return _composite_gauss(self._xi_panels(np.asarray(nus, dtype=float)))
 
     def _expect(self, nus: np.ndarray, quantities: Sequence[str]):
         """Outcome-space expectations at each nu, in one sweep over outcome rows.
 
         Supported quantities: ``norm`` = int f, ``score`` = E[dl],
-        ``fisher`` = E[dl^2], ``d2`` = E[d2l], and ``dominance`` =
-        E[sup |l(nu'|xi)|] with the sup over the nus passed.
+        ``fisher`` = E[dl^2] and ``d2`` = E[d2l].
         """
         nus = np.atleast_1d(np.asarray(nus, dtype=float))
         xq, wq = self._quadrature(nus)
@@ -275,10 +273,6 @@ class ProbeModel:
             f, f1, f2 = self.density_derivs(xq[sl, None], nus[None, :])
             w = wq[sl]
             ratio = np.divide(f1 * f1, f, out=np.zeros_like(f), where=f > 0)
-            if "dominance" in out:
-                # inf * 0 marks a genuine failure
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    out["dominance"] += (w * np.abs(np.log(f)).max(axis=1)) @ f
             if "norm" in out:
                 out["norm"] += w @ f
             if "score" in out:
@@ -397,9 +391,12 @@ class GaussianReadout(ProbeModel):
     def _raw_sample(self, nu, size, rng):
         return nu + self.sigma * rng.standard_normal(size)
 
-    def _xi_window(self, nus):
+    def _xi_panels(self, nus):
+        """Panels no wider than sigma / 2 on the 8-sigma window around the laws."""
         pad = GAUSS_WINDOW_SIGMAS * self.sigma
-        return float(nus.min() - pad), float(nus.max() + pad)
+        lo, hi = nus.min() - pad, nus.max() + pad
+        panels = int(np.ceil((hi - lo) / (GAUSS_PANEL_SIGMAS * self.sigma)))
+        return np.linspace(lo, hi, panels + 1)
 
 
 @dataclass(frozen=True)
@@ -570,23 +567,13 @@ class TabulatedProbe(ProbeModel):
             filled += take.size
         return out
 
-    def _xi_window(self, nus):
-        grid = np.asarray(self.xi_grid, dtype=float)
-        return float(grid[0]), float(grid[-1])
+    def _xi_panels(self, nus):
+        """One panel per cell of the outcome grid."""
+        return np.asarray(self.xi_grid, dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # operations (module-level faces of the probe contract)
-
-def log_likelihood(probe: ProbeModel, nu: float, xi: float):
-    """Triple (l, dl, d2l) of the log-likelihood at one (nu, xi) point."""
-    return probe.log_likelihood(nu, xi)
-
-
-def sample_outcome(probe: ProbeModel, nu: float, rng, size: int = 1) -> np.ndarray:
-    """Draw outcomes from the law with parameter nu using the given rng."""
-    return probe.sample(nu, size, rng)
-
 
 def fisher_information(probe: ProbeModel, nu) -> np.ndarray | float:
     """Expected squared score E[(dl)^2]; positive under the assumptions."""
@@ -672,8 +659,10 @@ def validate_probe(
     checks: list[AssumptionCheck] = []
     caveats: list[str] = []
 
-    # one outcome sweep for normalization, dominance, mean score and curvature
-    stats = probe._expect(nodes, ("norm", "score", "d2", "dominance"))
+    # the probe's one outcome rule serves every check; one sweep over it gives
+    # normalization, mean score and curvature
+    xs, wq = probe._quadrature(nodes)
+    stats = probe._expect(nodes, ("norm", "score", "d2"))
 
     # normalization: int f(.|nu) dmu = 1 on the spectrum
     norms = stats["norm"]
@@ -688,18 +677,26 @@ def validate_probe(
         )
     )
 
-    # coarse outcome rule shared by the positivity and identifiability checks
-    xs, wq_id = probe._quadrature(nodes, IDENTIFIABILITY_NODES)
-    fmat = probe.density(xs[:, None], nodes[None, :])
-
-    qi, ni = np.unravel_index(int(np.argmin(fmat)), fmat.shape)
+    # positivity and dominance read log-densities, which stay finite where a
+    # narrow density underflows to 0; a genuine zero is log 0 = -inf.  Row
+    # blocks bound the temporaries; of the log table only row extremes stay.
+    fmat = np.empty((xs.size, nodes.size))
+    sup_abs, row_min = np.empty(xs.size), np.empty(xs.size)
+    row_arg = np.empty(xs.size, dtype=int)
+    for sl in _blocks(xs.size, nodes.size):
+        logf = probe.loglik_values(nodes, xs[sl])
+        sup_abs[sl] = np.abs(logf).max(axis=1)
+        row_min[sl], row_arg[sl] = logf.min(axis=1), logf.argmin(axis=1)
+        fmat[sl] = probe.density(xs[sl, None], nodes[None, :])
+    qi = int(np.argmin(row_min))
+    ni = int(row_arg[qi])
     checks.append(
         AssumptionCheck(
             "positivity",
-            bool(fmat.min() > 0.0),
-            float(fmat.min()),
+            bool(row_min[qi] > -np.inf),
+            float(row_min[qi]),
             f"xi={xs[qi]:.6g}, nu={nodes[ni]:.6g}",
-            0.0,
+            -np.inf,
         )
     )
 
@@ -707,7 +704,8 @@ def validate_probe(
     worst = np.inf
     worst_pair = (0, 0)
     for i in range(nodes.size - 1):
-        d = wq_id @ np.abs(fmat[:, i + 1 :] - fmat[:, i : i + 1])
+        diff = fmat[:, i + 1 :] - fmat[:, i : i + 1]
+        d = wq @ np.abs(diff, out=diff)
         j = int(np.argmin(d))
         if d[j] < worst:
             worst, worst_pair = float(d[j]), (i, i + 1 + j)
@@ -721,8 +719,10 @@ def validate_probe(
         )
     )
 
-    # dominance: E_nu[ sup_nu' |l(nu'|xi)| ] finite for all grid nu
-    dom = stats["dominance"]
+    # dominance: E_nu[ sup_nu' |l(nu'|xi)| ] finite for all grid nu; inf * 0
+    # marks a genuine failure
+    with np.errstate(invalid="ignore"):
+        dom = (wq * sup_abs) @ fmat
     idx = int(np.argmax(dom))
     checks.append(
         AssumptionCheck(

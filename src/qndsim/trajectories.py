@@ -34,7 +34,6 @@ from .spectral import SpectralWeights, StateKernel
 __all__ = [
     "SeedRecord",
     "Trajectory",
-    "PosteriorSnapshot",
     "trajectory_rng",
     "definetti_sample",
     "sequential_sample",
@@ -42,7 +41,6 @@ __all__ = [
     "log_prior_weights",
     "posterior_weights",
     "posterior_kernel",
-    "posterior_snapshot",
     "exact_tuple_distribution",
 ]
 
@@ -100,26 +98,6 @@ class Trajectory:
                 f"no checkpoint at k={k}; pass probe and nodes to recompute"
             )
         return probe.loglik_node_sums(nodes, self.outcomes[:k])
-
-    def append(self, xi: float, probe, nodes) -> "Trajectory":
-        """New trajectory with one more outcome; sums increment exactly."""
-        increment = probe.loglik_node_sums(nodes, np.asarray([xi]))
-        return Trajectory(
-            outcomes=np.append(self.outcomes, xi),
-            loglik_sums=self.loglik_sums + increment,
-            checkpoint_sums=dict(self.checkpoint_sums),
-            hidden_nu=self.hidden_nu,
-            seed=self.seed,
-        )
-
-
-@dataclass(frozen=True)
-class PosteriorSnapshot:
-    """Posterior spectral weights (and optionally the kernel) at one step."""
-
-    weights: SpectralWeights
-    step: int
-    kernel: StateKernel | None = None
 
 
 def log_prior_weights(state: StateKernel) -> np.ndarray:
@@ -283,20 +261,6 @@ def posterior_kernel(state: StateKernel, trajectory: Trajectory, k: int, probe=N
     if z <= 0:
         raise ValueError("posterior kernel has zero normalizer")
     return StateKernel(values / z, state.grid)
-
-
-def posterior_snapshot(
-    state: StateKernel,
-    trajectory: Trajectory,
-    k: int,
-    probe=None,
-    with_kernel: bool = False,
-) -> PosteriorSnapshot:
-    return PosteriorSnapshot(
-        weights=posterior_weights(state, trajectory, k, probe),
-        step=int(k),
-        kernel=posterior_kernel(state, trajectory, k, probe) if with_kernel else None,
-    )
 
 
 def exact_tuple_distribution(

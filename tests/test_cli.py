@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qndsim import harness
 from qndsim.cli import main
 
 SEED = 20260810
@@ -51,6 +52,17 @@ def test_validate_fails_on_zero_density(tmp_path, capsys):
     )
     assert main(["validate", "--config", str(cfg)]) == 1
     assert "positivity: FAIL" in capsys.readouterr().out
+
+
+def test_validate_passes_narrow_gaussian_readout(tmp_path, capsys):
+    # exp(-z^2/2) underflows to 0 far from nu; the family is still positive
+    tree = json.loads((CONFIGS / "clt_gaussian.json").read_text())
+    tree["probe"]["sigma"] = 0.01
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tree))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "positivity: pass" in out and "dominance: pass" in out
 
 
 def test_missing_config_exits_two(tmp_path):
@@ -161,6 +173,36 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, overrides, message):
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"kind": "rate-convergence", "region": [[2.0, 3.0]]}, "outside the grid hull"),
+        (
+            {
+                "kind": "rate-convergence",
+                "state": {"type": "diagonal", "weights": [1.0, 0.0]},
+                "region": [[0.5, 1.0]],
+            },
+            "zero prior spectral mass",
+        ),
+        ({"region": [0.5]}, "point 0.5 lies outside the spectrum"),
+    ],
+    ids=["rate-region-outside-hull", "rate-region-without-prior-mass", "born-point-off-spectrum"],
+)
+def test_bad_region_exits_two_before_validation_and_sampling(
+    tmp_path, capsys, monkeypatch, overrides, message
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the region must be checked before this runs")
+
+    monkeypatch.setattr(harness, "validate_probe", never)
+    monkeypatch.setattr(harness, "sample_ensemble", never)
     cfg = _write_config(tmp_path / "cfg.json", **overrides)
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

@@ -2,8 +2,10 @@
 sampling, the constant extension, and the assumption validators."""
 
 import functools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import erf
 
 from qndsim import probes
+from qndsim.harness import ExperimentConfig, build_model, build_probe
 from qndsim.probes import (
     BinaryPhase,
     GaussianReadout,
@@ -22,10 +26,8 @@ from qndsim.probes import (
     ZeroDensityError,
     bind_extension,
     fisher_information,
-    log_likelihood,
     probe_from_config,
     relative_entropy,
-    sample_outcome,
     validate_probe,
 )
 from qndsim.spectral import build_spectral_model
@@ -43,7 +45,7 @@ def _grid(lo=0.0, hi=1.0, n=50):
 def test_gaussian_loglik_closed_form():
     probe = GaussianReadout(sigma=1.0)
     nu, xi = 0.4, 1.1
-    l, dl, d2l = log_likelihood(probe, nu, xi)
+    l, dl, d2l = probe.log_likelihood(nu, xi)
     assert l == pytest.approx(-0.5 * (xi - nu) ** 2 - 0.5 * np.log(2 * np.pi), abs=1e-12)
     assert dl == pytest.approx(xi - nu, abs=1e-12)
     assert d2l == pytest.approx(-1.0, abs=1e-12)
@@ -52,13 +54,13 @@ def test_gaussian_loglik_closed_form():
 def test_binary_score_closed_form():
     probe = BinaryPhase()
     for nu in (0.3, 1.2, 2.8):
-        _, dl, _ = log_likelihood(probe, nu, 0.0)
+        _, dl, _ = probe.log_likelihood(nu, 0.0)
         assert dl == pytest.approx(-np.tan(nu / 2.0), abs=1e-12)
 
 
 def test_score_vanishes_at_density_maximum():
     probe = GaussianReadout(sigma=0.7)
-    _, dl, _ = log_likelihood(probe, 0.31, 0.31)  # density in nu peaks at xi
+    _, dl, _ = probe.log_likelihood(0.31, 0.31)  # density in nu peaks at xi
     assert abs(dl) < 1e-12
 
 
@@ -71,24 +73,24 @@ def test_derivatives_match_central_differences(probe):
     step = 1e-5
     for _ in range(100):
         nu = float(rng.uniform(lo, hi))
-        xi = float(sample_outcome(probe, nu, rng)[0])
-        l, dl, d2l = log_likelihood(probe, nu, xi)
-        lp = log_likelihood(probe, nu + step, xi)[0]
-        lm = log_likelihood(probe, nu - step, xi)[0]
+        xi = float(probe.sample(nu, 1, rng)[0])
+        l, dl, d2l = probe.log_likelihood(nu, xi)
+        lp = probe.log_likelihood(nu + step, xi)[0]
+        lm = probe.log_likelihood(nu - step, xi)[0]
         assert abs((lp - lm) / (2 * step) - dl) < 1e-6
     # curvature with a wider step to keep roundoff below truncation
     step = 1e-4
     for nu in np.linspace(lo, hi, 7):
-        xi = float(sample_outcome(probe, float(nu), rng)[0])
-        l, _, d2l = log_likelihood(probe, float(nu), xi)
-        lp = log_likelihood(probe, float(nu) + step, xi)[0]
-        lm = log_likelihood(probe, float(nu) - step, xi)[0]
+        xi = float(probe.sample(float(nu), 1, rng)[0])
+        l, _, d2l = probe.log_likelihood(float(nu), xi)
+        lp = probe.log_likelihood(float(nu) + step, xi)[0]
+        lm = probe.log_likelihood(float(nu) - step, xi)[0]
         assert abs((lp - 2 * l + lm) / step**2 - d2l) < 1e-5
 
 
 def test_zero_density_raises():
     with pytest.raises(ZeroDensityError):
-        log_likelihood(BinaryPhase(), 0.0, 1.0)  # sin^2(0) = 0
+        BinaryPhase().log_likelihood(0.0, 1.0)  # sin^2(0) = 0
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +98,19 @@ def test_zero_density_raises():
 
 def test_binary_sampling_frequency():
     rng = np.random.default_rng(RNG_SEED)
-    draws = sample_outcome(BinaryPhase(), np.pi / 2, rng, size=100_000)
+    draws = BinaryPhase().sample(np.pi / 2, 100_000, rng)
     assert abs(np.mean(draws == 0.0) - 0.5) < 0.005
 
 
 def test_gaussian_sampling_mean():
     rng = np.random.default_rng(RNG_SEED)
-    draws = sample_outcome(GaussianReadout(sigma=1.0), 0.0, rng, size=100_000)
+    draws = GaussianReadout(sigma=1.0).sample(0.0, 100_000, rng)
     assert abs(draws.mean()) < 0.01
 
 
 def test_gaussian_sampling_variance():
     rng = np.random.default_rng(RNG_SEED)
-    draws = sample_outcome(GaussianReadout(sigma=0.5), 0.3, rng, size=100_000)
+    draws = GaussianReadout(sigma=0.5).sample(0.3, 100_000, rng)
     assert abs(draws.var() - 0.25) < 0.01
 
 
@@ -430,8 +432,8 @@ def _unblocked_expectations(name):
 def test_blocked_outcome_expectations_match_unblocked(name, data):
     probe = BLOCK_PROBES[name]
     # block edges fall inside the outcome rows of the one expectation sweep
-    xi_rows = probes.XI_QUAD_NODES
-    cells = _cells_splitting(data, xi_rows, BLOCK_NODES.size, min_step=xi_rows // 40)
+    xi_rows = probe._quadrature(BLOCK_NODES)[0].size
+    cells = _cells_splitting(data, xi_rows, BLOCK_NODES.size, min_step=max(xi_rows // 40, 1))
     blocked = _with_cells(cells, lambda: _outcome_expectations(probe))
     whole = _unblocked_expectations(name)
     assert blocked.keys() == whole.keys()
@@ -512,7 +514,7 @@ BLEND_PROBES = {
 @pytest.mark.parametrize("name", sorted(BLEND_PROBES))
 def test_interior_densities_equal_the_blend_formula(name):
     probe = BLEND_PROBES[name]
-    xq, _ = probe._quadrature(BLEND_MODEL.nodes, probes.IDENTIFIABILITY_NODES)
+    xq, _ = probe._quadrature(BLEND_MODEL.nodes)
     xi, nu = xq[:, None], BLEND_MODEL.nodes[None, :]
     b, b1, b2 = probe.extension.blend(nu)
     assert np.all(b == 1.0)
@@ -552,12 +554,147 @@ def test_amplitude_is_sqrt_density():
 
 
 # ---------------------------------------------------------------------------
+# the outcome rule each family sizes for itself
+
+EXPECTATIONS = ("norm", "score", "fisher", "d2")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _shipped_gaussian_grids():
+    """Distinct (model, bound probe) pairs of the shipped Gaussian configs."""
+    grids = {}
+    for path in sorted(CONFIGS.glob("*.json")):
+        config = ExperimentConfig.from_dict(json.loads(path.read_text()))
+        if config.probe["kind"] == "gaussian-readout":
+            model = build_model(config)
+            probe = build_probe(config, model)
+            grids[(probe.sigma, model.size)] = (model, probe)
+    return [grids[key] for key in sorted(grids)]
+
+
+SHIPPED_GAUSSIAN = _shipped_gaussian_grids()
+
+
+def _uniform_rule(lo, hi, size=100_096):
+    """A rule of fixed size: 32 Gauss-Legendre points on each of size / 32 equal panels."""
+    return probes._composite_gauss(np.linspace(lo, hi, size // 32 + 1))
+
+
+def _expect_on(rule, probe, nodes, quantities=EXPECTATIONS):
+    with mock.patch.object(type(probe), "_quadrature", lambda self, nus: rule):
+        return probe._expect(nodes, quantities)
+
+
+def _assert_close(got, want, tol):
+    for key in want:
+        scale = np.maximum(1.0, np.abs(want[key]))
+        assert np.all(np.abs(got[key] - want[key]) <= tol * scale), key
+
+
+def _gaussian_oracle(probe, nodes):
+    pad = probes.GAUSS_WINDOW_SIGMAS * probe.sigma
+    return _expect_on(_uniform_rule(nodes.min() - pad, nodes.max() + pad), probe, nodes)
+
+
+@settings(max_examples=10, deadline=None)
+@given(log10_sigma=st.floats(-2.0, 1.0))
+def test_gaussian_rule_matches_the_fixed_uniform_rule(log10_sigma):
+    probe = bind_extension(GaussianReadout(sigma=10.0**log10_sigma), BLEND_MODEL)
+    nodes = BLEND_MODEL.nodes
+    _assert_close(probe._expect(nodes, EXPECTATIONS), _gaussian_oracle(probe, nodes), 1e-12)
+
+
+@pytest.mark.parametrize("grid", range(len(SHIPPED_GAUSSIAN)))
+def test_gaussian_rule_on_shipped_grids(grid):
+    model, probe = SHIPPED_GAUSSIAN[grid]
+    nodes = model.nodes
+    _assert_close(probe._expect(nodes, EXPECTATIONS), _gaussian_oracle(probe, nodes), 1e-12)
+    # adjacent laws are L1-apart by exactly 2 erf(delta / 2 sqrt(2) sigma)
+    exact = 2.0 * erf(model.min_spacing / (2.0 * np.sqrt(2.0) * probe.sigma))
+    report = validate_probe(probe, model, n_derivative_pairs=1)
+    assert report["identifiability"].worst_value == pytest.approx(exact, rel=1e-4)
+
+
+def test_gaussian_rule_size():
+    for sigma in (0.05, 1.0, 3.0):
+        nus = np.array([0.0, 1.0])
+        xq, wq = GaussianReadout(sigma=sigma)._quadrature(nus)
+        width = 1.0 + 2.0 * probes.GAUSS_WINDOW_SIGMAS * sigma
+        assert xq.size == wq.size == 32 * math.ceil(width / (probes.GAUSS_PANEL_SIGMAS * sigma))
+    assert GaussianReadout(sigma=1.0)._quadrature(np.array([0.0, 1.0]))[0].size == 1088
+    sizes = [probe._quadrature(model.nodes)[0].size for model, probe in SHIPPED_GAUSSIAN]
+    assert sizes == [2304, 1088, 1088]  # clt_gaussian; assumption_validation; rate and kernel
+
+
+TABLE_MODEL = _grid(0.0, 1.0, 4)
+
+
+@settings(max_examples=5, deadline=None)
+@given(knots=st.integers(3, 12), seed=st.integers(0, 2**32 - 1))
+def test_tabulated_rule_has_one_panel_per_knot_cell(knots, seed):
+    rng = np.random.default_rng(seed)
+    xi_grid = np.sort(rng.uniform(-5.0, 6.0, knots)) + np.arange(knots) * 1e-3
+    nu_grid = np.linspace(-0.5, 1.5, 5)
+    # values within a factor 2 keep the quadratic nu-interpolation positive
+    table = rng.uniform(0.5, 1.0, (knots, nu_grid.size))
+    probe = bind_extension(
+        TabulatedProbe(
+            nu_grid=tuple(nu_grid), values=tuple(map(tuple, table)), xi_grid=tuple(xi_grid)
+        ),
+        TABLE_MODEL,
+    )
+    nodes = TABLE_MODEL.nodes
+    assert probe._quadrature(nodes)[0].size == 32 * (knots - 1)
+    # reference: 200 Gauss-Legendre points on each knot cell; d2 carries
+    # finite-difference noise near 1e-6 under every rule, so it is left out
+    x200, w200 = np.polynomial.legendre.leggauss(200)
+    mid, half = 0.5 * (xi_grid[:-1] + xi_grid[1:]), 0.5 * np.diff(xi_grid)
+    reference_rule = ((mid[:, None] + half[:, None] * x200).ravel(), (half[:, None] * w200).ravel())
+    quantities = ("norm", "score", "fisher")
+    reference = _expect_on(reference_rule, probe, nodes, quantities)
+    got = probe._expect(nodes, quantities)
+    _assert_close(got, reference, 1e-10)
+    # the fixed uniform rule puts knots inside its panels and does no better,
+    # down to the rounding noise of central differences with step 1e-5
+    uniform = _expect_on(_uniform_rule(xi_grid[0], xi_grid[-1]), probe, nodes, quantities)
+    for key in quantities:
+        err_uniform = np.abs(uniform[key] - reference[key]).max()
+        assert np.abs(got[key] - reference[key]).max() <= max(err_uniform, 1e-11)
+
+
+# ---------------------------------------------------------------------------
 # validators
 
 def test_validator_accepts_gaussian():
     model = _grid(0.0, 1.0, 40)
     report = validate_probe(bind_extension(GaussianReadout(sigma=1.0), model), model)
     assert report.passed, report.summary()
+
+
+def test_validator_accepts_narrow_gaussian():
+    # exp(-z^2/2) underflows to 0 about 40 sigma from nu; the log-density does not
+    model = _grid(0.0, 1.0, 200)
+    probe = bind_extension(GaussianReadout(sigma=0.01), model)
+    assert probe.density(0.0, 1.0) == 0.0
+    report = validate_probe(probe, model, n_derivative_pairs=10)
+    assert report.passed, report.summary()
+    assert np.isfinite(report["positivity"].worst_value)
+    assert np.isfinite(report["dominance"].worst_value)
+
+
+def test_validator_tables_are_built_in_blocks():
+    # 521 knots: a rule of 16,640 rows; one unblocked density call on all
+    # 332,800 cells would take about 50 MB of temporaries
+    model = _grid(0.0, 1.0, 20)
+    probe = bind_extension(_tabulated_gaussian(), model)
+    tracemalloc.start()
+    try:
+        report = validate_probe(probe, model, n_derivative_pairs=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.summary()
+    assert peak < 30e6
 
 
 @pytest.mark.parametrize("name", sorted(BLEND_PROBES))
@@ -718,7 +855,7 @@ def test_tabulated_finite_outcome_sampler():
 
 def test_tabulated_finite_difference_loglik():
     probe = _tabulated_gaussian()
-    l, dl, d2l = log_likelihood(probe, 0.5, 1.2)
+    l, dl, d2l = probe.log_likelihood(0.5, 1.2)
     assert np.isfinite([l, dl, d2l]).all()
     assert dl == pytest.approx(1.2 - 0.5, abs=1e-3)
 
