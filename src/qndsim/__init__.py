@@ -97,7 +97,6 @@ from .harness import (
     persist_trajectories,
     run_experiment,
     simulate_ensemble,
-    uniform_lln_residual,
     validate_config,
 )
 

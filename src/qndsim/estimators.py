@@ -13,7 +13,10 @@ finite k:
 * the Laplace-integral ratio that the Gaussian posterior limit rests on,
 * rescaled posterior kernels on a zoom window around the estimate, and the
   Gaussian kernel they converge to, compared in trace norm on the
-  mass-weighted matrices.
+  mass-weighted matrices.  Window kernels are held as factors
+  ``Psi diag(d) Psi*`` (rank one for a pure initial state), and the trace
+  norm of a difference is the sum of absolute eigenvalues of a Hermitian
+  matrix as small as the two factors have columns.
 
 Sub-grid evaluation interpolates grid values by local three-point
 (piecewise-quadratic) Lagrange rules, matching the second-order Taylor
@@ -576,10 +579,12 @@ def rescaled_posterior_kernel(
 
     Evaluates ``rho_k(nu_hat + x / sqrt(k), nu_hat + y / sqrt(k)) / sqrt(k)``
     on the window grid, interpolating both the log-likelihood sums and the
-    initial kernel piecewise-quadratically.  The result is normalized to
-    unit discrete trace on its own window (the discrete image of trace
-    preservation under the zoom); ``window_mass`` records the posterior
-    mass the window captured relative to the whole grid.
+    rows of the initial kernel's factor piecewise-quadratically, and holds
+    the result as a factor with the initial kernel's weights (less the
+    columns that vanish on the window), normalized to unit discrete trace
+    on its own window (the discrete image of trace preservation under the
+    zoom); ``window_mass`` records the posterior mass the window captured
+    relative to the whole grid.
     """
     sums = trajectory.loglik_at(k, probe, model.nodes)
     nu_hat = mle(trajectory, k, model, probe, refine=True)
@@ -593,12 +598,13 @@ def rescaled_posterior_kernel(
     shift = float(sums.max())
     half_log = 0.5 * (_apply_stencil(first, w, sums[sl]) - shift)
     amp = np.exp(half_log)
-    # rows, then columns, of the (N, N, n, n) initial kernel
-    rows = _apply_stencil(first, w, state.values[sl, sl])
-    base = np.moveaxis(_apply_stencil(first, w, np.moveaxis(rows, 1, 0)), 0, 1)
-    values = base * amp[:, None, None, None] * amp[None, :, None, None]
-    raw = StateKernel(values, window)
-    window_trace = raw.trace() / window.scale
+    # K(x, y) = Phi(x) diag(d) Phi(y)*: the stencil acts on the factor's rows
+    psi, d = state.factor
+    phi = _apply_stencil(first, w, psi[sl]) * amp[:, None, None]
+    live = np.any(phi != 0, axis=(0, 1))  # drop columns the window misses
+    phi, d = phi[:, :, live], d[live]
+    raw_trace = StateKernel(None, window, factor=(phi, d)).trace()
+    window_trace = raw_trace / window.scale
 
     block_traces = state.block_traces()
     with np.errstate(divide="ignore"):
@@ -607,7 +613,7 @@ def rescaled_posterior_kernel(
     if window_trace <= 0:
         raise ValueError("rescaled kernel has zero trace on its window")
     return RescaledKernelResult(
-        kernel=StateKernel(values / raw.trace(), window),
+        kernel=StateKernel(None, window, factor=(phi, d / raw_trace)),
         window=window,
         estimate=nu_hat,
         fisher=fisher,
@@ -628,7 +634,10 @@ def limit_kernel(
     kernel's diagonal block at the estimate normalized by its block trace
     (the zero kernel when that diagonal vanishes), ``G`` the normalized
     Gaussian kernel with inverse variance ``fisher``, and ``h`` the
-    spectral density at the estimate.
+    spectral density at the estimate.  ``G(x, y) = g(x) g(y)`` with
+    ``g(x) = (F / 2 pi)^(1/4) exp(-F x^2 / 4)``, so the kernel is held as
+    the factor ``g`` times the eigenvectors of the Hermitian part of ``c``,
+    weighted by its eigenvalues over ``h`` (no columns for the zero kernel).
     """
     if fisher <= 0:
         raise ValueError("fisher must be positive")
@@ -640,37 +649,46 @@ def limit_kernel(
     idx = sl.start + first[0] + np.arange(3)
     block = np.einsum("i,iab->ab", w[0], state.values[idx, idx])
     trace = float(np.trace(block).real)
-    n = window.multiplicity
     if trace <= 0.0:
-        c_block = np.zeros((n, n), dtype=complex)
+        lam = np.zeros(0)
+        vecs = np.zeros((window.multiplicity, 0))
     else:
         c_block = block / trace
-    x = window.offsets
-    g = np.exp(-0.25 * fisher * (x[:, None] ** 2 + x[None, :] ** 2)) / math.sqrt(
-        2.0 * math.pi / fisher
-    )
-    values = g[:, :, None, None] * c_block[None, None, :, :] / h_at
-    return StateKernel(values, window)
+        lam, vecs = np.linalg.eigh(0.5 * (c_block + c_block.conj().T))
+    g = (fisher / (2.0 * math.pi)) ** 0.25 * np.exp(-0.25 * fisher * window.offsets**2)
+    return StateKernel(None, window, factor=(g[:, None, None] * vecs, lam / h_at))
 
 
 # ---------------------------------------------------------------------------
 # trace norm
 
 def trace_norm_distance(a: StateKernel, b: StateKernel) -> float:
-    """Sum of singular values of the difference of mass-weighted matrices.
+    """Trace norm of the difference of mass-weighted matrices: sum |eigenvalues|.
 
-    A norm distance: symmetric, triangle inequality, zero only for equal
-    kernels.  Both kernels must live on one grid: the same object, or grids
-    with equal nodes and masses.
+    With mass-weighted factors ``A = U diag(d_a) U*`` and
+    ``B = V diag(d_b) V*``, the QR factorization ``[U V] = Q R`` gives
+    ``A - B = Q R diag(d_a, -d_b) R* Q*``, so the nonzero spectrum of the
+    difference is that of the small Hermitian matrix ``R diag(d_a, -d_b) R*``
+    (square in ``min(N n, r_a + r_b)``).  A kernel given by dense values
+    enters through its factor, which is that of its Hermitian part.  A norm
+    distance: symmetric, triangle inequality, zero only for equal kernels,
+    and exactly 0 for the same kernel, equal factors or equal values.  Both
+    kernels must live on one grid: the same object, or grids with equal
+    nodes and masses.
     """
     ga, gb = a.grid, b.grid
     if ga is not gb and not (
         np.array_equal(ga.nodes, gb.nodes) and np.array_equal(ga.mass, gb.mass)
     ):
         raise ValueError("kernels live on mismatched grids")
-    return float(
-        np.linalg.svd(a.weighted_matrix() - b.weighted_matrix(), compute_uv=False).sum()
-    )
+    (psi_a, d_a), (psi_b, d_b) = a.factor, b.factor
+    if np.array_equal(d_a, d_b) and np.array_equal(psi_a, psi_b):
+        return 0.0  # R D R* of [U U] does not cancel to exact zeros
+    s = np.sqrt(ga.mass)[:, None, None]
+    w = np.concatenate([psi_a * s, psi_b * s], axis=2).reshape(a.size * a.block_size, -1)
+    r = np.linalg.qr(w, mode="r")
+    gram = (r * np.concatenate([d_a, -d_b])) @ r.conj().T
+    return float(np.abs(np.linalg.eigvalsh(gram)).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import kolmogorov, ndtr
@@ -64,7 +64,6 @@ __all__ = [
     "ReportBundle",
     "ks_test",
     "chi_square_gof",
-    "uniform_lln_residual",
     "build_model",
     "build_state",
     "build_probe",
@@ -329,31 +328,6 @@ def chi_square_gof(counts, probs) -> tuple[float, float]:
     expected = counts.sum() * probs / probs.sum()
     stat = float(np.sum((counts - expected) ** 2 / expected))
     return stat, float(chi2.sf(stat, counts.size - 1))
-
-
-def uniform_lln_residual(
-    trajectories: Sequence[Trajectory],
-    probe: ProbeModel,
-    nu: float,
-    checkpoints: Iterable[int],
-    nodes: np.ndarray,
-) -> np.ndarray:
-    """Sup over the grid of |mean log-likelihood - its expectation|.
-
-    Row per trajectory, column per checkpoint; checkpoint 0 reports the
-    baseline sup |expectation|.
-    """
-    expected = probe.expected_loglik(nu, nodes)
-    cps = sorted({int(c) for c in checkpoints})
-    out = np.empty((len(trajectories), len(cps)))
-    for r, traj in enumerate(trajectories):
-        for c, k in enumerate(cps):
-            if k == 0:
-                out[r, c] = float(np.max(np.abs(expected)))
-            else:
-                sums = traj.loglik_at(k, probe, nodes)
-                out[r, c] = float(np.max(np.abs(sums / k - expected)))
-    return out
 
 
 @dataclass(frozen=True)

@@ -390,37 +390,79 @@ def nearest_node(model: SpectralModel, nu: float) -> int:
 class StateKernel:
     """Density matrix as an n x n block kernel over a grid.
 
-    ``values`` has shape (N, N, n, n); blocks satisfy Hermitian symmetry
-    ``K[i, j] == K[j, i]*`` and the mass-weighted matrix is positive
-    semidefinite with unit trace.  The grid only needs ``nodes`` and
-    ``mass`` arrays, so kernels also live on rescaled windows.
+    The kernel is ``K = Psi diag(d) Psi*``: a factor ``Psi`` of shape
+    (N, n, r) and r real, possibly signed, weights ``d``.  Blocks satisfy
+    Hermitian symmetry ``K[i, j] == K[j, i]*`` and the mass-weighted matrix
+    is positive semidefinite with unit trace.  A kernel built from dense
+    ``values`` (shape (N, N, n, n); grid states and declared kernels) keeps
+    them, and is factored on first use by ``eigh`` of its mass-weighted
+    Hermitian part, every eigenpair kept: a Hermiticity defect in ``values``
+    (``validate_state`` allows 1e-10) reaches nothing computed from the
+    factor.  A kernel built from a ``factor``
+    alone (zoom-window kernels) has dense ``values`` only once something
+    reads them.  Kernels are immutable, so both forms are cached.  The grid
+    only needs ``nodes`` and ``mass`` arrays, so kernels also live on
+    rescaled windows.
     """
 
-    def __init__(self, values: np.ndarray, grid):
-        values = np.asarray(values, dtype=complex)
+    def __init__(self, values: np.ndarray | None, grid, factor=None):
         n = getattr(grid, "multiplicity", 1)
-        if values.ndim == 2:
-            values = values[:, :, None, None]
-        if values.ndim != 4 or values.shape[0] != values.shape[1]:
-            raise ValueError("kernel values must have shape (N, N, n, n)")
-        if values.shape[0] != grid.nodes.size or values.shape[2] != n:
-            raise ValueError("kernel shape does not match its grid")
-        values = np.ascontiguousarray(values)
-        values.setflags(write=False)
-        self.values = values
+        if values is not None:
+            values = np.asarray(values, dtype=complex)
+            if values.ndim == 2:
+                values = values[:, :, None, None]
+            if values.ndim != 4 or values.shape[0] != values.shape[1]:
+                raise ValueError("kernel values must have shape (N, N, n, n)")
+            if values.shape[0] != grid.nodes.size or values.shape[2] != n:
+                raise ValueError("kernel shape does not match its grid")
+            values = _readonly(values)
+        if factor is not None:
+            psi = np.asarray(factor[0], dtype=complex)
+            d = np.asarray(factor[1], dtype=float)
+            if psi.ndim != 3 or psi.shape[:2] != (grid.nodes.size, n):
+                raise ValueError("kernel factor must have shape (N, n, r)")
+            if d.shape != psi.shape[2:]:
+                raise ValueError("kernel factor needs one weight per column")
+            factor = (_readonly(psi), _readonly(d))
+        elif values is None:
+            raise ValueError("a kernel needs values or a factor")
+        self._values = values
+        self._factor = factor
         self.grid = grid
 
     @property
     def size(self) -> int:
-        return self.values.shape[0]
+        return self.grid.nodes.size
 
     @property
     def block_size(self) -> int:
-        return self.values.shape[2]
+        return getattr(self.grid, "multiplicity", 1)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Dense (N, N, n, n) kernel, expanded from the factor on first read."""
+        if self._values is None:
+            self._values = _expand_factor(*self._factor)
+        return self._values
+
+    @property
+    def factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(Psi, d)`` with ``K = Psi diag(d) Psi*``."""
+        if self._factor is None:
+            m = self.weighted_matrix()
+            d, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+            s = np.sqrt(self.grid.mass)
+            inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
+            psi = vecs.reshape(self.size, self.block_size, -1) * inv[:, None, None]
+            self._factor = (_readonly(psi), _readonly(d))
+        return self._factor
 
     def block_traces(self) -> np.ndarray:
         """Per-node block traces tr_block(K[i, i]), shape (N,), real part."""
-        return np.einsum("iiaa->i", self.values).real
+        if self._values is None:
+            psi, d = self._factor
+            return (np.abs(psi) ** 2).sum(axis=1) @ d
+        return np.einsum("iiaa->i", self._values).real
 
     def trace(self) -> float:
         """Discrete trace: sum of mass-weighted diagonal block traces."""
@@ -434,11 +476,20 @@ class StateKernel:
         return m.transpose(0, 2, 1, 3).reshape(nn, nn)
 
 
+def _expand_factor(psi: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Dense (N, N, n, n) values of ``Psi diag(d) Psi*``."""
+    n_nodes, n, r = psi.shape
+    flat = psi.reshape(n_nodes * n, r)
+    dense = ((flat * d) @ flat.conj().T).reshape(n_nodes, n, n_nodes, n)
+    return _readonly(dense.transpose(0, 2, 1, 3))
+
+
 def pure_state(model, psi) -> StateKernel:
     """Rank-one state from a wave function on the grid.
 
     ``psi`` may be a callable of nu, an (N,) array, or an (N, n) array for
-    multiplicity n; it is normalized against the grid mass.
+    multiplicity n; it is normalized against the grid mass.  The factor is
+    the normalized wave function itself, with weight 1.
     """
     n = getattr(model, "multiplicity", 1)
     if callable(psi):
@@ -451,7 +502,7 @@ def pure_state(model, psi) -> StateKernel:
         raise ValueError("wave function has zero norm on the grid")
     psi = psi / np.sqrt(norm2)
     values = np.einsum("ia,jb->ijab", psi, psi.conj())
-    return StateKernel(values, model)
+    return StateKernel(values, model, factor=(psi[:, :, None], np.ones(1)))
 
 
 def diagonal_state(model, node_probs) -> StateKernel:

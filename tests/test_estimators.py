@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qndsim import spectral
 from qndsim.estimators import (
     WindowError,
     _interpolate,
@@ -22,6 +23,7 @@ from qndsim.estimators import (
     rescaled_posterior_kernel,
     trace_norm_distance,
 )
+from qndsim.harness import ExperimentConfig, run_experiment
 from qndsim.probes import BinaryPhase, GaussianReadout, bind_extension
 from qndsim.spectral import (
     StateKernel,
@@ -355,6 +357,41 @@ def test_limit_kernel_trace_under_varying_density():
         assert abs(limit.trace() - 1.0) < tol + 1e-4  # schedule tightens with k
 
 
+@pytest.mark.parametrize("multiplicity", [1, 2])
+@pytest.mark.parametrize("pure", [True, False])
+def test_limit_kernel_factor_matches_dense_formula(multiplicity, pure):
+    rng = np.random.default_rng(SEED + multiplicity)
+    model = build_spectral_model(
+        intervals=[(0.0, 1.0)],
+        h={"name": "linear", "intercept": 0.5, "slope": 1.0},
+        nodes_per_interval=80,
+        multiplicity=multiplicity,
+    )
+    if pure:
+        shape = (model.size, multiplicity)
+        state = pure_state(model, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    else:
+        state = diagonal_state(model, rng.random(model.size) + 0.01)
+    nu_hat, fisher = 0.43, 2.5
+    window = build_window_grid(model, nu_hat, 400, fisher, window_nodes=51)
+    limit = limit_kernel(model, state, nu_hat, fisher, window)
+
+    # the dense g(x, y) c / h formula, block c interpolated at the estimate
+    sl, (a, b) = _interval_subgrid(model, nu_hat)
+    first, w = _stencil(model.nodes[sl], nu_hat, (a, b))
+    idx = sl.start + first[0] + np.arange(3)
+    block = np.einsum("i,iab->ab", w[0], state.values[idx, idx])
+    c = block / np.trace(block).real
+    x = window.offsets
+    g = np.exp(-0.25 * fisher * (x[:, None] ** 2 + x[None, :] ** 2)) / np.sqrt(2.0 * np.pi / fisher)
+    oracle = g[:, :, None, None] * c[None, None] / float(model.h_fn(np.asarray([nu_hat]))[0])
+
+    psi, d = limit.factor
+    assert psi.shape == (window.offsets.size, multiplicity, multiplicity)
+    got = np.einsum("xar,r,ybr->xyab", psi, d, psi.conj())
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
 # ---------------------------------------------------------------------------
 # trace-norm distance
 
@@ -393,6 +430,15 @@ def test_trace_norm_is_a_norm():
         assert dab > 1e-12  # distinct random kernels never coincide
 
 
+def test_trace_norm_equal_factors_give_exact_zero():
+    # distinct kernel objects with equal factors: R D R* of [U U] would leave
+    # rounding-level eigenvalues
+    model, _, _ = _gaussian_setup(50)
+    rng = np.random.default_rng(SEED)
+    psi = rng.standard_normal(model.size) + 1j * rng.standard_normal(model.size)
+    assert trace_norm_distance(pure_state(model, psi), pure_state(model, psi)) == 0.0
+
+
 def test_trace_norm_mismatched_grids():
     m1, _, s1 = _gaussian_setup(10)
     m2, _, s2 = _gaussian_setup(12)
@@ -407,6 +453,63 @@ def test_trace_norm_mismatched_grids():
     )
     with pytest.raises(ValueError):
         trace_norm_distance(s1, pure_state(tilted, lambda nu: np.ones_like(nu)))
+
+
+def _oracle_kernel(kind, model, r, rng):
+    """A kernel of the named kind on ``model`` for the trace-norm oracle."""
+    size, n = model.size, model.multiplicity
+    if kind == "pure":
+        return pure_state(model, rng.standard_normal((size, n)) + 1j * rng.standard_normal((size, n)))
+    if kind == "diagonal":
+        return diagonal_state(model, rng.random(size) + 0.01)
+    if kind == "factor":  # low rank with signed weights: indefinite
+        psi = rng.standard_normal((size, n, r)) + 1j * rng.standard_normal((size, n, r))
+        return StateKernel(None, model, factor=(psi, rng.standard_normal(r)))
+    a = rng.standard_normal((size * n,) * 2) + 1j * rng.standard_normal((size * n,) * 2)
+    h = a @ a.conj().T if kind == "dense-psd" else a + a.conj().T  # else indefinite
+    return StateKernel(h.reshape(size, n, size, n).transpose(0, 2, 1, 3), model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.tuples(*[st.sampled_from(["pure", "diagonal", "factor", "dense-psd", "dense"])] * 2),
+    n_nodes=st.integers(2, 30),
+    multiplicity=st.integers(1, 2),
+    ranks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_norm_equals_dense_svd_oracle(kinds, n_nodes, multiplicity, ranks, seed):
+    rng = np.random.default_rng(seed)
+    model = build_spectral_model(
+        intervals=[(0.0, 1.0)],
+        h={"name": "linear", "intercept": 0.5, "slope": 1.0},
+        nodes_per_interval=n_nodes,
+        multiplicity=multiplicity,
+    )
+    a, b = (_oracle_kernel(k, model, r, rng) for k, r in zip(kinds, ranks))
+    oracle = np.linalg.svd(a.weighted_matrix() - b.weighted_matrix(), compute_uv=False).sum()
+    assert abs(trace_norm_distance(a, b) - oracle) <= 1e-12 * max(1.0, oracle)
+
+
+def test_trace_norm_reads_the_hermitian_part_of_dense_values():
+    # a dense kernel Hermitian only to within 1e-12 is compared by its
+    # Hermitian part (one triangle alone would move the distance by about
+    # 5e-13 here); the singular-value sum of the whole difference moves only
+    # at second order in the anti-Hermitian defect, so it agrees too
+    model, _, _ = _gaussian_setup(20)
+    rng = np.random.default_rng(SEED)
+    herm, other = _random_kernel(model, rng), _random_kernel(model, rng)
+    s = rng.standard_normal((model.size, model.size))
+    defect = 1e-12 * 1j * (s + s.T)  # anti-Hermitian
+    skewed = StateKernel(herm.values + defect[:, :, None, None], model)
+    assert np.abs(skewed.weighted_matrix() - skewed.weighted_matrix().conj().T).max() > 0
+    dist = trace_norm_distance(skewed, other)
+    expected = trace_norm_distance(herm, other)
+    assert abs(dist - expected) <= 1e-14 * expected
+    svd_sum = np.linalg.svd(
+        skewed.weighted_matrix() - other.weighted_matrix(), compute_uv=False
+    ).sum()
+    assert abs(dist - svd_sum) <= 1e-14 * svd_sum
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +541,25 @@ def _dense_weights(first, w, n):
 @given(
     n_nodes=st.integers(3, 60),
     multiplicity=st.integers(1, 2),
-    pure=st.booleans(),
+    kind=st.sampled_from(["pure", "diagonal", "dense"]),
     k=st.integers(4, 400),
     window_nodes=st.integers(1, 80),
     window_sigmas=st.floats(2.5, 10.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_rescaled_kernel_equals_dense_einsum_oracle(
-    n_nodes, multiplicity, pure, k, window_nodes, window_sigmas, seed
+    n_nodes, multiplicity, kind, k, window_nodes, window_sigmas, seed
 ):
     rng = np.random.default_rng(seed)
-    model = build_spectral_model(
-        intervals=[(0.0, 1.0)], nodes_per_interval=n_nodes, multiplicity=multiplicity
+    model = build_spectral_model(  # unequal node masses
+        intervals=[(0.0, 1.0)],
+        h={"name": "linear", "intercept": 0.5, "slope": 1.0},
+        nodes_per_interval=n_nodes,
+        multiplicity=multiplicity,
     )
     probe = bind_extension(GaussianReadout(sigma=0.1), model)
-    if pure:
-        shape = (model.size, multiplicity)
-        state = pure_state(model, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    else:
-        state = diagonal_state(model, rng.random(model.size) + 0.01)
+    # a dense kernel is factored by eigh before the zoom
+    state = _oracle_kernel("dense-psd" if kind == "dense" else kind, model, 1, rng)
     traj = _manual_trajectory(probe, model, 0.5 + 0.1 * rng.standard_normal(k))
     zoom = rescaled_posterior_kernel(
         state, traj, k, model, probe, window_sigmas=window_sigmas, window_nodes=window_nodes
@@ -472,4 +575,38 @@ def test_rescaled_kernel_equals_dense_einsum_oracle(
     amp = np.exp(0.5 * (_interpolate(xs, sums[sl], zoom.window.positions, (a, b)) - sums.max()))
     values = base * amp[:, None, None, None] * amp[None, :, None, None]
     oracle = values / StateKernel(values, zoom.window).trace()
-    assert np.array_equal(zoom.kernel.values, oracle)
+    # the factored kernel reaches the dense values in another summation order
+    assert np.max(np.abs(zoom.kernel.values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_zoomed_diagonal_state_keeps_only_the_columns_its_window_reads():
+    model, probe, _ = _gaussian_setup(200)
+    state = diagonal_state(model, np.full(model.size, 1.0 / model.size))
+    rng = np.random.default_rng(SEED)
+    traj = _manual_trajectory(probe, model, 0.5 + rng.standard_normal(10_000))
+    zoom = rescaled_posterior_kernel(state, traj, 10_000, model, probe, window_nodes=51)
+    psi, d = zoom.kernel.factor
+    assert psi.shape[2] == d.size < model.size // 2
+    assert np.all(np.any(psi != 0, axis=(0, 1)))
+
+
+def test_kernel_convergence_estimate_builds_no_dense_window_kernel(monkeypatch):
+    def refuse(psi, d):
+        raise AssertionError("dense kernel expanded from a factor")
+
+    monkeypatch.setattr(spectral, "_expand_factor", refuse)
+    cfg = ExperimentConfig.from_dict(
+        {
+            "kind": "kernel-convergence",
+            "spectral": {"intervals": [[0.0, 1.0]], "nodes_per_interval": 100},
+            "probe": {"kind": "gaussian-readout", "sigma": 1.0},
+            "state": {"type": "pure", "psi": {"name": "exp", "rate": 0.5}},
+            "k_max": 1000,
+            "checkpoints": [100, 1000],
+            "ensemble": 3,
+            "seed": SEED,
+            "hidden_nu": 0.5,
+        }
+    )
+    bundle = run_experiment(cfg)
+    assert len(bundle.tables["kernel_distance"][1]) == 2

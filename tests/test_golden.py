@@ -32,8 +32,8 @@ GOLDEN = {
         "estimator_report.json": "f1aa70a4c41c4e066784cf688c24d7c249a158766bb0899d1e44869b3c23bbe0",
     },
     "kernel_convergence": {
-        "summary.json": "38fc10fcf277b60c45675333f7548df725ace6bac53aa4b710e67a427a184a5a",
-        "estimator_report.json": "3ad0bb8955121bb177af451f138ca18149589225d3e780ce8af6a1a569413e83",
+        "summary.json": "b3e0a2e73e51d6394432cb71b21656c4079cd089958b50424ec2011e3a44222f",
+        "estimator_report.json": "7e8d6d82426b422091551095f04d227ec9fdda59ddb5e182dad4e5f21befef27",
     },
     "rate_convergence": {
         "summary.json": "62a5412f6c2938fcb17a64d585b320551bc46551a67bcccd0517445887c8a1f6",

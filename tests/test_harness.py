@@ -14,8 +14,6 @@ from qndsim.harness import (
     ExperimentConfig,
     ValidationFailure,
     build_model,
-    build_probe,
-    build_state,
     chi_square_gof,
     git_blob_sha1,
     ks_test,
@@ -23,7 +21,6 @@ from qndsim.harness import (
     persist_trajectories,
     run_experiment,
     simulate_ensemble,
-    uniform_lln_residual,
     validate_config,
 )
 from qndsim.trajectories import definetti_sample, trajectory_rng
@@ -90,41 +87,6 @@ def test_ks_agrees_with_scipy():
 def test_chi_square_on_exact_proportions():
     stat, p = chi_square_gof([250, 250, 250, 250], [0.25, 0.25, 0.25, 0.25])
     assert stat == 0.0 and p == 1.0
-
-
-# ---------------------------------------------------------------------------
-# uniform law of large numbers diagnostic
-
-def test_uniform_lln_residual_shrinks():
-    cfg = ExperimentConfig.from_dict(
-        {
-            "kind": "clt",
-            "spectral": {
-                "intervals": [[0.0, 1.0]],
-                "h": {"name": "uniform"},
-                "nodes_per_interval": 60,
-            },
-            "probe": {"kind": "gaussian-readout", "sigma": 1.0},
-            "state": {"type": "pure", "psi": {"name": "flat"}},
-            "k_max": 40_000,
-            "checkpoints": [10_000, 40_000],
-            "ensemble": 100,
-            "seed": SEED,
-            "hidden_nu": 0.5,
-        }
-    )
-    model = build_model(cfg)
-    state = build_state(model, cfg.state)
-    probe = build_probe(cfg, model)
-    trajs = simulate_ensemble(cfg)
-    res = uniform_lln_residual(trajs, probe, 0.5, [0, 10_000, 40_000], model.nodes)
-    baseline = res[:, 0]
-    assert np.allclose(baseline, baseline[0])  # k=0 column is the sup |E|
-    assert np.mean(res[:, 1] < 0.05) >= 0.95
-    # the paired sups share their first ten thousand outcomes, so the
-    # per-trajectory decrease rate sits near 0.8, not 1; the median halves
-    assert np.mean(res[:, 2] < res[:, 1]) >= 0.70
-    assert np.median(res[:, 2]) < 0.7 * np.median(res[:, 1])
 
 
 # ---------------------------------------------------------------------------

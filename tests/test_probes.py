@@ -744,6 +744,26 @@ def test_validator_flags_zero_density_with_location():
     assert any("grid only" in c for c in report.caveats)
 
 
+def test_validator_locations_do_not_follow_rounding():
+    # the block width changes the summation order of norm, score and
+    # curvature, so argmax locations of rounding noise would move
+    cfg = ExperimentConfig.from_dict(
+        json.loads((CONFIGS / "assumption_validation.json").read_text())
+    )
+    model = build_model(cfg)
+    probe = build_probe(cfg, model)
+    locations = [
+        _with_cells(cells, lambda: [c.worst_location for c in validate_probe(probe, model).checks])
+        for cells in (100_000, 7_000)
+    ]
+    assert locations[0] == locations[1]
+    report = validate_probe(probe, model)
+    assert report["normalization"].worst_location == "n/a (rounding)"
+    assert report["score-mean-zero"].worst_location == "n/a (rounding)"
+    # every node ties for the Gaussian curvature: the first one is named
+    assert report["positive-curvature"].worst_location == f"nu={model.nodes[0]:.6g}"
+
+
 # ---------------------------------------------------------------------------
 # tabulated probes
 
