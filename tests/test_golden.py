@@ -18,6 +18,8 @@ GOLDEN = {
     "assumption_validation": {
         "summary.json": "3a63cc66dd1a7b81acbe0f9f05456b5a0e19a905355365158cbc241950c53508",
         "estimator_report.json": "130240bbc95d705dbe7268d5fb41877b2c584b1f1911485de3917cca7b6c1583",
+        # every validator check's verdict, worst value and location
+        "tables/assumptions.csv": "865e5b1a37a160aa64044b50fe0e9a42c9c28297c7b3b5fd00f230c62b0c6c9d",
     },
     "born_frequency": {
         "summary.json": "ce20c57285e1f607e7245996a0a358ac0ffc7e295e679272880342c397d5c2dd",

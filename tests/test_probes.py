@@ -765,6 +765,190 @@ def test_validator_locations_do_not_follow_rounding():
 
 
 # ---------------------------------------------------------------------------
+# pruned identifiability against the loop over all pairs
+
+def _exhaustive_identifiability(probe, model):
+    """Worst pairwise L1 distance and its location, from every node pair."""
+    nodes = model.nodes
+    xs, wq = probe._quadrature(nodes)
+    fmat = np.empty((xs.size, nodes.size))
+    for sl in probes._blocks(xs.size, nodes.size):
+        fmat[sl] = probe.density(xs[sl, None], nodes[None, :])
+
+    def distances_from(i):
+        diff = fmat[:, i + 1 :] - fmat[:, i : i + 1]
+        return wq @ np.abs(diff, out=diff)
+
+    nearest = np.array([distances_from(i).min() for i in range(nodes.size - 1)])
+    worst = float(nearest.min())
+    i = probes._first_near(nearest, worst)
+    j = i + 1 + probes._first_near(distances_from(i), worst)
+    return repr(worst), f"nu={nodes[i]:.6g} vs nu={nodes[j]:.6g}"
+
+
+def _draw_grid(data, lo, hi):
+    """One to three intervals inside [lo, hi], plus up to two atoms beyond hi."""
+    count = data.draw(st.integers(1, 3), label="intervals")
+    cuts = np.sort(data.draw(
+        st.lists(st.floats(lo, hi), min_size=2 * count, max_size=2 * count), label="cuts"
+    ))
+    # spread the sorted draws so every interval and gap is at least
+    # (hi - lo) / (hi - lo + 6)
+    cuts = lo + (hi - lo) * (cuts - lo + np.arange(cuts.size)) / (hi - lo + cuts.size)
+    intervals = list(zip(cuts[::2], cuts[1::2]))
+    atoms = [
+        (hi + 0.1 * (k + 1), 0.5)
+        for k in range(data.draw(st.integers(0, 2), label="atoms"))
+    ]
+    nodes = data.draw(st.integers(2, 30), label="nodes per interval")
+    return build_spectral_model(atoms=atoms, intervals=intervals, nodes_per_interval=nodes)
+
+
+def _gaussian_case(data):
+    sigma = 10.0 ** data.draw(st.floats(-2.0, 1.0), label="log10 sigma")
+    model = _draw_grid(data, 0.0, 1.0)
+    return bind_extension(GaussianReadout(sigma=sigma), model), model
+
+
+def _binary_case(data):
+    if data.draw(st.booleans(), label="symmetric about pi"):
+        # f(.|nu) = f(.|2 pi - nu): mirrored nodes have equal laws
+        half = data.draw(st.floats(0.2, 1.5), label="half width")
+        model = build_spectral_model(
+            intervals=[(np.pi - half, np.pi + half)],
+            nodes_per_interval=data.draw(st.integers(2, 30), label="nodes"),
+        )
+    else:
+        model = _draw_grid(data, 0.2, 2.8)
+    return bind_extension(BinaryPhase(), model), model
+
+
+def _draw_table(data, rows, zero=False):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    nu_grid = np.linspace(-0.5, 1.5, data.draw(st.integers(3, 8), label="nu knots"))
+    # values within a factor 2 keep the quadratic nu-interpolation positive
+    table = rng.uniform(0.5, 1.0, (rows, nu_grid.size))
+    if zero:
+        table[rng.integers(rows), rng.integers(nu_grid.size)] = 0.0
+    return tuple(nu_grid), tuple(map(tuple, table)), rng
+
+
+def _finite_table_case(data, zero=False):
+    outcomes = data.draw(st.integers(2, 5), label="outcomes")
+    nu_grid, values, _ = _draw_table(data, outcomes, zero)
+    probe = TabulatedProbe(
+        nu_grid=nu_grid, values=values, outcomes=tuple(float(o) for o in range(outcomes))
+    )
+    model = _draw_grid(data, 0.0, 1.0)
+    return bind_extension(probe, model), model
+
+
+def _continuous_table_case(data):
+    knots = data.draw(st.integers(3, 12), label="xi knots")
+    nu_grid, values, rng = _draw_table(data, knots)
+    xi_grid = np.sort(rng.uniform(-5.0, 6.0, knots)) + np.arange(knots) * 1e-3
+    probe = TabulatedProbe(nu_grid=nu_grid, values=values, xi_grid=tuple(xi_grid))
+    model = _draw_grid(data, 0.0, 1.0)
+    return bind_extension(probe, model), model
+
+
+IDENTIFIABILITY_CASES = {
+    "gaussian": _gaussian_case,
+    "binary": _binary_case,
+    "tabulated-finite": _finite_table_case,
+    "tabulated-continuous": _continuous_table_case,
+    "tabulated-hard-zero": functools.partial(_finite_table_case, zero=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTIFIABILITY_CASES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_pruned_identifiability_equals_the_exhaustive_loop(name, data):
+    probe, model = IDENTIFIABILITY_CASES[name](data)
+    check = validate_probe(probe, model, n_derivative_pairs=0)["identifiability"]
+    assert (repr(check.worst_value), check.worst_location) == _exhaustive_identifiability(
+        probe, model
+    )
+
+
+@pytest.mark.parametrize("name", ["phase-symmetry", "mirrored-atoms", "hard-zero"])
+def test_pruned_identifiability_finds_distant_equal_laws(name):
+    # equal laws at nodes that are not neighbours; with mirrored atoms the
+    # neighbours of the atom at pi - 1 are the farthest apart on the grid
+    if name == "phase-symmetry":
+        model = build_spectral_model(
+            intervals=[(np.pi - 1.0, np.pi + 1.0)], nodes_per_interval=10
+        )
+        probe = bind_extension(BinaryPhase(), model)
+        location = "nu=3.04159 vs nu=3.24159"
+    elif name == "mirrored-atoms":
+        model = build_spectral_model(
+            atoms=[(np.pi - 1.0, 0.5), (np.pi + 1.0, 0.5)],
+            intervals=[(np.pi + 0.1, np.pi + 0.6)],
+            nodes_per_interval=10,
+        )
+        probe = bind_extension(BinaryPhase(), model)
+        location = "nu=2.14159 vs nu=4.14159"
+    else:
+        probe = TabulatedProbe(
+            nu_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
+            values=((0.5, 0.5, 0.0, 0.5, 0.5), (0.5, 0.5, 1.0, 0.5, 0.5)),
+            outcomes=(0.0, 1.0),
+        )
+        model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=5)
+        location = "nu=0.1 vs nu=0.9"
+    check = validate_probe(probe, model, n_derivative_pairs=0)["identifiability"]
+    assert not check.passed
+    assert check.worst_location == location
+    assert (repr(check.worst_value), location) == _exhaustive_identifiability(probe, model)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    panel=st.sampled_from([1, 32]),
+    panels=st.integers(1, 6),
+    nodes=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_bound_never_exceeds_the_discrete_l1(panel, panels, nodes, seed):
+    rng = np.random.default_rng(seed)
+    fmat = rng.uniform(0.0, 1.0, (panel * panels, nodes)) * rng.uniform(0.1, 2.0, nodes)
+    # a pair of laws one ulp apart: its L1 distance is below the rounding
+    # of the partial sums, which the bound must allow for
+    fmat[:, -1] = np.nextafter(fmat[:, 0], np.inf)
+    wq = rng.uniform(0.1, 1.0, panel * panels)
+    first, second = np.triu_indices(nodes, 1)
+    distances = probes._pair_distances(fmat, wq, first, second)
+    # a pair survives a limit at its own distance: its bound lies below it
+    # (up to the rounding allowance of the bound, near 1e-13 here)
+    for i, j, d in zip(first, second, distances):
+        kept = probes._unpruned_pairs(fmat, wq, panel, d)
+        assert (i, j) in set(zip(*kept))
+
+
+def test_identifiability_work_is_linear_on_the_rate_grid():
+    cfg = ExperimentConfig.from_dict(
+        json.loads((CONFIGS / "rate_convergence.json").read_text())
+    )
+    model = build_model(cfg)
+    probe = build_probe(cfg, model)
+    pairs = []
+    exact = probes._pair_distances
+
+    def counted(fmat, wq, first, second):
+        pairs.append(first.size)
+        return exact(fmat, wq, first, second)
+
+    with mock.patch.object(probes, "_pair_distances", counted):
+        report = validate_probe(probe, model, n_derivative_pairs=0)
+    assert report["identifiability"].passed
+    # the loop over all pairs would sum 79,800
+    assert 0 < sum(pairs) <= 2 * model.size
+
+
+# ---------------------------------------------------------------------------
 # tabulated probes
 
 def _tabulated_gaussian(sigma=1.0):
