@@ -90,7 +90,6 @@ from .harness import (
     build_model,
     build_probe,
     build_state,
-    chi_square_gof,
     estimate_ensemble,
     ks_test,
     load_trajectories,

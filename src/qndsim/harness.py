@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import kolmogorov, ndtr
-from scipy.stats import chi2
 
 from . import estimators as est
 from .probes import (
@@ -63,7 +62,6 @@ __all__ = [
     "KsResult",
     "ReportBundle",
     "ks_test",
-    "chi_square_gof",
     "build_model",
     "build_state",
     "build_probe",
@@ -319,15 +317,6 @@ def ks_test(samples, reference_cdf) -> KsResult:
     steps = np.arange(1, n + 1) / n
     d = float(np.max(np.maximum(steps - cdf, cdf - (steps - 1.0 / n))))
     return KsResult(statistic=d, pvalue=float(kolmogorov(math.sqrt(n) * d)), n=n)
-
-
-def chi_square_gof(counts, probs) -> tuple[float, float]:
-    """Pearson goodness-of-fit statistic and p-value against exact cell laws."""
-    counts = np.asarray(counts, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    expected = counts.sum() * probs / probs.sum()
-    stat = float(np.sum((counts - expected) ** 2 / expected))
-    return stat, float(chi2.sf(stat, counts.size - 1))
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .spectral import _GL32, _composite_gauss
+
 __all__ = [
     "ProbeModel",
     "ProbeError",
@@ -70,9 +72,6 @@ BLOCK_CELLS = 100_000            # cells per outcome x node block (0.8 MB of flo
 LOCATION_RTOL = 1e-12            # values this close to the worst share its location
 PRUNE_SLACK = 1e3 * LOCATION_RTOL  # pruning margin: the near-tie rule plus L1 rounding
 ROUNDING_SHARE = 1e-3            # defects below this share of their tolerance are rounding
-
-_GL32 = np.polynomial.legendre.leggauss(32)
-
 
 class ProbeError(ValueError):
     """Raised for invalid probe construction or use."""
@@ -140,16 +139,6 @@ def _blocks(n: int, width: int) -> list[slice]:
     columns (but at least one row)."""
     step = max(BLOCK_CELLS // max(width, 1), 1)
     return [slice(start, start + step) for start in range(0, n, step)]
-
-
-def _composite_gauss(edges: np.ndarray):
-    """32-point Gauss-Legendre rule on each panel between consecutive edges."""
-    x0, w0 = _GL32
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xq = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    wq = (half[:, None] * w0[None, :]).ravel()
-    return xq, wq
 
 
 class ProbeModel:
@@ -513,6 +502,7 @@ class TabulatedProbe(ProbeModel):
 
         All rows by default, shape (R, *nu.shape); with an index array
         ``rows`` broadcasting against nu, only row ``rows[..., m]`` at ``nu[m]``.
+        The stencil is computed on ``nu`` as given, so pass it unbroadcast.
         """
         nus = self._nus
         nu = np.asarray(nu, dtype=float)
@@ -525,25 +515,20 @@ class TabulatedProbe(ProbeModel):
         return w0 * t[rows, j - 1] + w1 * t[rows, j] + w2 * t[rows, j + 1]
 
     def _value_at(self, xi, nu):
-        shape = xi.shape
-        xi = np.atleast_1d(xi).ravel()
-        nu = np.atleast_1d(nu).ravel()
+        """Table value at broadcasting ``xi`` and ``nu``: the outcome index and
+        the nu-stencil are computed once per given value, not per cell."""
         if self.outcomes is not None:
             outs = np.asarray(self.outcomes, dtype=float)
-            idx = np.argmin(np.abs(xi[:, None] - outs[None, :]), axis=1)
-            vals = self._rows_at(nu, idx)
-        else:
-            grid = np.asarray(self.xi_grid, dtype=float)
-            q = np.clip(np.searchsorted(grid, xi) - 1, 0, grid.size - 2)
-            t = np.clip((xi - grid[q]) / (grid[q + 1] - grid[q]), 0.0, 1.0)
-            below, above = self._rows_at(nu, np.stack([q, q + 1]))
-            vals = (1.0 - t) * below + t * above
-        return vals.reshape(shape)
+            idx = np.argmin(np.abs(xi[..., None] - outs), axis=-1)
+            return self._rows_at(nu, idx)
+        grid = np.asarray(self.xi_grid, dtype=float)
+        q = np.clip(np.searchsorted(grid, xi) - 1, 0, grid.size - 2)
+        t = np.clip((xi - grid[q]) / (grid[q + 1] - grid[q]), 0.0, 1.0)
+        return (1.0 - t) * self._rows_at(nu, q) + t * self._rows_at(nu, q + 1)
 
     def _raw_density(self, xi, nu):
-        xi, nu = np.broadcast_arrays(
-            np.asarray(xi, dtype=float), np.asarray(nu, dtype=float)
-        )
+        xi = np.asarray(xi, dtype=float)
+        nu = np.asarray(nu, dtype=float)
         return np.clip(self._value_at(xi, nu), 0.0, None)
 
     def _raw_sample(self, nu, size, rng):

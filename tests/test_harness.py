@@ -14,7 +14,6 @@ from qndsim.harness import (
     ExperimentConfig,
     ValidationFailure,
     build_model,
-    chi_square_gof,
     git_blob_sha1,
     ks_test,
     load_trajectories,
@@ -82,11 +81,6 @@ def test_ks_agrees_with_scipy():
     ref = stats.kstest(samples, "norm", mode="asymp")
     assert ours.statistic == pytest.approx(ref.statistic, abs=1e-12)
     assert ours.pvalue == pytest.approx(ref.pvalue, rel=1e-6, abs=1e-12)
-
-
-def test_chi_square_on_exact_proportions():
-    stat, p = chi_square_gof([250, 250, 250, 250], [0.25, 0.25, 0.25, 0.25])
-    assert stat == 0.0 and p == 1.0
 
 
 # ---------------------------------------------------------------------------

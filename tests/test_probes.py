@@ -1038,6 +1038,64 @@ def test_tabulated_value_at_memory_is_per_cell():
     assert peak < 24e6
 
 
+def _per_cell_density(probe, xi, nu):
+    """The per-cell formula: broadcast, then one nu-stencil per (xi, nu) cell."""
+    xi, nu = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(nu, dtype=float))
+    shape = xi.shape
+    xi, nu = np.atleast_1d(xi).ravel(), np.atleast_1d(nu).ravel()
+    nus, table = probe._nus, probe._table
+    j = np.clip(np.searchsorted(nus, nu) - 1, 1, nus.size - 2)
+    x0, x1, x2 = nus[j - 1], nus[j], nus[j + 1]
+    w0 = (nu - x1) * (nu - x2) / ((x0 - x1) * (x0 - x2))
+    w1 = (nu - x0) * (nu - x2) / ((x1 - x0) * (x1 - x2))
+    w2 = (nu - x0) * (nu - x1) / ((x2 - x0) * (x2 - x1))
+
+    def rows_at(rows):
+        return w0 * table[rows, j - 1] + w1 * table[rows, j] + w2 * table[rows, j + 1]
+
+    if probe.outcomes is not None:
+        outs = np.asarray(probe.outcomes, dtype=float)
+        vals = rows_at(np.argmin(np.abs(xi[:, None] - outs[None, :]), axis=1))
+    else:
+        grid = np.asarray(probe.xi_grid, dtype=float)
+        q = np.clip(np.searchsorted(grid, xi) - 1, 0, grid.size - 2)
+        t = np.clip((xi - grid[q]) / (grid[q + 1] - grid[q]), 0.0, 1.0)
+        below, above = rows_at(np.stack([q, q + 1]))
+        vals = (1.0 - t) * below + t * above
+    return np.clip(vals.reshape(shape), 0.0, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), finite=st.booleans())
+def test_tabulated_density_equals_the_per_cell_formula(data, finite):
+    rows = data.draw(st.integers(2, 12), label="rows")
+    nu_grid, values, rng = _draw_table(data, rows)
+    if finite:
+        probe = TabulatedProbe(nu_grid=nu_grid, values=values,
+                               outcomes=tuple(float(o) for o in range(rows)))
+        xi = np.concatenate([np.arange(rows), rng.uniform(-1.0, rows, 9)])
+    else:
+        xi_grid = np.sort(rng.uniform(-5.0, 6.0, rows)) + np.arange(rows) * 1e-3
+        probe = TabulatedProbe(nu_grid=nu_grid, values=values, xi_grid=tuple(xi_grid))
+        xi = np.concatenate([xi_grid, rng.uniform(-7.0, 8.0, 9)])
+    # knots, points between and beyond them, and one value repeated
+    nu = np.concatenate([nu_grid, rng.uniform(-1.0, 2.0, 7), [0.25, 0.25]])
+    for x, v in ((xi[:, None], nu[None, :]), (xi[:9], nu[:9]), (xi[:, None], nu[3]),
+                 (xi[2], nu[None, :]), (xi[2], nu[3])):
+        got = probe._raw_density(x, v)
+        want = _per_cell_density(probe, x, v)
+        assert np.shape(got) == want.shape
+        assert np.array_equal(got, want)
+    # the finite-difference derivatives evaluate the density at shifted nu
+    f, f1, f2 = probe.density_derivs(xi[:, None], nu[None, :])
+    e = probes.FD_STEP
+    plus = _per_cell_density(probe, xi[:, None], nu[None, :] + e)
+    minus = _per_cell_density(probe, xi[:, None], nu[None, :] - e)
+    mid = _per_cell_density(probe, xi[:, None], nu[None, :])
+    assert np.array_equal(f1, (plus - minus) / (2.0 * e))
+    assert np.array_equal(f2, (plus - 2.0 * mid + minus) / e**2)
+
+
 def test_tabulated_rejection_sampler_moments():
     probe = _tabulated_gaussian()
     rng = np.random.default_rng(RNG_SEED)
