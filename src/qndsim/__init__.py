@@ -19,12 +19,10 @@ from .spectral import (
     build_spectral_model,
     diagonal_state,
     model_from_dict,
-    model_to_dict,
     nearest_node,
     pure_state,
     spectral_probability,
     state_from_dict,
-    state_to_dict,
     validate_state,
 )
 from .probes import (

@@ -2,9 +2,11 @@
 
 The maximum-likelihood estimate of the observable's value is the argmax of
 the running log-likelihood sums over the grid, optionally refined below the
-grid scale by golden-section search on the exact per-outcome sum.  On top
-of it sit the statistics that make the asymptotic claims measurable at
-finite k:
+grid scale by golden-section search on the probe's exact log-likelihood
+objective (``ProbeModel.loglik_objective``: counts for finite outcomes, the
+sample mean and centred sum for the Gaussian readout, the per-outcome sum
+otherwise).  On top of it sit the statistics that make the asymptotic claims
+measurable at finite k:
 
 * consistency frequencies against exact spectral probabilities,
 * posterior decay rates of excluded regions against relative entropy,
@@ -171,11 +173,14 @@ def mle(
     """Maximum-likelihood estimate after k outcomes.
 
     The grid argmax breaks ties toward the smallest node.  With ``refine``,
-    interval-node maxima are polished by golden-section search on the exact
-    per-outcome log-likelihood sum over the bracketing cells (tolerance
-    1e-8 of the hull width), falling back to the vertex of the local
-    parabola when the probe or the outcomes are unavailable.  Estimates
-    never leave the spectrum.
+    interval-node maxima are polished by golden-section search over the
+    bracketing cells (tolerance 1e-8 of the hull width) on the exact
+    log-likelihood that ``probe.loglik_objective`` builds from the first k
+    outcomes once per call: O(1) per step for finite outcome spaces and for
+    the Gaussian readout off its blend zone (a ratio against the sample
+    mean), O(k) per step otherwise.  Without the probe or the outcomes, the
+    estimate is the vertex of the local parabola through the grid sums.
+    Estimates never leave the spectrum.
     """
     sums = trajectory.loglik_at(k, probe, model.nodes)
     idx = int(np.argmax(sums))  # first occurrence: smallest node wins ties
@@ -192,19 +197,7 @@ def mle(
     hull_lo, hull_hi = model.hull
     tol = REFINE_TOL_FACTOR * max(hull_hi - hull_lo, 1.0)
     if probe is not None and trajectory.outcomes.size >= k:
-        outcomes = trajectory.outcomes[:k]
-        if probe.outcome_space.finite:
-            # sufficient statistic: outcome counts make each probe call O(1)
-            vals, counts = np.unique(outcomes, return_counts=True)
-
-            def objective(nu):
-                return float(counts @ probe.loglik_values(np.asarray([nu]), vals)[:, 0])
-
-        else:
-
-            def objective(nu):
-                return float(probe.loglik_values(np.asarray([nu]), outcomes).sum())
-
+        objective = probe.loglik_objective(trajectory.outcomes[:k], lo, hi)
         out = _golden_max(objective, lo, hi, tol)
     else:
         sl, _ = _interval_subgrid(model, nu0)
@@ -354,15 +347,14 @@ def rate_trace(
 ) -> RateTrace:
     mask, log_prior = rate_region(model, state, region)
     cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= len(trajectory)})
-    values = []
-    for c in cps:
-        logw = log_prior + trajectory.loglik_at(c, probe, model.nodes)
-        values.append(float(-(logsumexp(logw[mask]) - logsumexp(logw)) / c))
+    # one (checkpoints x nodes) matrix: two logsumexp calls per trajectory, not per checkpoint
+    logw = log_prior + np.stack([trajectory.loglik_at(c, probe, model.nodes) for c in cps])
+    values = -(logsumexp(logw[:, mask], axis=1) - logsumexp(logw, axis=1)) / np.asarray(cps)
     estimate = mle(trajectory, cps[-1], model, probe, refine=True)
     target = relative_entropy(probe, estimate, model.nodes[mask])
     return RateTrace(
         checkpoints=tuple(cps),
-        values=tuple(values),
+        values=tuple(float(v) for v in values),
         target=float(target),
         estimate=float(estimate),
     )

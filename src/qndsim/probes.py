@@ -31,8 +31,8 @@ no wider than sigma / 2; a continuous tabulated family puts one panel on each
 cell of its ``xi_grid``, so no kink of the linear interpolation falls inside
 a panel.  Outcome x node products are evaluated in blocks of at most
 ``BLOCK_CELLS`` cells.  On the spectrum hull the Gaussian log-likelihood sums,
-relative entropy and Fisher information have closed forms; the generic paths
-run only when the blend margin is reached.
+MLE objective, relative entropy and Fisher information have closed forms; the
+generic paths run only when the blend margin is reached.
 """
 
 from __future__ import annotations
@@ -141,6 +141,13 @@ def _blocks(n: int, width: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
+def _centred_sums(xi: np.ndarray):
+    """Mean m of nonempty outcomes, and sum r and sum r^2 of r = xi - m."""
+    m = xi.mean()
+    r = xi - m
+    return m, r.sum(), (r * r).sum()
+
+
 class ProbeModel:
     """Base class wiring raw density families to the common contract.
 
@@ -233,6 +240,18 @@ class ProbeModel:
         for sl in _blocks(outcomes.size, nodes.size):
             total += self.loglik_values(nodes, outcomes[sl]).sum(axis=0)
         return total
+
+    def loglik_objective(self, outcomes: np.ndarray, lo: float, hi: float):
+        """nu -> log-likelihood of ``outcomes`` for nu in [lo, hi], up to a
+        constant free of nu; the outcomes are reduced once, here.
+
+        Finite outcome spaces weigh each distinct outcome by its count; other
+        families sum over the outcomes at every call.
+        """
+        if self.outcome_space.finite:
+            vals, counts = np.unique(outcomes, return_counts=True)
+            return lambda nu: float(counts @ self.loglik_values(np.asarray([nu]), vals)[:, 0])
+        return lambda nu: float(self.loglik_values(np.asarray([nu]), outcomes).sum())
 
     # -- sampling ------------------------------------------------------------
 
@@ -360,11 +379,33 @@ class GaussianReadout(ProbeModel):
             return np.zeros(nodes.size)
         if self.extension is not None and not self.extension.covers(nodes):
             return super().loglik_node_sums(nodes, xi)  # blend zone reached
-        m = xi.mean()
-        r = xi - m
+        m, sum_r, sum_r2 = _centred_sums(xi)
         d = m - nodes
-        quad = (r * r).sum() + d * (2.0 * r.sum() + xi.size * d)
+        quad = sum_r2 + d * (2.0 * sum_r + xi.size * d)
         return -quad / (2.0 * self.sigma**2) - xi.size * np.log(np.sqrt(2.0 * np.pi) * self.sigma)
+
+    def loglik_objective(self, outcomes, lo, hi):
+        """Off the blend zone, the log-likelihood ratio against the sample mean:
+        ``-d (2 sum r + k d) / 2 sigma^2`` with ``d = m - nu``, O(1) per call.
+
+        The nu-free terms ``sum r^2`` and ``k log(sqrt(2 pi) sigma)`` are left
+        out: near the optimum a search compares values about 1e-12 apart, and
+        adding terms of size 1e4 would round those differences away.  When the
+        blend zone meets [lo, hi] (or there are no outcomes), the generic
+        per-outcome sum serves the whole search, so no two values with
+        different offsets are ever compared.
+        """
+        xi = np.asarray(outcomes, dtype=float)
+        if xi.size == 0 or (self.extension is not None and not self.extension.covers([lo, hi])):
+            return super().loglik_objective(xi, lo, hi)
+        m, sum_r, _ = _centred_sums(xi)
+        k, two_var = xi.size, 2.0 * self.sigma**2
+
+        def objective(nu):
+            d = m - nu
+            return -d * (2.0 * sum_r + k * d) / two_var
+
+        return objective
 
     def fisher(self, nus):
         """Closed form 1 / sigma^2 off the blend zone."""

@@ -40,9 +40,7 @@ __all__ = [
     "spectral_probability",
     "validate_state",
     "nearest_node",
-    "model_to_dict",
     "model_from_dict",
-    "state_to_dict",
     "state_from_dict",
 ]
 
@@ -623,23 +621,7 @@ def validate_state(
 
 
 # ---------------------------------------------------------------------------
-# serialization (JSON-compatible trees)
-
-def model_to_dict(model: SpectralModel) -> dict:
-    h_spec = model.h_spec
-    if h_spec.get("name") == "custom":
-        # tabulate an opaque callable at the grid nodes
-        mask = ~model.is_atom
-        h_spec = {"table": np.column_stack(
-            [model.nodes[mask], model.hvals[mask]]).tolist()}
-    return {
-        "atoms": [[p, w] for p, w in model.atoms],
-        "intervals": [[a, b] for a, b in model.intervals],
-        "h": h_spec,
-        "nodes_per_interval": model.nodes_per_interval,
-        "multiplicity": model.multiplicity,
-    }
-
+# construction from JSON-compatible trees
 
 def model_from_dict(d: dict) -> SpectralModel:
     return build_spectral_model(
@@ -650,15 +632,6 @@ def model_from_dict(d: dict) -> SpectralModel:
         multiplicity=int(d.get("multiplicity", 1)),
         quadrature_tol=float(d.get("quadrature_tol", 1e-3)),
     )
-
-
-def state_to_dict(state: StateKernel) -> dict:
-    flat = state.values
-    return {
-        "shape": list(flat.shape),
-        "re": flat.real.tolist(),
-        "im": flat.imag.tolist(),
-    }
 
 
 def state_from_dict(model, d: dict) -> StateKernel:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qndsim import spectral
 from qndsim.estimators import (
+    REFINE_TOL_FACTOR,
     WindowError,
     _interpolate,
     _interval_subgrid,
@@ -24,7 +25,7 @@ from qndsim.estimators import (
     trace_norm_distance,
 )
 from qndsim.harness import ExperimentConfig, run_experiment
-from qndsim.probes import BinaryPhase, GaussianReadout, bind_extension
+from qndsim.probes import BinaryPhase, GaussianReadout, TabulatedProbe, bind_extension
 from qndsim.spectral import (
     StateKernel,
     build_spectral_model,
@@ -102,6 +103,90 @@ def test_mle_path_lies_in_spectrum():
     lo, hi = model.hull
     assert all(lo <= e <= hi for e in path.estimates)
     assert path.checkpoints == (10, 100, 300)
+
+
+def _per_outcome_objective(self, outcomes, lo, hi):
+    """Reference objective: counts for finite outcome spaces, otherwise a sum
+    over every outcome at each call."""
+    if self.outcome_space.finite:
+        vals, counts = np.unique(outcomes, return_counts=True)
+        return lambda nu: float(counts @ self.loglik_values(np.asarray([nu]), vals)[:, 0])
+    return lambda nu: float(self.loglik_values(np.asarray([nu]), outcomes).sum())
+
+
+def _tabulated_probes():
+    nu_grid = np.linspace(-0.5, 1.5, 21)
+    xi_grid = np.linspace(-5.0, 6.0, 89)
+    table = np.exp(-0.5 * (xi_grid[:, None] - nu_grid[None, :]) ** 2) / np.sqrt(2 * np.pi)
+    return {
+        "tabulated-continuous": TabulatedProbe(
+            nu_grid=tuple(nu_grid), values=tuple(map(tuple, table)), xi_grid=tuple(xi_grid)
+        ),
+        "tabulated-finite": TabulatedProbe(
+            nu_grid=(-0.5, 0.25, 0.75, 1.5),
+            values=((0.2, 0.3, 0.6, 0.7), (0.8, 0.7, 0.4, 0.3)),
+            outcomes=(0.0, 1.0),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["binary", "tabulated-continuous", "tabulated-finite"])
+def test_refined_mle_equals_the_per_outcome_objective_bitwise(name, monkeypatch):
+    model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=40)
+    families = {"binary": BinaryPhase.embedded(0.0, 1.0), **_tabulated_probes()}
+    probe = bind_extension(families[name], model)
+    state = pure_state(model, lambda nu: np.ones_like(nu))
+    trajs = [
+        definetti_sample(state, probe, 300, trajectory_rng(SEED, i), checkpoints=[30])
+        for i in range(5)
+    ]
+    got = [mle(t, k, model, probe) for t in trajs for k in (30, 300)]
+    monkeypatch.setattr(type(probe), "loglik_objective", _per_outcome_objective)
+    assert got == [mle(t, k, model, probe) for t in trajs for k in (30, 300)]
+
+
+def test_refined_gaussian_mle_reads_no_outcome_under_a_covering_extension(monkeypatch):
+    model, probe, _ = _gaussian_setup(50)
+    traj = _manual_trajectory(probe, model, np.linspace(0.1, 0.7, 1000))
+
+    def refuse(*args):
+        raise AssertionError("loglik_values called during refinement")
+
+    monkeypatch.setattr(GaussianReadout, "loglik_values", refuse)
+    assert mle(traj, 1000, model, probe) == pytest.approx(0.4, abs=1e-8)
+
+
+def test_gaussian_mle_across_the_blend_edge_uses_the_per_outcome_sum(monkeypatch):
+    # the extension covers [0.2, 0.8] of the spectrum [0, 1]: the bracket of a
+    # grid maximum next to 0.2 reaches the blend zone
+    model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=50)
+    probe = GaussianReadout(sigma=0.05).with_extension(0.2, 0.8, 0.05)
+    traj = _manual_trajectory(probe, model, 0.203 + 0.05 * np.sin(np.arange(400.0)))
+    nu0 = model.nodes[np.argmax(traj.loglik_sums)]
+    assert nu0 - 0.02 < 0.2 < nu0 + 0.02
+    got = mle(traj, 400, model, probe)
+    monkeypatch.setattr(GaussianReadout, "loglik_objective", _per_outcome_objective)
+    assert got == mle(traj, 400, model, probe)
+
+
+ACCURACY_MODEL = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=50)
+
+
+@given(
+    k=st.integers(1, 10_000),
+    sigma=st.floats(0.05, 5.0),
+    nu=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_refined_gaussian_mle_is_the_clipped_sample_mean(k, sigma, nu, seed):
+    model = ACCURACY_MODEL
+    probe = bind_extension(GaussianReadout(sigma=sigma), model)
+    outcomes = probe.sample(nu, k, np.random.default_rng(seed))
+    traj = _manual_trajectory(probe, model, outcomes)
+    lo, hi = model.hull
+    exact = float(np.clip(outcomes.mean(), lo, hi))
+    assert abs(mle(traj, k, model, probe) - exact) <= REFINE_TOL_FACTOR * (hi - lo)
 
 
 def test_consistency_stat_trivial_cases():

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = {
     "assumption_validation": {
         "summary.json": "3a63cc66dd1a7b81acbe0f9f05456b5a0e19a905355365158cbc241950c53508",
-        "estimator_report.json": "130240bbc95d705dbe7268d5fb41877b2c584b1f1911485de3917cca7b6c1583",
+        "estimator_report.json": "88728c5681f5f464d481912f6ed6efb76ad4f0dd0e5a378e7eb77d171721b4bc",
         # every validator check's verdict, worst value and location
         "tables/assumptions.csv": "865e5b1a37a160aa64044b50fe0e9a42c9c28297c7b3b5fd00f230c62b0c6c9d",
     },
@@ -30,16 +30,16 @@ GOLDEN = {
         "estimator_report.json": "cf7220241dda0b0c2dcb7506fb8e34ae259a8218fddf3cc5e7e380e089a131b0",
     },
     "clt_gaussian": {
-        "summary.json": "06119abeea97391aa57357556f5467a9da468710fff900ec0be85865f949dd9a",
-        "estimator_report.json": "f1aa70a4c41c4e066784cf688c24d7c249a158766bb0899d1e44869b3c23bbe0",
+        "summary.json": "6e0fa30ee5b2d0b544354cf5418583634717c9491d21c5c41c5f42e232b95250",
+        "estimator_report.json": "85874aa3f74fe57b9e34207e5dbf6be6d9df766a0ac7bef792fa712e92fdea97",
     },
     "kernel_convergence": {
-        "summary.json": "b3e0a2e73e51d6394432cb71b21656c4079cd089958b50424ec2011e3a44222f",
-        "estimator_report.json": "7e8d6d82426b422091551095f04d227ec9fdda59ddb5e182dad4e5f21befef27",
+        "summary.json": "1579185e5b435f926420753ad0dd868bd91071cc69ee08acd102b962d3b4776e",
+        "estimator_report.json": "28592394c200c8866402b43c2234be1725bfaa443d9f86a1df56310c0a082e38",
     },
     "rate_convergence": {
-        "summary.json": "62a5412f6c2938fcb17a64d585b320551bc46551a67bcccd0517445887c8a1f6",
-        "estimator_report.json": "652e7eae13450bd52509e056be325b53a194a3dd446a043ec9dea32344ab7245",
+        "summary.json": "abf7603486b0e7952ecda18e24c306de01a68f79496c37577adf125e6c09208b",
+        "estimator_report.json": "101bfbe761da996cc374c76adda443a5a24b073c38d1e868cf91cabad69d9ac4",
     },
 }
 
@@ -78,4 +78,10 @@ def test_shipped_bundles_match_golden_digests(tmp_path):
         }
         for name, files in GOLDEN.items()
     }
-    assert digests == GOLDEN
+    moved = [
+        f"{name}/{f}: {old} -> {digests[name][f]}"
+        for name, files in GOLDEN.items()
+        for f, old in files.items()
+        if digests[name][f] != old
+    ]
+    assert digests == GOLDEN, "bundle digests moved:\n" + "\n".join(moved)
