@@ -38,7 +38,6 @@ from .probes import (
     TabulatedProbe,
     ZeroDensityError,
     bind_extension,
-    fisher_information,
     probe_from_config,
     relative_entropy,
     validate_probe,

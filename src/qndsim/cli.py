@@ -26,6 +26,7 @@ from .harness import (
     git_blob_sha1,
     load_trajectories,
     persist_trajectories,
+    prepare_run,
     run_experiment,
     simulate_ensemble,
     validate_config,
@@ -85,6 +86,7 @@ def _cmd_simulate(args) -> int:
     config, _ = _read_config(args.config, args.seed)
     if args.out is None:
         raise ConfigError("simulate needs --out to persist trajectories")
+    prepare_run(config)  # the gate verify applies
     trajectories = simulate_ensemble(config, workers=args.threads)
     persist_trajectories(args.out, trajectories, config)
     log.info("persisted %d trajectories to %s", len(trajectories), args.out)

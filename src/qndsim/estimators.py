@@ -15,7 +15,7 @@ measurable at finite k:
 * the Laplace-integral ratio that the Gaussian posterior limit rests on,
 * rescaled posterior kernels on a zoom window around the estimate, and the
   Gaussian kernel they converge to, compared in trace norm on the
-  mass-weighted matrices.  Window kernels are held as factors
+  mass-weighted matrices.  All kernels are held as factors
   ``Psi diag(d) Psi*`` (rank one for a pure initial state), and the trace
   norm of a difference is the sum of absolute eigenvalues of a Hermitian
   matrix as small as the two factors have columns.
@@ -41,6 +41,7 @@ from .spectral import (
     RegionError,
     SpectralModel,
     StateKernel,
+    _weighted_gram,
     spectral_probability,
 )
 from .trajectories import Trajectory, log_prior_weights
@@ -224,13 +225,6 @@ class MlePath:
     estimates: tuple[float, ...]
     refined: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "checkpoints": list(self.checkpoints),
-            "estimates": list(self.estimates),
-            "refined": self.refined,
-        }
-
 
 def mle_path(
     trajectory: Trajectory,
@@ -255,14 +249,6 @@ class ConsistencyResult:
     exact_probability: float
     ci_halfwidth: float
     count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "frequency": self.frequency,
-            "exact_probability": self.exact_probability,
-            "ci_halfwidth": self.ci_halfwidth,
-            "count": self.count,
-        }
 
 
 def mle_consistency_stat(
@@ -311,14 +297,6 @@ class RateTrace:
     values: tuple[float, ...]
     target: float
     estimate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "checkpoints": list(self.checkpoints),
-            "values": list(self.values),
-            "target": self.target,
-            "estimate": self.estimate,
-        }
 
 
 def rate_region(model: SpectralModel, state: StateKernel, region):
@@ -638,8 +616,9 @@ def limit_kernel(
     if h_at <= 0:
         raise ValueError(f"spectral density vanishes at nu={nu_hat}")
     first, w = _stencil(model.nodes[sl], nu_hat, (a, b))
-    idx = sl.start + first[0] + np.arange(3)
-    block = np.einsum("i,iab->ab", w[0], state.values[idx, idx])
+    psi, d = state.factor  # K[i, i] = Psi[i] diag(d) Psi[i]* at the stencil nodes
+    rows = psi[sl.start + first[0] + np.arange(3)]
+    block = np.einsum("i,iab->ab", w[0], (rows * d) @ rows.conj().transpose(0, 2, 1))
     trace = float(np.trace(block).real)
     if trace <= 0.0:
         lam = np.zeros(0)
@@ -657,16 +636,14 @@ def limit_kernel(
 def trace_norm_distance(a: StateKernel, b: StateKernel) -> float:
     """Trace norm of the difference of mass-weighted matrices: sum |eigenvalues|.
 
-    With mass-weighted factors ``A = U diag(d_a) U*`` and
-    ``B = V diag(d_b) V*``, the QR factorization ``[U V] = Q R`` gives
-    ``A - B = Q R diag(d_a, -d_b) R* Q*``, so the nonzero spectrum of the
-    difference is that of the small Hermitian matrix ``R diag(d_a, -d_b) R*``
-    (square in ``min(N n, r_a + r_b)``).  A kernel given by dense values
-    enters through its factor, which is that of its Hermitian part.  A norm
-    distance: symmetric, triangle inequality, zero only for equal kernels,
-    and exactly 0 for the same kernel, equal factors or equal values.  Both
-    kernels must live on one grid: the same object, or grids with equal
-    nodes and masses.
+    With mass-weighted factors ``A = U diag(d_a) U*``, ``B = V diag(d_b) V*``
+    and the QR factorization ``[U V] = Q R``, ``A - B = Q R diag(d_a, -d_b) R* Q*``:
+    the nonzero spectrum of the difference is that of the small Gram
+    ``R diag(d_a, -d_b) R*`` (``spectral._weighted_gram``, square in
+    ``min(N n, r_a + r_b)``).  A norm distance: symmetric, triangle
+    inequality, zero only for equal kernels, and exactly 0 for equal factors
+    (so for equal declared values).  Both kernels must live on one grid: the
+    same object, or grids with equal nodes and masses.
     """
     ga, gb = a.grid, b.grid
     if ga is not gb and not (
@@ -676,10 +653,7 @@ def trace_norm_distance(a: StateKernel, b: StateKernel) -> float:
     (psi_a, d_a), (psi_b, d_b) = a.factor, b.factor
     if np.array_equal(d_a, d_b) and np.array_equal(psi_a, psi_b):
         return 0.0  # R D R* of [U U] does not cancel to exact zeros
-    s = np.sqrt(ga.mass)[:, None, None]
-    w = np.concatenate([psi_a * s, psi_b * s], axis=2).reshape(a.size * a.block_size, -1)
-    r = np.linalg.qr(w, mode="r")
-    gram = (r * np.concatenate([d_a, -d_b])) @ r.conj().T
+    gram = _weighted_gram(ga, (psi_a, d_a), (psi_b, -d_b))
     return float(np.abs(np.linalg.eigvalsh(gram)).sum())
 
 
@@ -701,18 +675,3 @@ class EstimatorReport:
     consistency: dict | None = None
     posterior_means: list[float] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seeds": self.seeds,
-            "tolerances": self.tolerances,
-            "mle_paths": self.mle_paths,
-            "rate_traces": self.rate_traces,
-            "clt_residuals": self.clt_residuals,
-            "distance_series": self.distance_series,
-            "laplace_checks": self.laplace_checks,
-            "consistency": self.consistency,
-            "posterior_means": self.posterior_means,
-            "extra": self.extra,
-        }

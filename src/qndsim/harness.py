@@ -69,6 +69,7 @@ __all__ = [
     "simulate_ensemble",
     "estimate_ensemble",
     "run_experiment",
+    "prepare_run",
     "persist_trajectories",
     "load_trajectories",
     "git_blob_sha1",
@@ -295,6 +296,21 @@ def _build_cached(config_json: str):
     return config, model, state, probe
 
 
+def prepare_run(config: ExperimentConfig):
+    """Model, state and probe of a config that may be simulated.
+
+    The probe must pass its validators before any simulation unless the
+    experiment itself is the validation run; failures raise
+    ``ValidationFailure`` with the validator report attached.
+    """
+    _, model, state, probe = _build_cached(config.canonical_json())
+    if config.kind != "assumption-validation":
+        probe_report = validate_probe(probe, model)
+        if not probe_report.passed:
+            raise ValidationFailure(probe_report)
+    return model, state, probe
+
+
 # ---------------------------------------------------------------------------
 # statistical tests
 
@@ -442,7 +458,7 @@ def estimate_ensemble(
             probe,
             ci_sigmas=tol["born_ci_sigmas"],
         )
-        report.consistency = stat.to_dict()
+        report.consistency = vars(stat)
         add_result(
             "born-frequency",
             "frequency of the limiting estimate in the region equals the "
@@ -462,7 +478,7 @@ def estimate_ensemble(
             est.rate_trace(state, t, config.region, config.checkpoints, model, probe)
             for t in trajectories
         ]
-        report.rate_traces = [t.to_dict() for t in traces]
+        report.rate_traces = [vars(t) for t in traces]
         cps = traces[0].checkpoints
         medians = [
             float(np.median([t.values[i] for t in traces])) for i in range(len(cps))
@@ -613,7 +629,7 @@ def estimate_ensemble(
     # estimator paths are part of every report (first 100 trajectories)
     for traj in trajectories[: min(len(trajectories), 100)]:
         path = est.mle_path(traj, config.checkpoints, model, probe, refine=True)
-        report.mle_paths.append(path.to_dict())
+        report.mle_paths.append(vars(path))
 
     return report, results, tables
 
@@ -651,7 +667,7 @@ def persist_trajectories(out_dir, trajectories: Sequence[Trajectory], config: Ex
             {
                 "index": i,
                 "hidden_nu": traj.hidden_nu,
-                "seed": traj.seed.to_dict() if traj.seed else None,
+                "seed": vars(traj.seed) if traj.seed else None,
             }
         )
     with open(out / "trajectories" / "manifest.json", "w") as fh:
@@ -731,7 +747,8 @@ class ReportBundle:
             json.dump(self.summary_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
         with open(out / "estimator_report.json", "w") as fh:
-            json.dump(self.report.to_dict(), fh, sort_keys=True, indent=2)
+            # report fields hold plain values (vars, unlike asdict, copies none)
+            json.dump(vars(self.report), fh, sort_keys=True, indent=2)
             fh.write("\n")
         tables = out / "tables"
         tables.mkdir(exist_ok=True)
@@ -759,19 +776,13 @@ def run_experiment(
 ) -> ReportBundle:
     """Simulate, estimate, and bundle one experiment deterministically.
 
-    The probe must pass its validators before any simulation unless the
-    experiment itself is the validation run; failures abort with the
-    validator report attached.
+    Runs only what ``prepare_run`` admits, so a probe that fails its
+    validators aborts before any simulation.
     """
-    config_json = config.canonical_json()
     config_hash = config.config_hash()
     if content_hash is None:
-        content_hash = git_blob_sha1(config_json.encode())
-    _, model, state, probe = _build_cached(config_json)
-    if config.kind != "assumption-validation":
-        probe_report = validate_probe(probe, model)
-        if not probe_report.passed:
-            raise ValidationFailure(probe_report)
+        content_hash = git_blob_sha1(config.canonical_json().encode())
+    model, state, probe = prepare_run(config)
     trajectories = simulate_ensemble(config, workers=workers)
     report, results, tables = estimate_ensemble(
         config, trajectories, model, state, probe, (config_hash, content_hash)

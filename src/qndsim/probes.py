@@ -58,7 +58,6 @@ __all__ = [
     "TabulatedProbe",
     "AssumptionCheck",
     "ProbeValidationReport",
-    "fisher_information",
     "relative_entropy",
     "validate_probe",
     "bind_extension",
@@ -602,16 +601,7 @@ class TabulatedProbe(ProbeModel):
 
 
 # ---------------------------------------------------------------------------
-# operations (module-level faces of the probe contract)
-
-def fisher_information(probe: ProbeModel, nu) -> np.ndarray | float:
-    """Expected squared score E[(dl)^2]; positive under the assumptions."""
-    out = probe.fisher(nu)
-    result = out if np.ndim(nu) else float(out[0])
-    if np.any(~np.isfinite(out)) or np.any(out <= 0):
-        raise ProbeError(f"Fisher information is not finite-positive at nu={nu}")
-    return result
-
+# operations (module-level face of the probe contract)
 
 def relative_entropy(probe: ProbeModel, nu: float, region_nodes) -> float:
     """Minimal KL divergence from the law at nu to laws over region nodes.

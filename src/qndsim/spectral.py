@@ -402,44 +402,46 @@ def nearest_node(model: SpectralModel, nu: float) -> int:
 class StateKernel:
     """Density matrix as an n x n block kernel over a grid.
 
-    The kernel is ``K = Psi diag(d) Psi*``: a factor ``Psi`` of shape
-    (N, n, r) and r real, possibly signed, weights ``d``.  Blocks satisfy
-    Hermitian symmetry ``K[i, j] == K[j, i]*`` and the mass-weighted matrix
-    is positive semidefinite with unit trace.  A kernel built from dense
-    ``values`` (shape (N, N, n, n); grid states and declared kernels) keeps
-    them, and is factored on first use by ``eigh`` of its mass-weighted
-    Hermitian part, every eigenpair kept: a Hermiticity defect in ``values``
-    (``validate_state`` allows 1e-10) reaches nothing computed from the
-    factor.  A kernel built from a ``factor``
-    alone (zoom-window kernels) has dense ``values`` only once something
-    reads them.  Kernels are immutable, so both forms are cached.  The grid
-    only needs ``nodes`` and ``mass`` arrays, so kernels also live on
-    rescaled windows.
+    The only stored form is a factor: ``K = Psi diag(d) Psi*`` with ``Psi``
+    of shape (N, n, r) and r real, possibly signed, weights ``d``, so K is
+    Hermitian by construction; a valid state is also positive semidefinite
+    with unit trace.  Dense ``values`` (N, N, n, n) given instead (declared
+    kernels) are factored on the spot by ``eigh`` of their mass-weighted
+    Hermitian part, every eigenpair kept; their ``hermiticity_defect`` is
+    kept for ``validate_state`` and reaches nothing else.  ``values``
+    expands the factor on each read.  The grid only needs ``nodes`` and
+    ``mass``, so kernels also live on rescaled windows.
     """
 
     def __init__(self, values: np.ndarray | None, grid, factor=None):
         n = getattr(grid, "multiplicity", 1)
-        if values is not None:
+        size = grid.nodes.size
+        if (values is None) == (factor is None):
+            raise ValueError("a kernel needs either values or a factor")
+        self.hermiticity_defect = 0.0
+        if factor is None:
             values = np.asarray(values, dtype=complex)
             if values.ndim == 2:
                 values = values[:, :, None, None]
             if values.ndim != 4 or values.shape[0] != values.shape[1]:
                 raise ValueError("kernel values must have shape (N, N, n, n)")
-            if values.shape[0] != grid.nodes.size or values.shape[2] != n:
+            if values.shape[0] != size or values.shape[2] != n:
                 raise ValueError("kernel shape does not match its grid")
-            values = _readonly(values)
-        if factor is not None:
-            psi = np.asarray(factor[0], dtype=complex)
-            d = np.asarray(factor[1], dtype=float)
-            if psi.ndim != 3 or psi.shape[:2] != (grid.nodes.size, n):
-                raise ValueError("kernel factor must have shape (N, n, r)")
-            if d.shape != psi.shape[2:]:
-                raise ValueError("kernel factor needs one weight per column")
-            factor = (_readonly(psi), _readonly(d))
-        elif values is None:
-            raise ValueError("a kernel needs values or a factor")
-        self._values = values
-        self._factor = factor
+            herm = np.abs(values - values.conj().transpose(1, 0, 3, 2))
+            self.hermiticity_defect = float(np.max(herm))
+            s = np.sqrt(grid.mass)
+            m = values * s[:, None, None, None] * s[None, :, None, None]
+            m = m.transpose(0, 2, 1, 3).reshape(size * n, size * n)
+            d, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+            inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
+            factor = (vecs.reshape(size, n, -1) * inv[:, None, None], d)
+        psi = np.asarray(factor[0], dtype=complex)
+        d = np.asarray(factor[1], dtype=float)
+        if psi.ndim != 3 or psi.shape[:2] != (size, n):
+            raise ValueError("kernel factor must have shape (N, n, r)")
+        if d.shape != psi.shape[2:]:
+            raise ValueError("kernel factor needs one weight per column")
+        self.factor = (_readonly(psi), _readonly(d))
         self.grid = grid
 
     @property
@@ -452,40 +454,24 @@ class StateKernel:
 
     @property
     def values(self) -> np.ndarray:
-        """Dense (N, N, n, n) kernel, expanded from the factor on first read."""
-        if self._values is None:
-            self._values = _expand_factor(*self._factor)
-        return self._values
-
-    @property
-    def factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(Psi, d)`` with ``K = Psi diag(d) Psi*``."""
-        if self._factor is None:
-            m = self.weighted_matrix()
-            d, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-            s = np.sqrt(self.grid.mass)
-            inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
-            psi = vecs.reshape(self.size, self.block_size, -1) * inv[:, None, None]
-            self._factor = (_readonly(psi), _readonly(d))
-        return self._factor
+        """Dense (N, N, n, n) kernel, expanded from the factor on each read."""
+        return _expand_factor(*self.factor)
 
     def block_traces(self) -> np.ndarray:
-        """Per-node block traces tr_block(K[i, i]), shape (N,), real part."""
-        if self._values is None:
-            psi, d = self._factor
-            return (np.abs(psi) ** 2).sum(axis=1) @ d
-        return np.einsum("iiaa->i", self._values).real
+        """Per-node block traces tr_block(K[i, i]), shape (N,)."""
+        psi, d = self.factor
+        return (np.abs(psi) ** 2).sum(axis=1) @ d
 
     def trace(self) -> float:
         """Discrete trace: sum of mass-weighted diagonal block traces."""
         return float(np.dot(self.grid.mass, self.block_traces()))
 
     def weighted_matrix(self) -> np.ndarray:
-        """Mass-weighted (N*n, N*n) matrix; the home of PSD and trace norms."""
-        s = np.sqrt(self.grid.mass)
-        m = self.values * s[:, None, None, None] * s[None, :, None, None]
-        nn = self.size * self.block_size
-        return m.transpose(0, 2, 1, 3).reshape(nn, nn)
+        """Dense mass-weighted (N*n, N*n) matrix, expanded from the factor."""
+        psi, d = self.factor
+        w = psi * np.sqrt(self.grid.mass)[:, None, None]
+        w = w.reshape(self.size * self.block_size, d.size)
+        return (w * d) @ w.conj().T
 
 
 def _expand_factor(psi: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -494,6 +480,18 @@ def _expand_factor(psi: np.ndarray, d: np.ndarray) -> np.ndarray:
     flat = psi.reshape(n_nodes * n, r)
     dense = ((flat * d) @ flat.conj().T).reshape(n_nodes, n, n_nodes, n)
     return _readonly(dense.transpose(0, 2, 1, 3))
+
+
+def _weighted_gram(grid, *factors) -> np.ndarray:
+    """``R diag(d) R*`` for the QR ``Q R`` of the mass-weighted ``[Psi_1 Psi_2 ...]``.
+
+    Its eigenvalues are those of the weighted ``sum_j Psi_j diag(d_j) Psi_j*``,
+    less ``N n - r`` zeros when the r columns are fewer than N n.
+    """
+    s = np.sqrt(grid.mass)[:, None, None]
+    w = np.concatenate([psi * s for psi, _ in factors], axis=2)
+    r = np.linalg.qr(w.reshape(w.shape[0] * w.shape[1], w.shape[2]), mode="r")
+    return (r * np.concatenate([d for _, d in factors])) @ r.conj().T
 
 
 def pure_state(model, psi) -> StateKernel:
@@ -513,15 +511,15 @@ def pure_state(model, psi) -> StateKernel:
     if norm2 <= 0:
         raise ValueError("wave function has zero norm on the grid")
     psi = psi / np.sqrt(norm2)
-    values = np.einsum("ia,jb->ijab", psi, psi.conj())
-    return StateKernel(values, model, factor=(psi[:, :, None], np.ones(1)))
+    return StateKernel(None, model, factor=(psi[:, :, None], np.ones(1)))
 
 
 def diagonal_state(model, node_probs) -> StateKernel:
     """Diagonal (classical) state whose spectral weights are ``node_probs``.
 
     ``node_probs`` are per-node probabilities summing to 1; the kernel
-    diagonal is ``probs / mass`` so the discrete trace is exactly 1.
+    diagonal is ``probs / mass`` so the discrete trace is exactly 1.  The
+    factor is the identity columns, weighted ``probs / mass / n``.
     """
     p = np.asarray(node_probs, dtype=float)
     if p.shape != (model.size,):
@@ -533,11 +531,8 @@ def diagonal_state(model, node_probs) -> StateKernel:
         raise ValueError("node probabilities sum to zero")
     p = p / total
     n = model.multiplicity
-    values = np.zeros((model.size, model.size, n, n), dtype=complex)
-    diag = p / model.mass / n
-    for a in range(n):
-        values[np.arange(model.size), np.arange(model.size), a, a] = diag
-    return StateKernel(values, model)
+    psi = np.eye(model.size * n, dtype=complex).reshape(model.size, n, -1)
+    return StateKernel(None, model, factor=(psi, np.repeat(p / model.mass / n, n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -604,14 +599,16 @@ def validate_state(
     psd_tol: float = 1e-10,
     trace_tol: float = 1e-8,
 ) -> StateValidationReport:
-    """Report Hermiticity, positivity and trace defects of a kernel."""
-    k = state.values
-    herm = float(np.max(np.abs(k - k.conj().transpose(1, 0, 3, 2))))
-    m = state.weighted_matrix()
-    m = 0.5 * (m + m.conj().T)
-    eigs = np.linalg.eigvalsh(m)
+    """Report Hermiticity, positivity and trace defects of a kernel.
+
+    Weighted eigenvalues come from the small Gram of the factor.
+    """
+    gram = _weighted_gram(state.grid, state.factor)
+    eigs = np.linalg.eigvalsh(gram)
+    if gram.shape[0] < state.size * state.block_size:
+        eigs = np.append(eigs, 0.0)
     return StateValidationReport(
-        hermiticity_defect=herm,
+        hermiticity_defect=state.hermiticity_defect,
         min_weighted_eigenvalue=float(eigs.min()),
         trace_defect=abs(state.trace() - 1.0),
         hermiticity_tol=hermiticity_tol,

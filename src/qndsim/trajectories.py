@@ -52,9 +52,6 @@ class SeedRecord:
     master: int
     index: int
 
-    def to_dict(self) -> dict:
-        return {"master": self.master, "index": self.index}
-
 
 def trajectory_rng(master: int, index: int) -> np.random.Generator:
     """The documented splitting rule: child ``index`` of the master seed."""
@@ -249,18 +246,16 @@ def posterior_weights(state: StateKernel, trajectory: Trajectory, k: int, probe=
 def posterior_kernel(state: StateKernel, trajectory: Trajectory, k: int, probe=None) -> StateKernel:
     """Posterior kernel after k outcomes.
 
-    Multiplies the initial kernel by ``exp(L_k/2)`` on both sides and
-    renormalizes by the discrete trace, all in log space.
+    Multiplies the initial kernel by ``exp(L_k/2)`` on both sides (the rows
+    of its factor) and renormalizes by the discrete trace, all in log space.
     """
     sums = trajectory.loglik_at(k, probe, state.grid.nodes)
-    shift = sums.max()
-    half = np.exp(0.5 * (sums - shift))
-    values = state.values * half[:, None, None, None] * half[None, :, None, None]
-    scaled = StateKernel(values, state.grid)
-    z = scaled.trace()
+    psi, d = state.factor
+    psi = psi * np.exp(0.5 * (sums - sums.max()))[:, None, None]
+    z = StateKernel(None, state.grid, factor=(psi, d)).trace()
     if z <= 0:
         raise ValueError("posterior kernel has zero normalizer")
-    return StateKernel(values / z, state.grid)
+    return StateKernel(None, state.grid, factor=(psi, d / z))
 
 
 def exact_tuple_distribution(

@@ -140,7 +140,7 @@ def test_criterion_4_fisher_identity():
             nu - 10 * sigma,
             nu + 10 * sigma,
         )
-        value = q.fisher_information(q.GaussianReadout(sigma=sigma), nu)
+        value = q.GaussianReadout(sigma=sigma).fisher(np.asarray([nu]))[0]
         worst_value = max(worst_value, abs(value - oracle))
 
     elapsed = time.perf_counter() - start

@@ -227,6 +227,23 @@ def test_simulate_then_estimate_matches_verify(tmp_path, capsys):
         assert (pipe / name).read_bytes() == (single / name).read_bytes()
 
 
+def test_simulate_applies_the_probe_gate_of_verify(tmp_path, capsys):
+    # the identity phase gives f(1 | 0) = 0, which the validators refuse
+    cfg = _write_config(
+        tmp_path / "cfg.json", probe={"kind": "binary-phase"}, k_max=20, ensemble=50
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg)]) == 1
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: probe failed assumption validation:"
+    ]
+    assert "positive-curvature: FAIL" in err
+    assert not (out / "trajectories" / "manifest.json").exists()
+
+
 def test_verify_reruns_are_idempotent(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"

@@ -577,17 +577,16 @@ def test_trace_norm_equals_dense_svd_oracle(kinds, n_nodes, multiplicity, ranks,
 
 
 def test_trace_norm_reads_the_hermitian_part_of_dense_values():
-    # a dense kernel Hermitian only to within 1e-12 is compared by its
-    # Hermitian part (one triangle alone would move the distance by about
-    # 5e-13 here); the singular-value sum of the whole difference moves only
-    # at second order in the anti-Hermitian defect, so it agrees too
+    # a dense kernel Hermitian only to within 1e-12 is held as the factor of
+    # its Hermitian part (one triangle alone would move the distance by about
+    # 5e-13 here), so the singular-value sum of the expanded difference agrees
     model, _, _ = _gaussian_setup(20)
     rng = np.random.default_rng(SEED)
     herm, other = _random_kernel(model, rng), _random_kernel(model, rng)
     s = rng.standard_normal((model.size, model.size))
     defect = 1e-12 * 1j * (s + s.T)  # anti-Hermitian
     skewed = StateKernel(herm.values + defect[:, :, None, None], model)
-    assert np.abs(skewed.weighted_matrix() - skewed.weighted_matrix().conj().T).max() > 0
+    assert skewed.hermiticity_defect > 1e-12
     dist = trace_norm_distance(skewed, other)
     expected = trace_norm_distance(herm, other)
     assert abs(dist - expected) <= 1e-14 * expected

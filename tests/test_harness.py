@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
+from qndsim import spectral
 from qndsim.harness import (
     ConfigError,
     DEFAULT_SEED,
@@ -228,3 +229,78 @@ def test_assumption_validation_experiment(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["passed"] is True
     assert summary["config_hash"] == cfg.config_hash()
+
+
+# ---------------------------------------------------------------------------
+# states stay factored
+
+_INTERVAL = {"intervals": [[0.0, 1.0]], "nodes_per_interval": 40}
+_SMALL_RUNS = {
+    "born-frequency": {
+        "kind": "born-frequency",
+        "spectral": {"atoms": [[0.0, 0.3], [1.0, 0.7]]},
+        "probe": {"kind": "binary-phase", "embed": {"source": [0.0, 1.0]}},
+        "k_max": 30,
+        "checkpoints": [10, 30],
+        "ensemble": 20,
+        "seed": SEED,
+        "region": [1.0],
+    },
+    "rate-convergence": {
+        "kind": "rate-convergence",
+        "spectral": _INTERVAL,
+        "probe": {"kind": "gaussian-readout", "sigma": 1.0},
+        "k_max": 300,
+        "checkpoints": [10, 100, 300],
+        "ensemble": 5,
+        "seed": SEED,
+        "hidden_nu": 0.2,
+        "region": [[0.6, 1.0]],
+    },
+    "clt": {
+        "kind": "clt",
+        "spectral": _INTERVAL,
+        "probe": {"kind": "gaussian-readout", "sigma": 0.05},
+        "k_max": 10,
+        "checkpoints": [10],
+        "ensemble": 80,
+        "seed": SEED,
+    },
+    "kernel-convergence": {
+        "kind": "kernel-convergence",
+        "spectral": _INTERVAL,
+        "probe": {"kind": "gaussian-readout", "sigma": 1.0},
+        "k_max": 1000,
+        "checkpoints": [100, 1000],
+        "ensemble": 3,
+        "seed": SEED,
+        "hidden_nu": 0.5,
+        "window": {"nodes": 51},
+    },
+    "assumption-validation": {
+        "kind": "assumption-validation",
+        "spectral": _INTERVAL,
+        "probe": {"kind": "gaussian-readout", "sigma": 1.0},
+        "k_max": 10,
+        "ensemble": 1,
+        "seed": SEED,
+    },
+}
+
+
+@pytest.mark.parametrize("state_type", ["pure", "diagonal"])
+@pytest.mark.parametrize("kind", sorted(_SMALL_RUNS))
+def test_runs_never_expand_a_state_to_dense_values(kind, state_type, monkeypatch):
+    def refuse(psi, d):
+        raise AssertionError("dense kernel expanded from a factor")
+
+    monkeypatch.setattr(spectral, "_expand_factor", refuse)
+    tree = {**_SMALL_RUNS[kind]}
+    size = spectral.model_from_dict(tree["spectral"]).size
+    tree["state"] = (
+        {"type": "pure", "psi": {"name": "exp", "rate": 0.5}}
+        if state_type == "pure"
+        else {"type": "diagonal", "weights": np.linspace(1.0, 2.0, size).tolist()}
+    )
+    bundle = run_experiment(ExperimentConfig.from_dict(tree))
+    assert bundle.results

@@ -25,7 +25,6 @@ from qndsim.probes import (
     TabulatedProbe,
     ZeroDensityError,
     bind_extension,
-    fisher_information,
     probe_from_config,
     relative_entropy,
     validate_probe,
@@ -169,7 +168,7 @@ def test_binary_fisher_information():
 
 def test_embedded_binary_fisher_is_slope_squared():
     probe = BinaryPhase.embedded(0.0, 1.0)
-    f = fisher_information(probe, 0.5)
+    f = probe.fisher(np.asarray([0.5]))[0]
     assert f == pytest.approx(probe.slope**2, abs=1e-9)
 
 

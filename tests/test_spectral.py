@@ -1,11 +1,22 @@
 """Spectral model construction, probabilities, state validation, serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from qndsim.estimators import build_window_grid, limit_kernel
+from qndsim.probes import GaussianReadout, bind_extension
+from qndsim.trajectories import (
+    Trajectory,
+    log_prior_weights,
+    posterior_kernel,
+    posterior_weights,
+)
 from qndsim.spectral import (
     RegionError,
     SpectralModelError,
@@ -286,3 +297,98 @@ def test_kernels_are_immutable():
         state.values[0, 0] = 2.0
     with pytest.raises(ValueError):
         m.nodes[0] = -1.0
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ends=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).map(sorted),
+    n_nodes=st.integers(2, 50),
+    with_atom=st.booleans(),
+)
+def test_snapped_regions_are_finitely_additive(ends, n_nodes, with_atom):
+    atoms = [(1.5, 0.2)] if with_atom else []
+    m = build_spectral_model(atoms=atoms, intervals=[(0.0, 1.0)], nodes_per_interval=n_nodes)
+    a, b, c = (1.5 * e if with_atom else e for e in ends)
+    assume(not with_atom or b != 1.5)  # an atom on the shared endpoint is in both
+    left, right = m.region_mask([(a, b)]), m.region_mask([(b, c)])
+    assert not np.any(left & right)
+    assert np.array_equal(left | right, m.region_mask([(a, c)]))
+
+
+def _dense_oracle_state(kind, model, rng):
+    """A state of the named kind and the dense (N, N, n, n) values it stands for."""
+    size, n = model.size, model.multiplicity
+    if kind == "pure":
+        state = pure_state(model, rng.standard_normal((size, n)) + 1j * rng.standard_normal((size, n)))
+        return state, state.values
+    if kind == "diagonal":
+        state = diagonal_state(model, rng.random(size) + 0.01)
+        return state, state.values
+    a = rng.standard_normal((size * n,) * 2) + 1j * rng.standard_normal((size * n,) * 2)
+    h = a @ a.conj().T if kind == "dense-psd" else a + a.conj().T  # else indefinite
+    values = h.reshape(size, n, size, n).transpose(0, 2, 1, 3)
+    return StateKernel(values, model), values
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["pure", "diagonal", "dense-psd", "dense"]),
+    n_nodes=st.integers(2, 20),
+    multiplicity=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_state_matches_its_dense_values(kind, n_nodes, multiplicity, seed):
+    model = build_spectral_model(  # unequal node masses
+        intervals=[(0.0, 1.0)],
+        h={"name": "linear", "intercept": 0.5, "slope": 1.0},
+        nodes_per_interval=n_nodes,
+        multiplicity=multiplicity,
+    )
+    state, values = _dense_oracle_state(kind, model, np.random.default_rng(seed))
+    s = np.sqrt(model.mass)
+    nn = model.size * multiplicity
+    weighted = (values * s[:, None, None, None] * s[None, :, None, None]).transpose(0, 2, 1, 3)
+    eigs = np.linalg.eigvalsh(weighted.reshape(nn, nn))
+    np.testing.assert_allclose(
+        np.linalg.eigvalsh(state.weighted_matrix()), eigs, rtol=0, atol=1e-12 * np.abs(eigs).max()
+    )
+
+    traces = np.einsum("iiaa->i", values).real
+    bt = state.block_traces()
+    assert np.max(np.abs(bt - traces)) <= 1e-12 * np.abs(traces).max()
+    dense_trace = float(np.dot(model.mass, traces))
+    assert abs(state.trace() - dense_trace) <= 1e-12 * max(1.0, abs(dense_trace))
+    report = validate_state(state)
+    assert abs(report.min_weighted_eigenvalue - eigs.min()) <= 1e-12 * np.abs(eigs).max()
+    # a factor is Hermitian by construction; declared values keep their defect
+    defect = np.abs(values - values.conj().transpose(1, 0, 3, 2)).max()
+    assert report.hermiticity_defect == (defect if kind.startswith("dense") else 0.0)
+
+
+def test_fine_pure_state_stays_a_vector():
+    # dense values of this state would take 1.6 GB
+    model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=10_000)
+    probe = bind_extension(GaussianReadout(sigma=1.0), model)
+    outcomes = 0.4 + np.random.default_rng(7).standard_normal(1000)
+    traj = Trajectory(
+        outcomes=outcomes,
+        loglik_sums=probe.loglik_node_sums(model.nodes, outcomes),
+        checkpoint_sums={},
+        hidden_nu=None,
+    )
+    window = build_window_grid(model, 0.4, 1000, 1.0)
+    tracemalloc.start()
+    try:
+        state = pure_state(model, lambda nu: np.exp(0.5 * nu))
+        log_prior_weights(state)
+        assert validate_state(state).passed
+        posterior_weights(state, traj, 1000)
+        posterior_kernel(state, traj, 1000)
+        limit_kernel(model, state, 0.4, 1.0, window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qndsim.probes import BinaryPhase, GaussianReadout, bind_extension
 from qndsim.spectral import (
@@ -294,3 +296,32 @@ def test_posterior_snapshot():
     traj = definetti_sample(state, probe, 12, trajectory_rng(SEED, 12))
     assert abs(posterior_weights(state, traj, 12).values.sum() - 1.0) < 1e-12
     assert abs(posterior_kernel(state, traj, 12).trace() - 1.0) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["binary", "gaussian"]),
+    k=st.integers(0, 6),
+    n_nodes=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_posterior_weights_are_prior_times_likelihood(family, k, n_nodes, seed):
+    rng = np.random.default_rng(seed)
+    model = build_spectral_model(
+        intervals=[(0.0, 1.0)],
+        h={"name": "linear", "intercept": 0.5, "slope": 1.0},
+        nodes_per_interval=n_nodes,
+    )
+    raw = BinaryPhase.embedded(0.0, 1.0) if family == "binary" else GaussianReadout(sigma=0.3)
+    probe = bind_extension(raw, model)
+    psi = rng.standard_normal(model.size) + 1j * rng.standard_normal(model.size)
+    state = pure_state(model, psi)
+    traj = definetti_sample(state, probe, k, rng)
+    prior = model.mass * np.abs(psi) ** 2
+    likelihood = np.ones(model.size)
+    for xi in traj.outcomes:
+        likelihood *= probe.density(np.asarray([[xi]]), model.nodes[None, :])[0]
+    direct = prior / prior.sum() * likelihood
+    np.testing.assert_allclose(
+        posterior_weights(state, traj, k).values, direct / direct.sum(), rtol=0, atol=1e-12
+    )
