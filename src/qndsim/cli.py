@@ -17,7 +17,7 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    ReportBundle,
+    TestResult,
     ValidationFailure,
     build_model,
     build_probe,
@@ -105,16 +105,8 @@ def _cmd_estimate(args) -> int:
     model = build_model(config)
     state = build_state(model, config.state)
     probe = build_probe(config, model)
-    report, results, tables = estimate_ensemble(
+    bundle = estimate_ensemble(
         config, trajectories, model, state, probe, (config.config_hash(), content_hash)
-    )
-    bundle = ReportBundle(
-        config=config,
-        config_hash=config.config_hash(),
-        content_hash=content_hash,
-        results=results,
-        report=report,
-        tables=tables,
     )
     bundle.write(args.out)
     print(bundle.summary_text())
@@ -143,11 +135,7 @@ def _cmd_report(args) -> int:
     print(f"config hash: {tree['config_hash']}")
     print(f"content hash: {tree['content_hash']}")
     for r in tree["results"]:
-        status = "pass" if r["passed"] else "FAIL"
-        print(
-            f"{r['name']}: {status} ({r['statistic']:.6g} {r['comparison']} "
-            f"{r['threshold']:.6g}, n={r['sample_size']})"
-        )
+        print(TestResult(**{k: v for k, v in r.items() if k != "passed"}).summary())
     print("overall: " + ("pass" if tree["passed"] else "FAIL"))
     return EXIT_OK
 

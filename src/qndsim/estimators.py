@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .probes import relative_entropy
 from .spectral import (
@@ -44,7 +43,7 @@ from .spectral import (
     _weighted_gram,
     spectral_probability,
 )
-from .trajectories import Trajectory, log_prior_weights
+from .trajectories import Trajectory, _logsumexp, log_prior_weights
 
 __all__ = [
     "MlePath",
@@ -325,9 +324,9 @@ def rate_trace(
 ) -> RateTrace:
     mask, log_prior = rate_region(model, state, region)
     cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= len(trajectory)})
-    # one (checkpoints x nodes) matrix: two logsumexp calls per trajectory, not per checkpoint
+    # one (checkpoints x nodes) matrix: two _logsumexp calls per trajectory, not per checkpoint
     logw = log_prior + np.stack([trajectory.loglik_at(c, probe, model.nodes) for c in cps])
-    values = -(logsumexp(logw[:, mask], axis=1) - logsumexp(logw, axis=1)) / np.asarray(cps)
+    values = -(_logsumexp(logw[:, mask], axis=1) - _logsumexp(logw, axis=1)) / np.asarray(cps)
     estimate = mle(trajectory, cps[-1], model, probe, refine=True)
     target = relative_entropy(probe, estimate, model.nodes[mask])
     return RateTrace(
@@ -579,7 +578,7 @@ def rescaled_posterior_kernel(
     block_traces = state.block_traces()
     with np.errstate(divide="ignore"):
         log_terms = sums - shift + np.log(model.mass * np.clip(block_traces, 0, None))
-    grid_norm = float(np.exp(logsumexp(log_terms[np.isfinite(log_terms)])))
+    grid_norm = float(np.exp(_logsumexp(log_terms[np.isfinite(log_terms)])))
     if window_trace <= 0:
         raise ValueError("rescaled kernel has zero trace on its window")
     return RescaledKernelResult(

@@ -26,13 +26,12 @@ import functools
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr
+import numpy.ma  # np.median imports it on its first call, which would fall inside a run
 
 from . import estimators as est
 from .probes import (
@@ -50,7 +49,7 @@ from .spectral import (
     state_from_dict,
     validate_state,
 )
-from .trajectories import Trajectory, posterior_weights, sample_ensemble
+from .trajectories import SeedRecord, Trajectory, posterior_weights, sample_ensemble
 
 __all__ = [
     "DEFAULT_SEED",
@@ -159,13 +158,15 @@ class ExperimentConfig:
         )
         if self.checkpoints[-1] > self.k_max:
             raise ConfigError("checkpoints must not exceed k_max")
-        if self.checkpoints[-1] < 1:
-            raise ConfigError("at least one checkpoint must be positive")
+        if self.checkpoints[0] < 1:
+            raise ConfigError(f"checkpoints must be positive, got {list(self.checkpoints)}")
         self.region = _coerced("region", self.region, lambda v: tuple(
             tuple(map(float, c)) if isinstance(c, (list, tuple)) else float(c) for c in v
         ))
         if self.hidden_nu is not None:
             self.hidden_nu = _coerced("hidden_nu", self.hidden_nu, float)
+        _require_known("tolerance", self.tolerances, DEFAULT_TOLERANCES)
+        _require_known("window", self.window, DEFAULT_WINDOW)
         tol = {**DEFAULT_TOLERANCES, **self.tolerances}
         self.tolerances = {k: _coerced(f"tolerance {k}", v, float) for k, v in tol.items()}
         self.window = {**DEFAULT_WINDOW, **self.window}
@@ -175,10 +176,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _require_known("config", d, cls.__dataclass_fields__)
         missing = {"kind", "spectral", "probe", "state"} - set(d)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
@@ -203,6 +201,12 @@ def _coerced(name: str, value, convert):
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be numeric, got {value!r}") from exc
+
+
+def _require_known(name: str, given, known) -> None:
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {unknown}")
 
 
 def _require_count(name: str, value, least: int) -> None:
@@ -323,6 +327,7 @@ class KsResult:
 
 def ks_test(samples, reference_cdf) -> KsResult:
     """One-sample Kolmogorov-Smirnov statistic with its asymptotic p-value."""
+    from scipy.special import kolmogorov  # imported here: no other run loads scipy
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n < KS_MIN_SAMPLES:
@@ -393,6 +398,8 @@ def simulate_ensemble(config: ExperimentConfig, workers: int = 1) -> list[Trajec
         return _simulate_chunk(config_json, tuple(indices))
     chunk = max(1, math.ceil(len(indices) / (workers * 4)))
     batches = [tuple(indices[i : i + chunk]) for i in range(0, len(indices), chunk)]
+    from concurrent.futures import ProcessPoolExecutor
+
     out: list[Trajectory] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for batch in pool.map(_simulate_chunk, [config_json] * len(batches), batches):
@@ -410,8 +417,8 @@ def estimate_ensemble(
     state: StateKernel,
     probe: ProbeModel,
     hashes: tuple[str, str],
-) -> tuple[est.EstimatorReport, list[TestResult], dict]:
-    """Estimator outputs, test results and tables for one experiment."""
+) -> ReportBundle:
+    """Report bundle of one experiment, not yet written: estimates, test results, tables."""
     config_hash, content_hash = hashes
     tol = config.tolerances
     report = est.EstimatorReport(
@@ -512,6 +519,8 @@ def estimate_ensemble(
         report.clt_residuals = res.tolist()
         report.extra["clt_excluded_boundary"] = samples.excluded_boundary
         report.extra["clt_excluded_atoms"] = samples.excluded_atoms
+        from scipy.special import ndtr
+
         ks = ks_test(res, ndtr)
         add_result(
             "clt-ks",
@@ -541,7 +550,7 @@ def estimate_ensemble(
         tables["clt_residuals"] = (["residual"], [[r] for r in res.tolist()])
 
     elif config.kind == "kernel-convergence":
-        cps = [c for c in config.checkpoints if c > 0]
+        cps = config.checkpoints
         per_cp: list[list[float]] = [[] for _ in cps]
         ratios = []
         for traj in trajectories:
@@ -631,7 +640,14 @@ def estimate_ensemble(
         path = est.mle_path(traj, config.checkpoints, model, probe, refine=True)
         report.mle_paths.append(vars(path))
 
-    return report, results, tables
+    return ReportBundle(
+        config=config,
+        config_hash=config_hash,
+        content_hash=content_hash,
+        results=results,
+        report=report,
+        tables=tables,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +699,6 @@ def load_trajectories(out_dir) -> list[Trajectory]:
         raise FileNotFoundError(f"no persisted trajectories under {out_dir}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    from .trajectories import SeedRecord
-
     out = []
     for entry in manifest["entries"]:
         stem = f"{entry['index']:05d}"
@@ -784,16 +798,8 @@ def run_experiment(
         content_hash = git_blob_sha1(config.canonical_json().encode())
     model, state, probe = prepare_run(config)
     trajectories = simulate_ensemble(config, workers=workers)
-    report, results, tables = estimate_ensemble(
+    bundle = estimate_ensemble(
         config, trajectories, model, state, probe, (config_hash, content_hash)
-    )
-    bundle = ReportBundle(
-        config=config,
-        config_hash=config_hash,
-        content_hash=content_hash,
-        results=results,
-        report=report,
-        tables=tables,
     )
     if out_dir is not None:
         bundle.write(out_dir)

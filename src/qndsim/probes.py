@@ -346,8 +346,8 @@ class GaussianReadout(ProbeModel):
     extension: ProbeExtension | None = None
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ProbeError("sigma must be positive")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ProbeError(f"sigma must be finite and positive, got {self.sigma!r}")
 
     @property
     def outcome_space(self) -> RealLine:

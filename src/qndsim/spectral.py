@@ -621,13 +621,19 @@ def validate_state(
 # construction from JSON-compatible trees
 
 def model_from_dict(d: dict) -> SpectralModel:
+    def number(name, default, convert):
+        try:
+            return convert(d.get(name, default))
+        except (TypeError, ValueError) as exc:
+            raise SpectralModelError(f"{name} must be numeric, got {d[name]!r}") from exc
+
     return build_spectral_model(
         atoms=[tuple(a) for a in d.get("atoms", [])],
         intervals=[tuple(i) for i in d.get("intervals", [])],
         h=d.get("h"),
-        nodes_per_interval=int(d.get("nodes_per_interval", 64)),
-        multiplicity=int(d.get("multiplicity", 1)),
-        quadrature_tol=float(d.get("quadrature_tol", 1e-3)),
+        nodes_per_interval=number("nodes_per_interval", 64, int),
+        multiplicity=number("multiplicity", 1, int),
+        quadrature_tol=number("quadrature_tol", 1e-3, float),
     )
 
 

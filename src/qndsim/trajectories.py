@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
+import numpy.random  # numpy 2 loads np.random on first use, which would fall inside a run
 
 from .spectral import SpectralWeights, StateKernel
 
@@ -51,6 +51,26 @@ class SeedRecord:
 
     master: int
     index: int
+
+
+def _logsumexp(a, axis=None):
+    """``log(sum(exp(a)))`` along ``axis``, bitwise equal to scipy 1.17's real path.
+
+    The maxima are split out of the sum (Blanchard, Higham & Higham 2021):
+    ``log1p(s / m) + log(m) + a_max`` with m the tie count.  Where that is not
+    finite (all -inf, +inf, nan) the direct ``log(sum(exp(a)))`` stands.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axes, keepdims=True, initial=-np.inf)
+        mask = a == a_max
+        m = np.sum(mask, axis=axes, keepdims=True, dtype=a.dtype)
+        s = np.sum(np.exp(np.where(mask, -np.inf, a) - a_max), axis=axes, keepdims=True)
+        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
+        direct = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))
+    out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axes)
+    return out[()] if out.ndim == 0 else out
 
 
 def trajectory_rng(master: int, index: int) -> np.random.Generator:
@@ -109,8 +129,7 @@ def log_prior_weights(state: StateKernel) -> np.ndarray:
 
 
 def _normalize_checkpoints(checkpoints: Iterable[int], k: int) -> list[int]:
-    cps = sorted({int(c) for c in checkpoints if 0 <= int(c) <= k})
-    return cps
+    return sorted({int(c) for c in checkpoints if 0 <= int(c) <= k})
 
 
 def definetti_sample(
@@ -236,7 +255,7 @@ def posterior_weights(state: StateKernel, trajectory: Trajectory, k: int, probe=
     """Spectral weights of the posterior after k outcomes (log-space)."""
     sums = trajectory.loglik_at(k, probe, state.grid.nodes)
     logw = log_prior_weights(state) + sums
-    shift = logsumexp(logw)
+    shift = _logsumexp(logw)
     if not np.isfinite(shift):
         raise AssertionError("posterior weights underflowed despite max subtraction")
     w = np.exp(logw - shift)

@@ -148,13 +148,18 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         ({"spectral": [1, 2]}, "spectral must be a JSON object"),
         ({"k_max": "abc"}, "k_max must be an integer"),
         ({"seed": -1}, "seed must be an integer of at least 0"),
-        ({"kind": "rate-convergence", "checkpoints": [0]}, "checkpoint must be positive"),
+        ({"kind": "rate-convergence", "checkpoints": [0]}, "checkpoints must be positive"),
         ({"window": {"nodes": 0}}, "window nodes must be an integer of at least 1"),
         ({"checkpoints": ["abc"]}, "checkpoints must be numeric"),
         ({"region": [["a", "b"]]}, "region must be numeric"),
         ({"hidden_nu": "x"}, "hidden_nu must be numeric"),
         ({"tolerances": {"rate_rel_tol": "x"}}, "tolerance rate_rel_tol must be numeric"),
         ({"window": {"sigmas": "x"}}, "window sigmas must be numeric"),
+        ({"spectral": {"atoms": [[0.0, 1.0]], "nodes_per_interval": "a"}}, "nodes_per_interval"),
+        ({"probe": {"kind": "gaussian-readout", "sigma": "nan"}}, "sigma must be finite"),
+        ({"tolerances": {"ks_alhpa": 0.01}}, "unknown tolerance keys: ['ks_alhpa']"),
+        ({"window": {"node": 5}}, "unknown window keys: ['node']"),
+        ({"checkpoints": [-1, 50]}, "checkpoints must be positive"),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -170,6 +175,11 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "hidden-nu-string",
         "tolerance-string",
         "window-sigmas-string",
+        "nodes-per-interval-string",
+        "sigma-nan",
+        "unknown-tolerance-key",
+        "unknown-window-key",
+        "negative-checkpoint",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, overrides, message):

@@ -1,8 +1,12 @@
-"""Run-time import graph: the package loads numpy and scipy.special only.
+"""Run-time import graph: the package and its runs load no scipy.
 
-``scipy.stats`` and ``scipy.integrate`` cost most of a cold ``import qndsim``
-and serve the tests as oracles only.  pytest's own process has loaded them
-already, so the check runs in a fresh interpreter.
+``import qndsim`` and the ``rate``, ``kernel``, ``born`` and assumption runs
+need numpy only; the CLT Kolmogorov-Smirnov test loads ``scipy.special``
+when it runs, and ``scipy.stats`` / ``scipy.integrate`` serve the tests as
+oracles only.  A run that loads a module the import did not load pays for it
+inside its own wall time, so the runs below must load nothing new.  pytest's
+own process has loaded scipy already, so the checks run in a fresh
+interpreter.
 """
 
 import json
@@ -12,26 +16,35 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# shipped configs at reduced size: (config, overrides)
+NUMPY_ONLY_RUNS = {
+    "rate": ("rate_convergence.json", {"ensemble": 3, "k_max": 1000, "checkpoints": [10, 1000]}),
+    "kernel": ("kernel_convergence.json", {"ensemble": 2}),
+    "born": ("born_frequency.json", {"ensemble": 20}),
+    "assumptions": ("assumption_validation.json", {}),
+}
+CLT_RUN = ("clt_gaussian.json", {"ensemble": 100})
 TEST_ONLY = ("scipy.stats", "scipy.integrate")
 
 _IMPORT_AND_RUN = """
 import json, sys
 from pathlib import Path
 
-def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
 import qndsim, qndsim.cli
-after_import = loaded()
-config = qndsim.ExperimentConfig.from_dict(
-    json.loads(Path("configs/assumption_validation.json").read_text())
-)
-qndsim.run_experiment(config, out_dir=sys.argv[1])
-print(json.dumps({"import": after_import, "run": loaded()}))
+
+after_import = set(sys.modules)
+runs, out = json.loads(sys.argv[1]), Path(sys.argv[2])
+new = {}
+for name, (config, overrides) in runs.items():
+    tree = {**json.loads(Path("configs", config).read_text()), **overrides}
+    qndsim.run_experiment(qndsim.ExperimentConfig.from_dict(tree), out_dir=out / name)
+    new[name] = sorted(set(sys.modules) - after_import)
+print(json.dumps({"import": sorted(after_import), "new": new}))
 """
 
 
-def test_run_time_imports_exclude_test_only_scipy(tmp_path):
+def _modules_loaded_by(runs: dict, out: Path) -> dict:
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(
@@ -39,15 +52,30 @@ def test_run_time_imports_exclude_test_only_scipy(tmp_path):
         ),
     }
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_AND_RUN, str(tmp_path / "bundle")],
+        [sys.executable, "-c", _IMPORT_AND_RUN, json.dumps(runs), str(out)],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    modules = json.loads(proc.stdout)
-    assert "scipy.special" in modules["import"]
-    for stage, names in modules.items():
-        leaked = [m for m in names if ".".join(m.split(".")[:2]) in TEST_ONLY]
-        assert not leaked, f"{stage} loaded {leaked[:5]}"
+    return json.loads(proc.stdout)
+
+
+def _scipy(names) -> list[str]:
+    return [m for m in names if m.split(".")[0] == "scipy"]
+
+
+def test_run_time_imports_exclude_test_only_scipy(tmp_path):
+    modules = _modules_loaded_by(NUMPY_ONLY_RUNS, tmp_path)
+    assert not _scipy(modules["import"])
+    for name, new in modules["new"].items():
+        assert not new, f"the {name} run loaded {new[:5]}"
+
+
+def test_clt_run_loads_scipy_special_only(tmp_path):
+    modules = _modules_loaded_by({"clt": CLT_RUN}, tmp_path)
+    loaded = _scipy(modules["new"]["clt"])
+    assert "scipy.special" in loaded
+    leaked = [m for m in loaded if ".".join(m.split(".")[:2]) in TEST_ONLY]
+    assert not leaked, f"the clt run loaded {leaked[:5]}"

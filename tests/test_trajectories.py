@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from qndsim.probes import BinaryPhase, GaussianReadout, bind_extension
 from qndsim.spectral import (
@@ -14,6 +15,7 @@ from qndsim.spectral import (
 )
 from qndsim.trajectories import (
     Trajectory,
+    _logsumexp,
     definetti_sample,
     exact_tuple_distribution,
     log_prior_weights,
@@ -325,3 +327,31 @@ def test_posterior_weights_are_prior_times_likelihood(family, k, n_nodes, seed):
     np.testing.assert_allclose(
         posterior_weights(state, traj, k).values, direct / direct.sum(), rtol=0, atol=1e-12
     )
+
+
+_LOG_TERM = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.integers(-3, 3).map(float),  # ties at the maximum
+    st.just(-np.inf),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(0, 4),  # 0 draws a 1-D input
+    cols=st.integers(1, 8),
+    whole=st.booleans(),
+    dead_row=st.booleans(),
+    data=st.data(),
+)
+def test_logsumexp_is_bitwise_scipy(rows, cols, whole, dead_row, data):
+    shape = (rows, cols) if rows else (cols,)
+    size = int(np.prod(shape))
+    terms = data.draw(st.lists(_LOG_TERM, min_size=size, max_size=size))
+    a = np.asarray(terms).reshape(shape)
+    if dead_row:
+        a[0] = -np.inf  # an all -inf row (the whole input when 1-D)
+    axis = None if whole else a.ndim - 1
+    ours, oracle = _logsumexp(a, axis=axis), logsumexp(a, axis=axis)
+    assert type(ours) is type(oracle) and np.shape(ours) == np.shape(oracle)
+    assert np.array_equal(ours, oracle, equal_nan=True)
