@@ -56,6 +56,7 @@ __all__ = [
     "WindowError",
     "EstimatorReport",
     "mle",
+    "mle_table",
     "mle_path",
     "mle_consistency_stat",
     "rate_region",
@@ -140,80 +141,87 @@ def _interval_subgrid(model: SpectralModel, nu: float):
 # ---------------------------------------------------------------------------
 # maximum likelihood
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
-    """Golden-section maximization of a unimodal f on [a, b]."""
+def _golden_table(objective, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Golden-section maxima of unimodal objectives on the brackets [a, b], all
+    advanced together: each bracket takes the steps a search on its own would,
+    and ``objective(idx, nus)`` is asked only for the live brackets ``idx``."""
     h = b - a
-    if h <= tol:
-        return 0.5 * (a + b)
-    n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    for _ in range(n - 1):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h *= _INV_PHI
-            c = a + _INV_PHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= _INV_PHI
-            d = a + _INV_PHI * h
-            yd = f(d)
-    return 0.5 * ((a + d) if yc > yd else (c + b))
+    n = np.array([math.ceil(math.log(tol / w) / math.log(_INV_PHI)) if w > tol else 0 for w in h])
+    a, b = a.copy(), b.copy()
+    c, d = a + _INV_PHI2 * h, a + _INV_PHI * h
+    live = np.flatnonzero(n > 0)
+    yc, yd = np.zeros(h.size), np.zeros(h.size)
+    yc[live], yd[live] = objective(live, c[live]), objective(live, d[live])
+    for step in range(1, n.max(initial=0)):
+        live = live[n[live] > step]
+        h[live] *= _INV_PHI
+        up = yc[live] > yd[live]  # keep [a, d] and its point c, else [c, b] and d
+        a[live], b[live] = np.where(up, a[live], c[live]), np.where(up, d[live], b[live])
+        keep_x, keep_y = np.where(up, c[live], d[live]), np.where(up, yc[live], yd[live])
+        new_x = a[live] + np.where(up, _INV_PHI2, _INV_PHI) * h[live]
+        new_y = objective(live, new_x)
+        c[live], d[live] = np.where(up, new_x, keep_x), np.where(up, keep_x, new_x)
+        yc[live], yd[live] = np.where(up, new_y, keep_y), np.where(up, keep_y, new_y)
+    return np.where(n > 0, 0.5 * np.where(yc > yd, a + d, c + b), 0.5 * (a + b))
 
 
-def mle(
-    trajectory: Trajectory,
-    k: int,
-    model: SpectralModel,
-    probe=None,
-    refine: bool = True,
-) -> float:
-    """Maximum-likelihood estimate after k outcomes.
+def _parabola_vertex(model: SpectralModel, sums: np.ndarray, idx: int, nu0: float):
+    """Vertex of the parabola through the grid sums at the three nodes around ``idx``."""
+    sl, _ = _interval_subgrid(model, nu0)
+    xs, ys = model.nodes[sl], sums[sl]
+    c = int(np.clip(idx - sl.start, 1, xs.size - 2))
+    x0, x1, x2 = xs[c - 1 : c + 2]
+    y0, y1, y2 = ys[c - 1 : c + 2]
+    denom = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
+    if denom == 0:
+        return x1
+    return x1 - 0.5 * ((x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)) / denom
+
+
+def mle_table(
+    trajectories: Sequence[Trajectory], checkpoints: Sequence[int], model: SpectralModel,
+    probe=None, refine: bool = True,
+) -> np.ndarray:
+    """Maximum-likelihood estimates after each k in ``checkpoints``, one row per trajectory.
 
     The grid argmax breaks ties toward the smallest node.  With ``refine``,
     interval-node maxima are polished by golden-section search over the
     bracketing cells (tolerance 1e-8 of the hull width) on the exact
-    log-likelihood that ``probe.loglik_objective`` builds from the first k
-    outcomes once per call: O(1) per step for finite outcome spaces and for
-    the Gaussian readout off its blend zone (a ratio against the sample
-    mean), O(k) per step otherwise.  Without the probe or the outcomes, the
-    estimate is the vertex of the local parabola through the grid sums.
-    Estimates never leave the spectrum.
+    log-likelihood of the first k outcomes, all searches in one lock-step loop
+    on the batched ``probe.loglik_objective`` (O(1) per step for finite outcome
+    spaces and the Gaussian readout off its blend zone, O(k) otherwise).
+    Without the probe or the outcomes, the estimate is the vertex of the local
+    parabola through the grid sums.  Estimates never leave the spectrum.
     """
-    sums = trajectory.loglik_at(k, probe, model.nodes)
-    idx = int(np.argmax(sums))  # first occurrence: smallest node wins ties
-    nu0 = float(model.nodes[idx])
-    if not refine or model.is_atom[idx]:
-        return nu0
-    j = model.interval_index(nu0)
-    if j is None:
-        return nu0
-    a, b = model.intervals[j]
-    delta = (b - a) / model.nodes_per_interval
-    lo = max(a, nu0 - delta)
-    hi = min(b, nu0 + delta)
-    hull_lo, hull_hi = model.hull
-    tol = REFINE_TOL_FACTOR * max(hull_hi - hull_lo, 1.0)
-    if probe is not None and trajectory.outcomes.size >= k:
-        objective = probe.loglik_objective(trajectory.outcomes[:k], lo, hi)
-        out = _golden_max(objective, lo, hi, tol)
-    else:
-        sl, _ = _interval_subgrid(model, nu0)
-        xs = model.nodes[sl]
-        ys = sums[sl]
-        c = int(np.clip(idx - sl.start, 1, xs.size - 2))
-        x0, x1, x2 = xs[c - 1 : c + 2]
-        y0, y1, y2 = ys[c - 1 : c + 2]
-        denom = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-        if denom == 0:
-            out = x1
-        else:
-            out = x1 - 0.5 * (
-                (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
-            ) / denom
-    return float(np.clip(out, lo, hi))
+    table = np.empty((len(trajectories), len(checkpoints)))
+    brackets, prefixes = [], []  # (row, column, lo, hi) of each search, its outcomes
+    for e, traj in enumerate(trajectories):
+        for i, k in enumerate(checkpoints):
+            sums = traj.loglik_at(k, probe, model.nodes)
+            idx = int(np.argmax(sums))  # first occurrence: smallest node wins ties
+            table[e, i] = nu0 = float(model.nodes[idx])
+            j = None if not refine or model.is_atom[idx] else model.interval_index(nu0)
+            if j is None:
+                continue
+            a, b = model.intervals[j]
+            delta = (b - a) / model.nodes_per_interval
+            lo, hi = max(a, nu0 - delta), min(b, nu0 + delta)
+            if probe is not None and traj.outcomes.size >= k:
+                brackets.append((e, i, lo, hi))
+                prefixes.append(traj.outcomes[:k])
+            else:
+                table[e, i] = np.clip(_parabola_vertex(model, sums, idx, nu0), lo, hi)
+    if brackets:
+        rows, cols, lo, hi = (np.asarray(v) for v in zip(*brackets))
+        tol = REFINE_TOL_FACTOR * max(model.hull[1] - model.hull[0], 1.0)
+        found = _golden_table(probe.loglik_objective(prefixes, lo, hi), lo, hi, tol)
+        table[rows, cols] = np.clip(found, lo, hi)
+    return table
+
+
+def mle(trajectory: Trajectory, k: int, model: SpectralModel, probe=None, refine=True) -> float:
+    """Maximum-likelihood estimate after k outcomes: the 1 x 1 ``mle_table``."""
+    return float(mle_table([trajectory], [k], model, probe, refine)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -232,12 +240,10 @@ def mle_path(
     probe=None,
     refine: bool = True,
 ) -> MlePath:
+    """Estimates at the checkpoints in (0, len(trajectory)]: one ``mle_table`` row."""
     cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= len(trajectory)})
-    return MlePath(
-        checkpoints=tuple(cps),
-        estimates=tuple(mle(trajectory, c, model, probe, refine) for c in cps),
-        refined=refine,
-    )
+    estimates = mle_table([trajectory], cps, model, probe, refine)[0]
+    return MlePath(tuple(cps), tuple(float(v) for v in estimates), refined=refine)
 
 
 @dataclass(frozen=True)
@@ -315,20 +321,26 @@ def rate_region(model: SpectralModel, state: StateKernel, region):
 
 
 def rate_trace(
-    state: StateKernel,
-    trajectory: Trajectory,
-    region,
-    checkpoints: Iterable[int],
-    model: SpectralModel,
-    probe,
+    state: StateKernel, trajectory: Trajectory, region, checkpoints: Iterable[int],
+    model: SpectralModel, probe, estimate: float | None = None,
 ) -> RateTrace:
-    mask, log_prior = rate_region(model, state, region)
+    """Posterior decay rates on ``region`` at the checkpoints in (0, len(trajectory)];
+    ``estimate``, the refined estimate after the last one, is the ``mle_table``
+    entry when the caller holds it and is searched here otherwise."""
+    constants = rate_region(model, state, region)
+    return _rate_trace(constants, trajectory, checkpoints, model, probe, estimate)
+
+
+def _rate_trace(region, trajectory, checkpoints, model, probe, estimate):
+    """``rate_trace`` on the ``(mask, log_prior)`` that ``rate_region`` returned."""
+    mask, log_prior = region
     cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= len(trajectory)})
     # one (checkpoints x nodes) matrix: two _logsumexp calls per trajectory, not per checkpoint
     logw = log_prior + np.stack([trajectory.loglik_at(c, probe, model.nodes) for c in cps])
     values = -(_logsumexp(logw[:, mask], axis=1) - _logsumexp(logw, axis=1)) / np.asarray(cps)
-    estimate = mle(trajectory, cps[-1], model, probe, refine=True)
-    target = relative_entropy(probe, estimate, model.nodes[mask])
+    if estimate is None:
+        estimate = mle(trajectory, cps[-1], model, probe, refine=True)
+    target = relative_entropy(probe, float(estimate), model.nodes[mask])
     return RateTrace(
         checkpoints=tuple(cps),
         values=tuple(float(v) for v in values),
@@ -354,24 +366,24 @@ class CltSamples:
 
 
 def clt_samples(
-    trajectories: Sequence[Trajectory],
-    k: int,
-    model: SpectralModel,
-    probe,
-    margin_stds: float = 5.0,
+    trajectories: Sequence[Trajectory], k: int, model: SpectralModel, probe,
+    margin_stds: float = 5.0, estimates: Sequence[float] | None = None,
 ) -> CltSamples:
     """Standardized estimator residuals against the hidden values.
 
     Needs mixture-sampled trajectories (hidden value recorded) and sub-grid
     refinement.  Hidden values within ``margin_stds / sqrt(k F)`` of their
     interval's boundary, or sitting on atoms, are excluded and counted; the
-    residuals of the rest are returned, possibly none.
+    residuals of the rest are returned, possibly none.  ``estimates`` is the
+    ``mle_table`` column at k when the caller holds it.
     """
+    if estimates is None:
+        estimates = mle_table(trajectories, [k], model, probe)[:, 0]
     residuals = []
     excluded_boundary = 0
     excluded_atoms = 0
     fisher_cache: dict[float, float] = {}
-    for traj in trajectories:
+    for traj, estimate in zip(trajectories, estimates):
         if traj.hidden_nu is None:
             raise ValueError("clt_samples needs trajectories with hidden values")
         nu = float(traj.hidden_nu)
@@ -387,8 +399,7 @@ def clt_samples(
         if nu - a < margin or b - nu < margin:
             excluded_boundary += 1
             continue
-        estimate = mle(traj, k, model, probe, refine=True)
-        residuals.append(math.sqrt(k * fisher) * (estimate - nu))
+        residuals.append(math.sqrt(k * fisher) * (float(estimate) - nu))
     return CltSamples(
         residuals=np.asarray(residuals),
         excluded_boundary=excluded_boundary,
@@ -419,13 +430,11 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 
 
 def laplace_condition_check(
-    trajectory: Trajectory,
-    k: int,
-    model: SpectralModel,
-    probe,
+    trajectory: Trajectory, k: int, model: SpectralModel, probe,
+    estimate: float | None = None,  # the mle_table entry at k, when the caller holds it
 ) -> LaplaceCheck:
     sums = trajectory.loglik_at(k, probe, model.nodes)
-    nu_hat = mle(trajectory, k, model, probe, refine=True)
+    nu_hat = mle(trajectory, k, model, probe) if estimate is None else float(estimate)
     sl, (a, b) = _interval_subgrid(model, nu_hat)
     xs, ys = model.nodes[sl], sums[sl]
     fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
@@ -535,14 +544,9 @@ class RescaledKernelResult:
 
 
 def rescaled_posterior_kernel(
-    state: StateKernel,
-    trajectory: Trajectory,
-    k: int,
-    model: SpectralModel,
-    probe,
-    window_sigmas: float = DEFAULT_WINDOW_SIGMAS,
-    window_nodes: int = 201,
-    min_sigmas: float = MIN_WINDOW_SIGMAS,
+    state: StateKernel, trajectory: Trajectory, k: int, model: SpectralModel, probe,
+    window_sigmas: float = DEFAULT_WINDOW_SIGMAS, window_nodes: int = 201,
+    min_sigmas: float = MIN_WINDOW_SIGMAS, estimate: float | None = None,
 ) -> RescaledKernelResult:
     """Posterior kernel zoomed by sqrt(k) around the estimate.
 
@@ -553,10 +557,11 @@ def rescaled_posterior_kernel(
     columns that vanish on the window), normalized to unit discrete trace
     on its own window (the discrete image of trace preservation under the
     zoom); ``window_mass`` records the posterior mass the window captured
-    relative to the whole grid.
+    relative to the whole grid.  ``estimate`` is the ``mle_table`` entry at
+    k when the caller holds it.
     """
     sums = trajectory.loglik_at(k, probe, model.nodes)
-    nu_hat = mle(trajectory, k, model, probe, refine=True)
+    nu_hat = mle(trajectory, k, model, probe) if estimate is None else float(estimate)
     fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
     window = build_window_grid(
         model, nu_hat, k, fisher, window_sigmas, window_nodes, min_sigmas
@@ -575,9 +580,7 @@ def rescaled_posterior_kernel(
     raw_trace = StateKernel(None, window, factor=(phi, d)).trace()
     window_trace = raw_trace / window.scale
 
-    block_traces = state.block_traces()
-    with np.errstate(divide="ignore"):
-        log_terms = sums - shift + np.log(model.mass * np.clip(block_traces, 0, None))
+    log_terms = sums - shift + state.log_weights[0]
     grid_norm = float(np.exp(_logsumexp(log_terms[np.isfinite(log_terms)])))
     if window_trace <= 0:
         raise ValueError("rescaled kernel has zero trace on its window")

@@ -447,7 +447,14 @@ def estimate_ensemble(
         )
 
     k_max = config.k_max
-    report.extra["checkpoints"] = list(config.checkpoints)
+    cps = config.checkpoints
+    report.extra["checkpoints"] = list(cps)
+    # every estimate below is read from one table, one search per (trajectory,
+    # checkpoint, k_max last); the paths alone need only the first 100 rows
+    columns = sorted(set(cps) | {k_max})
+    col = {c: i for i, c in enumerate(columns)}
+    head = None if config.kind in ("rate-convergence", "clt", "kernel-convergence") else 100
+    table = est.mle_table(trajectories[:head], columns, model, probe)
 
     # posterior-mean diagnostic (no limit statement attached to it)
     for traj in trajectories[: min(len(trajectories), 100)]:
@@ -481,12 +488,12 @@ def estimate_ensemble(
         )
 
     elif config.kind == "rate-convergence":
+        region = est.rate_region(model, state, config.region)
         traces = [
-            est.rate_trace(state, t, config.region, config.checkpoints, model, probe)
-            for t in trajectories
+            est._rate_trace(region, t, cps, model, probe, row[col[cps[-1]]])
+            for t, row in zip(trajectories, table)
         ]
         report.rate_traces = [vars(t) for t in traces]
-        cps = traces[0].checkpoints
         medians = [
             float(np.median([t.values[i] for t in traces])) for i in range(len(cps))
         ]
@@ -507,7 +514,7 @@ def estimate_ensemble(
 
     elif config.kind == "clt":
         samples = est.clt_samples(
-            trajectories, k_max, model, probe, margin_stds=tol["boundary_margin_stds"]
+            trajectories, k_max, model, probe, tol["boundary_margin_stds"], table[:, col[k_max]]
         )
         if samples.count < KS_MIN_SAMPLES:
             raise ConfigError(
@@ -550,26 +557,19 @@ def estimate_ensemble(
         tables["clt_residuals"] = (["residual"], [[r] for r in res.tolist()])
 
     elif config.kind == "kernel-convergence":
-        cps = config.checkpoints
         per_cp: list[list[float]] = [[] for _ in cps]
         ratios = []
-        for traj in trajectories:
+        for traj, row in zip(trajectories, table):
             for i, c in enumerate(cps):
                 zoom = est.rescaled_posterior_kernel(
-                    state,
-                    traj,
-                    c,
-                    model,
-                    probe,
-                    window_sigmas=config.window["sigmas"],
-                    window_nodes=int(config.window["nodes"]),
-                    min_sigmas=config.window["min_sigmas"],
+                    state, traj, c, model, probe, config.window["sigmas"],
+                    int(config.window["nodes"]), config.window["min_sigmas"], row[col[c]],
                 )
                 limit = est.limit_kernel(
                     model, state, zoom.estimate, zoom.fisher, zoom.window
                 )
                 per_cp[i].append(est.trace_norm_distance(zoom.kernel, limit))
-            ratios.append(est.laplace_condition_check(traj, k_max, model, probe).ratio)
+            ratios.append(est.laplace_condition_check(traj, k_max, model, probe, row[-1]).ratio)
         medians = [float(np.median(d)) for d in per_cp]
         report.distance_series = [
             {"checkpoint": c, "median_distance": m} for c, m in zip(cps, medians)
@@ -636,8 +636,8 @@ def estimate_ensemble(
         tables["assumptions"] = (["check", "passed", "worst_value", "location"], rows)
 
     # estimator paths are part of every report (first 100 trajectories)
-    for traj in trajectories[: min(len(trajectories), 100)]:
-        path = est.mle_path(traj, config.checkpoints, model, probe, refine=True)
+    for row in table[:100]:
+        path = est.MlePath(cps, tuple(float(row[col[c]]) for c in cps), refined=True)
         report.mle_paths.append(vars(path))
 
     return ReportBundle(

@@ -240,17 +240,28 @@ class ProbeModel:
             total += self.loglik_values(nodes, outcomes[sl]).sum(axis=0)
         return total
 
-    def loglik_objective(self, outcomes: np.ndarray, lo: float, hi: float):
-        """nu -> log-likelihood of ``outcomes`` for nu in [lo, hi], up to a
-        constant free of nu; the outcomes are reduced once, here.
-
-        Finite outcome spaces weigh each distinct outcome by its count; other
-        families sum over the outcomes at every call.
+    def loglik_objective(self, prefixes: Sequence[np.ndarray], lo, hi):
+        """``objective(idx, nus)``: log-likelihoods of the brackets ``idx`` (bracket b
+        holds the outcomes ``prefixes[b]`` and ``[lo[b], hi[b]]``) at one nu each,
+        up to a constant per bracket.  Finite outcome spaces weigh ``log f(values
+        | nu)`` by count rows in one batched ``np.matmul`` (a zero count adds
+        exactly 0, even where f vanishes); other families sum over the outcomes.
         """
-        if self.outcome_space.finite:
-            vals, counts = np.unique(outcomes, return_counts=True)
-            return lambda nu: float(counts @ self.loglik_values(np.asarray([nu]), vals)[:, 0])
-        return lambda nu: float(self.loglik_values(np.asarray([nu]), outcomes).sum())
+        if not self.outcome_space.finite:
+            return lambda idx, nus: np.array([
+                self.loglik_values(np.asarray([nu]), prefixes[b]).sum() for b, nu in zip(idx, nus)
+            ])
+        values = np.sort(np.asarray(self.outcome_space.values, dtype=float))
+        counts = np.array([[np.count_nonzero(xi == v) for v in values] for xi in prefixes], float)
+        if not np.array_equal(counts.sum(axis=1), [xi.size for xi in prefixes]):
+            raise ProbeError("outcomes must be values of the finite outcome space")
+
+        def objective(idx, nus):
+            rows = counts[idx]
+            logf = np.where(rows.T > 0, self.loglik_values(nus, values), 0.0)
+            return np.matmul(rows[:, None, :], logf.T[:, :, None])[:, 0, 0]
+
+        return objective
 
     # -- sampling ------------------------------------------------------------
 
@@ -383,26 +394,31 @@ class GaussianReadout(ProbeModel):
         quad = sum_r2 + d * (2.0 * sum_r + xi.size * d)
         return -quad / (2.0 * self.sigma**2) - xi.size * np.log(np.sqrt(2.0 * np.pi) * self.sigma)
 
-    def loglik_objective(self, outcomes, lo, hi):
-        """Off the blend zone, the log-likelihood ratio against the sample mean:
-        ``-d (2 sum r + k d) / 2 sigma^2`` with ``d = m - nu``, O(1) per call.
+    def loglik_objective(self, prefixes, lo, hi):
+        """Off the blend zone, each bracket's log-likelihood ratio against its
+        sample mean m, ``-d (2 sum r + k d) / 2 sigma^2`` with ``d = m - nu``, O(1).
 
-        The nu-free terms ``sum r^2`` and ``k log(sqrt(2 pi) sigma)`` are left
-        out: near the optimum a search compares values about 1e-12 apart, and
-        adding terms of size 1e4 would round those differences away.  When the
-        blend zone meets [lo, hi] (or there are no outcomes), the generic
-        per-outcome sum serves the whole search, so no two values with
-        different offsets are ever compared.
+        The nu-free ``sum r^2`` and ``k log(sqrt(2 pi) sigma)`` are left out:
+        near the optimum values about 1e-12 apart are compared, and terms of
+        size 1e4 would round the differences away.  A bracket that meets the
+        blend zone (or holds no outcomes) takes the generic sum for its whole
+        search, so no two values with different offsets are ever compared.
         """
-        xi = np.asarray(outcomes, dtype=float)
-        if xi.size == 0 or (self.extension is not None and not self.extension.covers([lo, hi])):
-            return super().loglik_objective(xi, lo, hi)
-        m, sum_r, _ = _centred_sums(xi)
-        k, two_var = xi.size, 2.0 * self.sigma**2
+        fast = np.array([xi.size > 0 for xi in prefixes])
+        if self.extension is not None:  # extension.covers([lo, hi]) per bracket, lo <= hi
+            fast &= (lo >= self.extension.lo) & (hi <= self.extension.hi)
+        stats = np.array([  # (m, sum r, k) per bracket
+            (*_centred_sums(xi)[:2], xi.size) if f else (0, 0, 0) for xi, f in zip(prefixes, fast)
+        ]).reshape(-1, 3)
+        generic = super().loglik_objective(prefixes, lo, hi)
 
-        def objective(nu):
-            d = m - nu
-            return -d * (2.0 * sum_r + k * d) / two_var
+        def objective(idx, nus):
+            m, sum_r, k = stats[idx].T
+            d = m - nus
+            out = -d * (2.0 * sum_r + k * d) / (2.0 * self.sigma**2)
+            slow = ~fast[idx]
+            out[slow] = generic(idx[slow], nus[slow])
+            return out
 
         return objective
 

@@ -22,6 +22,7 @@ Numeric contracts
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -299,8 +300,11 @@ def build_spectral_model(
         for a ``table`` density the trapezoid rule over its knots (exact
         for its linear interpolant).
     """
-    atoms = tuple((float(p), float(w)) for p, w in atoms)
-    intervals = tuple((float(a), float(b)) for a, b in sorted(intervals))
+    try:
+        atoms = tuple((float(p), float(w)) for p, w in atoms)
+        intervals = tuple((float(a), float(b)) for a, b in sorted(intervals))
+    except (TypeError, ValueError) as exc:
+        raise SpectralModelError(f"atoms and intervals must be numeric pairs: {exc}") from exc
     if not atoms and not intervals:
         raise SpectralModelError("empty spectrum: no atoms and no intervals")
     if intervals and nodes_per_interval < 2:
@@ -465,6 +469,14 @@ class StateKernel:
     def trace(self) -> float:
         """Discrete trace: sum of mass-weighted diagonal block traces."""
         return float(np.dot(self.grid.mass, self.block_traces()))
+
+    @functools.cached_property
+    def log_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """``log w`` and ``log(w / sum w)`` of the node weights ``w = mass * block
+        trace`` (-inf where w vanishes), computed once: the factor is read-only."""
+        w = np.clip(self.grid.mass * self.block_traces(), 0.0, None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _readonly(np.log(w)), _readonly(np.log(w / w.sum()))
 
     def weighted_matrix(self) -> np.ndarray:
         """Dense mass-weighted (N*n, N*n) matrix, expanded from the factor."""

@@ -118,14 +118,12 @@ class Trajectory:
 
 
 def log_prior_weights(state: StateKernel) -> np.ndarray:
-    """Log of the initial spectral weights; -inf where the prior vanishes."""
-    prior = state.grid.mass * state.block_traces()
-    prior = np.clip(prior, 0.0, None)
-    total = prior.sum()
-    if total <= 0:
+    """Log of the initial spectral weights; -inf where the prior vanishes.
+    Computed once per state (``StateKernel.log_weights``, read-only)."""
+    log_prior = state.log_weights[1]
+    if not np.isfinite(log_prior).any():  # 0 / 0 where every weight vanishes
         raise ValueError("state has degenerate spectral weights (all zero)")
-    with np.errstate(divide="ignore"):
-        return np.log(prior / total)
+    return log_prior
 
 
 def _normalize_checkpoints(checkpoints: Iterable[int], k: int) -> list[int]:

@@ -160,6 +160,8 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         ({"tolerances": {"ks_alhpa": 0.01}}, "unknown tolerance keys: ['ks_alhpa']"),
         ({"window": {"node": 5}}, "unknown window keys: ['node']"),
         ({"checkpoints": [-1, 50]}, "checkpoints must be positive"),
+        ({"spectral": {"atoms": [["a", 0.3], [1.0, 0.7]]}}, "atoms and intervals must be numeric"),
+        ({"spectral": {"intervals": [[0.0, "b"]]}}, "atoms and intervals must be numeric"),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -180,6 +182,8 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "unknown-tolerance-key",
         "unknown-window-key",
         "negative-checkpoint",
+        "atom-string",
+        "interval-string",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, overrides, message):

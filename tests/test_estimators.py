@@ -1,6 +1,8 @@
 """Maximum likelihood, rate traces, CLT residuals, Laplace diagnostic,
 rescaled kernels, the Gaussian limit, and the trace-norm distance."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from qndsim import spectral
 from qndsim.estimators import (
+    _INV_PHI,
+    _INV_PHI2,
     REFINE_TOL_FACTOR,
     WindowError,
     _interpolate,
@@ -20,12 +24,19 @@ from qndsim.estimators import (
     mle,
     mle_consistency_stat,
     mle_path,
+    mle_table,
     rate_trace,
     rescaled_posterior_kernel,
     trace_norm_distance,
 )
 from qndsim.harness import ExperimentConfig, run_experiment
-from qndsim.probes import BinaryPhase, GaussianReadout, TabulatedProbe, bind_extension
+from qndsim.probes import (
+    BinaryPhase,
+    GaussianReadout,
+    TabulatedProbe,
+    _centred_sums,
+    bind_extension,
+)
 from qndsim.spectral import (
     StateKernel,
     build_spectral_model,
@@ -105,13 +116,75 @@ def test_mle_path_lies_in_spectrum():
     assert path.checkpoints == (10, 100, 300)
 
 
-def _per_outcome_objective(self, outcomes, lo, hi):
-    """Reference objective: counts for finite outcome spaces, otherwise a sum
-    over every outcome at each call."""
-    if self.outcome_space.finite:
+# ---------------------------------------------------------------------------
+# the scalar search the lock-step table replaced, kept as its oracle
+
+def _golden_max(f, a, b, tol):
+    """Golden-section maximization of a unimodal f on [a, b], one step at a time."""
+    h = b - a
+    if h <= tol:
+        return 0.5 * (a + b)
+    n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
+    c = a + _INV_PHI2 * h
+    d = a + _INV_PHI * h
+    yc, yd = f(c), f(d)
+    for _ in range(n - 1):
+        if yc > yd:
+            b, d, yd = d, c, yc
+            h *= _INV_PHI
+            c = a + _INV_PHI2 * h
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            h *= _INV_PHI
+            d = a + _INV_PHI * h
+            yd = f(d)
+    return 0.5 * ((a + d) if yc > yd else (c + b))
+
+
+def _per_outcome_objective(probe, outcomes, lo, hi):
+    """Reference closure: counts of the distinct outcomes for finite outcome
+    spaces, otherwise a sum over every outcome at each call."""
+    if probe.outcome_space.finite:
         vals, counts = np.unique(outcomes, return_counts=True)
-        return lambda nu: float(counts @ self.loglik_values(np.asarray([nu]), vals)[:, 0])
-    return lambda nu: float(self.loglik_values(np.asarray([nu]), outcomes).sum())
+        return lambda nu: float(counts @ probe.loglik_values(np.asarray([nu]), vals)[:, 0])
+    return lambda nu: float(probe.loglik_values(np.asarray([nu]), outcomes).sum())
+
+
+def _scalar_objective(probe, outcomes, lo, hi):
+    """The per-estimate closure of each family: the Gaussian ratio against the
+    sample mean when the extension covers [lo, hi], the reference otherwise."""
+    ext = probe.extension
+    if not isinstance(probe, GaussianReadout) or outcomes.size == 0 or (
+        ext is not None and not ext.covers([lo, hi])
+    ):
+        return _per_outcome_objective(probe, outcomes, lo, hi)
+    m, sum_r, _ = _centred_sums(outcomes)
+    k, two_var = outcomes.size, 2.0 * probe.sigma**2
+
+    def objective(nu):
+        d = m - nu
+        return -d * (2.0 * sum_r + k * d) / two_var
+
+    return objective
+
+
+def _oracle_mle(traj, k, model, probe, objective=_scalar_objective):
+    """One refined estimate by one scalar search: grid argmax, bracketing
+    cells, golden section on a closure of the first k outcomes, clip."""
+    sums = traj.loglik_at(k, probe, model.nodes)
+    idx = int(np.argmax(sums))
+    nu0 = float(model.nodes[idx])
+    j = None if model.is_atom[idx] else model.interval_index(nu0)
+    if j is None:
+        return nu0
+    a, b = model.intervals[j]
+    delta = (b - a) / model.nodes_per_interval
+    lo, hi = max(a, nu0 - delta), min(b, nu0 + delta)
+    hull_lo, hull_hi = model.hull
+    tol = REFINE_TOL_FACTOR * max(hull_hi - hull_lo, 1.0)
+    f = objective(probe, traj.outcomes[:k], lo, hi)
+    return float(np.clip(_golden_max(f, lo, hi, tol), lo, hi))
 
 
 def _tabulated_probes():
@@ -131,7 +204,7 @@ def _tabulated_probes():
 
 
 @pytest.mark.parametrize("name", ["binary", "tabulated-continuous", "tabulated-finite"])
-def test_refined_mle_equals_the_per_outcome_objective_bitwise(name, monkeypatch):
+def test_refined_mle_equals_the_per_outcome_objective_bitwise(name):
     model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=40)
     families = {"binary": BinaryPhase.embedded(0.0, 1.0), **_tabulated_probes()}
     probe = bind_extension(families[name], model)
@@ -141,8 +214,8 @@ def test_refined_mle_equals_the_per_outcome_objective_bitwise(name, monkeypatch)
         for i in range(5)
     ]
     got = [mle(t, k, model, probe) for t in trajs for k in (30, 300)]
-    monkeypatch.setattr(type(probe), "loglik_objective", _per_outcome_objective)
-    assert got == [mle(t, k, model, probe) for t in trajs for k in (30, 300)]
+    oracle = [_oracle_mle(t, k, model, probe, _per_outcome_objective) for t in trajs for k in (30, 300)]
+    assert np.array(got).tobytes() == np.array(oracle).tobytes()
 
 
 def test_refined_gaussian_mle_reads_no_outcome_under_a_covering_extension(monkeypatch):
@@ -156,7 +229,7 @@ def test_refined_gaussian_mle_reads_no_outcome_under_a_covering_extension(monkey
     assert mle(traj, 1000, model, probe) == pytest.approx(0.4, abs=1e-8)
 
 
-def test_gaussian_mle_across_the_blend_edge_uses_the_per_outcome_sum(monkeypatch):
+def test_gaussian_mle_across_the_blend_edge_uses_the_per_outcome_sum():
     # the extension covers [0.2, 0.8] of the spectrum [0, 1]: the bracket of a
     # grid maximum next to 0.2 reaches the blend zone
     model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=50)
@@ -165,8 +238,104 @@ def test_gaussian_mle_across_the_blend_edge_uses_the_per_outcome_sum(monkeypatch
     nu0 = model.nodes[np.argmax(traj.loglik_sums)]
     assert nu0 - 0.02 < 0.2 < nu0 + 0.02
     got = mle(traj, 400, model, probe)
-    monkeypatch.setattr(GaussianReadout, "loglik_objective", _per_outcome_objective)
-    assert got == mle(traj, 400, model, probe)
+    assert got == _oracle_mle(traj, 400, model, probe, _per_outcome_objective)
+
+
+def _zero_table_probe():
+    """Finite table whose third outcome has density exactly 0 for nu <= 0.75."""
+    return TabulatedProbe(
+        nu_grid=(-0.5, 0.25, 0.75, 1.5),
+        values=((0.3, 0.3, 0.6, 0.5), (0.7, 0.7, 0.4, 0.2), (0.0, 0.0, 0.0, 0.3)),
+        outcomes=(0.0, 1.0, 2.0),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["gaussian", "gaussian-blend", "binary", "tabulated-zero"]),
+    two_intervals=st.booleans(),
+    atoms=st.sampled_from([(), (1.25,), (-0.25, 1.25)]),
+    nodes=st.integers(3, 30),
+    k_max=st.integers(1, 400),
+    extra=st.lists(st.integers(0, 400), max_size=4),
+    ensemble=st.integers(1, 4),
+    sigma=st.floats(0.02, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mle_table_equals_the_scalar_search_bitwise(
+    family, two_intervals, atoms, nodes, k_max, extra, ensemble, sigma, seed
+):
+    rng = np.random.default_rng(seed)
+    intervals = [(0.0, 0.45), (0.55, 1.0)] if two_intervals else [(0.0, 1.0)]
+    model = build_spectral_model(
+        atoms=[(p, 0.2) for p in atoms], intervals=intervals, nodes_per_interval=nodes
+    )
+    lo, hi = model.hull
+    probe, support = {
+        "gaussian": (bind_extension(GaussianReadout(sigma=sigma), model), (lo, hi)),
+        # brackets around 0.2 reach the blend margin [0.15, 0.2], the others do not
+        "gaussian-blend": (GaussianReadout(sigma=sigma).with_extension(0.2, 0.8, 0.05), (0.15, 0.3)),
+        "binary": (bind_extension(BinaryPhase.embedded(lo, hi), model), (lo, hi)),
+        "tabulated-zero": (_zero_table_probe(), (lo, hi)),
+    }[family]
+    trajs = []
+    for _ in range(ensemble):
+        outcomes = probe.sample(rng.uniform(*support), k_max, rng)
+        trajs.append(Trajectory(outcomes, probe.loglik_node_sums(model.nodes, outcomes)))
+    checkpoints = sorted({0, k_max, *(c for c in extra if c <= k_max)})
+    table = mle_table(trajs, checkpoints, model, probe)
+    oracle = [[_oracle_mle(t, k, model, probe) for k in checkpoints] for t in trajs]
+    assert table.tobytes() == np.array(oracle).tobytes()
+    in_spectrum = np.isin(table, model.nodes[model.is_atom]) | np.any(
+        [(a <= table) & (table <= b) for a, b in model.intervals], axis=0
+    )
+    assert in_spectrum.all()
+
+
+def _reduced_run(kind):
+    """Reduced shipped configs that keep the ensemble and checkpoint counts."""
+    gaussian = {"kind": "gaussian-readout", "sigma": 1.0}
+    base = {
+        "spectral": {"intervals": [[0.0, 1.0]], "h": {"name": "uniform"}, "nodes_per_interval": 100},
+        "state": {"type": "pure", "psi": {"name": "flat"}},
+        "sampler": "de-finetti",
+        "seed": SEED,
+    }
+    return ExperimentConfig.from_dict({**base, **{
+        "rate-convergence": {
+            "kind": kind, "probe": gaussian, "k_max": 3000,
+            "checkpoints": [3, 10, 30, 100, 300, 1000, 3000], "ensemble": 50,
+            "hidden_nu": 0.2, "region": [[0.6, 1.0]],
+        },
+        "kernel-convergence": {
+            "kind": kind, "probe": gaussian, "k_max": 3000,
+            "checkpoints": [100, 1000, 3000], "ensemble": 20, "hidden_nu": 0.5,
+            "state": {"type": "pure", "psi": {"name": "exp", "rate": 0.5}},
+        },
+        "clt": {
+            "kind": kind, "k_max": 200, "checkpoints": [200], "ensemble": 2000,
+            "probe": {"kind": "binary-phase", "embed": {"source": [0.0, 1.0]}},
+        },
+    }[kind]})
+
+
+@pytest.mark.parametrize(
+    "kind, searches",
+    [("rate-convergence", 350), ("kernel-convergence", 60), ("clt", 2000)],
+)
+def test_a_run_searches_each_estimate_once_in_one_table(kind, searches, monkeypatch):
+    cfg = _reduced_run(kind)
+    probe_cls = GaussianReadout if cfg.probe["kind"] == "gaussian-readout" else BinaryPhase
+    original = probe_cls.loglik_objective
+    asked = []
+
+    def counting(self, prefixes, lo, hi):
+        asked.append(np.size(lo))  # brackets asked for in this call
+        return original(self, prefixes, lo, hi)
+
+    monkeypatch.setattr(probe_cls, "loglik_objective", counting)
+    run_experiment(cfg)
+    assert asked == [searches]
 
 
 ACCURACY_MODEL = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=50)

@@ -1,10 +1,13 @@
 """Experiment orchestration: statistical tests, determinism, persistence."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtr
 
@@ -15,6 +18,8 @@ from qndsim.harness import (
     ExperimentConfig,
     ValidationFailure,
     build_model,
+    build_probe,
+    build_state,
     git_blob_sha1,
     ks_test,
     load_trajectories,
@@ -23,7 +28,7 @@ from qndsim.harness import (
     simulate_ensemble,
     validate_config,
 )
-from qndsim.trajectories import definetti_sample, trajectory_rng
+from qndsim.trajectories import definetti_sample, sample_ensemble, trajectory_rng
 
 SEED = 20260810
 
@@ -120,6 +125,50 @@ def test_trajectory_persistence_round_trip(tmp_path):
         assert np.array_equal(orig.outcomes, back.outcomes)
         assert np.array_equal(orig.loglik_sums, back.loglik_sums)
         assert orig.hidden_nu == back.hidden_nu
+        assert orig.seed == back.seed
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    probe=st.sampled_from([
+        {"kind": "binary-phase", "embed": {"source": [0.0, 1.0]}},
+        {"kind": "gaussian-readout", "sigma": 0.3},
+    ]),
+    k_max=st.integers(1, 40),
+    checkpoints=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    ensemble=st.integers(1, 5),
+    hidden=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_persisted_trajectories_load_back_bitwise(probe, k_max, checkpoints, ensemble, hidden, seed):
+    cfg = ExperimentConfig.from_dict({
+        "kind": "rate-convergence",
+        "spectral": {"atoms": [[1.5, 0.2]], "intervals": [[0.0, 1.0]], "nodes_per_interval": 7},
+        "probe": probe,
+        "state": {"type": "pure", "psi": {"name": "flat"}},
+        "k_max": k_max,
+        "checkpoints": sorted({c for c in checkpoints if c <= k_max} | {k_max}),
+        "ensemble": ensemble,
+        "seed": seed,
+        "region": [[0.5, 1.0]],
+    })
+    model = build_model(cfg)
+    state = build_state(model, cfg.state)
+    trajs = sample_ensemble(
+        state, build_probe(cfg, model), k_max, ensemble, seed,
+        checkpoints=cfg.checkpoints, hidden_nu=hidden,
+    )
+    with tempfile.TemporaryDirectory() as out:
+        persist_trajectories(out, trajs, cfg)
+        loaded = load_trajectories(out)
+    assert len(loaded) == len(trajs)
+    for orig, back in zip(trajs, loaded):
+        assert orig.outcomes.tobytes() == back.outcomes.tobytes()
+        assert orig.loglik_sums.tobytes() == back.loglik_sums.tobytes()
+        assert set(back.checkpoint_sums) == set(orig.checkpoint_sums) | {k_max}
+        for k, sums in orig.checkpoint_sums.items():
+            assert sums.tobytes() == back.checkpoint_sums[k].tobytes()
+        assert orig.hidden_nu == back.hidden_nu and type(orig.hidden_nu) is type(back.hidden_nu)
         assert orig.seed == back.seed
 
 
