@@ -41,7 +41,8 @@ def collect(probe_spec, k, label, ensemble=800):
     state = q.build_state(model, cfg.state)
     probe = q.build_probe(cfg, model)
     trajs = q.simulate_ensemble(cfg)
-    samples = q.clt_samples(trajs, k, model, probe)
+    estimates = q.mle_table(trajs, [k], model, probe)[:, 0]
+    samples = q.clt_samples(trajs, k, model, probe, estimates=estimates)
     ks = q.ks_test(samples.residuals, ndtr)
     print(
         f"{label}: k={k}, {samples.count} residuals "

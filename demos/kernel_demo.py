@@ -39,11 +39,15 @@ def main():
             state, probe, max(checkpoints), q.trajectory_rng(SEED, i),
             checkpoints=checkpoints, hidden_nu=0.5,
         )
-        for k in checkpoints:
-            zoom = q.rescaled_posterior_kernel(state, traj, k, model, probe)
+        estimates = q.mle_table([traj], checkpoints, model, probe)[0]
+        for k, nu_hat in zip(checkpoints, estimates):
+            zoom = q.rescaled_posterior_kernel(state, traj, k, model, probe, estimate=nu_hat)
             limit = q.limit_kernel(model, state, zoom.estimate, zoom.fisher, zoom.window)
             distances[k].append(q.trace_norm_distance(zoom.kernel, limit))
-        ratios.append(q.laplace_condition_check(traj, max(checkpoints), model, probe).ratio)
+        check = q.laplace_condition_check(
+            traj, checkpoints[-1], model, probe, estimate=estimates[-1]
+        )
+        ratios.append(check.ratio)
 
     OUT.mkdir(exist_ok=True)
     with open(OUT / "kernel_distance.csv", "w", newline="") as fh:

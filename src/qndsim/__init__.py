@@ -70,7 +70,7 @@ from .estimators import (
     limit_kernel,
     mle,
     mle_consistency_stat,
-    mle_path,
+    mle_table,
     rate_trace,
     rescaled_posterior_kernel,
     trace_norm_distance,

@@ -57,7 +57,6 @@ __all__ = [
     "EstimatorReport",
     "mle",
     "mle_table",
-    "mle_path",
     "mle_consistency_stat",
     "rate_region",
     "rate_trace",
@@ -233,19 +232,6 @@ class MlePath:
     refined: bool
 
 
-def mle_path(
-    trajectory: Trajectory,
-    checkpoints: Iterable[int],
-    model: SpectralModel,
-    probe=None,
-    refine: bool = True,
-) -> MlePath:
-    """Estimates at the checkpoints in (0, len(trajectory)]: one ``mle_table`` row."""
-    cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= len(trajectory)})
-    estimates = mle_table([trajectory], cps, model, probe, refine)[0]
-    return MlePath(tuple(cps), tuple(float(v) for v in estimates), refined=refine)
-
-
 @dataclass(frozen=True)
 class ConsistencyResult:
     """Empirical frequency of estimates in a region vs the exact probability."""
@@ -322,24 +308,19 @@ def rate_region(model: SpectralModel, state: StateKernel, region):
 
 def rate_trace(
     state: StateKernel, trajectory: Trajectory, region, checkpoints: Iterable[int],
-    model: SpectralModel, probe, estimate: float | None = None,
+    model: SpectralModel, probe, *, estimate: float,
 ) -> RateTrace:
-    """Posterior decay rates on ``region`` at the checkpoints in (0, len(trajectory)];
-    ``estimate``, the refined estimate after the last one, is the ``mle_table``
-    entry when the caller holds it and is searched here otherwise."""
-    constants = rate_region(model, state, region)
-    return _rate_trace(constants, trajectory, checkpoints, model, probe, estimate)
+    """Posterior decay rates on ``region`` at the checkpoints in (0, len(trajectory)].
 
-
-def _rate_trace(region, trajectory, checkpoints, model, probe, estimate):
-    """``rate_trace`` on the ``(mask, log_prior)`` that ``rate_region`` returned."""
-    mask, log_prior = region
+    ``estimate`` is the refined estimate after the last checkpoint (its
+    ``mle_table`` entry); the target rate is the relative entropy from its law
+    to the region.
+    """
+    mask, log_prior = rate_region(model, state, region)
     cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= len(trajectory)})
     # one (checkpoints x nodes) matrix: two _logsumexp calls per trajectory, not per checkpoint
     logw = log_prior + np.stack([trajectory.loglik_at(c, probe, model.nodes) for c in cps])
     values = -(_logsumexp(logw[:, mask], axis=1) - _logsumexp(logw, axis=1)) / np.asarray(cps)
-    if estimate is None:
-        estimate = mle(trajectory, cps[-1], model, probe, refine=True)
     target = relative_entropy(probe, float(estimate), model.nodes[mask])
     return RateTrace(
         checkpoints=tuple(cps),
@@ -366,19 +347,18 @@ class CltSamples:
 
 
 def clt_samples(
-    trajectories: Sequence[Trajectory], k: int, model: SpectralModel, probe,
-    margin_stds: float = 5.0, estimates: Sequence[float] | None = None,
+    trajectories: Sequence[Trajectory], k: int, model: SpectralModel, probe, *,
+    estimates: Sequence[float], margin_stds: float = 5.0,
 ) -> CltSamples:
     """Standardized estimator residuals against the hidden values.
 
     Needs mixture-sampled trajectories (hidden value recorded) and sub-grid
     refinement.  Hidden values within ``margin_stds / sqrt(k F)`` of their
     interval's boundary, or sitting on atoms, are excluded and counted; the
-    residuals of the rest are returned, possibly none.  ``estimates`` is the
-    ``mle_table`` column at k when the caller holds it.
+    residuals of the rest are returned, possibly none.  ``estimates`` holds
+    the refined estimate of each trajectory after k outcomes (the ``mle_table``
+    column at k).
     """
-    if estimates is None:
-        estimates = mle_table(trajectories, [k], model, probe)[:, 0]
     residuals = []
     excluded_boundary = 0
     excluded_atoms = 0
@@ -430,11 +410,12 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 
 
 def laplace_condition_check(
-    trajectory: Trajectory, k: int, model: SpectralModel, probe,
-    estimate: float | None = None,  # the mle_table entry at k, when the caller holds it
+    trajectory: Trajectory, k: int, model: SpectralModel, probe, *, estimate: float,
 ) -> LaplaceCheck:
+    """``LaplaceCheck`` after k outcomes around ``estimate``, the refined
+    estimate at k (its ``mle_table`` entry)."""
     sums = trajectory.loglik_at(k, probe, model.nodes)
-    nu_hat = mle(trajectory, k, model, probe) if estimate is None else float(estimate)
+    nu_hat = float(estimate)
     sl, (a, b) = _interval_subgrid(model, nu_hat)
     xs, ys = model.nodes[sl], sums[sl]
     fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
@@ -544,11 +525,12 @@ class RescaledKernelResult:
 
 
 def rescaled_posterior_kernel(
-    state: StateKernel, trajectory: Trajectory, k: int, model: SpectralModel, probe,
-    window_sigmas: float = DEFAULT_WINDOW_SIGMAS, window_nodes: int = 201,
-    min_sigmas: float = MIN_WINDOW_SIGMAS, estimate: float | None = None,
+    state: StateKernel, trajectory: Trajectory, k: int, model: SpectralModel, probe, *,
+    estimate: float, window_sigmas: float = DEFAULT_WINDOW_SIGMAS, window_nodes: int = 201,
+    min_sigmas: float = MIN_WINDOW_SIGMAS,
 ) -> RescaledKernelResult:
-    """Posterior kernel zoomed by sqrt(k) around the estimate.
+    """Posterior kernel zoomed by sqrt(k) around ``estimate``, the refined
+    estimate at k (its ``mle_table`` entry).
 
     Evaluates ``rho_k(nu_hat + x / sqrt(k), nu_hat + y / sqrt(k)) / sqrt(k)``
     on the window grid, interpolating both the log-likelihood sums and the
@@ -557,11 +539,10 @@ def rescaled_posterior_kernel(
     columns that vanish on the window), normalized to unit discrete trace
     on its own window (the discrete image of trace preservation under the
     zoom); ``window_mass`` records the posterior mass the window captured
-    relative to the whole grid.  ``estimate`` is the ``mle_table`` entry at
-    k when the caller holds it.
+    relative to the whole grid.
     """
     sums = trajectory.loglik_at(k, probe, model.nodes)
-    nu_hat = mle(trajectory, k, model, probe) if estimate is None else float(estimate)
+    nu_hat = float(estimate)
     fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
     window = build_window_grid(
         model, nu_hat, k, fisher, window_sigmas, window_nodes, min_sigmas

@@ -450,11 +450,12 @@ def estimate_ensemble(
     cps = config.checkpoints
     report.extra["checkpoints"] = list(cps)
     # every estimate below is read from one table, one search per (trajectory,
-    # checkpoint, k_max last); the paths alone need only the first 100 rows
+    # checkpoint, k_max last); runs whose branch reads no estimate search only
+    # the rows of the estimator paths (the first 100 trajectories)
     columns = sorted(set(cps) | {k_max})
     col = {c: i for i, c in enumerate(columns)}
-    head = None if config.kind in ("rate-convergence", "clt", "kernel-convergence") else 100
-    table = est.mle_table(trajectories[:head], columns, model, probe)
+    paths_only = config.kind in ("born-frequency", "assumption-validation")
+    table = est.mle_table(trajectories[:100] if paths_only else trajectories, columns, model, probe)
 
     # posterior-mean diagnostic (no limit statement attached to it)
     for traj in trajectories[: min(len(trajectories), 100)]:
@@ -488,9 +489,8 @@ def estimate_ensemble(
         )
 
     elif config.kind == "rate-convergence":
-        region = est.rate_region(model, state, config.region)
         traces = [
-            est._rate_trace(region, t, cps, model, probe, row[col[cps[-1]]])
+            est.rate_trace(state, t, config.region, cps, model, probe, estimate=row[col[cps[-1]]])
             for t, row in zip(trajectories, table)
         ]
         report.rate_traces = [vars(t) for t in traces]
@@ -514,7 +514,8 @@ def estimate_ensemble(
 
     elif config.kind == "clt":
         samples = est.clt_samples(
-            trajectories, k_max, model, probe, tol["boundary_margin_stds"], table[:, col[k_max]]
+            trajectories, k_max, model, probe,
+            estimates=table[:, col[k_max]], margin_stds=tol["boundary_margin_stds"],
         )
         if samples.count < KS_MIN_SAMPLES:
             raise ConfigError(
@@ -562,14 +563,18 @@ def estimate_ensemble(
         for traj, row in zip(trajectories, table):
             for i, c in enumerate(cps):
                 zoom = est.rescaled_posterior_kernel(
-                    state, traj, c, model, probe, config.window["sigmas"],
-                    int(config.window["nodes"]), config.window["min_sigmas"], row[col[c]],
+                    state, traj, c, model, probe,
+                    estimate=row[col[c]],
+                    window_sigmas=config.window["sigmas"],
+                    window_nodes=int(config.window["nodes"]),
+                    min_sigmas=config.window["min_sigmas"],
                 )
                 limit = est.limit_kernel(
                     model, state, zoom.estimate, zoom.fisher, zoom.window
                 )
                 per_cp[i].append(est.trace_norm_distance(zoom.kernel, limit))
-            ratios.append(est.laplace_condition_check(traj, k_max, model, probe, row[-1]).ratio)
+            check = est.laplace_condition_check(traj, k_max, model, probe, estimate=row[col[k_max]])
+            ratios.append(check.ratio)
         medians = [float(np.median(d)) for d in per_cp]
         report.distance_series = [
             {"checkpoint": c, "median_distance": m} for c, m in zip(cps, medians)

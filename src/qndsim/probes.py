@@ -252,7 +252,10 @@ class ProbeModel:
                 self.loglik_values(np.asarray([nu]), prefixes[b]).sum() for b, nu in zip(idx, nus)
             ])
         values = np.sort(np.asarray(self.outcome_space.values, dtype=float))
-        counts = np.array([[np.count_nonzero(xi == v) for v in values] for xi in prefixes], float)
+        counts = np.empty((len(prefixes), values.size))
+        for b, xi in enumerate(prefixes):  # O(k log k + V log k): no pass per value
+            xs = np.sort(xi)
+            counts[b] = np.searchsorted(xs, values, "right") - np.searchsorted(xs, values, "left")
         if not np.array_equal(counts.sum(axis=1), [xi.size for xi in prefixes]):
             raise ProbeError("outcomes must be values of the finite outcome space")
 

@@ -87,7 +87,8 @@ def test_criterion_3_central_limit_theorem():
     state = q.build_state(model, cfg.state)
     probe = q.build_probe(cfg, model)
     trajs = q.simulate_ensemble(cfg)
-    samples = q.clt_samples(trajs, cfg.k_max, model, probe)
+    estimates = q.mle_table(trajs, [cfg.k_max], model, probe)[:, 0]
+    samples = q.clt_samples(trajs, cfg.k_max, model, probe, estimates=estimates)
     sigma = 0.05
     margin = 5.0 * sigma / np.sqrt(cfg.k_max)
     analytic = np.sort(

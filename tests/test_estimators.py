@@ -23,7 +23,6 @@ from qndsim.estimators import (
     limit_kernel,
     mle,
     mle_consistency_stat,
-    mle_path,
     mle_table,
     rate_trace,
     rescaled_posterior_kernel,
@@ -33,6 +32,7 @@ from qndsim.harness import ExperimentConfig, run_experiment
 from qndsim.probes import (
     BinaryPhase,
     GaussianReadout,
+    ProbeError,
     TabulatedProbe,
     _centred_sums,
     bind_extension,
@@ -110,10 +110,9 @@ def test_mle_path_lies_in_spectrum():
     traj = definetti_sample(
         state, probe, 300, trajectory_rng(SEED, 0), checkpoints=[10, 100]
     )
-    path = mle_path(traj, [10, 100, 300], model, probe)
+    path = mle_table([traj], [10, 100, 300], model, probe)
     lo, hi = model.hull
-    assert all(lo <= e <= hi for e in path.estimates)
-    assert path.checkpoints == (10, 100, 300)
+    assert path.shape == (1, 3) and np.all((lo <= path) & (path <= hi))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +238,23 @@ def test_gaussian_mle_across_the_blend_edge_uses_the_per_outcome_sum():
     assert nu0 - 0.02 < 0.2 < nu0 + 0.02
     got = mle(traj, 400, model, probe)
     assert got == _oracle_mle(traj, 400, model, probe, _per_outcome_objective)
+
+
+def test_finite_objective_counts_many_outcomes_and_rejects_foreign_ones():
+    values = np.linspace(-1.0, 1.0, 25)
+    nu_grid = (0.0, 0.5, 1.0)
+    dens = np.exp(-4.0 * np.subtract.outer(values, nu_grid) ** 2)
+    dens /= dens.sum(axis=0)
+    probe = TabulatedProbe(nu_grid=nu_grid, values=tuple(map(tuple, dens)), outcomes=tuple(values))
+    rng = np.random.default_rng(SEED)
+    prefixes = [rng.choice(values, size) for size in (0, 1, 7, 500)]
+    nus = np.array([0.1, 0.3, 0.6, 0.9])
+    got = probe.loglik_objective(prefixes, np.zeros(4), np.ones(4))(np.arange(4), nus)
+    oracle = [_per_outcome_objective(probe, xi, 0.0, 1.0)(nu) for xi, nu in zip(prefixes, nus)]
+    assert got == pytest.approx(oracle, rel=1e-13, abs=0.0)
+    for foreign in (0.05, np.nan, 2.0):
+        with pytest.raises(ProbeError):
+            probe.loglik_objective([values[:3], np.array([values[0], foreign])], 0.0, 1.0)
 
 
 def _zero_table_probe():
@@ -382,7 +398,10 @@ def test_rate_vanishes_on_region_containing_estimate():
         state, probe, 2000, trajectory_rng(SEED, 1), hidden_nu=0.5,
         checkpoints=[100, 2000],
     )
-    trace = rate_trace(state, traj, [(0.3, 0.7)], [100, 2000], model, probe)
+    trace = rate_trace(
+        state, traj, [(0.3, 0.7)], [100, 2000], model, probe,
+        estimate=mle(traj, 2000, model, probe),
+    )
     assert abs(trace.values[-1]) < 1e-3
     # zero up to grid resolution: the refined estimate sits between nodes,
     # half a cell of 0.01 away at worst, and the entropy is quadratic there
@@ -395,7 +414,10 @@ def test_rate_positive_when_region_excludes_estimate():
         state, probe, 5000, trajectory_rng(SEED, 2), hidden_nu=0.2,
         checkpoints=[10, 100, 1000, 5000],
     )
-    trace = rate_trace(state, traj, [(0.6, 1.0)], [10, 100, 1000, 5000], model, probe)
+    trace = rate_trace(
+        state, traj, [(0.6, 1.0)], [10, 100, 1000, 5000], model, probe,
+        estimate=mle(traj, 5000, model, probe),
+    )
     assert all(v >= -1e-10 for v in trace.values)
     assert trace.values[-1] > 0.05
 
@@ -412,7 +434,8 @@ def test_two_atom_rate_matches_relative_entropy_oracle():
             state, probe, 10_000, trajectory_rng(SEED, i), hidden_nu=0.0,
             checkpoints=[10_000],
         )
-        trace = rate_trace(state, traj, [1.0], [10_000], model, probe)
+        estimate = mle(traj, 10_000, model, probe)
+        trace = rate_trace(state, traj, [1.0], [10_000], model, probe, estimate=estimate)
         rates.append(trace.values[-1])
     # direct two-term relative entropy between the atom laws
     oracle = f0[0] * np.log(f0[0] / f0[1]) + (1 - f0[0]) * np.log(
@@ -427,7 +450,7 @@ def test_rate_trace_rejects_zero_prior_region():
     state = diagonal_state(model, np.array([1.0, 0.0]))
     traj = definetti_sample(state, probe, 10, trajectory_rng(SEED, 3))
     with pytest.raises(Exception, match="prior"):
-        rate_trace(state, traj, [1.0], [10], model, probe)
+        rate_trace(state, traj, [1.0], [10], model, probe, estimate=mle(traj, 10, model, probe))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +462,8 @@ def test_gaussian_residuals_reduce_to_sample_mean():
         definetti_sample(state, probe, 100, trajectory_rng(SEED, i))
         for i in range(80)
     ]
-    samples = clt_samples(trajs, 100, model, probe)
+    estimates = mle_table(trajs, [100], model, probe)[:, 0]
+    samples = clt_samples(trajs, 100, model, probe, estimates=estimates)
     margin = 5.0 / np.sqrt(100 * 400)  # five estimator sigmas off the boundary
     analytic = np.array(
         [
@@ -464,7 +488,8 @@ def test_clt_exclusions_are_reported():
     trajs = [
         definetti_sample(state, probe, 25, trajectory_rng(SEED, i)) for i in range(60)
     ]
-    samples = clt_samples(trajs, 25, model, probe)
+    estimates = mle_table(trajs, [25], model, probe)[:, 0]
+    samples = clt_samples(trajs, 25, model, probe, estimates=estimates)
     assert samples.excluded_atoms > 0
     assert samples.excluded_boundary + samples.excluded_atoms + samples.count == 60
 
@@ -473,7 +498,7 @@ def test_clt_requires_hidden_values():
     model, probe, state = _gaussian_setup(30)
     traj = Trajectory(outcomes=np.zeros(5), loglik_sums=np.zeros(model.size))
     with pytest.raises(ValueError):
-        clt_samples([traj], 5, model, probe)
+        clt_samples([traj], 5, model, probe, estimates=[mle(traj, 5, model, probe)])
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +511,8 @@ def test_laplace_ratio_exact_for_gaussian():
             state, probe, 400, trajectory_rng(SEED, i), hidden_nu=0.5,
             checkpoints=[400],
         )
-        check = laplace_condition_check(traj, 400, model, probe)
+        estimate = mle(traj, 400, model, probe)
+        check = laplace_condition_check(traj, 400, model, probe, estimate=estimate)
         assert check.ratio == pytest.approx(1.0, abs=1e-8)
         assert check.fisher == pytest.approx(1.0, abs=1e-9)
 
@@ -499,7 +525,8 @@ def test_laplace_ratio_binary_near_one_at_large_k():
         state, probe, 10_000, trajectory_rng(SEED, 5), hidden_nu=0.5,
         checkpoints=[10_000],
     )
-    check = laplace_condition_check(traj, 10_000, model, probe)
+    estimate = mle(traj, 10_000, model, probe)
+    check = laplace_condition_check(traj, 10_000, model, probe, estimate=estimate)
     assert abs(check.ratio - 1.0) < 0.05
 
 
@@ -508,7 +535,7 @@ def test_laplace_small_k_is_diagnostic_only():
     traj = definetti_sample(
         state, probe, 1, trajectory_rng(SEED, 6), hidden_nu=0.5, checkpoints=[1]
     )
-    check = laplace_condition_check(traj, 1, model, probe)
+    check = laplace_condition_check(traj, 1, model, probe, estimate=mle(traj, 1, model, probe))
     assert np.isfinite(check.ratio) and check.ratio > 0
 
 
@@ -521,7 +548,8 @@ def test_rescaled_kernel_trace_and_rank():
         state, probe, 10_000, trajectory_rng(SEED, 7), hidden_nu=0.5,
         checkpoints=[10_000],
     )
-    zoom = rescaled_posterior_kernel(state, traj, 10_000, model, probe)
+    estimate = mle(traj, 10_000, model, probe)
+    zoom = rescaled_posterior_kernel(state, traj, 10_000, model, probe, estimate=estimate)
     assert abs(zoom.kernel.trace() - 1.0) < 1e-8
     svals = np.linalg.svd(zoom.kernel.weighted_matrix(), compute_uv=False)
     assert svals[1] < 1e-8  # pure initial state stays rank one
@@ -534,7 +562,8 @@ def test_rescaled_kernel_matches_gaussian_for_flat_state():
         state, probe, 10_000, trajectory_rng(SEED, 8), hidden_nu=0.5,
         checkpoints=[10_000],
     )
-    zoom = rescaled_posterior_kernel(state, traj, 10_000, model, probe)
+    estimate = mle(traj, 10_000, model, probe)
+    zoom = rescaled_posterior_kernel(state, traj, 10_000, model, probe, estimate=estimate)
     limit = limit_kernel(model, state, zoom.estimate, zoom.fisher, zoom.window)
     assert trace_norm_distance(zoom.kernel, limit) < 1e-4
 
@@ -544,7 +573,8 @@ def test_window_clamps_at_small_k():
     traj = definetti_sample(
         state, probe, 100, trajectory_rng(SEED, 9), hidden_nu=0.5, checkpoints=[100]
     )
-    zoom = rescaled_posterior_kernel(state, traj, 100, model, probe)
+    estimate = mle(traj, 100, model, probe)
+    zoom = rescaled_posterior_kernel(state, traj, 100, model, probe, estimate=estimate)
     halfwidth = -zoom.window.offsets[0] + 0.5 * zoom.window.spacing
     assert 2.0 < halfwidth < 8.0  # shrunk from the default eight sigmas
     assert abs(zoom.kernel.trace() - 1.0) < 1e-8
@@ -554,7 +584,9 @@ def test_window_error_near_boundary():
     model, probe, state = _gaussian_setup(300)
     traj = _manual_trajectory(probe, model, np.full(100, -1.0))  # argmax at the edge
     with pytest.raises(WindowError):
-        rescaled_posterior_kernel(state, traj, 100, model, probe)
+        rescaled_posterior_kernel(
+            state, traj, 100, model, probe, estimate=mle(traj, 100, model, probe)
+        )
 
 
 def test_window_error_without_continuum():
@@ -563,7 +595,9 @@ def test_window_error_without_continuum():
     state = diagonal_state(model, np.array([0.5, 0.5]))
     traj = definetti_sample(state, probe, 50, trajectory_rng(SEED, 10))
     with pytest.raises(WindowError):
-        rescaled_posterior_kernel(state, traj, 50, model, probe)
+        rescaled_posterior_kernel(
+            state, traj, 50, model, probe, estimate=mle(traj, 50, model, probe)
+        )
 
 
 def test_limit_kernel_gaussian_normalization():
@@ -815,7 +849,8 @@ def test_rescaled_kernel_equals_dense_einsum_oracle(
     state = _oracle_kernel("dense-psd" if kind == "dense" else kind, model, 1, rng)
     traj = _manual_trajectory(probe, model, 0.5 + 0.1 * rng.standard_normal(k))
     zoom = rescaled_posterior_kernel(
-        state, traj, k, model, probe, window_sigmas=window_sigmas, window_nodes=window_nodes
+        state, traj, k, model, probe, estimate=mle(traj, k, model, probe),
+        window_sigmas=window_sigmas, window_nodes=window_nodes,
     )
 
     # the dense two-einsum formula the stencil replaced
@@ -837,7 +872,10 @@ def test_zoomed_diagonal_state_keeps_only_the_columns_its_window_reads():
     state = diagonal_state(model, np.full(model.size, 1.0 / model.size))
     rng = np.random.default_rng(SEED)
     traj = _manual_trajectory(probe, model, 0.5 + rng.standard_normal(10_000))
-    zoom = rescaled_posterior_kernel(state, traj, 10_000, model, probe, window_nodes=51)
+    estimate = mle(traj, 10_000, model, probe)
+    zoom = rescaled_posterior_kernel(
+        state, traj, 10_000, model, probe, estimate=estimate, window_nodes=51
+    )
     psi, d = zoom.kernel.factor
     assert psi.shape[2] == d.size < model.size // 2
     assert np.all(np.any(psi != 0, axis=(0, 1)))
