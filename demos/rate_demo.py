@@ -29,19 +29,12 @@ def main():
     region = [(0.6, 1.0)]
     checkpoints = [10, 30, 100, 300, 1000, 3000, 10000]
 
-    trajs = [
-        q.definetti_sample(
-            state, probe, 10_000, q.trajectory_rng(SEED, i),
-            checkpoints=checkpoints, hidden_nu=0.2,
-        )
-        for i in range(20)
-    ]
+    trajs = q.sample_ensemble(
+        state, probe, 10_000, 20, SEED, checkpoints=checkpoints, hidden_nu=0.2
+    )
     # the refined estimate after the last checkpoint sets each trace's target
     finals = q.mle_table(trajs, checkpoints[-1:], model, probe)[:, 0]
-    traces = [
-        q.rate_trace(state, traj, region, checkpoints, model, probe, estimate=nu_hat)
-        for traj, nu_hat in zip(trajs, finals)
-    ]
+    traces = q.rate_traces(state, trajs, region, checkpoints, model, probe, estimates=finals)
 
     target = float(np.median([t.target for t in traces]))
     medians = [

@@ -49,6 +49,7 @@ from .trajectories import (
     exact_tuple_distribution,
     log_prior_weights,
     posterior_kernel,
+    posterior_means,
     posterior_weights,
     sample_ensemble,
     sequential_sample,
@@ -59,7 +60,6 @@ from .estimators import (
     ConsistencyResult,
     EstimatorReport,
     LaplaceCheck,
-    MlePath,
     RateTrace,
     RescaledKernelResult,
     WindowError,
@@ -71,7 +71,7 @@ from .estimators import (
     mle,
     mle_consistency_stat,
     mle_table,
-    rate_trace,
+    rate_traces,
     rescaled_posterior_kernel,
     trace_norm_distance,
 )

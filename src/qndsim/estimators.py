@@ -43,10 +43,9 @@ from .spectral import (
     _weighted_gram,
     spectral_probability,
 )
-from .trajectories import Trajectory, _logsumexp, log_prior_weights
+from .trajectories import Trajectory, _logsumexp, _sums_blocks, log_prior_weights
 
 __all__ = [
-    "MlePath",
     "RateTrace",
     "CltSamples",
     "ConsistencyResult",
@@ -59,7 +58,7 @@ __all__ = [
     "mle_table",
     "mle_consistency_stat",
     "rate_region",
-    "rate_trace",
+    "rate_traces",
     "clt_samples",
     "laplace_condition_check",
     "build_window_grid",
@@ -194,22 +193,22 @@ def mle_table(
     """
     table = np.empty((len(trajectories), len(checkpoints)))
     brackets, prefixes = [], []  # (row, column, lo, hi) of each search, its outcomes
-    for e, traj in enumerate(trajectories):
-        for i, k in enumerate(checkpoints):
-            sums = traj.loglik_at(k, probe, model.nodes)
-            idx = int(np.argmax(sums))  # first occurrence: smallest node wins ties
-            table[e, i] = nu0 = float(model.nodes[idx])
+    for sl, sums in _sums_blocks(trajectories, checkpoints, model.nodes, probe):
+        best = np.argmax(sums, axis=-1)  # first occurrence: smallest node wins ties
+        table[sl] = model.nodes[best]
+        for (r, i), idx in np.ndenumerate(best):
+            e, k, nu0 = sl.start + r, checkpoints[i], float(model.nodes[idx])
             j = None if not refine or model.is_atom[idx] else model.interval_index(nu0)
             if j is None:
                 continue
             a, b = model.intervals[j]
             delta = (b - a) / model.nodes_per_interval
             lo, hi = max(a, nu0 - delta), min(b, nu0 + delta)
-            if probe is not None and traj.outcomes.size >= k:
+            if probe is not None and trajectories[e].outcomes.size >= k:
                 brackets.append((e, i, lo, hi))
-                prefixes.append(traj.outcomes[:k])
+                prefixes.append(trajectories[e].outcomes[:k])
             else:
-                table[e, i] = np.clip(_parabola_vertex(model, sums, idx, nu0), lo, hi)
+                table[e, i] = np.clip(_parabola_vertex(model, sums[r, i], int(idx), nu0), lo, hi)
     if brackets:
         rows, cols, lo, hi = (np.asarray(v) for v in zip(*brackets))
         tol = REFINE_TOL_FACTOR * max(model.hull[1] - model.hull[0], 1.0)
@@ -221,15 +220,6 @@ def mle_table(
 def mle(trajectory: Trajectory, k: int, model: SpectralModel, probe=None, refine=True) -> float:
     """Maximum-likelihood estimate after k outcomes: the 1 x 1 ``mle_table``."""
     return float(mle_table([trajectory], [k], model, probe, refine)[0, 0])
-
-
-@dataclass(frozen=True)
-class MlePath:
-    """Estimates at checkpointed steps; all of them lie in the spectrum."""
-
-    checkpoints: tuple[int, ...]
-    estimates: tuple[float, ...]
-    refined: bool
 
 
 @dataclass(frozen=True)
@@ -260,9 +250,8 @@ def mle_consistency_stat(
         raise ValueError("empty ensemble")
     mask = model.region_mask(region)
     hits = 0
-    for traj in trajectories:
-        sums = traj.loglik_at(k, probe, model.nodes)
-        hits += bool(mask[int(np.argmax(sums))])
+    for _, sums in _sums_blocks(trajectories, [k], model.nodes, probe):
+        hits += int(np.count_nonzero(mask[np.argmax(sums[:, 0], axis=-1)]))
     exact = spectral_probability(state, region)
     ci = ci_sigmas * math.sqrt(max(exact * (1.0 - exact), 0.0) / len(trajectories))
     return ConsistencyResult(
@@ -306,28 +295,35 @@ def rate_region(model: SpectralModel, state: StateKernel, region):
     return mask, log_prior
 
 
-def rate_trace(
-    state: StateKernel, trajectory: Trajectory, region, checkpoints: Iterable[int],
-    model: SpectralModel, probe, *, estimate: float,
-) -> RateTrace:
-    """Posterior decay rates on ``region`` at the checkpoints in (0, len(trajectory)].
+def rate_traces(
+    state: StateKernel, trajectories: Sequence[Trajectory], region, checkpoints: Iterable[int],
+    model: SpectralModel, probe, *, estimates: Sequence[float],
+) -> list[RateTrace]:
+    """Posterior decay rates on ``region`` at the checkpoints in (0, k], k the
+    shortest trajectory length, one trace per trajectory (sums read in row blocks).
 
-    ``estimate`` is the refined estimate after the last checkpoint (its
-    ``mle_table`` entry); the target rate is the relative entropy from its law
-    to the region.
+    ``estimates`` holds each trajectory's refined estimate after the last
+    checkpoint (its ``mle_table`` entry); the target rate is the relative
+    entropy from its law to the region.
     """
     mask, log_prior = rate_region(model, state, region)
-    cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= len(trajectory)})
-    # one (checkpoints x nodes) matrix: two _logsumexp calls per trajectory, not per checkpoint
-    logw = log_prior + np.stack([trajectory.loglik_at(c, probe, model.nodes) for c in cps])
-    values = -(_logsumexp(logw[:, mask], axis=1) - _logsumexp(logw, axis=1)) / np.asarray(cps)
-    target = relative_entropy(probe, float(estimate), model.nodes[mask])
-    return RateTrace(
-        checkpoints=tuple(cps),
-        values=tuple(float(v) for v in values),
-        target=float(target),
-        estimate=float(estimate),
-    )
+    inside = model.nodes[mask]  # the region's nodes, for every target
+    k = min(len(t) for t in trajectories)
+    cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= k})
+    values = np.empty((len(trajectories), len(cps)))
+    for sl, sums in _sums_blocks(trajectories, cps, model.nodes, probe):
+        logw = log_prior + sums  # (rows x checkpoints x nodes)
+        log_mass = _logsumexp(logw[..., mask], axis=-1) - _logsumexp(logw, axis=-1)
+        values[sl] = -log_mass / np.asarray(cps)
+    return [
+        RateTrace(
+            checkpoints=tuple(cps),
+            values=tuple(float(v) for v in row),
+            target=float(relative_entropy(probe, float(estimate), inside)),
+            estimate=float(estimate),
+        )
+        for row, estimate in zip(values, estimates)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .spectral import (
     state_from_dict,
     validate_state,
 )
-from .trajectories import SeedRecord, Trajectory, posterior_weights, sample_ensemble
+from .trajectories import SeedRecord, Trajectory, posterior_means, sample_ensemble
 
 __all__ = [
     "DEFAULT_SEED",
@@ -458,10 +458,7 @@ def estimate_ensemble(
     table = est.mle_table(trajectories[:100] if paths_only else trajectories, columns, model, probe)
 
     # posterior-mean diagnostic (no limit statement attached to it)
-    for traj in trajectories[: min(len(trajectories), 100)]:
-        report.posterior_means.append(
-            float(posterior_weights(state, traj, k_max, probe).mean())
-        )
+    report.posterior_means = posterior_means(state, trajectories[:100], k_max, probe)
 
     if config.kind == "born-frequency":
         stat = est.mle_consistency_stat(
@@ -489,10 +486,9 @@ def estimate_ensemble(
         )
 
     elif config.kind == "rate-convergence":
-        traces = [
-            est.rate_trace(state, t, config.region, cps, model, probe, estimate=row[col[cps[-1]]])
-            for t, row in zip(trajectories, table)
-        ]
+        traces = est.rate_traces(
+            state, trajectories, config.region, cps, model, probe, estimates=table[:, col[cps[-1]]]
+        )
         report.rate_traces = [vars(t) for t in traces]
         medians = [
             float(np.median([t.values[i] for t in traces])) for i in range(len(cps))
@@ -642,8 +638,8 @@ def estimate_ensemble(
 
     # estimator paths are part of every report (first 100 trajectories)
     for row in table[:100]:
-        path = est.MlePath(cps, tuple(float(row[col[c]]) for c in cps), refined=True)
-        report.mle_paths.append(vars(path))
+        estimates = [float(row[col[c]]) for c in cps]
+        report.mle_paths.append({"checkpoints": cps, "estimates": estimates, "refined": True})
 
     return ReportBundle(
         config=config,

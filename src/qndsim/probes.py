@@ -133,18 +133,38 @@ class ProbeExtension:
         return b, b1, b2
 
 
-def _blocks(n: int, width: int) -> list[slice]:
-    """Slices of range(n), each holding at most BLOCK_CELLS cells of ``width``
-    columns (but at least one row)."""
-    step = max(BLOCK_CELLS // max(width, 1), 1)
+def _blocks(n: int, width: int, share: int = 1) -> list[slice]:
+    """Slices of range(n), each holding at most BLOCK_CELLS // share cells of
+    ``width`` columns (but at least one row)."""
+    step = max(BLOCK_CELLS // share // max(width, 1), 1)
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _centred_sums(xi: np.ndarray):
-    """Mean m of nonempty outcomes, and sum r and sum r^2 of r = xi - m."""
-    m = xi.mean()
-    r = xi - m
-    return m, r.sum(), (r * r).sum()
+    """Mean m of nonempty outcomes, and sum r and sum r^2 of r = xi - m, along
+    the last axis (a row of a block gives the bits of the row alone)."""
+    m = xi.mean(axis=-1)
+    r = xi - m[..., None]
+    return m, r.sum(axis=-1), (r * r).sum(axis=-1)
+
+
+def _value_counts(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Counts of each of ``values`` in each row of outcomes, one pass per value."""
+    counts = np.stack([np.count_nonzero(rows == v, axis=-1) for v in values], axis=-1)
+    if not np.all(counts.sum(axis=-1) == rows.shape[-1]):
+        raise ProbeError("outcomes must be values of the finite outcome space")
+    return counts
+
+
+def _row_stats(prefixes: Sequence[np.ndarray], stat, width: int) -> np.ndarray:
+    """``stat`` (``width`` values per row) of each outcome prefix: prefixes of one
+    length are stacked in row blocks of at most BLOCK_CELLS // 4 cells."""
+    sizes, out = np.array([xi.size for xi in prefixes]), np.zeros((len(prefixes), width))
+    for size in np.unique(sizes):
+        group = np.flatnonzero(sizes == size)
+        for rows in (group[sl] for sl in _blocks(group.size, size, 4)):
+            out[rows] = stat(np.stack([prefixes[b] for b in rows]))
+    return out
 
 
 class ProbeModel:
@@ -227,18 +247,26 @@ class ProbeModel:
             )
 
     def loglik_node_sums(self, nodes: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-        """Summed log-likelihood over outcomes, one entry per grid node."""
+        """Summed log-likelihood over outcomes, one entry per grid node (per row of a
+        2-D block, with the bits of the row alone): finite outcome spaces weigh the
+        log f of the values present by their counts, others sum over the outcomes."""
         nodes = np.asarray(nodes, dtype=float)
         outcomes = np.asarray(outcomes, dtype=float)
-        if outcomes.size == 0:
-            return np.zeros(nodes.size)
-        if self.outcome_space.finite:
-            vals, counts = np.unique(outcomes, return_counts=True)
-            return counts @ self.loglik_values(nodes, vals)
-        total = np.zeros(nodes.size)
-        for sl in _blocks(outcomes.size, nodes.size):
-            total += self.loglik_values(nodes, outcomes[sl]).sum(axis=0)
-        return total
+        rows = np.atleast_2d(outcomes)
+        total = np.zeros((rows.shape[0], nodes.size))
+        if self.outcome_space.finite and rows.size:
+            vals = np.unique(self.outcome_space.values)
+            counts = np.concatenate([_value_counts(vals, rows[sl]) for sl in _blocks(*rows.shape)])
+            logf = self.loglik_values(nodes, vals)
+            patterns, which = np.unique(counts > 0, axis=0, return_inverse=True)
+            for g, present in enumerate(patterns):  # values a row lacks add nothing, not 0 * -inf
+                r = np.flatnonzero(which.ravel() == g)
+                total[r] = np.matmul(counts[r][:, None, present], logf[present])[:, 0]
+        elif rows.size:
+            for row, out in zip(rows, total):
+                for sl in _blocks(row.size, nodes.size):
+                    out += self.loglik_values(nodes, row[sl]).sum(axis=0)
+        return total if outcomes.ndim == 2 else total[0]
 
     def loglik_objective(self, prefixes: Sequence[np.ndarray], lo, hi):
         """``objective(idx, nus)``: log-likelihoods of the brackets ``idx`` (bracket b
@@ -251,13 +279,8 @@ class ProbeModel:
             return lambda idx, nus: np.array([
                 self.loglik_values(np.asarray([nu]), prefixes[b]).sum() for b, nu in zip(idx, nus)
             ])
-        values = np.sort(np.asarray(self.outcome_space.values, dtype=float))
-        counts = np.empty((len(prefixes), values.size))
-        for b, xi in enumerate(prefixes):  # O(k log k + V log k): no pass per value
-            xs = np.sort(xi)
-            counts[b] = np.searchsorted(xs, values, "right") - np.searchsorted(xs, values, "left")
-        if not np.array_equal(counts.sum(axis=1), [xi.size for xi in prefixes]):
-            raise ProbeError("outcomes must be values of the finite outcome space")
+        values = np.unique(self.outcome_space.values)
+        counts = _row_stats(prefixes, lambda rows: _value_counts(values, rows), values.size)
 
         def objective(idx, nus):
             rows = counts[idx]
@@ -385,17 +408,20 @@ class GaussianReadout(ProbeModel):
 
     def loglik_node_sums(self, nodes, outcomes):
         """Sums from centred outcome statistics off the blend zone: with m the mean
-        and r = xi - m, sum (xi - nu)^2 = sum r^2 + (m - nu)(2 sum r + k (m - nu))."""
+        and r = xi - m, sum (xi - nu)^2 = sum r^2 + (m - nu)(2 sum r + k (m - nu)),
+        for the rows of a 2-D block in blocks of at most BLOCK_CELLS // 4 cells."""
         nodes = np.asarray(nodes, dtype=float)
         xi = np.asarray(outcomes, dtype=float)
-        if xi.size == 0:
-            return np.zeros(nodes.size)
-        if self.extension is not None and not self.extension.covers(nodes):
+        if xi.size == 0 or (self.extension is not None and not self.extension.covers(nodes)):
             return super().loglik_node_sums(nodes, xi)  # blend zone reached
-        m, sum_r, sum_r2 = _centred_sums(xi)
-        d = m - nodes
-        quad = sum_r2 + d * (2.0 * sum_r + xi.size * d)
-        return -quad / (2.0 * self.sigma**2) - xi.size * np.log(np.sqrt(2.0 * np.pi) * self.sigma)
+        rows, k = np.atleast_2d(xi), xi.shape[-1]
+        total = np.empty((rows.shape[0], nodes.size))
+        norm = k * np.log(np.sqrt(2.0 * np.pi) * self.sigma)
+        for sl in _blocks(rows.shape[0], k + 2 * nodes.size, 4):  # temporaries: 2 k, 4 N a row
+            m, sum_r, sum_r2 = (s[:, None] for s in _centred_sums(rows[sl]))
+            d = m - nodes
+            total[sl] = -(sum_r2 + d * (2.0 * sum_r + k * d)) / (2.0 * self.sigma**2) - norm
+        return total if xi.ndim == 2 else total[0]
 
     def loglik_objective(self, prefixes, lo, hi):
         """Off the blend zone, each bracket's log-likelihood ratio against its
@@ -410,9 +436,10 @@ class GaussianReadout(ProbeModel):
         fast = np.array([xi.size > 0 for xi in prefixes])
         if self.extension is not None:  # extension.covers([lo, hi]) per bracket, lo <= hi
             fast &= (lo >= self.extension.lo) & (hi <= self.extension.hi)
-        stats = np.array([  # (m, sum r, k) per bracket
-            (*_centred_sums(xi)[:2], xi.size) if f else (0, 0, 0) for xi, f in zip(prefixes, fast)
-        ]).reshape(-1, 3)
+        stats = np.zeros((len(prefixes), 3))  # (m, sum r, k) per bracket
+        stats[fast] = _row_stats([xi for xi, f in zip(prefixes, fast) if f], lambda rows: (
+            np.column_stack([*_centred_sums(rows)[:2], np.full(rows.shape[0], rows.shape[1])])
+        ), 3)
         generic = super().loglik_objective(prefixes, lo, hi)
 
         def objective(idx, nus):
@@ -861,26 +888,26 @@ def validate_probe(
             "interpolated table"
         )
 
-    # differentiability: analytic derivatives match central differences
+    # differentiability: analytic derivatives match central differences.  The pairs
+    # are drawn as a loop over them would; one call gives the densities at nu, nu +- FD_STEP
     rng = np.random.default_rng(seed)
     lo, hi = model.hull
-    worst_d = 0.0
-    worst_where = ""
-    ok = True
+    pairs = []
     for _ in range(n_derivative_pairs):
         nu = float(rng.uniform(lo, hi))
-        xi = float(probe.sample(nu, 1, rng)[0])
-        try:
-            _, dl, _ = probe.log_likelihood(nu, xi)
-        except ZeroDensityError:
-            continue
-        e = FD_STEP
-        lp = probe.log_likelihood(nu + e, xi)[0]
-        lm = probe.log_likelihood(nu - e, xi)[0]
-        err = abs((lp - lm) / (2 * e) - dl)
-        if err > worst_d:
-            worst_d, worst_where = err, f"nu={nu:.6g}, xi={xi:.6g}"
-        ok = ok and (err <= derivative_tol)
+        pairs.append((nu, float(probe.sample(nu, 1, rng)[0])))
+    nu, xi = np.reshape(pairs, (-1, 2)).T
+    f, f1, _ = probe.density_derivs(np.tile(xi, 3), (nu + [[0.0], [FD_STEP], [-FD_STEP]]).ravel())
+    f, f1 = f.reshape(3, -1), f1.reshape(3, -1)
+    kept = np.flatnonzero(~(f[0] <= 0.0))  # a vanishing density has no log-derivative
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logf = np.log(f[:, kept])
+        err = np.abs((logf[1] - logf[2]) / (2 * FD_STEP) - f1[0, kept] / f[0, kept])
+    ok = bool(np.all(err <= derivative_tol))
+    worst_d, worst_where = 0.0, ""
+    if np.any(err > 0):  # the first largest error; nan is never the worst
+        j = int(np.argmax(np.where(err > 0, err, 0.0)))
+        worst_d, worst_where = float(err[j]), f"nu={nu[kept[j]]:.6g}, xi={xi[kept[j]]:.6g}"
     checks.append(
         AssumptionCheck(
             "differentiability", ok, worst_d, worst_where or "n/a", derivative_tol

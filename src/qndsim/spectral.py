@@ -245,6 +245,8 @@ class SpectralModel:
                 sl = self.interval_node_range(j)
                 mask[sl.start + cell] = True
                 hit_any = True
+            elif len(comp) != 2:
+                raise RegionError(f"region component {list(comp)} is neither a point nor a pair")
             else:
                 r0, r1 = float(comp[0]), float(comp[1])
                 if r1 < r0:

@@ -15,6 +15,11 @@ kernel multiplies the initial kernel by ``exp(L_k/2)`` on both sides.
 All weight arithmetic runs in log space with running-max subtraction, so
 sequences of length 1e4 and beyond are safe from underflow.
 
+``sample_ensemble`` draws a mixture ensemble as row views of one (E x k)
+outcome block and one (E x C+1 x N) stack of sums after each checkpoint and
+k, filled segment by segment from sufficient statistics (counts, or the
+Gaussian mean and centred sums); estimators read the stack in row blocks.
+
 Reproducibility: per-trajectory generators are spawned from a master seed
 as ``default_rng(SeedSequence(master, spawn_key=(index,)))``; identical
 seeds give bitwise-identical trajectories regardless of scheduling.
@@ -29,6 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import numpy.random  # numpy 2 loads np.random on first use, which would fall inside a run
 
+from .probes import _blocks
 from .spectral import SpectralWeights, StateKernel
 
 __all__ = [
@@ -40,6 +46,7 @@ __all__ = [
     "sample_ensemble",
     "log_prior_weights",
     "posterior_weights",
+    "posterior_means",
     "posterior_kernel",
     "exact_tuple_distribution",
 ]
@@ -143,29 +150,33 @@ def definetti_sample(
 
     The hidden value is drawn from the initial spectral weights unless
     ``hidden_nu`` pins it (it need not be a grid node).  The returned
-    trajectory records the hidden value.
+    trajectory records the hidden value: the one-member ``sample_ensemble``.
     """
-    grid = state.grid
+    return _definetti_rows(state, probe, k, [rng], checkpoints, hidden_nu, [seed])[0]
+
+
+def _definetti_rows(state, probe, k, rngs, checkpoints, hidden_nu, seeds) -> list[Trajectory]:
+    """Mixture-sampled trajectories, one per generator, as rows of the ensemble
+    arrays; one ``loglik_node_sums`` call over the ensemble per segment."""
+    nodes, k, seeds = state.grid.nodes, int(k), list(seeds)
+    cps = _normalize_checkpoints(checkpoints, k)
     if hidden_nu is None:
         prior = np.exp(log_prior_weights(state))
         prior = prior / prior.sum()
-        hidden_nu = float(grid.nodes[rng.choice(grid.nodes.size, p=prior)])
-    outcomes = probe.sample(hidden_nu, int(k), rng)
-    sums = np.zeros(grid.nodes.size)
-    checkpoint_sums: dict[int, np.ndarray] = {}
-    prev = 0
-    for cp in _normalize_checkpoints(checkpoints, k):
-        sums = sums + probe.loglik_node_sums(grid.nodes, outcomes[prev:cp])
-        checkpoint_sums[cp] = sums
-        prev = cp
-    sums = sums + probe.loglik_node_sums(grid.nodes, outcomes[prev:])
-    return Trajectory(
-        outcomes=outcomes,
-        loglik_sums=sums,
-        checkpoint_sums=checkpoint_sums,
-        hidden_nu=hidden_nu,
-        seed=seed,
-    )
+    hidden, outcomes = [], np.empty((len(seeds), k))
+    for e, rng in enumerate(rngs):
+        nu = float(nodes[rng.choice(nodes.size, p=prior)]) if hidden_nu is None else hidden_nu
+        hidden.append(nu)
+        outcomes[e] = probe.sample(nu, k, rng)
+    sums = np.empty((len(seeds), len(cps) + 1, nodes.size))
+    for j, (a, b) in enumerate(zip([0, *cps], [*cps, k])):  # in a single trajectory's order
+        seg = probe.loglik_node_sums(nodes, outcomes[:, a:b])
+        np.add(sums[:, j - 1] if j else 0.0, seg, out=sums[:, j])
+    return [
+        Trajectory(outcomes=outcomes[e], loglik_sums=sums[e, -1], hidden_nu=hidden[e], seed=seed,
+                   checkpoint_sums={c: sums[e, j] for j, c in enumerate(cps)})
+        for e, seed in enumerate(seeds)
+    ]
 
 
 def sequential_sample(
@@ -230,34 +241,52 @@ def sample_ensemble(
     """
     if size < 1:
         raise ValueError("ensemble size must be at least 1")
-    if indices is None:
-        indices = range(size)
-    out = []
-    for i in indices:
-        rng = trajectory_rng(master_seed, i)
-        rec = SeedRecord(master_seed, i)
-        if sampler == "de-finetti":
-            out.append(
-                definetti_sample(
-                    state, probe, k, rng, checkpoints, hidden_nu=hidden_nu, seed=rec
-                )
-            )
-        elif sampler == "sequential":
-            out.append(sequential_sample(state, probe, k, rng, checkpoints, seed=rec))
-        else:
-            raise ValueError(f"unknown sampler: {sampler!r}")
-    return out
+    indices = list(range(size) if indices is None else indices)
+    rngs = (trajectory_rng(master_seed, i) for i in indices)
+    seeds = [SeedRecord(master_seed, i) for i in indices]
+    if sampler == "de-finetti":
+        return _definetti_rows(state, probe, k, rngs, checkpoints, hidden_nu, seeds)
+    if sampler == "sequential":
+        return [sequential_sample(state, probe, k, g, checkpoints, seed=s)
+                for g, s in zip(rngs, seeds)]
+    raise ValueError(f"unknown sampler: {sampler!r}")
+
+
+def _sums_blocks(trajectories: Sequence[Trajectory], ks: Sequence[int], nodes, probe=None):
+    """(slice, copy of its sums after each k in ``ks``) for row blocks of
+    ``trajectories`` of at most BLOCK_CELLS // 4 cells (rows x len(ks) x nodes)."""
+    for sl in _blocks(len(trajectories), len(ks) * nodes.size, 4):
+        rows = [t.loglik_at(k, probe, nodes) for t in trajectories[sl] for k in ks]
+        yield sl, np.array(rows, dtype=float).reshape(-1, len(ks), nodes.size)
+
+
+def _posterior_rows(log_prior: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Posterior weights (log space) of each row of log-likelihood sums."""
+    logw = log_prior + sums
+    shift = _logsumexp(logw, axis=-1)
+    if not np.all(np.isfinite(shift)):
+        raise AssertionError("posterior weights underflowed despite max subtraction")
+    w = np.exp(logw - shift[..., None])
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def posterior_weights(state: StateKernel, trajectory: Trajectory, k: int, probe=None) -> SpectralWeights:
     """Spectral weights of the posterior after k outcomes (log-space)."""
     sums = trajectory.loglik_at(k, probe, state.grid.nodes)
-    logw = log_prior_weights(state) + sums
-    shift = _logsumexp(logw)
-    if not np.isfinite(shift):
-        raise AssertionError("posterior weights underflowed despite max subtraction")
-    w = np.exp(logw - shift)
-    return SpectralWeights(values=w / w.sum(), grid=state.grid)
+    return SpectralWeights(values=_posterior_rows(log_prior_weights(state), sums), grid=state.grid)
+
+
+def posterior_means(
+    state: StateKernel, trajectories: Sequence[Trajectory], k: int, probe=None
+) -> list[float]:
+    """Posterior mean of the observable after k outcomes for each trajectory,
+    ``posterior_weights(...).mean()`` bit for bit, from row blocks of weights."""
+    nodes, log_prior = state.grid.nodes, log_prior_weights(state)
+    return [
+        float(np.dot(w, nodes))  # one dot per row, as SpectralWeights.mean
+        for _, sums in _sums_blocks(trajectories, [k], nodes, probe)
+        for w in _posterior_rows(log_prior, sums[:, 0])
+    ]
 
 
 def posterior_kernel(state: StateKernel, trajectory: Trajectory, k: int, probe=None) -> StateKernel:

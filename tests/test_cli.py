@@ -162,6 +162,10 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         ({"checkpoints": [-1, 50]}, "checkpoints must be positive"),
         ({"spectral": {"atoms": [["a", 0.3], [1.0, 0.7]]}}, "atoms and intervals must be numeric"),
         ({"spectral": {"intervals": [[0.0, "b"]]}}, "atoms and intervals must be numeric"),
+        ({"region": [[0.6]]}, "neither a point nor a pair"),
+        ({"region": [[0.1, 0.2, 0.3]]}, "neither a point nor a pair"),
+        ({"kind": "rate-convergence", "region": [[0.6]]}, "neither a point nor a pair"),
+        ({"kind": "rate-convergence", "region": [[0.1, 0.2, 0.3]]}, "neither a point nor a pair"),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -184,6 +188,10 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "negative-checkpoint",
         "atom-string",
         "interval-string",
+        "born-region-single",
+        "born-region-triple",
+        "rate-region-single",
+        "rate-region-triple",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, overrides, message):

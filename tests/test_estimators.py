@@ -24,7 +24,7 @@ from qndsim.estimators import (
     mle,
     mle_consistency_stat,
     mle_table,
-    rate_trace,
+    rate_traces,
     rescaled_posterior_kernel,
     trace_norm_distance,
 )
@@ -398,9 +398,9 @@ def test_rate_vanishes_on_region_containing_estimate():
         state, probe, 2000, trajectory_rng(SEED, 1), hidden_nu=0.5,
         checkpoints=[100, 2000],
     )
-    trace = rate_trace(
-        state, traj, [(0.3, 0.7)], [100, 2000], model, probe,
-        estimate=mle(traj, 2000, model, probe),
+    (trace,) = rate_traces(
+        state, [traj], [(0.3, 0.7)], [100, 2000], model, probe,
+        estimates=[mle(traj, 2000, model, probe)],
     )
     assert abs(trace.values[-1]) < 1e-3
     # zero up to grid resolution: the refined estimate sits between nodes,
@@ -414,9 +414,9 @@ def test_rate_positive_when_region_excludes_estimate():
         state, probe, 5000, trajectory_rng(SEED, 2), hidden_nu=0.2,
         checkpoints=[10, 100, 1000, 5000],
     )
-    trace = rate_trace(
-        state, traj, [(0.6, 1.0)], [10, 100, 1000, 5000], model, probe,
-        estimate=mle(traj, 5000, model, probe),
+    (trace,) = rate_traces(
+        state, [traj], [(0.6, 1.0)], [10, 100, 1000, 5000], model, probe,
+        estimates=[mle(traj, 5000, model, probe)],
     )
     assert all(v >= -1e-10 for v in trace.values)
     assert trace.values[-1] > 0.05
@@ -435,7 +435,7 @@ def test_two_atom_rate_matches_relative_entropy_oracle():
             checkpoints=[10_000],
         )
         estimate = mle(traj, 10_000, model, probe)
-        trace = rate_trace(state, traj, [1.0], [10_000], model, probe, estimate=estimate)
+        (trace,) = rate_traces(state, [traj], [1.0], [10_000], model, probe, estimates=[estimate])
         rates.append(trace.values[-1])
     # direct two-term relative entropy between the atom laws
     oracle = f0[0] * np.log(f0[0] / f0[1]) + (1 - f0[0]) * np.log(
@@ -449,8 +449,9 @@ def test_rate_trace_rejects_zero_prior_region():
     probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
     state = diagonal_state(model, np.array([1.0, 0.0]))
     traj = definetti_sample(state, probe, 10, trajectory_rng(SEED, 3))
+    estimate = mle(traj, 10, model, probe)
     with pytest.raises(Exception, match="prior"):
-        rate_trace(state, traj, [1.0], [10], model, probe, estimate=mle(traj, 10, model, probe))
+        rate_traces(state, [traj], [1.0], [10], model, probe, estimates=[estimate])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +21,17 @@ from qndsim.harness import (
     build_model,
     build_probe,
     build_state,
+    estimate_ensemble,
     git_blob_sha1,
     ks_test,
     load_trajectories,
     persist_trajectories,
+    prepare_run,
     run_experiment,
     simulate_ensemble,
     validate_config,
 )
+from qndsim.probes import validate_probe
 from qndsim.trajectories import definetti_sample, sample_ensemble, trajectory_rng
 
 SEED = 20260810
@@ -353,3 +357,32 @@ def test_runs_never_expand_a_state_to_dense_values(kind, state_type, monkeypatch
     )
     bundle = run_experiment(ExperimentConfig.from_dict(tree))
     assert bundle.results
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["rate_convergence", "kernel_convergence"])
+def test_simulate_and_estimate_stay_below_the_validator_peak(name):
+    """The probe validator sets a run's memory high-water mark; the ensemble
+    arrays and every blocked temporary of simulation and estimation stay under
+    it (the estimate counts the live trajectories it reads)."""
+    config = ExperimentConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
+    model, state, probe = prepare_run(config)
+    peaks = []
+
+    def traced(fn):
+        tracemalloc.reset_peak()
+        out = fn()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return out
+
+    tracemalloc.start()
+    try:
+        traced(lambda: validate_probe(probe, model))
+        trajectories = traced(lambda: simulate_ensemble(config))
+        traced(lambda: estimate_ensemble(config, trajectories, model, state, probe, ("", "")))
+    finally:
+        tracemalloc.stop()
+    validate, simulate, estimate = peaks
+    assert simulate <= validate and estimate <= validate, [p / 1e6 for p in peaks]

@@ -706,6 +706,59 @@ def test_validator_single_pass_matches_separate_expectations(name):
     assert report["positive-curvature"].worst_value == -probe.mean_d2_loglik(nodes).max()
 
 
+def _differentiability_loop(probe, model, n_pairs=100, seed=7):
+    """The differentiability check one pair at a time: worst error, location, verdict."""
+    rng = np.random.default_rng(seed)
+    lo, hi = model.hull
+    worst, where, ok = 0.0, "n/a", True
+    for _ in range(n_pairs):
+        nu = float(rng.uniform(lo, hi))
+        xi = float(probe.sample(nu, 1, rng)[0])
+        try:
+            _, dl, _ = probe.log_likelihood(nu, xi)
+        except ZeroDensityError:
+            continue
+        lp = probe.log_likelihood(nu + probes.FD_STEP, xi)[0]
+        lm = probe.log_likelihood(nu - probes.FD_STEP, xi)[0]
+        err = abs((lp - lm) / (2 * probes.FD_STEP) - dl)
+        if err > worst:
+            worst, where = err, f"nu={nu:.6g}, xi={xi:.6g}"
+        ok = ok and err <= 1e-6
+    return worst, where, ok
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(c.stem for c in CONFIG_DIR.glob("*.json"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    family=st.sampled_from(["gaussian", "binary", *SHIPPED]),
+    sigma=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family="binary", sigma=1.0, seed=7)
+def test_one_call_differentiability_equals_the_pair_loop(family, sigma, seed):
+    # Gaussian errors are bitwise those of the loop; BinaryPhase evaluates its
+    # cosines on arrays, which differ from scalar calls in the last bits
+    if family in ("gaussian", "binary"):
+        model = _grid(0.0, 1.0, 30)
+        raw = {"gaussian": GaussianReadout(sigma=sigma), "binary": BinaryPhase.embedded(0.0, 1.0)}
+        probe = bind_extension(raw[family], model)
+    else:
+        tree = json.loads((CONFIG_DIR / f"{family}.json").read_text())
+        config = ExperimentConfig.from_dict(tree)
+        model = build_model(config)
+        probe = build_probe(config, model)
+    check = validate_probe(probe, model, seed=seed)["differentiability"]
+    worst, where, ok = _differentiability_loop(probe, model, seed=seed)
+    assert (check.worst_location, check.passed) == (where, ok)
+    if isinstance(probe, GaussianReadout):
+        assert check.worst_value == worst
+    else:
+        assert check.worst_value == pytest.approx(worst, rel=1e-12, abs=0.0)
+
+
 def test_validator_accepts_binary_inside_safe_range():
     model = _grid(0.5, 2.5, 40)
     report = validate_probe(bind_extension(BinaryPhase(), model), model)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from qndsim.probes import BinaryPhase, GaussianReadout, bind_extension
+from qndsim import probes
+from qndsim.estimators import RateTrace, mle_table, rate_region, rate_traces
+from qndsim.probes import BinaryPhase, GaussianReadout, bind_extension, relative_entropy
 from qndsim.spectral import (
     StateKernel,
     build_spectral_model,
@@ -14,17 +16,20 @@ from qndsim.spectral import (
     pure_state,
 )
 from qndsim.trajectories import (
+    SeedRecord,
     Trajectory,
     _logsumexp,
     definetti_sample,
     exact_tuple_distribution,
     log_prior_weights,
     posterior_kernel,
+    posterior_means,
     posterior_weights,
     sample_ensemble,
     sequential_sample,
     trajectory_rng,
 )
+from test_estimators import _oracle_mle, _tabulated_probes, _zero_table_probe
 
 SEED = 20260810
 
@@ -355,3 +360,139 @@ def test_logsumexp_is_bitwise_scipy(rows, cols, whole, dead_row, data):
     ours, oracle = _logsumexp(a, axis=axis), logsumexp(a, axis=axis)
     assert type(ours) is type(oracle) and np.shape(ours) == np.shape(oracle)
     assert np.array_equal(ours, oracle, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the ensemble arrays against the per-trajectory loops they replaced
+
+def _oracle_node_sums(probe, nodes, outcomes):
+    """One segment's log-likelihood sums as the per-trajectory sampler took them:
+    counts of the distinct outcomes, the Gaussian closed form on the hull, or
+    the blocked cell sums."""
+    if outcomes.size == 0:
+        return np.zeros(nodes.size)
+    if probe.outcome_space.finite:
+        vals, counts = np.unique(outcomes, return_counts=True)
+        return counts @ probe.loglik_values(nodes, vals)
+    ext = probe.extension
+    if isinstance(probe, GaussianReadout) and (ext is None or ext.covers(nodes)):
+        m = outcomes.mean()
+        r = outcomes - m
+        d = m - nodes
+        quad = (r * r).sum() + d * (2.0 * r.sum() + outcomes.size * d)
+        norm = outcomes.size * np.log(np.sqrt(2.0 * np.pi) * probe.sigma)
+        return -quad / (2.0 * probe.sigma**2) - norm
+    total = np.zeros(nodes.size)
+    for sl in probes._blocks(outcomes.size, nodes.size):
+        total += probe.loglik_values(nodes, outcomes[sl]).sum(axis=0)
+    return total
+
+
+def _oracle_definetti(state, probe, k, rng, checkpoints, hidden_nu, seed):
+    """The mixture sampler one trajectory at a time."""
+    nodes = state.grid.nodes
+    if hidden_nu is None:
+        prior = np.exp(log_prior_weights(state))
+        prior = prior / prior.sum()
+        hidden_nu = float(nodes[rng.choice(nodes.size, p=prior)])
+    outcomes = probe.sample(hidden_nu, int(k), rng)
+    sums, checkpoint_sums, prev = np.zeros(nodes.size), {}, 0
+    for cp in sorted({int(c) for c in checkpoints if 0 <= int(c) <= k}):
+        sums = sums + _oracle_node_sums(probe, nodes, outcomes[prev:cp])
+        checkpoint_sums[cp] = sums
+        prev = cp
+    sums = sums + _oracle_node_sums(probe, nodes, outcomes[prev:])
+    return Trajectory(outcomes, sums, checkpoint_sums, hidden_nu, seed)
+
+
+def _oracle_rate_trace(state, traj, region, checkpoints, model, probe, estimate):
+    """One trajectory's decay rates, two _logsumexp calls over its checkpoints."""
+    mask, log_prior = rate_region(model, state, region)
+    cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= len(traj)})
+    logw = log_prior + np.stack([traj.loglik_at(c, probe, model.nodes) for c in cps])
+    values = -(_logsumexp(logw[:, mask], axis=1) - _logsumexp(logw, axis=1)) / np.asarray(cps)
+    target = relative_entropy(probe, float(estimate), model.nodes[mask])
+    return RateTrace(tuple(cps), tuple(float(v) for v in values), float(target), float(estimate))
+
+
+def _oracle_posterior_mean(state, traj, k, probe):
+    """One trajectory's posterior mean from its own weights."""
+    logw = log_prior_weights(state) + traj.loglik_at(k, probe, state.grid.nodes)
+    w = np.exp(logw - _logsumexp(logw))
+    return float(np.dot(w / w.sum(), state.grid.nodes))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(
+        ["gaussian", "gaussian-blend", "binary", "tabulated-zero", "tabulated-continuous"]
+    ),
+    atoms=st.sampled_from([(), (1.25,)]),
+    nodes=st.integers(3, 25),
+    k=st.integers(0, 60),
+    extra=st.lists(st.integers(0, 60), max_size=4),
+    size=st.integers(1, 5),
+    subset=st.booleans(),
+    pin=st.booleans(),
+    sigma=st.floats(0.02, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_ensemble_arrays_equal_the_per_trajectory_loops_bitwise(
+    family, atoms, nodes, k, extra, size, subset, pin, sigma, seed, data
+):
+    model = build_spectral_model(
+        atoms=[(p, 0.2) for p in atoms], intervals=[(0.0, 1.0)], nodes_per_interval=nodes
+    )
+    blend = GaussianReadout(sigma=sigma).with_extension(0.2, 0.8, 0.05)
+    probe, support = {
+        "gaussian": (bind_extension(GaussianReadout(sigma=sigma), model), (0.0, 1.0)),
+        # the extension covers [0.2, 0.8]: every segment sums through the blend zone
+        "gaussian-blend": (blend, (0.16, 0.84)),
+        "binary": (bind_extension(BinaryPhase.embedded(*model.hull), model), (0.0, 1.0)),
+        # f(2 | nu) = 0 for nu <= 0.75: rows without outcome 2 meet log f = -inf
+        "tabulated-zero": (_zero_table_probe(), (0.0, 1.0)),
+        "tabulated-continuous": (
+            bind_extension(_tabulated_probes()["tabulated-continuous"], model), (0.0, 1.0)
+        ),
+    }[family]
+    state = pure_state(model, lambda nu: 1.0 + nu)
+    pin = pin or family == "gaussian-blend"  # a blended law is sampled only near [0.2, 0.8]
+    hidden = data.draw(st.floats(*support), label="hidden") if pin else None
+    checkpoints = [0, k, k, *extra]  # duplicates, both ends, and some past k
+    indices = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1))) if subset else None
+    got = sample_ensemble(
+        state, probe, k, size, seed, checkpoints=checkpoints, hidden_nu=hidden, indices=indices
+    )
+    want = [
+        _oracle_definetti(
+            state, probe, k, trajectory_rng(seed, i), checkpoints, hidden, SeedRecord(seed, i)
+        )
+        for i in (range(size) if indices is None else indices)
+    ]
+    for g, w in zip(got, want, strict=True):
+        assert _bits(g.outcomes) == _bits(w.outcomes)
+        assert g.hidden_nu == w.hidden_nu and g.seed == w.seed
+        assert sorted(g.checkpoint_sums) == sorted(w.checkpoint_sums)
+        for c in w.checkpoint_sums:
+            assert _bits(g.checkpoint_sums[c]) == _bits(w.checkpoint_sums[c])
+        assert _bits(g.loglik_sums) == _bits(w.loglik_sums)
+
+    columns = sorted({c for c in checkpoints if c <= k})
+    table = mle_table(got, columns, model, probe)
+    assert _bits(table) == _bits([[_oracle_mle(w, c, model, probe) for c in columns] for w in want])
+    assert _bits(posterior_means(state, got, k, probe)) == _bits(
+        [_oracle_posterior_mean(state, w, k, probe) for w in want]
+    )
+    if k > 0:
+        region = [(0.6, 1.0)]
+        traces = rate_traces(state, got, region, columns, model, probe, estimates=table[:, -1])
+        oracle = [
+            _oracle_rate_trace(state, w, region, columns, model, probe, t)
+            for w, t in zip(want, table[:, -1])
+        ]
+        assert [vars(t) for t in traces] == [vars(t) for t in oracle]
