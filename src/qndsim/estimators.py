@@ -307,19 +307,19 @@ def rate_traces(
     entropy from its law to the region.
     """
     mask, log_prior = rate_region(model, state, region)
-    inside = model.nodes[mask]  # the region's nodes, for every target
     k = min(len(t) for t in trajectories)
     cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= k})
     values = np.empty((len(trajectories), len(cps)))
     for sl, sums in _sums_blocks(trajectories, cps, model.nodes, probe):
         logw = log_prior + sums  # (rows x checkpoints x nodes)
-        log_mass = _logsumexp(logw[..., mask], axis=-1) - _logsumexp(logw, axis=-1)
-        values[sl] = -log_mass / np.asarray(cps)
+        # region terms node-major in each row, as in one trajectory's logw[:, mask]: same sums
+        region_w = np.ascontiguousarray(logw.swapaxes(1, 2)[:, mask]).swapaxes(1, 2)
+        values[sl] = -(_logsumexp(region_w, axis=-1) - _logsumexp(logw, axis=-1)) / np.asarray(cps)
     return [
         RateTrace(
             checkpoints=tuple(cps),
             values=tuple(float(v) for v in row),
-            target=float(relative_entropy(probe, float(estimate), inside)),
+            target=float(relative_entropy(probe, float(estimate), model.nodes[mask])),
             estimate=float(estimate),
         )
         for row, estimate in zip(values, estimates)
