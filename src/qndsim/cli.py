@@ -47,7 +47,6 @@ def _add_common(parser, config_required=True):
         parser.add_argument("--config", required=True, help="experiment config (JSON)")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--threads", type=int, default=1, help="worker process cap")
     parser.add_argument("--verbose", action="store_true", help="chatty logging")
 
 
@@ -87,7 +86,7 @@ def _cmd_simulate(args) -> int:
     if args.out is None:
         raise ConfigError("simulate needs --out to persist trajectories")
     prepare_run(config)  # the gate verify applies
-    trajectories = simulate_ensemble(config, workers=args.threads)
+    trajectories = simulate_ensemble(config)
     persist_trajectories(args.out, trajectories, config)
     log.info("persisted %d trajectories to %s", len(trajectories), args.out)
     return EXIT_OK
@@ -98,7 +97,7 @@ def _cmd_estimate(args) -> int:
     if args.out is None:
         raise ConfigError("estimate needs --out with persisted trajectories")
     try:
-        trajectories = load_trajectories(args.out)
+        trajectories = load_trajectories(args.out, config)
     except FileNotFoundError as exc:
         print(f"error: {exc}; run simulate first", file=sys.stderr)
         return EXIT_USAGE
@@ -115,9 +114,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_verify(args) -> int:
     config, content_hash = _read_config(args.config, args.seed)
-    bundle = run_experiment(
-        config, out_dir=args.out, workers=args.threads, content_hash=content_hash
-    )
+    bundle = run_experiment(config, out_dir=args.out, content_hash=content_hash)
     print(bundle.summary_text())
     return EXIT_OK if bundle.passed else EXIT_FAIL
 
@@ -131,12 +128,18 @@ def _cmd_report(args) -> int:
         return EXIT_USAGE
     with open(summary) as fh:
         tree = json.load(fh)
-    print(f"experiment: {tree['config']['kind']} (seed {tree['config']['seed']})")
-    print(f"config hash: {tree['config_hash']}")
-    print(f"content hash: {tree['content_hash']}")
-    for r in tree["results"]:
-        print(TestResult(**{k: v for k, v in r.items() if k != "passed"}).summary())
-    print("overall: " + ("pass" if tree["passed"] else "FAIL"))
+    try:
+        lines = [
+            f"experiment: {tree['config']['kind']} (seed {tree['config']['seed']})",
+            f"config hash: {tree['config_hash']}",
+            f"content hash: {tree['content_hash']}",
+            *(TestResult(**{k: v for k, v in r.items() if k != "passed"}).summary()
+              for r in tree["results"]),
+            "overall: " + ("pass" if tree["passed"] else "FAIL"),
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {summary}: {type(exc).__name__}: {exc}") from exc
+    print("\n".join(lines))
     return EXIT_OK
 
 

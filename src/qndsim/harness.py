@@ -14,9 +14,9 @@ seed, and the kind of statistical question being asked:
 * ``assumption-validation``: the probe and state validator suites.
 
 Runs are deterministic given the master seed: per-trajectory streams come
-from the documented splitting rule, results merge in ensemble order
-regardless of worker count, and reports carry no timestamps, so identical
-configs produce byte-identical bundles.
+from the documented splitting rule, results keep ensemble order, and
+reports carry no timestamps, so identical configs produce byte-identical
+bundles.
 """
 
 from __future__ import annotations
@@ -375,8 +375,9 @@ class TestResult:
 # ---------------------------------------------------------------------------
 # simulation
 
-def _simulate_chunk(config_json: str, indices: tuple[int, ...]) -> list[Trajectory]:
-    config, _, state, probe = _build_cached(config_json)
+def simulate_ensemble(config: ExperimentConfig) -> list[Trajectory]:
+    """All ensemble trajectories, in ensemble order."""
+    _, _, state, probe = _build_cached(config.canonical_json())
     return sample_ensemble(
         state,
         probe,
@@ -386,25 +387,7 @@ def _simulate_chunk(config_json: str, indices: tuple[int, ...]) -> list[Trajecto
         sampler=config.sampler,
         checkpoints=config.checkpoints,
         hidden_nu=config.hidden_nu,
-        indices=indices,
     )
-
-
-def simulate_ensemble(config: ExperimentConfig, workers: int = 1) -> list[Trajectory]:
-    """All ensemble trajectories, identical for any worker count."""
-    config_json = config.canonical_json()
-    indices = list(range(config.ensemble))
-    if workers <= 1 or config.ensemble == 1:
-        return _simulate_chunk(config_json, tuple(indices))
-    chunk = max(1, math.ceil(len(indices) / (workers * 4)))
-    batches = [tuple(indices[i : i + chunk]) for i in range(0, len(indices), chunk)]
-    from concurrent.futures import ProcessPoolExecutor
-
-    out: list[Trajectory] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for batch in pool.map(_simulate_chunk, [config_json] * len(batches), batches):
-            out.extend(batch)  # map preserves submission order
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -692,14 +675,24 @@ def persist_trajectories(out_dir, trajectories: Sequence[Trajectory], config: Ex
         fh.write("\n")
 
 
-def load_trajectories(out_dir) -> list[Trajectory]:
-    """Round-trip of ``persist_trajectories``; floats recover exactly."""
+def load_trajectories(out_dir, config: ExperimentConfig) -> list[Trajectory]:
+    """Round-trip of ``persist_trajectories``; floats recover exactly.  A
+    manifest written for another config raises ``ConfigError``."""
     base = Path(out_dir) / "trajectories"
     manifest_path = base / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no persisted trajectories under {out_dir}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    wanted = {
+        "master_seed": config.seed, "count": config.ensemble,
+        "k_max": config.k_max, "checkpoints": list(config.checkpoints),
+    }
+    stale = [f"{key} {manifest.get(key)} != {v}" for key, v in wanted.items()
+             if manifest.get(key) != v]
+    if stale:
+        raise ConfigError(f"trajectories under {out_dir} were simulated for another "
+                          f"config ({', '.join(stale)}); run simulate again")
     out = []
     for entry in manifest["entries"]:
         stem = f"{entry['index']:05d}"
@@ -794,11 +787,13 @@ def run_experiment(
     Runs only what ``prepare_run`` admits, so a probe that fails its
     validators aborts before any simulation.
     """
+    if workers != 1:  # the keyword stays only for perfbench/child.py
+        raise ValueError(f"run_experiment runs in process; workers must be 1, got {workers}")
     config_hash = config.config_hash()
     if content_hash is None:
         content_hash = git_blob_sha1(config.canonical_json().encode())
     model, state, probe = prepare_run(config)
-    trajectories = simulate_ensemble(config, workers=workers)
+    trajectories = simulate_ensemble(config)
     bundle = estimate_ensemble(
         config, trajectories, model, state, probe, (config_hash, content_hash)
     )

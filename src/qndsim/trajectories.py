@@ -22,7 +22,7 @@ Gaussian mean and centred sums); estimators read the stack in row blocks.
 
 Reproducibility: per-trajectory generators are spawned from a master seed
 as ``default_rng(SeedSequence(master, spawn_key=(index,)))``; identical
-seeds give bitwise-identical trajectories regardless of scheduling.
+seeds give bitwise-identical trajectories.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ class Trajectory:
         Uses the stored checkpoint when available; otherwise recomputes
         from the retained outcomes, which requires the probe and grid.
         """
-        if k > len(self):
-            raise ValueError(f"k={k} exceeds trajectory length {len(self)}")
+        if not 0 <= k <= len(self):
+            raise ValueError(f"k={k} lies outside [0, {len(self)}]")
         if k == len(self):
             return self.loglik_sums
         if k in self.checkpoint_sums:
@@ -232,18 +232,12 @@ def sample_ensemble(
     sampler: str = "de-finetti",
     checkpoints: Iterable[int] = (),
     hidden_nu: float | None = None,
-    indices: Sequence[int] | None = None,
 ) -> list[Trajectory]:
-    """Independent trajectories with per-index rng streams.
-
-    ``indices`` selects which ensemble members to produce (all by default),
-    so distributed callers can split the work without changing any stream.
-    """
+    """Independent trajectories; member i draws from ``trajectory_rng(master_seed, i)``."""
     if size < 1:
         raise ValueError("ensemble size must be at least 1")
-    indices = list(range(size) if indices is None else indices)
-    rngs = (trajectory_rng(master_seed, i) for i in indices)
-    seeds = [SeedRecord(master_seed, i) for i in indices]
+    rngs = (trajectory_rng(master_seed, i) for i in range(size))
+    seeds = [SeedRecord(master_seed, i) for i in range(size)]
     if sampler == "de-finetti":
         return _definetti_rows(state, probe, k, rngs, checkpoints, hidden_nu, seeds)
     if sampler == "sequential":

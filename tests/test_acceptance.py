@@ -269,7 +269,7 @@ def test_criterion_7_invariant_suites(tmp_path):
     assert (tmp_path / "a" / "summary.json").read_bytes() == (
         tmp_path / "b" / "summary.json"
     ).read_bytes()
-    reloaded = q.load_trajectories(tmp_path / "a")
+    reloaded = q.load_trajectories(tmp_path / "a", cfg)
     mask = q.build_model(cfg).region_mask(cfg.region)
     hits = sum(bool(mask[int(np.argmax(t.loglik_sums))]) for t in reloaded)
     assert hits / len(reloaded) == bundle.report.consistency["frequency"]

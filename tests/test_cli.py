@@ -237,6 +237,28 @@ def test_estimate_without_simulate_exits_two(tmp_path, capsys):
     assert "simulate first" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "simulated, estimated, message",
+    [
+        (({"k_max": 30}, []), ({"k_max": 50}, []), "k_max 30 != 50"),
+        (({}, ["--seed", "5"]), ({}, ["--seed", "99"]), "master_seed 5 != 99"),
+    ],
+    ids=["k-max", "seed"],
+)
+def test_estimate_refuses_trajectories_of_another_config(
+    tmp_path, capsys, simulated, estimated, message
+):
+    out = tmp_path / "out"
+    sim = _write_config(tmp_path / "sim.json", **simulated[0])
+    est = _write_config(tmp_path / "est.json", **estimated[0])
+    assert main(["simulate", "--config", str(sim), "--out", str(out), *simulated[1]]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(est), "--out", str(out), *estimated[1]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not (out / "summary.json").exists()
+
+
 def test_simulate_then_estimate_matches_verify(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     pipe = tmp_path / "pipeline"
@@ -283,14 +305,6 @@ def test_seed_override_is_recorded(tmp_path, capsys):
     assert summary["config"]["seed"] == 99
 
 
-def test_threads_flag_keeps_bytes_identical(tmp_path):
-    cfg = _write_config(tmp_path / "cfg.json")
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["verify", "--config", str(cfg), "--out", str(a)]) == 0
-    assert main(["verify", "--config", str(cfg), "--out", str(b), "--threads", "2"]) == 0
-    assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
-
-
 def test_verify_exits_one_on_failed_test(tmp_path, capsys):
     # an absurdly tight confidence band forces the Born check to fail
     cfg = _write_config(
@@ -313,6 +327,31 @@ def test_report_renders_existing_bundle(tmp_path, capsys):
 
 def test_report_without_bundle_exits_two(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "summary, message",
+    [
+        ({}, "KeyError: 'config'"),
+        (
+            {
+                "config": {"kind": "born-frequency", "seed": SEED},
+                "config_hash": "c",
+                "content_hash": "h",
+                "passed": True,
+                "results": [{"name": "born-frequency", "passed": True}],
+            },
+            "TypeError",
+        ),
+    ],
+    ids=["empty", "result-missing-fields"],
+)
+def test_malformed_report_exits_two(tmp_path, capsys, summary, message):
+    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
 
 
 def test_usage_error_exits_two():

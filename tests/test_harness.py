@@ -94,7 +94,7 @@ def test_ks_agrees_with_scipy():
 
 
 # ---------------------------------------------------------------------------
-# determinism, parallelism, persistence
+# determinism, persistence
 
 def test_run_experiment_is_byte_deterministic(tmp_path):
     cfg = _born_config()
@@ -104,26 +104,11 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_worker_count_does_not_change_results(tmp_path):
-    cfg = _born_config(ensemble=30)
-    one = simulate_ensemble(cfg, workers=1)
-    two = simulate_ensemble(cfg, workers=2)
-    for x, y in zip(one, two):
-        assert np.array_equal(x.outcomes, y.outcomes)
-        assert np.array_equal(x.loglik_sums, y.loglik_sums)
-    a = run_experiment(cfg, out_dir=tmp_path / "w1", workers=1)
-    b = run_experiment(cfg, out_dir=tmp_path / "w2", workers=2)
-    assert (tmp_path / "w1" / "summary.json").read_bytes() == (
-        tmp_path / "w2" / "summary.json"
-    ).read_bytes()
-    assert a.passed and b.passed
-
-
 def test_trajectory_persistence_round_trip(tmp_path):
     cfg = _born_config(ensemble=8, k_max=30)
     trajs = simulate_ensemble(cfg)
     persist_trajectories(tmp_path, trajs, cfg)
-    loaded = load_trajectories(tmp_path)
+    loaded = load_trajectories(tmp_path, cfg)
     assert len(loaded) == 8
     for orig, back in zip(trajs, loaded):
         assert np.array_equal(orig.outcomes, back.outcomes)
@@ -164,7 +149,7 @@ def test_persisted_trajectories_load_back_bitwise(probe, k_max, checkpoints, ens
     )
     with tempfile.TemporaryDirectory() as out:
         persist_trajectories(out, trajs, cfg)
-        loaded = load_trajectories(out)
+        loaded = load_trajectories(out, cfg)
     assert len(loaded) == len(trajs)
     for orig, back in zip(trajs, loaded):
         assert orig.outcomes.tobytes() == back.outcomes.tobytes()
@@ -179,7 +164,7 @@ def test_persisted_trajectories_load_back_bitwise(probe, k_max, checkpoints, ens
 def test_replay_audit_matches_bundle(tmp_path):
     cfg = _born_config(ensemble=40, persist_trajectories=True)
     bundle = run_experiment(cfg, out_dir=tmp_path)
-    loaded = load_trajectories(tmp_path)
+    loaded = load_trajectories(tmp_path, cfg)
     model = build_model(cfg)
     hits = 0
     mask = model.region_mask(cfg.region)
@@ -190,7 +175,7 @@ def test_replay_audit_matches_bundle(tmp_path):
 
 def test_missing_trajectories_raise(tmp_path):
     with pytest.raises(FileNotFoundError):
-        load_trajectories(tmp_path)
+        load_trajectories(tmp_path, _born_config())
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,13 @@ from scipy.special import logsumexp
 
 from qndsim import probes
 from qndsim.estimators import RateTrace, mle_table, rate_region, rate_traces
-from qndsim.probes import BinaryPhase, GaussianReadout, bind_extension, relative_entropy
+from qndsim.probes import (
+    BinaryPhase,
+    GaussianReadout,
+    TabulatedProbe,
+    bind_extension,
+    relative_entropy,
+)
 from qndsim.spectral import (
     StateKernel,
     build_spectral_model,
@@ -89,14 +95,40 @@ def test_degenerate_spectral_weights_raise():
 # ---------------------------------------------------------------------------
 # sampler equivalence (exchangeability made literal)
 
-def test_exact_laws_agree_for_all_short_tuples():
-    _, probe, state = _two_atoms(0.5, 0.5)
-    for k in (1, 2, 3):
-        d_mix = exact_tuple_distribution(state, probe, k, "de-finetti")
-        d_seq = exact_tuple_distribution(state, probe, k, "sequential")
-        assert abs(sum(d_mix.values()) - 1.0) < 1e-12
-        for key in d_mix:
-            assert abs(d_mix[key] - d_seq[key]) < 1e-10
+@settings(max_examples=60, deadline=None)
+@given(
+    outcomes=st.integers(2, 3),
+    atoms=st.integers(2, 5),
+    k=st.integers(1, 4),
+    data=st.data(),
+)
+def test_exact_laws_agree_for_all_short_tuples(outcomes, atoms, k, data):
+    positive = st.floats(1e-3, 1.0)
+    nu_grid = np.linspace(0.0, 1.0, 6)
+    table = np.array(data.draw(st.lists(
+        st.lists(positive, min_size=nu_grid.size, max_size=nu_grid.size),
+        min_size=outcomes, max_size=outcomes,
+    ), label="table"))
+    table /= table.sum(axis=0)  # a law at every tabulated nu
+    probe = TabulatedProbe(
+        nu_grid=tuple(nu_grid), values=tuple(map(tuple, table)),
+        outcomes=tuple(float(o) for o in range(outcomes)),
+    )
+    # atoms on tabulated nu, where the interpolated law is the table column
+    at = sorted(data.draw(st.sets(st.integers(0, nu_grid.size - 1), min_size=atoms,
+                                  max_size=atoms), label="atoms"))
+    weights = np.array(data.draw(st.lists(positive, min_size=atoms, max_size=atoms),
+                                 label="weights"))
+    weights /= weights.sum()
+    model = build_spectral_model(atoms=[(nu_grid[j], w) for j, w in zip(at, weights)])
+    state = diagonal_state(model, weights)
+    d_mix = exact_tuple_distribution(state, probe, k, "de-finetti")
+    d_seq = exact_tuple_distribution(state, probe, k, "sequential")
+    assert len(d_mix) == len(d_seq) == outcomes**k
+    assert sum(d_mix.values()) == pytest.approx(1.0, rel=1e-12)
+    assert sum(d_seq.values()) == pytest.approx(1.0, rel=1e-12)
+    for key, p in d_mix.items():
+        assert d_seq[key] == pytest.approx(p, rel=1e-12)
 
 
 def test_exact_law_against_hand_rolled_chain_rule():
@@ -263,15 +295,6 @@ def test_sequential_reproducible_and_checkpointed():
     assert np.array_equal(a.checkpoint_sums[0], np.zeros(2))
 
 
-def test_ensemble_indices_are_stable_under_splitting():
-    _, probe, state = _two_atoms()
-    full = sample_ensemble(state, probe, 20, 6, SEED)
-    part = sample_ensemble(state, probe, 20, 6, SEED, indices=[2, 3])
-    assert np.array_equal(full[2].outcomes, part[0].outcomes)
-    assert np.array_equal(full[3].outcomes, part[1].outcomes)
-    assert full[2].seed.index == 2 and full[2].seed.master == SEED
-
-
 def test_loglik_at_contract():
     model, probe, state = _gaussian_setup(15)
     traj = definetti_sample(
@@ -286,6 +309,8 @@ def test_loglik_at_contract():
         traj.loglik_at(31)
     with pytest.raises(ValueError):
         traj.loglik_at(17)  # no checkpoint, no probe to recompute with
+    with pytest.raises(ValueError):
+        traj.loglik_at(-5, probe, model.nodes)  # would slice outcomes[:-5]
 
 
 def test_exact_enumeration_guards():
@@ -436,14 +461,13 @@ def _bits(a):
     k=st.integers(0, 60),
     extra=st.lists(st.integers(0, 60), max_size=4),
     size=st.integers(1, 5),
-    subset=st.booleans(),
     pin=st.booleans(),
     sigma=st.floats(0.02, 1.0),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
 def test_ensemble_arrays_equal_the_per_trajectory_loops_bitwise(
-    family, atoms, nodes, k, extra, size, subset, pin, sigma, seed, data
+    family, atoms, nodes, k, extra, size, pin, sigma, seed, data
 ):
     model = build_spectral_model(
         atoms=[(p, 0.2) for p in atoms], intervals=[(0.0, 1.0)], nodes_per_interval=nodes
@@ -464,15 +488,12 @@ def test_ensemble_arrays_equal_the_per_trajectory_loops_bitwise(
     pin = pin or family == "gaussian-blend"  # a blended law is sampled only near [0.2, 0.8]
     hidden = data.draw(st.floats(*support), label="hidden") if pin else None
     checkpoints = [0, k, k, *extra]  # duplicates, both ends, and some past k
-    indices = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1))) if subset else None
-    got = sample_ensemble(
-        state, probe, k, size, seed, checkpoints=checkpoints, hidden_nu=hidden, indices=indices
-    )
+    got = sample_ensemble(state, probe, k, size, seed, checkpoints=checkpoints, hidden_nu=hidden)
     want = [
         _oracle_definetti(
             state, probe, k, trajectory_rng(seed, i), checkpoints, hidden, SeedRecord(seed, i)
         )
-        for i in (range(size) if indices is None else indices)
+        for i in range(size)
     ]
     for g, w in zip(got, want, strict=True):
         assert _bits(g.outcomes) == _bits(w.outcomes)
