@@ -265,6 +265,8 @@ def _state_from_spec(model: SpectralModel, spec: dict) -> StateKernel:
     kind = spec.get("type", "pure")
     if kind == "pure":
         psi_spec = spec.get("psi", {"name": "flat"})
+        if not isinstance(psi_spec, dict):
+            raise ConfigError(f"psi must be a JSON object, got {psi_spec!r}")
         if "re" in psi_spec:
             psi = np.asarray(psi_spec["re"], dtype=float) + 1j * np.asarray(
                 psi_spec.get("im", np.zeros_like(psi_spec["re"])), dtype=float
@@ -646,6 +648,7 @@ def persist_trajectories(out_dir, trajectories: Sequence[Trajectory], config: Ex
         "k_max": config.k_max,
         "checkpoints": list(config.checkpoints),
         "master_seed": config.seed,
+        "config_hash": config.config_hash(),
         "entries": [],
     }
     for i, traj in enumerate(trajectories):
@@ -687,6 +690,7 @@ def load_trajectories(out_dir, config: ExperimentConfig) -> list[Trajectory]:
     wanted = {
         "master_seed": config.seed, "count": config.ensemble,
         "k_max": config.k_max, "checkpoints": list(config.checkpoints),
+        "config_hash": config.config_hash(),
     }
     stale = [f"{key} {manifest.get(key)} != {v}" for key, v in wanted.items()
              if manifest.get(key) != v]

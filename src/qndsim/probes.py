@@ -156,6 +156,22 @@ def _value_counts(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _add_expectations(out: dict, w, f, f1, f2) -> None:
+    """Add one block of outcome rows to the expectations in ``out``: ``norm``
+    sums f, ``score`` f1, ``fisher`` f1^2 / f and ``d2`` f2 - f1^2 / f (the
+    ratio is 0 where f vanishes), each weighted by ``w``.  Overwrites f1 and
+    f2, so a block holds no more than four tables at once."""
+    if "norm" in out:
+        out["norm"] += w @ f
+    if "score" in out:
+        out["score"] += w @ f1
+    ratio = np.divide(np.multiply(f1, f1, out=f1), f, out=np.zeros_like(f), where=f > 0)
+    if "fisher" in out:
+        out["fisher"] += w @ ratio
+    if "d2" in out:
+        out["d2"] += w @ np.subtract(f2, ratio, out=f2)
+
+
 def _row_stats(prefixes: Sequence[np.ndarray], stat, width: int) -> np.ndarray:
     """``stat`` (``width`` values per row) of each outcome prefix: prefixes of one
     length are stacked in row blocks of at most BLOCK_CELLS // 4 cells."""
@@ -317,17 +333,7 @@ class ProbeModel:
         xq, wq = self._quadrature(nus)
         out = {q: np.zeros(nus.size) for q in quantities}
         for sl in _blocks(xq.size, nus.size):
-            f, f1, f2 = self.density_derivs(xq[sl, None], nus[None, :])
-            w = wq[sl]
-            ratio = np.divide(f1 * f1, f, out=np.zeros_like(f), where=f > 0)
-            if "norm" in out:
-                out["norm"] += w @ f
-            if "score" in out:
-                out["score"] += w @ f1
-            if "fisher" in out:
-                out["fisher"] += w @ ratio
-            if "d2" in out:
-                out["d2"] += w @ (f2 - ratio)
+            _add_expectations(out, wq[sl], *self.density_derivs(xq[sl, None], nus[None, :]))
         return out
 
     def normalization(self, nus) -> np.ndarray:
@@ -723,15 +729,32 @@ def _pair_distances(fmat, wq, first, second) -> np.ndarray:
     return out
 
 
+def _pair_bounds(cdf, total, first, second) -> np.ndarray:
+    """Lower bounds ``2 max_m |G_first(m) - G_second(m)| - |n_first - n_second|``
+    of the given node pairs, gathered in blocks of at most BLOCK_CELLS cells."""
+    out = np.empty(first.size)
+    for sl in _blocks(first.size, cdf.shape[0]):
+        diff = cdf[:, first[sl]] - cdf[:, second[sl]]
+        gap = np.abs(diff, out=diff).max(axis=0)
+        out[sl] = 2.0 * gap - np.abs(total[first[sl]] - total[second[sl]])
+    return out
+
+
 def _unpruned_pairs(fmat, wq, panel: int, limit: float):
-    """Node pairs i < j whose L1 lower bound is not above ``limit``.
+    """Node pairs i < j whose L1 lower bound is not above ``limit``, in
+    (i, j) order.
 
     With G_i(m) the weighted partial sum of column i over the first m rule
     points and n_i its total, the triangle inequality gives
     ``sum_q w_q |f_qi - f_qj| >= 2 |G_i(m) - G_j(m)| - |n_i - n_j|`` for
     every m (the discrete form of total variation dominating the Kolmogorov
-    distance).  The bound is taken at every panel end; rows of the bound
-    matrix are built in blocks, and a nan bound is kept.
+    distance), and the bound is the maximum over the panel ends.  A pair the
+    bound at one panel end drops is dropped by the maximum, so pairs are
+    screened first at the panel end where G spreads most: with the nodes
+    sorted by G there, only partners within ``(limit + max |n_i - n_j|) / 2``
+    (plus a rounding allowance) get the full bound.  The pairs kept are
+    those of the full bound over all pairs; with a non-finite G, n or limit
+    every pair gets the full bound, and a nan bound is kept.
     """
     n = fmat.shape[1]
     sums = np.einsum("ps,psn->pn", wq.reshape(-1, panel), fmat.reshape(-1, panel, n))
@@ -741,19 +764,27 @@ def _unpruned_pairs(fmat, wq, panel: int, limit: float):
     # n.  Shifting G by the largest total keeps tail sums out of the slow
     # subnormal range and rounds within that allowance.
     scale = np.abs(total).max()
-    limit = limit + 8 * wq.size * np.finfo(float).eps * scale
+    eps = np.finfo(float).eps
+    limit = limit + 8 * wq.size * eps * scale
     cdf = cdf + scale
-    firsts, seconds = [], []
-    for sl in _blocks(n, n * cdf.shape[0]):
-        rows = np.arange(n)[sl]
-        cols = np.arange(sl.start + 1, n)
-        diff = cdf[:, sl, None] - cdf[:, None, cols]
-        gap = np.abs(diff, out=diff).max(axis=0)
-        bound = 2.0 * gap - np.abs(total[sl, None] - total[None, cols])
-        ii, jj = np.nonzero(~(bound > limit) & (cols > rows[:, None]))
-        firsts.append(rows[ii])
-        seconds.append(cols[jj])
-    return np.concatenate(firsts), np.concatenate(seconds)
+    if np.all(np.isfinite(cdf)) and np.isfinite(limit):
+        g = cdf[np.argmax(np.ptp(cdf, axis=1))]
+        order = np.argsort(g, kind="stable")
+        g = g[order]
+        reach = 0.5 * (limit + np.ptp(total))
+        reach += 8 * eps * (abs(reach) + np.abs(g).max())  # rounding of G, n and reach
+        # sorted positions p < q with g[q] <= g[p] + reach, then as node
+        # pairs (i, j), i < j, in the order the full bound lists them
+        ends = np.searchsorted(g, g + reach, side="right")
+        counts = np.maximum(ends - np.arange(1, n + 1), 0)
+        lo = np.repeat(np.arange(n), counts)
+        hi = lo + 1 + np.arange(lo.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        a, b = order[lo], order[hi]
+        first, second = np.divmod(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n)
+    else:
+        first, second = np.triu_indices(n, 1)
+    keep = ~(_pair_bounds(cdf, total, first, second) > limit)
+    return first[keep], second[keep]
 
 
 def validate_probe(
@@ -773,6 +804,10 @@ def validate_probe(
     and finite-difference derivatives, mean-zero score, and strictly
     positive expected curvature.  Always returns a report; nothing raises.
 
+    One sweep over the row blocks of the probe's outcome rule gives every
+    table the checks read: log-density row extremes, the density table, and
+    normalization, mean score and curvature summed as ``_expect`` sums them.
+
     Identifiability is the smallest L1 distance ``sum_q w_q |f_qi - f_qj|``
     over node pairs on the outcome rule, found without summing every pair.
     The smallest adjacent distance U bounds it from above.  The partial sums
@@ -782,18 +817,36 @@ def validate_probe(
     a rounding allowance) are dropped, the survivors are summed, and every
     row whose minimum lies within ``PRUNE_SLACK`` of the overall minimum is
     summed again in full.  The worst value and its location are those of
-    the loop over all pairs, bit for bit.  For a location family only
-    near neighbours survive: O(N x panels) work for the bound and O(N)
-    exact pairs instead of N (N - 1) / 2.
+    the loop over all pairs, bit for bit.  The bound is built only for the
+    pairs a sorted screen at one panel end cannot drop (``_unpruned_pairs``);
+    for a location family those are near neighbours: O(N x panels) work for
+    the bound and O(N) exact pairs instead of N (N - 1) / 2.
     """
     nodes = model.nodes
     checks: list[AssumptionCheck] = []
     caveats: list[str] = []
 
-    # the probe's one outcome rule serves every check; one sweep over it gives
-    # normalization, mean score and curvature
+    # the probe's one outcome rule serves every check, in one sweep over its
+    # row blocks.  Positivity and dominance read log-densities, which stay
+    # finite where a narrow density underflows to 0; a genuine zero is log 0
+    # = -inf.  Of the log table only row extremes stay.  Normalization, mean
+    # score and curvature are summed as ``_expect`` sums them, and the
+    # density table is kept for identifiability and dominance.  Each table
+    # of a block is dropped before the next is built: kept beside the
+    # density table, they would raise the validator's peak by half.
     xs, wq = probe._quadrature(nodes)
-    stats = probe._expect(nodes, ("norm", "score", "d2"))
+    fmat = np.empty((xs.size, nodes.size))
+    sup_abs, row_min = np.empty(xs.size), np.empty(xs.size)
+    stats = {q: np.zeros(nodes.size) for q in ("norm", "score", "d2")}
+    for sl in _blocks(xs.size, nodes.size):
+        logf = probe.loglik_values(nodes, xs[sl])
+        row_min[sl] = logf.min(axis=1)
+        sup_abs[sl] = np.abs(logf, out=logf).max(axis=1)
+        del logf
+        f, f1, f2 = probe.density_derivs(xs[sl, None], nodes[None, :])
+        _add_expectations(stats, wq[sl], f, f1, f2)
+        fmat[sl] = f
+        del f, f1, f2
 
     def defect_check(name, defects, tol):
         worst = float(defects.max())
@@ -807,16 +860,6 @@ def validate_probe(
         defect_check("normalization", np.abs(stats["norm"] - 1.0), normalization_tol)
     )
 
-    # positivity and dominance read log-densities, which stay finite where a
-    # narrow density underflows to 0; a genuine zero is log 0 = -inf.  Row
-    # blocks bound the temporaries; of the log table only row extremes stay.
-    fmat = np.empty((xs.size, nodes.size))
-    sup_abs, row_min = np.empty(xs.size), np.empty(xs.size)
-    for sl in _blocks(xs.size, nodes.size):
-        logf = probe.loglik_values(nodes, xs[sl])
-        sup_abs[sl] = np.abs(logf).max(axis=1)
-        row_min[sl] = logf.min(axis=1)
-        fmat[sl] = probe.density(xs[sl, None], nodes[None, :])
     worst = float(row_min.min())
     qi = _first_near(row_min, worst)
     ni = _first_near(probe.loglik_values(nodes, xs[qi : qi + 1])[0], worst)
@@ -939,6 +982,14 @@ def bind_extension(probe: ProbeModel, model, spacings: float = 3.0) -> ProbeMode
 # ---------------------------------------------------------------------------
 # configuration
 
+def _number_pair(name: str, value) -> tuple[float, float]:
+    try:
+        lo, hi = (float(v) for v in value)
+    except (TypeError, ValueError) as exc:
+        raise ProbeError(f"{name} must be a pair of numbers, got {value!r}") from exc
+    return lo, hi
+
+
 def probe_from_config(config: dict) -> ProbeModel:
     """Build a probe from its JSON declaration (kind plus parameters)."""
     kind = config.get("kind")
@@ -957,7 +1008,8 @@ def probe_from_config(config: dict) -> ProbeModel:
             if isinstance(embed, dict)
             else (np.pi / 4, 3 * np.pi / 4)
         )
-        return BinaryPhase.embedded(source[0], source[1], target[0], target[1])
+        return BinaryPhase.embedded(*_number_pair("embed source", source),
+                                    *_number_pair("embed target", target))
     if kind == "tabulated":
         return TabulatedProbe(
             nu_grid=tuple(config["nu_grid"]),

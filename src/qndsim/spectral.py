@@ -317,6 +317,8 @@ def build_spectral_model(
         if w <= 0:
             raise SpectralModelError(f"atom at {p} has nonpositive weight {w}")
     for (a, b) in intervals:
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise SpectralModelError(f"interval endpoints must be finite, got [{a}, {b}]")
         if b <= a:
             raise SpectralModelError(f"degenerate interval [{a}, {b}]")
     for (a0, b0), (a1, b1) in zip(intervals, intervals[1:]):

@@ -166,6 +166,20 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         ({"region": [[0.1, 0.2, 0.3]]}, "neither a point nor a pair"),
         ({"kind": "rate-convergence", "region": [[0.6]]}, "neither a point nor a pair"),
         ({"kind": "rate-convergence", "region": [[0.1, 0.2, 0.3]]}, "neither a point nor a pair"),
+        (
+            {
+                "kind": "rate-convergence",
+                "spectral": {"intervals": [[float("nan"), 1.0]]},
+                "state": {"type": "pure"},
+                "region": [[0.5, 1.0]],
+            },
+            "interval endpoints must be finite",
+        ),
+        ({"state": {"type": "pure", "psi": [1, 2]}}, "psi must be a JSON object"),
+        (
+            {"probe": {"kind": "binary-phase", "embed": {"source": [["a", 1]]}}},
+            "embed source must be a pair of numbers",
+        ),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -192,6 +206,9 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "born-region-triple",
         "rate-region-single",
         "rate-region-triple",
+        "interval-nan",
+        "psi-list",
+        "embed-source-nested",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, overrides, message):
@@ -242,8 +259,11 @@ def test_estimate_without_simulate_exits_two(tmp_path, capsys):
     [
         (({"k_max": 30}, []), ({"k_max": 50}, []), "k_max 30 != 50"),
         (({}, ["--seed", "5"]), ({}, ["--seed", "99"]), "master_seed 5 != 99"),
+        # same seed, size and checkpoints: only the config hash tells the
+        # state the trajectories were drawn from
+        (({}, []), ({"state": {"type": "diagonal", "weights": [0.5, 0.5]}}, []), "config_hash"),
     ],
-    ids=["k-max", "seed"],
+    ids=["k-max", "seed", "state"],
 )
 def test_estimate_refuses_trajectories_of_another_config(
     tmp_path, capsys, simulated, estimated, message

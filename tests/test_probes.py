@@ -983,24 +983,114 @@ def test_pair_bound_never_exceeds_the_discrete_l1(panel, panels, nodes, seed):
         assert (i, j) in set(zip(*kept))
 
 
+def _every_pair_bound(fmat, wq, panel, limit):
+    """The lower bound of every node pair, built in blocks of node rows, and
+    the limit with its rounding allowance (the former ``_unpruned_pairs``)."""
+    n = fmat.shape[1]
+    sums = np.einsum("ps,psn->pn", wq.reshape(-1, panel), fmat.reshape(-1, panel, n))
+    cdf = np.cumsum(sums, axis=0)
+    total = cdf[-1]
+    scale = np.abs(total).max()
+    limit = limit + 8 * wq.size * np.finfo(float).eps * scale
+    cdf = cdf + scale
+    bounds = np.empty((n, n))
+    for sl in probes._blocks(n, n * cdf.shape[0]):
+        cols = np.arange(sl.start + 1, n)
+        diff = cdf[:, sl, None] - cdf[:, None, cols]
+        gap = np.abs(diff, out=diff).max(axis=0)
+        bounds[sl, sl.start + 1 :] = 2.0 * gap - np.abs(total[sl, None] - total[None, cols])
+    return bounds[np.triu_indices(n, 1)], limit
+
+
+def _unpruned_pairs_of_every_pair(fmat, wq, panel, limit):
+    """The oracle of the sorted screen in ``_unpruned_pairs``: pairs i < j
+    whose bound, built for every pair, is not above the limit."""
+    bounds, limit = _every_pair_bound(fmat, wq, panel, limit)
+    first, second = np.triu_indices(fmat.shape[1], 1)
+    keep = ~(bounds > limit)
+    return first[keep], second[keep]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    panel=st.sampled_from([1, 32]),
+    panels=st.integers(1, 6),
+    nodes=st.integers(2, 40),
+    table=st.sampled_from(["random", "location", "one-ulp", "tied", "nan"]),
+    share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sorted_screen_keeps_the_pairs_of_every_pair_bound(panel, panels, nodes, table, share, seed):
+    rng = np.random.default_rng(seed)
+    rows = panel * panels
+    if table == "location":  # near neighbours only: the screen drops most pairs
+        x = np.linspace(-3.0, 4.0, rows)[:, None] - np.sort(rng.uniform(0.0, 1.0, nodes))
+        fmat = np.exp(-0.5 * (x / rng.uniform(0.05, 1.0)) ** 2)
+    else:
+        fmat = rng.uniform(0.0, 1.0, (rows, nodes)) * rng.uniform(0.1, 2.0, nodes)
+    if table == "one-ulp":
+        fmat[:, -1] = np.nextafter(fmat[:, 0], np.inf)
+    elif table == "tied":
+        fmat[:, rng.integers(nodes, size=max(nodes // 2, 2))] = fmat[:, [0]]
+    elif table == "nan":
+        fmat[rng.integers(rows), rng.integers(nodes)] = np.nan
+    wq = rng.uniform(0.1, 1.0, rows)
+    first, second = np.triu_indices(nodes, 1)
+    distances = probes._pair_distances(fmat, wq, first, second)
+    # limits at a pair's own distance or bound, between the distances, and at
+    # 0; a pair's own bound puts it on the edge of the screen
+    limit = np.nanquantile(distances, share) if np.any(distances >= 0) else share
+    bounds, allowance = _every_pair_bound(fmat, wq, panel, 0.0)
+    edge = bounds[rng.integers(bounds.size)] - allowance
+    for cut in (limit, 0.0, distances[rng.integers(distances.size)],
+                edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)):
+        got = probes._unpruned_pairs(fmat, wq, panel, cut)
+        want = _unpruned_pairs_of_every_pair(fmat, wq, panel, cut)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
 def test_identifiability_work_is_linear_on_the_rate_grid():
     cfg = ExperimentConfig.from_dict(
         json.loads((CONFIGS / "rate_convergence.json").read_text())
     )
     model = build_model(cfg)
     probe = build_probe(cfg, model)
-    pairs = []
-    exact = probes._pair_distances
+    pairs, bounds = [], []
+    exact, bound = probes._pair_distances, probes._pair_bounds
 
     def counted(fmat, wq, first, second):
         pairs.append(first.size)
         return exact(fmat, wq, first, second)
 
-    with mock.patch.object(probes, "_pair_distances", counted):
+    def counted_bounds(cdf, total, first, second):
+        bounds.append(first.size)
+        return bound(cdf, total, first, second)
+
+    with mock.patch.object(probes, "_pair_distances", counted), \
+            mock.patch.object(probes, "_pair_bounds", counted_bounds):
         report = validate_probe(probe, model, n_derivative_pairs=0)
     assert report["identifiability"].passed
-    # the loop over all pairs would sum 79,800
+    # the loop over all pairs would sum 79,800, and bound as many
     assert 0 < sum(pairs) <= 2 * model.size
+    assert 0 < sum(bounds) <= 2 * model.size
+
+
+def test_validator_memory_on_the_rate_grid():
+    # one rule x grid density table (3.5 MB) and one block of temporaries at
+    # a time; keeping every derivative block beside the table peaks near 10 MB
+    cfg = ExperimentConfig.from_dict(
+        json.loads((CONFIGS / "rate_convergence.json").read_text())
+    )
+    model = build_model(cfg)
+    probe = build_probe(cfg, model)
+    tracemalloc.start()
+    try:
+        validate_probe(probe, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20
 
 
 # ---------------------------------------------------------------------------
