@@ -25,6 +25,13 @@ Sub-grid evaluation interpolates grid values by local three-point
 structure of the log-likelihood near its maximum.  The zoom window spans
 ``8 / sqrt(F)`` rescaled units by default and is shrunk symmetrically when
 it would leave the spectrum; it must retain at least ``2 / sqrt(F)``.
+
+``kernel_distances`` evaluates all windows of a run as one stack: sized in
+order, interpolated with one stencil per interval, and compared in groups of
+windows with the same live zoom columns and limit rank (never padded, as a
+zero column changes the QR bits); the per-window functions are 1-row views.
+The Laplace check stays per trajectory, as one stencil of all trajectories'
+quadrature points falls out of cache.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ __all__ = [
     "rate_traces",
     "clt_samples",
     "laplace_condition_check",
+    "kernel_distances",
     "build_window_grid",
     "rescaled_posterior_kernel",
     "limit_kernel",
@@ -87,7 +95,8 @@ def _stencil(xs: np.ndarray, x, domain) -> tuple[np.ndarray, np.ndarray]:
 
     Each query uses the parabola through the three nodes nearest to it, the
     standard second-order reconstruction: query ``m`` is interpolated by
-    weights ``w[m]`` (shape (M, 3)) on nodes ``first[m] + (0, 1, 2)``.
+    weights ``w[m]`` (shape (M, 3), or x.shape + (3,)) on nodes
+    ``first[m] + (0, 1, 2)``.
     Queries outside ``domain`` (the node hull widened to the owning
     interval) raise.
     """
@@ -107,15 +116,16 @@ def _stencil(xs: np.ndarray, x, domain) -> tuple[np.ndarray, np.ndarray]:
             (x - x0) * (x - x2) / ((x1 - x0) * (x1 - x2)),
             (x - x0) * (x - x1) / ((x2 - x0) * (x2 - x1)),
         ],
-        axis=1,
+        axis=-1,
     )
     return c - 1, w
 
 
 def _apply_stencil(first: np.ndarray, w: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``sum_s w[m, s] * values[first[m] + s]`` along axis 0, in index order."""
-    w = w.reshape(w.shape + (1,) * (values.ndim - 1))
-    return w[:, 0] * values[first] + w[:, 1] * values[first + 1] + w[:, 2] * values[first + 2]
+    """``sum_s w[..., s] * values[first + s]`` along axis 0, in index order;
+    ``first`` may stack queries on any leading axes."""
+    w = np.moveaxis(w, -1, 0).reshape((3,) + first.shape + (1,) * (values.ndim - 1))
+    return w[0] * values[first] + w[1] * values[first + 1] + w[2] * values[first + 2]
 
 
 def _interpolate(xs: np.ndarray, ys: np.ndarray, x, domain) -> np.ndarray:
@@ -446,7 +456,8 @@ class WindowGrid:
     Nodes are rescaled offsets ``x`` with original positions
     ``center + x / scale``; node mass is ``spacing * hvals`` with the
     spectral density evaluated at the original positions, matching the
-    weighted space the kernel comparison lives in.
+    weighted space the kernel comparison lives in.  A stack of M windows
+    holds (M x W) ``offsets`` and ``hvals``, and the rest as (M x 1).
     """
 
     offsets: np.ndarray
@@ -469,6 +480,50 @@ class WindowGrid:
         """Original-variable positions of the window nodes."""
         return self.center + self.offsets / self.scale
 
+    def row(self, m: int) -> "WindowGrid":
+        """Window ``m`` of a stack."""
+        at = [float(v[m, 0]) for v in (self.spacing, self.center, self.scale)]
+        return WindowGrid(self.offsets[m], *at, self.hvals[m], self.multiplicity)
+
+
+def _window_stack(model, nus, ks, fisher, window_sigmas, window_nodes, min_sigmas):
+    """Zoom windows around the estimates ``nus`` after ``ks`` outcomes as one stack,
+    with the (node slice, bounds) of each window's interval.  Windows are sized in
+    order: the first that cannot fit ends the stack, and its error is returned
+    (raised if it is the first window)."""
+    nus, ks, fisher = (np.atleast_1d(v) for v in (nus, ks, fisher))
+    subgrids, halves, error = [], [], None
+    for nu, k, f in zip(nus.tolist(), ks.tolist(), fisher.tolist()):
+        try:
+            sl, (a, b) = _interval_subgrid(model, nu)
+            want, need = window_sigmas / math.sqrt(f), min_sigmas / math.sqrt(f)
+            fit = math.sqrt(k) * min(nu - a, b - nu)
+            if min(want, fit) < need:
+                raise WindowError(
+                    f"rescaled window of half-width {want:.3g} exits the spectrum at "
+                    f"k={k} (room for {fit:.3g}, need {need:.3g})"
+                )
+        except (ValueError, ZeroDivisionError) as exc:  # also math.sqrt of fisher <= 0
+            if not subgrids:  # no window before it to fail first
+                raise
+            error = exc
+            break
+        subgrids.append((sl, (a, b)))
+        halves.append(min(want, fit))
+    half = np.asarray(halves).reshape(-1, 1)
+    spacing = 2.0 * half / window_nodes
+    offsets = -half + (np.arange(window_nodes) + 0.5) * spacing
+    center, scale = nus[: half.size, None], np.sqrt(ks[: half.size, None])
+    hvals = np.asarray(model.h_fn((center + offsets / scale).ravel()), dtype=float)
+    hvals = hvals.reshape(offsets.shape)
+    return WindowGrid(offsets, spacing, center, scale, hvals, model.multiplicity), subgrids, error
+
+
+def _groups(keys: np.ndarray):
+    """(key, rows) for each distinct row of ``keys`` (one value or a row a window)."""
+    uniq, inverse = np.unique(np.reshape(keys, (len(keys), -1)), axis=0, return_inverse=True)
+    return [(key, np.flatnonzero(inverse.ravel() == u)) for u, key in enumerate(uniq)]
+
 
 def build_window_grid(
     model: SpectralModel,
@@ -486,27 +541,8 @@ def build_window_grid(
     ``min_sigmas / sqrt(fisher)``, the window cannot fit and a
     ``WindowError`` is raised.
     """
-    _, (a, b) = _interval_subgrid(model, nu_hat)
-    sqrt_k = math.sqrt(k)
-    want = window_sigmas / math.sqrt(fisher)
-    fit = sqrt_k * min(nu_hat - a, b - nu_hat)
-    half = min(want, fit)
-    if half < min_sigmas / math.sqrt(fisher):
-        raise WindowError(
-            f"rescaled window of half-width {want:.3g} exits the spectrum at "
-            f"k={k} (room for {fit:.3g}, need {min_sigmas / math.sqrt(fisher):.3g})"
-        )
-    spacing = 2.0 * half / window_nodes
-    offsets = -half + (np.arange(window_nodes) + 0.5) * spacing
-    hvals = np.asarray(model.h_fn(nu_hat + offsets / sqrt_k), dtype=float)
-    return WindowGrid(
-        offsets=offsets,
-        spacing=spacing,
-        center=float(nu_hat),
-        scale=sqrt_k,
-        hvals=hvals,
-        multiplicity=model.multiplicity,
-    )
+    window = (window_sigmas, window_nodes, min_sigmas)
+    return _window_stack(model, nu_hat, k, fisher, *window)[0].row(0)
 
 
 @dataclass(frozen=True)
@@ -518,6 +554,35 @@ class RescaledKernelResult:
     estimate: float
     fisher: float
     window_mass: float
+
+
+def _zoom_stack(state: StateKernel, model: SpectralModel, sums, grids, subgrids, keys):
+    """Rescaled posterior kernels on stacked windows, one row of ``sums`` each: the
+    (key, rows) groups of one live-column mask and ``keys`` row, each group's
+    factors less the columns its windows miss, the raw traces, and each row's
+    posterior normalizer over the whole grid."""
+    psi, d = state.factor
+    shift = sums.max(axis=-1)
+    phi = np.empty(grids.offsets.shape + psi.shape[1:], dtype=complex)
+    for _, rows in _groups([sl.start for sl, _ in subgrids]):  # one stencil an interval
+        sl, bounds = subgrids[rows[0]]
+        first, w = _stencil(model.nodes[sl], grids.positions[rows], bounds)
+        local = sums[rows][:, sl]  # each window reads its own row, as take_along_axis
+        along = first + local.shape[1] * np.arange(rows.size)[:, None]
+        amp = np.exp(0.5 * (_apply_stencil(along, w, local.ravel()) - shift[rows, None]))
+        # K(x, y) = Phi(x) diag(d) Phi(y)*: the stencil acts on the factor's rows
+        phi[rows] = _apply_stencil(first, w, psi[sl]) * amp[..., None, None]
+    groups = _groups(np.column_stack([np.any(phi != 0, axis=(1, 2)), keys]))
+    zooms = [np.ascontiguousarray(phi[rows][..., key[: d.size]]) for key, rows in groups]
+    raw = np.empty(len(sums))
+    for (key, rows), zoom in zip(groups, zooms):  # StateKernel.trace, one np.dot a row
+        block_traces = (np.abs(zoom) ** 2).sum(axis=-2) @ d[key[: d.size]]
+        raw[rows] = [np.dot(m, t) for m, t in zip(grids.mass[rows], block_traces)]
+    log_terms = sums - shift[:, None] + state.log_weights[0]
+    norm = np.empty(len(sums))
+    for finite, rows in _groups(np.isfinite(log_terms)):  # finite terms, as a row alone
+        norm[rows] = _logsumexp(np.ascontiguousarray(log_terms[rows][:, finite]), axis=-1)
+    return groups, zooms, raw, np.exp(norm)
 
 
 def rescaled_posterior_kernel(
@@ -540,34 +605,43 @@ def rescaled_posterior_kernel(
     sums = trajectory.loglik_at(k, probe, model.nodes)
     nu_hat = float(estimate)
     fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
-    window = build_window_grid(
-        model, nu_hat, k, fisher, window_sigmas, window_nodes, min_sigmas
+    window = (window_sigmas, window_nodes, min_sigmas)
+    grids, subgrids, _ = _window_stack(model, nu_hat, k, fisher, *window)
+    [(live, _)], [phi], raw, grid_norm = _zoom_stack(
+        state, model, sums[None], grids, subgrids, np.empty((1, 0), dtype=bool)
     )
-    sl, (a, b) = _interval_subgrid(model, nu_hat)
-    first, w = _stencil(model.nodes[sl], window.positions, (a, b))
-
-    shift = float(sums.max())
-    half_log = 0.5 * (_apply_stencil(first, w, sums[sl]) - shift)
-    amp = np.exp(half_log)
-    # K(x, y) = Phi(x) diag(d) Phi(y)*: the stencil acts on the factor's rows
-    psi, d = state.factor
-    phi = _apply_stencil(first, w, psi[sl]) * amp[:, None, None]
-    live = np.any(phi != 0, axis=(0, 1))  # drop columns the window misses
-    phi, d = phi[:, :, live], d[live]
-    raw_trace = StateKernel(None, window, factor=(phi, d)).trace()
-    window_trace = raw_trace / window.scale
-
-    log_terms = sums - shift + state.log_weights[0]
-    grid_norm = float(np.exp(_logsumexp(log_terms[np.isfinite(log_terms)])))
-    if window_trace <= 0:
+    raw_trace, window = float(raw[0]), grids.row(0)
+    if raw_trace / window.scale <= 0:
         raise ValueError("rescaled kernel has zero trace on its window")
     return RescaledKernelResult(
-        kernel=StateKernel(None, window, factor=(phi, d / raw_trace)),
+        kernel=StateKernel(None, window, factor=(phi[0], state.factor[1][live] / raw_trace)),
         window=window,
         estimate=nu_hat,
         fisher=fisher,
-        window_mass=window_trace / grid_norm,
+        window_mass=raw_trace / window.scale / float(grid_norm[0]),
     )
+
+
+def _limit_stack(model: SpectralModel, state: StateKernel, nus, fisher, offsets, subgrids):
+    """Gaussian limits on stacked windows: ``g`` times the eigenvectors of each
+    normalized block, their eigenvalues (columns only where ``live``, the block
+    trace positive), and the density at each estimate."""
+    psi, d = state.factor
+    n = psi.shape[1]
+    block = np.empty((nus.size, n, n), dtype=complex)
+    for _, rows in _groups([sl.start for sl, _ in subgrids]):
+        sl, bounds = subgrids[rows[0]]
+        first, w = _stencil(model.nodes[sl], nus[rows], bounds)
+        near = psi[sl][first[:, None] + np.arange(3)]  # K[i, i] = Psi[i] diag(d) Psi[i]*
+        block[rows] = np.einsum("mi,miab->mab", w, (near * d) @ near.conj().swapaxes(-1, -2))
+    trace = np.trace(block, axis1=1, axis2=2).real
+    live = trace > 0.0
+    lam, vecs = np.zeros((nus.size, n)), np.zeros((nus.size, n, n), dtype=complex)
+    c_block = block[live] / trace[live, None, None]
+    lam[live], vecs[live] = np.linalg.eigh(0.5 * (c_block + c_block.conj().swapaxes(-1, -2)))
+    coef = np.array([(f / (2.0 * math.pi)) ** 0.25 for f in fisher.tolist()])  # Python pow
+    g = coef[:, None] * np.exp(-0.25 * fisher[:, None] * offsets**2)
+    return g[..., None, None] * vecs[:, None], lam, live, np.asarray(model.h_fn(nus), dtype=float)
 
 
 def limit_kernel(
@@ -590,23 +664,58 @@ def limit_kernel(
     """
     if fisher <= 0:
         raise ValueError("fisher must be positive")
-    sl, (a, b) = _interval_subgrid(model, nu_hat)
-    h_at = float(np.asarray(model.h_fn(np.asarray([nu_hat])))[0])
+    subgrids = [_interval_subgrid(model, nu_hat)]
+    (psi,), (lam,), (live,), (h_at,) = _limit_stack(
+        model, state, np.array([nu_hat]), np.array([fisher]), window.offsets[None], subgrids
+    )
     if h_at <= 0:
         raise ValueError(f"spectral density vanishes at nu={nu_hat}")
-    first, w = _stencil(model.nodes[sl], nu_hat, (a, b))
-    psi, d = state.factor  # K[i, i] = Psi[i] diag(d) Psi[i]* at the stencil nodes
-    rows = psi[sl.start + first[0] + np.arange(3)]
-    block = np.einsum("i,iab->ab", w[0], (rows * d) @ rows.conj().transpose(0, 2, 1))
-    trace = float(np.trace(block).real)
-    if trace <= 0.0:
-        lam = np.zeros(0)
-        vecs = np.zeros((window.multiplicity, 0))
-    else:
-        c_block = block / trace
-        lam, vecs = np.linalg.eigh(0.5 * (c_block + c_block.conj().T))
-    g = (fisher / (2.0 * math.pi)) ** 0.25 * np.exp(-0.25 * fisher * window.offsets**2)
-    return StateKernel(None, window, factor=(g[:, None, None] * vecs, lam / h_at))
+    n = lam.size if live else 0
+    return StateKernel(None, window, factor=(psi[..., :n], lam[:n] / h_at))
+
+
+def kernel_distances(
+    state: StateKernel, trajectories: Sequence[Trajectory], checkpoints: Sequence[int],
+    model: SpectralModel, probe, *, estimates, window_sigmas: float = DEFAULT_WINDOW_SIGMAS,
+    window_nodes: int = 201, min_sigmas: float = MIN_WINDOW_SIGMAS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trace-norm distances of the rescaled posterior kernels to their Gaussian
+    limits, and the window masses, at the refined ``estimates`` (E x C) after each
+    checkpoint of each trajectory: two E x C arrays, bit for bit the per-window
+    functions', and the first window that fails raises what it raises alone."""
+    psi, d = state.factor
+    ks = np.asarray(checkpoints)
+    estimates = np.asarray(estimates, dtype=float)
+    out = np.empty((2,) + estimates.shape)  # distances, window masses
+    row_cells = ks.size * window_nodes * psi[0].size  # a row's zoom factors
+    for block, sums in _sums_blocks(trajectories, ks, model.nodes, probe, row_cells):
+        nus = estimates[block].ravel()
+        fisher = np.array([probe.fisher(np.asarray([nu]))[0] for nu in nus.tolist()], dtype=float)
+        grids, subgrids, error = _window_stack(
+            model, nus, np.tile(ks, len(sums)), fisher, window_sigmas, window_nodes, min_sigmas
+        )
+        m = len(subgrids)
+        vecs, lam, rank, h_at = _limit_stack(
+            model, state, nus[:m], fisher[:m], grids.offsets, subgrids
+        )
+        groups, zooms, raw, grid_norm = _zoom_stack(
+            state, model, sums.reshape(nus.size, -1)[:m], grids, subgrids, rank[:, None]
+        )
+        trace = raw / grids.scale[:, 0]
+        for i in np.flatnonzero((trace <= 0) | (h_at <= 0))[:1]:
+            if trace[i] <= 0:
+                raise ValueError("rescaled kernel has zero trace on its window")
+            raise ValueError(f"spectral density vanishes at nu={nus[i]}")
+        if error is not None:
+            raise error
+        dist = np.empty(m)
+        for (key, rows), zoom in zip(groups, zooms):
+            n = psi.shape[1] if key[-1] else 0
+            limit = (vecs[rows][..., :n], lam[rows, :n] / h_at[rows, None])
+            zoom = (zoom, d[key[:-1]] / raw[rows, None])
+            dist[rows] = _trace_norms(grids.mass[rows], zoom, limit)
+        out[:, block] = np.stack([dist, trace / grid_norm]).reshape(2, -1, ks.size)
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +738,20 @@ def trace_norm_distance(a: StateKernel, b: StateKernel) -> float:
         np.array_equal(ga.nodes, gb.nodes) and np.array_equal(ga.mass, gb.mass)
     ):
         raise ValueError("kernels live on mismatched grids")
-    (psi_a, d_a), (psi_b, d_b) = a.factor, b.factor
-    if np.array_equal(d_a, d_b) and np.array_equal(psi_a, psi_b):
-        return 0.0  # R D R* of [U U] does not cancel to exact zeros
-    gram = _weighted_gram(ga, (psi_a, d_a), (psi_b, -d_b))
-    return float(np.abs(np.linalg.eigvalsh(gram)).sum())
+    return float(_trace_norms(ga.mass, a.factor, b.factor))
+
+
+def _trace_norms(mass: np.ndarray, a, b) -> np.ndarray:
+    """``trace_norm_distance`` of stacked factor pairs: leading axes of ``mass``
+    (..., N) and of the factors stack windows with one column count each."""
+    (psi_a, d_a), (psi_b, d_b) = a, b
+    equal = np.zeros(d_a.shape[:-1], dtype=bool)
+    if psi_a.shape == psi_b.shape:
+        equal = (d_a == d_b).all(axis=-1) & (psi_a == psi_b).all(axis=(-3, -2, -1))
+    if equal.all():
+        return np.zeros(equal.shape)  # R D R* of [U U] does not cancel to exact zeros
+    gram = _weighted_gram(mass, (psi_a, d_a), (psi_b, -d_b))
+    return np.where(equal, 0.0, np.abs(np.linalg.eigvalsh(gram)).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -539,24 +539,20 @@ def estimate_ensemble(
         tables["clt_residuals"] = (["residual"], [[r] for r in res.tolist()])
 
     elif config.kind == "kernel-convergence":
-        per_cp: list[list[float]] = [[] for _ in cps]
-        ratios = []
-        for traj, row in zip(trajectories, table):
-            for i, c in enumerate(cps):
-                zoom = est.rescaled_posterior_kernel(
-                    state, traj, c, model, probe,
-                    estimate=row[col[c]],
-                    window_sigmas=config.window["sigmas"],
-                    window_nodes=int(config.window["nodes"]),
-                    min_sigmas=config.window["min_sigmas"],
-                )
-                limit = est.limit_kernel(
-                    model, state, zoom.estimate, zoom.fisher, zoom.window
-                )
-                per_cp[i].append(est.trace_norm_distance(zoom.kernel, limit))
-            check = est.laplace_condition_check(traj, k_max, model, probe, estimate=row[col[k_max]])
-            ratios.append(check.ratio)
-        medians = [float(np.median(d)) for d in per_cp]
+        distances, _ = est.kernel_distances(
+            state, trajectories, cps, model, probe,
+            estimates=table[:, [col[c] for c in cps]],
+            window_sigmas=config.window["sigmas"],
+            window_nodes=int(config.window["nodes"]),
+            min_sigmas=config.window["min_sigmas"],
+        )
+        # the Laplace check stays per trajectory: one stencil of all its
+        # quadrature points falls out of cache
+        ratios = [
+            est.laplace_condition_check(traj, k_max, model, probe, estimate=row[col[k_max]]).ratio
+            for traj, row in zip(trajectories, table)
+        ]
+        medians = [float(np.median(d)) for d in distances.T]
         report.distance_series = [
             {"checkpoint": c, "median_distance": m} for c, m in zip(cps, medians)
         ]

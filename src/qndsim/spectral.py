@@ -83,6 +83,8 @@ def _h_from_spec(spec) -> tuple[Callable[[np.ndarray], np.ndarray], dict]:
         table = np.asarray(spec["table"], dtype=float)
         if table.ndim != 2 or table.shape[1] != 2:
             raise SpectralModelError("density table must be (nu, value) pairs")
+        if not np.isfinite(table).all():
+            raise SpectralModelError("density table entries must be finite")
         xs, ys = table[:, 0], table[:, 1]
         order = np.argsort(xs)
         xs, ys = xs[order], ys[order]
@@ -319,6 +321,8 @@ def build_spectral_model(
     for (a, b) in intervals:
         if not (np.isfinite(a) and np.isfinite(b)):
             raise SpectralModelError(f"interval endpoints must be finite, got [{a}, {b}]")
+        if not np.isfinite([b - a, 2.0 * a, 2.0 * b]).all():  # width, cell midpoints
+            raise SpectralModelError(f"interval [{a}, {b}] overflows float64 in its cells")
         if b <= a:
             raise SpectralModelError(f"degenerate interval [{a}, {b}]")
     for (a0, b0), (a1, b1) in zip(intervals, intervals[1:]):
@@ -352,10 +356,10 @@ def build_spectral_model(
         edges = np.linspace(a, b, nodes_per_interval + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         hv = np.asarray(h_fn(mids), dtype=float)
-        if np.any(hv <= 0):
-            bad = mids[np.argmin(hv)]
+        if not np.all(np.isfinite(hv) & (hv > 0)):
+            bad = mids[np.flatnonzero(~(np.isfinite(hv) & (hv > 0)))[0]]
             raise SpectralModelError(
-                f"density is nonpositive at nu={bad} inside [{a}, {b}]"
+                f"density is not finite and positive at nu={bad} inside [{a}, {b}]"
             )
         dx = (b - a) / nodes_per_interval
         if "table" in h_spec:
@@ -498,16 +502,18 @@ def _expand_factor(psi: np.ndarray, d: np.ndarray) -> np.ndarray:
     return _readonly(dense.transpose(0, 2, 1, 3))
 
 
-def _weighted_gram(grid, *factors) -> np.ndarray:
+def _weighted_gram(mass, *factors) -> np.ndarray:
     """``R diag(d) R*`` for the QR ``Q R`` of the mass-weighted ``[Psi_1 Psi_2 ...]``.
 
     Its eigenvalues are those of the weighted ``sum_j Psi_j diag(d_j) Psi_j*``,
-    less ``N n - r`` zeros when the r columns are fewer than N n.
+    less ``N n - r`` zeros when the r columns are fewer than N n.  Leading axes
+    of ``mass`` (..., N), ``Psi_j`` (..., N, n, r_j) and ``d_j`` stack Grams.
     """
-    s = np.sqrt(grid.mass)[:, None, None]
-    w = np.concatenate([psi * s for psi, _ in factors], axis=2)
-    r = np.linalg.qr(w.reshape(w.shape[0] * w.shape[1], w.shape[2]), mode="r")
-    return (r * np.concatenate([d for _, d in factors])) @ r.conj().T
+    s = np.sqrt(mass)[..., None, None]
+    w = np.concatenate([psi * s for psi, _ in factors], axis=-1)
+    r = np.linalg.qr(w.reshape(w.shape[:-3] + (w.shape[-3] * w.shape[-2], w.shape[-1])), mode="r")
+    d = np.concatenate([d for _, d in factors], axis=-1)
+    return (r * d[..., None, :]) @ r.conj().swapaxes(-1, -2)
 
 
 def pure_state(model, psi) -> StateKernel:
@@ -540,8 +546,8 @@ def diagonal_state(model, node_probs) -> StateKernel:
     p = np.asarray(node_probs, dtype=float)
     if p.shape != (model.size,):
         raise ValueError("node_probs must have one entry per grid node")
-    if np.any(p < 0):
-        raise ValueError("node probabilities must be nonnegative")
+    if not np.all(np.isfinite(p) & (p >= 0)):
+        raise ValueError("node probabilities must be finite and nonnegative")
     total = p.sum()
     if total <= 0:
         raise ValueError("node probabilities sum to zero")
@@ -619,7 +625,7 @@ def validate_state(
 
     Weighted eigenvalues come from the small Gram of the factor.
     """
-    gram = _weighted_gram(state.grid, state.factor)
+    gram = _weighted_gram(state.grid.mass, state.factor)
     eigs = np.linalg.eigvalsh(gram)
     if gram.shape[0] < state.size * state.block_size:
         eigs = np.append(eigs, 0.0)

@@ -246,10 +246,13 @@ def sample_ensemble(
     raise ValueError(f"unknown sampler: {sampler!r}")
 
 
-def _sums_blocks(trajectories: Sequence[Trajectory], ks: Sequence[int], nodes, probe=None):
+def _sums_blocks(
+    trajectories: Sequence[Trajectory], ks: Sequence[int], nodes, probe=None, row_cells: int = 0
+):
     """(slice, copy of its sums after each k in ``ks``) for row blocks of
-    ``trajectories`` of at most BLOCK_CELLS // 4 cells (rows x len(ks) x nodes)."""
-    for sl in _blocks(len(trajectories), len(ks) * nodes.size, 4):
+    ``trajectories`` of at most BLOCK_CELLS // 4 cells (rows x len(ks) x nodes,
+    or ``row_cells`` a row where the caller stacks more)."""
+    for sl in _blocks(len(trajectories), max(len(ks) * nodes.size, row_cells), 4):
         rows = [t.loglik_at(k, probe, nodes) for t in trajectories[sl] for k in ks]
         yield sl, np.array(rows, dtype=float).reshape(-1, len(ks), nodes.size)
 

@@ -180,6 +180,25 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
             {"probe": {"kind": "binary-phase", "embed": {"source": [["a", 1]]}}},
             "embed source must be a pair of numbers",
         ),
+        ({"state": {"type": "diagonal", "weights": [float("nan"), 0.7]}}, "finite and nonnegative"),
+        (
+            {
+                "kind": "rate-convergence",
+                "spectral": {"intervals": [[0.0, 1.0]], "h": {"table": [[0, 1], [1, float("nan")]]}},
+                "state": {"type": "pure"},
+                "region": [[0.5, 1.0]],
+            },
+            "density table entries must be finite",
+        ),
+        (
+            {
+                "kind": "rate-convergence",
+                "spectral": {"intervals": [[0.0, 1e308]]},
+                "state": {"type": "pure"},
+                "region": [[0.5, 1.0]],
+            },
+            "interval [0.0, 1e+308] overflows",
+        ),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -209,13 +228,17 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "interval-nan",
         "psi-list",
         "embed-source-nested",
+        "state-weight-nan",
+        "h-table-nan",
+        "interval-overflow",
     ],
 )
-def test_malformed_declarations_exit_two(tmp_path, capsys, overrides, message):
+def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, message):
     cfg = _write_config(tmp_path / "cfg.json", **overrides)
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+    assert not recwarn.list  # a warning would print a second line outside pytest
 
 
 @pytest.mark.parametrize(

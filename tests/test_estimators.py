@@ -1,7 +1,9 @@
 """Maximum likelihood, rate traces, CLT residuals, Laplace diagnostic,
 rescaled kernels, the Gaussian limit, and the trace-norm distance."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +16,13 @@ from qndsim.estimators import (
     _INV_PHI2,
     REFINE_TOL_FACTOR,
     WindowError,
+    WindowGrid,
     _interpolate,
     _interval_subgrid,
     _stencil,
     build_window_grid,
     clt_samples,
+    kernel_distances,
     laplace_condition_check,
     limit_kernel,
     mle,
@@ -28,7 +32,7 @@ from qndsim.estimators import (
     rescaled_posterior_kernel,
     trace_norm_distance,
 )
-from qndsim.harness import ExperimentConfig, run_experiment
+from qndsim.harness import ExperimentConfig, prepare_run, run_experiment, simulate_ensemble
 from qndsim.probes import (
     BinaryPhase,
     GaussianReadout,
@@ -43,9 +47,10 @@ from qndsim.spectral import (
     diagonal_state,
     pure_state,
 )
-from qndsim.trajectories import Trajectory, definetti_sample, trajectory_rng
+from qndsim.trajectories import Trajectory, _logsumexp, definetti_sample, trajectory_rng
 
 SEED = 20260810
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _gaussian_setup(n=100, sigma=1.0, psi=None):
@@ -902,3 +907,216 @@ def test_kernel_convergence_estimate_builds_no_dense_window_kernel(monkeypatch):
     )
     bundle = run_experiment(cfg)
     assert len(bundle.tables["kernel_distance"][1]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the per-window kernel loop the stacked kernel_distances replaced, kept as its oracle
+
+def _loop_window(model, nu_hat, k, fisher, window_sigmas, window_nodes, min_sigmas):
+    _, (a, b) = _interval_subgrid(model, nu_hat)
+    sqrt_k = math.sqrt(k)
+    want = window_sigmas / math.sqrt(fisher)
+    fit = sqrt_k * min(nu_hat - a, b - nu_hat)
+    half = min(want, fit)
+    if half < min_sigmas / math.sqrt(fisher):
+        raise WindowError(
+            f"rescaled window of half-width {want:.3g} exits the spectrum at "
+            f"k={k} (room for {fit:.3g}, need {min_sigmas / math.sqrt(fisher):.3g})"
+        )
+    spacing = 2.0 * half / window_nodes
+    offsets = -half + (np.arange(window_nodes) + 0.5) * spacing
+    hvals = np.asarray(model.h_fn(nu_hat + offsets / sqrt_k), dtype=float)
+    return WindowGrid(offsets, spacing, float(nu_hat), sqrt_k, hvals, model.multiplicity)
+
+
+def _loop_apply(first, w, values):
+    w = w.reshape(w.shape + (1,) * (values.ndim - 1))
+    return w[:, 0] * values[first] + w[:, 1] * values[first + 1] + w[:, 2] * values[first + 2]
+
+
+def _loop_zoom(state, traj, k, model, probe, estimate, window):
+    sums = traj.loglik_at(k, probe, model.nodes)
+    nu_hat = float(estimate)
+    fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
+    grid = _loop_window(model, nu_hat, k, fisher, *window)
+    sl, (a, b) = _interval_subgrid(model, nu_hat)
+    first, w = _stencil(model.nodes[sl], grid.positions, (a, b))
+    shift = float(sums.max())
+    amp = np.exp(0.5 * (_loop_apply(first, w, sums[sl]) - shift))
+    psi, d = state.factor
+    phi = _loop_apply(first, w, psi[sl]) * amp[:, None, None]
+    live = np.any(phi != 0, axis=(0, 1))
+    phi, d = phi[:, :, live], d[live]
+    raw_trace = StateKernel(None, grid, factor=(phi, d)).trace()
+    window_trace = raw_trace / grid.scale
+    log_terms = sums - shift + state.log_weights[0]
+    grid_norm = float(np.exp(_logsumexp(log_terms[np.isfinite(log_terms)])))
+    if window_trace <= 0:
+        raise ValueError("rescaled kernel has zero trace on its window")
+    return StateKernel(None, grid, factor=(phi, d / raw_trace)), fisher, window_trace / grid_norm
+
+
+def _loop_limit(model, state, nu_hat, fisher, window):
+    if fisher <= 0:
+        raise ValueError("fisher must be positive")
+    sl, (a, b) = _interval_subgrid(model, nu_hat)
+    h_at = float(np.asarray(model.h_fn(np.asarray([nu_hat])))[0])
+    if h_at <= 0:
+        raise ValueError(f"spectral density vanishes at nu={nu_hat}")
+    first, w = _stencil(model.nodes[sl], nu_hat, (a, b))
+    psi, d = state.factor
+    rows = psi[sl.start + first[0] + np.arange(3)]
+    block = np.einsum("i,iab->ab", w[0], (rows * d) @ rows.conj().transpose(0, 2, 1))
+    trace = float(np.trace(block).real)
+    if trace <= 0.0:
+        lam, vecs = np.zeros(0), np.zeros((window.multiplicity, 0))
+    else:
+        c_block = block / trace
+        lam, vecs = np.linalg.eigh(0.5 * (c_block + c_block.conj().T))
+    g = (fisher / (2.0 * math.pi)) ** 0.25 * np.exp(-0.25 * fisher * window.offsets**2)
+    return StateKernel(None, window, factor=(g[:, None, None] * vecs, lam / h_at))
+
+
+def _loop_trace_norm(a, b):
+    (psi_a, d_a), (psi_b, d_b) = a.factor, b.factor
+    if np.array_equal(d_a, d_b) and np.array_equal(psi_a, psi_b):
+        return 0.0
+    s = np.sqrt(a.grid.mass)[:, None, None]
+    w = np.concatenate([psi_a * s, psi_b * s], axis=2)
+    r = np.linalg.qr(w.reshape(w.shape[0] * w.shape[1], w.shape[2]), mode="r")
+    gram = (r * np.concatenate([d_a, -d_b])) @ r.conj().T
+    return float(np.abs(np.linalg.eigvalsh(gram)).sum())
+
+
+def _loop_kernel_distances(state, trajs, cps, model, probe, estimates, window=(8.0, 201, 2.0)):
+    """Distances and window masses, one window at a time in (trajectory, checkpoint) order."""
+    out = np.empty((2, len(trajs), len(cps)))
+    for e, traj in enumerate(trajs):
+        for i, c in enumerate(cps):
+            zoom, fisher, mass = _loop_zoom(state, traj, c, model, probe, estimates[e, i], window)
+            limit = _loop_limit(model, state, float(estimates[e, i]), fisher, zoom.grid)
+            out[:, e, i] = _loop_trace_norm(zoom, limit), mass
+    return out
+
+
+def _stacked(state, trajs, cps, model, probe, estimates, window=(8.0, 201, 2.0)):
+    sigmas, nodes, min_sigmas = window
+    return np.array(kernel_distances(
+        state, trajs, cps, model, probe, estimates=estimates,
+        window_sigmas=sigmas, window_nodes=nodes, min_sigmas=min_sigmas,
+    ))
+
+
+@pytest.mark.parametrize("seed", [20260810, 20260813, 20260817])
+def test_kernel_distances_equal_the_window_loop_on_the_shipped_config(seed):
+    tree = json.loads((CONFIGS / "kernel_convergence.json").read_text())
+    config = ExperimentConfig.from_dict({**tree, "seed": seed})
+    model, state, probe = prepare_run(config)
+    trajs = simulate_ensemble(config)
+    cps = list(config.checkpoints)
+    estimates = mle_table(trajs, cps, model, probe)
+    window = (config.window["sigmas"], int(config.window["nodes"]), config.window["min_sigmas"])
+    got = _stacked(state, trajs, cps, model, probe, estimates, window)
+    assert got.tobytes() == _loop_kernel_distances(state, trajs, cps, model, probe, estimates, window).tobytes()
+
+
+def _mixed_setup(intervals, multiplicity, state_kind, h=None, sigma=0.2):
+    model = build_spectral_model(
+        intervals=intervals, h=h, nodes_per_interval=60, multiplicity=multiplicity
+    )
+    probe = bind_extension(GaussianReadout(sigma=sigma), model)
+    rng = np.random.default_rng(SEED)
+    if state_kind == "diagonal":  # some nodes without prior weight
+        state = diagonal_state(model, rng.random(model.size) * (rng.random(model.size) > 0.2))
+    else:
+        state = _oracle_kernel(state_kind, model, 2, rng)
+    return model, probe, state, rng
+
+
+@pytest.mark.parametrize("state_kind", ["diagonal", "dense-psd", "factor"])
+def test_kernel_distances_equal_the_window_loop_for_mixed_states_of_multiplicity_two(
+    state_kind, monkeypatch
+):
+    model, probe, state, rng = _mixed_setup(
+        [(0.0, 1.0)], 2, state_kind, h={"name": "cosine", "amplitude": 0.3}
+    )
+    trajs = [
+        _manual_trajectory(probe, model, nu + 0.2 * rng.standard_normal(2000))
+        for nu in (0.31, 0.45, 0.5, 0.62, 0.7)
+    ]
+    cps = [60, 400, 2000]
+    estimates = mle_table(trajs, cps, model, probe)
+    want = _loop_kernel_distances(state, trajs, cps, model, probe, estimates, (6.0, 41, 2.0))
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
+    got = _stacked(state, trajs, cps, model, probe, estimates, (6.0, 41, 2.0))
+    assert got.tobytes() == want.tobytes()
+    # one QR per group of windows with the same live columns in a row block: a
+    # diagonal state's windows each read other node columns; the 120 columns
+    # of a dense state fill a block with one trajectory's windows
+    assert len(calls) == {"diagonal": 15, "dense-psd": 5, "factor": 1}[state_kind]
+
+
+def test_kernel_distances_equal_the_window_loop_across_two_intervals():
+    model, probe, state, rng = _mixed_setup(
+        [(0.0, 0.45), (0.55, 1.0)], 1, "pure", h={"name": "linear", "intercept": 0.5}, sigma=0.05
+    )
+    trajs = [
+        _manual_trajectory(probe, model, nu + 0.05 * rng.standard_normal(3000))
+        for nu in (0.2, 0.8, 0.3, 0.7)
+    ]
+    cps = [300, 3000]
+    estimates = mle_table(trajs, cps, model, probe)
+    assert len({model.interval_index(nu) for nu in estimates.ravel()}) == 2
+    got = _stacked(state, trajs, cps, model, probe, estimates, (8.0, 51, 2.0))
+    assert got.tobytes() == _loop_kernel_distances(
+        state, trajs, cps, model, probe, estimates, (8.0, 51, 2.0)
+    ).tobytes()
+
+
+def _first_error(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "estimates, message",
+    [
+        ([[0.5, 0.5], [0.005, 0.03], [0.85, 0.85]], "exits the spectrum"),
+        ([[0.5, 0.85], [0.005, 0.03], [0.85, 0.85]], "zero trace"),
+        ([[0.25, 0.5], [0.005, 0.03], [0.85, 0.85]], "density vanishes at nu=0.25"),
+        ([[1.2, 0.5], [0.005, 0.03], [0.85, 0.85]], "no absolutely continuous neighborhood"),
+    ],
+    ids=["leaves-spectrum", "zero-trace-first", "zero-density-first", "on-an-atom"],
+)
+def test_kernel_distances_raise_the_first_error_of_the_window_loop(estimates, message):
+    # the wave function vanishes on [0.7, 1], the density at 0.25 exactly; the
+    # trajectories peak at 0.5, 0.01 and 0.85, and every case fails again later
+    model = build_spectral_model(
+        atoms=[(1.2, 0.1)], intervals=[(0.0, 1.0)], nodes_per_interval=80,
+        h=lambda nu: np.where(nu == 0.25, 0.0, 1.0),
+    )
+    probe = bind_extension(GaussianReadout(sigma=0.1), model)
+    state = pure_state(model, np.where(model.nodes < 0.7, 1.0, 0.0))
+    rng = np.random.default_rng(SEED)
+    trajs = [
+        _manual_trajectory(probe, model, nu + 0.1 * rng.standard_normal(400))
+        for nu in (0.5, 0.01, 0.85)
+    ]
+    cps, estimates = [100, 400], np.array(estimates)
+    got = _first_error(lambda: _stacked(state, trajs, cps, model, probe, estimates))
+    assert message in got[1]
+    assert got == _first_error(
+        lambda: _loop_kernel_distances(state, trajs, cps, model, probe, estimates)
+    )
+
+
+def test_kernel_run_takes_one_qr_for_the_whole_stack(monkeypatch):
+    config = ExperimentConfig.from_dict(json.loads((CONFIGS / "kernel_convergence.json").read_text()))
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(a[0].shape) or qr(*a, **kw))
+    run_experiment(config)
+    assert calls == [(60, 201, 2)]  # 20 trajectories x 3 checkpoints, the loop took 60
