@@ -541,8 +541,8 @@ def build_window_grid(
     ``min_sigmas / sqrt(fisher)``, the window cannot fit and a
     ``WindowError`` is raised.
     """
-    window = (window_sigmas, window_nodes, min_sigmas)
-    return _window_stack(model, nu_hat, k, fisher, *window)[0].row(0)
+    grids, _, _ = _window_stack(model, nu_hat, k, fisher, window_sigmas, window_nodes, min_sigmas)
+    return grids.row(0)
 
 
 @dataclass(frozen=True)
@@ -605,8 +605,9 @@ def rescaled_posterior_kernel(
     sums = trajectory.loglik_at(k, probe, model.nodes)
     nu_hat = float(estimate)
     fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
-    window = (window_sigmas, window_nodes, min_sigmas)
-    grids, subgrids, _ = _window_stack(model, nu_hat, k, fisher, *window)
+    grids, subgrids, _ = _window_stack(
+        model, nu_hat, k, fisher, window_sigmas, window_nodes, min_sigmas
+    )
     [(live, _)], [phi], raw, grid_norm = _zoom_stack(
         state, model, sums[None], grids, subgrids, np.empty((1, 0), dtype=bool)
     )
@@ -639,7 +640,7 @@ def _limit_stack(model: SpectralModel, state: StateKernel, nus, fisher, offsets,
     lam, vecs = np.zeros((nus.size, n)), np.zeros((nus.size, n, n), dtype=complex)
     c_block = block[live] / trace[live, None, None]
     lam[live], vecs[live] = np.linalg.eigh(0.5 * (c_block + c_block.conj().swapaxes(-1, -2)))
-    coef = np.array([(f / (2.0 * math.pi)) ** 0.25 for f in fisher.tolist()])  # Python pow
+    coef = np.array([(f / (2.0 * math.pi)) ** 0.25 for f in fisher.tolist()])  # scalar pow
     g = coef[:, None] * np.exp(-0.25 * fisher[:, None] * offsets**2)
     return g[..., None, None] * vecs[:, None], lam, live, np.asarray(model.h_fn(nus), dtype=float)
 

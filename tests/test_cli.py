@@ -184,7 +184,9 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         (
             {
                 "kind": "rate-convergence",
-                "spectral": {"intervals": [[0.0, 1.0]], "h": {"table": [[0, 1], [1, float("nan")]]}},
+                "spectral": {
+                    "intervals": [[0.0, 1.0]], "h": {"table": [[0, 1], [1, float("nan")]]}
+                },
                 "state": {"type": "pure"},
                 "region": [[0.5, 1.0]],
             },

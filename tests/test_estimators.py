@@ -1017,7 +1017,8 @@ def test_kernel_distances_equal_the_window_loop_on_the_shipped_config(seed):
     estimates = mle_table(trajs, cps, model, probe)
     window = (config.window["sigmas"], int(config.window["nodes"]), config.window["min_sigmas"])
     got = _stacked(state, trajs, cps, model, probe, estimates, window)
-    assert got.tobytes() == _loop_kernel_distances(state, trajs, cps, model, probe, estimates, window).tobytes()
+    want = _loop_kernel_distances(state, trajs, cps, model, probe, estimates, window)
+    assert got.tobytes() == want.tobytes()
 
 
 def _mixed_setup(intervals, multiplicity, state_kind, h=None, sigma=0.2):
@@ -1114,9 +1115,9 @@ def test_kernel_distances_raise_the_first_error_of_the_window_loop(estimates, me
 
 
 def test_kernel_run_takes_one_qr_for_the_whole_stack(monkeypatch):
-    config = ExperimentConfig.from_dict(json.loads((CONFIGS / "kernel_convergence.json").read_text()))
+    tree = json.loads((CONFIGS / "kernel_convergence.json").read_text())
     calls = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(a[0].shape) or qr(*a, **kw))
-    run_experiment(config)
+    run_experiment(ExperimentConfig.from_dict(tree))
     assert calls == [(60, 201, 2)]  # 20 trajectories x 3 checkpoints, the loop took 60
