@@ -519,10 +519,13 @@ def _window_stack(model, nus, ks, fisher, window_sigmas, window_nodes, min_sigma
     return WindowGrid(offsets, spacing, center, scale, hvals, model.multiplicity), subgrids, error
 
 
-def _groups(keys: np.ndarray):
-    """(key, rows) for each distinct row of ``keys`` (one value or a row a window)."""
-    uniq, inverse = np.unique(np.reshape(keys, (len(keys), -1)), axis=0, return_inverse=True)
-    return [(key, np.flatnonzero(inverse.ravel() == u)) for u, key in enumerate(uniq)]
+def _groups(keys) -> list:
+    """(key, rows) for each distinct row of ``keys`` (one value or a row a window),
+    by the row's bytes (``np.unique(axis=0)`` takes 3.5 ms for 60 x 400 bools)."""
+    groups: dict = {}
+    for i, key in enumerate(np.reshape(keys, (len(keys), -1))):
+        groups.setdefault(key.tobytes(), (key, []))[1].append(i)
+    return [(key, np.array(rows)) for key, rows in groups.values()]
 
 
 def build_window_grid(
