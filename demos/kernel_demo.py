@@ -34,12 +34,11 @@ def main():
 
     distances = {k: [] for k in checkpoints}
     ratios = []
-    for i in range(10):
-        traj = q.definetti_sample(
-            state, probe, max(checkpoints), q.trajectory_rng(SEED, i),
-            checkpoints=checkpoints, hidden_nu=0.5,
-        )
-        estimates = q.mle_table([traj], checkpoints, model, probe)[0]
+    ensemble = q.sample_ensemble(
+        state, probe, max(checkpoints), 10, SEED, checkpoints=checkpoints, hidden_nu=0.5
+    )
+    table = q.mle_table(ensemble, checkpoints, model, probe)
+    for traj, estimates in zip(ensemble, table):
         for k, nu_hat in zip(checkpoints, estimates):
             zoom = q.rescaled_posterior_kernel(state, traj, k, model, probe, estimate=nu_hat)
             limit = q.limit_kernel(model, state, zoom.estimate, zoom.fisher, zoom.window)

@@ -43,7 +43,7 @@ from .probes import (
     validate_probe,
 )
 from .trajectories import (
-    SeedRecord,
+    Ensemble,
     Trajectory,
     definetti_sample,
     exact_tuple_distribution,

@@ -86,9 +86,9 @@ def _cmd_simulate(args) -> int:
     if args.out is None:
         raise ConfigError("simulate needs --out to persist trajectories")
     prepare_run(config)  # the gate verify applies
-    trajectories = simulate_ensemble(config)
-    persist_trajectories(args.out, trajectories, config)
-    log.info("persisted %d trajectories to %s", len(trajectories), args.out)
+    ensemble = simulate_ensemble(config)
+    persist_trajectories(args.out, ensemble, config)
+    log.info("persisted %d trajectories to %s", len(ensemble), args.out)
     return EXIT_OK
 
 
@@ -97,7 +97,7 @@ def _cmd_estimate(args) -> int:
     if args.out is None:
         raise ConfigError("estimate needs --out with persisted trajectories")
     try:
-        trajectories = load_trajectories(args.out, config)
+        ensemble = load_trajectories(args.out, config)
     except FileNotFoundError as exc:
         print(f"error: {exc}; run simulate first", file=sys.stderr)
         return EXIT_USAGE
@@ -105,7 +105,7 @@ def _cmd_estimate(args) -> int:
     state = build_state(model, config.state)
     probe = build_probe(config, model)
     bundle = estimate_ensemble(
-        config, trajectories, model, state, probe, (config.config_hash(), content_hash)
+        config, ensemble, model, state, probe, (config.config_hash(), content_hash)
     )
     bundle.write(args.out)
     print(bundle.summary_text())

@@ -1,12 +1,11 @@
 """Estimators and limit diagnostics built on trajectory log-likelihoods.
 
 The maximum-likelihood estimate of the observable's value is the argmax of
-the running log-likelihood sums over the grid, optionally refined below the
-grid scale by golden-section search on the probe's exact log-likelihood
-objective (``ProbeModel.loglik_objective``: counts for finite outcomes, the
-sample mean and centred sum for the Gaussian readout, the per-outcome sum
-otherwise).  On top of it sit the statistics that make the asymptotic claims
-measurable at finite k:
+the running log-likelihood sums over the grid, refined below the grid scale
+by golden-section search on the probe's exact log-likelihood objective
+(``ProbeModel.loglik_objective``: counts for finite outcomes, the sample mean
+and centred sum for the Gaussian readout, the per-outcome sum otherwise).  On top of it sit the statistics that make the asymptotic claims
+measurable at finite k, each read from the row blocks of an ``Ensemble``:
 
 * consistency frequencies against exact spectral probabilities,
 * posterior decay rates of excluded regions against relative entropy,
@@ -50,7 +49,7 @@ from .spectral import (
     _weighted_gram,
     spectral_probability,
 )
-from .trajectories import Trajectory, _logsumexp, _sums_blocks, log_prior_weights
+from .trajectories import Ensemble, Trajectory, _logsumexp, _sums_blocks, log_prior_weights
 
 __all__ = [
     "RateTrace",
@@ -173,52 +172,33 @@ def _golden_table(objective, a: np.ndarray, b: np.ndarray, tol: float) -> np.nda
     return np.where(n > 0, 0.5 * np.where(yc > yd, a + d, c + b), 0.5 * (a + b))
 
 
-def _parabola_vertex(model: SpectralModel, sums: np.ndarray, idx: int, nu0: float):
-    """Vertex of the parabola through the grid sums at the three nodes around ``idx``."""
-    sl, _ = _interval_subgrid(model, nu0)
-    xs, ys = model.nodes[sl], sums[sl]
-    c = int(np.clip(idx - sl.start, 1, xs.size - 2))
-    x0, x1, x2 = xs[c - 1 : c + 2]
-    y0, y1, y2 = ys[c - 1 : c + 2]
-    denom = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-    if denom == 0:
-        return x1
-    return x1 - 0.5 * ((x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)) / denom
-
-
 def mle_table(
-    trajectories: Sequence[Trajectory], checkpoints: Sequence[int], model: SpectralModel,
-    probe=None, refine: bool = True,
+    ensemble: Ensemble, checkpoints: Sequence[int], model: SpectralModel, probe
 ) -> np.ndarray:
     """Maximum-likelihood estimates after each k in ``checkpoints``, one row per trajectory.
 
-    The grid argmax breaks ties toward the smallest node.  With ``refine``,
-    interval-node maxima are polished by golden-section search over the
-    bracketing cells (tolerance 1e-8 of the hull width) on the exact
-    log-likelihood of the first k outcomes, all searches in one lock-step loop
-    on the batched ``probe.loglik_objective`` (O(1) per step for finite outcome
-    spaces and the Gaussian readout off its blend zone, O(k) otherwise).
-    Without the probe or the outcomes, the estimate is the vertex of the local
-    parabola through the grid sums.  Estimates never leave the spectrum.
+    The grid argmax breaks ties toward the smallest node.  Interval-node
+    maxima are polished by golden-section search over the bracketing cells
+    (tolerance 1e-8 of the hull width) on the exact log-likelihood of the
+    first k outcomes, all searches in one lock-step loop on the batched
+    ``probe.loglik_objective`` (O(1) per step for finite outcome spaces and
+    the Gaussian readout off its blend zone, O(k) otherwise).  Estimates
+    never leave the spectrum.
     """
-    table = np.empty((len(trajectories), len(checkpoints)))
+    table = np.empty((len(ensemble), len(checkpoints)))
     brackets, prefixes = [], []  # (row, column, lo, hi) of each search, its outcomes
-    for sl, sums in _sums_blocks(trajectories, checkpoints, model.nodes, probe):
+    for sl, sums in _sums_blocks(ensemble, checkpoints):
         best = np.argmax(sums, axis=-1)  # first occurrence: smallest node wins ties
         table[sl] = model.nodes[best]
         for (r, i), idx in np.ndenumerate(best):
-            e, k, nu0 = sl.start + r, checkpoints[i], float(model.nodes[idx])
-            j = None if not refine or model.is_atom[idx] else model.interval_index(nu0)
+            nu0 = float(model.nodes[idx])
+            j = None if model.is_atom[idx] else model.interval_index(nu0)
             if j is None:
                 continue
             a, b = model.intervals[j]
             delta = (b - a) / model.nodes_per_interval
-            lo, hi = max(a, nu0 - delta), min(b, nu0 + delta)
-            if probe is not None and trajectories[e].outcomes.size >= k:
-                brackets.append((e, i, lo, hi))
-                prefixes.append(trajectories[e].outcomes[:k])
-            else:
-                table[e, i] = np.clip(_parabola_vertex(model, sums[r, i], int(idx), nu0), lo, hi)
+            brackets.append((sl.start + r, i, max(a, nu0 - delta), min(b, nu0 + delta)))
+            prefixes.append(ensemble.outcomes[sl.start + r, : checkpoints[i]])
     if brackets:
         rows, cols, lo, hi = (np.asarray(v) for v in zip(*brackets))
         tol = REFINE_TOL_FACTOR * max(model.hull[1] - model.hull[0], 1.0)
@@ -227,9 +207,10 @@ def mle_table(
     return table
 
 
-def mle(trajectory: Trajectory, k: int, model: SpectralModel, probe=None, refine=True) -> float:
+def mle(trajectory: Trajectory, k: int, model: SpectralModel, probe) -> float:
     """Maximum-likelihood estimate after k outcomes: the 1 x 1 ``mle_table``."""
-    return float(mle_table([trajectory], [k], model, probe, refine)[0, 0])
+    ensemble = Ensemble.of([trajectory], [k], probe, model.nodes)
+    return float(mle_table(ensemble, [k], model, probe)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -243,12 +224,7 @@ class ConsistencyResult:
 
 
 def mle_consistency_stat(
-    trajectories: Sequence[Trajectory],
-    k: int,
-    model: SpectralModel,
-    region,
-    state: StateKernel,
-    probe=None,
+    ensemble: Ensemble, k: int, model: SpectralModel, region, state: StateKernel,
     ci_sigmas: float = 3.0,
 ) -> ConsistencyResult:
     """Frequency of grid estimates falling in a region, with its exact target.
@@ -256,19 +232,19 @@ def mle_consistency_stat(
     Membership is decided on grid nodes (no sub-grid refinement), so the
     region mask and the estimate live on the same discretization.
     """
-    if len(trajectories) == 0:
+    if len(ensemble) == 0:
         raise ValueError("empty ensemble")
     mask = model.region_mask(region)
     hits = 0
-    for _, sums in _sums_blocks(trajectories, [k], model.nodes, probe):
+    for _, sums in _sums_blocks(ensemble, [k]):
         hits += int(np.count_nonzero(mask[np.argmax(sums[:, 0], axis=-1)]))
     exact = spectral_probability(state, region)
-    ci = ci_sigmas * math.sqrt(max(exact * (1.0 - exact), 0.0) / len(trajectories))
+    ci = ci_sigmas * math.sqrt(max(exact * (1.0 - exact), 0.0) / len(ensemble))
     return ConsistencyResult(
-        frequency=hits / len(trajectories),
+        frequency=hits / len(ensemble),
         exact_probability=exact,
         ci_halfwidth=ci,
-        count=len(trajectories),
+        count=len(ensemble),
     )
 
 
@@ -306,21 +282,21 @@ def rate_region(model: SpectralModel, state: StateKernel, region):
 
 
 def rate_traces(
-    state: StateKernel, trajectories: Sequence[Trajectory], region, checkpoints: Iterable[int],
+    state: StateKernel, ensemble: Ensemble, region, checkpoints: Iterable[int],
     model: SpectralModel, probe, *, estimates: Sequence[float],
 ) -> list[RateTrace]:
     """Posterior decay rates on ``region`` at the checkpoints in (0, k], k the
-    shortest trajectory length, one trace per trajectory (sums read in row blocks).
+    trajectory length, one trace per trajectory (sums read in row blocks).
 
     ``estimates`` holds each trajectory's refined estimate after the last
     checkpoint (its ``mle_table`` entry); the target rate is the relative
     entropy from its law to the region.
     """
     mask, log_prior = rate_region(model, state, region)
-    k = min(len(t) for t in trajectories)
+    k = ensemble.outcomes.shape[1]
     cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= k})
-    values = np.empty((len(trajectories), len(cps)))
-    for sl, sums in _sums_blocks(trajectories, cps, model.nodes, probe):
+    values = np.empty((len(ensemble), len(cps)))
+    for sl, sums in _sums_blocks(ensemble, cps):
         logw = log_prior + sums  # (rows x checkpoints x nodes)
         # region terms node-major in each row, as in one trajectory's logw[:, mask]: same sums
         region_w = np.ascontiguousarray(logw.swapaxes(1, 2)[:, mask]).swapaxes(1, 2)
@@ -353,7 +329,7 @@ class CltSamples:
 
 
 def clt_samples(
-    trajectories: Sequence[Trajectory], k: int, model: SpectralModel, probe, *,
+    ensemble: Ensemble, k: int, model: SpectralModel, probe, *,
     estimates: Sequence[float], margin_stds: float = 5.0,
 ) -> CltSamples:
     """Standardized estimator residuals against the hidden values.
@@ -365,14 +341,13 @@ def clt_samples(
     the refined estimate of each trajectory after k outcomes (the ``mle_table``
     column at k).
     """
+    if ensemble.hidden is None:
+        raise ValueError("clt_samples needs trajectories with hidden values")
     residuals = []
     excluded_boundary = 0
     excluded_atoms = 0
     fisher_cache: dict[float, float] = {}
-    for traj, estimate in zip(trajectories, estimates):
-        if traj.hidden_nu is None:
-            raise ValueError("clt_samples needs trajectories with hidden values")
-        nu = float(traj.hidden_nu)
+    for nu, estimate in zip(ensemble.hidden.tolist(), estimates):
         j = model.interval_index(nu)
         if j is None:
             excluded_atoms += 1
@@ -679,7 +654,7 @@ def limit_kernel(
 
 
 def kernel_distances(
-    state: StateKernel, trajectories: Sequence[Trajectory], checkpoints: Sequence[int],
+    state: StateKernel, ensemble: Ensemble, checkpoints: Sequence[int],
     model: SpectralModel, probe, *, estimates, window_sigmas: float = DEFAULT_WINDOW_SIGMAS,
     window_nodes: int = 201, min_sigmas: float = MIN_WINDOW_SIGMAS,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -692,7 +667,7 @@ def kernel_distances(
     estimates = np.asarray(estimates, dtype=float)
     out = np.empty((2,) + estimates.shape)  # distances, window masses
     row_cells = ks.size * window_nodes * psi[0].size  # a row's zoom factors
-    for block, sums in _sums_blocks(trajectories, ks, model.nodes, probe, row_cells):
+    for block, sums in _sums_blocks(ensemble, ks, row_cells):
         nus = estimates[block].ravel()
         fisher = np.array([probe.fisher(np.asarray([nu]))[0] for nu in nus.tolist()], dtype=float)
         grids, subgrids, error = _window_stack(

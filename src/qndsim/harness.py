@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import numpy.ma  # np.median imports it on its first call, which would fall inside a run
@@ -49,7 +49,7 @@ from .spectral import (
     state_from_dict,
     validate_state,
 )
-from .trajectories import SeedRecord, Trajectory, posterior_means, sample_ensemble
+from .trajectories import Ensemble, posterior_means, sample_ensemble
 
 __all__ = [
     "DEFAULT_SEED",
@@ -201,6 +201,8 @@ def _coerced(name: str, value, convert):
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be numeric, got {value!r}") from exc
+    except OverflowError as exc:  # int(inf)
+        raise ConfigError(f"{name} must be finite, got {value!r}") from exc
 
 
 def _require_known(name: str, given, known) -> None:
@@ -256,7 +258,8 @@ def _psi_from_spec(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
 
 def build_state(model: SpectralModel, spec: dict) -> StateKernel:
     try:
-        return _state_from_spec(model, spec)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises
+            return _state_from_spec(model, spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad state declaration: {exc}") from exc
 
@@ -377,18 +380,12 @@ class TestResult:
 # ---------------------------------------------------------------------------
 # simulation
 
-def simulate_ensemble(config: ExperimentConfig) -> list[Trajectory]:
+def simulate_ensemble(config: ExperimentConfig) -> Ensemble:
     """All ensemble trajectories, in ensemble order."""
     _, _, state, probe = _build_cached(config.canonical_json())
     return sample_ensemble(
-        state,
-        probe,
-        config.k_max,
-        config.ensemble,
-        config.seed,
-        sampler=config.sampler,
-        checkpoints=config.checkpoints,
-        hidden_nu=config.hidden_nu,
+        state, probe, config.k_max, config.ensemble, config.seed,
+        sampler=config.sampler, checkpoints=config.checkpoints, hidden_nu=config.hidden_nu,
     )
 
 
@@ -397,7 +394,7 @@ def simulate_ensemble(config: ExperimentConfig) -> list[Trajectory]:
 
 def estimate_ensemble(
     config: ExperimentConfig,
-    trajectories: Sequence[Trajectory],
+    ensemble: Ensemble,
     model: SpectralModel,
     state: StateKernel,
     probe: ProbeModel,
@@ -440,20 +437,14 @@ def estimate_ensemble(
     columns = sorted(set(cps) | {k_max})
     col = {c: i for i, c in enumerate(columns)}
     paths_only = config.kind in ("born-frequency", "assumption-validation")
-    table = est.mle_table(trajectories[:100] if paths_only else trajectories, columns, model, probe)
+    table = est.mle_table(ensemble[:100] if paths_only else ensemble, columns, model, probe)
 
     # posterior-mean diagnostic (no limit statement attached to it)
-    report.posterior_means = posterior_means(state, trajectories[:100], k_max, probe)
+    report.posterior_means = posterior_means(state, ensemble[:100], k_max)
 
     if config.kind == "born-frequency":
         stat = est.mle_consistency_stat(
-            trajectories,
-            k_max,
-            model,
-            config.region,
-            state,
-            probe,
-            ci_sigmas=tol["born_ci_sigmas"],
+            ensemble, k_max, model, config.region, state, ci_sigmas=tol["born_ci_sigmas"]
         )
         report.consistency = vars(stat)
         add_result(
@@ -472,7 +463,7 @@ def estimate_ensemble(
 
     elif config.kind == "rate-convergence":
         traces = est.rate_traces(
-            state, trajectories, config.region, cps, model, probe, estimates=table[:, col[cps[-1]]]
+            state, ensemble, config.region, cps, model, probe, estimates=table[:, col[cps[-1]]]
         )
         report.rate_traces = [vars(t) for t in traces]
         medians = [
@@ -495,12 +486,12 @@ def estimate_ensemble(
 
     elif config.kind == "clt":
         samples = est.clt_samples(
-            trajectories, k_max, model, probe,
+            ensemble, k_max, model, probe,
             estimates=table[:, col[k_max]], margin_stds=tol["boundary_margin_stds"],
         )
         if samples.count < KS_MIN_SAMPLES:
             raise ConfigError(
-                f"only {samples.count} of {len(trajectories)} clt trajectories remain "
+                f"only {samples.count} of {len(ensemble)} clt trajectories remain "
                 f"({samples.excluded_boundary} excluded near an interval boundary, "
                 f"{samples.excluded_atoms} on atoms); at least {KS_MIN_SAMPLES} are needed"
             )
@@ -540,7 +531,7 @@ def estimate_ensemble(
 
     elif config.kind == "kernel-convergence":
         distances, _ = est.kernel_distances(
-            state, trajectories, cps, model, probe,
+            state, ensemble, cps, model, probe,
             estimates=table[:, [col[c] for c in cps]],
             window_sigmas=config.window["sigmas"],
             window_nodes=int(config.window["nodes"]),
@@ -550,7 +541,7 @@ def estimate_ensemble(
         # quadrature points falls out of cache
         ratios = [
             est.laplace_condition_check(traj, k_max, model, probe, estimate=row[col[k_max]]).ratio
-            for traj, row in zip(trajectories, table)
+            for traj, row in zip(ensemble, table)
         ]
         medians = [float(np.median(d)) for d in distances.T]
         report.distance_series = [
@@ -572,7 +563,7 @@ def estimate_ensemble(
             max(np.diff(medians)) if len(medians) > 1 else 0.0,
             0.0,
             "<=",
-            len(trajectories),
+            len(ensemble),
         )
         add_result(
             "kernel-distance-final",
@@ -581,7 +572,7 @@ def estimate_ensemble(
             medians[-1],
             tol["kernel_distance_final"],
             "<=",
-            len(trajectories),
+            len(ensemble),
         )
         tables["kernel_distance"] = (
             ["checkpoint", "median_distance"],
@@ -635,86 +626,58 @@ def estimate_ensemble(
 # ---------------------------------------------------------------------------
 # persistence
 
-def persist_trajectories(out_dir, trajectories: Sequence[Trajectory], config: ExperimentConfig):
-    """Columnar (step, outcome) files plus checkpointed log-likelihood sidecars."""
-    out = Path(out_dir)
-    (out / "trajectories").mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "count": len(trajectories),
-        "k_max": config.k_max,
-        "checkpoints": list(config.checkpoints),
-        "master_seed": config.seed,
-        "config_hash": config.config_hash(),
-        "entries": [],
-    }
-    for i, traj in enumerate(trajectories):
-        stem = f"{i:05d}"
-        with open(out / "trajectories" / f"traj_{stem}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "outcome"])
-            for step, xi in enumerate(traj.outcomes, start=1):
-                writer.writerow([step, repr(float(xi))])
-        rows = sorted(traj.checkpoint_sums.items())
-        if len(traj) not in traj.checkpoint_sums:
-            rows.append((len(traj), traj.loglik_sums))
-        with open(out / "trajectories" / f"loglik_{stem}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k"] + [f"node_{j}" for j in range(traj.loglik_sums.size)])
-            for k, sums in rows:
-                writer.writerow([k] + [repr(float(v)) for v in sums])
-        manifest["entries"].append(
-            {
-                "index": i,
-                "hidden_nu": traj.hidden_nu,
-                "seed": vars(traj.seed) if traj.seed else None,
-            }
-        )
-    with open(out / "trajectories" / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+def _manifest(config: ExperimentConfig) -> dict:
+    """The manifest of trajectories simulated for ``config``."""
+    return {"count": config.ensemble, "k_max": config.k_max, "checkpoints": list(config.checkpoints),
+            "master_seed": config.seed, "config_hash": config.config_hash()}
+
+
+def persist_trajectories(out_dir, ensemble: Ensemble, config: ExperimentConfig):
+    """The ensemble arrays as ``trajectories/{outcomes,sums,hidden}.npy`` (float64;
+    ``hidden`` only from the mixture sampler), with a manifest naming the config."""
+    base = Path(out_dir) / "trajectories"
+    base.mkdir(parents=True, exist_ok=True)
+    for name in ("outcomes", "sums", "hidden"):
+        if getattr(ensemble, name) is not None:
+            np.save(base / f"{name}.npy", getattr(ensemble, name))
+    with open(base / "manifest.json", "w") as fh:
+        json.dump(_manifest(config), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def load_trajectories(out_dir, config: ExperimentConfig) -> list[Trajectory]:
-    """Round-trip of ``persist_trajectories``; floats recover exactly.  A
-    manifest written for another config raises ``ConfigError``."""
+def load_trajectories(out_dir, config: ExperimentConfig) -> Ensemble:
+    """Round-trip of ``persist_trajectories``, bit for bit.  A manifest written for
+    another config or in the old CSV layout, and arrays that are missing,
+    unreadable or of another shape, raise ``ConfigError``."""
     base = Path(out_dir) / "trajectories"
     manifest_path = base / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no persisted trajectories under {out_dir}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    wanted = {
-        "master_seed": config.seed, "count": config.ensemble,
-        "k_max": config.k_max, "checkpoints": list(config.checkpoints),
-        "config_hash": config.config_hash(),
-    }
-    stale = [f"{key} {manifest.get(key)} != {v}" for key, v in wanted.items()
-             if manifest.get(key) != v]
+    again, wanted = "; run simulate again", _manifest(config)
+    keys = set(manifest) if isinstance(manifest, dict) else set()
+    if "entries" in keys:
+        raise ConfigError(f"trajectories under {out_dir} are in the old CSV layout{again}")
+    missing = [key for key in wanted if key not in keys]
+    if missing:
+        raise ConfigError(f"{manifest_path} lacks the keys {missing}{again}")
+    stale = [f"{key} {manifest[key]} != {v}" for key, v in wanted.items() if manifest[key] != v]
     if stale:
         raise ConfigError(f"trajectories under {out_dir} were simulated for another "
-                          f"config ({', '.join(stale)}); run simulate again")
-    out = []
-    for entry in manifest["entries"]:
-        stem = f"{entry['index']:05d}"
-        with open(base / f"traj_{stem}.csv", newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        outcomes = np.asarray([float(r[1]) for r in rows])
-        checkpoint_sums = {}
-        with open(base / f"loglik_{stem}.csv", newline="") as fh:
-            for row in list(csv.reader(fh))[1:]:
-                checkpoint_sums[int(row[0])] = np.asarray([float(v) for v in row[1:]])
-        final = checkpoint_sums[manifest["k_max"]]
-        seed = entry.get("seed")
-        out.append(
-            Trajectory(
-                outcomes=outcomes,
-                loglik_sums=final,
-                checkpoint_sums=checkpoint_sums,
-                hidden_nu=entry.get("hidden_nu"),
-                seed=SeedRecord(**seed) if seed else None,
-            )
-        )
-    return out
+                          f"config ({', '.join(stale)}){again}")
+    e, cps, n = config.ensemble, config.checkpoints, build_model(config).size
+    shapes = {"outcomes": (e, config.k_max), "sums": (e, len(cps) + 1, n), "hidden": (e,)}
+    arrays = dict.fromkeys(shapes)
+    for name in shapes if config.sampler == "de-finetti" else ("outcomes", "sums"):
+        path = base / f"{name}.npy"
+        try:
+            arrays[name] = a = np.load(path, allow_pickle=False)
+        except (OSError, ValueError, EOFError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}{again}") from exc
+        if (a.dtype, a.shape) != (np.float64, shapes[name]):
+            raise ConfigError(f"{path} holds {a.dtype} {a.shape}, not float64 {shapes[name]}{again}")
+    return Ensemble(arrays["outcomes"], arrays["sums"], cps, arrays["hidden"], config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -793,12 +756,10 @@ def run_experiment(
     if content_hash is None:
         content_hash = git_blob_sha1(config.canonical_json().encode())
     model, state, probe = prepare_run(config)
-    trajectories = simulate_ensemble(config)
-    bundle = estimate_ensemble(
-        config, trajectories, model, state, probe, (config_hash, content_hash)
-    )
+    ensemble = simulate_ensemble(config)
+    bundle = estimate_ensemble(config, ensemble, model, state, probe, (config_hash, content_hash))
     if out_dir is not None:
         bundle.write(out_dir)
         if config.persist_trajectories:
-            persist_trajectories(out_dir, trajectories, config)
+            persist_trajectories(out_dir, ensemble, config)
     return bundle

@@ -27,9 +27,10 @@ information, relative entropy and the validator's checks) uses one rule per
 probe, ``ProbeModel._quadrature``: exact sums on finite outcome spaces, and
 otherwise 32 Gauss-Legendre points on each panel the family places.  The
 Gaussian family cuts its window of radius 8 sigma around the laws into panels
-no wider than sigma / 2; a continuous tabulated family puts one panel on each
-cell of its ``xi_grid``, so no kink of the linear interpolation falls inside
-a panel.  Outcome x node products are evaluated in blocks of at most
+no wider than sigma / 2, at most ``MAX_RULE_PANELS`` of them (binding a probe
+to a spectrum whose rule would need more raises ``ProbeError``); a continuous
+tabulated family puts one panel on each cell of its ``xi_grid``, so no kink
+of the linear interpolation falls inside a panel.  Outcome x node products are evaluated in blocks of at most
 ``BLOCK_CELLS`` cells.  On the spectrum hull the Gaussian log-likelihood sums,
 MLE objective, relative entropy and Fisher information have closed forms; the
 generic paths run only when the blend margin is reached.
@@ -66,6 +67,7 @@ __all__ = [
 
 GAUSS_WINDOW_SIGMAS = 8.0        # tail mass below 1.3e-15 per side
 GAUSS_PANEL_SIGMAS = 0.5         # widest Gauss-Legendre panel, in sigmas
+MAX_RULE_PANELS = 100_000        # panels of one Gaussian outcome rule (3.2e6 nodes)
 FD_STEP = 1e-5                   # declared central-difference step
 BLOCK_CELLS = 100_000            # cells per outcome x node block (0.8 MB of float64)
 LOCATION_RTOL = 1e-12            # values this close to the worst share its location
@@ -391,6 +393,8 @@ class GaussianReadout(ProbeModel):
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ProbeError(f"sigma must be finite and positive, got {self.sigma!r}")
+        if self.extension is not None:  # the rule of the laws on [lo, hi] must fit
+            self._xi_panels(np.array([self.extension.lo, self.extension.hi]))
 
     @property
     def outcome_space(self) -> RealLine:
@@ -476,11 +480,17 @@ class GaussianReadout(ProbeModel):
         return nu + self.sigma * rng.standard_normal(size)
 
     def _xi_panels(self, nus):
-        """Panels no wider than sigma / 2 on the 8-sigma window around the laws."""
+        """Panels no wider than sigma / 2 on the 8-sigma window around the laws,
+        at most ``MAX_RULE_PANELS`` of them."""
         pad = GAUSS_WINDOW_SIGMAS * self.sigma
         lo, hi = nus.min() - pad, nus.max() + pad
-        panels = int(np.ceil((hi - lo) / (GAUSS_PANEL_SIGMAS * self.sigma)))
-        return np.linspace(lo, hi, panels + 1)
+        panels = np.ceil((hi - lo) / (GAUSS_PANEL_SIGMAS * self.sigma))
+        if not panels <= MAX_RULE_PANELS:  # an overflowing window is inf
+            raise ProbeError(
+                f"the outcome rule of sigma={self.sigma:g} on [{nus.min():g}, {nus.max():g}] "
+                f"needs {panels:g} panels of sigma/2 (at most {MAX_RULE_PANELS})"
+            )
+        return np.linspace(lo, hi, int(panels) + 1)
 
 
 @dataclass(frozen=True)
@@ -496,6 +506,13 @@ class BinaryPhase(ProbeModel):
     offset: float = 0.0
     slope: float = 1.0
     extension: ProbeExtension | None = None
+
+    def __post_init__(self):
+        # the density's curvature carries slope ** 2
+        if not (np.isfinite(self.offset) and abs(self.slope) < np.sqrt(np.finfo(float).max)):
+            raise ProbeError(
+                f"offset and slope ** 2 must be finite, got {self.offset!r} and {self.slope!r}"
+            )
 
     @classmethod
     def embedded(

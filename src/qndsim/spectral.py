@@ -45,6 +45,8 @@ __all__ = [
     "state_from_dict",
 ]
 
+MAX_NODES_PER_INTERVAL = 1_000_000  # larger counts fail here, not in an allocation
+
 
 class SpectralModelError(ValueError):
     """Raised when a spectral model cannot be constructed as requested."""
@@ -294,7 +296,7 @@ def build_spectral_model(
         Spectral density on the intervals; must be strictly positive on
         interval interiors.  Defaults to the uniform density 1.
     nodes_per_interval : int
-        Midpoint nodes per interval (>= 2).
+        Midpoint nodes per interval, from 2 to ``MAX_NODES_PER_INTERVAL``.
     multiplicity : int
         Block size of matrix-valued kernels (>= 1).
     quadrature_tol : float
@@ -311,13 +313,17 @@ def build_spectral_model(
         raise SpectralModelError(f"atoms and intervals must be numeric pairs: {exc}") from exc
     if not atoms and not intervals:
         raise SpectralModelError("empty spectrum: no atoms and no intervals")
-    if intervals and nodes_per_interval < 2:
-        raise SpectralModelError("nodes_per_interval must be at least 2")
+    if intervals and not 2 <= nodes_per_interval <= MAX_NODES_PER_INTERVAL:
+        raise SpectralModelError(
+            f"nodes_per_interval must lie in [2, {MAX_NODES_PER_INTERVAL}], got {nodes_per_interval}"
+        )
     if multiplicity < 1:
         raise SpectralModelError("multiplicity must be a positive integer")
     for p, w in atoms:
-        if w <= 0:
-            raise SpectralModelError(f"atom at {p} has nonpositive weight {w}")
+        if not (np.isfinite(p) and np.isfinite(w) and w > 0):
+            raise SpectralModelError(
+                f"atom ({p}, {w}): atom positions must be finite and weights finite and positive"
+            )
     for (a, b) in intervals:
         if not (np.isfinite(a) and np.isfinite(b)):
             raise SpectralModelError(f"interval endpoints must be finite, got [{a}, {b}]")
@@ -530,8 +536,8 @@ def pure_state(model, psi) -> StateKernel:
     if psi.ndim == 1:
         psi = psi[:, None] if n == 1 else np.tile(psi[:, None], (1, n))
     norm2 = float(np.sum(model.mass * np.sum(np.abs(psi) ** 2, axis=1)))
-    if norm2 <= 0:
-        raise ValueError("wave function has zero norm on the grid")
+    if not 0 < norm2 < np.inf:  # nan fails both
+        raise ValueError(f"wave function has norm^2 {norm2} on the grid, not finite and positive")
     psi = psi / np.sqrt(norm2)
     return StateKernel(None, model, factor=(psi[:, :, None], np.ones(1)))
 
@@ -643,19 +649,23 @@ def validate_state(
 # construction from JSON-compatible trees
 
 def model_from_dict(d: dict) -> SpectralModel:
-    def number(name, default, convert):
+    def number(name, default, integer=False):
         try:
-            return convert(d.get(name, default))
-        except (TypeError, ValueError) as exc:
-            raise SpectralModelError(f"{name} must be numeric, got {d[name]!r}") from exc
+            x = float(d.get(name, default))
+            if integer and x != int(x):  # int overflows on inf, fails on nan
+                raise ValueError(x)
+        except (TypeError, ValueError, OverflowError) as exc:
+            kind = "an integer" if integer else "numeric"
+            raise SpectralModelError(f"{name} must be {kind}, got {d[name]!r}") from exc
+        return int(x) if integer else x
 
     return build_spectral_model(
         atoms=[tuple(a) for a in d.get("atoms", [])],
         intervals=[tuple(i) for i in d.get("intervals", [])],
         h=d.get("h"),
-        nodes_per_interval=number("nodes_per_interval", 64, int),
-        multiplicity=number("multiplicity", 1, int),
-        quadrature_tol=number("quadrature_tol", 1e-3, float),
+        nodes_per_interval=number("nodes_per_interval", 64, integer=True),
+        multiplicity=number("multiplicity", 1, integer=True),
+        quadrature_tol=number("quadrature_tol", 1e-3),
     )
 
 

@@ -15,10 +15,11 @@ kernel multiplies the initial kernel by ``exp(L_k/2)`` on both sides.
 All weight arithmetic runs in log space with running-max subtraction, so
 sequences of length 1e4 and beyond are safe from underflow.
 
-``sample_ensemble`` draws a mixture ensemble as row views of one (E x k)
-outcome block and one (E x C+1 x N) stack of sums after each checkpoint and
-k, filled segment by segment from sufficient statistics (counts, or the
-Gaussian mean and centred sums); estimators read the stack in row blocks.
+``sample_ensemble`` returns an ``Ensemble``: one (E x k) outcome block and
+one (E x C+1 x N) stack of sums after each checkpoint and k.  The mixture
+sampler fills them segment by segment from sufficient statistics (counts, or
+the Gaussian mean and centred sums); estimators read the stack in row blocks,
+and ``ensemble[i]`` is trajectory i as a ``Trajectory`` view.
 
 Reproducibility: per-trajectory generators are spawned from a master seed
 as ``default_rng(SeedSequence(master, spawn_key=(index,)))``; identical
@@ -27,6 +28,7 @@ seeds give bitwise-identical trajectories.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -38,8 +40,8 @@ from .probes import _blocks
 from .spectral import SpectralWeights, StateKernel
 
 __all__ = [
-    "SeedRecord",
     "Trajectory",
+    "Ensemble",
     "trajectory_rng",
     "definetti_sample",
     "sequential_sample",
@@ -50,14 +52,6 @@ __all__ = [
     "posterior_kernel",
     "exact_tuple_distribution",
 ]
-
-
-@dataclass(frozen=True)
-class SeedRecord:
-    """Provenance of a trajectory's random stream."""
-
-    master: int
-    index: int
 
 
 def _logsumexp(a, axis=None):
@@ -98,7 +92,6 @@ class Trajectory:
     loglik_sums: np.ndarray
     checkpoint_sums: dict[int, np.ndarray] = field(default_factory=dict)
     hidden_nu: float | None = None
-    seed: SeedRecord | None = None
 
     def __len__(self) -> int:
         return int(self.outcomes.size)
@@ -124,6 +117,61 @@ class Trajectory:
         return probe.loglik_node_sums(nodes, self.outcomes[:k])
 
 
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """E trajectories of one length k as arrays.
+
+    ``outcomes`` is (E x k); ``sums`` (E x C+1 x N) holds each row's
+    log-likelihood sums after each of the C ``checkpoints`` and then after k;
+    ``hidden`` holds the mixture sampler's hidden values (None for the
+    sequential sampler) and ``master`` the master seed (row i of a sampled
+    ensemble draws from ``trajectory_rng(master, i)``).  ``ensemble[i]`` is a
+    ``Trajectory`` view of row i, ``ensemble[a:b]`` an ensemble of rows a to b.
+    """
+
+    outcomes: np.ndarray
+    sums: np.ndarray
+    checkpoints: tuple[int, ...]
+    hidden: np.ndarray | None
+    master: int | None = None
+
+    @classmethod
+    def of(cls, trajectories: Sequence[Trajectory], checkpoints=None, probe=None, nodes=None):
+        """Trajectories of one length stacked, with their sums after each of
+        ``checkpoints`` (default: those the first one stores) by ``loglik_at``,
+        so recomputed from the outcomes with the probe and nodes where not stored."""
+        if not trajectories:
+            raise ValueError("an ensemble needs at least one trajectory")
+        if checkpoints is None:
+            checkpoints = sorted(trajectories[0].checkpoint_sums)
+        sums = [np.stack([*(t.loglik_at(c, probe, nodes) for c in checkpoints), t.loglik_sums])
+                for t in trajectories]
+        hidden = [t.hidden_nu for t in trajectories]
+        return cls(
+            outcomes=np.stack([t.outcomes for t in trajectories]).astype(float, copy=False),
+            sums=np.stack(sums).astype(float, copy=False),
+            checkpoints=tuple(int(c) for c in checkpoints),
+            hidden=None if None in hidden else np.array(hidden, dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            hidden = None if self.hidden is None else self.hidden[i]
+            return Ensemble(self.outcomes[i], self.sums[i], self.checkpoints, hidden, self.master)
+        return Trajectory(
+            outcomes=self.outcomes[i],
+            loglik_sums=self.sums[i, -1],
+            checkpoint_sums={c: self.sums[i, j] for j, c in enumerate(self.checkpoints)},
+            hidden_nu=None if self.hidden is None else float(self.hidden[i]),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 def log_prior_weights(state: StateKernel) -> np.ndarray:
     """Log of the initial spectral weights; -inf where the prior vanishes.
     Computed once per state (``StateKernel.log_weights``, read-only)."""
@@ -144,7 +192,6 @@ def definetti_sample(
     rng: np.random.Generator,
     checkpoints: Iterable[int] = (),
     hidden_nu: float | None = None,
-    seed: SeedRecord | None = None,
 ) -> Trajectory:
     """Mixture sampler: hidden value first, then i.i.d. outcomes from its law.
 
@@ -152,31 +199,27 @@ def definetti_sample(
     ``hidden_nu`` pins it (it need not be a grid node).  The returned
     trajectory records the hidden value: the one-member ``sample_ensemble``.
     """
-    return _definetti_rows(state, probe, k, [rng], checkpoints, hidden_nu, [seed])[0]
+    return _definetti_ensemble(state, probe, k, [rng], checkpoints, hidden_nu)[0]
 
 
-def _definetti_rows(state, probe, k, rngs, checkpoints, hidden_nu, seeds) -> list[Trajectory]:
-    """Mixture-sampled trajectories, one per generator, as rows of the ensemble
-    arrays; one ``loglik_node_sums`` call over the ensemble per segment."""
-    nodes, k, seeds = state.grid.nodes, int(k), list(seeds)
+def _definetti_ensemble(state, probe, k, rngs, checkpoints, hidden_nu, master=None) -> Ensemble:
+    """Mixture-sampled trajectories, one row per generator; one
+    ``loglik_node_sums`` call over the ensemble per segment."""
+    nodes, k = state.grid.nodes, int(k)
     cps = _normalize_checkpoints(checkpoints, k)
     if hidden_nu is None:
         prior = np.exp(log_prior_weights(state))
         prior = prior / prior.sum()
-    hidden, outcomes = [], np.empty((len(seeds), k))
+    hidden, outcomes = np.empty(len(rngs)), np.empty((len(rngs), k))
     for e, rng in enumerate(rngs):
         nu = float(nodes[rng.choice(nodes.size, p=prior)]) if hidden_nu is None else hidden_nu
-        hidden.append(nu)
+        hidden[e] = nu
         outcomes[e] = probe.sample(nu, k, rng)
-    sums = np.empty((len(seeds), len(cps) + 1, nodes.size))
+    sums = np.empty((len(rngs), len(cps) + 1, nodes.size))
     for j, (a, b) in enumerate(zip([0, *cps], [*cps, k])):  # in a single trajectory's order
         seg = probe.loglik_node_sums(nodes, outcomes[:, a:b])
         np.add(sums[:, j - 1] if j else 0.0, seg, out=sums[:, j])
-    return [
-        Trajectory(outcomes=outcomes[e], loglik_sums=sums[e, -1], hidden_nu=hidden[e], seed=seed,
-                   checkpoint_sums={c: sums[e, j] for j, c in enumerate(cps)})
-        for e, seed in enumerate(seeds)
-    ]
+    return Ensemble(outcomes, sums, tuple(cps), hidden, master)
 
 
 def sequential_sample(
@@ -185,7 +228,6 @@ def sequential_sample(
     k: int,
     rng: np.random.Generator,
     checkpoints: Iterable[int] = (),
-    seed: SeedRecord | None = None,
 ) -> Trajectory:
     """Chain-rule sampler: each outcome from the one-step predictive density.
 
@@ -193,16 +235,10 @@ def sequential_sample(
     sampling draws a node from the current posterior, then an outcome from
     that node's law.  No hidden value is recorded.
     """
-    grid = state.grid
-    nodes = grid.nodes
-    log_prior = log_prior_weights(state)
-    sums = np.zeros(nodes.size)
-    outcomes = np.empty(int(k))
-    checkpoint_sums: dict[int, np.ndarray] = {}
+    nodes, log_prior = state.grid.nodes, log_prior_weights(state)
+    sums, outcomes, one = np.zeros(nodes.size), np.empty(int(k)), np.empty(1)
     wanted = set(_normalize_checkpoints(checkpoints, k))
-    if 0 in wanted:
-        checkpoint_sums[0] = sums.copy()
-    one = np.empty(1)
+    checkpoint_sums = {0: sums.copy()} if 0 in wanted else {}
     for step in range(int(k)):
         logw = log_prior + sums
         w = np.exp(logw - logw.max())
@@ -214,13 +250,7 @@ def sequential_sample(
         sums = sums + probe.loglik_values(nodes, one)[0]
         if step + 1 in wanted:
             checkpoint_sums[step + 1] = sums.copy()
-    return Trajectory(
-        outcomes=outcomes,
-        loglik_sums=sums,
-        checkpoint_sums=checkpoint_sums,
-        hidden_nu=None,
-        seed=seed,
-    )
+    return Trajectory(outcomes=outcomes, loglik_sums=sums, checkpoint_sums=checkpoint_sums)
 
 
 def sample_ensemble(
@@ -232,29 +262,30 @@ def sample_ensemble(
     sampler: str = "de-finetti",
     checkpoints: Iterable[int] = (),
     hidden_nu: float | None = None,
-) -> list[Trajectory]:
-    """Independent trajectories; member i draws from ``trajectory_rng(master_seed, i)``."""
+) -> Ensemble:
+    """Independent trajectories; row i draws from ``trajectory_rng(master_seed, i)``."""
     if size < 1:
         raise ValueError("ensemble size must be at least 1")
-    rngs = (trajectory_rng(master_seed, i) for i in range(size))
-    seeds = [SeedRecord(master_seed, i) for i in range(size)]
+    rngs = [trajectory_rng(master_seed, i) for i in range(size)]
     if sampler == "de-finetti":
-        return _definetti_rows(state, probe, k, rngs, checkpoints, hidden_nu, seeds)
+        return _definetti_ensemble(state, probe, k, rngs, checkpoints, hidden_nu, master_seed)
     if sampler == "sequential":
-        return [sequential_sample(state, probe, k, g, checkpoints, seed=s)
-                for g, s in zip(rngs, seeds)]
+        rows = Ensemble.of([sequential_sample(state, probe, k, g, checkpoints) for g in rngs])
+        return dataclasses.replace(rows, master=master_seed)
     raise ValueError(f"unknown sampler: {sampler!r}")
 
 
-def _sums_blocks(
-    trajectories: Sequence[Trajectory], ks: Sequence[int], nodes, probe=None, row_cells: int = 0
-):
-    """(slice, copy of its sums after each k in ``ks``) for row blocks of
-    ``trajectories`` of at most BLOCK_CELLS // 4 cells (rows x len(ks) x nodes,
-    or ``row_cells`` a row where the caller stacks more)."""
-    for sl in _blocks(len(trajectories), max(len(ks) * nodes.size, row_cells), 4):
-        rows = [t.loglik_at(k, probe, nodes) for t in trajectories[sl] for k in ks]
-        yield sl, np.array(rows, dtype=float).reshape(-1, len(ks), nodes.size)
+def _sums_blocks(ensemble: Ensemble, ks: Sequence[int], row_cells: int = 0):
+    """(slice, copy of its sums after each k in ``ks``) for row blocks of the
+    ensemble of at most BLOCK_CELLS // 4 cells (rows x len(ks) x nodes, or
+    ``row_cells`` a row where the caller stacks more)."""
+    k, cps, n = ensemble.outcomes.shape[1], list(ensemble.checkpoints), ensemble.sums.shape[-1]
+    missing = sorted({int(c) for c in ks} - {*cps, k})
+    if missing:
+        raise ValueError(f"the ensemble holds no sums after k={missing} (only {cps} and {k})")
+    cols = [-1 if c == k else cps.index(c) for c in ks]  # k as loglik_at: the final sums
+    for sl in _blocks(len(ensemble), max(len(cols) * n, row_cells), 4):
+        yield sl, ensemble.sums[sl][:, cols]
 
 
 def _posterior_rows(log_prior: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -273,15 +304,13 @@ def posterior_weights(state: StateKernel, trajectory: Trajectory, k: int, probe=
     return SpectralWeights(values=_posterior_rows(log_prior_weights(state), sums), grid=state.grid)
 
 
-def posterior_means(
-    state: StateKernel, trajectories: Sequence[Trajectory], k: int, probe=None
-) -> list[float]:
+def posterior_means(state: StateKernel, ensemble: Ensemble, k: int) -> list[float]:
     """Posterior mean of the observable after k outcomes for each trajectory,
     ``posterior_weights(...).mean()`` bit for bit, from row blocks of weights."""
     nodes, log_prior = state.grid.nodes, log_prior_weights(state)
     return [
         float(np.dot(w, nodes))  # one dot per row, as SpectralWeights.mean
-        for _, sums in _sums_blocks(trajectories, [k], nodes, probe)
+        for _, sums in _sums_blocks(ensemble, [k])
         for w in _posterior_rows(log_prior, sums[:, 0])
     ]
 

@@ -201,6 +201,42 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
             },
             "interval [0.0, 1e+308] overflows",
         ),
+        ({"spectral": {"atoms": [[0.0, float("nan")], [1.0, 0.7]]}}, "weights finite and positive"),
+        ({"spectral": {"atoms": [[0.0, 0.3], [1.0, float("inf")]]}}, "weights finite and positive"),
+        ({"spectral": {"atoms": [[0.0, 0.3], [float("inf"), 0.7]]}}, "positions must be finite"),
+        (
+            {"spectral": {"intervals": [[0.0, 1.0]], "nodes_per_interval": float("inf")}},
+            "nodes_per_interval must be an integer",
+        ),
+        (
+            {"spectral": {"intervals": [[0.0, 1.0]], "nodes_per_interval": 1e308}},
+            "nodes_per_interval must lie in [2, 1000000]",
+        ),
+        ({"checkpoints": [float("inf")]}, "checkpoints must be finite"),
+        ({"probe": {"kind": "gaussian-readout", "sigma": 1e308}}, "needs inf panels"),
+        (
+            {
+                "kind": "rate-convergence",
+                "spectral": {"intervals": [[0.0, 1e20]]},
+                "probe": {"kind": "gaussian-readout", "sigma": 1.0},
+                "state": {"type": "pure"},
+                "region": [[0.5, 1.0]],
+            },
+            "needs 2e+20 panels",
+        ),
+        (
+            {
+                "kind": "rate-convergence",
+                "spectral": {"intervals": [[0.0, 1.0]]},
+                "state": {"type": "pure", "psi": {"name": "exp", "rate": 1e20}},
+                "region": [[0.5, 1.0]],
+            },
+            "not finite and positive",
+        ),
+        (
+            {"probe": {"kind": "binary-phase", "embed": {"source": [0.0, 1e-308]}}},
+            "slope ** 2 must be finite",
+        ),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -233,6 +269,16 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "state-weight-nan",
         "h-table-nan",
         "interval-overflow",
+        "atom-weight-nan",
+        "atom-weight-inf",
+        "atom-position-inf",
+        "nodes-per-interval-inf",
+        "nodes-per-interval-huge",
+        "checkpoint-inf",
+        "sigma-huge",
+        "interval-wide-for-sigma",
+        "psi-overflow",
+        "embed-source-narrow",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, message):
@@ -301,6 +347,60 @@ def test_estimate_refuses_trajectories_of_another_config(
     assert main(["estimate", "--config", str(est), "--out", str(out), *estimated[1]]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+    assert not (out / "summary.json").exists()
+
+
+def _old_csv_layout(base: Path) -> None:
+    manifest = json.loads((base / "manifest.json").read_text())
+    manifest["entries"] = [{"index": 0, "hidden_nu": 1.0, "seed": {"master": SEED, "index": 0}}]
+    (base / "manifest.json").write_text(json.dumps(manifest))
+    for array in base.glob("*.npy"):
+        array.unlink()
+    (base / "traj_00000.csv").write_text("step,outcome\n1,1.0\n")
+
+
+def _truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _drop_key(base: Path, key: str) -> None:
+    manifest = json.loads((base / "manifest.json").read_text())
+    del manifest[key]
+    (base / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_old_csv_layout, "old CSV layout"),
+        (lambda base: (base / "sums.npy").unlink(), "sums.npy"),
+        (lambda base: (base / "hidden.npy").unlink(), "hidden.npy"),
+        (lambda base: _truncate(base / "outcomes.npy"), "outcomes.npy"),
+        (lambda base: _truncate(base / "sums.npy"), "sums.npy"),
+        (lambda base: np.save(base / "sums.npy", np.load(base / "sums.npy")[1:]), "(39, 4, 2)"),
+        (lambda base: np.save(base / "outcomes.npy", np.zeros((40, 49))), "(40, 49)"),
+        (lambda base: _drop_key(base, "config_hash"), "lacks the keys ['config_hash']"),
+    ],
+    ids=[
+        "old-csv-layout",
+        "missing-sums",
+        "missing-hidden",
+        "truncated-outcomes",
+        "truncated-sums",
+        "sums-rows",
+        "outcomes-length",
+        "manifest-key",
+    ],
+)
+def test_malformed_persisted_trajectories_exit_two(tmp_path, capsys, damage, message):
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    damage(out / "trajectories")
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err and "run simulate again" in err
     assert not (out / "summary.json").exists()
 
 

@@ -47,7 +47,14 @@ from qndsim.spectral import (
     diagonal_state,
     pure_state,
 )
-from qndsim.trajectories import Trajectory, _logsumexp, definetti_sample, trajectory_rng
+from qndsim.trajectories import (
+    Ensemble,
+    Trajectory,
+    _logsumexp,
+    definetti_sample,
+    sample_ensemble,
+    trajectory_rng,
+)
 
 SEED = 20260810
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -85,8 +92,9 @@ def test_mle_clamps_to_spectrum_boundary():
 
 def test_mle_tie_breaks_to_smallest_node():
     model = build_spectral_model(atoms=[(0.0, 0.5), (1.0, 0.5)])
+    probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
     traj = Trajectory(outcomes=np.empty(0), loglik_sums=np.array([-1.0, -1.0]))
-    assert mle(traj, 0, model) == 0.0
+    assert mle(traj, 0, model, probe) == 0.0
 
 
 def test_mle_shift_invariance():
@@ -100,14 +108,22 @@ def test_mle_shift_invariance():
         assert mle(shifted, 3, model, probe) == base
 
 
-def test_mle_interpolation_fallback_matches_golden_section():
-    # quadratic log-likelihood: the local parabola vertex is the exact argmax
-    model, probe, _ = _gaussian_setup(80)
-    traj = _manual_trajectory(probe, model, [0.31, 0.55, 0.42, 0.66])
-    golden = mle(traj, 4, model, probe)
-    fallback = mle(traj, 4, model, probe=None)
-    assert fallback == pytest.approx(golden, abs=1e-7)
-    assert fallback == pytest.approx(traj.outcomes.mean(), abs=1e-7)
+@pytest.mark.parametrize("k", [1, 2, 7, 50, 400])
+def test_binary_mle_table_is_the_closed_form_maximum_for_every_count(k):
+    # c ones in k draws: sin^2(phi / 2) = c / k maximizes the likelihood, and the
+    # phase is increasing on [0, 1], so the estimate is the clipped inversion
+    model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=200)
+    probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
+    counts = np.arange(k + 1)
+    outcomes = (np.arange(k)[None, :] < counts[:, None]).astype(float)
+    half = 0.5 * (probe.offset + probe.slope * model.nodes)
+    sums = counts[:, None] * np.log(np.sin(half) ** 2) + (k - counts)[:, None] * np.log(
+        np.cos(half) ** 2
+    )
+    ensemble = Ensemble(outcomes, sums[:, None, :], (), None)
+    exact = np.clip((2.0 * np.arcsin(np.sqrt(counts / k)) - probe.offset) / probe.slope, 0.0, 1.0)
+    # the golden-section tolerance plus the sqrt(eps) flatness at the maximum
+    assert np.abs(mle_table(ensemble, [k], model, probe)[:, 0] - exact).max() <= 5e-8
 
 
 def test_mle_path_lies_in_spectrum():
@@ -115,7 +131,7 @@ def test_mle_path_lies_in_spectrum():
     traj = definetti_sample(
         state, probe, 300, trajectory_rng(SEED, 0), checkpoints=[10, 100]
     )
-    path = mle_table([traj], [10, 100, 300], model, probe)
+    path = mle_table(Ensemble.of([traj]), [10, 100, 300], model, probe)
     lo, hi = model.hull
     assert path.shape == (1, 3) and np.all((lo <= path) & (path <= hi))
 
@@ -304,7 +320,7 @@ def test_mle_table_equals_the_scalar_search_bitwise(
         outcomes = probe.sample(rng.uniform(*support), k_max, rng)
         trajs.append(Trajectory(outcomes, probe.loglik_node_sums(model.nodes, outcomes)))
     checkpoints = sorted({0, k_max, *(c for c in extra if c <= k_max)})
-    table = mle_table(trajs, checkpoints, model, probe)
+    table = mle_table(Ensemble.of(trajs, checkpoints, probe, model.nodes), checkpoints, model, probe)
     oracle = [[_oracle_mle(t, k, model, probe) for k in checkpoints] for t in trajs]
     assert table.tobytes() == np.array(oracle).tobytes()
     in_spectrum = np.isin(table, model.nodes[model.is_atom]) | np.any(
@@ -383,15 +399,13 @@ def test_consistency_stat_trivial_cases():
     model = build_spectral_model(atoms=[(0.4, 1.0)])
     probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
     state = diagonal_state(model, np.array([1.0]))
-    trajs = [
-        definetti_sample(state, probe, 20, trajectory_rng(SEED, i)) for i in range(50)
-    ]
+    trajs = sample_ensemble(state, probe, 20, 50, SEED)
     inside = mle_consistency_stat(trajs, 20, model, [0.4], state)
     assert inside.frequency == 1.0 and inside.exact_probability == 1.0
     full = mle_consistency_stat(trajs, 20, model, [(0.0, 1.0)], state)
     assert full.frequency == 1.0
     with pytest.raises(ValueError):
-        mle_consistency_stat([], 20, model, [0.4], state)
+        mle_consistency_stat(trajs[:0], 20, model, [0.4], state)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +418,7 @@ def test_rate_vanishes_on_region_containing_estimate():
         checkpoints=[100, 2000],
     )
     (trace,) = rate_traces(
-        state, [traj], [(0.3, 0.7)], [100, 2000], model, probe,
+        state, Ensemble.of([traj]), [(0.3, 0.7)], [100, 2000], model, probe,
         estimates=[mle(traj, 2000, model, probe)],
     )
     assert abs(trace.values[-1]) < 1e-3
@@ -420,7 +434,7 @@ def test_rate_positive_when_region_excludes_estimate():
         checkpoints=[10, 100, 1000, 5000],
     )
     (trace,) = rate_traces(
-        state, [traj], [(0.6, 1.0)], [10, 100, 1000, 5000], model, probe,
+        state, Ensemble.of([traj]), [(0.6, 1.0)], [10, 100, 1000, 5000], model, probe,
         estimates=[mle(traj, 5000, model, probe)],
     )
     assert all(v >= -1e-10 for v in trace.values)
@@ -440,7 +454,9 @@ def test_two_atom_rate_matches_relative_entropy_oracle():
             checkpoints=[10_000],
         )
         estimate = mle(traj, 10_000, model, probe)
-        (trace,) = rate_traces(state, [traj], [1.0], [10_000], model, probe, estimates=[estimate])
+        (trace,) = rate_traces(
+            state, Ensemble.of([traj]), [1.0], [10_000], model, probe, estimates=[estimate]
+        )
         rates.append(trace.values[-1])
     # direct two-term relative entropy between the atom laws
     oracle = f0[0] * np.log(f0[0] / f0[1]) + (1 - f0[0]) * np.log(
@@ -456,7 +472,7 @@ def test_rate_trace_rejects_zero_prior_region():
     traj = definetti_sample(state, probe, 10, trajectory_rng(SEED, 3))
     estimate = mle(traj, 10, model, probe)
     with pytest.raises(Exception, match="prior"):
-        rate_traces(state, [traj], [1.0], [10], model, probe, estimates=[estimate])
+        rate_traces(state, Ensemble.of([traj]), [1.0], [10], model, probe, estimates=[estimate])
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +480,7 @@ def test_rate_trace_rejects_zero_prior_region():
 
 def test_gaussian_residuals_reduce_to_sample_mean():
     model, probe, state = _gaussian_setup(120, sigma=0.05)
-    trajs = [
-        definetti_sample(state, probe, 100, trajectory_rng(SEED, i))
-        for i in range(80)
-    ]
+    trajs = sample_ensemble(state, probe, 100, 80, SEED)
     estimates = mle_table(trajs, [100], model, probe)[:, 0]
     samples = clt_samples(trajs, 100, model, probe, estimates=estimates)
     margin = 5.0 / np.sqrt(100 * 400)  # five estimator sigmas off the boundary
@@ -491,9 +504,7 @@ def test_clt_exclusions_are_reported():
     probs = np.full(51, 0.5 / 50)
     probs[model.is_atom] = 0.5
     state = diagonal_state(model, probs)
-    trajs = [
-        definetti_sample(state, probe, 25, trajectory_rng(SEED, i)) for i in range(60)
-    ]
+    trajs = sample_ensemble(state, probe, 25, 60, SEED)
     estimates = mle_table(trajs, [25], model, probe)[:, 0]
     samples = clt_samples(trajs, 25, model, probe, estimates=estimates)
     assert samples.excluded_atoms > 0
@@ -504,7 +515,7 @@ def test_clt_requires_hidden_values():
     model, probe, state = _gaussian_setup(30)
     traj = Trajectory(outcomes=np.zeros(5), loglik_sums=np.zeros(model.size))
     with pytest.raises(ValueError):
-        clt_samples([traj], 5, model, probe, estimates=[mle(traj, 5, model, probe)])
+        clt_samples(Ensemble.of([traj]), 5, model, probe, estimates=[mle(traj, 5, model, probe)])
 
 
 # ---------------------------------------------------------------------------
@@ -1041,11 +1052,11 @@ def test_kernel_distances_equal_the_window_loop_for_mixed_states_of_multiplicity
     model, probe, state, rng = _mixed_setup(
         [(0.0, 1.0)], 2, state_kind, h={"name": "cosine", "amplitude": 0.3}
     )
-    trajs = [
+    cps = [60, 400, 2000]
+    trajs = Ensemble.of([
         _manual_trajectory(probe, model, nu + 0.2 * rng.standard_normal(2000))
         for nu in (0.31, 0.45, 0.5, 0.62, 0.7)
-    ]
-    cps = [60, 400, 2000]
+    ], cps, probe, model.nodes)
     estimates = mle_table(trajs, cps, model, probe)
     want = _loop_kernel_distances(state, trajs, cps, model, probe, estimates, (6.0, 41, 2.0))
     calls = []
@@ -1063,11 +1074,11 @@ def test_kernel_distances_equal_the_window_loop_across_two_intervals():
     model, probe, state, rng = _mixed_setup(
         [(0.0, 0.45), (0.55, 1.0)], 1, "pure", h={"name": "linear", "intercept": 0.5}, sigma=0.05
     )
-    trajs = [
+    cps = [300, 3000]
+    trajs = Ensemble.of([
         _manual_trajectory(probe, model, nu + 0.05 * rng.standard_normal(3000))
         for nu in (0.2, 0.8, 0.3, 0.7)
-    ]
-    cps = [300, 3000]
+    ], cps, probe, model.nodes)
     estimates = mle_table(trajs, cps, model, probe)
     assert len({model.interval_index(nu) for nu in estimates.ravel()}) == 2
     got = _stacked(state, trajs, cps, model, probe, estimates, (8.0, 51, 2.0))
@@ -1102,11 +1113,11 @@ def test_kernel_distances_raise_the_first_error_of_the_window_loop(estimates, me
     probe = bind_extension(GaussianReadout(sigma=0.1), model)
     state = pure_state(model, np.where(model.nodes < 0.7, 1.0, 0.0))
     rng = np.random.default_rng(SEED)
-    trajs = [
+    cps, estimates = [100, 400], np.array(estimates)
+    trajs = Ensemble.of([
         _manual_trajectory(probe, model, nu + 0.1 * rng.standard_normal(400))
         for nu in (0.5, 0.01, 0.85)
-    ]
-    cps, estimates = [100, 400], np.array(estimates)
+    ], cps, probe, model.nodes)
     got = _first_error(lambda: _stacked(state, trajs, cps, model, probe, estimates))
     assert message in got[1]
     assert got == _first_error(

@@ -109,12 +109,11 @@ def test_trajectory_persistence_round_trip(tmp_path):
     trajs = simulate_ensemble(cfg)
     persist_trajectories(tmp_path, trajs, cfg)
     loaded = load_trajectories(tmp_path, cfg)
-    assert len(loaded) == 8
+    assert len(loaded) == 8 and loaded.master == trajs.master == cfg.seed
     for orig, back in zip(trajs, loaded):
         assert np.array_equal(orig.outcomes, back.outcomes)
         assert np.array_equal(orig.loglik_sums, back.loglik_sums)
         assert orig.hidden_nu == back.hidden_nu
-        assert orig.seed == back.seed
 
 
 @settings(max_examples=25, deadline=None)
@@ -127,11 +126,15 @@ def test_trajectory_persistence_round_trip(tmp_path):
     checkpoints=st.lists(st.integers(1, 40), min_size=1, max_size=4),
     ensemble=st.integers(1, 5),
     hidden=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    sampler=st.sampled_from(["de-finetti", "sequential"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_persisted_trajectories_load_back_bitwise(probe, k_max, checkpoints, ensemble, hidden, seed):
+def test_persisted_trajectories_load_back_bitwise(
+    probe, k_max, checkpoints, ensemble, hidden, sampler, seed
+):
     cfg = ExperimentConfig.from_dict({
         "kind": "rate-convergence",
+        "sampler": sampler,
         "spectral": {"atoms": [[1.5, 0.2]], "intervals": [[0.0, 1.0]], "nodes_per_interval": 7},
         "probe": probe,
         "state": {"type": "pure", "psi": {"name": "flat"}},
@@ -145,12 +148,12 @@ def test_persisted_trajectories_load_back_bitwise(probe, k_max, checkpoints, ens
     state = build_state(model, cfg.state)
     trajs = sample_ensemble(
         state, build_probe(cfg, model), k_max, ensemble, seed,
-        checkpoints=cfg.checkpoints, hidden_nu=hidden,
+        sampler=sampler, checkpoints=cfg.checkpoints, hidden_nu=hidden,
     )
     with tempfile.TemporaryDirectory() as out:
         persist_trajectories(out, trajs, cfg)
         loaded = load_trajectories(out, cfg)
-    assert len(loaded) == len(trajs)
+    assert len(loaded) == len(trajs) and loaded.master == trajs.master == seed
     for orig, back in zip(trajs, loaded):
         assert orig.outcomes.tobytes() == back.outcomes.tobytes()
         assert orig.loglik_sums.tobytes() == back.loglik_sums.tobytes()
@@ -158,7 +161,6 @@ def test_persisted_trajectories_load_back_bitwise(probe, k_max, checkpoints, ens
         for k, sums in orig.checkpoint_sums.items():
             assert sums.tobytes() == back.checkpoint_sums[k].tobytes()
         assert orig.hidden_nu == back.hidden_nu and type(orig.hidden_nu) is type(back.hidden_nu)
-        assert orig.seed == back.seed
 
 
 def test_replay_audit_matches_bundle(tmp_path):

@@ -22,7 +22,7 @@ from qndsim.spectral import (
     pure_state,
 )
 from qndsim.trajectories import (
-    SeedRecord,
+    Ensemble,
     Trajectory,
     _logsumexp,
     definetti_sample,
@@ -413,7 +413,7 @@ def _oracle_node_sums(probe, nodes, outcomes):
     return total
 
 
-def _oracle_definetti(state, probe, k, rng, checkpoints, hidden_nu, seed):
+def _oracle_definetti(state, probe, k, rng, checkpoints, hidden_nu):
     """The mixture sampler one trajectory at a time."""
     nodes = state.grid.nodes
     if hidden_nu is None:
@@ -427,7 +427,7 @@ def _oracle_definetti(state, probe, k, rng, checkpoints, hidden_nu, seed):
         checkpoint_sums[cp] = sums
         prev = cp
     sums = sums + _oracle_node_sums(probe, nodes, outcomes[prev:])
-    return Trajectory(outcomes, sums, checkpoint_sums, hidden_nu, seed)
+    return Trajectory(outcomes, sums, checkpoint_sums, hidden_nu)
 
 
 def _oracle_rate_trace(state, traj, region, checkpoints, model, probe, estimate):
@@ -490,14 +490,13 @@ def test_ensemble_arrays_equal_the_per_trajectory_loops_bitwise(
     checkpoints = [0, k, k, *extra]  # duplicates, both ends, and some past k
     got = sample_ensemble(state, probe, k, size, seed, checkpoints=checkpoints, hidden_nu=hidden)
     want = [
-        _oracle_definetti(
-            state, probe, k, trajectory_rng(seed, i), checkpoints, hidden, SeedRecord(seed, i)
-        )
+        _oracle_definetti(state, probe, k, trajectory_rng(seed, i), checkpoints, hidden)
         for i in range(size)
     ]
+    assert got.master == seed
     for g, w in zip(got, want, strict=True):
         assert _bits(g.outcomes) == _bits(w.outcomes)
-        assert g.hidden_nu == w.hidden_nu and g.seed == w.seed
+        assert g.hidden_nu == w.hidden_nu and type(g.hidden_nu) is float
         assert sorted(g.checkpoint_sums) == sorted(w.checkpoint_sums)
         for c in w.checkpoint_sums:
             assert _bits(g.checkpoint_sums[c]) == _bits(w.checkpoint_sums[c])
@@ -506,7 +505,7 @@ def test_ensemble_arrays_equal_the_per_trajectory_loops_bitwise(
     columns = sorted({c for c in checkpoints if c <= k})
     table = mle_table(got, columns, model, probe)
     assert _bits(table) == _bits([[_oracle_mle(w, c, model, probe) for c in columns] for w in want])
-    assert _bits(posterior_means(state, got, k, probe)) == _bits(
+    assert _bits(posterior_means(state, got, k)) == _bits(
         [_oracle_posterior_mean(state, w, k, probe) for w in want]
     )
     if k > 0:
@@ -517,3 +516,23 @@ def test_ensemble_arrays_equal_the_per_trajectory_loops_bitwise(
             for w, t in zip(want, table[:, -1])
         ]
         assert [vars(t) for t in traces] == [vars(t) for t in oracle]
+
+
+def test_ensemble_views_slices_and_stacking_agree():
+    model, probe, state = _gaussian_setup(12)
+    ens = sample_ensemble(state, probe, 30, 6, SEED, checkpoints=[30, 5, 0])
+    assert ens.checkpoints == (0, 5, 30) and ens.sums.shape == (6, 4, model.size)
+    again = Ensemble.of(list(ens))
+    assert again.checkpoints == ens.checkpoints
+    for name in ("outcomes", "sums", "hidden"):
+        assert _bits(getattr(again, name)) == _bits(getattr(ens, name))
+    part = ens[2:4]
+    assert len(part) == 2 and part.master == SEED
+    assert _bits(part[1].loglik_sums) == _bits(ens[3].loglik_sums)
+    assert part[1].hidden_nu == ens[3].hidden_nu
+    seq = sample_ensemble(state, probe, 4, 3, SEED, sampler="sequential", checkpoints=[2])
+    assert seq.hidden is None and seq.master == SEED and [t.hidden_nu for t in seq] == [None] * 3
+    alone = sequential_sample(state, probe, 4, trajectory_rng(SEED, 1), checkpoints=[2])
+    assert _bits(seq[1].checkpoint_sums[2]) == _bits(alone.checkpoint_sums[2])
+    with pytest.raises(ValueError, match="at least one"):
+        Ensemble.of([])
