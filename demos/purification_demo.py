@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import qndsim as q
+from qndsim.spectral import nearest_node
 
 OUT = Path(__file__).parent / "output"
 SEED = 7
@@ -37,7 +38,7 @@ def main():
         traj = q.definetti_sample(
             state, probe, max(steps), q.trajectory_rng(SEED, i), checkpoints=steps
         )
-        node = q.nearest_node(model, traj.hidden_nu)
+        node = nearest_node(model, traj.hidden_nu)
         for c, k in enumerate(steps):
             weight_at_hidden[i, c] = q.posterior_weights(state, traj, k).values[node]
         winners.append(q.mle(traj, max(steps), model, probe))

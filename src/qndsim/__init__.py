@@ -19,7 +19,6 @@ from .spectral import (
     build_spectral_model,
     diagonal_state,
     model_from_dict,
-    nearest_node,
     pure_state,
     spectral_probability,
     state_from_dict,
@@ -28,13 +27,11 @@ from .spectral import (
 from .probes import (
     AssumptionCheck,
     BinaryPhase,
-    FiniteOutcomes,
     GaussianReadout,
     ProbeError,
     ProbeExtension,
     ProbeModel,
     ProbeValidationReport,
-    RealLine,
     TabulatedProbe,
     ZeroDensityError,
     bind_extension,
@@ -46,9 +43,7 @@ from .trajectories import (
     Ensemble,
     Trajectory,
     definetti_sample,
-    exact_tuple_distribution,
     log_prior_weights,
-    posterior_kernel,
     posterior_means,
     posterior_weights,
     sample_ensemble,

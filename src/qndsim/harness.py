@@ -99,6 +99,9 @@ DEFAULT_TOLERANCES = {
 
 DEFAULT_WINDOW = {"sigmas": 8.0, "nodes": 201, "min_sigmas": 2.0}
 KS_MIN_SAMPLES = 50  # below this the asymptotic Kolmogorov p-value is not used
+# declared sizes that reach an allocation, refused before anything is built
+MAX_OUTCOMES = 10**8  # ensemble x k_max: an 800 MB float64 outcome block, 5x clt_binary's
+MAX_WINDOW_NODES = 10_000  # a window factor, nodes x columns: 64 MB for a 400-node diagonal state
 
 
 class ConfigError(ValueError):
@@ -143,6 +146,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a JSON object")
         for name, least in (("k_max", 1), ("ensemble", 1), ("seed", 0)):
             _require_count(name, getattr(self, name), least)
+        if self.ensemble * self.k_max > MAX_OUTCOMES:
+            raise ConfigError(
+                f"ensemble x k_max must be at most {MAX_OUTCOMES:.0e}, "
+                f"got {self.ensemble} x {self.k_max}"
+            )
         # both limit laws live on the absolutely continuous part of the spectrum
         if self.kind in ("clt", "kernel-convergence") and not self.spectral.get("intervals"):
             raise ConfigError(f"a {self.kind} experiment needs a spectral interval")
@@ -171,6 +179,10 @@ class ExperimentConfig:
         self.tolerances = {k: _coerced(f"tolerance {k}", v, float) for k, v in tol.items()}
         self.window = {**DEFAULT_WINDOW, **self.window}
         _require_count("window nodes", self.window["nodes"], 1)
+        if self.window["nodes"] > MAX_WINDOW_NODES:
+            raise ConfigError(
+                f"window nodes must be at most {MAX_WINDOW_NODES}, got {self.window['nodes']}"
+            )
         for k in ("sigmas", "min_sigmas"):
             self.window[k] = _coerced(f"window {k}", self.window[k], float)
 

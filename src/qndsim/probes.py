@@ -52,8 +52,6 @@ __all__ = [
     "ProbeError",
     "ZeroDensityError",
     "ProbeExtension",
-    "FiniteOutcomes",
-    "RealLine",
     "GaussianReadout",
     "BinaryPhase",
     "TabulatedProbe",
@@ -80,22 +78,6 @@ class ProbeError(ValueError):
 
 class ZeroDensityError(ProbeError):
     """Raised when a density vanishes where positivity is assumed."""
-
-
-@dataclass(frozen=True)
-class FiniteOutcomes:
-    values: tuple[float, ...]
-
-    @property
-    def finite(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class RealLine:
-    @property
-    def finite(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -195,7 +177,7 @@ class ProbeModel:
     """
 
     extension: ProbeExtension | None
-    outcome_space: FiniteOutcomes | RealLine
+    outcomes: tuple[float, ...] | None  # values of a finite outcome space; None on the real line
 
     # -- raw family hooks ---------------------------------------------------
 
@@ -272,8 +254,8 @@ class ProbeModel:
         outcomes = np.asarray(outcomes, dtype=float)
         rows = np.atleast_2d(outcomes)
         total = np.zeros((rows.shape[0], nodes.size))
-        if self.outcome_space.finite and rows.size:
-            vals = np.unique(self.outcome_space.values)
+        if self.outcomes is not None and rows.size:
+            vals = np.unique(np.asarray(self.outcomes, dtype=float))
             counts = np.concatenate([_value_counts(vals, rows[sl]) for sl in _blocks(*rows.shape)])
             logf = self.loglik_values(nodes, vals)
             patterns, which = np.unique(counts > 0, axis=0, return_inverse=True)
@@ -293,11 +275,11 @@ class ProbeModel:
         | nu)`` by count rows in one batched ``np.matmul`` (a zero count adds
         exactly 0, even where f vanishes); other families sum over the outcomes.
         """
-        if not self.outcome_space.finite:
+        if self.outcomes is None:
             return lambda idx, nus: np.array([
                 self.loglik_values(np.asarray([nu]), prefixes[b]).sum() for b, nu in zip(idx, nus)
             ])
-        values = np.unique(self.outcome_space.values)
+        values = np.unique(np.asarray(self.outcomes, dtype=float))
         counts = _row_stats(prefixes, lambda rows: _value_counts(values, rows), values.size)
 
         def objective(idx, nus):
@@ -320,8 +302,8 @@ class ProbeModel:
 
     def _quadrature(self, nus: np.ndarray):
         """The outcome rule (points, weights) covering the laws at ``nus``."""
-        if self.outcome_space.finite:
-            xq = np.asarray(self.outcome_space.values, dtype=float)
+        if self.outcomes is not None:
+            xq = np.asarray(self.outcomes, dtype=float)
             return xq, np.ones_like(xq)
         return _composite_gauss(self._xi_panels(np.asarray(nus, dtype=float)))
 
@@ -389,16 +371,13 @@ class GaussianReadout(ProbeModel):
 
     sigma: float = 1.0
     extension: ProbeExtension | None = None
+    outcomes = None
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ProbeError(f"sigma must be finite and positive, got {self.sigma!r}")
         if self.extension is not None:  # the rule of the laws on [lo, hi] must fit
             self._xi_panels(np.array([self.extension.lo, self.extension.hi]))
-
-    @property
-    def outcome_space(self) -> RealLine:
-        return RealLine()
 
     def _raw_density(self, xi, nu):
         z = (np.asarray(xi, dtype=float) - np.asarray(nu, dtype=float)) / self.sigma
@@ -506,6 +485,7 @@ class BinaryPhase(ProbeModel):
     offset: float = 0.0
     slope: float = 1.0
     extension: ProbeExtension | None = None
+    outcomes = (0.0, 1.0)
 
     def __post_init__(self):
         # the density's curvature carries slope ** 2
@@ -529,10 +509,6 @@ class BinaryPhase(ProbeModel):
             raise ProbeError("embedding target must sit strictly inside (0, pi)")
         slope = (target_hi - target_lo) / (source_hi - source_lo)
         return cls(offset=target_lo - slope * source_lo, slope=slope)
-
-    @property
-    def outcome_space(self) -> FiniteOutcomes:
-        return FiniteOutcomes((0.0, 1.0))
 
     def _phase(self, nu):
         return self.offset + self.slope * np.asarray(nu, dtype=float)
@@ -590,12 +566,6 @@ class TabulatedProbe(ProbeModel):
             raise ProbeError("provide exactly one of outcomes or xi_grid")
         if len(self.nu_grid) < 3:
             raise ProbeError("nu_grid needs at least 3 points")
-
-    @property
-    def outcome_space(self):
-        if self.outcomes is not None:
-            return FiniteOutcomes(tuple(float(v) for v in self.outcomes))
-        return RealLine()
 
     # built once per instance; a frozen dataclass still has an instance dict
     @functools.cached_property
@@ -903,7 +873,7 @@ def validate_probe(
     if nodes.size > 1:
         adjacent = np.arange(nodes.size - 1)
         upper = _pair_distances(fmat, wq, adjacent, adjacent + 1).min()
-        panel = 1 if probe.outcome_space.finite else _GL32[0].size
+        panel = 1 if probe.outcomes is not None else _GL32[0].size
         first, second = _unpruned_pairs(fmat, wq, panel, upper * (1.0 + PRUNE_SLACK))
         row_min = np.full(nodes.size - 1, np.inf)
         np.minimum.at(row_min, first, _pair_distances(fmat, wq, first, second))

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 MAX_NODES_PER_INTERVAL = 1_000_000  # larger counts fail here, not in an allocation
+MAX_MULTIPLICITY = 1_000  # a diagonal state's factor is (N n)^2: 64 MB on two nodes here
 
 
 class SpectralModelError(ValueError):
@@ -59,25 +60,20 @@ class RegionError(ValueError):
 # ---------------------------------------------------------------------------
 # spectral densities
 
-def _h_from_spec(spec) -> tuple[Callable[[np.ndarray], np.ndarray], dict]:
-    """Resolve a density declaration to a vectorized callable.
+def _h_from_spec(spec) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray | None]:
+    """Resolve a density declaration to a vectorized callable, and the sorted
+    knots of a ``table`` density (None for any other).
 
     Accepts a positive scalar, a callable, or a JSON-compatible dict with
     either a built-in ``name`` ("uniform", "linear", "cosine") or a
     ``table`` of (nu, value) pairs interpolated linearly.
     """
     if spec is None:
-        spec = {"name": "uniform", "value": 1.0}
+        spec = {}
     if np.isscalar(spec) and not isinstance(spec, (dict, str)):
-        value = float(spec)
-        return (lambda nu: np.full_like(np.asarray(nu, dtype=float), value)), {
-            "name": "uniform",
-            "value": value,
-        }
+        spec = {"value": spec}
     if callable(spec):
-        return (lambda nu: np.asarray(spec(np.asarray(nu, dtype=float)), dtype=float)), {
-            "name": "custom"
-        }
+        return (lambda nu: np.asarray(spec(np.asarray(nu, dtype=float)), dtype=float)), None
     if not isinstance(spec, dict):
         raise SpectralModelError(f"unrecognized density spec: {spec!r}")
 
@@ -87,40 +83,23 @@ def _h_from_spec(spec) -> tuple[Callable[[np.ndarray], np.ndarray], dict]:
             raise SpectralModelError("density table must be (nu, value) pairs")
         if not np.isfinite(table).all():
             raise SpectralModelError("density table entries must be finite")
-        xs, ys = table[:, 0], table[:, 1]
-        order = np.argsort(xs)
-        xs, ys = xs[order], ys[order]
-        fn = lambda nu: np.interp(np.asarray(nu, dtype=float), xs, ys)  # noqa: E731
-        return fn, {"table": table[order].tolist()}
+        xs, ys = table[np.argsort(table[:, 0])].T
+        return (lambda nu: np.interp(np.asarray(nu, dtype=float), xs, ys)), xs
 
     name = spec.get("name", "uniform")
     if name == "uniform":
         value = float(spec.get("value", 1.0))
-        return (lambda nu: np.full_like(np.asarray(nu, dtype=float), value)), {
-            "name": "uniform",
-            "value": value,
-        }
+        return (lambda nu: np.full_like(np.asarray(nu, dtype=float), value)), None
     if name == "linear":
         a = float(spec.get("intercept", 0.0))
         b = float(spec.get("slope", 1.0))
-        return (lambda nu: a + b * np.asarray(nu, dtype=float)), {
-            "name": "linear",
-            "intercept": a,
-            "slope": b,
-        }
+        return (lambda nu: a + b * np.asarray(nu, dtype=float)), None
     if name == "cosine":
         offset = float(spec.get("offset", 1.0))
         amp = float(spec.get("amplitude", 0.5))
         freq = float(spec.get("frequency", np.pi))
         phase = float(spec.get("phase", 0.0))
-        fn = lambda nu: offset + amp * np.cos(freq * np.asarray(nu, dtype=float) + phase)  # noqa: E731
-        return fn, {
-            "name": "cosine",
-            "offset": offset,
-            "amplitude": amp,
-            "frequency": freq,
-            "phase": phase,
-        }
+        return (lambda nu: offset + amp * np.cos(freq * np.asarray(nu, dtype=float) + phase)), None
     raise SpectralModelError(f"unknown density name: {name!r}")
 
 
@@ -173,7 +152,6 @@ class SpectralModel:
     hvals: np.ndarray
     is_atom: np.ndarray
     multiplicity: int
-    h_spec: dict
     h_fn: Callable[[np.ndarray], np.ndarray]
     interval_edges: tuple[np.ndarray, ...]
     nodes_per_interval: int
@@ -298,9 +276,9 @@ def build_spectral_model(
     nodes_per_interval : int
         Midpoint nodes per interval, from 2 to ``MAX_NODES_PER_INTERVAL``.
     multiplicity : int
-        Block size of matrix-valued kernels (>= 1).
+        Block size of matrix-valued kernels, from 1 to ``MAX_MULTIPLICITY``.
     quadrature_tol : float
-        Maximum allowed relative error of the midpoint mass of each
+        Finite and positive: the maximum allowed relative error of the midpoint mass of each
         interval against a reference integral: 32 Gauss-Legendre points
         per grid cell (exact for ``uniform`` and ``linear`` densities), or
         for a ``table`` density the trapezoid rule over its knots (exact
@@ -317,8 +295,14 @@ def build_spectral_model(
         raise SpectralModelError(
             f"nodes_per_interval must lie in [2, {MAX_NODES_PER_INTERVAL}], got {nodes_per_interval}"
         )
-    if multiplicity < 1:
-        raise SpectralModelError("multiplicity must be a positive integer")
+    if not 1 <= multiplicity <= MAX_MULTIPLICITY:
+        raise SpectralModelError(
+            f"multiplicity must lie in [1, {MAX_MULTIPLICITY}], got {multiplicity}"
+        )
+    if not (np.isfinite(quadrature_tol) and quadrature_tol > 0):  # nan would pass every grid
+        raise SpectralModelError(
+            f"quadrature_tol must be finite and positive, got {quadrature_tol}"
+        )
     for p, w in atoms:
         if not (np.isfinite(p) and np.isfinite(w) and w > 0):
             raise SpectralModelError(
@@ -343,7 +327,7 @@ def build_spectral_model(
                     f"atom at {p} lies inside interval [{a}, {b}]"
                 )
 
-    h_fn, h_spec = _h_from_spec(h)
+    h_fn, knots = _h_from_spec(h)
 
     node_list: list[float] = []
     weight_list: list[float] = []
@@ -368,9 +352,8 @@ def build_spectral_model(
                 f"density is not finite and positive at nu={bad} inside [{a}, {b}]"
             )
         dx = (b - a) / nodes_per_interval
-        if "table" in h_spec:
+        if knots is not None:
             # trapezoid over the knots is exact for a linear interpolant
-            knots = np.asarray([row[0] for row in h_spec["table"]], dtype=float)
             pts = np.unique(np.concatenate([[a, b], knots[(knots > a) & (knots < b)]]))
             ref = float(np.trapezoid(h_fn(pts), pts))
         else:
@@ -401,7 +384,6 @@ def build_spectral_model(
         hvals=_readonly(np.asarray(hval_list, dtype=float)[order]),
         is_atom=_readonly(np.asarray(atom_list, dtype=bool)[order]),
         multiplicity=int(multiplicity),
-        h_spec=h_spec,
         h_fn=h_fn,
         interval_edges=tuple(edges_list),
         nodes_per_interval=int(nodes_per_interval),

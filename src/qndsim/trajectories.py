@@ -340,9 +340,9 @@ def exact_tuple_distribution(
     exchangeability made literal, and the sampler-equivalence tests lean
     on it.
     """
-    if not probe.outcome_space.finite:
+    if probe.outcomes is None:
         raise ValueError("exact enumeration needs a finite outcome space")
-    values = np.asarray(probe.outcome_space.values, dtype=float)
+    values = np.asarray(probe.outcomes, dtype=float)
     if values.size**k > 2_000_000:
         raise ValueError("outcome tuple space too large to enumerate")
     nodes = state.grid.nodes

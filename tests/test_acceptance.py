@@ -17,6 +17,7 @@ from scipy import integrate, stats
 from scipy.special import ndtr
 
 import qndsim as q
+from qndsim.trajectories import exact_tuple_distribution
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SEED = 20260810
@@ -180,8 +181,8 @@ def test_criterion_6_sampler_equivalence():
     probe = q.bind_extension(q.BinaryPhase.embedded(0.0, 1.0), model)
     state = q.diagonal_state(model, np.array([0.5, 0.5]))
 
-    mixture = q.exact_tuple_distribution(state, probe, 3, "de-finetti")
-    chain = q.exact_tuple_distribution(state, probe, 3, "sequential")
+    mixture = exact_tuple_distribution(state, probe, 3, "de-finetti")
+    chain = exact_tuple_distribution(state, probe, 3, "sequential")
     keys = sorted(mixture)
     gap = max(abs(mixture[key] - chain[key]) for key in keys)
 

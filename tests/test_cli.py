@@ -237,6 +237,20 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
             {"probe": {"kind": "binary-phase", "embed": {"source": [0.0, 1e-308]}}},
             "slope ** 2 must be finite",
         ),
+        *(
+            (
+                {"spectral": {"atoms": [[0.0, 0.3], [1.0, 0.7]], "quadrature_tol": tol}},
+                "quadrature_tol must be finite and positive",
+            )
+            for tol in (float("nan"), float("inf"), 0.0, -1.0)
+        ),
+        (
+            {"spectral": {"atoms": [[0.0, 0.3], [1.0, 0.7]], "multiplicity": 1e308}},
+            "multiplicity must lie in [1, 1000]",
+        ),
+        ({"window": {"nodes": 10**12}}, "window nodes must be at most 10000"),
+        ({"ensemble": 10**12}, "ensemble x k_max must be at most 1e+08"),
+        ({"k_max": 10**15}, "ensemble x k_max must be at most 1e+08"),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -279,6 +293,14 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "interval-wide-for-sigma",
         "psi-overflow",
         "embed-source-narrow",
+        "quadrature-tol-nan",
+        "quadrature-tol-inf",
+        "quadrature-tol-zero",
+        "quadrature-tol-negative",
+        "multiplicity-huge",
+        "window-nodes-huge",
+        "ensemble-huge",
+        "k-max-huge",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, message):
@@ -287,6 +309,21 @@ def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, m
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert not recwarn.list  # a warning would print a second line outside pytest
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ({"type": "pure", "psi": {"name": "sawtooth"}}, "unknown wave-function name: 'sawtooth'"),
+        ({"type": "mixed"}, "unknown state type: 'mixed'"),
+    ],
+    ids=["wave-function", "state-type"],
+)
+def test_unknown_state_declarations_exit_two(tmp_path, capsys, state, message):
+    cfg = _write_config(tmp_path / "cfg.json", state=state)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
 
 
 @pytest.mark.parametrize(

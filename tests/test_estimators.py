@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from qndsim import spectral
 from qndsim.estimators import (
@@ -165,7 +166,7 @@ def _golden_max(f, a, b, tol):
 def _per_outcome_objective(probe, outcomes, lo, hi):
     """Reference closure: counts of the distinct outcomes for finite outcome
     spaces, otherwise a sum over every outcome at each call."""
-    if probe.outcome_space.finite:
+    if probe.outcomes is not None:
         vals, counts = np.unique(outcomes, return_counts=True)
         return lambda nu: float(counts @ probe.loglik_values(np.asarray([nu]), vals)[:, 0])
     return lambda nu: float(probe.loglik_values(np.asarray([nu]), outcomes).sum())
@@ -463,6 +464,27 @@ def test_two_atom_rate_matches_relative_entropy_oracle():
         (1 - f0[0]) / (1 - f0[1])
     )
     assert np.median(rates) == pytest.approx(oracle, rel=0.1)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0])
+def test_rate_traces_equal_the_exact_gaussian_posterior(sigma):
+    """Given nu the outcomes are i.i.d. N(nu, sigma^2), so after c of them the
+    log posterior weights are ``log prior - c (m_c - nu)^2 / 2 sigma^2`` plus a
+    constant, m_c the prefix mean; each rate is ``-(LSE_region - LSE_all) / c``."""
+    wave = lambda nu: np.exp(nu) * (1.0 + 0.5 * nu)  # noqa: E731
+    model, probe, state = _gaussian_setup(100, sigma=sigma, psi=wave)
+    cps = [3, 10, 30, 100, 300, 1000, 3000]
+    ensemble = sample_ensemble(state, probe, 3000, 20, SEED, checkpoints=cps, hidden_nu=0.2)
+    region = [(0.6, 1.0)]
+    traces = rate_traces(state, ensemble, region, cps, model, probe, estimates=np.full(20, 0.2))
+    mask = model.region_mask(region)
+    log_prior = np.log(model.mass * np.abs(wave(model.nodes)) ** 2)
+    for trace, outcomes in zip(traces, ensemble.outcomes):
+        exact = []
+        for c in cps:
+            logw = log_prior - c * (outcomes[:c].mean() - model.nodes) ** 2 / (2.0 * sigma**2)
+            exact.append(-(logsumexp(logw[mask]) - logsumexp(logw)) / c)
+        np.testing.assert_allclose(trace.values, exact, rtol=1e-12, atol=0.0)
 
 
 def test_rate_trace_rejects_zero_prior_region():

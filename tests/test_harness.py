@@ -213,6 +213,53 @@ def test_config_rejects_bad_input():
         _born_config(sampler="bogus")
 
 
+def _wave(nu):
+    return np.exp(0.5 * nu) * (1.0 + 0.5j * nu)
+
+
+def _kernel_declaration(model):
+    values = spectral.pure_state(model, _wave).values
+    return {
+        "type": "kernel",
+        "re": values.real.tolist(),
+        "im": values.imag.tolist(),
+        "shape": list(values.shape),
+    }
+
+
+@pytest.mark.parametrize(
+    "declare, oracle, atol",
+    [
+        (
+            lambda m: {"psi": {"name": "linear", "intercept": 0.3, "slope": 2.0}},
+            lambda m: spectral.pure_state(m, lambda nu: 0.3 + 2.0 * nu),
+            None,
+        ),
+        (
+            lambda m: {"type": "pure", "psi": {"name": "cosine", "amplitude": 0.25}},
+            lambda m: spectral.pure_state(m, lambda nu: 1.0 + 0.25 * np.cos(np.pi * nu)),
+            None,
+        ),
+        (
+            lambda m: {"psi": {"re": np.ones(m.size).tolist(), "im": np.zeros(m.size).tolist()}},
+            lambda m: build_state(m, {"type": "pure", "psi": {"name": "flat"}}),
+            None,
+        ),
+        (_kernel_declaration, lambda m: spectral.pure_state(m, _wave), 1e-12),
+    ],
+    ids=["linear", "cosine", "re-im-flat", "kernel"],
+)
+def test_declared_states_equal_their_constructors(declare, oracle, atol):
+    model = spectral.build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=40)
+    state, expected = build_state(model, declare(model)), oracle(model)
+    if atol is None:  # the same wave function on the grid, bit for bit
+        assert all(np.array_equal(a, b) for a, b in zip(state.factor, expected.factor))
+    else:  # dense values are factored afresh by eigh
+        got, want = (spectral.SpectralWeights.from_state(s).values for s in (state, expected))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+        assert spectral.validate_state(state).passed
+
+
 def test_config_hash_tracks_content():
     a, b = _born_config(), _born_config()
     assert a.config_hash() == b.config_hash()

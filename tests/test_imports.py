@@ -6,9 +6,12 @@ when it runs, and ``scipy.stats`` / ``scipy.integrate`` serve the tests as
 oracles only.  A run that loads a module the import did not load pays for it
 inside its own wall time, so the runs below must load nothing new.  pytest's
 own process has loaded scipy already, so the checks run in a fresh
-interpreter.
+interpreter.  The exports are checked too: every name in a module's
+``__all__`` exists, and ``qndsim/__init__`` imports at most ``MAX_EXPORTS``.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -79,3 +82,19 @@ def test_clt_run_loads_scipy_special_only(tmp_path):
     assert "scipy.special" in loaded
     leaked = [m for m in loaded if ".".join(m.split(".")[:2]) in TEST_ONLY]
     assert not leaked, f"the clt run loaded {leaked[:5]}"
+
+
+
+
+MAX_EXPORTS = 72  # names qndsim/__init__ may import
+
+
+def test_exports_exist_and_stay_few():
+    tree = ast.parse((ROOT / "src" / "qndsim" / "__init__.py").read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    for node in imports:
+        module = importlib.import_module(f"qndsim.{node.module}")
+        stale = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not stale, f"qndsim.{node.module}.__all__ names missing {stale}"
+    count = sum(len(node.names) for node in imports)
+    assert count <= MAX_EXPORTS, f"qndsim/__init__ imports {count} names"

@@ -396,7 +396,7 @@ def _oracle_node_sums(probe, nodes, outcomes):
     the blocked cell sums."""
     if outcomes.size == 0:
         return np.zeros(nodes.size)
-    if probe.outcome_space.finite:
+    if probe.outcomes is not None:
         vals, counts = np.unique(outcomes, return_counts=True)
         return counts @ probe.loglik_values(nodes, vals)
     ext = probe.extension
