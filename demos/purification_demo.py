@@ -38,7 +38,7 @@ def main():
         traj = q.definetti_sample(
             state, probe, max(steps), q.trajectory_rng(SEED, i), checkpoints=steps
         )
-        node = nearest_node(model, traj.hidden_nu)
+        node = nearest_node(model, traj.hidden[0])
         for c, k in enumerate(steps):
             weight_at_hidden[i, c] = q.posterior_weights(state, traj, k).values[node]
         winners.append(q.mle(traj, max(steps), model, probe))

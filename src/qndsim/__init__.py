@@ -41,7 +41,6 @@ from .probes import (
 )
 from .trajectories import (
     Ensemble,
-    Trajectory,
     definetti_sample,
     log_prior_weights,
     posterior_means,

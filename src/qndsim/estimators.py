@@ -46,10 +46,11 @@ from .spectral import (
     RegionError,
     SpectralModel,
     StateKernel,
+    _composite_gauss,
     _weighted_gram,
     spectral_probability,
 )
-from .trajectories import Ensemble, Trajectory, _logsumexp, _sums_blocks, log_prior_weights
+from .trajectories import Ensemble, _logsumexp, _row_sums, _sums_blocks, log_prior_weights
 
 __all__ = [
     "RateTrace",
@@ -207,10 +208,11 @@ def mle_table(
     return table
 
 
-def mle(trajectory: Trajectory, k: int, model: SpectralModel, probe) -> float:
-    """Maximum-likelihood estimate after k outcomes: the 1 x 1 ``mle_table``."""
-    ensemble = Ensemble.of([trajectory], [k], probe, model.nodes)
-    return float(mle_table(ensemble, [k], model, probe)[0, 0])
+def mle(trajectory: Ensemble, k: int, model: SpectralModel, probe) -> float:
+    """Maximum-likelihood estimate after k outcomes of a one-row ensemble: its
+    1 x 1 ``mle_table``."""
+    _row_sums(trajectory, k)  # one row, holding sums after k
+    return float(mle_table(trajectory, [k], model, probe)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -391,11 +393,11 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 
 
 def laplace_condition_check(
-    trajectory: Trajectory, k: int, model: SpectralModel, probe, *, estimate: float,
+    trajectory: Ensemble, k: int, model: SpectralModel, probe, *, estimate: float,
 ) -> LaplaceCheck:
-    """``LaplaceCheck`` after k outcomes around ``estimate``, the refined
-    estimate at k (its ``mle_table`` entry)."""
-    sums = trajectory.loglik_at(k, probe, model.nodes)
+    """``LaplaceCheck`` after k outcomes of a one-row ensemble around
+    ``estimate``, the refined estimate at k (its ``mle_table`` entry)."""
+    sums = _row_sums(trajectory, k)
     nu_hat = float(estimate)
     sl, (a, b) = _interval_subgrid(model, nu_hat)
     xs, ys = model.nodes[sl], sums[sl]
@@ -404,11 +406,7 @@ def laplace_condition_check(
 
     sqrt_k = math.sqrt(k)
     edges = sqrt_k * (np.linspace(a, b, (sl.stop - sl.start) + 1) - nu_hat)
-    x0, w0 = _GL16
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    xq = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    wq = (half[:, None] * w0[None, :]).ravel()
+    xq, wq = _composite_gauss(edges, _GL16)
     expo = _interpolate(xs, ys, nu_hat + xq / sqrt_k, (a, b)) - l_hat
     numerator = float(wq @ np.exp(np.clip(expo, None, 50.0)))
     denominator = math.sqrt(2.0 * math.pi / fisher)
@@ -564,12 +562,12 @@ def _zoom_stack(state: StateKernel, model: SpectralModel, sums, grids, subgrids,
 
 
 def rescaled_posterior_kernel(
-    state: StateKernel, trajectory: Trajectory, k: int, model: SpectralModel, probe, *,
+    state: StateKernel, trajectory: Ensemble, k: int, model: SpectralModel, probe, *,
     estimate: float, window_sigmas: float = DEFAULT_WINDOW_SIGMAS, window_nodes: int = 201,
     min_sigmas: float = MIN_WINDOW_SIGMAS,
 ) -> RescaledKernelResult:
-    """Posterior kernel zoomed by sqrt(k) around ``estimate``, the refined
-    estimate at k (its ``mle_table`` entry).
+    """Posterior kernel of a one-row ensemble zoomed by sqrt(k) around
+    ``estimate``, the refined estimate at k (its ``mle_table`` entry).
 
     Evaluates ``rho_k(nu_hat + x / sqrt(k), nu_hat + y / sqrt(k)) / sqrt(k)``
     on the window grid, interpolating both the log-likelihood sums and the
@@ -580,7 +578,7 @@ def rescaled_posterior_kernel(
     zoom); ``window_mass`` records the posterior mass the window captured
     relative to the whole grid.
     """
-    sums = trajectory.loglik_at(k, probe, model.nodes)
+    sums = _row_sums(trajectory, k)
     nu_hat = float(estimate)
     fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
     grids, subgrids, _ = _window_stack(

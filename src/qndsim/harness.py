@@ -101,6 +101,7 @@ DEFAULT_WINDOW = {"sigmas": 8.0, "nodes": 201, "min_sigmas": 2.0}
 KS_MIN_SAMPLES = 50  # below this the asymptotic Kolmogorov p-value is not used
 # declared sizes that reach an allocation, refused before anything is built
 MAX_OUTCOMES = 10**8  # ensemble x k_max: an 800 MB float64 outcome block, 5x clt_binary's
+MAX_SUM_CELLS = 10**8  # ensemble x (checkpoints + 1) x nodes: 800 MB of float64, as MAX_OUTCOMES
 MAX_WINDOW_NODES = 10_000  # a window factor, nodes x columns: 64 MB for a 400-node diagonal state
 
 
@@ -307,6 +308,10 @@ def build_probe(config: ExperimentConfig, model: SpectralModel) -> ProbeModel:
 def _build_cached(config_json: str):
     config = ExperimentConfig.from_dict(json.loads(config_json))
     model = build_model(config)
+    cells = config.ensemble * (len(config.checkpoints) + 1) * model.size
+    if cells > MAX_SUM_CELLS:
+        raise ConfigError(f"ensemble x (checkpoints + 1) x grid nodes must be at most "
+                          f"{MAX_SUM_CELLS:.0e}, got {cells:.3g}")
     state = build_state(model, config.state)
     probe = build_probe(config, model)
     # a region the run cannot use fails here, before validation and sampling

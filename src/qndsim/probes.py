@@ -92,6 +92,10 @@ class ProbeExtension:
     hi: float
     margin: float
 
+    def __post_init__(self):
+        if not np.finfo(float).tiny <= self.margin * self.margin < np.inf:  # blend divides by it
+            raise ProbeError(f"the blend margin {self.margin!r} must have a positive normal square")
+
     def contains(self, nu) -> np.ndarray:
         nu = np.asarray(nu, dtype=float)
         return (nu >= self.lo - self.margin) & (nu <= self.hi + self.margin)
@@ -463,7 +467,7 @@ class GaussianReadout(ProbeModel):
         at most ``MAX_RULE_PANELS`` of them."""
         pad = GAUSS_WINDOW_SIGMAS * self.sigma
         lo, hi = nus.min() - pad, nus.max() + pad
-        panels = np.ceil((hi - lo) / (GAUSS_PANEL_SIGMAS * self.sigma))
+        panels = np.ceil(float(hi - lo) / (GAUSS_PANEL_SIGMAS * self.sigma))  # inf, not a warning
         if not panels <= MAX_RULE_PANELS:  # an overflowing window is inf
             raise ProbeError(
                 f"the outcome rule of sigma={self.sigma:g} on [{nus.min():g}, {nus.max():g}] "

@@ -106,9 +106,10 @@ def _h_from_spec(spec) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray |
 _GL32 = np.polynomial.legendre.leggauss(32)
 
 
-def _composite_gauss(edges: np.ndarray):
-    """32-point Gauss-Legendre rule on each panel between consecutive edges."""
-    x0, w0 = _GL32
+def _composite_gauss(edges: np.ndarray, rule=_GL32):
+    """Gauss-Legendre ``rule`` (nodes, weights; 32 points by default) on each
+    panel between consecutive edges."""
+    x0, w0 = rule
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     xq = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
@@ -359,8 +360,12 @@ def build_spectral_model(
         else:
             xq, wq = _composite_gauss(edges)
             ref = float(wq @ h_fn(xq))
-        err = abs(dx * hv.sum() - ref) / max(abs(ref), 1e-300)
-        if err > quadrature_tol:
+        with np.errstate(over="ignore"):
+            mass = dx * hv.sum()
+        if not np.isfinite(mass):
+            raise SpectralModelError(f"the spectral mass of [{a}, {b}] overflows float64")
+        err = abs(mass - ref) / max(abs(ref), 1e-300)
+        if not err <= quadrature_tol:
             raise SpectralModelError(
                 f"midpoint mass of [{a}, {b}] off by {err:.2e} (> {quadrature_tol:.0e}); "
                 "increase nodes_per_interval or quadrature_tol"

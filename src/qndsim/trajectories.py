@@ -8,7 +8,7 @@ Two samplers generate outcome sequences with provably identical laws:
 * ``sequential_sample`` draws each outcome from the one-step predictive
   density given the running posterior — the chain-rule form.
 
-Both maintain the running per-node log-likelihood sums
+Both record the per-node log-likelihood sums
 ``L_k[i] = sum_{j<=k} log f(xi_j | nu_i)``, which is all the posterior
 needs: weights are ``prior * exp(L_k)`` renormalized, and the posterior
 kernel multiplies the initial kernel by ``exp(L_k/2)`` on both sides.
@@ -16,10 +16,13 @@ All weight arithmetic runs in log space with running-max subtraction, so
 sequences of length 1e4 and beyond are safe from underflow.
 
 ``sample_ensemble`` returns an ``Ensemble``: one (E x k) outcome block and
-one (E x C+1 x N) stack of sums after each checkpoint and k.  The mixture
-sampler fills them segment by segment from sufficient statistics (counts, or
-the Gaussian mean and centred sums); estimators read the stack in row blocks,
-and ``ensemble[i]`` is trajectory i as a ``Trajectory`` view.
+one (E x C+1 x N) stack of sums after each checkpoint and k.  Either sampler
+fills the outcome block, which is then summed segment by segment from
+sufficient statistics (counts, or the Gaussian mean and centred sums), so the
+sums depend on the outcomes alone.  A trajectory is a one-row ensemble
+(``ensemble[i]``, what the per-trajectory functions take and return);
+``Ensemble.sums_after`` reads the sums after chosen k, and the estimators
+read them in row blocks.
 
 Reproducibility: per-trajectory generators are spawned from a master seed
 as ``default_rng(SeedSequence(master, spawn_key=(index,)))``; identical
@@ -28,9 +31,8 @@ seeds give bitwise-identical trajectories.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +42,6 @@ from .probes import _blocks
 from .spectral import SpectralWeights, StateKernel
 
 __all__ = [
-    "Trajectory",
     "Ensemble",
     "trajectory_rng",
     "definetti_sample",
@@ -79,44 +80,6 @@ def trajectory_rng(master: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master, spawn_key=(index,)))
 
 
-@dataclass
-class Trajectory:
-    """A recorded outcome sequence with running log-likelihood sums.
-
-    ``loglik_sums[i]`` is the total log-likelihood of the sequence at grid
-    node ``i``; ``checkpoint_sums`` holds snapshots at requested steps.
-    ``hidden_nu`` is set only by the mixture sampler.
-    """
-
-    outcomes: np.ndarray
-    loglik_sums: np.ndarray
-    checkpoint_sums: dict[int, np.ndarray] = field(default_factory=dict)
-    hidden_nu: float | None = None
-
-    def __len__(self) -> int:
-        return int(self.outcomes.size)
-
-    def loglik_at(self, k: int, probe=None, nodes=None) -> np.ndarray:
-        """Log-likelihood sums after the first k outcomes.
-
-        Uses the stored checkpoint when available; otherwise recomputes
-        from the retained outcomes, which requires the probe and grid.
-        """
-        if not 0 <= k <= len(self):
-            raise ValueError(f"k={k} lies outside [0, {len(self)}]")
-        if k == len(self):
-            return self.loglik_sums
-        if k in self.checkpoint_sums:
-            return self.checkpoint_sums[k]
-        if k == 0:
-            return np.zeros_like(self.loglik_sums)
-        if probe is None or nodes is None:
-            raise ValueError(
-                f"no checkpoint at k={k}; pass probe and nodes to recompute"
-            )
-        return probe.loglik_node_sums(nodes, self.outcomes[:k])
-
-
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """E trajectories of one length k as arrays.
@@ -125,8 +88,8 @@ class Ensemble:
     log-likelihood sums after each of the C ``checkpoints`` and then after k;
     ``hidden`` holds the mixture sampler's hidden values (None for the
     sequential sampler) and ``master`` the master seed (row i of a sampled
-    ensemble draws from ``trajectory_rng(master, i)``).  ``ensemble[i]`` is a
-    ``Trajectory`` view of row i, ``ensemble[a:b]`` an ensemble of rows a to b.
+    ensemble draws from ``trajectory_rng(master, i)``).  ``ensemble[i]`` is
+    row i as a one-row ensemble, ``ensemble[a:b]`` the ensemble of rows a to b.
     """
 
     outcomes: np.ndarray
@@ -135,41 +98,31 @@ class Ensemble:
     hidden: np.ndarray | None
     master: int | None = None
 
-    @classmethod
-    def of(cls, trajectories: Sequence[Trajectory], checkpoints=None, probe=None, nodes=None):
-        """Trajectories of one length stacked, with their sums after each of
-        ``checkpoints`` (default: those the first one stores) by ``loglik_at``,
-        so recomputed from the outcomes with the probe and nodes where not stored."""
-        if not trajectories:
-            raise ValueError("an ensemble needs at least one trajectory")
-        if checkpoints is None:
-            checkpoints = sorted(trajectories[0].checkpoint_sums)
-        sums = [np.stack([*(t.loglik_at(c, probe, nodes) for c in checkpoints), t.loglik_sums])
-                for t in trajectories]
-        hidden = [t.hidden_nu for t in trajectories]
-        return cls(
-            outcomes=np.stack([t.outcomes for t in trajectories]).astype(float, copy=False),
-            sums=np.stack(sums).astype(float, copy=False),
-            checkpoints=tuple(int(c) for c in checkpoints),
-            hidden=None if None in hidden else np.array(hidden, dtype=float),
-        )
-
     def __len__(self) -> int:
         return len(self.outcomes)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            hidden = None if self.hidden is None else self.hidden[i]
-            return Ensemble(self.outcomes[i], self.sums[i], self.checkpoints, hidden, self.master)
-        return Trajectory(
-            outcomes=self.outcomes[i],
-            loglik_sums=self.sums[i, -1],
-            checkpoint_sums={c: self.sums[i, j] for j, c in enumerate(self.checkpoints)},
-            hidden_nu=None if self.hidden is None else float(self.hidden[i]),
-        )
+        if not isinstance(i, slice):
+            i = range(len(self))[i]  # negatives from the end; IndexError past it ends iteration
+            i = slice(i, i + 1)
+        hidden = None if self.hidden is None else self.hidden[i]
+        return Ensemble(self.outcomes[i], self.sums[i], self.checkpoints, hidden, self.master)
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+    def sums_after(self, ks: Sequence[int]) -> np.ndarray:
+        """Copy of each row's sums after each k in ``ks`` (rows x len(ks) x N);
+        a k that is neither a checkpoint nor the length raises ``ValueError``."""
+        k, cps = self.outcomes.shape[1], list(self.checkpoints)
+        missing = sorted({int(c) for c in ks} - {*cps, k})
+        if missing:
+            raise ValueError(f"the ensemble holds no sums after k={missing} (only {cps} and {k})")
+        return self.sums[:, [-1 if c == k else cps.index(c) for c in ks]]
+
+
+def _row_sums(trajectory: Ensemble, k: int) -> np.ndarray:
+    """Sums after k of a one-row ensemble, the input of the per-trajectory functions."""
+    if len(trajectory) != 1:
+        raise ValueError(f"expected a one-row ensemble, got {len(trajectory)} rows")
+    return trajectory.sums_after([k])[0, 0]
 
 
 def log_prior_weights(state: StateKernel) -> np.ndarray:
@@ -181,10 +134,6 @@ def log_prior_weights(state: StateKernel) -> np.ndarray:
     return log_prior
 
 
-def _normalize_checkpoints(checkpoints: Iterable[int], k: int) -> list[int]:
-    return sorted({int(c) for c in checkpoints if 0 <= int(c) <= k})
-
-
 def definetti_sample(
     state: StateKernel,
     probe,
@@ -192,34 +141,15 @@ def definetti_sample(
     rng: np.random.Generator,
     checkpoints: Iterable[int] = (),
     hidden_nu: float | None = None,
-) -> Trajectory:
+) -> Ensemble:
     """Mixture sampler: hidden value first, then i.i.d. outcomes from its law.
 
     The hidden value is drawn from the initial spectral weights unless
-    ``hidden_nu`` pins it (it need not be a grid node).  The returned
-    trajectory records the hidden value: the one-member ``sample_ensemble``.
+    ``hidden_nu`` pins it (it need not be a grid node).  Returns the one-row
+    ensemble of the trajectory, hidden value recorded: the one-member
+    ``sample_ensemble``.
     """
-    return _definetti_ensemble(state, probe, k, [rng], checkpoints, hidden_nu)[0]
-
-
-def _definetti_ensemble(state, probe, k, rngs, checkpoints, hidden_nu, master=None) -> Ensemble:
-    """Mixture-sampled trajectories, one row per generator; one
-    ``loglik_node_sums`` call over the ensemble per segment."""
-    nodes, k = state.grid.nodes, int(k)
-    cps = _normalize_checkpoints(checkpoints, k)
-    if hidden_nu is None:
-        prior = np.exp(log_prior_weights(state))
-        prior = prior / prior.sum()
-    hidden, outcomes = np.empty(len(rngs)), np.empty((len(rngs), k))
-    for e, rng in enumerate(rngs):
-        nu = float(nodes[rng.choice(nodes.size, p=prior)]) if hidden_nu is None else hidden_nu
-        hidden[e] = nu
-        outcomes[e] = probe.sample(nu, k, rng)
-    sums = np.empty((len(rngs), len(cps) + 1, nodes.size))
-    for j, (a, b) in enumerate(zip([0, *cps], [*cps, k])):  # in a single trajectory's order
-        seg = probe.loglik_node_sums(nodes, outcomes[:, a:b])
-        np.add(sums[:, j - 1] if j else 0.0, seg, out=sums[:, j])
-    return Ensemble(outcomes, sums, tuple(cps), hidden, master)
+    return _sample(state, probe, k, [rng], "de-finetti", checkpoints, hidden_nu)
 
 
 def sequential_sample(
@@ -228,29 +158,50 @@ def sequential_sample(
     k: int,
     rng: np.random.Generator,
     checkpoints: Iterable[int] = (),
-) -> Trajectory:
+) -> Ensemble:
     """Chain-rule sampler: each outcome from the one-step predictive density.
 
     The predictive density is the posterior-weighted mixture of node laws;
     sampling draws a node from the current posterior, then an outcome from
-    that node's law.  No hidden value is recorded.
+    that node's law.  Returns the one-row ensemble of the trajectory; no
+    hidden value is recorded.
     """
-    nodes, log_prior = state.grid.nodes, log_prior_weights(state)
-    sums, outcomes, one = np.zeros(nodes.size), np.empty(int(k)), np.empty(1)
-    wanted = set(_normalize_checkpoints(checkpoints, k))
-    checkpoint_sums = {0: sums.copy()} if 0 in wanted else {}
-    for step in range(int(k)):
-        logw = log_prior + sums
-        w = np.exp(logw - logw.max())
-        cdf = np.cumsum(w)
-        node = int(np.searchsorted(cdf, rng.random() * cdf[-1]))
-        xi = float(probe.sample(float(nodes[node]), 1, rng)[0])
-        outcomes[step] = xi
-        one[0] = xi
-        sums = sums + probe.loglik_values(nodes, one)[0]
-        if step + 1 in wanted:
-            checkpoint_sums[step + 1] = sums.copy()
-    return Trajectory(outcomes=outcomes, loglik_sums=sums, checkpoint_sums=checkpoint_sums)
+    return _sample(state, probe, k, [rng], "sequential", checkpoints)
+
+
+def _sample(state, probe, k, rngs, sampler, checkpoints, hidden_nu=None, master=None) -> Ensemble:
+    """One row per generator.  A chain-rule row keeps running sums only to draw
+    its next node; the sums of either sampler's outcome block take one
+    ``loglik_node_sums`` call over the block per segment."""
+    nodes, k = state.grid.nodes, int(k)
+    cps = sorted({int(c) for c in checkpoints if 0 <= int(c) <= k})
+    hidden, outcomes = None, np.empty((len(rngs), k))
+    if sampler == "de-finetti":
+        if hidden_nu is None:
+            prior = np.exp(log_prior_weights(state))
+            prior = prior / prior.sum()
+        hidden = np.empty(len(rngs))
+        for e, rng in enumerate(rngs):
+            nu = float(nodes[rng.choice(nodes.size, p=prior)]) if hidden_nu is None else hidden_nu
+            hidden[e] = nu
+            outcomes[e] = probe.sample(nu, k, rng)
+    elif sampler == "sequential":
+        log_prior, one = log_prior_weights(state), np.empty(1)
+        for row, rng in zip(outcomes, rngs):
+            running = np.zeros(nodes.size)
+            for step in range(k):
+                logw = log_prior + running
+                cdf = np.cumsum(np.exp(logw - logw.max()))
+                node = int(np.searchsorted(cdf, rng.random() * cdf[-1]))
+                row[step] = one[0] = probe.sample(float(nodes[node]), 1, rng)[0]
+                running += probe.loglik_values(nodes, one)[0]
+    else:
+        raise ValueError(f"unknown sampler: {sampler!r}")
+    sums = np.empty((len(rngs), len(cps) + 1, nodes.size))
+    for j, (a, b) in enumerate(zip([0, *cps], [*cps, k])):  # in a single trajectory's order
+        seg = probe.loglik_node_sums(nodes, outcomes[:, a:b])
+        np.add(sums[:, j - 1] if j else 0.0, seg, out=sums[:, j])
+    return Ensemble(outcomes, sums, tuple(cps), hidden, master)
 
 
 def sample_ensemble(
@@ -267,25 +218,15 @@ def sample_ensemble(
     if size < 1:
         raise ValueError("ensemble size must be at least 1")
     rngs = [trajectory_rng(master_seed, i) for i in range(size)]
-    if sampler == "de-finetti":
-        return _definetti_ensemble(state, probe, k, rngs, checkpoints, hidden_nu, master_seed)
-    if sampler == "sequential":
-        rows = Ensemble.of([sequential_sample(state, probe, k, g, checkpoints) for g in rngs])
-        return dataclasses.replace(rows, master=master_seed)
-    raise ValueError(f"unknown sampler: {sampler!r}")
+    return _sample(state, probe, k, rngs, sampler, checkpoints, hidden_nu, master_seed)
 
 
 def _sums_blocks(ensemble: Ensemble, ks: Sequence[int], row_cells: int = 0):
-    """(slice, copy of its sums after each k in ``ks``) for row blocks of the
-    ensemble of at most BLOCK_CELLS // 4 cells (rows x len(ks) x nodes, or
-    ``row_cells`` a row where the caller stacks more)."""
-    k, cps, n = ensemble.outcomes.shape[1], list(ensemble.checkpoints), ensemble.sums.shape[-1]
-    missing = sorted({int(c) for c in ks} - {*cps, k})
-    if missing:
-        raise ValueError(f"the ensemble holds no sums after k={missing} (only {cps} and {k})")
-    cols = [-1 if c == k else cps.index(c) for c in ks]  # k as loglik_at: the final sums
-    for sl in _blocks(len(ensemble), max(len(cols) * n, row_cells), 4):
-        yield sl, ensemble.sums[sl][:, cols]
+    """(slice, ``sums_after(ks)`` of its rows) for row blocks of the ensemble of
+    at most BLOCK_CELLS // 4 cells (rows x len(ks) x nodes, or ``row_cells`` a
+    row where the caller stacks more)."""
+    for sl in _blocks(len(ensemble), max(len(ks) * ensemble.sums.shape[-1], row_cells), 4):
+        yield sl, ensemble[sl].sums_after(ks)
 
 
 def _posterior_rows(log_prior: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -298,9 +239,10 @@ def _posterior_rows(log_prior: np.ndarray, sums: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def posterior_weights(state: StateKernel, trajectory: Trajectory, k: int, probe=None) -> SpectralWeights:
-    """Spectral weights of the posterior after k outcomes (log-space)."""
-    sums = trajectory.loglik_at(k, probe, state.grid.nodes)
+def posterior_weights(state: StateKernel, trajectory: Ensemble, k: int) -> SpectralWeights:
+    """Spectral weights of the posterior after k outcomes (log-space) of a
+    one-row ensemble."""
+    sums = _row_sums(trajectory, k)
     return SpectralWeights(values=_posterior_rows(log_prior_weights(state), sums), grid=state.grid)
 
 
@@ -315,13 +257,13 @@ def posterior_means(state: StateKernel, ensemble: Ensemble, k: int) -> list[floa
     ]
 
 
-def posterior_kernel(state: StateKernel, trajectory: Trajectory, k: int, probe=None) -> StateKernel:
-    """Posterior kernel after k outcomes.
+def posterior_kernel(state: StateKernel, trajectory: Ensemble, k: int) -> StateKernel:
+    """Posterior kernel after k outcomes of a one-row ensemble.
 
     Multiplies the initial kernel by ``exp(L_k/2)`` on both sides (the rows
     of its factor) and renormalizes by the discrete trace, all in log space.
     """
-    sums = trajectory.loglik_at(k, probe, state.grid.nodes)
+    sums = _row_sums(trajectory, k)
     psi, d = state.factor
     psi = psi * np.exp(0.5 * (sums - sums.max()))[:, None, None]
     z = StateKernel(None, state.grid, factor=(psi, d)).trace()

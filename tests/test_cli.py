@@ -1,10 +1,18 @@
 """Command-line contract: subcommands, exit codes, pipeline equivalence."""
 
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qndsim import harness
 from qndsim.cli import main
@@ -251,6 +259,36 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         ({"window": {"nodes": 10**12}}, "window nodes must be at most 10000"),
         ({"ensemble": 10**12}, "ensemble x k_max must be at most 1e+08"),
         ({"k_max": 10**15}, "ensemble x k_max must be at most 1e+08"),
+        ({"probe": {"kind": "gaussian-readout", "sigma": 1e-308}}, "needs inf panels"),
+        (
+            {
+                "kind": "rate-convergence",
+                "spectral": {"intervals": [[0.0, 1.0]], "h": 1e308},
+                "state": {"type": "pure"},
+                "region": [[0.5, 1.0]],
+            },
+            "spectral mass of [0.0, 1.0] overflows float64",
+        ),
+        (
+            {
+                "kind": "rate-convergence",
+                "spectral": {"intervals": [[0.0, 1e-308]]},
+                "state": {"type": "pure"},
+                "region": [[0.5, 1.0]],
+            },
+            "must have a positive normal square",
+        ),
+        (  # 1e8 outcomes pass MAX_OUTCOMES; the (2e5, 6, 400) sums stack would take 3.6 GiB
+            {
+                "kind": "rate-convergence",
+                "spectral": {"intervals": [[0.0, 1.0]], "nodes_per_interval": 400},
+                "state": {"type": "pure"},
+                "ensemble": 200_000,
+                "k_max": 500,
+                "region": [[0.5, 1.0]],
+            },
+            "ensemble x (checkpoints + 1) x grid nodes must be at most 1e+08, got 4.8e+08",
+        ),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -301,6 +339,10 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "window-nodes-huge",
         "ensemble-huge",
         "k-max-huge",
+        "sigma-tiny",
+        "h-overflow",
+        "interval-subnormal",
+        "sums-stack-huge",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, message):
@@ -540,3 +582,66 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# every mutation of a shipped declaration reaches a documented exit
+
+def _paths(tree, prefix=()):
+    """The path of every leaf and container below a JSON tree."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _shipped_capped():
+    trees = {}
+    for path in sorted(CONFIGS.glob("*.json")):
+        tree = json.loads(path.read_text())
+        trees[path.stem] = {**tree, "ensemble": min(tree["ensemble"], 60)}
+    return trees
+
+
+SHIPPED = _shipped_capped()
+DELETE = "<delete>"
+# no large valid size: nodes_per_interval 1e6 or multiplicity 1000 would
+# allocate gigabytes in validate_probe or the kernel stack
+REPLACEMENTS = [
+    math.nan, math.inf, -math.inf, 1e308, -1e308, -1, 0, 1e20, 1e-308,
+    "x", None, [], {}, True, [[1, "a"]], [[]],
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    where=st.sampled_from([(name, p) for name, tree in SHIPPED.items() for p in _paths(tree)]),
+    value=st.sampled_from([DELETE, *REPLACEMENTS]),
+)
+def test_every_mutated_declaration_exits_cleanly(where, value):
+    name, path = where
+    tree = copy.deepcopy(SHIPPED[name])
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(tree))
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
+            out
+        ), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["verify", "--config", str(config), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    assert not caught, [str(w.message) for w in caught]
+    if code == 2:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    if code == 1:  # a failed verdict, or a probe that failed its validators
+        assert "overall: FAIL" in out.getvalue() or err.getvalue().startswith(
+            "error: probe failed assumption validation"
+        )

@@ -50,7 +50,6 @@ from qndsim.spectral import (
 )
 from qndsim.trajectories import (
     Ensemble,
-    Trajectory,
     _logsumexp,
     definetti_sample,
     sample_ensemble,
@@ -68,12 +67,13 @@ def _gaussian_setup(n=100, sigma=1.0, psi=None):
     return model, probe, state
 
 
-def _manual_trajectory(probe, model, outcomes):
-    outcomes = np.asarray(outcomes, dtype=float)
-    return Trajectory(
-        outcomes=outcomes,
-        loglik_sums=probe.loglik_node_sums(model.nodes, outcomes),
-    )
+def _manual_ensemble(probe, model, rows, checkpoints=()):
+    """Outcome rows (one row for a 1-D input) with their sums after each
+    checkpoint and k, each summed from the outcomes in one call."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    ks = [*checkpoints, rows.shape[1]]
+    sums = np.array([[probe.loglik_node_sums(model.nodes, row[:c]) for c in ks] for row in rows])
+    return Ensemble(rows, sums, tuple(checkpoints), None)
 
 
 # ---------------------------------------------------------------------------
@@ -81,31 +81,29 @@ def _manual_trajectory(probe, model, outcomes):
 
 def test_mle_interior_refined_to_sample_mean():
     model, probe, _ = _gaussian_setup(50)
-    traj = _manual_trajectory(probe, model, [0.2, 0.4])
+    traj = _manual_ensemble(probe, model, [0.2, 0.4])
     assert mle(traj, 2, model, probe) == pytest.approx(0.3, abs=1e-7)
 
 
 def test_mle_clamps_to_spectrum_boundary():
     model, probe, _ = _gaussian_setup(50)
-    traj = _manual_trajectory(probe, model, [1.6, 1.8])
+    traj = _manual_ensemble(probe, model, [1.6, 1.8])
     assert mle(traj, 2, model, probe) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_mle_tie_breaks_to_smallest_node():
     model = build_spectral_model(atoms=[(0.0, 0.5), (1.0, 0.5)])
     probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
-    traj = Trajectory(outcomes=np.empty(0), loglik_sums=np.array([-1.0, -1.0]))
+    traj = Ensemble(np.empty((1, 0)), np.full((1, 1, 2), -1.0), (), None)
     assert mle(traj, 0, model, probe) == 0.0
 
 
 def test_mle_shift_invariance():
     model, probe, _ = _gaussian_setup(40)
-    traj = _manual_trajectory(probe, model, [0.1, 0.6, 0.5])
+    traj = _manual_ensemble(probe, model, [0.1, 0.6, 0.5])
     base = mle(traj, 3, model, probe)
     for shift in (-1e6, -3.0, 7.5, 1e8):
-        shifted = Trajectory(
-            outcomes=traj.outcomes, loglik_sums=traj.loglik_sums + shift
-        )
+        shifted = Ensemble(traj.outcomes, traj.sums + shift, (), None)
         assert mle(shifted, 3, model, probe) == base
 
 
@@ -132,7 +130,7 @@ def test_mle_path_lies_in_spectrum():
     traj = definetti_sample(
         state, probe, 300, trajectory_rng(SEED, 0), checkpoints=[10, 100]
     )
-    path = mle_table(Ensemble.of([traj]), [10, 100, 300], model, probe)
+    path = mle_table(traj, [10, 100, 300], model, probe)
     lo, hi = model.hull
     assert path.shape == (1, 3) and np.all((lo <= path) & (path <= hi))
 
@@ -190,10 +188,10 @@ def _scalar_objective(probe, outcomes, lo, hi):
     return objective
 
 
-def _oracle_mle(traj, k, model, probe, objective=_scalar_objective):
-    """One refined estimate by one scalar search: grid argmax, bracketing
-    cells, golden section on a closure of the first k outcomes, clip."""
-    sums = traj.loglik_at(k, probe, model.nodes)
+def _oracle_mle(sums, prefix, model, probe, objective=_scalar_objective):
+    """One refined estimate by one scalar search from the sums after the first
+    k outcomes and those outcomes: grid argmax, bracketing cells, golden
+    section on a closure of the outcomes, clip."""
     idx = int(np.argmax(sums))
     nu0 = float(model.nodes[idx])
     j = None if model.is_atom[idx] else model.interval_index(nu0)
@@ -204,7 +202,7 @@ def _oracle_mle(traj, k, model, probe, objective=_scalar_objective):
     lo, hi = max(a, nu0 - delta), min(b, nu0 + delta)
     hull_lo, hull_hi = model.hull
     tol = REFINE_TOL_FACTOR * max(hull_hi - hull_lo, 1.0)
-    f = objective(probe, traj.outcomes[:k], lo, hi)
+    f = objective(probe, prefix, lo, hi)
     return float(np.clip(_golden_max(f, lo, hi, tol), lo, hi))
 
 
@@ -235,13 +233,16 @@ def test_refined_mle_equals_the_per_outcome_objective_bitwise(name):
         for i in range(5)
     ]
     got = [mle(t, k, model, probe) for t in trajs for k in (30, 300)]
-    oracle = [_oracle_mle(t, k, model, probe, _per_outcome_objective) for t in trajs for k in (30, 300)]
+    oracle = [
+        _oracle_mle(t.sums_after([k])[0, 0], t.outcomes[0, :k], model, probe, _per_outcome_objective)
+        for t in trajs for k in (30, 300)
+    ]
     assert np.array(got).tobytes() == np.array(oracle).tobytes()
 
 
 def test_refined_gaussian_mle_reads_no_outcome_under_a_covering_extension(monkeypatch):
     model, probe, _ = _gaussian_setup(50)
-    traj = _manual_trajectory(probe, model, np.linspace(0.1, 0.7, 1000))
+    traj = _manual_ensemble(probe, model, np.linspace(0.1, 0.7, 1000))
 
     def refuse(*args):
         raise AssertionError("loglik_values called during refinement")
@@ -255,11 +256,12 @@ def test_gaussian_mle_across_the_blend_edge_uses_the_per_outcome_sum():
     # grid maximum next to 0.2 reaches the blend zone
     model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=50)
     probe = GaussianReadout(sigma=0.05).with_extension(0.2, 0.8, 0.05)
-    traj = _manual_trajectory(probe, model, 0.203 + 0.05 * np.sin(np.arange(400.0)))
-    nu0 = model.nodes[np.argmax(traj.loglik_sums)]
+    traj = _manual_ensemble(probe, model, 0.203 + 0.05 * np.sin(np.arange(400.0)))
+    nu0 = model.nodes[np.argmax(traj.sums[0, -1])]
     assert nu0 - 0.02 < 0.2 < nu0 + 0.02
     got = mle(traj, 400, model, probe)
-    assert got == _oracle_mle(traj, 400, model, probe, _per_outcome_objective)
+    oracle = _oracle_mle(traj.sums[0, -1], traj.outcomes[0], model, probe, _per_outcome_objective)
+    assert got == oracle
 
 
 def test_finite_objective_counts_many_outcomes_and_rejects_foreign_ones():
@@ -316,13 +318,14 @@ def test_mle_table_equals_the_scalar_search_bitwise(
         "binary": (bind_extension(BinaryPhase.embedded(lo, hi), model), (lo, hi)),
         "tabulated-zero": (_zero_table_probe(), (lo, hi)),
     }[family]
-    trajs = []
-    for _ in range(ensemble):
-        outcomes = probe.sample(rng.uniform(*support), k_max, rng)
-        trajs.append(Trajectory(outcomes, probe.loglik_node_sums(model.nodes, outcomes)))
+    rows = [probe.sample(rng.uniform(*support), k_max, rng) for _ in range(ensemble)]
     checkpoints = sorted({0, k_max, *(c for c in extra if c <= k_max)})
-    table = mle_table(Ensemble.of(trajs, checkpoints, probe, model.nodes), checkpoints, model, probe)
-    oracle = [[_oracle_mle(t, k, model, probe) for k in checkpoints] for t in trajs]
+    table = mle_table(_manual_ensemble(probe, model, rows, checkpoints), checkpoints, model, probe)
+    oracle = [
+        [_oracle_mle(probe.loglik_node_sums(model.nodes, o[:k]), o[:k], model, probe)
+         for k in checkpoints]
+        for o in rows
+    ]
     assert table.tobytes() == np.array(oracle).tobytes()
     in_spectrum = np.isin(table, model.nodes[model.is_atom]) | np.any(
         [(a <= table) & (table <= b) for a, b in model.intervals], axis=0
@@ -390,7 +393,7 @@ def test_refined_gaussian_mle_is_the_clipped_sample_mean(k, sigma, nu, seed):
     model = ACCURACY_MODEL
     probe = bind_extension(GaussianReadout(sigma=sigma), model)
     outcomes = probe.sample(nu, k, np.random.default_rng(seed))
-    traj = _manual_trajectory(probe, model, outcomes)
+    traj = _manual_ensemble(probe, model, outcomes)
     lo, hi = model.hull
     exact = float(np.clip(outcomes.mean(), lo, hi))
     assert abs(mle(traj, k, model, probe) - exact) <= REFINE_TOL_FACTOR * (hi - lo)
@@ -419,7 +422,7 @@ def test_rate_vanishes_on_region_containing_estimate():
         checkpoints=[100, 2000],
     )
     (trace,) = rate_traces(
-        state, Ensemble.of([traj]), [(0.3, 0.7)], [100, 2000], model, probe,
+        state, traj, [(0.3, 0.7)], [100, 2000], model, probe,
         estimates=[mle(traj, 2000, model, probe)],
     )
     assert abs(trace.values[-1]) < 1e-3
@@ -435,7 +438,7 @@ def test_rate_positive_when_region_excludes_estimate():
         checkpoints=[10, 100, 1000, 5000],
     )
     (trace,) = rate_traces(
-        state, Ensemble.of([traj]), [(0.6, 1.0)], [10, 100, 1000, 5000], model, probe,
+        state, traj, [(0.6, 1.0)], [10, 100, 1000, 5000], model, probe,
         estimates=[mle(traj, 5000, model, probe)],
     )
     assert all(v >= -1e-10 for v in trace.values)
@@ -456,7 +459,7 @@ def test_two_atom_rate_matches_relative_entropy_oracle():
         )
         estimate = mle(traj, 10_000, model, probe)
         (trace,) = rate_traces(
-            state, Ensemble.of([traj]), [1.0], [10_000], model, probe, estimates=[estimate]
+            state, traj, [1.0], [10_000], model, probe, estimates=[estimate]
         )
         rates.append(trace.values[-1])
     # direct two-term relative entropy between the atom laws
@@ -494,7 +497,7 @@ def test_rate_trace_rejects_zero_prior_region():
     traj = definetti_sample(state, probe, 10, trajectory_rng(SEED, 3))
     estimate = mle(traj, 10, model, probe)
     with pytest.raises(Exception, match="prior"):
-        rate_traces(state, Ensemble.of([traj]), [1.0], [10], model, probe, estimates=[estimate])
+        rate_traces(state, traj, [1.0], [10], model, probe, estimates=[estimate])
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +511,9 @@ def test_gaussian_residuals_reduce_to_sample_mean():
     margin = 5.0 / np.sqrt(100 * 400)  # five estimator sigmas off the boundary
     analytic = np.array(
         [
-            np.sqrt(100 * 400) * (t.outcomes.mean() - t.hidden_nu)
-            for t in trajs
-            if margin < t.hidden_nu < 1.0 - margin
+            np.sqrt(100 * 400) * (outcomes.mean() - nu)
+            for outcomes, nu in zip(trajs.outcomes, trajs.hidden)
+            if margin < nu < 1.0 - margin
         ]
     )
     # unclamped estimates equal the sample mean, so residuals are exact
@@ -535,9 +538,9 @@ def test_clt_exclusions_are_reported():
 
 def test_clt_requires_hidden_values():
     model, probe, state = _gaussian_setup(30)
-    traj = Trajectory(outcomes=np.zeros(5), loglik_sums=np.zeros(model.size))
+    traj = Ensemble(np.zeros((1, 5)), np.zeros((1, 1, model.size)), (), None)
     with pytest.raises(ValueError):
-        clt_samples(Ensemble.of([traj]), 5, model, probe, estimates=[mle(traj, 5, model, probe)])
+        clt_samples(traj, 5, model, probe, estimates=[mle(traj, 5, model, probe)])
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +624,7 @@ def test_window_clamps_at_small_k():
 
 def test_window_error_near_boundary():
     model, probe, state = _gaussian_setup(300)
-    traj = _manual_trajectory(probe, model, np.full(100, -1.0))  # argmax at the edge
+    traj = _manual_ensemble(probe, model, np.full(100, -1.0))  # argmax at the edge
     with pytest.raises(WindowError):
         rescaled_posterior_kernel(
             state, traj, 100, model, probe, estimate=mle(traj, 100, model, probe)
@@ -886,7 +889,7 @@ def test_rescaled_kernel_equals_dense_einsum_oracle(
     probe = bind_extension(GaussianReadout(sigma=0.1), model)
     # a dense kernel is factored by eigh before the zoom
     state = _oracle_kernel("dense-psd" if kind == "dense" else kind, model, 1, rng)
-    traj = _manual_trajectory(probe, model, 0.5 + 0.1 * rng.standard_normal(k))
+    traj = _manual_ensemble(probe, model, 0.5 + 0.1 * rng.standard_normal(k))
     zoom = rescaled_posterior_kernel(
         state, traj, k, model, probe, estimate=mle(traj, k, model, probe),
         window_sigmas=window_sigmas, window_nodes=window_nodes,
@@ -898,7 +901,7 @@ def test_rescaled_kernel_equals_dense_einsum_oracle(
     wmat = _dense_weights(*_stencil(xs, zoom.window.positions, (a, b)), xs.size)
     base = np.einsum("qi,ijab->qjab", wmat, state.values[sl, sl])
     base = np.einsum("qjab,rj->qrab", base, wmat)
-    sums = traj.loglik_at(k, probe, model.nodes)
+    sums = traj.sums[0, -1]
     amp = np.exp(0.5 * (_interpolate(xs, sums[sl], zoom.window.positions, (a, b)) - sums.max()))
     values = base * amp[:, None, None, None] * amp[None, :, None, None]
     oracle = values / StateKernel(values, zoom.window).trace()
@@ -910,7 +913,7 @@ def test_zoomed_diagonal_state_keeps_only_the_columns_its_window_reads():
     model, probe, _ = _gaussian_setup(200)
     state = diagonal_state(model, np.full(model.size, 1.0 / model.size))
     rng = np.random.default_rng(SEED)
-    traj = _manual_trajectory(probe, model, 0.5 + rng.standard_normal(10_000))
+    traj = _manual_ensemble(probe, model, 0.5 + rng.standard_normal(10_000))
     estimate = mle(traj, 10_000, model, probe)
     zoom = rescaled_posterior_kernel(
         state, traj, 10_000, model, probe, estimate=estimate, window_nodes=51
@@ -967,8 +970,7 @@ def _loop_apply(first, w, values):
     return w[:, 0] * values[first] + w[:, 1] * values[first + 1] + w[:, 2] * values[first + 2]
 
 
-def _loop_zoom(state, traj, k, model, probe, estimate, window):
-    sums = traj.loglik_at(k, probe, model.nodes)
+def _loop_zoom(state, sums, k, model, probe, estimate, window):
     nu_hat = float(estimate)
     fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
     grid = _loop_window(model, nu_hat, k, fisher, *window)
@@ -1021,12 +1023,13 @@ def _loop_trace_norm(a, b):
     return float(np.abs(np.linalg.eigvalsh(gram)).sum())
 
 
-def _loop_kernel_distances(state, trajs, cps, model, probe, estimates, window=(8.0, 201, 2.0)):
-    """Distances and window masses, one window at a time in (trajectory, checkpoint) order."""
-    out = np.empty((2, len(trajs), len(cps)))
-    for e, traj in enumerate(trajs):
+def _loop_kernel_distances(state, sums, cps, model, probe, estimates, window=(8.0, 201, 2.0)):
+    """Distances and window masses from the sums (E x C x N) after each of ``cps``,
+    one window at a time in (trajectory, checkpoint) order."""
+    out = np.empty((2, len(sums), len(cps)))
+    for e, row in enumerate(sums):
         for i, c in enumerate(cps):
-            zoom, fisher, mass = _loop_zoom(state, traj, c, model, probe, estimates[e, i], window)
+            zoom, fisher, mass = _loop_zoom(state, row[i], c, model, probe, estimates[e, i], window)
             limit = _loop_limit(model, state, float(estimates[e, i]), fisher, zoom.grid)
             out[:, e, i] = _loop_trace_norm(zoom, limit), mass
     return out
@@ -1050,7 +1053,8 @@ def test_kernel_distances_equal_the_window_loop_on_the_shipped_config(seed):
     estimates = mle_table(trajs, cps, model, probe)
     window = (config.window["sigmas"], int(config.window["nodes"]), config.window["min_sigmas"])
     got = _stacked(state, trajs, cps, model, probe, estimates, window)
-    want = _loop_kernel_distances(state, trajs, cps, model, probe, estimates, window)
+    sums = trajs.sums_after(cps)
+    want = _loop_kernel_distances(state, sums, cps, model, probe, estimates, window)
     assert got.tobytes() == want.tobytes()
 
 
@@ -1075,12 +1079,11 @@ def test_kernel_distances_equal_the_window_loop_for_mixed_states_of_multiplicity
         [(0.0, 1.0)], 2, state_kind, h={"name": "cosine", "amplitude": 0.3}
     )
     cps = [60, 400, 2000]
-    trajs = Ensemble.of([
-        _manual_trajectory(probe, model, nu + 0.2 * rng.standard_normal(2000))
-        for nu in (0.31, 0.45, 0.5, 0.62, 0.7)
-    ], cps, probe, model.nodes)
+    rows = [nu + 0.2 * rng.standard_normal(2000) for nu in (0.31, 0.45, 0.5, 0.62, 0.7)]
+    trajs = _manual_ensemble(probe, model, rows, cps)
     estimates = mle_table(trajs, cps, model, probe)
-    want = _loop_kernel_distances(state, trajs, cps, model, probe, estimates, (6.0, 41, 2.0))
+    sums = trajs.sums_after(cps)
+    want = _loop_kernel_distances(state, sums, cps, model, probe, estimates, (6.0, 41, 2.0))
     calls = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
@@ -1097,15 +1100,13 @@ def test_kernel_distances_equal_the_window_loop_across_two_intervals():
         [(0.0, 0.45), (0.55, 1.0)], 1, "pure", h={"name": "linear", "intercept": 0.5}, sigma=0.05
     )
     cps = [300, 3000]
-    trajs = Ensemble.of([
-        _manual_trajectory(probe, model, nu + 0.05 * rng.standard_normal(3000))
-        for nu in (0.2, 0.8, 0.3, 0.7)
-    ], cps, probe, model.nodes)
+    rows = [nu + 0.05 * rng.standard_normal(3000) for nu in (0.2, 0.8, 0.3, 0.7)]
+    trajs = _manual_ensemble(probe, model, rows, cps)
     estimates = mle_table(trajs, cps, model, probe)
     assert len({model.interval_index(nu) for nu in estimates.ravel()}) == 2
     got = _stacked(state, trajs, cps, model, probe, estimates, (8.0, 51, 2.0))
     assert got.tobytes() == _loop_kernel_distances(
-        state, trajs, cps, model, probe, estimates, (8.0, 51, 2.0)
+        state, trajs.sums_after(cps), cps, model, probe, estimates, (8.0, 51, 2.0)
     ).tobytes()
 
 
@@ -1136,14 +1137,12 @@ def test_kernel_distances_raise_the_first_error_of_the_window_loop(estimates, me
     state = pure_state(model, np.where(model.nodes < 0.7, 1.0, 0.0))
     rng = np.random.default_rng(SEED)
     cps, estimates = [100, 400], np.array(estimates)
-    trajs = Ensemble.of([
-        _manual_trajectory(probe, model, nu + 0.1 * rng.standard_normal(400))
-        for nu in (0.5, 0.01, 0.85)
-    ], cps, probe, model.nodes)
+    rows = [nu + 0.1 * rng.standard_normal(400) for nu in (0.5, 0.01, 0.85)]
+    trajs = _manual_ensemble(probe, model, rows, cps)
     got = _first_error(lambda: _stacked(state, trajs, cps, model, probe, estimates))
     assert message in got[1]
     assert got == _first_error(
-        lambda: _loop_kernel_distances(state, trajs, cps, model, probe, estimates)
+        lambda: _loop_kernel_distances(state, trajs.sums_after(cps), cps, model, probe, estimates)
     )
 
 

@@ -4,7 +4,12 @@ The digests were recorded with one BLAS thread.  Some bundles depend on the
 BLAS thread count (the order of a threaded reduction changes the last bits),
 so the configs run in a subprocess that pins it before numpy loads.  A
 change that moves these bytes must update the digests and say why.
+
+``VARIANTS`` are test-only configs, a shipped config with some keys replaced,
+that pin paths no shipped config takes.
 """
+
+import json
 
 import hashlib
 import os
@@ -41,17 +46,47 @@ GOLDEN = {
         "summary.json": "abf7603486b0e7952ecda18e24c306de01a68f79496c37577adf125e6c09208b",
         "estimator_report.json": "101bfbe761da996cc374c76adda443a5a24b073c38d1e868cf91cabad69d9ac4",
     },
+    "born_frequency_sequential": {
+        "summary.json": "7a47d8cc1366d7d930759905ea85d9b5651359b257bd2e32c8e3be4e3f6654ba",
+        "estimator_report.json": "66c77189219a4c51e5cffe2269c6e4e4c2c87ab9009f88fd13f96a9e00899bf8",
+    },
+}
+
+VARIANTS = {
+    # the chain-rule sampler (it pins no hidden value, so a rate_convergence
+    # variant would fail its own verdict)
+    "born_frequency_sequential": (
+        "born_frequency",
+        {"sampler": "sequential", "ensemble": 200, "k_max": 50, "checkpoints": [10, 50]},
+    ),
 }
 
 _VERIFY_ALL = """
 import sys
+from pathlib import Path
 from qndsim.cli import main
-out, names = sys.argv[1], sys.argv[2:]
-for name in names:
-    argv = ["verify", "--config", f"configs/{name}.json", "--out", f"{out}/{name}"]
-    if main(argv) != 0:
+out, configs = sys.argv[1], sys.argv[2:]
+for config in configs:
+    name = Path(config).stem
+    if main(["verify", "--config", config, "--out", f"{out}/{name}"]) != 0:
         sys.exit(f"{name}: verify failed")
 """
+
+
+def _config_paths(tmp_path) -> list[str]:
+    """The shipped configs, and each variant written beside the bundles."""
+    paths = []
+    for name in GOLDEN:
+        if name not in VARIANTS:
+            paths.append(f"configs/{name}.json")
+            continue
+        shipped, overrides = VARIANTS[name]
+        tree = {**json.loads((ROOT / "configs" / f"{shipped}.json").read_text()), **overrides}
+        path = tmp_path / "variants" / f"{name}.json"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(tree, indent=2) + "\n")
+        paths.append(str(path))
+    return paths
 
 
 def test_shipped_bundles_match_golden_digests(tmp_path):
@@ -64,7 +99,7 @@ def test_shipped_bundles_match_golden_digests(tmp_path):
         ),
     }
     proc = subprocess.run(
-        [sys.executable, "-c", _VERIFY_ALL, str(tmp_path), *GOLDEN],
+        [sys.executable, "-c", _VERIFY_ALL, str(tmp_path), *_config_paths(tmp_path)],
         cwd=ROOT,
         env=env,
         capture_output=True,

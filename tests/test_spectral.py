@@ -12,7 +12,7 @@ from scipy import integrate
 from qndsim.estimators import build_window_grid, limit_kernel
 from qndsim.probes import GaussianReadout, bind_extension
 from qndsim.trajectories import (
-    Trajectory,
+    Ensemble,
     log_prior_weights,
     posterior_kernel,
     posterior_weights,
@@ -373,12 +373,8 @@ def test_fine_pure_state_stays_a_vector():
     model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=10_000)
     probe = bind_extension(GaussianReadout(sigma=1.0), model)
     outcomes = 0.4 + np.random.default_rng(7).standard_normal(1000)
-    traj = Trajectory(
-        outcomes=outcomes,
-        loglik_sums=probe.loglik_node_sums(model.nodes, outcomes),
-        checkpoint_sums={},
-        hidden_nu=None,
-    )
+    sums = probe.loglik_node_sums(model.nodes, outcomes)
+    traj = Ensemble(outcomes[None], sums[None, None], (), None)
     window = build_window_grid(model, 0.4, 1000, 1.0)
     tracemalloc.start()
     try:

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from qndsim import probes
-from qndsim.estimators import RateTrace, mle_table, rate_region, rate_traces
+from qndsim.estimators import (
+    RateTrace,
+    laplace_condition_check,
+    mle,
+    mle_table,
+    rate_region,
+    rate_traces,
+    rescaled_posterior_kernel,
+)
 from qndsim.probes import (
     BinaryPhase,
     GaussianReadout,
@@ -22,8 +30,6 @@ from qndsim.spectral import (
     pure_state,
 )
 from qndsim.trajectories import (
-    Ensemble,
-    Trajectory,
     _logsumexp,
     definetti_sample,
     exact_tuple_distribution,
@@ -63,7 +69,7 @@ def test_point_mass_hidden_value_is_constant():
     state = diagonal_state(model, np.array([1.0]))
     for i in range(5):
         traj = definetti_sample(state, probe, 3, trajectory_rng(SEED, i))
-        assert traj.hidden_nu == 0.7
+        assert traj.hidden.tolist() == [0.7]
 
 
 def test_hidden_value_frequencies():
@@ -72,7 +78,7 @@ def test_hidden_value_frequencies():
     m = 2000
     for i in range(m):
         traj = definetti_sample(state, probe, 1, trajectory_rng(SEED, i))
-        hits += traj.hidden_nu == 1.0
+        hits += traj.hidden[0] == 1.0
     assert abs(hits / m - 0.7) <= 3.0 * np.sqrt(0.3 * 0.7 / m)
 
 
@@ -162,10 +168,9 @@ def test_first_outcome_marginal():
     f = probe.density(np.array([0.0])[:, None], model.nodes[None, :])[0]
     target = float(np.array([0.25, 0.75]) @ f)
     m = 20_000
-    hits = 0
-    for i in range(m):
-        traj = sequential_sample(state, probe, 1, trajectory_rng(SEED, i))
-        hits += traj.outcomes[0] == 0.0
+    # row i draws from trajectory_rng(SEED, i), as sequential_sample would
+    ens = sample_ensemble(state, probe, 1, m, SEED, sampler="sequential")
+    hits = int(np.count_nonzero(ens.outcomes[:, 0] == 0.0))
     assert abs(hits / m - target) <= 4.0 * np.sqrt(target * (1 - target) / m)
 
 
@@ -174,7 +179,7 @@ def test_first_outcome_marginal():
 
 def test_posterior_weights_at_zero_steps():
     _, probe, state = _two_atoms()
-    traj = definetti_sample(state, probe, 5, trajectory_rng(SEED, 0))
+    traj = definetti_sample(state, probe, 5, trajectory_rng(SEED, 0), checkpoints=[0])
     w = posterior_weights(state, traj, 0)
     assert np.allclose(w.values, [0.3, 0.7], atol=1e-14)
 
@@ -182,7 +187,7 @@ def test_posterior_weights_at_zero_steps():
 def test_single_step_bayes_ratio():
     model, probe, state = _two_atoms(0.3, 0.7)
     traj = definetti_sample(state, probe, 1, trajectory_rng(SEED, 1))
-    xi = traj.outcomes[0]
+    xi = traj.outcomes[0, 0]
     f = probe.density(np.array([xi])[:, None], model.nodes[None, :])[0]
     w = posterior_weights(state, traj, 1)
     expected_ratio = (0.7 / 0.3) * (f[1] / f[0])
@@ -194,7 +199,7 @@ def test_iterative_updates_match_batch_formula():
     traj = definetti_sample(state, probe, 50, trajectory_rng(SEED, 2))
     # iterate one-step Bayes updates by hand in plain probability space
     w = np.exp(log_prior_weights(state))
-    for xi in traj.outcomes:
+    for xi in traj.outcomes[0]:
         f = probe.density(np.array([xi])[:, None], model.nodes[None, :])[0]
         w = w * f
         w = w / w.sum()
@@ -211,7 +216,7 @@ def test_posterior_weights_sum_to_one_deep():
 
 def test_posterior_kernel_at_zero_is_initial():
     _, probe, state = _gaussian_setup(30)
-    traj = definetti_sample(state, probe, 4, trajectory_rng(SEED, 4))
+    traj = definetti_sample(state, probe, 4, trajectory_rng(SEED, 4), checkpoints=[0])
     k0 = posterior_kernel(state, traj, 0)
     assert np.allclose(k0.values, state.values, atol=1e-14)
 
@@ -266,7 +271,7 @@ def test_purification_onto_hidden_atom():
     weights = []
     for i in range(200):
         traj = definetti_sample(state, probe, 500, trajectory_rng(SEED, i))
-        node = int(np.argmin(np.abs(model.nodes - traj.hidden_nu)))
+        node = int(np.argmin(np.abs(model.nodes - traj.hidden[0])))
         weights.append(posterior_weights(state, traj, 500).values[node])
     assert np.median(weights) > 0.99
 
@@ -279,8 +284,7 @@ def test_identical_seeds_reproduce_bitwise():
     a = definetti_sample(state, probe, 100, trajectory_rng(123, 4), checkpoints=[50])
     b = definetti_sample(state, probe, 100, trajectory_rng(123, 4), checkpoints=[50])
     assert np.array_equal(a.outcomes, b.outcomes)
-    assert np.array_equal(a.loglik_sums, b.loglik_sums)
-    assert np.array_equal(a.checkpoint_sums[50], b.checkpoint_sums[50])
+    assert np.array_equal(a.sums, b.sums) and a.checkpoints == b.checkpoints == (50,)
     c = definetti_sample(state, probe, 100, trajectory_rng(123, 5))
     assert not np.array_equal(a.outcomes, c.outcomes)
 
@@ -290,27 +294,22 @@ def test_sequential_reproducible_and_checkpointed():
     a = sequential_sample(state, probe, 40, trajectory_rng(9, 0), checkpoints=[0, 20])
     b = sequential_sample(state, probe, 40, trajectory_rng(9, 0), checkpoints=[0, 20])
     assert np.array_equal(a.outcomes, b.outcomes)
-    assert a.hidden_nu is None
-    assert np.array_equal(a.checkpoint_sums[20], b.checkpoint_sums[20])
-    assert np.array_equal(a.checkpoint_sums[0], np.zeros(2))
+    assert a.hidden is None and a.checkpoints == (0, 20)
+    assert np.array_equal(a.sums, b.sums)
+    assert np.array_equal(a.sums_after([0]), np.zeros((1, 1, 2)))
 
 
-def test_loglik_at_contract():
+def test_sums_after_contract():
     model, probe, state = _gaussian_setup(15)
-    traj = definetti_sample(
-        state, probe, 30, trajectory_rng(SEED, 11), checkpoints=[10]
-    )
-    assert np.array_equal(traj.loglik_at(10), traj.checkpoint_sums[10])
-    assert np.array_equal(traj.loglik_at(0), np.zeros(model.size))
-    recomputed = traj.loglik_at(17, probe, model.nodes)
-    direct = probe.loglik_node_sums(model.nodes, traj.outcomes[:17])
-    assert np.array_equal(recomputed, direct)
-    with pytest.raises(ValueError):
-        traj.loglik_at(31)
-    with pytest.raises(ValueError):
-        traj.loglik_at(17)  # no checkpoint, no probe to recompute with
-    with pytest.raises(ValueError):
-        traj.loglik_at(-5, probe, model.nodes)  # would slice outcomes[:-5]
+    ens = sample_ensemble(state, probe, 30, 3, SEED, checkpoints=[10])
+    got = ens.sums_after([30, 10, 30])
+    assert got.shape == (3, 3, model.size)
+    assert _bits(got) == _bits(ens.sums[:, [1, 0, 1]])
+    got[:] = 0.0  # a copy
+    assert np.all(ens.sums[:, 1] != 0.0)
+    for k in (0, 17, 31, -5):  # the prior, between checkpoints, past k, negative
+        with pytest.raises(ValueError, match=f"no sums after k=\\[{k}\\]"):
+            ens.sums_after([10, k])
 
 
 def test_exact_enumeration_guards():
@@ -351,7 +350,7 @@ def test_posterior_weights_are_prior_times_likelihood(family, k, n_nodes, seed):
     traj = definetti_sample(state, probe, k, rng)
     prior = model.mass * np.abs(psi) ** 2
     likelihood = np.ones(model.size)
-    for xi in traj.outcomes:
+    for xi in traj.outcomes[0]:
         likelihood *= probe.density(np.asarray([[xi]]), model.nodes[None, :])[0]
     direct = prior / prior.sum() * likelihood
     np.testing.assert_allclose(
@@ -413,36 +412,44 @@ def _oracle_node_sums(probe, nodes, outcomes):
     return total
 
 
+def _oracle_segment_sums(probe, nodes, outcomes, checkpoints):
+    """One trajectory's sums after each checkpoint in [0, k] and then after k,
+    segment by segment: {k: sums}, the final sums under k."""
+    k = outcomes.size
+    sums, at, prev = np.zeros(nodes.size), {}, 0
+    for cp in [*sorted({int(c) for c in checkpoints if 0 <= int(c) <= k}), k]:
+        sums = sums + _oracle_node_sums(probe, nodes, outcomes[prev:cp])
+        at[cp] = sums
+        prev = cp
+    return at
+
+
 def _oracle_definetti(state, probe, k, rng, checkpoints, hidden_nu):
-    """The mixture sampler one trajectory at a time."""
+    """The mixture sampler one trajectory at a time: its outcomes, its sums
+    after each checkpoint and k, and its hidden value."""
     nodes = state.grid.nodes
     if hidden_nu is None:
         prior = np.exp(log_prior_weights(state))
         prior = prior / prior.sum()
         hidden_nu = float(nodes[rng.choice(nodes.size, p=prior)])
     outcomes = probe.sample(hidden_nu, int(k), rng)
-    sums, checkpoint_sums, prev = np.zeros(nodes.size), {}, 0
-    for cp in sorted({int(c) for c in checkpoints if 0 <= int(c) <= k}):
-        sums = sums + _oracle_node_sums(probe, nodes, outcomes[prev:cp])
-        checkpoint_sums[cp] = sums
-        prev = cp
-    sums = sums + _oracle_node_sums(probe, nodes, outcomes[prev:])
-    return Trajectory(outcomes, sums, checkpoint_sums, hidden_nu)
+    return outcomes, _oracle_segment_sums(probe, nodes, outcomes, checkpoints), hidden_nu
 
 
-def _oracle_rate_trace(state, traj, region, checkpoints, model, probe, estimate):
-    """One trajectory's decay rates, two _logsumexp calls over its checkpoints."""
+def _oracle_rate_trace(state, at, region, checkpoints, model, probe, estimate):
+    """One trajectory's decay rates from its sums ``at`` each k, two _logsumexp
+    calls over its checkpoints."""
     mask, log_prior = rate_region(model, state, region)
-    cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= len(traj)})
-    logw = log_prior + np.stack([traj.loglik_at(c, probe, model.nodes) for c in cps])
+    cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= max(at)})
+    logw = log_prior + np.stack([at[c] for c in cps])
     values = -(_logsumexp(logw[:, mask], axis=1) - _logsumexp(logw, axis=1)) / np.asarray(cps)
     target = relative_entropy(probe, float(estimate), model.nodes[mask])
     return RateTrace(tuple(cps), tuple(float(v) for v in values), float(target), float(estimate))
 
 
-def _oracle_posterior_mean(state, traj, k, probe):
+def _oracle_posterior_mean(state, sums):
     """One trajectory's posterior mean from its own weights."""
-    logw = log_prior_weights(state) + traj.loglik_at(k, probe, state.grid.nodes)
+    logw = log_prior_weights(state) + sums
     w = np.exp(logw - _logsumexp(logw))
     return float(np.dot(w / w.sum(), state.grid.nodes))
 
@@ -493,46 +500,88 @@ def test_ensemble_arrays_equal_the_per_trajectory_loops_bitwise(
         _oracle_definetti(state, probe, k, trajectory_rng(seed, i), checkpoints, hidden)
         for i in range(size)
     ]
-    assert got.master == seed
-    for g, w in zip(got, want, strict=True):
-        assert _bits(g.outcomes) == _bits(w.outcomes)
-        assert g.hidden_nu == w.hidden_nu and type(g.hidden_nu) is float
-        assert sorted(g.checkpoint_sums) == sorted(w.checkpoint_sums)
-        for c in w.checkpoint_sums:
-            assert _bits(g.checkpoint_sums[c]) == _bits(w.checkpoint_sums[c])
-        assert _bits(g.loglik_sums) == _bits(w.loglik_sums)
-
     columns = sorted({c for c in checkpoints if c <= k})
+    assert got.master == seed and len(got) == size and got.checkpoints == tuple(columns)
+    for i, (outcomes, at, hidden_nu) in enumerate(want):
+        assert _bits(got.outcomes[i]) == _bits(outcomes)
+        assert got.hidden[i] == hidden_nu
+        assert _bits(got.sums[i]) == _bits([at[c] for c in [*columns, k]])
+
     table = mle_table(got, columns, model, probe)
-    assert _bits(table) == _bits([[_oracle_mle(w, c, model, probe) for c in columns] for w in want])
+    assert _bits(table) == _bits(
+        [[_oracle_mle(at[c], o[:c], model, probe) for c in columns] for o, at, _ in want]
+    )
     assert _bits(posterior_means(state, got, k)) == _bits(
-        [_oracle_posterior_mean(state, w, k, probe) for w in want]
+        [_oracle_posterior_mean(state, at[k]) for _, at, _ in want]
     )
     if k > 0:
         region = [(0.6, 1.0)]
         traces = rate_traces(state, got, region, columns, model, probe, estimates=table[:, -1])
         oracle = [
-            _oracle_rate_trace(state, w, region, columns, model, probe, t)
-            for w, t in zip(want, table[:, -1])
+            _oracle_rate_trace(state, at, region, columns, model, probe, t)
+            for (_, at, _), t in zip(want, table[:, -1])
         ]
         assert [vars(t) for t in traces] == [vars(t) for t in oracle]
+
+
+def _oracle_sequential(state, probe, k, rng):
+    """The chain-rule sampler one trajectory at a time, on its running sums."""
+    nodes, log_prior = state.grid.nodes, log_prior_weights(state)
+    sums, outcomes = np.zeros(nodes.size), np.empty(k)
+    for step in range(k):
+        w = np.exp(log_prior + sums - (log_prior + sums).max())
+        cdf = np.cumsum(w)
+        node = int(np.searchsorted(cdf, rng.random() * cdf[-1]))
+        outcomes[step] = float(probe.sample(float(nodes[node]), 1, rng)[0])
+        sums = sums + probe.loglik_values(nodes, outcomes[step : step + 1])[0]
+    return outcomes
+
+
+@pytest.mark.parametrize("family", ["binary", "gaussian"])
+def test_sequential_sums_are_the_segment_sums_of_its_own_outcomes(family):
+    model, probe, state = _two_atoms() if family == "binary" else _gaussian_setup(30)
+    ens = sample_ensemble(state, probe, 40, 5, SEED, sampler="sequential", checkpoints=[0, 7, 25])
+    for i, (outcomes, sums) in enumerate(zip(ens.outcomes, ens.sums)):
+        oracle = _oracle_sequential(state, probe, 40, trajectory_rng(SEED, i))
+        assert _bits(outcomes) == _bits(oracle)
+        at = _oracle_segment_sums(probe, model.nodes, outcomes, ens.checkpoints)
+        assert _bits(sums) == _bits([at[c] for c in [*ens.checkpoints, 40]])
 
 
 def test_ensemble_views_slices_and_stacking_agree():
     model, probe, state = _gaussian_setup(12)
     ens = sample_ensemble(state, probe, 30, 6, SEED, checkpoints=[30, 5, 0])
     assert ens.checkpoints == (0, 5, 30) and ens.sums.shape == (6, 4, model.size)
-    again = Ensemble.of(list(ens))
-    assert again.checkpoints == ens.checkpoints
-    for name in ("outcomes", "sums", "hidden"):
-        assert _bits(getattr(again, name)) == _bits(getattr(ens, name))
+    rows = list(ens)
+    assert [len(r) for r in rows] == [1] * 6 and {r.checkpoints for r in rows} == {ens.checkpoints}
+    for name in ("outcomes", "sums", "hidden"):  # the one-row views stack back to the ensemble
+        assert _bits(np.concatenate([getattr(r, name) for r in rows])) == _bits(getattr(ens, name))
     part = ens[2:4]
     assert len(part) == 2 and part.master == SEED
-    assert _bits(part[1].loglik_sums) == _bits(ens[3].loglik_sums)
-    assert part[1].hidden_nu == ens[3].hidden_nu
+    for one in (part[1], part[-1], ens[np.int64(3)], ens[-3]):
+        assert len(one) == 1 and one.master == SEED
+        assert _bits(one.sums) == _bits(ens.sums[3:4]) and one.hidden.tolist() == [ens.hidden[3]]
+    for out_of_range in (6, -7):
+        with pytest.raises(IndexError):
+            ens[out_of_range]
     seq = sample_ensemble(state, probe, 4, 3, SEED, sampler="sequential", checkpoints=[2])
-    assert seq.hidden is None and seq.master == SEED and [t.hidden_nu for t in seq] == [None] * 3
+    assert seq.hidden is None and seq.master == SEED and [t.hidden for t in seq] == [None] * 3
     alone = sequential_sample(state, probe, 4, trajectory_rng(SEED, 1), checkpoints=[2])
-    assert _bits(seq[1].checkpoint_sums[2]) == _bits(alone.checkpoint_sums[2])
-    with pytest.raises(ValueError, match="at least one"):
-        Ensemble.of([])
+    assert alone.master is None and _bits(seq[1].sums) == _bits(alone.sums)
+
+
+def test_per_trajectory_functions_take_one_row():
+    model, probe, state = _gaussian_setup(40)
+    ens = sample_ensemble(state, probe, 200, 3, SEED, hidden_nu=0.5)
+    calls = [
+        lambda t: posterior_weights(state, t, 200),
+        lambda t: posterior_kernel(state, t, 200),
+        lambda t: mle(t, 200, model, probe),
+        lambda t: laplace_condition_check(t, 200, model, probe, estimate=0.5),
+        lambda t: rescaled_posterior_kernel(state, t, 200, model, probe, estimate=0.5),
+    ]
+    for call in calls:
+        call(ens[1])
+        for rows, many in ((3, ens), (0, ens[1:1])):
+            with pytest.raises(ValueError, match=f"got {rows} rows"):
+                call(many)
