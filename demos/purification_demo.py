@@ -32,16 +32,14 @@ def main():
 
     steps = [0, 1, 2, 5, 10, 20, 50, 100, 200]
     ensemble = 400
+    # row i draws from trajectory_rng(SEED, i)
+    trajectories = q.sample_ensemble(state, probe, max(steps), ensemble, SEED, checkpoints=steps)
     weight_at_hidden = np.empty((ensemble, len(steps)))
-    winners = []
     for i in range(ensemble):
-        traj = q.definetti_sample(
-            state, probe, max(steps), q.trajectory_rng(SEED, i), checkpoints=steps
-        )
-        node = nearest_node(model, traj.hidden[0])
+        node = nearest_node(model, trajectories.hidden[i])
         for c, k in enumerate(steps):
-            weight_at_hidden[i, c] = q.posterior_weights(state, traj, k).values[node]
-        winners.append(q.mle(traj, max(steps), model, probe))
+            weight_at_hidden[i, c] = q.posterior_weights(state, trajectories[i], k).values[node]
+    winners = q.mle_table(trajectories, [max(steps)], model, probe)[:, 0]
 
     OUT.mkdir(exist_ok=True)
     with open(OUT / "purification_weights.csv", "w", newline="") as fh:

@@ -19,9 +19,6 @@ from .harness import (
     ExperimentConfig,
     TestResult,
     ValidationFailure,
-    build_model,
-    build_probe,
-    build_state,
     estimate_ensemble,
     git_blob_sha1,
     load_trajectories,
@@ -101,12 +98,7 @@ def _cmd_estimate(args) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}; run simulate first", file=sys.stderr)
         return EXIT_USAGE
-    model = build_model(config)
-    state = build_state(model, config.state)
-    probe = build_probe(config, model)
-    bundle = estimate_ensemble(
-        config, ensemble, model, state, probe, (config.config_hash(), content_hash)
-    )
+    bundle = estimate_ensemble(config, ensemble, content_hash)
     bundle.write(args.out)
     print(bundle.summary_text())
     return EXIT_OK if bundle.passed else EXIT_FAIL
@@ -137,7 +129,7 @@ def _cmd_report(args) -> int:
               for r in tree["results"]),
             "overall: " + ("pass" if tree["passed"] else "FAIL"),
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # r.items() of a non-object
         raise ConfigError(f"malformed {summary}: {type(exc).__name__}: {exc}") from exc
     print("\n".join(lines))
     return EXIT_OK

@@ -13,10 +13,12 @@ seed, and the kind of statistical question being asked:
   kernel to its Gaussian limit, gated by the Laplace-integral diagnostic,
 * ``assumption-validation``: the probe and state validator suites.
 
-Runs are deterministic given the master seed: per-trajectory streams come
-from the documented splitting rule, results keep ensemble order, and
-reports carry no timestamps, so identical configs produce byte-identical
-bundles.
+``KINDS`` maps each kind to its estimator.  Every command builds a config's
+model, state and probe through one cached function, which refuses what a run
+cannot use.  Runs are deterministic given the master seed: per-trajectory
+streams come from the documented splitting rule, results keep ensemble
+order, and reports carry no timestamps, so identical configs produce
+byte-identical bundles.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import numpy.ma  # np.median imports it on its first call, which would fall inside a run
@@ -77,14 +79,6 @@ __all__ = [
 
 DEFAULT_SEED = 1729  # documented constant; never derived from the clock
 DEFAULT_CHECKPOINTS = (10, 30, 100, 300, 1000, 3000, 10000)
-
-EXPERIMENT_KINDS = (
-    "born-frequency",
-    "rate-convergence",
-    "clt",
-    "kernel-convergence",
-    "assumption-validation",
-)
 
 DEFAULT_TOLERANCES = {
     "born_ci_sigmas": 3.0,
@@ -138,7 +132,7 @@ class ExperimentConfig:
     persist_trajectories: bool = False
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:  # [] is unhashable
             raise ConfigError(f"unknown experiment kind: {self.kind!r}")
         if self.sampler not in ("de-finetti", "sequential"):
             raise ConfigError(f"unknown sampler: {self.sampler!r}")
@@ -305,7 +299,8 @@ def build_probe(config: ExperimentConfig, model: SpectralModel) -> ProbeModel:
 
 
 @functools.lru_cache(maxsize=8)
-def _build_cached(config_json: str):
+def _build_cached(config_json: str) -> tuple[SpectralModel, StateKernel, ProbeModel]:
+    """Model, state and probe of a config; the only place they are built."""
     config = ExperimentConfig.from_dict(json.loads(config_json))
     model = build_model(config)
     cells = config.ensemble * (len(config.checkpoints) + 1) * model.size
@@ -319,7 +314,7 @@ def _build_cached(config_json: str):
         model.region_mask(config.region)
     elif config.kind == "rate-convergence":
         est.rate_region(model, state, config.region)
-    return config, model, state, probe
+    return model, state, probe
 
 
 def prepare_run(config: ExperimentConfig):
@@ -329,7 +324,7 @@ def prepare_run(config: ExperimentConfig):
     experiment itself is the validation run; failures raise
     ``ValidationFailure`` with the validator report attached.
     """
-    _, model, state, probe = _build_cached(config.canonical_json())
+    model, state, probe = _build_cached(config.canonical_json())
     if config.kind != "assumption-validation":
         probe_report = validate_probe(probe, model)
         if not probe_report.passed:
@@ -399,7 +394,7 @@ class TestResult:
 
 def simulate_ensemble(config: ExperimentConfig) -> Ensemble:
     """All ensemble trajectories, in ensemble order."""
-    _, _, state, probe = _build_cached(config.canonical_json())
+    _, state, probe = _build_cached(config.canonical_json())
     return sample_ensemble(
         state, probe, config.k_max, config.ensemble, config.seed,
         sampler=config.sampler, checkpoints=config.checkpoints, hidden_nu=config.hidden_nu,
@@ -407,119 +402,87 @@ def simulate_ensemble(config: ExperimentConfig) -> Ensemble:
 
 
 # ---------------------------------------------------------------------------
-# estimation per experiment kind
+# estimation per experiment kind: each fills its fields of the report and
+# returns its test results, as (name, description, statistic, threshold,
+# comparison, sample size) rows, and its tables
 
-def estimate_ensemble(
-    config: ExperimentConfig,
-    ensemble: Ensemble,
-    model: SpectralModel,
-    state: StateKernel,
-    probe: ProbeModel,
-    hashes: tuple[str, str],
-) -> ReportBundle:
-    """Report bundle of one experiment, not yet written: estimates, test results, tables."""
-    config_hash, content_hash = hashes
-    tol = config.tolerances
-    report = est.EstimatorReport(
-        kind=config.kind,
-        seeds={
-            "master": config.seed,
-            "splitting": "default_rng(SeedSequence(master, spawn_key=(index,)))",
-        },
-        tolerances=dict(sorted(tol.items())),
+class _Run(NamedTuple):
+    config: ExperimentConfig
+    ensemble: Ensemble
+    model: SpectralModel
+    state: StateKernel
+    probe: ProbeModel
+
+
+def _estimate_born(run: _Run, table, col, report):
+    config = run.config
+    stat = est.mle_consistency_stat(
+        run.ensemble, config.k_max, run.model, config.region, run.state,
+        ci_sigmas=config.tolerances["born_ci_sigmas"],
     )
-    results: list[TestResult] = []
-    tables: dict[str, tuple[list[str], list[list]]] = {}
+    report.consistency = vars(stat)
+    results = [(
+        "born-frequency",
+        "frequency of the limiting estimate in the region equals the "
+        "spectral probability of the region",
+        abs(stat.frequency - stat.exact_probability),
+        stat.ci_halfwidth,
+        "<=",
+        stat.count,
+    )]
+    return results, {"born_frequency": (
+        ["frequency", "exact_probability", "ci_halfwidth", "count"],
+        [[stat.frequency, stat.exact_probability, stat.ci_halfwidth, stat.count]],
+    )}
 
-    def add_result(name, description, statistic, threshold, comparison, n):
-        results.append(
-            TestResult(
-                name=name,
-                description=description,
-                statistic=float(statistic),
-                threshold=float(threshold),
-                comparison=comparison,
-                sample_size=int(n),
-                config_hash=config_hash,
-                content_hash=content_hash,
-            )
-        )
 
-    k_max = config.k_max
-    cps = config.checkpoints
-    report.extra["checkpoints"] = list(cps)
-    # every estimate below is read from one table, one search per (trajectory,
-    # checkpoint, k_max last); runs whose branch reads no estimate search only
-    # the rows of the estimator paths (the first 100 trajectories)
-    columns = sorted(set(cps) | {k_max})
-    col = {c: i for i, c in enumerate(columns)}
-    paths_only = config.kind in ("born-frequency", "assumption-validation")
-    table = est.mle_table(ensemble[:100] if paths_only else ensemble, columns, model, probe)
+def _estimate_rate(run: _Run, table, col, report):
+    cps = run.config.checkpoints
+    traces = est.rate_traces(
+        run.state, run.ensemble, run.config.region, cps, run.model, run.probe,
+        estimates=table[:, col[cps[-1]]],
+    )
+    report.rate_traces = [vars(t) for t in traces]
+    medians = [
+        float(np.median([t.values[i] for t in traces])) for i in range(len(cps))
+    ]
+    target = float(np.median([t.target for t in traces]))
+    results = [(
+        "rate-convergence",
+        "posterior mass of the excluded region decays at the "
+        "relative-entropy rate",
+        abs(medians[-1] / target - 1.0) if target else abs(medians[-1]),
+        run.config.tolerances["rate_rel_tol"],
+        "<=",
+        len(traces),
+    )]
+    return results, {"rate_trace": (
+        ["checkpoint", "median_rate", "target"],
+        [[c, m, target] for c, m in zip(cps, medians)],
+    )}
 
-    # posterior-mean diagnostic (no limit statement attached to it)
-    report.posterior_means = posterior_means(state, ensemble[:100], k_max)
 
-    if config.kind == "born-frequency":
-        stat = est.mle_consistency_stat(
-            ensemble, k_max, model, config.region, state, ci_sigmas=tol["born_ci_sigmas"]
+def _estimate_clt(run: _Run, table, col, report):
+    config, ensemble, tol = run.config, run.ensemble, run.config.tolerances
+    samples = est.clt_samples(
+        ensemble, config.k_max, run.model, run.probe,
+        estimates=table[:, col[config.k_max]], margin_stds=tol["boundary_margin_stds"],
+    )
+    if samples.count < KS_MIN_SAMPLES:
+        raise ConfigError(
+            f"only {samples.count} of {len(ensemble)} clt trajectories remain "
+            f"({samples.excluded_boundary} excluded near an interval boundary, "
+            f"{samples.excluded_atoms} on atoms); at least {KS_MIN_SAMPLES} are needed"
         )
-        report.consistency = vars(stat)
-        add_result(
-            "born-frequency",
-            "frequency of the limiting estimate in the region equals the "
-            "spectral probability of the region",
-            abs(stat.frequency - stat.exact_probability),
-            stat.ci_halfwidth,
-            "<=",
-            stat.count,
-        )
-        tables["born_frequency"] = (
-            ["frequency", "exact_probability", "ci_halfwidth", "count"],
-            [[stat.frequency, stat.exact_probability, stat.ci_halfwidth, stat.count]],
-        )
+    res = samples.residuals
+    report.clt_residuals = res.tolist()
+    report.extra["clt_excluded_boundary"] = samples.excluded_boundary
+    report.extra["clt_excluded_atoms"] = samples.excluded_atoms
+    from scipy.special import ndtr
 
-    elif config.kind == "rate-convergence":
-        traces = est.rate_traces(
-            state, ensemble, config.region, cps, model, probe, estimates=table[:, col[cps[-1]]]
-        )
-        report.rate_traces = [vars(t) for t in traces]
-        medians = [
-            float(np.median([t.values[i] for t in traces])) for i in range(len(cps))
-        ]
-        target = float(np.median([t.target for t in traces]))
-        add_result(
-            "rate-convergence",
-            "posterior mass of the excluded region decays at the "
-            "relative-entropy rate",
-            abs(medians[-1] / target - 1.0) if target else abs(medians[-1]),
-            tol["rate_rel_tol"],
-            "<=",
-            len(traces),
-        )
-        tables["rate_trace"] = (
-            ["checkpoint", "median_rate", "target"],
-            [[c, m, target] for c, m in zip(cps, medians)],
-        )
-
-    elif config.kind == "clt":
-        samples = est.clt_samples(
-            ensemble, k_max, model, probe,
-            estimates=table[:, col[k_max]], margin_stds=tol["boundary_margin_stds"],
-        )
-        if samples.count < KS_MIN_SAMPLES:
-            raise ConfigError(
-                f"only {samples.count} of {len(ensemble)} clt trajectories remain "
-                f"({samples.excluded_boundary} excluded near an interval boundary, "
-                f"{samples.excluded_atoms} on atoms); at least {KS_MIN_SAMPLES} are needed"
-            )
-        res = samples.residuals
-        report.clt_residuals = res.tolist()
-        report.extra["clt_excluded_boundary"] = samples.excluded_boundary
-        report.extra["clt_excluded_atoms"] = samples.excluded_atoms
-        from scipy.special import ndtr
-
-        ks = ks_test(res, ndtr)
-        add_result(
+    ks = ks_test(res, ndtr)
+    results = [
+        (
             "clt-ks",
             "standardized estimator residuals are standard normal "
             "(Kolmogorov-Smirnov)",
@@ -527,53 +490,59 @@ def estimate_ensemble(
             tol["ks_alpha"],
             ">=",
             ks.n,
-        )
-        add_result(
+        ),
+        (
             "clt-mean",
             "standardized residuals have zero mean",
             abs(float(res.mean())),
             tol["clt_mean_sigmas"] / math.sqrt(res.size),
             "<=",
             res.size,
-        )
-        add_result(
+        ),
+        (
             "clt-variance",
             "standardized residuals have unit variance",
             abs(float(res.var()) - 1.0),
             tol["clt_var_tol"],
             "<=",
             res.size,
-        )
-        tables["clt_residuals"] = (["residual"], [[r] for r in res.tolist()])
+        ),
+    ]
+    return results, {"clt_residuals": (["residual"], [[r] for r in res.tolist()])}
 
-    elif config.kind == "kernel-convergence":
-        distances, _ = est.kernel_distances(
-            state, ensemble, cps, model, probe,
-            estimates=table[:, [col[c] for c in cps]],
-            window_sigmas=config.window["sigmas"],
-            window_nodes=int(config.window["nodes"]),
-            min_sigmas=config.window["min_sigmas"],
-        )
-        # the Laplace check stays per trajectory: one stencil of all its
-        # quadrature points falls out of cache
-        ratios = [
-            est.laplace_condition_check(traj, k_max, model, probe, estimate=row[col[k_max]]).ratio
-            for traj, row in zip(ensemble, table)
-        ]
-        medians = [float(np.median(d)) for d in distances.T]
-        report.distance_series = [
-            {"checkpoint": c, "median_distance": m} for c, m in zip(cps, medians)
-        ]
-        report.laplace_checks = [{"ratio": r} for r in ratios]
-        add_result(
+
+def _estimate_kernel(run: _Run, table, col, report):
+    config, ensemble, cps = run.config, run.ensemble, run.config.checkpoints
+    distances, _ = est.kernel_distances(
+        run.state, ensemble, cps, run.model, run.probe,
+        estimates=table[:, [col[c] for c in cps]],
+        window_sigmas=config.window["sigmas"],
+        window_nodes=int(config.window["nodes"]),
+        min_sigmas=config.window["min_sigmas"],
+    )
+    # the Laplace check stays per trajectory: one stencil of all its
+    # quadrature points falls out of cache
+    ratios = [
+        est.laplace_condition_check(
+            traj, config.k_max, run.model, run.probe, estimate=row[col[config.k_max]]
+        ).ratio
+        for traj, row in zip(ensemble, table)
+    ]
+    medians = [float(np.median(d)) for d in distances.T]
+    report.distance_series = [
+        {"checkpoint": c, "median_distance": m} for c, m in zip(cps, medians)
+    ]
+    report.laplace_checks = [{"ratio": r} for r in ratios]
+    results = [
+        (
             "laplace-ratio",
             "rescaled likelihood integral matches its Gaussian value",
             abs(float(np.median(ratios)) - 1.0),
-            tol["laplace_rel_tol"],
+            config.tolerances["laplace_rel_tol"],
             "<=",
             len(ratios),
-        )
-        add_result(
+        ),
+        (
             "kernel-distance-monotone",
             "trace-norm distance to the Gaussian kernel decreases across "
             "checkpoints",
@@ -581,63 +550,102 @@ def estimate_ensemble(
             0.0,
             "<=",
             len(ensemble),
-        )
-        add_result(
+        ),
+        (
             "kernel-distance-final",
             "trace-norm distance to the Gaussian kernel is small at the "
             "final checkpoint",
             medians[-1],
-            tol["kernel_distance_final"],
+            config.tolerances["kernel_distance_final"],
             "<=",
             len(ensemble),
-        )
-        tables["kernel_distance"] = (
-            ["checkpoint", "median_distance"],
-            [[c, m] for c, m in zip(cps, medians)],
-        )
-        tables["laplace_ratio"] = (["ratio"], [[r] for r in ratios])
+        ),
+    ]
+    return results, {
+        "kernel_distance": (
+            ["checkpoint", "median_distance"], [[c, m] for c, m in zip(cps, medians)]
+        ),
+        "laplace_ratio": (["ratio"], [[r] for r in ratios]),
+    }
 
-    elif config.kind == "assumption-validation":
-        probe_report = validate_probe(probe, model)
-        state_report = validate_state(state)
-        rows = []
-        for check in probe_report.checks:
-            add_result(
-                f"assumption-{check.name}",
-                f"probe assumption check: {check.name}",
-                0.0 if check.passed else 1.0,
-                0.0,
-                "<=",
-                model.size,
-            )
-            rows.append([check.name, check.passed, check.worst_value, check.worst_location])
-        add_result(
-            "state-validity",
-            "initial state is Hermitian, positive and normalized",
-            0.0 if state_report.passed else 1.0,
+
+def _estimate_assumptions(run: _Run, table, col, report):
+    probe_report = validate_probe(run.probe, run.model)
+    state_report = validate_state(run.state)
+    results, rows = [], []
+    for check in probe_report.checks:
+        results.append((
+            f"assumption-{check.name}",
+            f"probe assumption check: {check.name}",
+            0.0 if check.passed else 1.0,
             0.0,
             "<=",
-            model.size,
-        )
-        rows.append(
-            ["state", state_report.passed, state_report.trace_defect, "trace defect"]
-        )
-        report.extra["probe_caveats"] = list(probe_report.caveats)
-        tables["assumptions"] = (["check", "passed", "worst_value", "location"], rows)
+            run.model.size,
+        ))
+        rows.append([check.name, check.passed, check.worst_value, check.worst_location])
+    results.append((
+        "state-validity",
+        "initial state is Hermitian, positive and normalized",
+        0.0 if state_report.passed else 1.0,
+        0.0,
+        "<=",
+        run.model.size,
+    ))
+    rows.append(
+        ["state", state_report.passed, state_report.trace_defect, "trace defect"]
+    )
+    report.extra["probe_caveats"] = list(probe_report.caveats)
+    return results, {"assumptions": (["check", "passed", "worst_value", "location"], rows)}
+
+
+# kind -> (its estimator, whether it reads the estimates of every trajectory;
+# the others search only the rows of the estimator paths, the first 100)
+KINDS: dict[str, tuple[Callable, bool]] = {
+    "born-frequency": (_estimate_born, False),
+    "rate-convergence": (_estimate_rate, True),
+    "clt": (_estimate_clt, True),
+    "kernel-convergence": (_estimate_kernel, True),
+    "assumption-validation": (_estimate_assumptions, False),
+}
+
+
+def estimate_ensemble(
+    config: ExperimentConfig, ensemble: Ensemble, content_hash: str
+) -> ReportBundle:
+    """Report bundle of one experiment, not yet written: estimates, test results, tables."""
+    run = _Run(config, ensemble, *_build_cached(config.canonical_json()))
+    report = est.EstimatorReport(
+        kind=config.kind,
+        seeds={
+            "master": config.seed,
+            "splitting": "default_rng(SeedSequence(master, spawn_key=(index,)))",
+        },
+        tolerances=dict(sorted(config.tolerances.items())),
+    )
+    cps = config.checkpoints
+    report.extra["checkpoints"] = list(cps)
+    # every estimate is read from one table, one search per (trajectory,
+    # checkpoint, k_max last)
+    columns = sorted(set(cps) | {config.k_max})
+    col = {c: i for i, c in enumerate(columns)}
+    estimator, every_row = KINDS[config.kind]
+    table = est.mle_table(ensemble if every_row else ensemble[:100], columns, run.model, run.probe)
+
+    # posterior-mean diagnostic (no limit statement attached to it)
+    report.posterior_means = posterior_means(run.state, ensemble[:100], config.k_max)
+    rows, tables = estimator(run, table, col, report)
 
     # estimator paths are part of every report (first 100 trajectories)
     for row in table[:100]:
         estimates = [float(row[col[c]]) for c in cps]
         report.mle_paths.append({"checkpoints": cps, "estimates": estimates, "refined": True})
-
-    return ReportBundle(
-        config=config,
-        config_hash=config_hash,
-        content_hash=content_hash,
-        results=results,
-        report=report,
-        tables=tables,
-    )
+    config_hash = config.config_hash()
+    results = [
+        TestResult(name, description, float(statistic), float(threshold), comparison, int(n),
+                   config_hash, content_hash)
+        for name, description, statistic, threshold, comparison, n in rows
+    ]
+    return ReportBundle(config, config_hash, content_hash, results, report, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +691,7 @@ def load_trajectories(out_dir, config: ExperimentConfig) -> Ensemble:
     if stale:
         raise ConfigError(f"trajectories under {out_dir} were simulated for another "
                           f"config ({', '.join(stale)}){again}")
-    e, cps, n = config.ensemble, config.checkpoints, build_model(config).size
+    e, cps, n = config.ensemble, config.checkpoints, _build_cached(config.canonical_json())[0].size
     shapes = {"outcomes": (e, config.k_max), "sums": (e, len(cps) + 1, n), "hidden": (e,)}
     arrays = dict.fromkeys(shapes)
     for name in shapes if config.sampler == "de-finetti" else ("outcomes", "sums"):
@@ -750,9 +758,7 @@ class ReportBundle:
 
 def validate_config(config: ExperimentConfig):
     """Build everything the config names and run both validator suites."""
-    model = build_model(config)
-    state = build_state(model, config.state)
-    probe = build_probe(config, model)
+    model, state, probe = _build_cached(config.canonical_json())
     return validate_probe(probe, model), validate_state(state)
 
 
@@ -769,12 +775,11 @@ def run_experiment(
     """
     if workers != 1:  # the keyword stays only for perfbench/child.py
         raise ValueError(f"run_experiment runs in process; workers must be 1, got {workers}")
-    config_hash = config.config_hash()
     if content_hash is None:
         content_hash = git_blob_sha1(config.canonical_json().encode())
-    model, state, probe = prepare_run(config)
+    prepare_run(config)
     ensemble = simulate_ensemble(config)
-    bundle = estimate_ensemble(config, ensemble, model, state, probe, (config_hash, content_hash))
+    bundle = estimate_ensemble(config, ensemble, content_hash)
     if out_dir is not None:
         bundle.write(out_dir)
         if config.persist_trajectories:

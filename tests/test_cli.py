@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -289,6 +290,7 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
             },
             "ensemble x (checkpoints + 1) x grid nodes must be at most 1e+08, got 4.8e+08",
         ),
+        ({"kind": []}, "unknown experiment kind: []"),  # unhashable: no dict lookup
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -343,6 +345,7 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "h-overflow",
         "interval-subnormal",
         "sums-stack-huge",
+        "kind-unhashable",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, message):
@@ -394,6 +397,36 @@ def test_bad_region_exits_two_before_validation_and_sampling(
     monkeypatch.setattr(harness, "sample_ensemble", never)
     cfg = _write_config(tmp_path / "cfg.json", **overrides)
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
+def _rate_sums_stack_too_large(path: Path) -> Path:
+    # 200,000 x (5 default checkpoints + 1) x 400 nodes: 4.8e8 cells
+    tree = json.loads((CONFIGS / "rate_convergence.json").read_text())
+    del tree["checkpoints"]
+    path.write_text(json.dumps({**tree, "ensemble": 200_000, "k_max": 500}))
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "verify"])
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (lambda path: _write_config(path, region=[0.5]), "point 0.5 lies outside the spectrum"),
+        (_rate_sums_stack_too_large, "ensemble x (checkpoints + 1) x grid nodes must be at most"),
+    ],
+    ids=["born-point-off-spectrum", "rate-sums-stack-huge"],
+)
+def test_validate_refuses_what_verify_refuses(
+    tmp_path, capsys, monkeypatch, command, write, message
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the config must be refused before validation")
+
+    monkeypatch.setattr(harness, "validate_probe", never)
+    cfg = write(tmp_path / "cfg.json")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
 
@@ -553,22 +586,23 @@ def test_report_without_bundle_exits_two(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 2
 
 
+_SUMMARY = {
+    "config": {"kind": "born-frequency", "seed": SEED},
+    "config_hash": "c",
+    "content_hash": "h",
+    "passed": True,
+}
+
+
 @pytest.mark.parametrize(
     "summary, message",
     [
         ({}, "KeyError: 'config'"),
-        (
-            {
-                "config": {"kind": "born-frequency", "seed": SEED},
-                "config_hash": "c",
-                "content_hash": "h",
-                "passed": True,
-                "results": [{"name": "born-frequency", "passed": True}],
-            },
-            "TypeError",
-        ),
+        ({**_SUMMARY, "results": [{"name": "born-frequency", "passed": True}]}, "TypeError"),
+        ({**_SUMMARY, "results": "x"}, "AttributeError"),
+        ({**_SUMMARY, "results": [0]}, "AttributeError"),
     ],
-    ids=["empty", "result-missing-fields"],
+    ids=["empty", "result-missing-fields", "results-string", "result-number"],
 )
 def test_malformed_report_exits_two(tmp_path, capsys, summary, message):
     (tmp_path / "summary.json").write_text(json.dumps(summary))
@@ -613,14 +647,9 @@ REPLACEMENTS = [
 ]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    where=st.sampled_from([(name, p) for name, tree in SHIPPED.items() for p in _paths(tree)]),
-    value=st.sampled_from([DELETE, *REPLACEMENTS]),
-)
-def test_every_mutated_declaration_exits_cleanly(where, value):
-    name, path = where
-    tree = copy.deepcopy(SHIPPED[name])
+def _mutated(tree, path, value):
+    """A copy of ``tree`` with the entry at ``path`` replaced by ``value`` or deleted."""
+    tree = copy.deepcopy(tree)
     parent = tree
     for key in path[:-1]:
         parent = parent[key]
@@ -628,20 +657,80 @@ def test_every_mutated_declaration_exits_cleanly(where, value):
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
+    return tree
+
+
+def _main_exits_cleanly(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)``, which must exit 0, 1 or 2
+    without a warning, and with one stderr line on exit 2."""
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "cfg.json"
-        config.write_text(json.dumps(tree))
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
-            out
-        ), contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main(["verify", "--config", str(config), "--out", str(Path(tmp) / "out")])
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
     assert code in (0, 1, 2)
     assert not caught, [str(w.message) for w in caught]
     if code == 2:
         assert err.getvalue().count("\n") == 1, err.getvalue()
-    if code == 1:  # a failed verdict, or a probe that failed its validators
-        assert "overall: FAIL" in out.getvalue() or err.getvalue().startswith(
-            "error: probe failed assumption validation"
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    where=st.sampled_from([(name, p) for name, tree in SHIPPED.items() for p in _paths(tree)]),
+    value=st.sampled_from([DELETE, *REPLACEMENTS]),
+)
+def test_every_mutated_declaration_exits_cleanly(where, value):
+    name, path = where
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(_mutated(SHIPPED[name], path, value)))
+        code, out, err = _main_exits_cleanly(
+            ["verify", "--config", str(config), "--out", str(Path(tmp) / "out")]
         )
+    if code == 1:  # a failed verdict, or a probe that failed its validators
+        assert "overall: FAIL" in out or err.startswith("error: probe failed assumption validation")
+
+
+@pytest.fixture(scope="module")
+def born_bundle(tmp_path_factory) -> Path:
+    """A born config, its persisted trajectories and its report bundle."""
+    out = tmp_path_factory.mktemp("born")
+    cfg = _write_config(out / "cfg.json")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+def _tree_paths(path: Path) -> list:
+    tree = json.loads(path.read_text())
+    return [(tree, p) for p in _paths(tree)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(where=st.data(), value=st.sampled_from([DELETE, *REPLACEMENTS]))
+def test_every_mutated_summary_reports_cleanly(born_bundle, where, value):
+    tree, path = where.draw(st.sampled_from(_tree_paths(born_bundle / "summary.json")))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "summary.json").write_text(json.dumps(_mutated(tree, path, value)))
+        code, _, err = _main_exits_cleanly(["report", "--out", tmp])
+    assert code != 1
+    if code == 2:
+        assert "summary.json" in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(where=st.data(), value=st.sampled_from([DELETE, *REPLACEMENTS]))
+def test_every_mutated_manifest_estimates_cleanly(born_bundle, where, value):
+    manifest = born_bundle / "trajectories" / "manifest.json"
+    tree, path = where.draw(st.sampled_from(_tree_paths(manifest)))
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(born_bundle / "trajectories", Path(tmp) / "trajectories")
+        (Path(tmp) / "trajectories" / "manifest.json").write_text(
+            json.dumps(_mutated(tree, path, value))
+        )
+        config = str(born_bundle / "cfg.json")
+        code, out, _ = _main_exits_cleanly(["estimate", "--config", config, "--out", tmp])
+    if code == 1:
+        assert "overall: FAIL" in out

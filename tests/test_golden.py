@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from qndsim.harness import KINDS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN = {
@@ -120,3 +122,12 @@ def test_shipped_bundles_match_golden_digests(tmp_path):
         if digests[name][f] != old
     ]
     assert digests == GOLDEN, "bundle digests moved:\n" + "\n".join(moved)
+
+
+def test_every_run_kind_has_a_golden_bundle():
+    def kind(name):
+        shipped, overrides = VARIANTS.get(name, (name, {}))
+        tree = json.loads((ROOT / "configs" / f"{shipped}.json").read_text())
+        return {**tree, **overrides}["kind"]
+
+    assert set(KINDS) <= {kind(name) for name in GOLDEN}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtr
 
-from qndsim import spectral
+from qndsim import estimators, spectral
 from qndsim.harness import (
     ConfigError,
     DEFAULT_SEED,
@@ -390,6 +390,24 @@ def test_runs_never_expand_a_state_to_dense_values(kind, state_type, monkeypatch
     assert bundle.results
 
 
+@pytest.mark.parametrize("kind", sorted(_SMALL_RUNS))
+def test_estimate_searches_only_the_rows_its_kind_reads(kind, monkeypatch):
+    """Born and assumption runs read no estimate beyond the 100 estimator
+    paths; the other kinds read one per trajectory."""
+    searched = []
+
+    def mle_table(ensemble, *args):
+        searched.append(len(ensemble))
+        return table(ensemble, *args)
+
+    table = estimators.mle_table
+    monkeypatch.setattr(estimators, "mle_table", mle_table)
+    tree = {**_SMALL_RUNS[kind], "state": {"type": "pure"}, "ensemble": 101}
+    run_experiment(ExperimentConfig.from_dict(tree))
+    paths_only = kind in ("born-frequency", "assumption-validation")
+    assert searched == [100 if paths_only else 101]
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -412,7 +430,7 @@ def test_simulate_and_estimate_stay_below_the_validator_peak(name):
     try:
         traced(lambda: validate_probe(probe, model))
         trajectories = traced(lambda: simulate_ensemble(config))
-        traced(lambda: estimate_ensemble(config, trajectories, model, state, probe, ("", "")))
+        traced(lambda: estimate_ensemble(config, trajectories, ""))
     finally:
         tracemalloc.stop()
     validate, simulate, estimate = peaks

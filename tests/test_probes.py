@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import erf
+from scipy.special import erf, kolmogorov
 
 from qndsim import probes
 from qndsim.harness import ExperimentConfig, build_model, build_probe
@@ -1258,6 +1258,53 @@ def test_tabulated_finite_outcome_sampler():
     rng = np.random.default_rng(RNG_SEED)
     draws = probe.sample(0.0, 20_000, rng)
     assert abs(np.mean(draws == 0.0) - 0.8) < 0.01
+
+
+def _ks_pvalue(probe, nu: float, draws) -> float:
+    """Asymptotic Kolmogorov-Smirnov p-value of draws against the probe's own
+    law at nu: the step CDF of a finite outcome space, compared at its jumps,
+    else the running trapezoid integral of the density over its outcome panels."""
+    x, n = np.sort(draws), len(draws)
+    if probe.outcomes is not None:
+        outs = np.asarray(probe.outcomes, dtype=float)
+        cdf = np.cumsum(probe.density(outs, nu))
+        d = np.abs(np.searchsorted(x, outs, side="right") / n - cdf).max()
+    else:
+        panels = probe._xi_panels(np.array([nu]))
+        xs = np.linspace(panels[0], panels[-1], 400_001)
+        f = probe.density(xs, nu)
+        running = np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) / 2 * np.diff(xs))])
+        cdf = np.interp(x, xs, running)
+        steps = np.arange(1, n + 1) / n
+        d = max(np.max(steps - cdf), np.max(cdf - (steps - 1.0 / n)))
+    return float(kolmogorov(math.sqrt(n) * d))
+
+
+# a density that varies strongly inside each xi-cell: a rejection envelope
+# that does not dominate it draws from another law
+_RAMP = TabulatedProbe(
+    nu_grid=(0.0, 0.5, 1.0), values=((0.2,) * 3, (0.8,) * 3, (0.2,) * 3), xi_grid=(0.0, 1.0, 2.0)
+)
+
+
+@pytest.mark.parametrize(
+    "probe, nu",
+    [
+        (BinaryPhase.embedded(0.0, 1.0), 0.3),
+        (GaussianReadout(sigma=0.5), 0.3),
+        (TabulatedProbe(
+            nu_grid=(0.0, 0.5, 1.0),
+            values=((0.5, 0.3, 0.1), (0.3, 0.3, 0.3), (0.2, 0.4, 0.6)),
+            outcomes=(-1.0, 0.0, 2.0),
+        ), 0.7),
+        (_RAMP, 0.5),
+        (_tabulated_gaussian(), 0.4),
+    ],
+    ids=["binary-phase", "gaussian", "tabulated-finite", "tabulated-ramp", "tabulated-gaussian"],
+)
+def test_samples_follow_the_family_law(probe, nu):
+    draws = probe.sample(nu, 2_000, np.random.default_rng(RNG_SEED))
+    assert _ks_pvalue(probe, nu, draws) > 0.01
 
 
 def test_tabulated_finite_difference_loglik():

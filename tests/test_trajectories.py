@@ -570,6 +570,16 @@ def test_ensemble_views_slices_and_stacking_agree():
     assert alone.master is None and _bits(seq[1].sums) == _bits(alone.sums)
 
 
+def test_multi_row_slices_hold_the_parent_rows():
+    _, probe, state = _gaussian_setup(12)
+    ens = sample_ensemble(state, probe, 30, 6, SEED, checkpoints=[5])
+    for a in range(6):
+        for b in range(a + 2, 7):
+            part = ens[a:b]
+            for name in ("outcomes", "sums", "hidden"):
+                assert _bits(getattr(part, name)) == _bits(getattr(ens, name)[a:b]), (a, b, name)
+
+
 def test_per_trajectory_functions_take_one_row():
     model, probe, state = _gaussian_setup(40)
     ens = sample_ensemble(state, probe, 200, 3, SEED, hidden_nu=0.5)
