@@ -25,8 +25,8 @@ structure of the log-likelihood near its maximum.  The zoom window spans
 ``8 / sqrt(F)`` rescaled units by default and is shrunk symmetrically when
 it would leave the spectrum; it must retain at least ``2 / sqrt(F)``.
 
-``kernel_distances`` evaluates all windows of a run as one stack: sized in
-order, interpolated with one stencil per interval, and compared in groups of
+``kernel_distances`` evaluates all windows of a run as one stack: all sized
+first, interpolated with one stencil per interval, and compared in groups of
 windows with the same live zoom columns and limit rank (never padded, as a
 zero column changes the QR bits); the per-window functions are 1-row views.
 The Laplace check stays per trajectory, as one stencil of all trajectories'
@@ -84,7 +84,8 @@ REFINE_TOL_FACTOR = 1e-8       # golden-section tolerance, times hull width
 
 
 class WindowError(ValueError):
-    """Raised when a rescaled zoom window cannot fit inside the spectrum."""
+    """Raised when a rescaled zoom window cannot be built: it does not fit inside
+    the spectrum, its kernel has zero trace, or the density vanishes at its center."""
 
 
 # ---------------------------------------------------------------------------
@@ -459,37 +460,34 @@ class WindowGrid:
         return WindowGrid(self.offsets[m], *at, self.hvals[m], self.multiplicity)
 
 
-def _window_stack(model, nus, ks, fisher, window_sigmas, window_nodes, min_sigmas):
-    """Zoom windows around the estimates ``nus`` after ``ks`` outcomes as one stack,
-    with the (node slice, bounds) of each window's interval.  Windows are sized in
-    order: the first that cannot fit ends the stack, and its error is returned
-    (raised if it is the first window)."""
+def _window_sizes(model, nus, ks, fisher, window_sigmas, min_sigmas):
+    """Half-widths of the zoom windows around ``nus`` after ``ks`` outcomes, and the
+    (node slice, bounds) of each window's interval; the first unsizable window raises."""
     nus, ks, fisher = (np.atleast_1d(v) for v in (nus, ks, fisher))
-    subgrids, halves, error = [], [], None
+    halves, subgrids = [], []
     for nu, k, f in zip(nus.tolist(), ks.tolist(), fisher.tolist()):
-        try:
-            sl, (a, b) = _interval_subgrid(model, nu)
-            want, need = window_sigmas / math.sqrt(f), min_sigmas / math.sqrt(f)
-            fit = math.sqrt(k) * min(nu - a, b - nu)
-            if min(want, fit) < need:
-                raise WindowError(
-                    f"rescaled window of half-width {want:.3g} exits the spectrum at "
-                    f"k={k} (room for {fit:.3g}, need {need:.3g})"
-                )
-        except (ValueError, ZeroDivisionError) as exc:  # also math.sqrt of fisher <= 0
-            if not subgrids:  # no window before it to fail first
-                raise
-            error = exc
-            break
-        subgrids.append((sl, (a, b)))
+        sl, (a, b) = _interval_subgrid(model, nu)
+        want, need = window_sigmas / math.sqrt(f), min_sigmas / math.sqrt(f)
+        fit = math.sqrt(k) * min(nu - a, b - nu)
+        if min(want, fit) < need:
+            raise WindowError(
+                f"rescaled window of half-width {want:.3g} exits the spectrum at "
+                f"k={k} (room for {fit:.3g}, need {need:.3g})"
+            )
         halves.append(min(want, fit))
-    half = np.asarray(halves).reshape(-1, 1)
+        subgrids.append((sl, (a, b)))
+    return np.asarray(halves), subgrids
+
+
+def _window_grids(model, nus, ks, halves, window_nodes) -> WindowGrid:
+    """Midpoint grids of sized windows around the estimates ``nus`` as one stack."""
+    half = np.reshape(halves, (-1, 1))
     spacing = 2.0 * half / window_nodes
     offsets = -half + (np.arange(window_nodes) + 0.5) * spacing
-    center, scale = nus[: half.size, None], np.sqrt(ks[: half.size, None])
+    center, scale = np.reshape(nus, (-1, 1)), np.sqrt(np.reshape(ks, (-1, 1)))
     hvals = np.asarray(model.h_fn((center + offsets / scale).ravel()), dtype=float)
     hvals = hvals.reshape(offsets.shape)
-    return WindowGrid(offsets, spacing, center, scale, hvals, model.multiplicity), subgrids, error
+    return WindowGrid(offsets, spacing, center, scale, hvals, model.multiplicity)
 
 
 def _groups(keys) -> list:
@@ -517,8 +515,8 @@ def build_window_grid(
     ``min_sigmas / sqrt(fisher)``, the window cannot fit and a
     ``WindowError`` is raised.
     """
-    grids, _, _ = _window_stack(model, nu_hat, k, fisher, window_sigmas, window_nodes, min_sigmas)
-    return grids.row(0)
+    halves, _ = _window_sizes(model, nu_hat, k, fisher, window_sigmas, min_sigmas)
+    return _window_grids(model, nu_hat, k, halves, window_nodes).row(0)
 
 
 @dataclass(frozen=True)
@@ -581,15 +579,14 @@ def rescaled_posterior_kernel(
     sums = _row_sums(trajectory, k)
     nu_hat = float(estimate)
     fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
-    grids, subgrids, _ = _window_stack(
-        model, nu_hat, k, fisher, window_sigmas, window_nodes, min_sigmas
-    )
+    halves, subgrids = _window_sizes(model, nu_hat, k, fisher, window_sigmas, min_sigmas)
+    grids = _window_grids(model, nu_hat, k, halves, window_nodes)
     [(live, _)], [phi], raw, grid_norm = _zoom_stack(
         state, model, sums[None], grids, subgrids, np.empty((1, 0), dtype=bool)
     )
     raw_trace, window = float(raw[0]), grids.row(0)
     if raw_trace / window.scale <= 0:
-        raise ValueError("rescaled kernel has zero trace on its window")
+        raise WindowError("rescaled kernel has zero trace on its window")
     return RescaledKernelResult(
         kernel=StateKernel(None, window, factor=(phi[0], state.factor[1][live] / raw_trace)),
         window=window,
@@ -646,7 +643,7 @@ def limit_kernel(
         model, state, np.array([nu_hat]), np.array([fisher]), window.offsets[None], subgrids
     )
     if h_at <= 0:
-        raise ValueError(f"spectral density vanishes at nu={nu_hat}")
+        raise WindowError(f"spectral density vanishes at nu={nu_hat}")
     n = lam.size if live else 0
     return StateKernel(None, window, factor=(psi[..., :n], lam[:n] / h_at))
 
@@ -659,33 +656,31 @@ def kernel_distances(
     """Trace-norm distances of the rescaled posterior kernels to their Gaussian
     limits, and the window masses, at the refined ``estimates`` (E x C) after each
     checkpoint of each trajectory: two E x C arrays, bit for bit the per-window
-    functions', and the first window that fails raises what it raises alone."""
+    functions'.  All windows are sized first: the first that cannot be sized raises
+    ``WindowError``, else the first with zero kernel trace or density at its estimate."""
     psi, d = state.factor
     ks = np.asarray(checkpoints)
     estimates = np.asarray(estimates, dtype=float)
+    nus, all_ks = estimates.ravel(), np.tile(ks, len(estimates))
+    fisher = np.array([probe.fisher(np.asarray([nu]))[0] for nu in nus.tolist()], dtype=float)
+    halves, subgrids = _window_sizes(model, nus, all_ks, fisher, window_sigmas, min_sigmas)
     out = np.empty((2,) + estimates.shape)  # distances, window masses
     row_cells = ks.size * window_nodes * psi[0].size  # a row's zoom factors
     for block, sums in _sums_blocks(ensemble, ks, row_cells):
-        nus = estimates[block].ravel()
-        fisher = np.array([probe.fisher(np.asarray([nu]))[0] for nu in nus.tolist()], dtype=float)
-        grids, subgrids, error = _window_stack(
-            model, nus, np.tile(ks, len(sums)), fisher, window_sigmas, window_nodes, min_sigmas
-        )
-        m = len(subgrids)
+        w = slice(block.start * ks.size, block.stop * ks.size)  # the block's windows
+        grids = _window_grids(model, nus[w], all_ks[w], halves[w], window_nodes)
         vecs, lam, rank, h_at = _limit_stack(
-            model, state, nus[:m], fisher[:m], grids.offsets, subgrids
+            model, state, nus[w], fisher[w], grids.offsets, subgrids[w]
         )
         groups, zooms, raw, grid_norm = _zoom_stack(
-            state, model, sums.reshape(nus.size, -1)[:m], grids, subgrids, rank[:, None]
+            state, model, sums.reshape(-1, sums.shape[-1]), grids, subgrids[w], rank[:, None]
         )
         trace = raw / grids.scale[:, 0]
         for i in np.flatnonzero((trace <= 0) | (h_at <= 0))[:1]:
             if trace[i] <= 0:
-                raise ValueError("rescaled kernel has zero trace on its window")
-            raise ValueError(f"spectral density vanishes at nu={nus[i]}")
-        if error is not None:
-            raise error
-        dist = np.empty(m)
+                raise WindowError("rescaled kernel has zero trace on its window")
+            raise WindowError(f"spectral density vanishes at nu={nus[w][i]}")
+        dist = np.empty(len(trace))
         for (key, rows), zoom in zip(groups, zooms):
             n = psi.shape[1] if key[-1] else 0
             limit = (vecs[rows][..., :n], lam[rows, :n] / h_at[rows, None])

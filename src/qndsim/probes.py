@@ -71,6 +71,11 @@ BLOCK_CELLS = 100_000            # cells per outcome x node block (0.8 MB of flo
 LOCATION_RTOL = 1e-12            # values this close to the worst share its location
 PRUNE_SLACK = 1e3 * LOCATION_RTOL  # pruning margin: the near-tie rule plus L1 rounding
 ROUNDING_SHARE = 1e-3            # defects below this share of their tolerance are rounding
+NORMALIZATION_TOL = 1e-8         # validate_probe: largest |integral of f(.|nu) - 1|
+IDENTIFIABILITY_THRESHOLD = 1e-6  # validate_probe: smallest L1 distance between two laws
+DERIVATIVE_TOL = 1e-6            # validate_probe: analytic vs central-difference score
+SCORE_TOL = 1e-6                 # validate_probe: largest |mean score|
+EXTENSION_SPACINGS = 3.0         # bind_extension: hull margin, in grid spacings
 
 class ProbeError(ValueError):
     """Raised for invalid probe construction or use."""
@@ -781,10 +786,6 @@ def _unpruned_pairs(fmat, wq, panel: int, limit: float):
 def validate_probe(
     probe: ProbeModel,
     model,
-    normalization_tol: float = 1e-8,
-    identifiability_threshold: float = 1e-6,
-    derivative_tol: float = 1e-6,
-    score_tol: float = 1e-6,
     n_derivative_pairs: int = 100,
     seed: int = 7,
 ) -> ProbeValidationReport:
@@ -848,7 +849,7 @@ def validate_probe(
 
     # normalization: int f(.|nu) dmu = 1 on the spectrum
     checks.append(
-        defect_check("normalization", np.abs(stats["norm"] - 1.0), normalization_tol)
+        defect_check("normalization", np.abs(stats["norm"] - 1.0), NORMALIZATION_TOL)
     )
 
     worst = float(row_min.min())
@@ -891,10 +892,10 @@ def validate_probe(
     checks.append(
         AssumptionCheck(
             "identifiability",
-            bool(worst > identifiability_threshold),
+            bool(worst > IDENTIFIABILITY_THRESHOLD),
             worst,
             f"nu={nodes[i]:.6g} vs nu={nodes[j]:.6g}",
-            identifiability_threshold,
+            IDENTIFIABILITY_THRESHOLD,
         )
     )
 
@@ -937,19 +938,19 @@ def validate_probe(
     with np.errstate(divide="ignore", invalid="ignore"):
         logf = np.log(f[:, kept])
         err = np.abs((logf[1] - logf[2]) / (2 * FD_STEP) - f1[0, kept] / f[0, kept])
-    ok = bool(np.all(err <= derivative_tol))
+    ok = bool(np.all(err <= DERIVATIVE_TOL))
     worst_d, worst_where = 0.0, ""
     if np.any(err > 0):  # the first largest error; nan is never the worst
         j = int(np.argmax(np.where(err > 0, err, 0.0)))
         worst_d, worst_where = float(err[j]), f"nu={nu[kept[j]]:.6g}, xi={xi[kept[j]]:.6g}"
     checks.append(
         AssumptionCheck(
-            "differentiability", ok, worst_d, worst_where or "n/a", derivative_tol
+            "differentiability", ok, worst_d, worst_where or "n/a", DERIVATIVE_TOL
         )
     )
 
     # score mean-zero and strictly positive curvature
-    checks.append(defect_check("score-mean-zero", np.abs(stats["score"]), score_tol))
+    checks.append(defect_check("score-mean-zero", np.abs(stats["score"]), SCORE_TOL))
     worst = float(stats["d2"].max())
     checks.append(
         AssumptionCheck(
@@ -964,10 +965,10 @@ def validate_probe(
     return ProbeValidationReport(tuple(checks), tuple(caveats))
 
 
-def bind_extension(probe: ProbeModel, model, spacings: float = 3.0) -> ProbeModel:
-    """Attach the constant-extension interval: hull plus a margin of grid spacings."""
+def bind_extension(probe: ProbeModel, model) -> ProbeModel:
+    """Attach the constant-extension interval: hull plus ``EXTENSION_SPACINGS`` grid spacings."""
     lo, hi = model.hull
-    return probe.with_extension(lo, hi, spacings * model.min_spacing)
+    return probe.with_extension(lo, hi, EXTENSION_SPACINGS * model.min_spacing)
 
 
 # ---------------------------------------------------------------------------

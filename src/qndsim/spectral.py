@@ -47,6 +47,9 @@ __all__ = [
 
 MAX_NODES_PER_INTERVAL = 1_000_000  # larger counts fail here, not in an allocation
 MAX_MULTIPLICITY = 1_000  # a diagonal state's factor is (N n)^2: 64 MB on two nodes here
+HERMITICITY_TOL = 1e-10  # validate_state: largest Hermiticity defect
+PSD_TOL = 1e-10  # validate_state: most negative weighted eigenvalue, negated
+TRACE_TOL = 1e-8  # validate_state: largest |trace - 1|
 
 
 class SpectralModelError(ValueError):
@@ -192,11 +195,9 @@ class SpectralModel:
         return None
 
     def interval_node_range(self, j: int) -> slice:
-        """Slice of grid indices belonging to interval ``j``."""
+        """Slice of grid indices belonging to interval ``j`` (no atom lies in it)."""
         a, b = self.intervals[j]
-        mask = (~self.is_atom) & (self.nodes >= a) & (self.nodes <= b)
-        idx = np.nonzero(mask)[0]
-        return slice(int(idx[0]), int(idx[-1]) + 1)
+        return slice(int(np.searchsorted(self.nodes, a)), int(np.searchsorted(self.nodes, b, "right")))
 
     def region_mask(self, region) -> np.ndarray:
         """Boolean node mask of a region after snapping.
@@ -608,12 +609,7 @@ class StateValidationReport:
         )
 
 
-def validate_state(
-    state: StateKernel,
-    hermiticity_tol: float = 1e-10,
-    psd_tol: float = 1e-10,
-    trace_tol: float = 1e-8,
-) -> StateValidationReport:
+def validate_state(state: StateKernel) -> StateValidationReport:
     """Report Hermiticity, positivity and trace defects of a kernel.
 
     Weighted eigenvalues come from the small Gram of the factor.
@@ -626,9 +622,9 @@ def validate_state(
         hermiticity_defect=state.hermiticity_defect,
         min_weighted_eigenvalue=float(eigs.min()),
         trace_defect=abs(state.trace() - 1.0),
-        hermiticity_tol=hermiticity_tol,
-        psd_tol=psd_tol,
-        trace_tol=trace_tol,
+        hermiticity_tol=HERMITICITY_TOL,
+        psd_tol=PSD_TOL,
+        trace_tol=TRACE_TOL,
     )
 
 

@@ -121,6 +121,21 @@ def test_kernel_window_leaving_spectrum_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1 and "exits the spectrum" in err
 
 
+def test_kernel_window_where_the_state_has_no_weight_exits_two(tmp_path, capsys, recwarn):
+    # the wave function vanishes below 0.6 and the hidden value is pinned at 0.3,
+    # so the rescaled posterior kernel has zero trace on its window
+    tree = json.loads((CONFIGS / "kernel_convergence.json").read_text())
+    tree.update(
+        ensemble=2, hidden_nu=0.3, checkpoints=[1000, 10000],
+        state={"type": "pure", "psi": {"re": [0.0] * 240 + [1.0] * 160}},
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tree))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: rescaled kernel has zero trace on its window\n"
+    assert not recwarn.list
+
+
 def test_clt_ensemble_too_small_for_ks_exits_two(tmp_path, capsys):
     cfg = _interval_config(tmp_path / "cfg.json", kind="clt", k_max=10, ensemble=10)
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -291,6 +306,36 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
             "ensemble x (checkpoints + 1) x grid nodes must be at most 1e+08, got 4.8e+08",
         ),
         ({"kind": []}, "unknown experiment kind: []"),  # unhashable: no dict lookup
+        (
+            {
+                "kind": "rate-convergence",
+                "spectral": {"intervals": [[0.0, 1.0]], "h": {"table": [[0, 1, 2], [1, 1, 1]]}},
+                "state": {"type": "pure"},
+                "region": [[0.5, 1.0]],
+            },
+            "density table must be (nu, value) pairs",
+        ),
+        (
+            {"kind": "rate-convergence", "region": [[1.0, 0.6]]},
+            "empty region component (1.0, 0.6)",
+        ),
+        ({"state": {"type": "diagonal", "weights": [0.0, 0.0]}}, "node probabilities sum to zero"),
+        (  # a fractional count, not the OverflowError of an infinite one
+            {"spectral": {"intervals": [[0.0, 1.0]], "nodes_per_interval": 2.5}},
+            "nodes_per_interval must be an integer",
+        ),
+        (  # refused when the kernel windows are sized, before any is built
+            {
+                "kind": "kernel-convergence",
+                "spectral": {"intervals": [[0.0, 1.0]], "nodes_per_interval": 2},
+                "probe": {"kind": "gaussian-readout", "sigma": 1.0},
+                "state": {"type": "pure"},
+                "region": [],
+                "hidden_nu": 0.5,
+                "checkpoints": [50],
+            },
+            "interval has fewer than 3 nodes",
+        ),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -346,6 +391,11 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "interval-subnormal",
         "sums-stack-huge",
         "kind-unhashable",
+        "h-table-triples",
+        "rate-region-reversed",
+        "state-weights-zero",
+        "nodes-per-interval-fractional",
+        "kernel-interval-two-nodes",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, message):
@@ -580,6 +630,21 @@ def test_report_renders_existing_bundle(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "born-frequency: pass" in text
     assert "config hash:" in text
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--config", str(CONFIGS / "born_frequency.json")], "simulate needs --out"),
+        (["estimate", "--config", str(CONFIGS / "born_frequency.json")], "estimate needs --out"),
+        (["report"], "report needs --out"),
+    ],
+    ids=["simulate", "estimate", "report"],
+)
+def test_commands_without_out_exit_two(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
 
 
 def test_report_without_bundle_exits_two(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from qndsim import spectral
+from qndsim import probes, spectral
 from qndsim.estimators import (
     _INV_PHI,
     _INV_PHI2,
@@ -51,6 +51,7 @@ from qndsim.spectral import (
 from qndsim.trajectories import (
     Ensemble,
     _logsumexp,
+    _sums_blocks,
     definetti_sample,
     sample_ensemble,
     trajectory_rng,
@@ -970,10 +971,7 @@ def _loop_apply(first, w, values):
     return w[:, 0] * values[first] + w[:, 1] * values[first + 1] + w[:, 2] * values[first + 2]
 
 
-def _loop_zoom(state, sums, k, model, probe, estimate, window):
-    nu_hat = float(estimate)
-    fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
-    grid = _loop_window(model, nu_hat, k, fisher, *window)
+def _loop_zoom(state, sums, model, nu_hat, grid):
     sl, (a, b) = _interval_subgrid(model, nu_hat)
     first, w = _stencil(model.nodes[sl], grid.positions, (a, b))
     shift = float(sums.max())
@@ -987,8 +985,8 @@ def _loop_zoom(state, sums, k, model, probe, estimate, window):
     log_terms = sums - shift + state.log_weights[0]
     grid_norm = float(np.exp(_logsumexp(log_terms[np.isfinite(log_terms)])))
     if window_trace <= 0:
-        raise ValueError("rescaled kernel has zero trace on its window")
-    return StateKernel(None, grid, factor=(phi, d / raw_trace)), fisher, window_trace / grid_norm
+        raise WindowError("rescaled kernel has zero trace on its window")
+    return StateKernel(None, grid, factor=(phi, d / raw_trace)), window_trace / grid_norm
 
 
 def _loop_limit(model, state, nu_hat, fisher, window):
@@ -997,7 +995,7 @@ def _loop_limit(model, state, nu_hat, fisher, window):
     sl, (a, b) = _interval_subgrid(model, nu_hat)
     h_at = float(np.asarray(model.h_fn(np.asarray([nu_hat])))[0])
     if h_at <= 0:
-        raise ValueError(f"spectral density vanishes at nu={nu_hat}")
+        raise WindowError(f"spectral density vanishes at nu={nu_hat}")
     first, w = _stencil(model.nodes[sl], nu_hat, (a, b))
     psi, d = state.factor
     rows = psi[sl.start + first[0] + np.arange(3)]
@@ -1024,14 +1022,20 @@ def _loop_trace_norm(a, b):
 
 
 def _loop_kernel_distances(state, sums, cps, model, probe, estimates, window=(8.0, 201, 2.0)):
-    """Distances and window masses from the sums (E x C x N) after each of ``cps``,
-    one window at a time in (trajectory, checkpoint) order."""
-    out = np.empty((2, len(sums), len(cps)))
-    for e, row in enumerate(sums):
+    """Distances and window masses from the sums (E x C x N) after each of ``cps``:
+    every window sized first, then built one at a time, in (trajectory, checkpoint)
+    order."""
+    windows = {}  # (e, i) -> (estimate, fisher, grid)
+    for e, row in enumerate(estimates):
         for i, c in enumerate(cps):
-            zoom, fisher, mass = _loop_zoom(state, row[i], c, model, probe, estimates[e, i], window)
-            limit = _loop_limit(model, state, float(estimates[e, i]), fisher, zoom.grid)
-            out[:, e, i] = _loop_trace_norm(zoom, limit), mass
+            nu_hat = float(row[i])
+            fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
+            windows[e, i] = nu_hat, fisher, _loop_window(model, nu_hat, c, fisher, *window)
+    out = np.empty((2, len(sums), len(cps)))
+    for (e, i), (nu_hat, fisher, grid) in windows.items():
+        zoom, mass = _loop_zoom(state, sums[e, i], model, nu_hat, grid)
+        limit = _loop_limit(model, state, nu_hat, fisher, grid)
+        out[:, e, i] = _loop_trace_norm(zoom, limit), mass
     return out
 
 
@@ -1116,19 +1120,9 @@ def _first_error(fn):
     return type(info.value), str(info.value)
 
 
-@pytest.mark.parametrize(
-    "estimates, message",
-    [
-        ([[0.5, 0.5], [0.005, 0.03], [0.85, 0.85]], "exits the spectrum"),
-        ([[0.5, 0.85], [0.005, 0.03], [0.85, 0.85]], "zero trace"),
-        ([[0.25, 0.5], [0.005, 0.03], [0.85, 0.85]], "density vanishes at nu=0.25"),
-        ([[1.2, 0.5], [0.005, 0.03], [0.85, 0.85]], "no absolutely continuous neighborhood"),
-    ],
-    ids=["leaves-spectrum", "zero-trace-first", "zero-density-first", "on-an-atom"],
-)
-def test_kernel_distances_raise_the_first_error_of_the_window_loop(estimates, message):
+def _error_setup(estimates):
     # the wave function vanishes on [0.7, 1], the density at 0.25 exactly; the
-    # trajectories peak at 0.5, 0.01 and 0.85, and every case fails again later
+    # trajectories peak at 0.5, 0.01 and 0.85
     model = build_spectral_model(
         atoms=[(1.2, 0.1)], intervals=[(0.0, 1.0)], nodes_per_interval=80,
         h=lambda nu: np.where(nu == 0.25, 0.0, 1.0),
@@ -1136,14 +1130,51 @@ def test_kernel_distances_raise_the_first_error_of_the_window_loop(estimates, me
     probe = bind_extension(GaussianReadout(sigma=0.1), model)
     state = pure_state(model, np.where(model.nodes < 0.7, 1.0, 0.0))
     rng = np.random.default_rng(SEED)
-    cps, estimates = [100, 400], np.array(estimates)
+    cps = [100, 400]
     rows = [nu + 0.1 * rng.standard_normal(400) for nu in (0.5, 0.01, 0.85)]
-    trajs = _manual_ensemble(probe, model, rows, cps)
+    return state, _manual_ensemble(probe, model, rows, cps), cps, model, probe, np.array(estimates)
+
+
+@pytest.mark.parametrize(
+    "estimates, message",
+    [
+        ([[0.5, 0.5], [0.005, 0.03], [0.85, 0.85]], "exits the spectrum"),
+        # a window that cannot be sized wins over an earlier zero trace or density
+        ([[0.5, 0.85], [0.005, 0.03], [0.85, 0.85]], "exits the spectrum at k=100"),
+        ([[0.25, 0.5], [0.005, 0.03], [0.85, 0.85]], "exits the spectrum at k=100"),
+        ([[1.2, 0.5], [0.005, 0.03], [0.85, 0.85]], "no absolutely continuous neighborhood"),
+        # every window sizable: the first zero trace or zero density raises
+        ([[0.5, 0.85], [0.5, 0.5], [0.85, 0.85]], "rescaled kernel has zero trace on its window"),
+        ([[0.25, 0.5], [0.5, 0.5], [0.85, 0.85]], "spectral density vanishes at nu=0.25"),
+    ],
+    ids=[
+        "leaves-spectrum", "zero-trace-first", "zero-density-first", "on-an-atom",
+        "zero-trace", "zero-density",
+    ],
+)
+def test_kernel_distances_raise_the_first_error_of_the_window_loop(estimates, message):
+    # every case fails again later
+    state, trajs, cps, model, probe, estimates = _error_setup(estimates)
     got = _first_error(lambda: _stacked(state, trajs, cps, model, probe, estimates))
-    assert message in got[1]
+    assert got[0] is WindowError and message in got[1]
+    if message.startswith(("rescaled", "spectral")):
+        assert got[1] == message
     assert got == _first_error(
         lambda: _loop_kernel_distances(state, trajs.sums_after(cps), cps, model, probe, estimates)
     )
+
+
+@pytest.mark.parametrize("cells", [4, 10**9], ids=["a-trajectory-a-block", "one-block"])
+def test_kernel_distances_raise_the_same_error_whatever_the_row_blocks(cells, monkeypatch):
+    # trajectory 0 has a zero-trace window, trajectory 2 one that cannot be sized
+    state, trajs, cps, model, probe, estimates = _error_setup(
+        [[0.5, 0.85], [0.5, 0.5], [0.005, 0.5]]
+    )
+    monkeypatch.setattr(probes, "BLOCK_CELLS", cells)
+    row_cells = len(cps) * 201  # a row's zoom factors, as kernel_distances stacks them
+    assert len(list(_sums_blocks(trajs, cps, row_cells))) == {4: 3, 10**9: 1}[cells]
+    with pytest.raises(WindowError, match="exits the spectrum at k=100"):
+        _stacked(state, trajs, cps, model, probe, estimates)
 
 
 def test_kernel_run_takes_one_qr_for_the_whole_stack(monkeypatch):

@@ -91,6 +91,19 @@ def test_probability_additive_over_disjoint_regions():
     assert abs(sum(parts) - total) < 1e-10
 
 
+def test_interval_node_range_holds_exactly_the_interval_nodes():
+    # atoms just outside each end of both intervals
+    m = build_spectral_model(
+        atoms=[(-0.5, 0.1), (1.0 + 1e-9, 0.1), (1.5, 0.1), (2.6, 0.1)],
+        intervals=[(0.0, 1.0), (2.0, 2.5)],
+        nodes_per_interval=5,
+    )
+    for j, (a, b) in enumerate(m.intervals):
+        inside = np.flatnonzero(~m.is_atom & (m.nodes >= a) & (m.nodes <= b))
+        sl = m.interval_node_range(j)
+        assert (sl.start, sl.stop) == (inside[0], inside[-1] + 1) and sl.stop - sl.start == 5
+
+
 def test_point_region_in_interval_selects_cell():
     m = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=10)
     state = diagonal_state(m, np.full(10, 0.1))

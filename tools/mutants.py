@@ -87,6 +87,38 @@ MUTANTS = {
         "posterior_means(run.state, ensemble[:100], config.k_max)",
         "posterior_means(run.state, ensemble, config.k_max)",
     ),
+    # windows sized block by block: an earlier block's zero trace wins over a later
+    # block's window that cannot be sized, so the error depends on BLOCK_CELLS
+    "sizing-inside-row-blocks": (
+        "estimators.py",
+        "    halves, subgrids = _window_sizes(model, nus, all_ks, fisher, window_sigmas, min_sigmas)\n"
+        "    out = np.empty((2,) + estimates.shape)  # distances, window masses\n"
+        "    row_cells = ks.size * window_nodes * psi[0].size  # a row's zoom factors\n"
+        "    for block, sums in _sums_blocks(ensemble, ks, row_cells):\n"
+        "        w = slice(block.start * ks.size, block.stop * ks.size)  # the block's windows\n",
+        "    out = np.empty((2,) + estimates.shape)  # distances, window masses\n"
+        "    row_cells = ks.size * window_nodes * psi[0].size  # a row's zoom factors\n"
+        "    for block, sums in _sums_blocks(ensemble, ks, row_cells):\n"
+        "        w = slice(block.start * ks.size, block.stop * ks.size)  # the block's windows\n"
+        "        halves, subgrids = _window_sizes(\n"
+        "            model, nus[: w.stop], all_ks[: w.stop], fisher[: w.stop],\n"
+        "            window_sigmas, min_sigmas,\n"
+        "        )\n",
+    ),
+    # a zero-trace window must exit 2 with one line, not a traceback
+    "zero-trace-value-error": (
+        "estimators.py",
+        "            if trace[i] <= 0:\n"
+        '                raise WindowError("rescaled kernel has zero trace on its window")',
+        "            if trace[i] <= 0:\n"
+        '                raise ValueError("rescaled kernel has zero trace on its window")',
+    ),
+    # an interval's slice must stop at its last node, not take the atom after it
+    "interval-range-off-by-one": (
+        "spectral.py",
+        'int(np.searchsorted(self.nodes, b, "right")))',
+        'int(np.searchsorted(self.nodes, b, "right")) + 1)',
+    ),
 }
 
 EQUIVALENT = {
