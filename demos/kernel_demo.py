@@ -26,7 +26,7 @@ SEED = 17
 
 def main():
     model = q.build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=400)
-    probe = q.bind_extension(q.GaussianReadout(sigma=1.0), model)
+    probe = q.GaussianReadout(sigma=1.0)
     # a visibly non-flat pure state: its local variation is what the zoom
     # window still sees at finite k
     state = q.pure_state(model, lambda nu: np.exp(0.5 * nu))

@@ -27,7 +27,7 @@ SEED = 7
 
 def main():
     model = q.build_spectral_model(atoms=[(0.0, 0.3), (1.0, 0.7)])
-    probe = q.bind_extension(q.BinaryPhase.embedded(0.0, 1.0), model)
+    probe = q.BinaryPhase.embedded(0.0, 1.0)
     state = q.diagonal_state(model, np.array([0.3, 0.7]))
 
     steps = [0, 1, 2, 5, 10, 20, 50, 100, 200]

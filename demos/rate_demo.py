@@ -24,7 +24,7 @@ SEED = 11
 
 def main():
     model = q.build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=400)
-    probe = q.bind_extension(q.GaussianReadout(sigma=1.0), model)
+    probe = q.GaussianReadout(sigma=1.0)
     state = q.pure_state(model, lambda nu: np.ones_like(nu))
     region = [(0.6, 1.0)]
     checkpoints = [10, 30, 100, 300, 1000, 3000, 10000]

@@ -29,12 +29,10 @@ from .probes import (
     BinaryPhase,
     GaussianReadout,
     ProbeError,
-    ProbeExtension,
     ProbeModel,
     ProbeValidationReport,
     TabulatedProbe,
     ZeroDensityError,
-    bind_extension,
     probe_from_config,
     relative_entropy,
     validate_probe,

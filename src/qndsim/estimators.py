@@ -184,8 +184,7 @@ def mle_table(
     (tolerance 1e-8 of the hull width) on the exact log-likelihood of the
     first k outcomes, all searches in one lock-step loop on the batched
     ``probe.loglik_objective`` (O(1) per step for finite outcome spaces and
-    the Gaussian readout off its blend zone, O(k) otherwise).  Estimates
-    never leave the spectrum.
+    the Gaussian readout, O(k) otherwise).  Estimates never leave the spectrum.
     """
     table = np.empty((len(ensemble), len(checkpoints)))
     brackets, prefixes = [], []  # (row, column, lo, hi) of each search, its outcomes

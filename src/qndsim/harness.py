@@ -36,12 +36,7 @@ import numpy as np
 import numpy.ma  # np.median imports it on its first call, which would fall inside a run
 
 from . import estimators as est
-from .probes import (
-    ProbeModel,
-    bind_extension,
-    probe_from_config,
-    validate_probe,
-)
+from .probes import ProbeModel, probe_from_config, validate_probe
 from .spectral import (
     SpectralModel,
     StateKernel,
@@ -295,7 +290,8 @@ def build_probe(config: ExperimentConfig, model: SpectralModel) -> ProbeModel:
         probe = probe_from_config(config.probe)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad probe declaration: {exc}") from exc
-    return bind_extension(probe, model)
+    probe._quadrature(np.array(model.hull))  # the outcome rule of the laws on the hull must fit
+    return probe
 
 
 @functools.lru_cache(maxsize=8)
@@ -309,7 +305,9 @@ def _build_cached(config_json: str) -> tuple[SpectralModel, StateKernel, ProbeMo
                           f"{MAX_SUM_CELLS:.0e}, got {cells:.3g}")
     state = build_state(model, config.state)
     probe = build_probe(config, model)
-    # a region the run cannot use fails here, before validation and sampling
+    # a hidden value or region the run cannot use fails here, before validation and sampling
+    if config.hidden_nu is not None:
+        model.region_mask([config.hidden_nu])
     if config.kind == "born-frequency":
         model.region_mask(config.region)
     elif config.kind == "rate-convergence":

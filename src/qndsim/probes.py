@@ -17,28 +17,25 @@ Two built-in families are provided:
   inside (0, pi).  This mirrors dispersive photon-number probes of a cavity
   mode.
 
-Outside a compact interval, densities are continued to a constant by a C^2
-blend (quintic smoothstep over a declared margin), which keeps the second
-log-derivative bounded globally while leaving the family untouched on the
-spectrum itself.
+The jump operators are functions of the observable, so a law ``f(. | nu)`` is
+only ever needed for ``nu`` on its spectrum; the harness refuses a pinned
+hidden value off it.
 
 Every expectation over outcomes (normalization, mean score, Fisher
 information, relative entropy and the validator's checks) uses one rule per
 probe, ``ProbeModel._quadrature``: exact sums on finite outcome spaces, and
 otherwise 32 Gauss-Legendre points on each panel the family places.  The
 Gaussian family cuts its window of radius 8 sigma around the laws into panels
-no wider than sigma / 2, at most ``MAX_RULE_PANELS`` of them (binding a probe
-to a spectrum whose rule would need more raises ``ProbeError``); a continuous
-tabulated family puts one panel on each cell of its ``xi_grid``, so no kink
-of the linear interpolation falls inside a panel.  Outcome x node products are evaluated in blocks of at most
-``BLOCK_CELLS`` cells.  On the spectrum hull the Gaussian log-likelihood sums,
-MLE objective, relative entropy and Fisher information have closed forms; the
-generic paths run only when the blend margin is reached.
+no wider than sigma / 2, at most ``MAX_RULE_PANELS`` of them (a rule that
+would need more raises ``ProbeError``); a continuous tabulated family puts
+one panel on each cell of its ``xi_grid``, so no kink of the linear
+interpolation falls inside a panel.  Outcome x node products are evaluated in
+blocks of at most ``BLOCK_CELLS`` cells.  The Gaussian log-likelihood sums,
+MLE objective, relative entropy and Fisher information have closed forms.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Sequence
@@ -51,7 +48,6 @@ __all__ = [
     "ProbeModel",
     "ProbeError",
     "ZeroDensityError",
-    "ProbeExtension",
     "GaussianReadout",
     "BinaryPhase",
     "TabulatedProbe",
@@ -59,7 +55,6 @@ __all__ = [
     "ProbeValidationReport",
     "relative_entropy",
     "validate_probe",
-    "bind_extension",
     "probe_from_config",
 ]
 
@@ -75,7 +70,6 @@ NORMALIZATION_TOL = 1e-8         # validate_probe: largest |integral of f(.|nu) 
 IDENTIFIABILITY_THRESHOLD = 1e-6  # validate_probe: smallest L1 distance between two laws
 DERIVATIVE_TOL = 1e-6            # validate_probe: analytic vs central-difference score
 SCORE_TOL = 1e-6                 # validate_probe: largest |mean score|
-EXTENSION_SPACINGS = 3.0         # bind_extension: hull margin, in grid spacings
 
 class ProbeError(ValueError):
     """Raised for invalid probe construction or use."""
@@ -83,47 +77,6 @@ class ProbeError(ValueError):
 
 class ZeroDensityError(ProbeError):
     """Raised when a density vanishes where positivity is assumed."""
-
-
-@dataclass(frozen=True)
-class ProbeExtension:
-    """Compact interval [lo, hi] outside which f blends to the constant 1.
-
-    The blend is complete a distance ``margin`` beyond the interval; the
-    quintic smoothstep used is twice continuously differentiable.
-    """
-
-    lo: float
-    hi: float
-    margin: float
-
-    def __post_init__(self):
-        if not np.finfo(float).tiny <= self.margin * self.margin < np.inf:  # blend divides by it
-            raise ProbeError(f"the blend margin {self.margin!r} must have a positive normal square")
-
-    def contains(self, nu) -> np.ndarray:
-        nu = np.asarray(nu, dtype=float)
-        return (nu >= self.lo - self.margin) & (nu <= self.hi + self.margin)
-
-    def covers(self, nu) -> bool:
-        """True when every nu lies in [lo, hi], where the blend is the identity."""
-        nu = np.asarray(nu, dtype=float)
-        return bool(np.all((nu >= self.lo) & (nu <= self.hi)))
-
-    def blend(self, nu):
-        """Bump b(nu) with derivatives: 1 on [lo, hi], 0 beyond the margin."""
-        nu = np.asarray(nu, dtype=float)
-        t_hi = np.clip((nu - self.hi) / self.margin, 0.0, 1.0)
-        t_lo = np.clip((self.lo - nu) / self.margin, 0.0, 1.0)
-        t = np.maximum(t_hi, t_lo)
-        sign = np.where(t_lo > 0, 1.0, -1.0)  # sign of db/dnu per side
-        s = t**3 * (6.0 * t**2 - 15.0 * t + 10.0)
-        s1 = 30.0 * t**2 * (t - 1.0) ** 2
-        s2 = 60.0 * t * (t - 1.0) * (2.0 * t - 1.0)
-        b = 1.0 - s
-        b1 = sign * s1 / self.margin
-        b2 = -s2 / self.margin**2
-        return b, b1, b2
 
 
 def _blocks(n: int, width: int, share: int = 1) -> list[slice]:
@@ -177,59 +130,36 @@ def _row_stats(prefixes: Sequence[np.ndarray], stat, width: int) -> np.ndarray:
 
 
 class ProbeModel:
-    """Base class wiring raw density families to the common contract.
+    """Base class wiring density families to the common contract.
 
-    Subclasses provide ``_raw_density``, ``_raw_density_derivs``,
-    ``_raw_sample`` and, for continuous outcomes, ``_xi_panels``; the base
-    class layers the constant-extension blend, log-likelihood plumbing and
-    outcome-space expectations on top.
+    Subclasses provide ``density``, ``sample`` and, for continuous outcomes,
+    ``_xi_panels``, and may provide ``density_derivs``; the base class layers
+    log-likelihood plumbing and outcome-space expectations on top.
     """
 
-    extension: ProbeExtension | None
     outcomes: tuple[float, ...] | None  # values of a finite outcome space; None on the real line
 
-    # -- raw family hooks ---------------------------------------------------
+    # -- family hooks ---------------------------------------------------------
 
-    def _raw_density(self, xi, nu) -> np.ndarray:
+    def density(self, xi, nu) -> np.ndarray:
         raise NotImplementedError
 
-    def _raw_density_derivs(self, xi, nu):
-        """Default: central differences of the raw density (declared step)."""
+    def density_derivs(self, xi, nu):
+        """(f, df/dnu, d2f/dnu2); by default central differences (declared step)."""
         xi = np.asarray(xi, dtype=float)
         nu = np.asarray(nu, dtype=float)
         e = FD_STEP
-        f = self._raw_density(xi, nu)
-        fp = self._raw_density(xi, nu + e)
-        fm = self._raw_density(xi, nu - e)
+        f = self.density(xi, nu)
+        fp = self.density(xi, nu + e)
+        fm = self.density(xi, nu - e)
         return f, (fp - fm) / (2.0 * e), (fp - 2.0 * f + fm) / e**2
 
-    def _raw_sample(self, nu: float, size: int, rng) -> np.ndarray:
+    def sample(self, nu: float, size: int, rng) -> np.ndarray:
         raise NotImplementedError
 
     def _xi_panels(self, nus: np.ndarray) -> np.ndarray:
         """Panel edges of the outcome rule covering the laws at ``nus``."""
         raise NotImplementedError
-
-    # -- densities with the extension blend ---------------------------------
-
-    def density(self, xi, nu) -> np.ndarray:
-        f = self._raw_density(xi, nu)
-        if self.extension is None or self.extension.covers(nu):
-            return f
-        b, _, _ = self.extension.blend(nu)
-        # b*f + (1-b) is the same convex blend as 1 + b*(f-1) without the
-        # catastrophic cancellation that kills tiny densities at b == 1
-        return b * f + (1.0 - b)
-
-    def density_derivs(self, xi, nu):
-        f, f1, f2 = self._raw_density_derivs(xi, nu)
-        if self.extension is None or self.extension.covers(nu):
-            return f, f1, f2
-        b, b1, b2 = self.extension.blend(nu)
-        g = b * f + (1.0 - b)
-        g1 = b1 * (f - 1.0) + b * f1
-        g2 = b2 * (f - 1.0) + 2.0 * b1 * f1 + b * f2
-        return g, g1, g2
 
     def amplitude(self, xi, nu) -> np.ndarray:
         """Jump amplitude: the nonnegative square root of the density."""
@@ -298,15 +228,6 @@ class ProbeModel:
 
         return objective
 
-    # -- sampling ------------------------------------------------------------
-
-    def sample(self, nu: float, size: int, rng) -> np.ndarray:
-        if self.extension is not None and not bool(self.extension.contains(nu)):
-            raise ProbeError(
-                f"nu={nu} lies outside the extension interval of this probe"
-            )
-        return self._raw_sample(float(nu), int(size), rng)
-
     # -- expectations over outcomes -------------------------------------------
 
     def _quadrature(self, nus: np.ndarray):
@@ -363,13 +284,6 @@ class ProbeModel:
         base = float(np.dot(wq, f_nu * log_f_nu))
         return float(base - self.expected_loglik(nu, nodes).max())
 
-    # -- misc ------------------------------------------------------------------
-
-    def with_extension(self, lo: float, hi: float, margin: float) -> "ProbeModel":
-        return dataclasses.replace(
-            self, extension=ProbeExtension(float(lo), float(hi), float(margin))
-        )
-
 
 # ---------------------------------------------------------------------------
 # built-in families
@@ -379,39 +293,33 @@ class GaussianReadout(ProbeModel):
     """Gaussian readout of the observable: xi ~ Normal(nu, sigma^2)."""
 
     sigma: float = 1.0
-    extension: ProbeExtension | None = None
     outcomes = None
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ProbeError(f"sigma must be finite and positive, got {self.sigma!r}")
-        if self.extension is not None:  # the rule of the laws on [lo, hi] must fit
-            self._xi_panels(np.array([self.extension.lo, self.extension.hi]))
 
-    def _raw_density(self, xi, nu):
+    def density(self, xi, nu):
         z = (np.asarray(xi, dtype=float) - np.asarray(nu, dtype=float)) / self.sigma
         return np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * self.sigma)
 
-    def _raw_density_derivs(self, xi, nu):
-        f = self._raw_density(xi, nu)
+    def density_derivs(self, xi, nu):
+        f = self.density(xi, nu)
         u = (np.asarray(xi, dtype=float) - np.asarray(nu, dtype=float)) / self.sigma**2
         return f, f * u, f * (u * u - 1.0 / self.sigma**2)
 
     def loglik_values(self, nodes, outcomes):
-        nodes = np.asarray(nodes, dtype=float)
-        if self.extension is not None and not self.extension.covers(nodes):
-            return super().loglik_values(nodes, outcomes)  # blend zone reached
-        d = np.asarray(outcomes, dtype=float)[:, None] - nodes[None, :]
+        d = np.asarray(outcomes, dtype=float)[:, None] - np.asarray(nodes, dtype=float)[None, :]
         return -0.5 * (d / self.sigma) ** 2 - np.log(np.sqrt(2.0 * np.pi) * self.sigma)
 
     def loglik_node_sums(self, nodes, outcomes):
-        """Sums from centred outcome statistics off the blend zone: with m the mean
-        and r = xi - m, sum (xi - nu)^2 = sum r^2 + (m - nu)(2 sum r + k (m - nu)),
-        for the rows of a 2-D block in blocks of at most BLOCK_CELLS // 4 cells."""
+        """Sums from centred outcome statistics: with m the mean and r = xi - m,
+        sum (xi - nu)^2 = sum r^2 + (m - nu)(2 sum r + k (m - nu)), for the rows
+        of a 2-D block in blocks of at most BLOCK_CELLS // 4 cells."""
         nodes = np.asarray(nodes, dtype=float)
         xi = np.asarray(outcomes, dtype=float)
-        if xi.size == 0 or (self.extension is not None and not self.extension.covers(nodes)):
-            return super().loglik_node_sums(nodes, xi)  # blend zone reached
+        if xi.size == 0:
+            return super().loglik_node_sums(nodes, xi)
         rows, k = np.atleast_2d(xi), xi.shape[-1]
         total = np.empty((rows.shape[0], nodes.size))
         norm = k * np.log(np.sqrt(2.0 * np.pi) * self.sigma)
@@ -422,18 +330,16 @@ class GaussianReadout(ProbeModel):
         return total if xi.ndim == 2 else total[0]
 
     def loglik_objective(self, prefixes, lo, hi):
-        """Off the blend zone, each bracket's log-likelihood ratio against its
-        sample mean m, ``-d (2 sum r + k d) / 2 sigma^2`` with ``d = m - nu``, O(1).
+        """Each bracket's log-likelihood ratio against its sample mean m,
+        ``-d (2 sum r + k d) / 2 sigma^2`` with ``d = m - nu``, O(1).
 
         The nu-free ``sum r^2`` and ``k log(sqrt(2 pi) sigma)`` are left out:
         near the optimum values about 1e-12 apart are compared, and terms of
-        size 1e4 would round the differences away.  A bracket that meets the
-        blend zone (or holds no outcomes) takes the generic sum for its whole
-        search, so no two values with different offsets are ever compared.
+        size 1e4 would round the differences away.  A bracket that holds no
+        outcomes takes the generic sum for its whole search, so no two values
+        with different offsets are ever compared.
         """
         fast = np.array([xi.size > 0 for xi in prefixes])
-        if self.extension is not None:  # extension.covers([lo, hi]) per bracket, lo <= hi
-            fast &= (lo >= self.extension.lo) & (hi <= self.extension.hi)
         stats = np.zeros((len(prefixes), 3))  # (m, sum r, k) per bracket
         stats[fast] = _row_stats([xi for xi, f in zip(prefixes, fast) if f], lambda rows: (
             np.column_stack([*_centred_sums(rows)[:2], np.full(rows.shape[0], rows.shape[1])])
@@ -451,20 +357,15 @@ class GaussianReadout(ProbeModel):
         return objective
 
     def fisher(self, nus):
-        """Closed form 1 / sigma^2 off the blend zone."""
-        nus = np.atleast_1d(np.asarray(nus, dtype=float))
-        if self.extension is not None and not self.extension.covers(nus):
-            return super().fisher(nus)  # blend zone reached
-        return np.full(nus.size, 1.0 / self.sigma**2)
+        """Closed form 1 / sigma^2."""
+        return np.full(np.size(nus), 1.0 / self.sigma**2)
 
     def relative_entropy(self, nu, nodes):
-        """Closed form min (nu - node)^2 / 2 sigma^2 off the blend zone."""
+        """Closed form min (nu - node)^2 / 2 sigma^2."""
         nodes = np.asarray(nodes, dtype=float)
-        if self.extension is not None and not self.extension.covers(np.append(nodes, nu)):
-            return super().relative_entropy(nu, nodes)  # blend zone reached
         return float(0.5 * (np.abs(nodes - nu).min() / self.sigma) ** 2)
 
-    def _raw_sample(self, nu, size, rng):
+    def sample(self, nu, size, rng):
         return nu + self.sigma * rng.standard_normal(size)
 
     def _xi_panels(self, nus):
@@ -493,7 +394,6 @@ class BinaryPhase(ProbeModel):
 
     offset: float = 0.0
     slope: float = 1.0
-    extension: ProbeExtension | None = None
     outcomes = (0.0, 1.0)
 
     def __post_init__(self):
@@ -522,12 +422,12 @@ class BinaryPhase(ProbeModel):
     def _phase(self, nu):
         return self.offset + self.slope * np.asarray(nu, dtype=float)
 
-    def _raw_density(self, xi, nu):
+    def density(self, xi, nu):
         phi = self._phase(nu)
         f0 = np.cos(0.5 * phi) ** 2
         return np.where(np.asarray(xi, dtype=float) < 0.5, f0, 1.0 - f0)
 
-    def _raw_density_derivs(self, xi, nu):
+    def density_derivs(self, xi, nu):
         phi = self._phase(nu)
         is0 = np.asarray(xi, dtype=float) < 0.5
         f0 = np.cos(0.5 * phi) ** 2
@@ -539,7 +439,7 @@ class BinaryPhase(ProbeModel):
             np.where(is0, dd0, -dd0),
         )
 
-    def _raw_sample(self, nu, size, rng):
+    def sample(self, nu, size, rng):
         p1 = float(np.sin(0.5 * self._phase(nu)) ** 2)
         return (rng.random(size) < p1).astype(float)
 
@@ -560,7 +460,6 @@ class TabulatedProbe(ProbeModel):
     values: tuple = ()
     outcomes: tuple[float, ...] | None = None
     xi_grid: tuple[float, ...] | None = None
-    extension: ProbeExtension | None = None
 
     def __post_init__(self):
         if np.iscomplexobj(np.asarray(self.values)):
@@ -614,12 +513,12 @@ class TabulatedProbe(ProbeModel):
         t = np.clip((xi - grid[q]) / (grid[q + 1] - grid[q]), 0.0, 1.0)
         return (1.0 - t) * self._rows_at(nu, q) + t * self._rows_at(nu, q + 1)
 
-    def _raw_density(self, xi, nu):
+    def density(self, xi, nu):
         xi = np.asarray(xi, dtype=float)
         nu = np.asarray(nu, dtype=float)
         return np.clip(self._value_at(xi, nu), 0.0, None)
 
-    def _raw_sample(self, nu, size, rng):
+    def sample(self, nu, size, rng):
         if self.outcomes is not None:
             probs = np.clip(self._rows_at(np.float64(nu)), 0.0, None)
             probs = probs / probs.sum()
@@ -637,7 +536,7 @@ class TabulatedProbe(ProbeModel):
             m = 2 * (size - filled) + 16
             cells = np.searchsorted(cdf, rng.random(m))
             xi = grid[cells] + rng.random(m) * np.diff(grid)[cells]
-            accept = rng.random(m) * env[cells] <= self._raw_density(xi, np.float64(nu))
+            accept = rng.random(m) * env[cells] <= self.density(xi, np.float64(nu))
             take = xi[accept][: size - filled]
             out[filled : filled + take.size] = take
             filled += take.size
@@ -963,12 +862,6 @@ def validate_probe(
     )
 
     return ProbeValidationReport(tuple(checks), tuple(caveats))
-
-
-def bind_extension(probe: ProbeModel, model) -> ProbeModel:
-    """Attach the constant-extension interval: hull plus ``EXTENSION_SPACINGS`` grid spacings."""
-    lo, hi = model.hull
-    return probe.with_extension(lo, hi, EXTENSION_SPACINGS * model.min_spacing)
 
 
 # ---------------------------------------------------------------------------

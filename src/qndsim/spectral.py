@@ -177,16 +177,6 @@ class SpectralModel:
         hi = max([a for a, _ in self.atoms] + [b for _, b in self.intervals])
         return lo, hi
 
-    @property
-    def min_spacing(self) -> float:
-        """Smallest interval cell width; hull width if there are no intervals."""
-        if self.intervals:
-            return min(
-                (b - a) / self.nodes_per_interval for a, b in self.intervals
-            )
-        lo, hi = self.hull
-        return max(hi - lo, 1.0)
-
     def interval_index(self, nu: float) -> int | None:
         """Index of the interval containing ``nu``, or None."""
         for j, (a, b) in enumerate(self.intervals):
@@ -317,6 +307,11 @@ def build_spectral_model(
             raise SpectralModelError(f"interval [{a}, {b}] overflows float64 in its cells")
         if b <= a:
             raise SpectralModelError(f"degenerate interval [{a}, {b}]")
+        dx = (b - a) / nodes_per_interval
+        if not dx >= np.finfo(float).tiny:
+            raise SpectralModelError(
+                f"the cells of [{a}, {b}] are {dx:.3g} wide, not a positive normal float"
+            )
     for (a0, b0), (a1, b1) in zip(intervals, intervals[1:]):
         if a1 <= b0:
             raise SpectralModelError(

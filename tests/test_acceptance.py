@@ -126,7 +126,6 @@ def test_criterion_4_fisher_identity():
         (q.GaussianReadout(sigma=0.5), gauss_model, 4.0),
         (q.BinaryPhase(), binary_model, 1.0),
     ):
-        probe = q.bind_extension(probe, model)
         fisher = probe.fisher(model.nodes)
         mean_d2 = probe.mean_d2_loglik(model.nodes)
         worst_identity = max(worst_identity, float(np.max(np.abs(mean_d2 + fisher))))
@@ -178,7 +177,7 @@ def test_criterion_5_gaussian_kernel_convergence():
 def test_criterion_6_sampler_equivalence():
     start = time.perf_counter()
     model = q.build_spectral_model(atoms=[(0.0, 0.5), (1.0, 0.5)])
-    probe = q.bind_extension(q.BinaryPhase.embedded(0.0, 1.0), model)
+    probe = q.BinaryPhase.embedded(0.0, 1.0)
     state = q.diagonal_state(model, np.array([0.5, 0.5]))
 
     mixture = exact_tuple_distribution(state, probe, 3, "de-finetti")
@@ -205,7 +204,7 @@ def test_criterion_6_sampler_equivalence():
 def test_criterion_7_invariant_suites(tmp_path):
     start = time.perf_counter()
     model = q.build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=60)
-    probe = q.bind_extension(q.GaussianReadout(sigma=1.0), model)
+    probe = q.GaussianReadout(sigma=1.0)
     state = q.pure_state(model, lambda nu: np.ones_like(nu))
     rng = np.random.default_rng(SEED)
 

@@ -292,7 +292,7 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
                 "state": {"type": "pure"},
                 "region": [[0.5, 1.0]],
             },
-            "must have a positive normal square",
+            "the cells of [0.0, 1e-308] are 1.56e-310 wide, not a positive normal float",
         ),
         (  # 1e8 outcomes pass MAX_OUTCOMES; the (2e5, 6, 400) sums stack would take 3.6 GiB
             {
@@ -335,6 +335,18 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
                 "checkpoints": [50],
             },
             "interval has fewer than 3 nodes",
+        ),
+        (
+            {"spectral": {"intervals": [[0.0, 1.0]]}, "state": {"type": "pure"}, "hidden_nu": 1.5},
+            "point 1.5 lies outside the spectrum",
+        ),
+        (  # inside the hull, in the gap between the two intervals
+            {
+                "spectral": {"intervals": [[0.0, 0.4], [0.6, 1.0]]},
+                "state": {"type": "pure"},
+                "hidden_nu": 0.5,
+            },
+            "point 0.5 lies outside the spectrum",
         ),
     ],
     ids=[
@@ -396,6 +408,8 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "state-weights-zero",
         "nodes-per-interval-fractional",
         "kernel-interval-two-nodes",
+        "hidden-nu-outside-hull",
+        "hidden-nu-in-gap",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, message):
@@ -459,14 +473,23 @@ def _rate_sums_stack_too_large(path: Path) -> Path:
     return path
 
 
-@pytest.mark.parametrize("command", ["validate", "verify"])
+@pytest.mark.parametrize("command", ["validate", "simulate", "verify"])
 @pytest.mark.parametrize(
     "write, message",
     [
         (lambda path: _write_config(path, region=[0.5]), "point 0.5 lies outside the spectrum"),
         (_rate_sums_stack_too_large, "ensemble x (checkpoints + 1) x grid nodes must be at most"),
+        (
+            lambda path: _write_config(
+                path,
+                spectral={"intervals": [[0.0, 1.0]]},
+                state={"type": "pure"},
+                hidden_nu=1.5,
+            ),
+            "point 1.5 lies outside the spectrum",
+        ),
     ],
-    ids=["born-point-off-spectrum", "rate-sums-stack-huge"],
+    ids=["born-point-off-spectrum", "rate-sums-stack-huge", "hidden-nu-outside-hull"],
 )
 def test_validate_refuses_what_verify_refuses(
     tmp_path, capsys, monkeypatch, command, write, message

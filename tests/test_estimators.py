@@ -40,7 +40,6 @@ from qndsim.probes import (
     ProbeError,
     TabulatedProbe,
     _centred_sums,
-    bind_extension,
 )
 from qndsim.spectral import (
     StateKernel,
@@ -63,7 +62,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def _gaussian_setup(n=100, sigma=1.0, psi=None):
     model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=n)
-    probe = bind_extension(GaussianReadout(sigma=sigma), model)
+    probe = GaussianReadout(sigma=sigma)
     state = pure_state(model, psi or (lambda nu: np.ones_like(nu)))
     return model, probe, state
 
@@ -94,7 +93,7 @@ def test_mle_clamps_to_spectrum_boundary():
 
 def test_mle_tie_breaks_to_smallest_node():
     model = build_spectral_model(atoms=[(0.0, 0.5), (1.0, 0.5)])
-    probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
+    probe = BinaryPhase.embedded(0.0, 1.0)
     traj = Ensemble(np.empty((1, 0)), np.full((1, 1, 2), -1.0), (), None)
     assert mle(traj, 0, model, probe) == 0.0
 
@@ -113,7 +112,7 @@ def test_binary_mle_table_is_the_closed_form_maximum_for_every_count(k):
     # c ones in k draws: sin^2(phi / 2) = c / k maximizes the likelihood, and the
     # phase is increasing on [0, 1], so the estimate is the clipped inversion
     model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=200)
-    probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
+    probe = BinaryPhase.embedded(0.0, 1.0)
     counts = np.arange(k + 1)
     outcomes = (np.arange(k)[None, :] < counts[:, None]).astype(float)
     half = 0.5 * (probe.offset + probe.slope * model.nodes)
@@ -173,11 +172,8 @@ def _per_outcome_objective(probe, outcomes, lo, hi):
 
 def _scalar_objective(probe, outcomes, lo, hi):
     """The per-estimate closure of each family: the Gaussian ratio against the
-    sample mean when the extension covers [lo, hi], the reference otherwise."""
-    ext = probe.extension
-    if not isinstance(probe, GaussianReadout) or outcomes.size == 0 or (
-        ext is not None and not ext.covers([lo, hi])
-    ):
+    sample mean, the reference otherwise (and for a bracket without outcomes)."""
+    if not isinstance(probe, GaussianReadout) or outcomes.size == 0:
         return _per_outcome_objective(probe, outcomes, lo, hi)
     m, sum_r, _ = _centred_sums(outcomes)
     k, two_var = outcomes.size, 2.0 * probe.sigma**2
@@ -227,7 +223,7 @@ def _tabulated_probes():
 def test_refined_mle_equals_the_per_outcome_objective_bitwise(name):
     model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=40)
     families = {"binary": BinaryPhase.embedded(0.0, 1.0), **_tabulated_probes()}
-    probe = bind_extension(families[name], model)
+    probe = families[name]
     state = pure_state(model, lambda nu: np.ones_like(nu))
     trajs = [
         definetti_sample(state, probe, 300, trajectory_rng(SEED, i), checkpoints=[30])
@@ -250,19 +246,6 @@ def test_refined_gaussian_mle_reads_no_outcome_under_a_covering_extension(monkey
 
     monkeypatch.setattr(GaussianReadout, "loglik_values", refuse)
     assert mle(traj, 1000, model, probe) == pytest.approx(0.4, abs=1e-8)
-
-
-def test_gaussian_mle_across_the_blend_edge_uses_the_per_outcome_sum():
-    # the extension covers [0.2, 0.8] of the spectrum [0, 1]: the bracket of a
-    # grid maximum next to 0.2 reaches the blend zone
-    model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=50)
-    probe = GaussianReadout(sigma=0.05).with_extension(0.2, 0.8, 0.05)
-    traj = _manual_ensemble(probe, model, 0.203 + 0.05 * np.sin(np.arange(400.0)))
-    nu0 = model.nodes[np.argmax(traj.sums[0, -1])]
-    assert nu0 - 0.02 < 0.2 < nu0 + 0.02
-    got = mle(traj, 400, model, probe)
-    oracle = _oracle_mle(traj.sums[0, -1], traj.outcomes[0], model, probe, _per_outcome_objective)
-    assert got == oracle
 
 
 def test_finite_objective_counts_many_outcomes_and_rejects_foreign_ones():
@@ -293,7 +276,7 @@ def _zero_table_probe():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    family=st.sampled_from(["gaussian", "gaussian-blend", "binary", "tabulated-zero"]),
+    family=st.sampled_from(["gaussian", "tabulated-continuous", "binary", "tabulated-zero"]),
     two_intervals=st.booleans(),
     atoms=st.sampled_from([(), (1.25,), (-0.25, 1.25)]),
     nodes=st.integers(3, 30),
@@ -312,14 +295,14 @@ def test_mle_table_equals_the_scalar_search_bitwise(
         atoms=[(p, 0.2) for p in atoms], intervals=intervals, nodes_per_interval=nodes
     )
     lo, hi = model.hull
-    probe, support = {
-        "gaussian": (bind_extension(GaussianReadout(sigma=sigma), model), (lo, hi)),
-        # brackets around 0.2 reach the blend margin [0.15, 0.2], the others do not
-        "gaussian-blend": (GaussianReadout(sigma=sigma).with_extension(0.2, 0.8, 0.05), (0.15, 0.3)),
-        "binary": (bind_extension(BinaryPhase.embedded(lo, hi), model), (lo, hi)),
-        "tabulated-zero": (_zero_table_probe(), (lo, hi)),
+    probe = {
+        "gaussian": GaussianReadout(sigma=sigma),
+        # the per-outcome objective of a continuous family without a closed form
+        "tabulated-continuous": _tabulated_probes()["tabulated-continuous"],
+        "binary": BinaryPhase.embedded(lo, hi),
+        "tabulated-zero": _zero_table_probe(),
     }[family]
-    rows = [probe.sample(rng.uniform(*support), k_max, rng) for _ in range(ensemble)]
+    rows = [probe.sample(rng.uniform(lo, hi), k_max, rng) for _ in range(ensemble)]
     checkpoints = sorted({0, k_max, *(c for c in extra if c <= k_max)})
     table = mle_table(_manual_ensemble(probe, model, rows, checkpoints), checkpoints, model, probe)
     oracle = [
@@ -392,7 +375,7 @@ ACCURACY_MODEL = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval
 @settings(max_examples=60, deadline=None)
 def test_refined_gaussian_mle_is_the_clipped_sample_mean(k, sigma, nu, seed):
     model = ACCURACY_MODEL
-    probe = bind_extension(GaussianReadout(sigma=sigma), model)
+    probe = GaussianReadout(sigma=sigma)
     outcomes = probe.sample(nu, k, np.random.default_rng(seed))
     traj = _manual_ensemble(probe, model, outcomes)
     lo, hi = model.hull
@@ -402,7 +385,7 @@ def test_refined_gaussian_mle_is_the_clipped_sample_mean(k, sigma, nu, seed):
 
 def test_consistency_stat_trivial_cases():
     model = build_spectral_model(atoms=[(0.4, 1.0)])
-    probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
+    probe = BinaryPhase.embedded(0.0, 1.0)
     state = diagonal_state(model, np.array([1.0]))
     trajs = sample_ensemble(state, probe, 20, 50, SEED)
     inside = mle_consistency_stat(trajs, 20, model, [0.4], state)
@@ -448,7 +431,7 @@ def test_rate_positive_when_region_excludes_estimate():
 
 def test_two_atom_rate_matches_relative_entropy_oracle():
     model = build_spectral_model(atoms=[(0.0, 0.5), (1.0, 0.5)])
-    probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
+    probe = BinaryPhase.embedded(0.0, 1.0)
     state = diagonal_state(model, np.array([0.5, 0.5]))
     phase = probe.offset + probe.slope * model.nodes
     f0 = np.cos(phase / 2) ** 2
@@ -493,7 +476,7 @@ def test_rate_traces_equal_the_exact_gaussian_posterior(sigma):
 
 def test_rate_trace_rejects_zero_prior_region():
     model = build_spectral_model(atoms=[(0.0, 0.5), (1.0, 0.5)])
-    probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
+    probe = BinaryPhase.embedded(0.0, 1.0)
     state = diagonal_state(model, np.array([1.0, 0.0]))
     traj = definetti_sample(state, probe, 10, trajectory_rng(SEED, 3))
     estimate = mle(traj, 10, model, probe)
@@ -526,7 +509,7 @@ def test_clt_exclusions_are_reported():
     model = build_spectral_model(
         atoms=[(2.0, 0.5)], intervals=[(0.0, 1.0)], nodes_per_interval=50
     )
-    probe = bind_extension(GaussianReadout(sigma=0.1), model)
+    probe = GaussianReadout(sigma=0.1)
     probs = np.full(51, 0.5 / 50)
     probs[model.is_atom] = 0.5
     state = diagonal_state(model, probs)
@@ -562,7 +545,7 @@ def test_laplace_ratio_exact_for_gaussian():
 
 def test_laplace_ratio_binary_near_one_at_large_k():
     model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=200)
-    probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
+    probe = BinaryPhase.embedded(0.0, 1.0)
     state = pure_state(model, lambda nu: np.ones_like(nu))
     traj = definetti_sample(
         state, probe, 10_000, trajectory_rng(SEED, 5), hidden_nu=0.5,
@@ -634,7 +617,7 @@ def test_window_error_near_boundary():
 
 def test_window_error_without_continuum():
     model = build_spectral_model(atoms=[(0.0, 0.5), (1.0, 0.5)])
-    probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
+    probe = BinaryPhase.embedded(0.0, 1.0)
     state = diagonal_state(model, np.array([0.5, 0.5]))
     traj = definetti_sample(state, probe, 50, trajectory_rng(SEED, 10))
     with pytest.raises(WindowError):
@@ -887,7 +870,7 @@ def test_rescaled_kernel_equals_dense_einsum_oracle(
         nodes_per_interval=n_nodes,
         multiplicity=multiplicity,
     )
-    probe = bind_extension(GaussianReadout(sigma=0.1), model)
+    probe = GaussianReadout(sigma=0.1)
     # a dense kernel is factored by eigh before the zoom
     state = _oracle_kernel("dense-psd" if kind == "dense" else kind, model, 1, rng)
     traj = _manual_ensemble(probe, model, 0.5 + 0.1 * rng.standard_normal(k))
@@ -1066,7 +1049,7 @@ def _mixed_setup(intervals, multiplicity, state_kind, h=None, sigma=0.2):
     model = build_spectral_model(
         intervals=intervals, h=h, nodes_per_interval=60, multiplicity=multiplicity
     )
-    probe = bind_extension(GaussianReadout(sigma=sigma), model)
+    probe = GaussianReadout(sigma=sigma)
     rng = np.random.default_rng(SEED)
     if state_kind == "diagonal":  # some nodes without prior weight
         state = diagonal_state(model, rng.random(model.size) * (rng.random(model.size) > 0.2))
@@ -1127,7 +1110,7 @@ def _error_setup(estimates):
         atoms=[(1.2, 0.1)], intervals=[(0.0, 1.0)], nodes_per_interval=80,
         h=lambda nu: np.where(nu == 0.25, 0.0, 1.0),
     )
-    probe = bind_extension(GaussianReadout(sigma=0.1), model)
+    probe = GaussianReadout(sigma=0.1)
     state = pure_state(model, np.where(model.nodes < 0.7, 1.0, 0.0))
     rng = np.random.default_rng(SEED)
     cps = [100, 400]

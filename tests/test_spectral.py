@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from qndsim.estimators import build_window_grid, limit_kernel
-from qndsim.probes import GaussianReadout, bind_extension
+from qndsim.probes import GaussianReadout
 from qndsim.trajectories import (
     Ensemble,
     log_prior_weights,
@@ -384,7 +384,7 @@ def test_factored_state_matches_its_dense_values(kind, n_nodes, multiplicity, se
 def test_fine_pure_state_stays_a_vector():
     # dense values of this state would take 1.6 GB
     model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=10_000)
-    probe = bind_extension(GaussianReadout(sigma=1.0), model)
+    probe = GaussianReadout(sigma=1.0)
     outcomes = 0.4 + np.random.default_rng(7).standard_normal(1000)
     sums = probe.loglik_node_sums(model.nodes, outcomes)
     traj = Ensemble(outcomes[None], sums[None, None], (), None)

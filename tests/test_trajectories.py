@@ -20,7 +20,6 @@ from qndsim.probes import (
     BinaryPhase,
     GaussianReadout,
     TabulatedProbe,
-    bind_extension,
     relative_entropy,
 )
 from qndsim.spectral import (
@@ -48,14 +47,14 @@ SEED = 20260810
 
 def _two_atoms(w0=0.3, w1=0.7):
     model = build_spectral_model(atoms=[(0.0, w0), (1.0, w1)])
-    probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
+    probe = BinaryPhase.embedded(0.0, 1.0)
     state = diagonal_state(model, np.array([w0, w1]))
     return model, probe, state
 
 
 def _gaussian_setup(n=100):
     model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=n)
-    probe = bind_extension(GaussianReadout(sigma=1.0), model)
+    probe = GaussianReadout(sigma=1.0)
     state = pure_state(model, lambda nu: np.ones_like(nu))
     return model, probe, state
 
@@ -65,7 +64,7 @@ def _gaussian_setup(n=100):
 
 def test_point_mass_hidden_value_is_constant():
     model = build_spectral_model(atoms=[(0.7, 1.0)])
-    probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
+    probe = BinaryPhase.embedded(0.0, 1.0)
     state = diagonal_state(model, np.array([1.0]))
     for i in range(5):
         traj = definetti_sample(state, probe, 3, trajectory_rng(SEED, i))
@@ -155,7 +154,7 @@ def test_exact_law_against_hand_rolled_chain_rule():
 
 def test_point_mass_samplers_share_one_law():
     model = build_spectral_model(atoms=[(0.6, 1.0)])
-    probe = bind_extension(BinaryPhase.embedded(0.0, 1.0), model)
+    probe = BinaryPhase.embedded(0.0, 1.0)
     state = diagonal_state(model, np.array([1.0]))
     d_mix = exact_tuple_distribution(state, probe, 3, "de-finetti")
     d_seq = exact_tuple_distribution(state, probe, 3, "sequential")
@@ -343,8 +342,7 @@ def test_posterior_weights_are_prior_times_likelihood(family, k, n_nodes, seed):
         h={"name": "linear", "intercept": 0.5, "slope": 1.0},
         nodes_per_interval=n_nodes,
     )
-    raw = BinaryPhase.embedded(0.0, 1.0) if family == "binary" else GaussianReadout(sigma=0.3)
-    probe = bind_extension(raw, model)
+    probe = BinaryPhase.embedded(0.0, 1.0) if family == "binary" else GaussianReadout(sigma=0.3)
     psi = rng.standard_normal(model.size) + 1j * rng.standard_normal(model.size)
     state = pure_state(model, psi)
     traj = definetti_sample(state, probe, k, rng)
@@ -391,15 +389,14 @@ def test_logsumexp_is_bitwise_scipy(rows, cols, whole, dead_row, data):
 
 def _oracle_node_sums(probe, nodes, outcomes):
     """One segment's log-likelihood sums as the per-trajectory sampler took them:
-    counts of the distinct outcomes, the Gaussian closed form on the hull, or
-    the blocked cell sums."""
+    counts of the distinct outcomes, the Gaussian closed form, or the blocked
+    cell sums."""
     if outcomes.size == 0:
         return np.zeros(nodes.size)
     if probe.outcomes is not None:
         vals, counts = np.unique(outcomes, return_counts=True)
         return counts @ probe.loglik_values(nodes, vals)
-    ext = probe.extension
-    if isinstance(probe, GaussianReadout) and (ext is None or ext.covers(nodes)):
+    if isinstance(probe, GaussianReadout):
         m = outcomes.mean()
         r = outcomes - m
         d = m - nodes
@@ -461,7 +458,7 @@ def _bits(a):
 @settings(max_examples=40, deadline=None)
 @given(
     family=st.sampled_from(
-        ["gaussian", "gaussian-blend", "binary", "tabulated-zero", "tabulated-continuous"]
+        ["gaussian", "binary", "tabulated-zero", "tabulated-continuous"]
     ),
     atoms=st.sampled_from([(), (1.25,)]),
     nodes=st.integers(3, 25),
@@ -479,21 +476,15 @@ def test_ensemble_arrays_equal_the_per_trajectory_loops_bitwise(
     model = build_spectral_model(
         atoms=[(p, 0.2) for p in atoms], intervals=[(0.0, 1.0)], nodes_per_interval=nodes
     )
-    blend = GaussianReadout(sigma=sigma).with_extension(0.2, 0.8, 0.05)
-    probe, support = {
-        "gaussian": (bind_extension(GaussianReadout(sigma=sigma), model), (0.0, 1.0)),
-        # the extension covers [0.2, 0.8]: every segment sums through the blend zone
-        "gaussian-blend": (blend, (0.16, 0.84)),
-        "binary": (bind_extension(BinaryPhase.embedded(*model.hull), model), (0.0, 1.0)),
+    probe = {
+        "gaussian": GaussianReadout(sigma=sigma),
+        "binary": BinaryPhase.embedded(*model.hull),
         # f(2 | nu) = 0 for nu <= 0.75: rows without outcome 2 meet log f = -inf
-        "tabulated-zero": (_zero_table_probe(), (0.0, 1.0)),
-        "tabulated-continuous": (
-            bind_extension(_tabulated_probes()["tabulated-continuous"], model), (0.0, 1.0)
-        ),
+        "tabulated-zero": _zero_table_probe(),
+        "tabulated-continuous": _tabulated_probes()["tabulated-continuous"],
     }[family]
     state = pure_state(model, lambda nu: 1.0 + nu)
-    pin = pin or family == "gaussian-blend"  # a blended law is sampled only near [0.2, 0.8]
-    hidden = data.draw(st.floats(*support), label="hidden") if pin else None
+    hidden = data.draw(st.floats(0.0, 1.0), label="hidden") if pin else None
     checkpoints = [0, k, k, *extra]  # duplicates, both ends, and some past k
     got = sample_ensemble(state, probe, k, size, seed, checkpoints=checkpoints, hidden_nu=hidden)
     want = [

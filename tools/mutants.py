@@ -119,6 +119,24 @@ MUTANTS = {
         'int(np.searchsorted(self.nodes, b, "right")))',
         'int(np.searchsorted(self.nodes, b, "right")) + 1)',
     ),
+    # a hidden value off the spectrum (outside the hull or in a gap) must exit 2
+    "hidden-nu-unchecked": (
+        "harness.py",
+        "    if config.hidden_nu is not None:\n        model.region_mask([config.hidden_nu])\n",
+        "",
+    ),
+    # the outcome rule of the laws on the hull is bounded when the probe is built
+    "probe-rule-unbounded": (
+        "harness.py",
+        "    probe._quadrature(np.array(model.hull))",
+        "    pass",
+    ),
+    # a subnormal cell width must be refused with the grid, not fail validation
+    "subnormal-cells-accepted": (
+        "spectral.py",
+        "        if not dx >= np.finfo(float).tiny:",
+        "        if not dx > 0:",
+    ),
 }
 
 EQUIVALENT = {
