@@ -32,7 +32,6 @@ from .probes import (
     ProbeModel,
     ProbeValidationReport,
     TabulatedProbe,
-    ZeroDensityError,
     probe_from_config,
     relative_entropy,
     validate_probe,

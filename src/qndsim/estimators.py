@@ -2,10 +2,12 @@
 
 The maximum-likelihood estimate of the observable's value is the argmax of
 the running log-likelihood sums over the grid, refined below the grid scale
-by golden-section search on the probe's exact log-likelihood objective
-(``ProbeModel.loglik_objective``: counts for finite outcomes, the sample mean
-and centred sum for the Gaussian readout, the per-outcome sum otherwise).  On top of it sit the statistics that make the asymptotic claims
-measurable at finite k, each read from the row blocks of an ``Ensemble``:
+by golden-section search on the probe's exact log-likelihood, read from one
+sufficient-statistic table (``ProbeModel.statistic`` and ``stat_loglik``:
+counts for finite outcomes, the sample mean and centred sum for the Gaussian
+readout, the outcomes themselves otherwise).  On top of it sit the statistics
+that make the asymptotic claims measurable at finite k, each read from the row
+blocks of an ``Ensemble``:
 
 * consistency frequencies against exact spectral probabilities,
 * posterior decay rates of excluded regions against relative entropy,
@@ -182,12 +184,14 @@ def mle_table(
     The grid argmax breaks ties toward the smallest node.  Interval-node
     maxima are polished by golden-section search over the bracketing cells
     (tolerance 1e-8 of the hull width) on the exact log-likelihood of the
-    first k outcomes, all searches in one lock-step loop on the batched
-    ``probe.loglik_objective`` (O(1) per step for finite outcome spaces and
-    the Gaussian readout, O(k) otherwise).  Estimates never leave the spectrum.
+    first k outcomes, all searches in one lock-step loop on
+    ``probe.stat_loglik`` of one statistic table (O(1) per step for finite
+    outcome spaces and the Gaussian readout, O(k) otherwise), built one k and
+    one run of consecutive rows at a time from views of ``ensemble.outcomes``.
+    Estimates never leave the spectrum.
     """
     table = np.empty((len(ensemble), len(checkpoints)))
-    brackets, prefixes = [], []  # (row, column, lo, hi) of each search, its outcomes
+    brackets = []  # (column, row, lo, hi) of each search
     for sl, sums in _sums_blocks(ensemble, checkpoints):
         best = np.argmax(sums, axis=-1)  # first occurrence: smallest node wins ties
         table[sl] = model.nodes[best]
@@ -198,12 +202,18 @@ def mle_table(
                 continue
             a, b = model.intervals[j]
             delta = (b - a) / model.nodes_per_interval
-            brackets.append((sl.start + r, i, max(a, nu0 - delta), min(b, nu0 + delta)))
-            prefixes.append(ensemble.outcomes[sl.start + r, : checkpoints[i]])
+            brackets.append((i, sl.start + r, max(a, nu0 - delta), min(b, nu0 + delta)))
     if brackets:
-        rows, cols, lo, hi = (np.asarray(v) for v in zip(*brackets))
+        cols, rows, lo, hi = (np.asarray(v) for v in zip(*sorted(brackets)))  # by k, then row
+        runs = np.flatnonzero((np.diff(cols) != 0) | (np.diff(rows) != 1)) + 1
+        stats = np.concatenate([
+            probe.statistic(ensemble.outcomes[run[0] : run[-1] + 1, : checkpoints[col[0]]])
+            for run, col in zip(np.split(rows, runs), np.split(cols, runs))
+        ])
         tol = REFINE_TOL_FACTOR * max(model.hull[1] - model.hull[0], 1.0)
-        found = _golden_table(probe.loglik_objective(prefixes, lo, hi), lo, hi, tol)
+        found = _golden_table(
+            lambda idx, nus: probe.stat_loglik(stats[idx], nus[:, None])[:, 0], lo, hi, tol
+        )
         table[rows, cols] = np.clip(found, lo, hi)
     return table
 

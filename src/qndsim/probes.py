@@ -30,8 +30,10 @@ no wider than sigma / 2, at most ``MAX_RULE_PANELS`` of them (a rule that
 would need more raises ``ProbeError``); a continuous tabulated family puts
 one panel on each cell of its ``xi_grid``, so no kink of the linear
 interpolation falls inside a panel.  Outcome x node products are evaluated in
-blocks of at most ``BLOCK_CELLS`` cells.  The Gaussian log-likelihood sums,
-MLE objective, relative entropy and Fisher information have closed forms.
+blocks of at most ``BLOCK_CELLS`` cells.  The Gaussian relative entropy and
+Fisher information have closed forms.  Given nu the outcomes are i.i.d., so
+each family states one sufficient statistic (``ProbeModel.statistic``), which
+both the grid sums and the MLE objective read.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .spectral import _GL32, _composite_gauss
 __all__ = [
     "ProbeModel",
     "ProbeError",
-    "ZeroDensityError",
     "GaussianReadout",
     "BinaryPhase",
     "TabulatedProbe",
@@ -73,10 +74,6 @@ SCORE_TOL = 1e-6                 # validate_probe: largest |mean score|
 
 class ProbeError(ValueError):
     """Raised for invalid probe construction or use."""
-
-
-class ZeroDensityError(ProbeError):
-    """Raised when a density vanishes where positivity is assumed."""
 
 
 def _blocks(n: int, width: int, share: int = 1) -> list[slice]:
@@ -118,17 +115,6 @@ def _add_expectations(out: dict, w, f, f1, f2) -> None:
         out["d2"] += w @ np.subtract(f2, ratio, out=f2)
 
 
-def _row_stats(prefixes: Sequence[np.ndarray], stat, width: int) -> np.ndarray:
-    """``stat`` (``width`` values per row) of each outcome prefix: prefixes of one
-    length are stacked in row blocks of at most BLOCK_CELLS // 4 cells."""
-    sizes, out = np.array([xi.size for xi in prefixes]), np.zeros((len(prefixes), width))
-    for size in np.unique(sizes):
-        group = np.flatnonzero(sizes == size)
-        for rows in (group[sl] for sl in _blocks(group.size, size, 4)):
-            out[rows] = stat(np.stack([prefixes[b] for b in rows]))
-    return out
-
-
 class ProbeModel:
     """Base class wiring density families to the common contract.
 
@@ -167,17 +153,6 @@ class ProbeModel:
 
     # -- log-likelihood ------------------------------------------------------
 
-    def log_likelihood(self, nu: float, xi: float):
-        """Return (l, dl/dnu, d2l/dnu2) at a single (nu, xi) pair."""
-        f, f1, f2 = self.density_derivs(np.float64(xi), np.float64(nu))
-        f = float(f)
-        if f <= 0.0:
-            raise ZeroDensityError(
-                f"density vanishes at xi={xi}, nu={nu}; positivity is violated"
-            )
-        dl = float(f1) / f
-        return float(np.log(f)), dl, float(f2) / f - dl * dl
-
     def loglik_values(self, nodes: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         """Matrix log f(xi_j | nu_i) with shape (len(outcomes), len(nodes))."""
         with np.errstate(divide="ignore"):
@@ -185,48 +160,58 @@ class ProbeModel:
                 self.density(np.asarray(outcomes)[:, None], np.asarray(nodes)[None, :])
             )
 
+    def statistic(self, rows: np.ndarray) -> np.ndarray:
+        """Sufficient statistic of each row of outcomes (R x k) as an (R x S) table,
+        with the bits of the row alone: the count of each value of a finite
+        outcome space, else the row itself (one object, a view of it)."""
+        if self.outcomes is None:
+            stats = np.empty((len(rows), 1), dtype=object)
+            for r, row in enumerate(rows):
+                stats[r, 0] = row
+            return stats
+        values = np.unique(np.asarray(self.outcomes, dtype=float))
+        counts = np.empty((len(rows), values.size), dtype=int)
+        for sl in _blocks(*rows.shape):
+            counts[sl] = _value_counts(values, rows[sl])
+        return counts
+
+    def stat_loglik(self, stats: np.ndarray, nus: np.ndarray) -> np.ndarray:
+        """Log-likelihood of each statistic row at the values ``nus`` (R x M, or
+        one row 1 x M for all), up to a nu-free constant per row: (R x M).
+
+        Finite outcome spaces weigh ``log f(values | nu)`` by the counts in one
+        batched ``np.matmul`` (an absent value adds exactly 0, even where f
+        vanishes); otherwise the cells of a row are summed in blocks of outcomes.
+        """
+        nus = np.asarray(nus, dtype=float)
+        if self.outcomes is None:
+            out = np.zeros((len(stats), nus.shape[-1]))
+            for (row,), at, total in zip(stats, np.broadcast_to(nus, out.shape), out):
+                for sl in _blocks(row.size, at.size):
+                    total += self.loglik_values(at, row[sl]).sum(axis=0)
+            return out
+        values = np.unique(np.asarray(self.outcomes, dtype=float))
+        logf = self.loglik_values(nus.ravel(), values).reshape(values.size, *nus.shape)
+        logf = np.where(stats[:, :, None] > 0, np.moveaxis(logf, 0, 1), 0.0)
+        return np.matmul(stats[:, None, :], logf)[:, 0]
+
+    def _node_sums(self, stats: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Summed log-likelihood at each node (R x N) of the statistic rows of
+        one block of outcome rows, all of one length."""
+        return self.stat_loglik(stats, nodes[None, :])
+
     def loglik_node_sums(self, nodes: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         """Summed log-likelihood over outcomes, one entry per grid node (per row of a
-        2-D block, with the bits of the row alone): finite outcome spaces weigh the
-        log f of the values present by their counts, others sum over the outcomes."""
+        2-D block, with the bits of the row alone), from the rows' statistics."""
         nodes = np.asarray(nodes, dtype=float)
         outcomes = np.asarray(outcomes, dtype=float)
         rows = np.atleast_2d(outcomes)
         total = np.zeros((rows.shape[0], nodes.size))
-        if self.outcomes is not None and rows.size:
-            vals = np.unique(np.asarray(self.outcomes, dtype=float))
-            counts = np.concatenate([_value_counts(vals, rows[sl]) for sl in _blocks(*rows.shape)])
-            logf = self.loglik_values(nodes, vals)
-            patterns, which = np.unique(counts > 0, axis=0, return_inverse=True)
-            for g, present in enumerate(patterns):  # values a row lacks add nothing, not 0 * -inf
-                r = np.flatnonzero(which.ravel() == g)
-                total[r] = np.matmul(counts[r][:, None, present], logf[present])[:, 0]
-        elif rows.size:
-            for row, out in zip(rows, total):
-                for sl in _blocks(row.size, nodes.size):
-                    out += self.loglik_values(nodes, row[sl]).sum(axis=0)
+        if rows.size:  # rows of no outcomes sum to 0
+            stats = self.statistic(rows)
+            for sl in _blocks(len(stats), stats.shape[1] * nodes.size):
+                total[sl] = self._node_sums(stats[sl], nodes)
         return total if outcomes.ndim == 2 else total[0]
-
-    def loglik_objective(self, prefixes: Sequence[np.ndarray], lo, hi):
-        """``objective(idx, nus)``: log-likelihoods of the brackets ``idx`` (bracket b
-        holds the outcomes ``prefixes[b]`` and ``[lo[b], hi[b]]``) at one nu each,
-        up to a constant per bracket.  Finite outcome spaces weigh ``log f(values
-        | nu)`` by count rows in one batched ``np.matmul`` (a zero count adds
-        exactly 0, even where f vanishes); other families sum over the outcomes.
-        """
-        if self.outcomes is None:
-            return lambda idx, nus: np.array([
-                self.loglik_values(np.asarray([nu]), prefixes[b]).sum() for b, nu in zip(idx, nus)
-            ])
-        values = np.unique(np.asarray(self.outcomes, dtype=float))
-        counts = _row_stats(prefixes, lambda rows: _value_counts(values, rows), values.size)
-
-        def objective(idx, nus):
-            rows = counts[idx]
-            logf = np.where(rows.T > 0, self.loglik_values(nus, values), 0.0)
-            return np.matmul(rows[:, None, :], logf.T[:, :, None])[:, 0, 0]
-
-        return objective
 
     # -- expectations over outcomes -------------------------------------------
 
@@ -250,17 +235,8 @@ class ProbeModel:
             _add_expectations(out, wq[sl], *self.density_derivs(xq[sl, None], nus[None, :]))
         return out
 
-    def normalization(self, nus) -> np.ndarray:
-        return self._expect(nus, ("norm",))["norm"]
-
-    def score_mean(self, nus) -> np.ndarray:
-        return self._expect(nus, ("score",))["score"]
-
     def fisher(self, nus) -> np.ndarray:
         return self._expect(nus, ("fisher",))["fisher"]
-
-    def mean_d2_loglik(self, nus) -> np.ndarray:
-        return self._expect(nus, ("d2",))["d2"]
 
     def expected_loglik(self, nu: float, nodes) -> np.ndarray:
         """E over outcomes at nu of log f(xi | node), one entry per node."""
@@ -312,49 +288,36 @@ class GaussianReadout(ProbeModel):
         d = np.asarray(outcomes, dtype=float)[:, None] - np.asarray(nodes, dtype=float)[None, :]
         return -0.5 * (d / self.sigma) ** 2 - np.log(np.sqrt(2.0 * np.pi) * self.sigma)
 
-    def loglik_node_sums(self, nodes, outcomes):
-        """Sums from centred outcome statistics: with m the mean and r = xi - m,
-        sum (xi - nu)^2 = sum r^2 + (m - nu)(2 sum r + k (m - nu)), for the rows
-        of a 2-D block in blocks of at most BLOCK_CELLS // 4 cells."""
-        nodes = np.asarray(nodes, dtype=float)
-        xi = np.asarray(outcomes, dtype=float)
-        if xi.size == 0:
-            return super().loglik_node_sums(nodes, xi)
-        rows, k = np.atleast_2d(xi), xi.shape[-1]
-        total = np.empty((rows.shape[0], nodes.size))
-        norm = k * np.log(np.sqrt(2.0 * np.pi) * self.sigma)
-        for sl in _blocks(rows.shape[0], k + 2 * nodes.size, 4):  # temporaries: 2 k, 4 N a row
-            m, sum_r, sum_r2 = (s[:, None] for s in _centred_sums(rows[sl]))
-            d = m - nodes
-            total[sl] = -(sum_r2 + d * (2.0 * sum_r + k * d)) / (2.0 * self.sigma**2) - norm
-        return total if xi.ndim == 2 else total[0]
+    def statistic(self, rows):
+        """``(k, m, sum r, sum r^2)`` of each row, m its mean and r = xi - m, in
+        row blocks of at most BLOCK_CELLS // 4 cells; zeros for rows of no outcomes."""
+        stats = np.zeros((len(rows), 4))
+        if rows.shape[1]:
+            stats[:, 0] = rows.shape[1]
+            for sl in _blocks(len(rows), rows.shape[1], 4):
+                stats[sl, 1:] = np.column_stack(_centred_sums(rows[sl]))
+        return stats
 
-    def loglik_objective(self, prefixes, lo, hi):
-        """Each bracket's log-likelihood ratio against its sample mean m,
+    def stat_loglik(self, stats, nus):
+        """Each row's log-likelihood ratio against its sample mean m,
         ``-d (2 sum r + k d) / 2 sigma^2`` with ``d = m - nu``, O(1).
 
         The nu-free ``sum r^2`` and ``k log(sqrt(2 pi) sigma)`` are left out:
         near the optimum values about 1e-12 apart are compared, and terms of
-        size 1e4 would round the differences away.  A bracket that holds no
-        outcomes takes the generic sum for its whole search, so no two values
-        with different offsets are ever compared.
+        size 1e4 would round the differences away.
         """
-        fast = np.array([xi.size > 0 for xi in prefixes])
-        stats = np.zeros((len(prefixes), 3))  # (m, sum r, k) per bracket
-        stats[fast] = _row_stats([xi for xi, f in zip(prefixes, fast) if f], lambda rows: (
-            np.column_stack([*_centred_sums(rows)[:2], np.full(rows.shape[0], rows.shape[1])])
-        ), 3)
-        generic = super().loglik_objective(prefixes, lo, hi)
+        k, m, sum_r, _ = (s[:, None] for s in stats.T)
+        d = m - nus
+        return -d * (2.0 * sum_r + k * d) / (2.0 * self.sigma**2)
 
-        def objective(idx, nus):
-            m, sum_r, k = stats[idx].T
-            d = m - nus
-            out = -d * (2.0 * sum_r + k * d) / (2.0 * self.sigma**2)
-            slow = ~fast[idx]
-            out[slow] = generic(idx[slow], nus[slow])
-            return out
-
-        return objective
+    def _node_sums(self, stats, nodes):
+        """Full sums from the statistic: sum (xi - nu)^2 = sum r^2 + (m - nu)
+        (2 sum r + k (m - nu)), less k log(sqrt(2 pi) sigma); the rows share k,
+        taken as one scalar (a column of k costs a loop per row)."""
+        _, m, sum_r, sum_r2 = (s[:, None] for s in stats.T)
+        k, d = stats[0, 0], m - nodes
+        norm = k * np.log(np.sqrt(2.0 * np.pi) * self.sigma)
+        return -(sum_r2 + d * (2.0 * sum_r + k * d)) / (2.0 * self.sigma**2) - norm
 
     def fisher(self, nus):
         """Closed form 1 / sigma^2."""
@@ -474,6 +437,9 @@ class TabulatedProbe(ProbeModel):
             raise ProbeError("provide exactly one of outcomes or xi_grid")
         if len(self.nu_grid) < 3:
             raise ProbeError("nu_grid needs at least 3 points")
+        empty = [nu for nu, mass in zip(self.nu_grid, np.any(table > 0, axis=0)) if not mass]
+        if empty:
+            raise ProbeError(f"the tabulated law has no mass at nu_grid points {empty}")
 
     # built once per instance; a frozen dataclass still has an instance dict
     @functools.cached_property
@@ -519,14 +485,14 @@ class TabulatedProbe(ProbeModel):
         return np.clip(self._value_at(xi, nu), 0.0, None)
 
     def sample(self, nu, size, rng):
+        rows = np.clip(self._rows_at(np.float64(nu)), 0.0, None)
+        if not rows.sum() > 0:  # the interpolated law between nu_grid points
+            raise ProbeError(f"the tabulated law at nu={nu:g} has no mass to sample")
         if self.outcomes is not None:
-            probs = np.clip(self._rows_at(np.float64(nu)), 0.0, None)
-            probs = probs / probs.sum()
             return np.asarray(self.outcomes, dtype=float)[
-                rng.choice(len(self.outcomes), size=size, p=probs)
+                rng.choice(len(self.outcomes), size=size, p=rows / rows.sum())
             ]
         grid = np.asarray(self.xi_grid, dtype=float)
-        rows = np.clip(self._rows_at(np.float64(nu)), 0.0, None)
         env = np.maximum(rows[:-1], rows[1:]) * (1.0 + 1e-12)  # exact for linear interp
         cell_mass = env * np.diff(grid)
         cdf = np.cumsum(cell_mass) / cell_mass.sum()

@@ -17,9 +17,9 @@ sequences of length 1e4 and beyond are safe from underflow.
 
 ``sample_ensemble`` returns an ``Ensemble``: one (E x k) outcome block and
 one (E x C+1 x N) stack of sums after each checkpoint and k.  Either sampler
-fills the outcome block, which is then summed segment by segment from
-sufficient statistics (counts, or the Gaussian mean and centred sums), so the
-sums depend on the outcomes alone.  A trajectory is a one-row ensemble
+fills the outcome block, which is then summed segment by segment from the
+probe's sufficient statistic (``ProbeModel.statistic``), so the sums depend
+on the outcomes alone.  A trajectory is a one-row ensemble
 (``ensemble[i]``, what the per-trajectory functions take and return);
 ``Ensemble.sums_after`` reads the sums after chosen k, and the estimators
 read them in row blocks.

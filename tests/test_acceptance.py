@@ -127,7 +127,7 @@ def test_criterion_4_fisher_identity():
         (q.BinaryPhase(), binary_model, 1.0),
     ):
         fisher = probe.fisher(model.nodes)
-        mean_d2 = probe.mean_d2_loglik(model.nodes)
+        mean_d2 = probe._expect(model.nodes, ("d2",))["d2"]
         worst_identity = max(worst_identity, float(np.max(np.abs(mean_d2 + fisher))))
         worst_value = max(worst_value, float(np.max(np.abs(fisher - target))))
 
@@ -209,8 +209,8 @@ def test_criterion_7_invariant_suites(tmp_path):
     rng = np.random.default_rng(SEED)
 
     # normalization and score on the whole grid
-    assert np.max(np.abs(probe.normalization(model.nodes) - 1.0)) < 1e-8
-    assert np.max(np.abs(probe.score_mean(model.nodes))) < 1e-6
+    assert np.max(np.abs(probe._expect(model.nodes, ("norm",))["norm"] - 1.0)) < 1e-8
+    assert np.max(np.abs(probe._expect(model.nodes, ("score",))["score"])) < 1e-6
 
     # relative-entropy nonnegativity on sampled pairs
     for _ in range(10):

@@ -22,6 +22,21 @@ SEED = 20260810
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+# a finite table whose laws at nu >= 0.5 have no mass, and its continuous twin
+ZERO_MASS_TABLE = {
+    "kind": "tabulated",
+    "nu_grid": [0, 0.25, 0.5, 0.75, 1],
+    "values": [[0.5, 0.5, 0, 0, 0], [0.5, 0.5, 0, 0, 0]],
+    "outcomes": [0, 1],
+}
+ZERO_MASS_DENSITY = {
+    "kind": "tabulated",
+    "nu_grid": [0, 0.25, 0.5, 0.75, 1],
+    "values": [[0.5, 0.5, 0, 0, 0]] * 4,
+    "xi_grid": [-1, 0, 1, 2],
+}
+
+
 def _write_config(path: Path, **overrides) -> Path:
     tree = {
         "kind": "born-frequency",
@@ -348,6 +363,22 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
             },
             "point 0.5 lies outside the spectrum",
         ),
+        (
+            {
+                "spectral": {"intervals": [[0.0, 1.0]]},
+                "state": {"type": "pure"},
+                "probe": ZERO_MASS_TABLE,
+            },
+            "the tabulated law has no mass at nu_grid points [0.5, 0.75, 1]",
+        ),
+        (  # a continuous law: a warning and a sampler drawing from no law
+            {
+                "spectral": {"intervals": [[0.0, 1.0]]},
+                "state": {"type": "pure"},
+                "probe": ZERO_MASS_DENSITY,
+            },
+            "the tabulated law has no mass at nu_grid points [0.5, 0.75, 1]",
+        ),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -410,6 +441,8 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "kernel-interval-two-nodes",
         "hidden-nu-outside-hull",
         "hidden-nu-in-gap",
+        "tabulated-zero-mass",
+        "tabulated-density-zero-mass",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, message):
@@ -488,8 +521,22 @@ def _rate_sums_stack_too_large(path: Path) -> Path:
             ),
             "point 1.5 lies outside the spectrum",
         ),
+        (
+            lambda path: _write_config(
+                path,
+                spectral={"intervals": [[0.0, 1.0]]},
+                state={"type": "pure"},
+                probe=ZERO_MASS_TABLE,
+            ),
+            "the tabulated law has no mass at nu_grid points [0.5, 0.75, 1]",
+        ),
     ],
-    ids=["born-point-off-spectrum", "rate-sums-stack-huge", "hidden-nu-outside-hull"],
+    ids=[
+        "born-point-off-spectrum",
+        "rate-sums-stack-huge",
+        "hidden-nu-outside-hull",
+        "tabulated-zero-mass",
+    ],
 )
 def test_validate_refuses_what_verify_refuses(
     tmp_path, capsys, monkeypatch, command, write, message

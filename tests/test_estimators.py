@@ -7,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from qndsim import probes, spectral
+from qndsim import estimators, probes, spectral
 from qndsim.estimators import (
     _INV_PHI,
     _INV_PHI2,
@@ -257,12 +257,13 @@ def test_finite_objective_counts_many_outcomes_and_rejects_foreign_ones():
     rng = np.random.default_rng(SEED)
     prefixes = [rng.choice(values, size) for size in (0, 1, 7, 500)]
     nus = np.array([0.1, 0.3, 0.6, 0.9])
-    got = probe.loglik_objective(prefixes, np.zeros(4), np.ones(4))(np.arange(4), nus)
+    table = np.concatenate([probe.statistic(xi[None, :]) for xi in prefixes])
+    got = probe.stat_loglik(table, nus[:, None])[:, 0]
     oracle = [_per_outcome_objective(probe, xi, 0.0, 1.0)(nu) for xi, nu in zip(prefixes, nus)]
     assert got == pytest.approx(oracle, rel=1e-13, abs=0.0)
     for foreign in (0.05, np.nan, 2.0):
         with pytest.raises(ProbeError):
-            probe.loglik_objective([values[:3], np.array([values[0], foreign])], 0.0, 1.0)
+            probe.statistic(np.array([values[:2], [values[0], foreign]]))
 
 
 def _zero_table_probe():
@@ -285,6 +286,12 @@ def _zero_table_probe():
     ensemble=st.integers(1, 4),
     sigma=st.floats(0.02, 1.0),
     seed=st.integers(0, 2**32 - 1),
+)
+# a row whose estimate is an atom between searched rows, where a run of the
+# statistic table must break
+@example(
+    family="binary", two_intervals=False, atoms=(-0.25, 1.25), nodes=5, k_max=30, extra=[],
+    ensemble=4, sigma=0.5, seed=0,
 )
 def test_mle_table_equals_the_scalar_search_bitwise(
     family, two_intervals, atoms, nodes, k_max, extra, ensemble, sigma, seed
@@ -351,16 +358,27 @@ def _reduced_run(kind):
 def test_a_run_searches_each_estimate_once_in_one_table(kind, searches, monkeypatch):
     cfg = _reduced_run(kind)
     probe_cls = GaussianReadout if cfg.probe["kind"] == "gaussian-readout" else BinaryPhase
-    original = probe_cls.loglik_objective
-    asked = []
+    table, statistic, golden = estimators.mle_table, probe_cls.statistic, estimators._golden_table
+    tabled, asked = [], []  # statistic rows each table read; brackets each search took
 
-    def counting(self, prefixes, lo, hi):
-        asked.append(np.size(lo))  # brackets asked for in this call
-        return original(self, prefixes, lo, hi)
+    def counting_table(*args):
+        tabled.append(0)
+        return table(*args)
 
-    monkeypatch.setattr(probe_cls, "loglik_objective", counting)
+    def counting_statistic(self, rows):
+        if tabled:
+            tabled[-1] += len(rows)
+        return statistic(self, rows)
+
+    def counting_search(objective, a, b, tol):
+        asked.append(a.size)
+        return golden(objective, a, b, tol)
+
+    monkeypatch.setattr(estimators, "mle_table", counting_table)
+    monkeypatch.setattr(probe_cls, "statistic", counting_statistic)
+    monkeypatch.setattr(estimators, "_golden_table", counting_search)
     run_experiment(cfg)
-    assert asked == [searches]
+    assert tabled == [searches] and asked == [searches]
 
 
 ACCURACY_MODEL = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=50)

@@ -23,7 +23,6 @@ from qndsim.probes import (
     ProbeError,
     ProbeModel,
     TabulatedProbe,
-    ZeroDensityError,
     probe_from_config,
     relative_entropy,
     validate_probe,
@@ -40,10 +39,20 @@ def _grid(lo=0.0, hi=1.0, n=50):
 # ---------------------------------------------------------------------------
 # closed forms and derivatives
 
+def _log_likelihood(probe, nu, xi):
+    """(l, dl/dnu, d2l/dnu2) at one (nu, xi) pair from ``density_derivs``, or
+    None where the density vanishes."""
+    f, f1, f2 = (float(v) for v in probe.density_derivs(np.float64(xi), np.float64(nu)))
+    if f <= 0.0:
+        return None
+    dl = f1 / f
+    return float(np.log(f)), dl, f2 / f - dl * dl
+
+
 def test_gaussian_loglik_closed_form():
     probe = GaussianReadout(sigma=1.0)
     nu, xi = 0.4, 1.1
-    l, dl, d2l = probe.log_likelihood(nu, xi)
+    l, dl, d2l = _log_likelihood(probe, nu, xi)
     assert l == pytest.approx(-0.5 * (xi - nu) ** 2 - 0.5 * np.log(2 * np.pi), abs=1e-12)
     assert dl == pytest.approx(xi - nu, abs=1e-12)
     assert d2l == pytest.approx(-1.0, abs=1e-12)
@@ -52,13 +61,13 @@ def test_gaussian_loglik_closed_form():
 def test_binary_score_closed_form():
     probe = BinaryPhase()
     for nu in (0.3, 1.2, 2.8):
-        _, dl, _ = probe.log_likelihood(nu, 0.0)
+        _, dl, _ = _log_likelihood(probe, nu, 0.0)
         assert dl == pytest.approx(-np.tan(nu / 2.0), abs=1e-12)
 
 
 def test_score_vanishes_at_density_maximum():
     probe = GaussianReadout(sigma=0.7)
-    _, dl, _ = probe.log_likelihood(0.31, 0.31)  # density in nu peaks at xi
+    _, dl, _ = _log_likelihood(probe, 0.31, 0.31)  # density in nu peaks at xi
     assert abs(dl) < 1e-12
 
 
@@ -72,23 +81,18 @@ def test_derivatives_match_central_differences(probe):
     for _ in range(100):
         nu = float(rng.uniform(lo, hi))
         xi = float(probe.sample(nu, 1, rng)[0])
-        l, dl, d2l = probe.log_likelihood(nu, xi)
-        lp = probe.log_likelihood(nu + step, xi)[0]
-        lm = probe.log_likelihood(nu - step, xi)[0]
+        l, dl, d2l = _log_likelihood(probe, nu, xi)
+        lp = _log_likelihood(probe, nu + step, xi)[0]
+        lm = _log_likelihood(probe, nu - step, xi)[0]
         assert abs((lp - lm) / (2 * step) - dl) < 1e-6
     # curvature with a wider step to keep roundoff below truncation
     step = 1e-4
     for nu in np.linspace(lo, hi, 7):
         xi = float(probe.sample(float(nu), 1, rng)[0])
-        l, _, d2l = probe.log_likelihood(float(nu), xi)
-        lp = probe.log_likelihood(float(nu) + step, xi)[0]
-        lm = probe.log_likelihood(float(nu) - step, xi)[0]
+        l, _, d2l = _log_likelihood(probe, float(nu), xi)
+        lp = _log_likelihood(probe, float(nu) + step, xi)[0]
+        lm = _log_likelihood(probe, float(nu) - step, xi)[0]
         assert abs((lp - 2 * l + lm) / step**2 - d2l) < 1e-5
-
-
-def test_zero_density_raises():
-    with pytest.raises(ZeroDensityError):
-        BinaryPhase().log_likelihood(0.0, 1.0)  # sin^2(0) = 0
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +177,7 @@ def test_embedded_binary_fisher_is_slope_squared():
 )
 def test_information_identity(probe, nodes):
     # E[d2 log f] = -E[(d log f)^2], both sides by the same outcome rule
-    assert np.max(np.abs(probe.mean_d2_loglik(nodes) + probe.fisher(nodes))) < 1e-6
+    assert np.max(np.abs(probe._expect(nodes, ("d2",))["d2"] + probe.fisher(nodes))) < 1e-6
 
 
 @pytest.mark.parametrize(
@@ -184,13 +188,13 @@ def test_information_identity(probe, nodes):
     ],
 )
 def test_score_mean_zero(probe, nodes):
-    assert np.max(np.abs(probe.score_mean(nodes))) < 1e-6
+    assert np.max(np.abs(probe._expect(nodes, ("score",))["score"])) < 1e-6
 
 
 def test_normalization_on_grid():
     for probe in (GaussianReadout(sigma=1.0), GaussianReadout(sigma=0.05), BinaryPhase()):
         nodes = np.linspace(0.2, 0.9, 15)
-        assert np.max(np.abs(probe.normalization(nodes) - 1.0)) < 1e-8
+        assert np.max(np.abs(probe._expect(nodes, ("norm",))["norm"] - 1.0)) < 1e-8
     # adaptive oracle for the continuous family
     oracle, _ = integrate.quad(
         lambda x: np.exp(-0.5 * (x - 0.4) ** 2) / np.sqrt(2 * np.pi), -12, 12
@@ -303,7 +307,10 @@ def test_gaussian_loglik_sums_from_sufficient_statistics(log10_sigma, k, mean, s
     nodes = KL_MODEL.nodes
     outcomes = mean + sigma * np.random.default_rng(seed).standard_normal(k)
     fast = probe.loglik_node_sums(nodes, outcomes)
-    cells = ProbeModel.loglik_node_sums(probe, nodes, outcomes)
+    cells = sum(
+        probe.loglik_values(nodes, outcomes[sl]).sum(axis=0)
+        for sl in probes._blocks(outcomes.size, nodes.size)
+    )
     oracle, scale = _fsum_oracle(sigma, nodes, outcomes)
     # no less accurate than the cell-by-cell sums, up to a few units of rounding
     err_fast = np.abs(fast - oracle) / scale
@@ -418,6 +425,15 @@ FAMILY_PROBES = {
         outcomes=(0.0, 1.0),
     ),
 }
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_PROBES))
+def test_a_record_of_no_outcomes_has_log_likelihood_zero(name):
+    # an MLE bracket after k = 0 compares these values, which must tie
+    probe = FAMILY_PROBES[name]
+    nus = np.array([[0.0, 0.3, 1.0]])
+    assert np.all(probe.stat_loglik(probe.statistic(np.empty((2, 0))), nus) == 0.0)
+    assert np.all(probe.loglik_node_sums(nus[0], np.empty((2, 0))) == 0.0)
 
 
 def test_amplitude_is_sqrt_density():
@@ -574,10 +590,10 @@ def test_validator_tables_are_built_in_blocks():
 def test_validator_single_pass_matches_separate_expectations(name):
     probe = FAMILY_PROBES[name]
     report = validate_probe(probe, FAMILY_MODEL, n_derivative_pairs=1)
-    nodes = FAMILY_MODEL.nodes
-    assert report["normalization"].worst_value == np.abs(probe.normalization(nodes) - 1.0).max()
-    assert report["score-mean-zero"].worst_value == np.abs(probe.score_mean(nodes)).max()
-    assert report["positive-curvature"].worst_value == -probe.mean_d2_loglik(nodes).max()
+    norm, score, d2 = (probe._expect(FAMILY_MODEL.nodes, (q,))[q] for q in ("norm", "score", "d2"))
+    assert report["normalization"].worst_value == np.abs(norm - 1.0).max()
+    assert report["score-mean-zero"].worst_value == np.abs(score).max()
+    assert report["positive-curvature"].worst_value == -d2.max()
 
 
 def _differentiability_loop(probe, model, n_pairs=100, seed=7):
@@ -588,12 +604,12 @@ def _differentiability_loop(probe, model, n_pairs=100, seed=7):
     for _ in range(n_pairs):
         nu = float(rng.uniform(lo, hi))
         xi = float(probe.sample(nu, 1, rng)[0])
-        try:
-            _, dl, _ = probe.log_likelihood(nu, xi)
-        except ZeroDensityError:
+        at = _log_likelihood(probe, nu, xi)
+        if at is None:
             continue
-        lp = probe.log_likelihood(nu + probes.FD_STEP, xi)[0]
-        lm = probe.log_likelihood(nu - probes.FD_STEP, xi)[0]
+        _, dl, _ = at
+        lp = _log_likelihood(probe, nu + probes.FD_STEP, xi)[0]
+        lm = _log_likelihood(probe, nu - probes.FD_STEP, xi)[0]
         err = abs((lp - lm) / (2 * probes.FD_STEP) - dl)
         if err > worst:
             worst, where = err, f"nu={nu:.6g}, xi={xi:.6g}"
@@ -1183,7 +1199,7 @@ def test_samples_follow_the_family_law(probe, nu):
 
 def test_tabulated_finite_difference_loglik():
     probe = _tabulated_gaussian()
-    l, dl, d2l = probe.log_likelihood(0.5, 1.2)
+    l, dl, d2l = _log_likelihood(probe, 0.5, 1.2)
     assert np.isfinite([l, dl, d2l]).all()
     assert dl == pytest.approx(1.2 - 0.5, abs=1e-3)
 
@@ -1201,6 +1217,17 @@ def test_tabulated_rejects_bad_tables():
             values=((0.5j, 0.5, 0.5),),
             outcomes=(0.0,),
         )
+
+
+@pytest.mark.parametrize("space", [{"outcomes": (0.0, 1.0)}, {"xi_grid": (0.0, 1.0)}])
+def test_tabulated_law_of_no_mass_between_grid_points_is_not_sampled(space):
+    # every nu_grid column has mass, but at nu = 0.5 both quadratic
+    # interpolants are negative (0.375 * 0.01 - 0.125 and 0.75 * 0.01 - 0.125)
+    values = ((0.01, 0.0, 1.0), (0.0, 0.01, 1.0))
+    probe = TabulatedProbe(nu_grid=(0.0, 1.0, 2.0), values=values, **space)
+    assert probe.sample(1.5, 3, np.random.default_rng(RNG_SEED)).shape == (3,)
+    with pytest.raises(ProbeError, match="no mass to sample"):
+        probe.sample(0.5, 3, np.random.default_rng(RNG_SEED))
 
 
 # ---------------------------------------------------------------------------

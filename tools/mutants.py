@@ -137,6 +137,30 @@ MUTANTS = {
         "        if not dx >= np.finfo(float).tiny:",
         "        if not dx > 0:",
     ),
+    # a value absent from a record adds exactly 0, not 0 * log 0 = nan
+    "absent-values-unmasked": (
+        "probes.py",
+        "np.where(stats[:, :, None] > 0, np.moveaxis(logf, 0, 1), 0.0)",
+        "np.where(stats[:, :, None] >= 0, np.moveaxis(logf, 0, 1), 0.0)",
+    ),
+    # a run of the statistic table stops at a row that takes no search
+    "statistic-runs-span-gaps": (
+        "estimators.py",
+        "runs = np.flatnonzero((np.diff(cols) != 0) | (np.diff(rows) != 1)) + 1",
+        "runs = np.flatnonzero(np.diff(cols) != 0) + 1",
+    ),
+    # a Gaussian record of no outcomes has log-likelihood 0 at every nu
+    "gaussian-empty-statistic-nan": (
+        "probes.py",
+        "stats = np.zeros((len(rows), 4))",
+        "stats = np.full((len(rows), 4), np.nan)",
+    ),
+    # a tabulated law of no mass is refused with its declaration
+    "zero-mass-table-accepted": (
+        "probes.py",
+        "        if empty:\n            raise ProbeError(",
+        "        if False:\n            raise ProbeError(",
+    ),
 }
 
 EQUIVALENT = {
