@@ -65,11 +65,13 @@ MAX_RULE_PANELS = 100_000        # panels of one Gaussian outcome rule (3.2e6 no
 FD_STEP = 1e-5                   # declared central-difference step
 BLOCK_CELLS = 100_000            # cells per outcome x node block (0.8 MB of float64)
 LOCATION_RTOL = 1e-12            # values this close to the worst share its location
-PRUNE_SLACK = 1e3 * LOCATION_RTOL  # pruning margin: the near-tie rule plus L1 rounding
+PRUNE_SLACK = 1e3 * LOCATION_RTOL  # pruning margin: every pair the near-tie rule names survives
 ROUNDING_SHARE = 1e-3            # defects below this share of their tolerance are rounding
 NORMALIZATION_TOL = 1e-8         # validate_probe: largest |integral of f(.|nu) - 1|
 IDENTIFIABILITY_THRESHOLD = 1e-6  # validate_probe: smallest L1 distance between two laws
 DERIVATIVE_TOL = 1e-6            # validate_probe: analytic vs central-difference score
+DERIVATIVE_PAIRS = 100           # validate_probe: (nu, xi) draws of the derivative check
+DERIVATIVE_SEED = 7              # validate_probe: seed of those draws
 SCORE_TOL = 1e-6                 # validate_probe: largest |mean score|
 
 class ProbeError(ValueError):
@@ -431,12 +433,23 @@ class TabulatedProbe(ProbeModel):
                 "real so amplitudes are their nonnegative square roots"
             )
         table = np.asarray(self.values, dtype=float)
-        if np.any(table < 0):
-            raise ProbeError("tabulated densities must be nonnegative")
         if (self.outcomes is None) == (self.xi_grid is None):
             raise ProbeError("provide exactly one of outcomes or xi_grid")
         if len(self.nu_grid) < 3:
             raise ProbeError("nu_grid needs at least 3 points")
+        for name, grid in (("nu_grid", self.nu_grid), ("xi_grid", self.xi_grid or ())):
+            grid = np.asarray(grid, dtype=float)
+            if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+                raise ProbeError(f"{name} must be finite and strictly increasing")
+        rows = "outcomes" if self.xi_grid is None else "xi_grid"
+        shape = (len(getattr(self, rows)), len(self.nu_grid))
+        if table.shape != shape:
+            raise ProbeError(
+                f"values must be a {shape[0]} x {shape[1]} table ({rows} x nu_grid), "
+                f"got shape {table.shape}"
+            )
+        if not np.all((table >= 0) & (table < np.inf)):
+            raise ProbeError("tabulated densities must be finite and nonnegative")
         empty = [nu for nu, mass in zip(self.nu_grid, np.any(table > 0, axis=0)) if not mass]
         if empty:
             raise ProbeError(f"the tabulated law has no mass at nu_grid points {empty}")
@@ -582,11 +595,12 @@ def _first_near(values: np.ndarray, worst: float) -> int:
 
 def _pair_distances(fmat, wq, first, second) -> np.ndarray:
     """L1 distances ``sum_q w_q |f_q,first - f_q,second|`` of the given node
-    pairs, gathered in blocks of at most BLOCK_CELLS cells."""
+    pairs in blocks of at most BLOCK_CELLS cells, each summed along its own
+    contiguous row: unlike a matrix product, its bits depend on the pair alone."""
     out = np.empty(first.size)
     for sl in _blocks(first.size, fmat.shape[0]):
-        diff = fmat[:, first[sl]] - fmat[:, second[sl]]
-        out[sl] = wq @ np.abs(diff, out=diff)
+        diff = fmat.T[first[sl]] - fmat.T[second[sl]]  # one law per row
+        out[sl] = np.multiply(np.abs(diff, out=diff), wq, out=diff).sum(axis=1)
     return out
 
 
@@ -648,12 +662,7 @@ def _unpruned_pairs(fmat, wq, panel: int, limit: float):
     return first[keep], second[keep]
 
 
-def validate_probe(
-    probe: ProbeModel,
-    model,
-    n_derivative_pairs: int = 100,
-    seed: int = 7,
-) -> ProbeValidationReport:
+def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
     """Check the estimation-theoretic assumptions on the model grid.
 
     Verifies normalization, strict positivity, pairwise identifiability in
@@ -671,13 +680,13 @@ def validate_probe(
     of each law at the rule's panel ends bound every pair from below
     (``2 |G_i - G_j| - |n_i - n_j|``, total variation over the Kolmogorov
     distance); pairs whose bound exceeds U by more than ``PRUNE_SLACK`` (and
-    a rounding allowance) are dropped, the survivors are summed, and every
-    row whose minimum lies within ``PRUNE_SLACK`` of the overall minimum is
-    summed again in full.  The worst value and its location are those of
-    the loop over all pairs, bit for bit.  The bound is built only for the
-    pairs a sorted screen at one panel end cannot drop (``_unpruned_pairs``);
-    for a location family those are near neighbours: O(N x panels) work for
-    the bound and O(N) exact pairs instead of N (N - 1) / 2.
+    a rounding allowance) are dropped.  A pair's sum depends on the pair
+    alone, so adjacent survivors keep the sums that gave U and only the
+    others are summed.  The worst value and its location (the first pair in
+    (i, j) order near it) are those of the loop over all pairs, bit for bit.
+    The bound is built only for the pairs a sorted screen at one panel end
+    cannot drop (``_unpruned_pairs``); for a location family those are near
+    neighbours: O(N x panels) bound work and O(N) sums, not N (N - 1) / 2.
     """
     nodes = model.nodes
     checks: list[AssumptionCheck] = []
@@ -730,30 +739,20 @@ def validate_probe(
         )
     )
 
-    # identifiability: pairwise L1 distances above the threshold.  The
-    # smallest adjacent distance bounds the minimum; a lower bound rules out
-    # the pairs above it, the rest get their exact sum, and the rows near the
-    # minimum are summed again as distances_from(i), so the worst value and
-    # location are those of the loop over all pairs, bit for bit.
-    def distances_from(i):
-        diff = fmat[:, i + 1 :] - fmat[:, i : i + 1]
-        return wq @ np.abs(diff, out=diff)
-
+    # identifiability: pairwise L1 distances above the threshold, each pair
+    # summed once.  A nan distance is the worst, as in the loop over all pairs
     worst, i, j = np.inf, 0, 0
     if nodes.size > 1:
         adjacent = np.arange(nodes.size - 1)
-        upper = _pair_distances(fmat, wq, adjacent, adjacent + 1).min()
+        near = _pair_distances(fmat, wq, adjacent, adjacent + 1)
         panel = 1 if probe.outcomes is not None else _GL32[0].size
-        first, second = _unpruned_pairs(fmat, wq, panel, upper * (1.0 + PRUNE_SLACK))
-        row_min = np.full(nodes.size - 1, np.inf)
-        np.minimum.at(row_min, first, _pair_distances(fmat, wq, first, second))
-        least = row_min.min()
-        nearest = np.full(nodes.size - 1, np.inf)
-        for r in np.flatnonzero(~(row_min > least * (1.0 + PRUNE_SLACK))):
-            nearest[r] = distances_from(r).min()
-        worst = float(nearest.min())
-        i = _first_near(nearest, worst)
-        j = i + 1 + _first_near(distances_from(i), worst)
+        first, second = _unpruned_pairs(fmat, wq, panel, near.min() * (1.0 + PRUNE_SLACK))
+        distances = near[first]
+        far = second > first + 1
+        distances[far] = _pair_distances(fmat, wq, first[far], second[far])
+        worst = float(distances.min())
+        k = _first_near(distances, worst)
+        i, j = first[k], second[k]
     checks.append(
         AssumptionCheck(
             "identifiability",
@@ -790,10 +789,10 @@ def validate_probe(
 
     # differentiability: analytic derivatives match central differences.  The pairs
     # are drawn as a loop over them would; one call gives the densities at nu, nu +- FD_STEP
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DERIVATIVE_SEED)
     lo, hi = model.hull
     pairs = []
-    for _ in range(n_derivative_pairs):
+    for _ in range(DERIVATIVE_PAIRS):
         nu = float(rng.uniform(lo, hi))
         pairs.append((nu, float(probe.sample(nu, 1, rng)[0])))
     nu, xi = np.reshape(pairs, (-1, 2)).T

@@ -35,6 +35,13 @@ ZERO_MASS_DENSITY = {
     "values": [[0.5, 0.5, 0, 0, 0]] * 4,
     "xi_grid": [-1, 0, 1, 2],
 }
+TABLE = {"kind": "tabulated", "nu_grid": [0, 0.5, 1], "values": [[0.5] * 3] * 2, "outcomes": [0, 1]}
+DENSITY = {"kind": "tabulated", "nu_grid": [0, 0.5, 1], "values": [[0.5] * 3] * 3, "xi_grid": [0, 1, 2]}
+
+
+def _on_unit(probe: dict) -> dict:
+    """Overrides declaring ``probe`` for a pure state on [0, 1]."""
+    return {"spectral": {"intervals": [[0.0, 1.0]]}, "state": {"type": "pure"}, "probe": probe}
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -379,6 +386,38 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
             },
             "the tabulated law has no mass at nu_grid points [0.5, 0.75, 1]",
         ),
+        (
+            _on_unit({**TABLE, "outcomes": [0, 1, 2]}),
+            "values must be a 3 x 3 table (outcomes x nu_grid), got shape (2, 3)",
+        ),
+        (
+            _on_unit({**DENSITY, "values": [[0.5] * 3] * 2, "xi_grid": [0, 1, 2, 3]}),
+            "values must be a 4 x 3 table (xi_grid x nu_grid), got shape (2, 3)",
+        ),
+        (
+            _on_unit({**TABLE, "nu_grid": [0, 0.25, 0.5, 1]}),
+            "values must be a 2 x 4 table (outcomes x nu_grid), got shape (2, 3)",
+        ),
+        (
+            _on_unit({**TABLE, "nu_grid": [0, 1, 0.5]}),
+            "nu_grid must be finite and strictly increasing",
+        ),
+        (
+            _on_unit({**TABLE, "nu_grid": [0, 0.5, 0.5, 1], "values": [[0.5] * 4] * 2}),
+            "nu_grid must be finite and strictly increasing",
+        ),
+        (
+            _on_unit({**TABLE, "values": [[0.5, float("inf"), 0.5], [0.5] * 3]}),
+            "tabulated densities must be finite and nonnegative",
+        ),
+        (
+            _on_unit({**TABLE, "values": [[0.5, float("nan"), 0.5], [0.5] * 3]}),
+            "tabulated densities must be finite and nonnegative",
+        ),
+        (
+            _on_unit({**DENSITY, "xi_grid": [0, 2, 1]}),
+            "xi_grid must be finite and strictly increasing",
+        ),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -443,6 +482,14 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "hidden-nu-in-gap",
         "tabulated-zero-mass",
         "tabulated-density-zero-mass",
+        "tabulated-rows-vs-outcomes",
+        "tabulated-rows-vs-xi-grid",
+        "tabulated-columns-vs-nu-grid",
+        "tabulated-nu-grid-unsorted",
+        "tabulated-nu-grid-repeated",
+        "tabulated-value-inf",
+        "tabulated-value-nan",
+        "tabulated-xi-grid-unsorted",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, message):

@@ -355,6 +355,13 @@ def _with_cells(cells, fn):
         return fn()
 
 
+def _validate(probe, model, pairs=probes.DERIVATIVE_PAIRS, seed=probes.DERIVATIVE_SEED):
+    """validate_probe with ``pairs`` derivative-check draws from ``seed``."""
+    with mock.patch.object(probes, "DERIVATIVE_PAIRS", pairs), \
+            mock.patch.object(probes, "DERIVATIVE_SEED", seed):
+        return validate_probe(probe, model)
+
+
 @settings(max_examples=15, deadline=None)
 @given(name=st.sampled_from(sorted(BLOCK_PROBES)), data=st.data())
 def test_blocked_loglik_sums_match_unblocked(name, data):
@@ -503,7 +510,7 @@ def test_gaussian_rule_on_shipped_grids(grid):
     # adjacent laws are L1-apart by exactly 2 erf(delta / 2 sqrt(2) sigma)
     spacing = min((b - a) / model.nodes_per_interval for a, b in model.intervals)
     exact = 2.0 * erf(spacing / (2.0 * np.sqrt(2.0) * probe.sigma))
-    report = validate_probe(probe, model, n_derivative_pairs=1)
+    report = _validate(probe, model, pairs=1)
     assert report["identifiability"].worst_value == pytest.approx(exact, rel=1e-4)
 
 
@@ -565,7 +572,7 @@ def test_validator_accepts_narrow_gaussian():
     model = _grid(0.0, 1.0, 200)
     probe = GaussianReadout(sigma=0.01)
     assert probe.density(0.0, 1.0) == 0.0
-    report = validate_probe(probe, model, n_derivative_pairs=10)
+    report = _validate(probe, model, pairs=10)
     assert report.passed, report.summary()
     assert np.isfinite(report["positivity"].worst_value)
     assert np.isfinite(report["dominance"].worst_value)
@@ -578,7 +585,7 @@ def test_validator_tables_are_built_in_blocks():
     probe = _tabulated_gaussian()
     tracemalloc.start()
     try:
-        report = validate_probe(probe, model, n_derivative_pairs=2)
+        report = _validate(probe, model, pairs=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -589,14 +596,15 @@ def test_validator_tables_are_built_in_blocks():
 @pytest.mark.parametrize("name", sorted(FAMILY_PROBES))
 def test_validator_single_pass_matches_separate_expectations(name):
     probe = FAMILY_PROBES[name]
-    report = validate_probe(probe, FAMILY_MODEL, n_derivative_pairs=1)
+    report = _validate(probe, FAMILY_MODEL, pairs=1)
     norm, score, d2 = (probe._expect(FAMILY_MODEL.nodes, (q,))[q] for q in ("norm", "score", "d2"))
     assert report["normalization"].worst_value == np.abs(norm - 1.0).max()
     assert report["score-mean-zero"].worst_value == np.abs(score).max()
     assert report["positive-curvature"].worst_value == -d2.max()
 
 
-def _differentiability_loop(probe, model, n_pairs=100, seed=7):
+def _differentiability_loop(probe, model, n_pairs=probes.DERIVATIVE_PAIRS,
+                            seed=probes.DERIVATIVE_SEED):
     """The differentiability check one pair at a time: worst error, location, verdict."""
     rng = np.random.default_rng(seed)
     lo, hi = model.hull
@@ -632,7 +640,7 @@ def _shipped_probe(name):
 def test_one_call_gaussian_differentiability_is_the_pair_loop_bitwise(sigma, nodes, seed):
     model = _grid(0.0, 1.0, nodes)
     probe = GaussianReadout(sigma=sigma)
-    check = validate_probe(probe, model, seed=seed)["differentiability"]
+    check = _validate(probe, model, seed=seed)["differentiability"]
     assert (check.worst_value, check.worst_location, check.passed) == _differentiability_loop(
         probe, model, seed=seed
     )
@@ -713,16 +721,21 @@ def test_validator_locations_do_not_follow_rounding():
 # pruned identifiability against the loop over all pairs
 
 def _exhaustive_identifiability(probe, model):
-    """Worst pairwise L1 distance and its location, from every node pair."""
+    """Worst pairwise L1 distance and its location, from every node pair.
+
+    Each pair is summed along one contiguous row of a (pairs x rule) block,
+    whose bits depend on the pair alone, as ``_pair_distances`` sums it.
+    """
     nodes = model.nodes
     xs, wq = probe._quadrature(nodes)
     fmat = np.empty((xs.size, nodes.size))
     for sl in probes._blocks(xs.size, nodes.size):
         fmat[sl] = probe.density(xs[sl, None], nodes[None, :])
+    laws = fmat.T
 
     def distances_from(i):
-        diff = fmat[:, i + 1 :] - fmat[:, i : i + 1]
-        return wq @ np.abs(diff, out=diff)
+        diff = np.ascontiguousarray(laws[i + 1 :]) - laws[i]
+        return (np.abs(diff) * wq).sum(axis=1)
 
     nearest = np.array([distances_from(i).min() for i in range(nodes.size - 1)])
     worst = float(nearest.min())
@@ -812,7 +825,7 @@ IDENTIFIABILITY_CASES = {
 @given(data=st.data())
 def test_pruned_identifiability_equals_the_exhaustive_loop(name, data):
     probe, model = IDENTIFIABILITY_CASES[name](data)
-    check = validate_probe(probe, model, n_derivative_pairs=0)["identifiability"]
+    check = _validate(probe, model, pairs=0)["identifiability"]
     assert (repr(check.worst_value), check.worst_location) == _exhaustive_identifiability(
         probe, model
     )
@@ -844,7 +857,7 @@ def test_pruned_identifiability_finds_distant_equal_laws(name):
         )
         model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=5)
         location = "nu=0.1 vs nu=0.9"
-    check = validate_probe(probe, model, n_derivative_pairs=0)["identifiability"]
+    check = _validate(probe, model, pairs=0)["identifiability"]
     assert not check.passed
     assert check.worst_location == location
     assert (repr(check.worst_value), location) == _exhaustive_identifiability(probe, model)
@@ -940,17 +953,14 @@ def test_sorted_screen_keeps_the_pairs_of_every_pair_bound(panel, panels, nodes,
         np.testing.assert_array_equal(got[1], want[1])
 
 
-def test_identifiability_work_is_linear_on_the_rate_grid():
-    cfg = ExperimentConfig.from_dict(
-        json.loads((CONFIGS / "rate_convergence.json").read_text())
-    )
-    model = build_model(cfg)
-    probe = build_probe(cfg, model)
-    pairs, bounds = [], []
+def _counted_identifiability(probe, model):
+    """The identifiability check, with the node pairs it sums and the number
+    of pair bounds it builds."""
+    summed, bounds = [], []
     exact, bound = probes._pair_distances, probes._pair_bounds
 
     def counted(fmat, wq, first, second):
-        pairs.append(first.size)
+        summed.extend(zip(first.tolist(), second.tolist()))
         return exact(fmat, wq, first, second)
 
     def counted_bounds(cdf, total, first, second):
@@ -959,11 +969,60 @@ def test_identifiability_work_is_linear_on_the_rate_grid():
 
     with mock.patch.object(probes, "_pair_distances", counted), \
             mock.patch.object(probes, "_pair_bounds", counted_bounds):
-        report = validate_probe(probe, model, n_derivative_pairs=0)
-    assert report["identifiability"].passed
-    # the loop over all pairs would sum 79,800, and bound as many
-    assert 0 < sum(pairs) <= 2 * model.size
-    assert 0 < sum(bounds) <= 2 * model.size
+        check = _validate(probe, model, pairs=0)["identifiability"]
+    return check, summed, sum(bounds)
+
+
+def test_identifiability_work_is_linear_on_the_rate_grid():
+    cfg = ExperimentConfig.from_dict(
+        json.loads((CONFIGS / "rate_convergence.json").read_text())
+    )
+    model = build_model(cfg)
+    probe = build_probe(cfg, model)
+    check, summed, bounds = _counted_identifiability(probe, model)
+    assert check.passed
+    # the loop over all pairs would sum 79,800, and bound as many; each pair
+    # is summed once, the adjacent ones first
+    assert len(set(summed)) == len(summed) <= 2 * model.size
+    assert summed[: model.size - 1] == [(i, i + 1) for i in range(model.size - 1)]
+    assert 0 < bounds <= 2 * model.size
+
+
+def test_identifiability_of_tied_adjacent_laws_sums_each_pair_once():
+    # the grid spacing 0.005 is one Gaussian panel (sigma / 2), so every
+    # adjacent distance ties to rounding; none is summed again
+    model = _grid(0.0, 1.0, 200)
+    probe = GaussianReadout(sigma=0.01)
+    check, summed, _ = _counted_identifiability(probe, model)
+    assert len(set(summed)) == len(summed) <= 2 * model.size
+    assert check.worst_location == "nu=0.0025 vs nu=0.0075"
+    assert (repr(check.worst_value), check.worst_location) == _exhaustive_identifiability(
+        probe, model
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rule=st.integers(1, 1100),
+    nodes=st.integers(2, 12),
+    pairs=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_a_pair_distance_has_the_bits_of_the_pair_alone(rule, nodes, pairs, seed, data):
+    rng = np.random.default_rng(seed)
+    fmat = rng.uniform(0.0, 1.0, (rule, nodes)) * rng.uniform(0.1, 2.0, nodes)
+    wq = rng.uniform(0.1, 1.0, rule)
+    first, second = rng.integers(0, nodes, (2, pairs))
+    k = data.draw(st.integers(0, pairs - 1), label="pair")
+    cells = data.draw(st.integers(1, pairs * rule), label="BLOCK_CELLS")
+    alone = probes._pair_distances(fmat, wq, first[k : k + 1], second[k : k + 1])
+    window = slice(data.draw(st.integers(0, k), label="block start"), k + 1)
+    block = probes._pair_distances(fmat, wq, first[window], second[window])
+    blocked = _with_cells(cells, lambda: probes._pair_distances(fmat, wq, first, second))
+    whole = _with_cells(UNBLOCKED, lambda: probes._pair_distances(fmat, wq, first, second))
+    bits = {d.tobytes() for d in (alone[0], block[-1], blocked[k], whole[k])}
+    assert len(bits) == 1
 
 
 def test_validator_memory_on_the_rate_grid():

@@ -161,6 +161,26 @@ MUTANTS = {
         "        if empty:\n            raise ProbeError(",
         "        if False:\n            raise ProbeError(",
     ),
+    # a non-adjacent survivor needs its own sum, not its row's adjacent one
+    "far-pairs-read-adjacent-sums": (
+        "probes.py",
+        "        distances[far] = _pair_distances(fmat, wq, first[far], second[far])\n",
+        "",
+    ),
+    # near-equal distances are located at the first pair in (i, j) order
+    "identifiability-last-near-pair": (
+        "probes.py",
+        "        k = _first_near(distances, worst)\n",
+        "        k = distances.size - 1 - _first_near(distances[::-1], worst)\n",
+    ),
+    # a matrix-vector product over a (rule x pairs) block rounds by block
+    "pair-sums-by-matrix-product": (
+        "probes.py",
+        "        diff = fmat.T[first[sl]] - fmat.T[second[sl]]  # one law per row\n"
+        "        out[sl] = np.multiply(np.abs(diff, out=diff), wq, out=diff).sum(axis=1)\n",
+        "        diff = fmat[:, first[sl]] - fmat[:, second[sl]]\n"
+        "        out[sl] = wq @ np.abs(diff)\n",
+    ),
 }
 
 EQUIVALENT = {
@@ -171,6 +191,16 @@ EQUIVALENT = {
         "expo is the log-likelihood less its value at the refined maximum, so it is at "
         "most the quadratic stencil's overshoot inside one cell, far below 30; either "
         "clip only guards an estimate that is not a maximum",
+    ),
+    "pair-sums-down-columns": (
+        "probes.py",
+        "        diff = fmat.T[first[sl]] - fmat.T[second[sl]]  # one law per row\n"
+        "        out[sl] = np.multiply(np.abs(diff, out=diff), wq, out=diff).sum(axis=1)\n",
+        "        diff = fmat[:, first[sl]] - fmat[:, second[sl]]\n"
+        "        out[sl] = (wq[:, None] * np.abs(diff)).sum(axis=0)\n",
+        "gathering columns gives a Fortran-ordered (rule x pairs) block, so each column "
+        "is summed on its own, contiguously and pairwise, as the row sum is: the bits "
+        "agree (a C-ordered block would be summed row after row and round by block)",
     ),
 }
 
