@@ -33,7 +33,6 @@ def main():
     checkpoints = [100, 1000, 10000]
 
     distances = {k: [] for k in checkpoints}
-    ratios = []
     ensemble = q.sample_ensemble(
         state, probe, max(checkpoints), 10, SEED, checkpoints=checkpoints, hidden_nu=0.5
     )
@@ -43,10 +42,10 @@ def main():
             zoom = q.rescaled_posterior_kernel(state, traj, k, model, probe, estimate=nu_hat)
             limit = q.limit_kernel(model, state, zoom.estimate, zoom.fisher, zoom.window)
             distances[k].append(q.trace_norm_distance(zoom.kernel, limit))
-        check = q.laplace_condition_check(
-            traj, checkpoints[-1], model, probe, estimate=estimates[-1]
-        )
-        ratios.append(check.ratio)
+    checks = q.laplace_condition_check(
+        ensemble, checkpoints[-1], model, probe, estimates=table[:, -1]
+    )
+    ratios = [check.ratio for check in checks]
 
     OUT.mkdir(exist_ok=True)
     with open(OUT / "kernel_distance.csv", "w", newline="") as fh:

@@ -31,8 +31,8 @@ it would leave the spectrum; it must retain at least ``2 / sqrt(F)``.
 first, interpolated with one stencil per interval, and compared in groups of
 windows with the same live zoom columns and limit rank (never padded, as a
 zero column changes the QR bits); the per-window functions are 1-row views.
-The Laplace check stays per trajectory, as one stencil of all trajectories'
-quadrature points falls out of cache.
+The Laplace check builds each interval's quadrature rule and its stencil once
+a call, and reads each trajectory's sums through them.
 """
 
 from __future__ import annotations
@@ -190,21 +190,18 @@ def mle_table(
     one run of consecutive rows at a time from views of ``ensemble.outcomes``.
     Estimates never leave the spectrum.
     """
-    table = np.empty((len(ensemble), len(checkpoints)))
-    brackets = []  # (column, row, lo, hi) of each search
+    lo, hi = np.empty(model.size), np.empty(model.size)  # the bracket of each interval node
+    for j, (a, b) in enumerate(model.intervals):
+        sl, delta = model.interval_node_range(j), (b - a) / model.nodes_per_interval
+        nodes = model.nodes[sl]
+        lo[sl], hi[sl] = np.maximum(a, nodes - delta), np.minimum(b, nodes + delta)
+    best = np.empty((len(ensemble), len(checkpoints)), dtype=np.intp)
     for sl, sums in _sums_blocks(ensemble, checkpoints):
-        best = np.argmax(sums, axis=-1)  # first occurrence: smallest node wins ties
-        table[sl] = model.nodes[best]
-        for (r, i), idx in np.ndenumerate(best):
-            nu0 = float(model.nodes[idx])
-            j = None if model.is_atom[idx] else model.interval_index(nu0)
-            if j is None:
-                continue
-            a, b = model.intervals[j]
-            delta = (b - a) / model.nodes_per_interval
-            brackets.append((i, sl.start + r, max(a, nu0 - delta), min(b, nu0 + delta)))
-    if brackets:
-        cols, rows, lo, hi = (np.asarray(v) for v in zip(*sorted(brackets)))  # by k, then row
+        best[sl] = np.argmax(sums, axis=-1)  # first occurrence: smallest node wins ties
+    table = model.nodes[best]
+    cols, rows = np.nonzero(~model.is_atom[best].T)  # the searches, by k, then row
+    if rows.size:
+        lo, hi = lo[best[rows, cols]], hi[best[rows, cols]]
         runs = np.flatnonzero((np.diff(cols) != 0) | (np.diff(rows) != 1)) + 1
         stats = np.concatenate([
             probe.statistic(ensemble.outcomes[run[0] : run[-1] + 1, : checkpoints[col[0]]])
@@ -384,12 +381,12 @@ def clt_samples(
 class LaplaceCheck:
     """Ratio of the rescaled likelihood integral to its Gaussian value.
 
-    The numerator integrates ``exp(L(u) - L(nu_hat))`` in the rescaled
-    variable ``x = sqrt(k)(u - nu_hat)`` over the interval owning the
-    estimate (other spectral components are exponentially suppressed);
-    the denominator is ``sqrt(2 pi / F(nu_hat))``.  Values near 1 support
-    the Gaussian posterior limit; this is a diagnostic, small-k values
-    far from 1 are expected.
+    The numerator integrates ``exp(L(u) - L(nu_hat))`` over the interval owning
+    the estimate (other spectral components are exponentially suppressed) in
+    the rescaled variable ``x = sqrt(k)(u - nu_hat)``, as ``sqrt(k)`` times
+    the integral in ``u`` on the interval's grid cells; the denominator is
+    ``sqrt(2 pi / F(nu_hat))``.  Values near 1 support the Gaussian posterior
+    limit; this is a diagnostic, small-k values far from 1 are expected.
     """
 
     ratio: float
@@ -403,30 +400,32 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 
 
 def laplace_condition_check(
-    trajectory: Ensemble, k: int, model: SpectralModel, probe, *, estimate: float,
-) -> LaplaceCheck:
-    """``LaplaceCheck`` after k outcomes of a one-row ensemble around
-    ``estimate``, the refined estimate at k (its ``mle_table`` entry)."""
-    sums = _row_sums(trajectory, k)
-    nu_hat = float(estimate)
-    sl, (a, b) = _interval_subgrid(model, nu_hat)
-    xs, ys = model.nodes[sl], sums[sl]
-    fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
-    l_hat = float(_interpolate(xs, ys, nu_hat, (a, b))[0])
-
-    sqrt_k = math.sqrt(k)
-    edges = sqrt_k * (np.linspace(a, b, (sl.stop - sl.start) + 1) - nu_hat)
-    xq, wq = _composite_gauss(edges, _GL16)
-    expo = _interpolate(xs, ys, nu_hat + xq / sqrt_k, (a, b)) - l_hat
-    numerator = float(wq @ np.exp(np.clip(expo, None, 50.0)))
-    denominator = math.sqrt(2.0 * math.pi / fisher)
-    return LaplaceCheck(
-        ratio=numerator / denominator,
-        numerator=numerator,
-        denominator=denominator,
-        estimate=nu_hat,
-        fisher=fisher,
-    )
+    ensemble: Ensemble, k: int, model: SpectralModel, probe, *, estimates: Sequence[float],
+) -> list[LaplaceCheck]:
+    """``LaplaceCheck`` after k outcomes of each trajectory around ``estimates``,
+    its refined estimate at k (the ``mle_table`` column at k), with the bits of
+    its row alone.  The rule (16 Gauss-Legendre points a grid cell) of each
+    interval an estimate falls in, and its stencil on the interval's nodes, are
+    built once; a row then takes one stencil of its sums, one exp and one dot."""
+    nus = [float(nu) for nu in estimates]
+    if len(nus) != len(ensemble):
+        raise ValueError(f"{len(nus)} estimates for an ensemble of {len(ensemble)} rows")
+    rules = {}  # first node of an interval -> its stencil and rescaled weights
+    checks = []
+    for block, sums in _sums_blocks(ensemble, [k]):
+        for nu, row in zip(nus[block], sums[:, 0]):
+            sl, bounds = _interval_subgrid(model, nu)
+            if sl.start not in rules:
+                uq, wq = _composite_gauss(model.interval_edges[model.interval_index(nu)], _GL16)
+                rules[sl.start] = _stencil(model.nodes[sl], uq, bounds), math.sqrt(k) * wq
+            (first, w), wq = rules[sl.start]
+            l_hat = float(_interpolate(model.nodes[sl], row[sl], nu, bounds)[0])
+            expo = _apply_stencil(first, w, row[sl]) - l_hat
+            numerator = float(wq @ np.exp(np.clip(expo, None, 50.0)))
+            fisher = float(probe.fisher(np.asarray([nu]))[0])
+            denominator = math.sqrt(2.0 * math.pi / fisher)
+            checks.append(LaplaceCheck(numerator / denominator, numerator, denominator, nu, fisher))
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -518,14 +518,10 @@ def _estimate_kernel(run: _Run, table, col, report):
         window_nodes=int(config.window["nodes"]),
         min_sigmas=config.window["min_sigmas"],
     )
-    # the Laplace check stays per trajectory: one stencil of all its
-    # quadrature points falls out of cache
-    ratios = [
-        est.laplace_condition_check(
-            traj, config.k_max, run.model, run.probe, estimate=row[col[config.k_max]]
-        ).ratio
-        for traj, row in zip(ensemble, table)
-    ]
+    checks = est.laplace_condition_check(
+        ensemble, config.k_max, run.model, run.probe, estimates=table[:, col[config.k_max]]
+    )
+    ratios = [check.ratio for check in checks]
     medians = [float(np.median(d)) for d in distances.T]
     report.distance_series = [
         {"checkpoint": c, "median_distance": m} for c, m in zip(cps, medians)

@@ -437,6 +437,8 @@ class TabulatedProbe(ProbeModel):
             raise ProbeError("provide exactly one of outcomes or xi_grid")
         if len(self.nu_grid) < 3:
             raise ProbeError("nu_grid needs at least 3 points")
+        if self.xi_grid is not None and len(self.xi_grid) < 2:
+            raise ProbeError("xi_grid needs at least 2 points")
         for name, grid in (("nu_grid", self.nu_grid), ("xi_grid", self.xi_grid or ())):
             grid = np.asarray(grid, dtype=float)
             if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):

@@ -418,6 +418,10 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
             _on_unit({**DENSITY, "xi_grid": [0, 2, 1]}),
             "xi_grid must be finite and strictly increasing",
         ),
+        (
+            _on_unit({**DENSITY, "values": [[0.5] * 3], "xi_grid": [0.0]}),
+            "xi_grid needs at least 2 points",
+        ),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -490,6 +494,7 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "tabulated-value-inf",
         "tabulated-value-nan",
         "tabulated-xi-grid-unsorted",
+        "tabulated-xi-grid-one-point",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, message):

@@ -1,8 +1,10 @@
 """Maximum likelihood, rate traces, CLT residuals, Laplace diagnostic,
 rescaled kernels, the Gaussian limit, and the trace-norm distance."""
 
+import functools
 import json
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +57,8 @@ from qndsim.trajectories import (
     sample_ensemble,
     trajectory_rng,
 )
+
+from test_probes import UNBLOCKED, _with_cells
 
 SEED = 20260810
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -548,39 +552,143 @@ def test_clt_requires_hidden_values():
 # ---------------------------------------------------------------------------
 # Laplace-integral diagnostic
 
-def test_laplace_ratio_exact_for_gaussian():
+@functools.lru_cache(maxsize=None)
+def _laplace_cases():
+    """name -> (ensemble, k, model, probe, estimates at k) of the Laplace cases: a
+    Gaussian readout at k = 400, the binary probe at k = 10^4 and k = 1, and a
+    two-interval spectrum with estimates in both intervals."""
     model, probe, state = _gaussian_setup(200)
-    for i in range(3):
-        traj = definetti_sample(
-            state, probe, 400, trajectory_rng(SEED, i), hidden_nu=0.5,
-            checkpoints=[400],
-        )
-        estimate = mle(traj, 400, model, probe)
-        check = laplace_condition_check(traj, 400, model, probe, estimate=estimate)
+    ens = sample_ensemble(state, probe, 400, 3, SEED, hidden_nu=0.5)
+    cases = {"gaussian": (ens, 400, model, probe)}
+    model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=200)
+    binary = BinaryPhase.embedded(0.0, 1.0)
+    state = pure_state(model, lambda nu: np.ones_like(nu))
+    ens = definetti_sample(state, binary, 10_000, trajectory_rng(SEED, 5), hidden_nu=0.5)
+    cases["binary-large-k"] = (ens, 10_000, model, binary)
+    model, probe, state = _gaussian_setup(100)
+    ens = sample_ensemble(state, probe, 1, 3, SEED + 6, hidden_nu=0.5)
+    cases["small-k"] = (ens, 1, model, probe)
+    model = build_spectral_model(intervals=[(0.0, 0.45), (0.55, 1.0)], nodes_per_interval=60)
+    probe = GaussianReadout(sigma=0.2)
+    state = pure_state(model, lambda nu: np.ones_like(nu))
+    cases["two-intervals"] = (sample_ensemble(state, probe, 50, 8, SEED), 50, model, probe)
+    return {
+        name: (ens, k, model, probe, mle_table(ens, [k], model, probe)[:, 0])
+        for name, (ens, k, model, probe) in cases.items()
+    }
+
+
+def test_laplace_ratio_exact_for_gaussian():
+    ens, k, model, probe, estimates = _laplace_cases()["gaussian"]
+    for check in laplace_condition_check(ens, k, model, probe, estimates=estimates):
         assert check.ratio == pytest.approx(1.0, abs=1e-8)
         assert check.fisher == pytest.approx(1.0, abs=1e-9)
 
 
 def test_laplace_ratio_binary_near_one_at_large_k():
-    model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=200)
-    probe = BinaryPhase.embedded(0.0, 1.0)
-    state = pure_state(model, lambda nu: np.ones_like(nu))
-    traj = definetti_sample(
-        state, probe, 10_000, trajectory_rng(SEED, 5), hidden_nu=0.5,
-        checkpoints=[10_000],
-    )
-    estimate = mle(traj, 10_000, model, probe)
-    check = laplace_condition_check(traj, 10_000, model, probe, estimate=estimate)
+    ens, k, model, probe, estimates = _laplace_cases()["binary-large-k"]
+    [check] = laplace_condition_check(ens, k, model, probe, estimates=estimates)
     assert abs(check.ratio - 1.0) < 0.05
 
 
 def test_laplace_small_k_is_diagnostic_only():
-    model, probe, state = _gaussian_setup(100)
-    traj = definetti_sample(
-        state, probe, 1, trajectory_rng(SEED, 6), hidden_nu=0.5, checkpoints=[1]
+    ens, k, model, probe, estimates = _laplace_cases()["small-k"]
+    for check in laplace_condition_check(ens, k, model, probe, estimates=estimates):
+        assert np.isfinite(check.ratio) and check.ratio > 0
+
+
+def _oracle_laplace(sums, k, model, probe, nu_hat):
+    """One row's ratio as an integral in x = sqrt(k)(u - nu_hat): a rule on the
+    rescaled cell edges around the estimate, the sums interpolated at
+    ``nu_hat + x / sqrt(k)``; and a bound on its distance to the same integral
+    on the original variable's rule, from the rounding of the two rules.
+
+    Both rules take the same edges, 16 points a cell and the same stencils (no
+    point lies near a cell edge, where the nearest node would change), and the
+    same maximum ``l_hat``.  With u the unit roundoff, M = max(|a|, |b|) and
+    h the cell width:
+    * a point's position: the oracle's carries at most 15 u M (the rounding of
+      edges, midpoints and offsets of size up to 2 M, scaled by sqrt(k) and
+      back), the original-variable rule's 3 u M, so the two differ by at most
+      ``du = 20 u M``, and the exponent by ``|p'| du`` (p the stencil's
+      parabola);
+    * a weight: the oracle's half-width is a difference of rescaled edges that
+      each carry 4 u M sqrt(k), so the weights differ relatively by at most
+      ``8 u M / h + 5 u``;
+    * each side rounds the stencil sum (9 u of sum |w y|), the subtraction of
+      the maximum (u |expo|), exp (4 u), the dot product (n u over n positive
+      terms) and the ratio (2 u).
+    """
+    sl, (a, b) = _interval_subgrid(model, nu_hat)
+    xs, ys = model.nodes[sl], sums[sl]
+    fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
+    l_hat = float(_interpolate(xs, ys, nu_hat, (a, b))[0])
+    sqrt_k = math.sqrt(k)
+    edges = sqrt_k * (np.linspace(a, b, (sl.stop - sl.start) + 1) - nu_hat)
+    xq, wq = spectral._composite_gauss(edges, estimators._GL16)
+    uq = nu_hat + xq / sqrt_k
+    expo = _interpolate(xs, ys, uq, (a, b)) - l_hat
+    terms = wq * np.exp(np.clip(expo, None, 50.0))
+    ratio = float(wq @ np.exp(np.clip(expo, None, 50.0))) / math.sqrt(2.0 * math.pi / fisher)
+
+    eps, m, h = np.finfo(float).eps / 2, max(abs(a), abs(b)), (b - a) / (sl.stop - sl.start)
+    first, w = _stencil(xs, uq, (a, b))
+    x0, x1, x2 = (xs[first + s] for s in range(3))
+    y0, y1, y2 = (ys[first + s] for s in range(3))
+    slope = (
+        y0 * (2 * uq - x1 - x2) / ((x0 - x1) * (x0 - x2))
+        + y1 * (2 * uq - x0 - x2) / ((x1 - x0) * (x1 - x2))
+        + y2 * (2 * uq - x0 - x1) / ((x2 - x0) * (x2 - x1))
     )
-    check = laplace_condition_check(traj, 1, model, probe, estimate=mle(traj, 1, model, probe))
-    assert np.isfinite(check.ratio) and check.ratio > 0
+    stencil_size = estimators._apply_stencil(first, np.abs(w), np.abs(ys))
+    per_term = (
+        np.abs(slope) * 20 * eps * m                           # the point's position
+        + 2 * (9 * eps * stencil_size + eps * np.abs(expo))    # the exponent
+        + 8 * eps * m / h + 5 * eps                            # the weight
+        + 2 * 4 * eps                                          # exp
+    )
+    bound = float(terms @ per_term) / float(terms.sum()) + 2 * terms.size * eps + 4 * eps
+    return ratio, bound
+
+
+@pytest.mark.parametrize("name", ["gaussian", "binary-large-k", "small-k", "two-intervals"])
+def test_laplace_check_equals_the_rescaled_variable_integral(name):
+    ens, k, model, probe, estimates = _laplace_cases()[name]
+    checks = laplace_condition_check(ens, k, model, probe, estimates=estimates)
+    assert len(checks) == len(ens)
+    if name == "two-intervals":
+        assert {model.interval_index(nu) for nu in estimates} == {0, 1}
+    for check, sums, nu in zip(checks, ens.sums_after([k])[:, 0], estimates):
+        ratio, bound = _oracle_laplace(sums, k, model, probe, float(nu))
+        assert check.estimate == nu
+        assert abs(check.ratio - ratio) <= bound * ratio, (check.ratio, ratio, bound)
+
+
+@pytest.mark.parametrize("rows_a_block", [1, 3, None], ids=["one-row", "three-rows", "one-block"])
+def test_laplace_check_of_a_row_has_the_bits_of_the_row_alone(rows_a_block):
+    ens, k, model, probe, estimates = _laplace_cases()["two-intervals"]
+    cells = 4 * model.size * rows_a_block if rows_a_block else UNBLOCKED
+    blocks = _with_cells(cells, lambda: list(_sums_blocks(ens, [k])))
+    assert len(blocks) == -(-len(ens) // (rows_a_block or len(ens)))
+
+    def bits(checks):
+        return np.array([astuple(c) for c in checks]).tobytes()
+
+    stacked = _with_cells(
+        cells, lambda: laplace_condition_check(ens, k, model, probe, estimates=estimates)
+    )
+    for i, check in enumerate(stacked):
+        alone = laplace_condition_check(
+            ens[i : i + 1], k, model, probe, estimates=estimates[i : i + 1]
+        )
+        assert bits(alone) == bits([check]), i
+
+
+def test_laplace_check_takes_one_estimate_a_row():
+    ens, k, model, probe, estimates = _laplace_cases()["gaussian"]
+    for wrong in (estimates[:-1], np.append(estimates, 0.5), []):
+        with pytest.raises(ValueError, match=f"{len(wrong)} estimates for an ensemble of 3 rows"):
+            laplace_condition_check(ens, k, model, probe, estimates=wrong)
 
 
 # ---------------------------------------------------------------------------

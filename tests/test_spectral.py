@@ -71,6 +71,12 @@ def test_atom_region_read_off():
     assert abs(spectral_probability(state, [1.0]) - 0.7) < 1e-12
 
 
+def test_region_closes_on_an_atom_at_either_end():
+    m = build_spectral_model(atoms=[(0.2, 0.5), (0.8, 0.5)], intervals=[(0.4, 0.6)])
+    for region, atoms in (((0.2, 0.5), [0.2]), ((0.5, 0.8), [0.8]), ((0.2, 0.8), [0.2, 0.8])):
+        assert np.array_equal(m.nodes[m.region_mask([region]) & m.is_atom], atoms), region
+
+
 def test_pure_state_region_probability():
     # oracle: integral of 3 nu^2 over [0, 0.5] by adaptive quadrature
     oracle, _ = integrate.quad(lambda v: 3.0 * v**2, 0.0, 0.5)
@@ -177,6 +183,15 @@ def test_multiplicity_two_state():
     assert state.block_size == 2
     assert abs(state.trace() - 1.0) < 1e-12
     assert validate_state(state).passed
+
+
+def test_multiplicity_two_state_from_one_wave_function():
+    m = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=12, multiplicity=2)
+    state = pure_state(m, np.linspace(1, 2, 12))  # the same amplitude in both block entries
+    psi, d = state.factor
+    assert psi.shape == (12, 2, 1) and np.array_equal(d, [1.0])
+    assert abs(state.trace() - 1.0) < 1e-12
+    assert np.array_equal(psi[:, 0], psi[:, 1])
 
 
 def test_spectral_weights_normalize():

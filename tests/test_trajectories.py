@@ -9,7 +9,6 @@ from scipy.special import logsumexp
 from qndsim import probes
 from qndsim.estimators import (
     RateTrace,
-    laplace_condition_check,
     mle,
     mle_table,
     rate_region,
@@ -578,7 +577,6 @@ def test_per_trajectory_functions_take_one_row():
         lambda t: posterior_weights(state, t, 200),
         lambda t: posterior_kernel(state, t, 200),
         lambda t: mle(t, 200, model, probe),
-        lambda t: laplace_condition_check(t, 200, model, probe, estimate=0.5),
         lambda t: rescaled_posterior_kernel(state, t, 200, model, probe, estimate=0.5),
     ]
     for call in calls:

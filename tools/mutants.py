@@ -181,6 +181,36 @@ MUTANTS = {
         "        diff = fmat[:, first[sl]] - fmat[:, second[sl]]\n"
         "        out[sl] = wq @ np.abs(diff)\n",
     ),
+    # a region component is closed: an atom on its lower end belongs to it
+    "region-open-at-lower-atom": (
+        "spectral.py",
+        "sel = self.is_atom & (self.nodes >= r0) & (self.nodes <= r1)",
+        "sel = self.is_atom & (self.nodes > r0) & (self.nodes <= r1)",
+    ),
+    # a 1-D wave function fills every entry of a multiplicity-n block
+    "pure-state-one-block-entry": (
+        "spectral.py",
+        "psi = psi[:, None] if n == 1 else np.tile(psi[:, None], (1, n))",
+        "psi = psi[:, None] if n != 1 else np.tile(psi[:, None], (1, n))",
+    ),
+    # the Laplace rule and stencil of the first interval read for every interval
+    "laplace-one-rule-for-all-intervals": (
+        "estimators.py",
+        "            if sl.start not in rules:\n"
+        "                uq, wq = _composite_gauss(model.interval_edges[model.interval_index(nu)], _GL16)\n"
+        "                rules[sl.start] = _stencil(model.nodes[sl], uq, bounds), math.sqrt(k) * wq\n"
+        "            (first, w), wq = rules[sl.start]\n",
+        "            if 0 not in rules:\n"
+        "                uq, wq = _composite_gauss(model.interval_edges[model.interval_index(nu)], _GL16)\n"
+        "                rules[0] = _stencil(model.nodes[sl], uq, bounds), math.sqrt(k) * wq\n"
+        "            (first, w), wq = rules[0]\n",
+    ),
+    # a bracket reaching down to its interval's lower end, or below the spectrum
+    "bracket-lower-end-by-minimum": (
+        "estimators.py",
+        "np.maximum(a, nodes - delta)",
+        "np.minimum(a, nodes - delta)",
+    ),
 }
 
 EQUIVALENT = {
