@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import qndsim as q
+from qndsim.estimators import kernel_distances
 
 OUT = Path(__file__).parent / "output"
 SEED = 17
@@ -32,16 +33,13 @@ def main():
     state = q.pure_state(model, lambda nu: np.exp(0.5 * nu))
     checkpoints = [100, 1000, 10000]
 
-    distances = {k: [] for k in checkpoints}
     ensemble = q.sample_ensemble(
         state, probe, max(checkpoints), 10, SEED, checkpoints=checkpoints, hidden_nu=0.5
     )
     table = q.mle_table(ensemble, checkpoints, model, probe)
-    for traj, estimates in zip(ensemble, table):
-        for k, nu_hat in zip(checkpoints, estimates):
-            zoom = q.rescaled_posterior_kernel(state, traj, k, model, probe, estimate=nu_hat)
-            limit = q.limit_kernel(model, state, zoom.estimate, zoom.fisher, zoom.window)
-            distances[k].append(q.trace_norm_distance(zoom.kernel, limit))
+    # one zoom window per (trajectory, checkpoint): a 10 x 3 table of distances
+    by_row, _ = kernel_distances(state, ensemble, checkpoints, model, probe, estimates=table)
+    distances = dict(zip(checkpoints, by_row.T))
     checks = q.laplace_condition_check(
         ensemble, checkpoints[-1], model, probe, estimates=table[:, -1]
     )

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 import qndsim as q
-from qndsim.spectral import nearest_node
 
 OUT = Path(__file__).parent / "output"
 SEED = 7
@@ -34,11 +33,11 @@ def main():
     ensemble = 400
     # row i draws from trajectory_rng(SEED, i)
     trajectories = q.sample_ensemble(state, probe, max(steps), ensemble, SEED, checkpoints=steps)
-    weight_at_hidden = np.empty((ensemble, len(steps)))
-    for i in range(ensemble):
-        node = nearest_node(model, trajectories.hidden[i])
-        for c, k in enumerate(steps):
-            weight_at_hidden[i, c] = q.posterior_weights(state, trajectories[i], k).values[node]
+    rows = np.arange(ensemble)
+    node = np.argmin(np.abs(model.nodes - trajectories.hidden[:, None]), axis=1)
+    weight_at_hidden = np.column_stack(
+        [q.posterior_weights(state, trajectories, k)[rows, node] for k in steps]
+    )
     winners = q.mle_table(trajectories, [max(steps)], model, probe)[:, 0]
 
     OUT.mkdir(exist_ok=True)

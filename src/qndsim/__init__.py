@@ -13,7 +13,6 @@ from .spectral import (
     RegionError,
     SpectralModel,
     SpectralModelError,
-    SpectralWeights,
     StateKernel,
     StateValidationReport,
     build_spectral_model,
@@ -43,7 +42,6 @@ from .trajectories import (
     posterior_means,
     posterior_weights,
     sample_ensemble,
-    sequential_sample,
     trajectory_rng,
 )
 from .estimators import (

@@ -52,7 +52,7 @@ from .spectral import (
     _weighted_gram,
     spectral_probability,
 )
-from .trajectories import Ensemble, _logsumexp, _row_sums, _sums_blocks, log_prior_weights
+from .trajectories import Ensemble, _logsumexp, _sums_blocks, log_prior_weights
 
 __all__ = [
     "RateTrace",
@@ -213,6 +213,13 @@ def mle_table(
         )
         table[rows, cols] = np.clip(found, lo, hi)
     return table
+
+
+def _row_sums(trajectory: Ensemble, k: int) -> np.ndarray:
+    """Sums after k of a one-row ensemble, the input of the per-trajectory functions."""
+    if len(trajectory) != 1:
+        raise ValueError(f"expected a one-row ensemble, got {len(trajectory)} rows")
+    return trajectory.sums_after([k])[0, 0]
 
 
 def mle(trajectory: Ensemble, k: int, model: SpectralModel, probe) -> float:

@@ -167,6 +167,10 @@ class ExperimentConfig:
         _require_known("window", self.window, DEFAULT_WINDOW)
         tol = {**DEFAULT_TOLERANCES, **self.tolerances}
         self.tolerances = {k: _coerced(f"tolerance {k}", v, float) for k, v in tol.items()}
+        for k, v in self.tolerances.items():  # nan fails every comparison
+            if not 0.0 <= v < math.inf or (k == "ks_alpha" and v > 1.0):
+                bound = "in [0, 1]" if k == "ks_alpha" else "finite and at least 0"
+                raise ConfigError(f"tolerance {k} must be {bound}, got {v!r}")
         self.window = {**DEFAULT_WINDOW, **self.window}
         _require_count("window nodes", self.window["nodes"], 1)
         if self.window["nodes"] > MAX_WINDOW_NODES:
@@ -174,7 +178,9 @@ class ExperimentConfig:
                 f"window nodes must be at most {MAX_WINDOW_NODES}, got {self.window['nodes']}"
             )
         for k in ("sigmas", "min_sigmas"):
-            self.window[k] = _coerced(f"window {k}", self.window[k], float)
+            self.window[k] = v = _coerced(f"window {k}", self.window[k], float)
+            if not 0.0 < v < math.inf:
+                raise ConfigError(f"window {k} must be finite and positive, got {v!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

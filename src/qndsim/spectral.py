@@ -33,14 +33,12 @@ __all__ = [
     "SpectralModelError",
     "RegionError",
     "StateKernel",
-    "SpectralWeights",
     "StateValidationReport",
     "build_spectral_model",
     "pure_state",
     "diagonal_state",
     "spectral_probability",
     "validate_state",
-    "nearest_node",
     "model_from_dict",
     "state_from_dict",
 ]
@@ -196,7 +194,8 @@ class SpectralModel:
         (scalar) or an interval (pair).  Interval endpoints snap to the
         nearest cell boundary; atoms are selected by closed containment.
         A point selects the atom it names exactly (within 1e-9 of the
-        hull width) or the grid cell containing it.
+        hull width) or the grid cell containing it.  Points and endpoints
+        must be finite.
         """
         mask = np.zeros(self.size, dtype=bool)
         lo_h, hi_h = self.hull
@@ -205,6 +204,8 @@ class SpectralModel:
         for comp in region:
             if np.isscalar(comp):
                 p = float(comp)
+                if not np.isfinite(p):
+                    raise RegionError(f"region point {p} is not finite")
                 d = np.abs(self.nodes - p)
                 d[~self.is_atom] = np.inf
                 if self.is_atom.any() and d.min() <= 1e-9 * scale:
@@ -223,6 +224,8 @@ class SpectralModel:
                 raise RegionError(f"region component {list(comp)} is neither a point nor a pair")
             else:
                 r0, r1 = float(comp[0]), float(comp[1])
+                if not (np.isfinite(r0) and np.isfinite(r1)):  # nan would snap to an edge
+                    raise RegionError(f"region component ({r0}, {r1}) is not finite")
                 if r1 < r0:
                     raise RegionError(f"empty region component ({r0}, {r1})")
                 # atoms: closed containment, no snapping
@@ -392,11 +395,6 @@ def build_spectral_model(
     )
 
 
-def nearest_node(model: SpectralModel, nu: float) -> int:
-    """Index of the grid node closest to ``nu``."""
-    return int(np.argmin(np.abs(model.nodes - nu)))
-
-
 # ---------------------------------------------------------------------------
 # states
 
@@ -475,13 +473,6 @@ class StateKernel:
         with np.errstate(divide="ignore", invalid="ignore"):
             return _readonly(np.log(w)), _readonly(np.log(w / w.sum()))
 
-    def weighted_matrix(self) -> np.ndarray:
-        """Dense mass-weighted (N*n, N*n) matrix, expanded from the factor."""
-        psi, d = self.factor
-        w = psi * np.sqrt(self.grid.mass)[:, None, None]
-        w = w.reshape(self.size * self.block_size, d.size)
-        return (w * d) @ w.conj().T
-
 
 def _expand_factor(psi: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Dense (N, N, n, n) values of ``Psi diag(d) Psi*``."""
@@ -544,23 +535,6 @@ def diagonal_state(model, node_probs) -> StateKernel:
     n = model.multiplicity
     psi = np.eye(model.size * n, dtype=complex).reshape(model.size, n, -1)
     return StateKernel(None, model, factor=(psi, np.repeat(p / model.mass / n, n)))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralWeights:
-    """Per-node probabilities of the observable's value (sum to 1)."""
-
-    values: np.ndarray
-    grid: SpectralModel
-
-    @classmethod
-    def from_state(cls, state: StateKernel) -> "SpectralWeights":
-        w = state.grid.mass * state.block_traces()
-        w = np.clip(w, 0.0, None)
-        return cls(_readonly(w / w.sum()), state.grid)
-
-    def mean(self) -> float:
-        return float(np.dot(self.values, self.grid.nodes))
 
 
 def spectral_probability(state: StateKernel, region) -> float:

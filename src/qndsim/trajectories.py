@@ -1,28 +1,27 @@
 """Trajectory engine: outcome records and posterior evolution over the grid.
 
-Two samplers generate outcome sequences with provably identical laws:
+``sample_ensemble`` draws E independent trajectories; row i draws from
+``trajectory_rng(master, i)``.  Two samplers give outcome sequences with
+provably identical laws:
 
-* ``definetti_sample`` draws a hidden value of the observable from the
-  initial spectral weights and then i.i.d. outcomes from its law — the
-  mixture form of the outcome process.
-* ``sequential_sample`` draws each outcome from the one-step predictive
-  density given the running posterior — the chain-rule form.
+* ``de-finetti`` draws a hidden value of the observable from the initial
+  spectral weights and then i.i.d. outcomes from its law — the mixture form
+  of the outcome process (``definetti_sample`` is its one-row ensemble).
+* ``sequential`` draws each outcome from the one-step predictive density
+  given the running posterior — the chain-rule form.
 
-Both record the per-node log-likelihood sums
-``L_k[i] = sum_{j<=k} log f(xi_j | nu_i)``, which is all the posterior
-needs: weights are ``prior * exp(L_k)`` renormalized, and the posterior
-kernel multiplies the initial kernel by ``exp(L_k/2)`` on both sides.
-All weight arithmetic runs in log space with running-max subtraction, so
-sequences of length 1e4 and beyond are safe from underflow.
-
-``sample_ensemble`` returns an ``Ensemble``: one (E x k) outcome block and
-one (E x C+1 x N) stack of sums after each checkpoint and k.  Either sampler
-fills the outcome block, which is then summed segment by segment from the
-probe's sufficient statistic (``ProbeModel.statistic``), so the sums depend
-on the outcomes alone.  A trajectory is a one-row ensemble
-(``ensemble[i]``, what the per-trajectory functions take and return);
-``Ensemble.sums_after`` reads the sums after chosen k, and the estimators
-read them in row blocks.
+The result is an ``Ensemble``: one (E x k) outcome block and one
+(E x C+1 x N) stack of the per-node log-likelihood sums
+``L_k[i] = sum_{j<=k} log f(xi_j | nu_i)`` after each checkpoint and k,
+summed segment by segment from the probe's sufficient statistic
+(``ProbeModel.statistic``), so the sums depend on the outcomes alone.  The
+sums are all the posterior needs: ``posterior_weights`` gives each row's
+``prior * exp(L_k)`` renormalized (E x N), in log space with max
+subtraction, so sequences of length 1e4 and beyond are safe from underflow,
+and ``posterior_means`` reads them.  ``Ensemble.sums_after`` reads the sums
+after chosen k, the estimators read them in row blocks, and each row's
+result has the bits it has alone (``ensemble[i]`` is row i as a one-row
+ensemble).
 
 Reproducibility: per-trajectory generators are spawned from a master seed
 as ``default_rng(SeedSequence(master, spawn_key=(index,)))``; identical
@@ -31,7 +30,6 @@ seeds give bitwise-identical trajectories.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,19 +37,16 @@ import numpy as np
 import numpy.random  # numpy 2 loads np.random on first use, which would fall inside a run
 
 from .probes import _blocks
-from .spectral import SpectralWeights, StateKernel
+from .spectral import StateKernel
 
 __all__ = [
     "Ensemble",
     "trajectory_rng",
     "definetti_sample",
-    "sequential_sample",
     "sample_ensemble",
     "log_prior_weights",
     "posterior_weights",
     "posterior_means",
-    "posterior_kernel",
-    "exact_tuple_distribution",
 ]
 
 
@@ -118,13 +113,6 @@ class Ensemble:
         return self.sums[:, [-1 if c == k else cps.index(c) for c in ks]]
 
 
-def _row_sums(trajectory: Ensemble, k: int) -> np.ndarray:
-    """Sums after k of a one-row ensemble, the input of the per-trajectory functions."""
-    if len(trajectory) != 1:
-        raise ValueError(f"expected a one-row ensemble, got {len(trajectory)} rows")
-    return trajectory.sums_after([k])[0, 0]
-
-
 def log_prior_weights(state: StateKernel) -> np.ndarray:
     """Log of the initial spectral weights; -inf where the prior vanishes.
     Computed once per state (``StateKernel.log_weights``, read-only)."""
@@ -150,23 +138,6 @@ def definetti_sample(
     ``sample_ensemble``.
     """
     return _sample(state, probe, k, [rng], "de-finetti", checkpoints, hidden_nu)
-
-
-def sequential_sample(
-    state: StateKernel,
-    probe,
-    k: int,
-    rng: np.random.Generator,
-    checkpoints: Iterable[int] = (),
-) -> Ensemble:
-    """Chain-rule sampler: each outcome from the one-step predictive density.
-
-    The predictive density is the posterior-weighted mixture of node laws;
-    sampling draws a node from the current posterior, then an outcome from
-    that node's law.  Returns the one-row ensemble of the trajectory; no
-    hidden value is recorded.
-    """
-    return _sample(state, probe, k, [rng], "sequential", checkpoints)
 
 
 def _sample(state, probe, k, rngs, sampler, checkpoints, hidden_nu=None, master=None) -> Ensemble:
@@ -229,81 +200,22 @@ def _sums_blocks(ensemble: Ensemble, ks: Sequence[int], row_cells: int = 0):
         yield sl, ensemble[sl].sums_after(ks)
 
 
-def _posterior_rows(log_prior: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Posterior weights (log space) of each row of log-likelihood sums."""
-    logw = log_prior + sums
-    shift = _logsumexp(logw, axis=-1)
-    if not np.all(np.isfinite(shift)):
-        raise AssertionError("posterior weights underflowed despite max subtraction")
-    w = np.exp(logw - shift[..., None])
-    return w / w.sum(axis=-1, keepdims=True)
-
-
-def posterior_weights(state: StateKernel, trajectory: Ensemble, k: int) -> SpectralWeights:
-    """Spectral weights of the posterior after k outcomes (log-space) of a
-    one-row ensemble."""
-    sums = _row_sums(trajectory, k)
-    return SpectralWeights(values=_posterior_rows(log_prior_weights(state), sums), grid=state.grid)
+def posterior_weights(state: StateKernel, ensemble: Ensemble, k: int) -> np.ndarray:
+    """Spectral weights of the posterior after k outcomes (log-space), one row
+    (E x N) a trajectory, read in row blocks: each row has the bits it has alone."""
+    log_prior = log_prior_weights(state)
+    out = np.empty((len(ensemble), state.size))
+    for sl, sums in _sums_blocks(ensemble, [k]):
+        logw = log_prior + sums[:, 0]
+        shift = _logsumexp(logw, axis=-1)
+        if not np.all(np.isfinite(shift)):
+            raise AssertionError("posterior weights underflowed despite max subtraction")
+        w = np.exp(logw - shift[:, None])
+        out[sl] = w / w.sum(axis=-1, keepdims=True)
+    return out
 
 
 def posterior_means(state: StateKernel, ensemble: Ensemble, k: int) -> list[float]:
-    """Posterior mean of the observable after k outcomes for each trajectory,
-    ``posterior_weights(...).mean()`` bit for bit, from row blocks of weights."""
-    nodes, log_prior = state.grid.nodes, log_prior_weights(state)
-    return [
-        float(np.dot(w, nodes))  # one dot per row, as SpectralWeights.mean
-        for _, sums in _sums_blocks(ensemble, [k])
-        for w in _posterior_rows(log_prior, sums[:, 0])
-    ]
-
-
-def posterior_kernel(state: StateKernel, trajectory: Ensemble, k: int) -> StateKernel:
-    """Posterior kernel after k outcomes of a one-row ensemble.
-
-    Multiplies the initial kernel by ``exp(L_k/2)`` on both sides (the rows
-    of its factor) and renormalizes by the discrete trace, all in log space.
-    """
-    sums = _row_sums(trajectory, k)
-    psi, d = state.factor
-    psi = psi * np.exp(0.5 * (sums - sums.max()))[:, None, None]
-    z = StateKernel(None, state.grid, factor=(psi, d)).trace()
-    if z <= 0:
-        raise ValueError("posterior kernel has zero normalizer")
-    return StateKernel(None, state.grid, factor=(psi, d / z))
-
-
-def exact_tuple_distribution(
-    state: StateKernel, probe, k: int, method: str = "de-finetti"
-) -> dict[tuple[float, ...], float]:
-    """Exact law of the first k outcomes for a finite outcome space.
-
-    ``de-finetti`` enumerates the mixture form; ``sequential`` applies the
-    chain rule with explicit Bayes updates.  The two must agree — this is
-    exchangeability made literal, and the sampler-equivalence tests lean
-    on it.
-    """
-    if probe.outcomes is None:
-        raise ValueError("exact enumeration needs a finite outcome space")
-    values = np.asarray(probe.outcomes, dtype=float)
-    if values.size**k > 2_000_000:
-        raise ValueError("outcome tuple space too large to enumerate")
+    """Posterior mean of the observable after k outcomes for each trajectory."""
     nodes = state.grid.nodes
-    prior = np.exp(log_prior_weights(state))
-    prior = prior / prior.sum()
-    dens = probe.density(values[:, None], nodes[None, :])  # (O, N)
-    out: dict[tuple[float, ...], float] = {}
-    for combo in itertools.product(range(values.size), repeat=int(k)):
-        if method == "de-finetti":
-            prob = float(np.dot(prior, np.prod(dens[list(combo)], axis=0)))
-        elif method == "sequential":
-            w = prior.copy()
-            prob = 1.0
-            for o in combo:
-                step_prob = float(np.dot(w, dens[o]))
-                prob *= step_prob
-                w = w * dens[o] / step_prob
-            prob = float(prob)
-        else:
-            raise ValueError(f"unknown method: {method!r}")
-        out[tuple(float(values[o]) for o in combo)] = prob
-    return out
+    return [float(np.dot(w, nodes)) for w in posterior_weights(state, ensemble, k)]  # a dot a row

@@ -1,0 +1,58 @@
+"""Oracles the tests check the library against; nothing in ``src`` calls them.
+
+``exact_tuple_distribution`` enumerates the exact law of short outcome
+tuples in the mixture and the chain-rule form; ``weighted_matrix`` expands
+a kernel's factor into its dense mass-weighted matrix.
+"""
+
+import itertools
+
+import numpy as np
+
+from qndsim.spectral import StateKernel
+from qndsim.trajectories import log_prior_weights
+
+
+def weighted_matrix(state: StateKernel) -> np.ndarray:
+    """Dense mass-weighted (N*n, N*n) matrix, expanded from the factor."""
+    psi, d = state.factor
+    w = psi * np.sqrt(state.grid.mass)[:, None, None]
+    w = w.reshape(state.size * state.block_size, d.size)
+    return (w * d) @ w.conj().T
+
+
+def exact_tuple_distribution(
+    state: StateKernel, probe, k: int, method: str = "de-finetti"
+) -> dict[tuple[float, ...], float]:
+    """Exact law of the first k outcomes for a finite outcome space.
+
+    ``de-finetti`` enumerates the mixture form; ``sequential`` applies the
+    chain rule with explicit Bayes updates.  The two must agree — this is
+    exchangeability made literal, and the sampler-equivalence tests lean
+    on it.
+    """
+    if probe.outcomes is None:
+        raise ValueError("exact enumeration needs a finite outcome space")
+    values = np.asarray(probe.outcomes, dtype=float)
+    if values.size**k > 2_000_000:
+        raise ValueError("outcome tuple space too large to enumerate")
+    nodes = state.grid.nodes
+    prior = np.exp(log_prior_weights(state))
+    prior = prior / prior.sum()
+    dens = probe.density(values[:, None], nodes[None, :])  # (O, N)
+    out: dict[tuple[float, ...], float] = {}
+    for combo in itertools.product(range(values.size), repeat=int(k)):
+        if method == "de-finetti":
+            prob = float(np.dot(prior, np.prod(dens[list(combo)], axis=0)))
+        elif method == "sequential":
+            w = prior.copy()
+            prob = 1.0
+            for o in combo:
+                step_prob = float(np.dot(w, dens[o]))
+                prob *= step_prob
+                w = w * dens[o] / step_prob
+            prob = float(prob)
+        else:
+            raise ValueError(f"unknown method: {method!r}")
+        out[tuple(float(values[o]) for o in combo)] = prob
+    return out

@@ -17,7 +17,7 @@ from scipy import integrate, stats
 from scipy.special import ndtr
 
 import qndsim as q
-from qndsim.trajectories import exact_tuple_distribution
+from _oracles import exact_tuple_distribution
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SEED = 20260810
@@ -225,7 +225,7 @@ def test_criterion_7_invariant_suites(tmp_path):
         f = probe.density(np.asarray([xi])[:, None], model.nodes[None, :])[0]
         w = w * f
         w /= w.sum()
-    batch = q.posterior_weights(state, traj, 50).values
+    batch = q.posterior_weights(state, traj, 50)[0]
     assert np.max(np.abs(w - batch)) < 1e-10
 
     # trace-norm axioms on random kernels

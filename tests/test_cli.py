@@ -422,6 +422,41 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
             _on_unit({**DENSITY, "values": [[0.5] * 3], "xi_grid": [0.0]}),
             "xi_grid needs at least 2 points",
         ),
+        (
+            {"tolerances": {"kernel_distance_final": float("nan")}},
+            "tolerance kernel_distance_final must be finite and at least 0, got nan",
+        ),
+        (
+            {"tolerances": {"rate_rel_tol": -0.1}},
+            "tolerance rate_rel_tol must be finite and at least 0, got -0.1",
+        ),
+        (
+            {"tolerances": {"laplace_rel_tol": float("inf")}},
+            "tolerance laplace_rel_tol must be finite and at least 0, got inf",
+        ),
+        ({"tolerances": {"ks_alpha": 1.5}}, "tolerance ks_alpha must be in [0, 1], got 1.5"),
+        ({"tolerances": {"ks_alpha": -0.01}}, "tolerance ks_alpha must be in [0, 1], got -0.01"),
+        ({"window": {"sigmas": float("nan")}}, "window sigmas must be finite and positive, got nan"),
+        ({"window": {"sigmas": float("inf")}}, "window sigmas must be finite and positive, got inf"),
+        ({"window": {"min_sigmas": -1}}, "window min_sigmas must be finite and positive, got -1.0"),
+        ({"window": {"min_sigmas": 0}}, "window min_sigmas must be finite and positive, got 0.0"),
+        *(
+            (
+                {
+                    "kind": "rate-convergence",
+                    "spectral": {"intervals": [[0.0, 1.0]]},
+                    "state": {"type": "pure"},
+                    "region": [region],
+                },
+                message,
+            )
+            for region, message in (
+                ([float("nan"), 1.0], "region component (nan, 1.0) is not finite"),
+                ([0.6, float("nan")], "region component (0.6, nan) is not finite"),
+                ([0.6, float("inf")], "region component (0.6, inf) is not finite"),
+            )
+        ),
+        ({"region": [float("nan")]}, "region point nan is not finite"),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -495,6 +530,19 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "tabulated-value-nan",
         "tabulated-xi-grid-unsorted",
         "tabulated-xi-grid-one-point",
+        "tolerance-nan",
+        "tolerance-negative",
+        "tolerance-inf",
+        "ks-alpha-above-one",
+        "ks-alpha-negative",
+        "window-sigmas-nan",
+        "window-sigmas-inf",
+        "window-min-sigmas-negative",
+        "window-min-sigmas-zero",
+        "rate-region-nan-start",
+        "rate-region-nan-end",
+        "rate-region-inf-end",
+        "born-region-point-nan",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, message):

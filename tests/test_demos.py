@@ -1,6 +1,7 @@
-"""Smoke tests: every demo runs end to end and writes its CSV."""
+"""Every demo runs end to end and writes its CSV, byte for byte the pinned one."""
 
 import csv
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -13,6 +14,15 @@ CSV_OF = {
     "kernel_demo": "kernel_distance.csv",
     "purification_demo": "purification_weights.csv",
     "rate_demo": "rate_trace.csv",
+}
+
+# sha256 of each CSV, the same at 1, 2 and 4 BLAS threads: a change that moves a
+# demo's numbers updates these and says why
+CSV_SHA256 = {
+    "clt_demo": "41358b6bcb1456c8c06c686fb53ec5e0e8a6b5158f843b577c383b965f45fc62",
+    "kernel_demo": "b3612dfac9985b99d5a54ccb0a97e5b32045b3cfc1a89c868665514e18185dca",
+    "purification_demo": "cdc9c9f3590250c72590d5b3258bd9ddd6e6242833a5428af0daa0939462eb84",
+    "rate_demo": "1b11ac22814f0535bd61344eebc817845718fab5c095b94381a7106c5599e180",
 }
 
 
@@ -34,6 +44,8 @@ def test_every_demo_is_covered():
 def test_demo_writes_its_csv(name, tmp_path):
     rows = _run_demo(name, tmp_path)
     assert len(rows) > 1  # a header and at least one data row
+    digest = hashlib.sha256((tmp_path / CSV_OF[name]).read_bytes()).hexdigest()
+    assert digest == CSV_SHA256[name]
     if name == "kernel_demo":
         medians = [float(row[1]) for row in rows[1:]]
         assert len(medians) == 3

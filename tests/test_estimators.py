@@ -58,6 +58,7 @@ from qndsim.trajectories import (
     trajectory_rng,
 )
 
+from _oracles import weighted_matrix
 from test_probes import UNBLOCKED, _with_cells
 
 SEED = 20260810
@@ -703,7 +704,7 @@ def test_rescaled_kernel_trace_and_rank():
     estimate = mle(traj, 10_000, model, probe)
     zoom = rescaled_posterior_kernel(state, traj, 10_000, model, probe, estimate=estimate)
     assert abs(zoom.kernel.trace() - 1.0) < 1e-8
-    svals = np.linalg.svd(zoom.kernel.weighted_matrix(), compute_uv=False)
+    svals = np.linalg.svd(weighted_matrix(zoom.kernel), compute_uv=False)
     assert svals[1] < 1e-8  # pure initial state stays rank one
     assert zoom.window_mass == pytest.approx(1.0, abs=1e-6)
 
@@ -927,7 +928,7 @@ def test_trace_norm_equals_dense_svd_oracle(kinds, n_nodes, multiplicity, ranks,
         multiplicity=multiplicity,
     )
     a, b = (_oracle_kernel(k, model, r, rng) for k, r in zip(kinds, ranks))
-    oracle = np.linalg.svd(a.weighted_matrix() - b.weighted_matrix(), compute_uv=False).sum()
+    oracle = np.linalg.svd(weighted_matrix(a) - weighted_matrix(b), compute_uv=False).sum()
     assert abs(trace_norm_distance(a, b) - oracle) <= 1e-12 * max(1.0, oracle)
 
 
@@ -946,7 +947,7 @@ def test_trace_norm_reads_the_hermitian_part_of_dense_values():
     expected = trace_norm_distance(herm, other)
     assert abs(dist - expected) <= 1e-14 * expected
     svd_sum = np.linalg.svd(
-        skewed.weighted_matrix() - other.weighted_matrix(), compute_uv=False
+        weighted_matrix(skewed) - weighted_matrix(other), compute_uv=False
     ).sum()
     assert abs(dist - svd_sum) <= 1e-14 * svd_sum
 

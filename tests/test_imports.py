@@ -88,8 +88,8 @@ def test_clt_run_loads_scipy_special_only(tmp_path):
 
 
 
-MAX_EXPORTS = 67  # names qndsim/__init__ may import
-MAX_SRC_LINES = 3640  # newline count of src/qndsim/*.py, as ``wc -l``
+MAX_EXPORTS = 65  # names qndsim/__init__ may import
+MAX_SRC_LINES = 3539  # newline count of src/qndsim/*.py, as ``wc -l``
 
 
 def test_exports_exist_and_stay_few():

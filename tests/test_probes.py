@@ -443,14 +443,6 @@ def test_a_record_of_no_outcomes_has_log_likelihood_zero(name):
     assert np.all(probe.loglik_node_sums(nus[0], np.empty((2, 0))) == 0.0)
 
 
-def test_amplitude_is_sqrt_density():
-    probe = GaussianReadout(sigma=0.8)
-    xi, nu = 0.3, 0.7
-    assert float(probe.amplitude(xi, nu)) == pytest.approx(
-        np.sqrt(float(probe.density(xi, nu)))
-    )
-
-
 # ---------------------------------------------------------------------------
 # the outcome rule each family sizes for itself
 
@@ -658,6 +650,42 @@ def test_one_call_differentiability_on_shipped_configs(name):
         assert check.worst_value == worst
     else:
         assert check.worst_value == pytest.approx(worst, rel=1e-12, abs=0.0)
+
+
+def _knotted_table(cls=TabulatedProbe):
+    """3 outcomes on 11 knots over [-0.5, 1.5], each law uniform in [0.5, 1] normalised."""
+    table = np.random.default_rng(0).uniform(0.5, 1.0, (3, 11))
+    table /= table.sum(axis=0)
+    return cls(
+        nu_grid=tuple(np.linspace(-0.5, 1.5, 11)), values=tuple(map(tuple, table)),
+        outcomes=(0.0, 1.0, 2.0),
+    )
+
+
+# each of these seeds draws one check point whose central difference straddles a
+# knot (0.1, 0.9, 0.3, 0.5), where the one-sided slopes differ by up to 2e-5
+KNOT_SEEDS = (89, 114, 126, 150)
+
+
+@pytest.mark.parametrize("seed", KNOT_SEEDS)
+def test_tabulated_differentiability_leaves_out_points_at_knots(seed):
+    check = _validate(_knotted_table(), _grid(0.0, 1.0, 40), seed=seed)["differentiability"]
+    assert check.passed, check.summary()
+    assert check.note == "1 of 100 points within FD_STEP of a knot left out"
+
+
+class _SkewedScore(TabulatedProbe):
+    """A table whose analytic nu-derivative is 1e-3 too steep."""
+
+    def density_derivs(self, xi, nu):
+        f, f1, f2 = super().density_derivs(xi, nu)
+        return f, 1.001 * f1, f2
+
+
+@pytest.mark.parametrize("seed", (probes.DERIVATIVE_SEED, *KNOT_SEEDS))
+def test_tabulated_differentiability_still_fails_a_wrong_derivative(seed):
+    check = _validate(_knotted_table(_SkewedScore), _grid(0.0, 1.0, 40), seed=seed)
+    assert not check["differentiability"].passed
 
 
 def test_validator_accepts_binary_inside_safe_range():

@@ -9,23 +9,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from _oracles import weighted_matrix
+
 from qndsim.estimators import build_window_grid, limit_kernel
 from qndsim.probes import GaussianReadout
-from qndsim.trajectories import (
-    Ensemble,
-    log_prior_weights,
-    posterior_kernel,
-    posterior_weights,
-)
+from qndsim.trajectories import Ensemble, log_prior_weights, posterior_weights
 from qndsim.spectral import (
     RegionError,
     SpectralModelError,
-    SpectralWeights,
     StateKernel,
     build_spectral_model,
     diagonal_state,
     model_from_dict,
-    nearest_node,
     pure_state,
     spectral_probability,
     state_from_dict,
@@ -197,14 +192,9 @@ def test_multiplicity_two_state_from_one_wave_function():
 def test_spectral_weights_normalize():
     m = build_spectral_model(intervals=[(0.0, 2.0)], nodes_per_interval=40)
     state = pure_state(m, lambda nu: np.exp(-nu))
-    w = SpectralWeights.from_state(state)
-    assert abs(w.values.sum() - 1.0) < 1e-12
-    assert 0.0 < w.mean() < 2.0
-
-
-def test_nearest_node():
-    m = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=10)
-    assert m.nodes[nearest_node(m, 0.49)] == pytest.approx(0.45)
+    w = np.exp(log_prior_weights(state))
+    assert abs(w.sum() - 1.0) < 1e-12
+    assert 0.0 < np.dot(w, m.nodes) < 2.0
 
 
 def test_builder_errors():
@@ -381,7 +371,7 @@ def test_factored_state_matches_its_dense_values(kind, n_nodes, multiplicity, se
     weighted = (values * s[:, None, None, None] * s[None, :, None, None]).transpose(0, 2, 1, 3)
     eigs = np.linalg.eigvalsh(weighted.reshape(nn, nn))
     np.testing.assert_allclose(
-        np.linalg.eigvalsh(state.weighted_matrix()), eigs, rtol=0, atol=1e-12 * np.abs(eigs).max()
+        np.linalg.eigvalsh(weighted_matrix(state)), eigs, rtol=0, atol=1e-12 * np.abs(eigs).max()
     )
 
     traces = np.einsum("iiaa->i", values).real
@@ -410,7 +400,6 @@ def test_fine_pure_state_stays_a_vector():
         log_prior_weights(state)
         assert validate_state(state).passed
         posterior_weights(state, traj, 1000)
-        posterior_kernel(state, traj, 1000)
         limit_kernel(model, state, 0.4, 1.0, window)
         _, peak = tracemalloc.get_traced_memory()
     finally:

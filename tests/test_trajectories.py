@@ -30,16 +30,15 @@ from qndsim.spectral import (
 from qndsim.trajectories import (
     _logsumexp,
     definetti_sample,
-    exact_tuple_distribution,
     log_prior_weights,
-    posterior_kernel,
     posterior_means,
     posterior_weights,
     sample_ensemble,
-    sequential_sample,
     trajectory_rng,
 )
+from _oracles import exact_tuple_distribution
 from test_estimators import _oracle_mle, _tabulated_probes, _zero_table_probe
+from test_probes import UNBLOCKED, _with_cells
 
 SEED = 20260810
 
@@ -166,7 +165,7 @@ def test_first_outcome_marginal():
     f = probe.density(np.array([0.0])[:, None], model.nodes[None, :])[0]
     target = float(np.array([0.25, 0.75]) @ f)
     m = 20_000
-    # row i draws from trajectory_rng(SEED, i), as sequential_sample would
+    # row i draws from trajectory_rng(SEED, i)
     ens = sample_ensemble(state, probe, 1, m, SEED, sampler="sequential")
     hits = int(np.count_nonzero(ens.outcomes[:, 0] == 0.0))
     assert abs(hits / m - target) <= 4.0 * np.sqrt(target * (1 - target) / m)
@@ -179,7 +178,7 @@ def test_posterior_weights_at_zero_steps():
     _, probe, state = _two_atoms()
     traj = definetti_sample(state, probe, 5, trajectory_rng(SEED, 0), checkpoints=[0])
     w = posterior_weights(state, traj, 0)
-    assert np.allclose(w.values, [0.3, 0.7], atol=1e-14)
+    assert w.shape == (1, 2) and np.allclose(w, [[0.3, 0.7]], atol=1e-14)
 
 
 def test_single_step_bayes_ratio():
@@ -187,9 +186,9 @@ def test_single_step_bayes_ratio():
     traj = definetti_sample(state, probe, 1, trajectory_rng(SEED, 1))
     xi = traj.outcomes[0, 0]
     f = probe.density(np.array([xi])[:, None], model.nodes[None, :])[0]
-    w = posterior_weights(state, traj, 1)
+    w = posterior_weights(state, traj, 1)[0]
     expected_ratio = (0.7 / 0.3) * (f[1] / f[0])
-    assert w.values[1] / w.values[0] == pytest.approx(expected_ratio, rel=1e-12)
+    assert w[1] / w[0] == pytest.approx(expected_ratio, rel=1e-12)
 
 
 def test_iterative_updates_match_batch_formula():
@@ -201,46 +200,21 @@ def test_iterative_updates_match_batch_formula():
         f = probe.density(np.array([xi])[:, None], model.nodes[None, :])[0]
         w = w * f
         w = w / w.sum()
-    batch = posterior_weights(state, traj, 50)
-    assert np.max(np.abs(w - batch.values)) < 1e-10
+    batch = posterior_weights(state, traj, 50)[0]
+    assert np.max(np.abs(w - batch)) < 1e-10
 
 
 def test_posterior_weights_sum_to_one_deep():
     _, probe, state = _gaussian_setup(60)
     traj = definetti_sample(state, probe, 10_000, trajectory_rng(SEED, 3))
-    w = posterior_weights(state, traj, 10_000)
-    assert abs(w.values.sum() - 1.0) < 1e-12
-
-
-def test_posterior_kernel_at_zero_is_initial():
-    _, probe, state = _gaussian_setup(30)
-    traj = definetti_sample(state, probe, 4, trajectory_rng(SEED, 4), checkpoints=[0])
-    k0 = posterior_kernel(state, traj, 0)
-    assert np.allclose(k0.values, state.values, atol=1e-14)
-
-
-def test_posterior_kernel_diagonal_matches_weights():
-    model, probe, state = _gaussian_setup(40)
-    traj = definetti_sample(state, probe, 200, trajectory_rng(SEED, 5))
-    kern = posterior_kernel(state, traj, 200)
-    diag = model.mass * kern.block_traces()
-    w = posterior_weights(state, traj, 200)
-    assert np.max(np.abs(diag - w.values)) < 1e-10
-
-
-def test_posterior_kernel_stays_rank_one():
-    model, probe, state = _gaussian_setup(40)
-    traj = definetti_sample(state, probe, 500, trajectory_rng(SEED, 6))
-    kern = posterior_kernel(state, traj, 500)
-    svals = np.linalg.svd(kern.weighted_matrix(), compute_uv=False)
-    assert svals[0] == pytest.approx(1.0, abs=1e-10)
-    assert svals[1] < 1e-8
+    w = posterior_weights(state, traj, 10_000)[0]
+    assert abs(w.sum() - 1.0) < 1e-12
 
 
 def test_martingale_property_binary_exact():
     model, probe, state = _two_atoms(0.35, 0.65)
     traj = definetti_sample(state, probe, 7, trajectory_rng(SEED, 8))
-    w = posterior_weights(state, traj, 7).values
+    w = posterior_weights(state, traj, 7)[0]
     f = probe.density(np.array([0.0, 1.0])[:, None], model.nodes[None, :])
     avg = np.zeros_like(w)
     for o in (0, 1):
@@ -252,7 +226,7 @@ def test_martingale_property_binary_exact():
 def test_martingale_property_gaussian_quadrature():
     model, probe, state = _gaussian_setup(30)
     traj = definetti_sample(state, probe, 5, trajectory_rng(SEED, 9))
-    w = posterior_weights(state, traj, 5).values
+    w = posterior_weights(state, traj, 5)[0]
     # average the one-step update over outcomes with a dense rule
     xs, wq = np.polynomial.legendre.leggauss(96)
     lo, hi = -9.0, 10.0
@@ -266,11 +240,9 @@ def test_martingale_property_gaussian_quadrature():
 
 def test_purification_onto_hidden_atom():
     model, probe, state = _two_atoms(0.5, 0.5)
-    weights = []
-    for i in range(200):
-        traj = definetti_sample(state, probe, 500, trajectory_rng(SEED, i))
-        node = int(np.argmin(np.abs(model.nodes - traj.hidden[0])))
-        weights.append(posterior_weights(state, traj, 500).values[node])
+    ens = sample_ensemble(state, probe, 500, 200, SEED)
+    node = np.argmin(np.abs(model.nodes - ens.hidden[:, None]), axis=1)
+    weights = posterior_weights(state, ens, 500)[np.arange(200), node]
     assert np.median(weights) > 0.99
 
 
@@ -289,8 +261,8 @@ def test_identical_seeds_reproduce_bitwise():
 
 def test_sequential_reproducible_and_checkpointed():
     _, probe, state = _two_atoms()
-    a = sequential_sample(state, probe, 40, trajectory_rng(9, 0), checkpoints=[0, 20])
-    b = sequential_sample(state, probe, 40, trajectory_rng(9, 0), checkpoints=[0, 20])
+    a = sample_ensemble(state, probe, 40, 1, 9, sampler="sequential", checkpoints=[0, 20])
+    b = sample_ensemble(state, probe, 40, 1, 9, sampler="sequential", checkpoints=[0, 20])
     assert np.array_equal(a.outcomes, b.outcomes)
     assert a.hidden is None and a.checkpoints == (0, 20)
     assert np.array_equal(a.sums, b.sums)
@@ -320,11 +292,10 @@ def test_exact_enumeration_guards():
 
 
 def test_posterior_snapshot():
-    # two atoms at step 12: weights and kernel both normalized
+    # two atoms at step 12: the weights are normalized
     _, probe, state = _two_atoms()
     traj = definetti_sample(state, probe, 12, trajectory_rng(SEED, 12))
-    assert abs(posterior_weights(state, traj, 12).values.sum() - 1.0) < 1e-12
-    assert abs(posterior_kernel(state, traj, 12).trace() - 1.0) < 1e-12
+    assert abs(posterior_weights(state, traj, 12).sum() - 1.0) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,9 +303,10 @@ def test_posterior_snapshot():
     family=st.sampled_from(["binary", "gaussian"]),
     k=st.integers(0, 6),
     n_nodes=st.integers(2, 30),
+    size=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_posterior_weights_are_prior_times_likelihood(family, k, n_nodes, seed):
+def test_posterior_weights_are_prior_times_likelihood(family, k, n_nodes, size, seed):
     rng = np.random.default_rng(seed)
     model = build_spectral_model(
         intervals=[(0.0, 1.0)],
@@ -344,15 +316,36 @@ def test_posterior_weights_are_prior_times_likelihood(family, k, n_nodes, seed):
     probe = BinaryPhase.embedded(0.0, 1.0) if family == "binary" else GaussianReadout(sigma=0.3)
     psi = rng.standard_normal(model.size) + 1j * rng.standard_normal(model.size)
     state = pure_state(model, psi)
-    traj = definetti_sample(state, probe, k, rng)
+    ens = sample_ensemble(state, probe, k, size, seed)
     prior = model.mass * np.abs(psi) ** 2
-    likelihood = np.ones(model.size)
-    for xi in traj.outcomes[0]:
-        likelihood *= probe.density(np.asarray([[xi]]), model.nodes[None, :])[0]
+    likelihood = np.ones((size, model.size))
+    for row, outcomes in zip(likelihood, ens.outcomes):
+        for xi in outcomes:
+            row *= probe.density(np.asarray([[xi]]), model.nodes[None, :])[0]
     direct = prior / prior.sum() * likelihood
+    weights = posterior_weights(state, ens, k)
+    assert weights.shape == (size, model.size)
     np.testing.assert_allclose(
-        posterior_weights(state, traj, k).values, direct / direct.sum(), rtol=0, atol=1e-12
+        weights, direct / direct.sum(axis=1, keepdims=True), rtol=0, atol=1e-12
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    size=st.integers(1, 12),
+    k=st.integers(0, 40),
+    nodes=st.integers(2, 40),
+    cells=st.integers(4, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_posterior_weights_of_each_row_are_its_bits_alone(size, k, nodes, cells, seed):
+    _, probe, state = _gaussian_setup(nodes)
+    ens = sample_ensemble(state, probe, k, size, seed)
+    blocked = _with_cells(cells, lambda: posterior_weights(state, ens, k))
+    assert blocked.shape == (size, nodes)
+    for i in range(size):
+        alone = _with_cells(UNBLOCKED, lambda: posterior_weights(state, ens[i : i + 1], k))
+        assert _bits(blocked[i]) == _bits(alone[0])
 
 
 _LOG_TERM = st.one_of(
@@ -556,8 +549,8 @@ def test_ensemble_views_slices_and_stacking_agree():
             ens[out_of_range]
     seq = sample_ensemble(state, probe, 4, 3, SEED, sampler="sequential", checkpoints=[2])
     assert seq.hidden is None and seq.master == SEED and [t.hidden for t in seq] == [None] * 3
-    alone = sequential_sample(state, probe, 4, trajectory_rng(SEED, 1), checkpoints=[2])
-    assert alone.master is None and _bits(seq[1].sums) == _bits(alone.sums)
+    alone = _oracle_sequential(state, probe, 4, trajectory_rng(SEED, 1))
+    assert _bits(seq[1].outcomes) == _bits(alone[None])
 
 
 def test_multi_row_slices_hold_the_parent_rows():
@@ -574,8 +567,6 @@ def test_per_trajectory_functions_take_one_row():
     model, probe, state = _gaussian_setup(40)
     ens = sample_ensemble(state, probe, 200, 3, SEED, hidden_nu=0.5)
     calls = [
-        lambda t: posterior_weights(state, t, 200),
-        lambda t: posterior_kernel(state, t, 200),
         lambda t: mle(t, 200, model, probe),
         lambda t: rescaled_posterior_kernel(state, t, 200, model, probe, estimate=0.5),
     ]

@@ -211,6 +211,70 @@ MUTANTS = {
         "np.maximum(a, nodes - delta)",
         "np.minimum(a, nodes - delta)",
     ),
+    # each row of the posterior weights is normalised over its own nodes
+    "posterior-weights-normalised-over-rows": (
+        "trajectories.py",
+        "out[sl] = w / w.sum(axis=-1, keepdims=True)",
+        "out[sl] = w / w.sum(axis=0, keepdims=True)",
+    ),
+    # a posterior mean is one dot of its own row, not a row of a matrix-vector product
+    "posterior-means-one-matrix-product": (
+        "trajectories.py",
+        "return [float(np.dot(w, nodes)) for w in posterior_weights(state, ensemble, k)]",
+        "return (posterior_weights(state, ensemble, k) @ nodes).tolist()",
+    ),
+    # a negative tolerance can never pass; a nan one passes or fails without a message
+    "tolerance-negative-accepted": (
+        "harness.py",
+        'if not 0.0 <= v < math.inf or (k == "ks_alpha" and v > 1.0):',
+        'if not -math.inf < v < math.inf or (k == "ks_alpha" and v > 1.0):',
+    ),
+    "tolerance-nan-accepted": (
+        "harness.py",
+        'if not 0.0 <= v < math.inf or (k == "ks_alpha" and v > 1.0):',
+        'if v < 0.0 or v == math.inf or (k == "ks_alpha" and v > 1.0):',
+    ),
+    "ks-alpha-above-one-accepted": (
+        "harness.py",
+        'if not 0.0 <= v < math.inf or (k == "ks_alpha" and v > 1.0):',
+        "if not 0.0 <= v < math.inf:",
+    ),
+    # a zoom window of zero, negative or nan sigmas
+    "window-zero-sigmas-accepted": (
+        "harness.py",
+        "            if not 0.0 < v < math.inf:\n",
+        "            if not 0.0 <= v < math.inf:\n",
+    ),
+    "window-nan-sigmas-accepted": (
+        "harness.py",
+        "            if not 0.0 < v < math.inf:\n",
+        "            if v <= 0.0 or v == math.inf:\n",
+    ),
+    # a nan region end would snap to the interval start
+    "region-nan-end-accepted": (
+        "spectral.py",
+        "if not (np.isfinite(r0) and np.isfinite(r1)):",
+        "if not (np.isfinite(r0) or np.isfinite(r1)):",
+    ),
+    "region-nan-point-accepted": (
+        "spectral.py",
+        "                if not np.isfinite(p):\n",
+        "                if False:\n",
+    ),
+    # a check point is left out only when its central difference holds a knot
+    "knot-test-leaves-out-every-point": (
+        "probes.py",
+        "        straddles = (np.searchsorted(probe._nus, nu - FD_STEP)\n                     < ",
+        "        straddles = (np.searchsorted(probe._nus, nu - FD_STEP)\n                     <= ",
+    ),
+    "knot-test-drops-a-knot": (
+        "probes.py",
+        "        straddles = (np.searchsorted(probe._nus, nu - FD_STEP)\n"
+        '                     < np.searchsorted(probe._nus, nu + FD_STEP, "right"))\n',
+        "        knots = np.delete(probe._nus, len(probe._nus) // 2)  # the middle knot\n"
+        "        straddles = (np.searchsorted(knots, nu - FD_STEP)\n"
+        '                     < np.searchsorted(knots, nu + FD_STEP, "right"))\n',
+    ),
 }
 
 EQUIVALENT = {
