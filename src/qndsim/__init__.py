@@ -53,7 +53,6 @@ from .estimators import (
     RescaledKernelResult,
     WindowError,
     WindowGrid,
-    build_window_grid,
     clt_samples,
     laplace_condition_check,
     limit_kernel,

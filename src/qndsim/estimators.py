@@ -71,7 +71,6 @@ __all__ = [
     "clt_samples",
     "laplace_condition_check",
     "kernel_distances",
-    "build_window_grid",
     "rescaled_posterior_kernel",
     "limit_kernel",
     "trace_norm_distance",
@@ -313,7 +312,7 @@ def rate_traces(
     cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= k})
     values = np.empty((len(ensemble), len(cps)))
     for sl, sums in _sums_blocks(ensemble, cps):
-        logw = log_prior + sums  # (rows x checkpoints x nodes)
+        logw = np.add(log_prior, sums, out=sums)  # (rows x checkpoints x nodes), a copy
         # region terms node-major in each row, as in one trajectory's logw[:, mask]: same sums
         region_w = np.ascontiguousarray(logw.swapaxes(1, 2)[:, mask]).swapaxes(1, 2)
         values[sl] = -(_logsumexp(region_w, axis=-1) - _logsumexp(logw, axis=-1)) / np.asarray(cps)
@@ -512,26 +511,6 @@ def _groups(keys) -> list:
     for i, key in enumerate(np.reshape(keys, (len(keys), -1))):
         groups.setdefault(key.tobytes(), (key, []))[1].append(i)
     return [(key, np.array(rows)) for key, rows in groups.values()]
-
-
-def build_window_grid(
-    model: SpectralModel,
-    nu_hat: float,
-    k: int,
-    fisher: float,
-    window_sigmas: float = DEFAULT_WINDOW_SIGMAS,
-    window_nodes: int = 201,
-    min_sigmas: float = MIN_WINDOW_SIGMAS,
-) -> WindowGrid:
-    """Zoom window of half-width ``window_sigmas / sqrt(fisher)`` (rescaled).
-
-    The window is shrunk symmetrically so its original-variable image stays
-    inside the interval owning the estimate; if that leaves less than
-    ``min_sigmas / sqrt(fisher)``, the window cannot fit and a
-    ``WindowError`` is raised.
-    """
-    halves, _ = _window_sizes(model, nu_hat, k, fisher, window_sigmas, min_sigmas)
-    return _window_grids(model, nu_hat, k, halves, window_nodes).row(0)
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,10 @@ no wider than sigma / 2, at most ``MAX_RULE_PANELS`` of them (a rule that
 would need more raises ``ProbeError``); a continuous tabulated family puts
 one panel on each cell of its ``xi_grid``, so no kink of the linear
 interpolation falls inside a panel.  Outcome x node products are evaluated in
-blocks of at most ``BLOCK_CELLS`` cells.  The Gaussian relative entropy and
-Fisher information have closed forms.  Given nu the outcomes are i.i.d., so
-each family states one sufficient statistic (``ProbeModel.statistic``), which
-both the grid sums and the MLE objective read.
+blocks of at most ``BLOCK_CELLS`` cells; the validator's blocks share one
+workspace.  The Gaussian relative entropy and Fisher information have closed
+forms.  Given nu the outcomes are i.i.d., so each family states one sufficient
+statistic (``ProbeModel.statistic``) for the grid sums and the MLE objective.
 """
 
 from __future__ import annotations
@@ -101,16 +101,16 @@ def _value_counts(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _add_expectations(out: dict, w, f, f1, f2) -> None:
+def _add_expectations(out: dict, w, f, f1, f2, ratio) -> None:
     """Add one block of outcome rows to the expectations in ``out``: ``norm``
-    sums f, ``score`` f1, ``fisher`` f1^2 / f and ``d2`` f2 - f1^2 / f (the
-    ratio is 0 where f vanishes), each weighted by ``w``.  Overwrites f1 and
-    f2, so a block holds no more than four tables at once."""
+    sums f, ``score`` f1, ``fisher`` f1^2 / f and ``d2`` f2 - f1^2 / f, each
+    weighted by ``w``.  The ratio is written into ``ratio``, a table of zeros
+    of f's shape, and stays 0 where f vanishes; f1 and f2 are overwritten."""
     if "norm" in out:
         out["norm"] += w @ f
     if "score" in out:
         out["score"] += w @ f1
-    ratio = np.divide(np.multiply(f1, f1, out=f1), f, out=np.zeros_like(f), where=f > 0)
+    np.divide(np.multiply(f1, f1, out=f1), f, out=ratio, where=f > 0)
     if "fisher" in out:
         out["fisher"] += w @ ratio
     if "d2" in out:
@@ -207,7 +207,7 @@ class ProbeModel:
         total = np.zeros((rows.shape[0], nodes.size))
         if rows.size:  # rows of no outcomes sum to 0
             stats = self.statistic(rows)
-            for sl in _blocks(len(stats), stats.shape[1] * nodes.size):
+            for sl in _blocks(len(stats), stats.shape[1] * nodes.size, 4):
                 total[sl] = self._node_sums(stats[sl], nodes)
         return total if outcomes.ndim == 2 else total[0]
 
@@ -220,6 +220,14 @@ class ProbeModel:
             return xq, np.ones_like(xq)
         return _composite_gauss(self._xi_panels(np.asarray(nus, dtype=float)))
 
+    def _rule_block(self, xq, nus, f, f1, f2):
+        """Row minima and row maxima of |log f| over the rule rows ``xq`` at
+        ``nus``; writes f and its two nu-derivatives into the (rows x nodes) views."""
+        f[...] = self.loglik_values(nus, xq)  # log f until the density
+        extremes = f.min(axis=1), np.abs(f, out=f).max(axis=1)
+        f[...], f1[...], f2[...] = self.density_derivs(xq[:, None], nus[None, :])
+        return extremes
+
     def _expect(self, nus: np.ndarray, quantities: Sequence[str]):
         """Outcome-space expectations at each nu, in one sweep over outcome rows.
 
@@ -230,7 +238,8 @@ class ProbeModel:
         xq, wq = self._quadrature(nus)
         out = {q: np.zeros(nus.size) for q in quantities}
         for sl in _blocks(xq.size, nus.size):
-            _add_expectations(out, wq[sl], *self.density_derivs(xq[sl, None], nus[None, :]))
+            f, f1, f2 = self.density_derivs(xq[sl, None], nus[None, :])
+            _add_expectations(out, wq[sl], f, f1, f2, np.zeros_like(f))
         return out
 
     def fisher(self, nus) -> np.ndarray:
@@ -285,6 +294,23 @@ class GaussianReadout(ProbeModel):
     def loglik_values(self, nodes, outcomes):
         d = np.asarray(outcomes, dtype=float)[:, None] - np.asarray(nodes, dtype=float)[None, :]
         return -0.5 * (d / self.sigma) ** 2 - np.log(np.sqrt(2.0 * np.pi) * self.sigma)
+
+    def _rule_block(self, xq, nus, f, f1, f2):
+        """The base hook with no table beyond the views, in the operation order
+        of ``loglik_values``, ``density`` and ``density_derivs``: the same bits."""
+        norm = np.sqrt(2.0 * np.pi) * self.sigma
+        d = np.subtract(xq[:, None], nus[None, :], out=f1)
+        z = np.divide(d, self.sigma, out=f2)
+        logf = np.multiply(-0.5, np.square(z, out=f), out=f)
+        logf -= np.log(norm)
+        extremes = logf.min(axis=1), np.abs(logf, out=logf).max(axis=1)
+        np.exp(np.multiply(np.multiply(-0.5, z, out=f), z, out=f), out=f)
+        f /= norm
+        u = np.divide(d, self.sigma**2, out=f2)
+        np.multiply(f, u, out=f1)
+        np.subtract(np.multiply(u, u, out=f2), 1.0 / self.sigma**2, out=f2)
+        np.multiply(f, f2, out=f2)
+        return extremes
 
     def statistic(self, rows):
         """``(k, m, sum r, sum r^2)`` of each row, m its mean and r = xi - m, in
@@ -597,7 +623,8 @@ def _pair_distances(fmat, wq, first, second) -> np.ndarray:
     contiguous row: unlike a matrix product, its bits depend on the pair alone."""
     out = np.empty(first.size)
     for sl in _blocks(first.size, fmat.shape[0]):
-        diff = fmat.T[first[sl]] - fmat.T[second[sl]]  # one law per row
+        diff = fmat.T[first[sl]]  # one law per row
+        diff -= fmat.T[second[sl]]
         out[sl] = np.multiply(np.abs(diff, out=diff), wq, out=diff).sum(axis=1)
     return out
 
@@ -668,7 +695,7 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
     and finite-difference derivatives, mean-zero score, and strictly
     positive expected curvature.  Always returns a report; nothing raises.
 
-    One sweep over the row blocks of the probe's outcome rule gives every
+    One sweep over the rule's row blocks, through one workspace, gives every
     table the checks read: log-density row extremes, the density table, and
     normalization, mean score and curvature summed as ``_expect`` sums them.
 
@@ -690,27 +717,21 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
     checks: list[AssumptionCheck] = []
     caveats: list[str] = []
 
-    # the probe's one outcome rule serves every check, in one sweep over its
-    # row blocks.  Positivity and dominance read log-densities, which stay
-    # finite where a narrow density underflows to 0; a genuine zero is log 0
-    # = -inf.  Of the log table only row extremes stay.  Normalization, mean
-    # score and curvature are summed as ``_expect`` sums them, and the
-    # density table is kept for identifiability and dominance.  Each table
-    # of a block is dropped before the next is built: kept beside the
-    # density table, they would raise the validator's peak by half.
+    # log-density extremes stay finite where a narrow density underflows to
+    # 0 (a genuine zero is log 0 = -inf); f is written straight into fmat
     xs, wq = probe._quadrature(nodes)
     fmat = np.empty((xs.size, nodes.size))
     sup_abs, row_min = np.empty(xs.size), np.empty(xs.size)
     stats = {q: np.zeros(nodes.size) for q in ("norm", "score", "d2")}
-    for sl in _blocks(xs.size, nodes.size):
-        logf = probe.loglik_values(nodes, xs[sl])
-        row_min[sl] = logf.min(axis=1)
-        sup_abs[sl] = np.abs(logf, out=logf).max(axis=1)
-        del logf
-        f, f1, f2 = probe.density_derivs(xs[sl, None], nodes[None, :])
-        _add_expectations(stats, wq[sl], f, f1, f2)
-        fmat[sl] = f
-        del f, f1, f2
+    blocks = _blocks(xs.size, nodes.size)
+    work = np.empty((3, min(blocks[0].stop, xs.size), nodes.size))
+    for sl in blocks:
+        f = fmat[sl]
+        f1, f2, ratio = work[:, : len(f)]
+        row_min[sl], sup_abs[sl] = probe._rule_block(xs[sl], nodes, f, f1, f2)
+        ratio[...] = 0.0
+        _add_expectations(stats, wq[sl], f, f1, f2, ratio)
+    del work, f1, f2, ratio  # identifiability peaks beside fmat alone
 
     def defect_check(name, defects, tol):
         worst = float(defects.max())

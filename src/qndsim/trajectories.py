@@ -63,7 +63,8 @@ def _logsumexp(a, axis=None):
         a_max = np.max(a, axis=axes, keepdims=True, initial=-np.inf)
         mask = a == a_max
         m = np.sum(mask, axis=axes, keepdims=True, dtype=a.dtype)
-        s = np.sum(np.exp(np.where(mask, -np.inf, a) - a_max), axis=axes, keepdims=True)
+        t = np.where(mask, -np.inf, a)  # one table, shifted and exponentiated in place
+        s = np.sum(np.exp(np.subtract(t, a_max, out=t), out=t), axis=axes, keepdims=True)
         out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
         direct = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))
     out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axes)
@@ -170,8 +171,8 @@ def _sample(state, probe, k, rngs, sampler, checkpoints, hidden_nu=None, master=
         raise ValueError(f"unknown sampler: {sampler!r}")
     sums = np.empty((len(rngs), len(cps) + 1, nodes.size))
     for j, (a, b) in enumerate(zip([0, *cps], [*cps, k])):  # in a single trajectory's order
-        seg = probe.loglik_node_sums(nodes, outcomes[:, a:b])
-        np.add(sums[:, j - 1] if j else 0.0, seg, out=sums[:, j])
+        np.add(sums[:, j - 1] if j else 0.0, probe.loglik_node_sums(nodes, outcomes[:, a:b]),
+               out=sums[:, j])
     return Ensemble(outcomes, sums, tuple(cps), hidden, master)
 
 
@@ -206,12 +207,12 @@ def posterior_weights(state: StateKernel, ensemble: Ensemble, k: int) -> np.ndar
     log_prior = log_prior_weights(state)
     out = np.empty((len(ensemble), state.size))
     for sl, sums in _sums_blocks(ensemble, [k]):
-        logw = log_prior + sums[:, 0]
+        logw = np.add(log_prior, sums[:, 0], out=sums[:, 0])  # sums is a copy
         shift = _logsumexp(logw, axis=-1)
         if not np.all(np.isfinite(shift)):
             raise AssertionError("posterior weights underflowed despite max subtraction")
-        w = np.exp(logw - shift[:, None])
-        out[sl] = w / w.sum(axis=-1, keepdims=True)
+        w = np.exp(np.subtract(logw, shift[:, None], out=logw), out=logw)
+        np.divide(w, w.sum(axis=-1, keepdims=True), out=out[sl])
     return out
 
 

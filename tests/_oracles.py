@@ -2,13 +2,23 @@
 
 ``exact_tuple_distribution`` enumerates the exact law of short outcome
 tuples in the mixture and the chain-rule form; ``weighted_matrix`` expands
-a kernel's factor into its dense mass-weighted matrix.
+a kernel's factor into its dense mass-weighted matrix; ``rule_blocks`` is
+the validator's sweep over its outcome rule with new tables for each block;
+``build_window_grid`` sizes and builds one zoom window.
 """
 
 import itertools
 
 import numpy as np
 
+from qndsim.estimators import (
+    DEFAULT_WINDOW_SIGMAS,
+    MIN_WINDOW_SIGMAS,
+    WindowGrid,
+    _window_grids,
+    _window_sizes,
+)
+from qndsim.probes import _blocks
 from qndsim.spectral import StateKernel
 from qndsim.trajectories import log_prior_weights
 
@@ -56,3 +66,35 @@ def exact_tuple_distribution(
             raise ValueError(f"unknown method: {method!r}")
         out[tuple(float(values[o]) for o in combo)] = prob
     return out
+
+
+def rule_blocks(probe, nodes):
+    """For each row block of the outcome rule, as ``validate_probe`` cuts it: the
+    block, the row minima and row maxima of |log f|, and new f, df/dnu and
+    d2f/dnu2 tables (the sweep ``ProbeModel._rule_block`` writes in place)."""
+    xs, _ = probe._quadrature(nodes)
+    for sl in _blocks(xs.size, nodes.size):
+        logf = probe.loglik_values(nodes, xs[sl])
+        lo, hi = logf.min(axis=1), np.abs(logf).max(axis=1)
+        yield (sl, lo, hi, *probe.density_derivs(xs[sl, None], nodes[None, :]))
+
+
+def build_window_grid(
+    model,
+    nu_hat: float,
+    k: int,
+    fisher: float,
+    window_sigmas: float = DEFAULT_WINDOW_SIGMAS,
+    window_nodes: int = 201,
+    min_sigmas: float = MIN_WINDOW_SIGMAS,
+) -> WindowGrid:
+    """Zoom window of half-width ``window_sigmas / sqrt(fisher)`` (rescaled), as
+    ``kernel_distances`` sizes and builds its windows.
+
+    The window is shrunk symmetrically so its original-variable image stays
+    inside the interval owning the estimate; if that leaves less than
+    ``min_sigmas / sqrt(fisher)``, the window cannot fit and a
+    ``WindowError`` is raised.
+    """
+    halves, _ = _window_sizes(model, nu_hat, k, fisher, window_sigmas, min_sigmas)
+    return _window_grids(model, nu_hat, k, halves, window_nodes).row(0)

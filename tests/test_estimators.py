@@ -23,7 +23,6 @@ from qndsim.estimators import (
     _interpolate,
     _interval_subgrid,
     _stencil,
-    build_window_grid,
     clt_samples,
     kernel_distances,
     laplace_condition_check,
@@ -58,7 +57,7 @@ from qndsim.trajectories import (
     trajectory_rng,
 )
 
-from _oracles import weighted_matrix
+from _oracles import build_window_grid, weighted_matrix
 from test_probes import UNBLOCKED, _with_cells
 
 SEED = 20260810

@@ -1,6 +1,8 @@
 """Experiment orchestration: statistical tests, determinism, persistence."""
 
 import json
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -435,3 +437,24 @@ def test_simulate_and_estimate_stay_below_the_validator_peak(name):
         tracemalloc.stop()
     validate, simulate, estimate = peaks
     assert simulate <= validate and estimate <= validate, [p / 1e6 for p in peaks]
+
+
+def test_coldrun_reports_the_stages_of_one_cold_run():
+    tool = CONFIGS.parent / "tools" / "coldrun.py"
+    proc = subprocess.run(
+        [sys.executable, str(tool), "kernel_convergence"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    report = json.loads(line)
+    assert report.pop("config") == "kernel_convergence"
+    assert list(report) == ["validate", "simulate", "estimate", "write", "run"]
+    for stage in report.values():
+        assert list(stage) == ["minflt", "user_ms", "sys_ms", "wall_ms"]
+        assert all(value >= 0 for value in stage.values())
+    run = report.pop("run")
+    for key in ("minflt", "wall_ms"):  # the stages nest inside the run
+        assert sum(stage[key] for stage in report.values()) <= run[key]
+    unknown = subprocess.run([sys.executable, str(tool), "no_such_config"], capture_output=True)
+    assert unknown.returncode == 2

@@ -2,6 +2,7 @@
 sampling, and the assumption validators."""
 
 import functools
+import hashlib
 import json
 import math
 import tracemalloc
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import erf, kolmogorov
 
+from _oracles import rule_blocks
 from qndsim import probes
 from qndsim.harness import ExperimentConfig, build_model, build_probe
 from qndsim.probes import (
@@ -650,6 +652,78 @@ def test_one_call_differentiability_on_shipped_configs(name):
         assert check.worst_value == worst
     else:
         assert check.worst_value == pytest.approx(worst, rel=1e-12, abs=0.0)
+
+
+# the validator's sweep writes each row block into one workspace
+
+def _bits(*arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["gaussian", "binary", "tabulated", "tabulated-finite"]),
+    log10_sigma=st.floats(-2.0, np.log10(3.0)),
+    nodes=st.integers(2, 60),
+    data=st.data(),
+)
+@example(family="gaussian", log10_sigma=-2.0, nodes=47, data=None)
+def test_rule_blocks_are_the_allocating_sweep_bitwise(family, log10_sigma, nodes, data):
+    # sigma = 0.01 underflows f to 0 far from nu, where the ratio must stay 0
+    probe = FAMILY_PROBES[family]
+    if family == "gaussian":
+        probe = GaussianReadout(sigma=10.0**log10_sigma)
+    model = _grid(0.0, 1.0, nodes)
+    xs = probe._quadrature(model.nodes)[0]
+    cells = nodes * (xs.size // 3 + 1)  # three blocks, the last one short
+    if data is not None:  # at most about 40 blocks
+        rows = data.draw(st.integers(max(xs.size // 40, 1), xs.size), label="rows per block")
+        cells = nodes * rows + data.draw(st.integers(0, nodes - 1), label="spare cells")
+    blocks = _with_cells(cells, lambda: list(rule_blocks(probe, model.nodes)))
+    fmat = np.full((xs.size, nodes), np.nan)
+    work = np.full((2, len(blocks[0][1]), nodes), np.nan)  # stale from block to block
+    for sl, lo, hi, f, f1, f2 in blocks:
+        views = fmat[sl], *work[:, : f.shape[0]]
+        extremes = probe._rule_block(xs[sl], model.nodes, *views)
+        assert _bits(*extremes, *views) == _bits(lo, hi, f, f1, f2)
+
+    # the validator sums its blocks as _expect does, through one reused ratio plane
+    sweeps, add = [], probes._add_expectations
+
+    def spy(out, *tables):
+        sweeps.append(out)
+        add(out, *tables)
+
+    with mock.patch.object(probes, "_add_expectations", spy):
+        _with_cells(cells, lambda: _validate(probe, model, pairs=1))
+    expected = _with_cells(cells, lambda: probe._expect(model.nodes, ("norm", "score", "d2")))
+    assert _bits(*sweeps[0].values()) == _bits(*expected.values())
+
+
+# sha256 of repr(validate_probe(...)), recorded before the sweep shared a workspace
+VALIDATOR_DIGESTS = {
+    "assumption_validation": "4a6cd8451956308b2f553a9a1f641c357936bad1e1b929247c271c8c3aacd49d",
+    "born_frequency": "1da5dca4712c9fb04b7a3519fe1fb50ecd712737347e6857ca9ef257ac8a781d",
+    "clt_binary": "4ae119c4b0dfe9705d19180b600cc7b9c0b5b7f48d3f47638ce19d40da4b2831",
+    "clt_gaussian": "4c9bf64304eb6add58e193ba58aa5cf184f5022d2da343495d28e03ad9f86def",
+    "kernel_convergence": "351f5b7f119c194acaa105cd299f9eac4334a7dcdf833397acd7f359cce3d546",
+    "rate_convergence": "351f5b7f119c194acaa105cd299f9eac4334a7dcdf833397acd7f359cce3d546",
+    0.01: "36223f63b02896daea33571c7b222c7e860ade6e07896b10012264f4403d7254",
+    0.05: "cfb7f368b0d4c3f5d39f7cdfad43c75fde7fc45a19d064c2ade460b1e23f0741",
+    0.3: "53483947c42dacaae7b8dc596b13999c26c8f19968ce26b492167159545dc075",
+    3.0: "45650e1a363a6f732e39c0f282cc35cdf0f95246a522bf85095224e59ef060f8",
+}
+
+
+@pytest.mark.parametrize("case", VALIDATOR_DIGESTS, ids=str)
+def test_validator_reports_keep_their_recorded_bits(case):
+    # a shipped config, or a Gaussian readout of that sigma on 400 nodes
+    if isinstance(case, str):
+        probe, model = _shipped_probe(case)
+    else:
+        probe, model = GaussianReadout(sigma=case), _grid(0.0, 1.0, 400)
+    digest = hashlib.sha256(repr(validate_probe(probe, model)).encode()).hexdigest()
+    assert digest == VALIDATOR_DIGESTS[case]
 
 
 def _knotted_table(cls=TabulatedProbe):

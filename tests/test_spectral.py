@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from _oracles import weighted_matrix
+from _oracles import build_window_grid, weighted_matrix
 
-from qndsim.estimators import build_window_grid, limit_kernel
+from qndsim.estimators import limit_kernel
 from qndsim.probes import GaussianReadout
 from qndsim.trajectories import Ensemble, log_prior_weights, posterior_weights
 from qndsim.spectral import (

@@ -1,0 +1,79 @@
+"""Where one cold run of a shipped config spends its page faults and time.
+
+usage: python tools/coldrun.py CONFIG
+
+CONFIG names a file in ``configs/`` (``kernel_convergence``).  In this
+fresh interpreter, runs ``run_experiment`` once as ``qndsim verify`` does,
+with the bundle in a temporary directory, and prints one JSON line: for
+each of the stages validate, simulate, estimate and write, and for the
+whole run, the minor page faults (``ru_minflt``), user and system CPU
+milliseconds and wall milliseconds.  A stage is timed around the harness
+call that does it, which is looked up by name, as a tracer would; nothing
+in the run changes.  Not part of tier-1 (its smoke test is).
+"""
+
+from __future__ import annotations
+
+import json
+import resource
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _usage():
+    r = resource.getrusage(resource.RUSAGE_SELF)
+    return r.ru_minflt, r.ru_utime, r.ru_stime, time.perf_counter()
+
+
+def _record(stages: dict, name: str, func):
+    def timed(*args, **kwargs):
+        start = _usage()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            end = _usage()
+            faults, user, sys_, wall = (b - a for a, b in zip(start, end))
+            stages[name] = {
+                "minflt": faults,
+                "user_ms": round(1e3 * user, 3),
+                "sys_ms": round(1e3 * sys_, 3),
+                "wall_ms": round(1e3 * wall, 3),
+            }
+
+    return timed
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    path = ROOT / "configs" / f"{argv[0]}.json"
+    if not path.is_file():
+        print(f"no shipped config {argv[0]!r} in {path.parent}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(ROOT / "src"))
+    from qndsim import harness
+
+    raw = path.read_bytes()
+    config = harness.ExperimentConfig.from_dict(json.loads(raw))
+    stages: dict = {}
+    for owner, attr, name in (
+        (harness, "validate_probe", "validate"),
+        (harness, "simulate_ensemble", "simulate"),
+        (harness, "estimate_ensemble", "estimate"),
+        (harness.ReportBundle, "write", "write"),
+    ):
+        setattr(owner, attr, _record(stages, name, getattr(owner, attr)))
+    run = _record(stages, "run", harness.run_experiment)
+    with tempfile.TemporaryDirectory(prefix="coldrun-") as tmp:
+        run(config, out_dir=Path(tmp) / "bundle", content_hash=harness.git_blob_sha1(raw))
+    print(json.dumps({"config": argv[0], **stages}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -176,7 +176,8 @@ MUTANTS = {
     # a matrix-vector product over a (rule x pairs) block rounds by block
     "pair-sums-by-matrix-product": (
         "probes.py",
-        "        diff = fmat.T[first[sl]] - fmat.T[second[sl]]  # one law per row\n"
+        "        diff = fmat.T[first[sl]]  # one law per row\n"
+        "        diff -= fmat.T[second[sl]]\n"
         "        out[sl] = np.multiply(np.abs(diff, out=diff), wq, out=diff).sum(axis=1)\n",
         "        diff = fmat[:, first[sl]] - fmat[:, second[sl]]\n"
         "        out[sl] = wq @ np.abs(diff)\n",
@@ -214,8 +215,8 @@ MUTANTS = {
     # each row of the posterior weights is normalised over its own nodes
     "posterior-weights-normalised-over-rows": (
         "trajectories.py",
-        "out[sl] = w / w.sum(axis=-1, keepdims=True)",
-        "out[sl] = w / w.sum(axis=0, keepdims=True)",
+        "np.divide(w, w.sum(axis=-1, keepdims=True), out=out[sl])",
+        "np.divide(w, w.sum(axis=0, keepdims=True), out=out[sl])",
     ),
     # a posterior mean is one dot of its own row, not a row of a matrix-vector product
     "posterior-means-one-matrix-product": (
@@ -275,6 +276,24 @@ MUTANTS = {
         "        straddles = (np.searchsorted(knots, nu - FD_STEP)\n"
         '                     < np.searchsorted(knots, nu + FD_STEP, "right"))\n',
     ),
+    # the validator's blocks share one workspace: a stale ratio plane adds the
+    # last block's f1^2 / f where f now vanishes (sigma = 0.01)
+    "ratio-plane-not-zeroed": (
+        "probes.py",
+        "        ratio[...] = 0.0\n",
+        "",
+    ),
+    "workspace-row-too-long": (
+        "probes.py",
+        "f1, f2, ratio = work[:, : len(f)]",
+        "f1, f2, ratio = work[:, : len(f) + 1]",
+    ),
+    # the Gaussian hook must round as density_derivs does: u = d / sigma^2, not z / sigma
+    "gaussian-hook-score-from-z": (
+        "probes.py",
+        "u = np.divide(d, self.sigma**2, out=f2)",
+        "u = np.divide(z, self.sigma, out=f2)",
+    ),
 }
 
 EQUIVALENT = {
@@ -286,9 +305,18 @@ EQUIVALENT = {
         "most the quadratic stencil's overshoot inside one cell, far below 30; either "
         "clip only guards an estimate that is not a maximum",
     ),
+    "gaussian-hook-regroups-exponent": (
+        "probes.py",
+        "np.exp(np.multiply(np.multiply(-0.5, z, out=f), z, out=f), out=f)",
+        "np.exp(np.multiply(-0.5, np.multiply(z, z, out=f), out=f), out=f)",
+        "halving is exact, so (-0.5 z) z and -0.5 (z z) round alike unless z z is "
+        "subnormal or overflows; there the exponent is below 1e-300 in size, or past "
+        "-1e308, and exp gives 1.0, or 0.0, either way",
+    ),
     "pair-sums-down-columns": (
         "probes.py",
-        "        diff = fmat.T[first[sl]] - fmat.T[second[sl]]  # one law per row\n"
+        "        diff = fmat.T[first[sl]]  # one law per row\n"
+        "        diff -= fmat.T[second[sl]]\n"
         "        out[sl] = np.multiply(np.abs(diff, out=diff), wq, out=diff).sum(axis=1)\n",
         "        diff = fmat[:, first[sl]] - fmat[:, second[sl]]\n"
         "        out[sl] = (wq[:, None] * np.abs(diff)).sum(axis=0)\n",
