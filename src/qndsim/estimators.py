@@ -49,6 +49,7 @@ from .spectral import (
     SpectralModel,
     StateKernel,
     _composite_gauss,
+    _lagrange3,
     _weighted_gram,
     spectral_probability,
 )
@@ -97,10 +98,9 @@ def _stencil(xs: np.ndarray, x, domain) -> tuple[np.ndarray, np.ndarray]:
 
     Each query uses the parabola through the three nodes nearest to it, the
     standard second-order reconstruction: query ``m`` is interpolated by
-    weights ``w[m]`` (shape (M, 3), or x.shape + (3,)) on nodes
-    ``first[m] + (0, 1, 2)``.
-    Queries outside ``domain`` (the node hull widened to the owning
-    interval) raise.
+    weights ``w[m]`` (shape (M, 3), or x.shape + (3,); ``spectral._lagrange3``)
+    on nodes ``first[m] + (0, 1, 2)``.  Queries outside ``domain`` (the node
+    hull widened to the owning interval) raise.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = domain
@@ -111,16 +111,7 @@ def _stencil(xs: np.ndarray, x, domain) -> tuple[np.ndarray, np.ndarray]:
     right = np.clip(j, 0, xs.size - 1)
     c = np.where(np.abs(x - xs[left]) <= np.abs(x - xs[right]), left, right)
     c = np.clip(c, 1, xs.size - 2)
-    x0, x1, x2 = xs[c - 1], xs[c], xs[c + 1]
-    w = np.stack(
-        [
-            (x - x1) * (x - x2) / ((x0 - x1) * (x0 - x2)),
-            (x - x0) * (x - x2) / ((x1 - x0) * (x1 - x2)),
-            (x - x0) * (x - x1) / ((x2 - x0) * (x2 - x1)),
-        ],
-        axis=-1,
-    )
-    return c - 1, w
+    return c - 1, np.stack(_lagrange3(x, xs[c - 1], xs[c], xs[c + 1])[0], axis=-1)
 
 
 def _apply_stencil(first: np.ndarray, w: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import numpy.ma  # np.median imports it on its first call, which would fall inside a run
 
 from . import estimators as est
 from .probes import ProbeModel, probe_from_config, validate_probe
@@ -131,6 +130,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind: {self.kind!r}")
         if self.sampler not in ("de-finetti", "sequential"):
             raise ConfigError(f"unknown sampler: {self.sampler!r}")
+        if self.sampler == "sequential" and (self.kind == "clt" or self.hidden_nu is not None):
+            what = "kind clt" if self.kind == "clt" else "hidden_nu"
+            raise ConfigError(f"{what} needs sampler de-finetti: sequential draws no hidden value")
+        if not isinstance(self.persist_trajectories, bool):  # "false" would be truthy
+            raise ConfigError("persist_trajectories must be true or false")
         for name in ("spectral", "probe", "state", "tolerances", "window"):
             if not isinstance(getattr(self, name), dict):
                 raise ConfigError(f"{name} must be a JSON object")
@@ -222,6 +226,15 @@ def _require_known(name: str, given, known) -> None:
 def _require_count(name: str, value, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _median(values) -> float:
+    """``np.median`` of the values, bit for bit, without the ``numpy.ma`` import
+    it makes on its first call: the mean of the middle one or two, or nan."""
+    a = np.asarray(values, dtype=float).ravel()
+    lo, hi = (a.size - 1) // 2, a.size // 2  # the middle value, or the middle two
+    part = np.partition(a, [lo, hi])
+    return math.nan if np.isnan(a).any() else float(np.mean(part[lo : hi + 1]))
 
 
 def canonical_json(tree) -> str:
@@ -447,10 +460,8 @@ def _estimate_rate(run: _Run, table, col, report):
         estimates=table[:, col[cps[-1]]],
     )
     report.rate_traces = [vars(t) for t in traces]
-    medians = [
-        float(np.median([t.values[i] for t in traces])) for i in range(len(cps))
-    ]
-    target = float(np.median([t.target for t in traces]))
+    medians = [_median([t.values[i] for t in traces]) for i in range(len(cps))]
+    target = _median([t.target for t in traces])
     results = [(
         "rate-convergence",
         "posterior mass of the excluded region decays at the "
@@ -528,7 +539,7 @@ def _estimate_kernel(run: _Run, table, col, report):
         ensemble, config.k_max, run.model, run.probe, estimates=table[:, col[config.k_max]]
     )
     ratios = [check.ratio for check in checks]
-    medians = [float(np.median(d)) for d in distances.T]
+    medians = [_median(d) for d in distances.T]
     report.distance_series = [
         {"checkpoint": c, "median_distance": m} for c, m in zip(cps, medians)
     ]
@@ -537,7 +548,7 @@ def _estimate_kernel(run: _Run, table, col, report):
         (
             "laplace-ratio",
             "rescaled likelihood integral matches its Gaussian value",
-            abs(float(np.median(ratios)) - 1.0),
+            abs(_median(ratios) - 1.0),
             config.tolerances["laplace_rel_tol"],
             "<=",
             len(ratios),

@@ -7,7 +7,7 @@ amplitude attached to an outcome is the nonnegative square root
 ``sqrt(f(xi | nu))``; families carrying complex phases are rejected at
 construction.
 
-Two built-in families are provided:
+Three built-in families are provided, each with exact derivatives:
 
 * ``GaussianReadout``: a homodyne-style readout, ``xi ~ Normal(nu, sigma^2)``
   on the real line.
@@ -16,6 +16,8 @@ Two built-in families are provided:
   slope * nu``; with the identity phase map the family is valid for spectra
   inside (0, pi).  This mirrors dispersive photon-number probes of a cavity
   mode.
+* ``TabulatedProbe``: a density table, quadratic in nu on three-knot stencils;
+  its derivatives are the parabola's (one-sided at a knot).
 
 The jump operators are functions of the observable, so a law ``f(. | nu)`` is
 only ever needed for ``nu`` on its spectrum; the harness refuses a pinned
@@ -44,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import _GL32, _composite_gauss
+from .spectral import _GL32, _composite_gauss, _distinct, _lagrange3
 
 __all__ = [
     "ProbeModel",
@@ -93,14 +95,6 @@ def _centred_sums(xi: np.ndarray):
     return m, r.sum(axis=-1), (r * r).sum(axis=-1)
 
 
-def _value_counts(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Counts of each of ``values`` in each row of outcomes, one pass per value."""
-    counts = np.stack([np.count_nonzero(rows == v, axis=-1) for v in values], axis=-1)
-    if not np.all(counts.sum(axis=-1) == rows.shape[-1]):
-        raise ProbeError("outcomes must be values of the finite outcome space")
-    return counts
-
-
 def _add_expectations(out: dict, w, f, f1, f2, ratio) -> None:
     """Add one block of outcome rows to the expectations in ``out``: ``norm``
     sums f, ``score`` f1, ``fisher`` f1^2 / f and ``d2`` f2 - f1^2 / f, each
@@ -120,8 +114,8 @@ def _add_expectations(out: dict, w, f, f1, f2, ratio) -> None:
 class ProbeModel:
     """Base class wiring density families to the common contract.
 
-    Subclasses provide ``density``, ``sample`` and, for continuous outcomes,
-    ``_xi_panels``, and may provide ``density_derivs``; the base class layers
+    Subclasses provide ``density``, ``density_derivs``, ``sample`` and, for
+    continuous outcomes, ``_xi_panels``; the base class layers
     log-likelihood plumbing and outcome-space expectations on top.
     """
 
@@ -132,15 +126,8 @@ class ProbeModel:
     def density(self, xi, nu) -> np.ndarray:
         raise NotImplementedError
 
-    def density_derivs(self, xi, nu):
-        """(f, df/dnu, d2f/dnu2); by default central differences (declared step)."""
-        xi = np.asarray(xi, dtype=float)
-        nu = np.asarray(nu, dtype=float)
-        e = FD_STEP
-        f = self.density(xi, nu)
-        fp = self.density(xi, nu + e)
-        fm = self.density(xi, nu - e)
-        return f, (fp - fm) / (2.0 * e), (fp - 2.0 * f + fm) / e**2
+    def density_derivs(self, xi, nu):  # (f, df/dnu, d2f/dnu2)
+        raise NotImplementedError
 
     def sample(self, nu: float, size: int, rng) -> np.ndarray:
         raise NotImplementedError
@@ -167,10 +154,12 @@ class ProbeModel:
             for r, row in enumerate(rows):
                 stats[r, 0] = row
             return stats
-        values = np.unique(np.asarray(self.outcomes, dtype=float))
+        values = _distinct(self.outcomes)
         counts = np.empty((len(rows), values.size), dtype=int)
-        for sl in _blocks(*rows.shape):
-            counts[sl] = _value_counts(values, rows[sl])
+        for sl in _blocks(*rows.shape):  # one pass per value
+            counts[sl] = np.stack([np.count_nonzero(rows[sl] == v, axis=-1) for v in values], -1)
+        if not np.all(counts.sum(axis=-1) == rows.shape[-1]):
+            raise ProbeError("outcomes must be values of the finite outcome space")
         return counts
 
     def stat_loglik(self, stats: np.ndarray, nus: np.ndarray) -> np.ndarray:
@@ -188,7 +177,7 @@ class ProbeModel:
                 for sl in _blocks(row.size, at.size):
                     total += self.loglik_values(at, row[sl]).sum(axis=0)
             return out
-        values = np.unique(np.asarray(self.outcomes, dtype=float))
+        values = _distinct(self.outcomes)
         logf = self.loglik_values(nus.ravel(), values).reshape(values.size, *nus.shape)
         logf = np.where(stats[:, :, None] > 0, np.moveaxis(logf, 0, 1), 0.0)
         return np.matmul(stats[:, None, :], logf)[:, 0]
@@ -223,10 +212,10 @@ class ProbeModel:
     def _rule_block(self, xq, nus, f, f1, f2):
         """Row minima and row maxima of |log f| over the rule rows ``xq`` at
         ``nus``; writes f and its two nu-derivatives into the (rows x nodes) views."""
-        f[...] = self.loglik_values(nus, xq)  # log f until the density
-        extremes = f.min(axis=1), np.abs(f, out=f).max(axis=1)
         f[...], f1[...], f2[...] = self.density_derivs(xq[:, None], nus[None, :])
-        return extremes
+        with np.errstate(divide="ignore"):
+            logf = np.log(f)  # loglik_values, from the one density evaluation
+        return logf.min(axis=1), np.abs(logf, out=logf).max(axis=1)
 
     def _expect(self, nus: np.ndarray, quantities: Sequence[str]):
         """Outcome-space expectations at each nu, in one sweep over outcome rows.
@@ -245,27 +234,18 @@ class ProbeModel:
     def fisher(self, nus) -> np.ndarray:
         return self._expect(nus, ("fisher",))["fisher"]
 
-    def expected_loglik(self, nu: float, nodes) -> np.ndarray:
-        """E over outcomes at nu of log f(xi | node), one entry per node."""
-        nodes = np.asarray(nodes, dtype=float)
-        xq, wq = self._quadrature(np.asarray([nu]))
-        f_nu = self.density(xq, np.float64(nu))
-        w = wq * f_nu
-        out = np.empty(nodes.size)
-        for sl in _blocks(nodes.size, xq.size):
-            with np.errstate(divide="ignore"):
-                logf = np.log(self.density(xq[:, None], nodes[None, sl]))
-            out[sl] = w @ np.where(f_nu[:, None] > 0, logf, 0.0)
-        return out
-
     def relative_entropy(self, nu: float, nodes: np.ndarray) -> float:
-        """min over nodes of KL(f(.|nu) || f(.|node)) by outcome quadrature."""
+        """min over nodes of KL(f(.|nu) || f(.|node)) by outcome quadrature:
+        E_nu[log f(xi | nu)] less the largest E_nu[log f(xi | node)]."""
         xq, wq = self._quadrature(np.asarray([nu]))
         f_nu = self.density(xq, np.float64(nu))
+        w, expected = wq * f_nu, np.empty(nodes.size)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_f_nu = np.where(f_nu > 0, np.log(np.where(f_nu > 0, f_nu, 1.0)), 0.0)
-        base = float(np.dot(wq, f_nu * log_f_nu))
-        return float(base - self.expected_loglik(nu, nodes).max())
+            base = float(np.dot(wq, f_nu * np.where(f_nu > 0, np.log(f_nu), 0.0)))
+            for sl in _blocks(nodes.size, xq.size):
+                logf = np.log(self.density(xq[:, None], nodes[None, sl]))
+                expected[sl] = w @ np.where(f_nu[:, None] > 0, logf, 0.0)
+        return float(base - expected.max())
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +417,8 @@ class TabulatedProbe(ProbeModel):
 
     For finite outcome spaces ``values[o, j] = f(outcomes[o] | nu_grid[j])``;
     for continuous outcomes ``values[q, j] = f(xi_grid[q] | nu_grid[j])``,
-    interpolated linearly in xi and by local quadratic interpolation in nu.
-    Derivatives are central differences with the declared step; sampling
+    interpolated linearly in xi and by local quadratic interpolation in nu,
+    whose nu-derivatives are taken exactly (``spectral._lagrange3``); sampling
     uses exact inversion (finite) or rejection against a per-cell constant
     envelope (continuous).
     """
@@ -487,42 +467,45 @@ class TabulatedProbe(ProbeModel):
     def _nus(self) -> np.ndarray:
         return np.asarray(self.nu_grid, dtype=float)
 
-    def _rows_at(self, nu, rows=slice(None)):
-        """Quadratic interpolation of table rows in nu.
-
-        All rows by default, shape (R, *nu.shape); with an index array
-        ``rows`` broadcasting against nu, only row ``rows[..., m]`` at ``nu[m]``.
-        The stencil is computed on ``nu`` as given, so pass it unbroadcast.
-        """
-        nus = self._nus
-        nu = np.asarray(nu, dtype=float)
+    def _rows_at(self, nu, rows=slice(None), order=0):
+        """Quadratic interpolation of table rows in nu and its first ``order``
+        nu-derivatives (a list), from one gather of each stencil's three columns:
+        all rows (R, *nu.shape) by default; with an index array ``rows``
+        broadcasting against nu, only row ``rows[..., m]`` at ``nu[m]``.  The
+        stencil is computed on ``nu`` as given, so pass it unbroadcast."""
+        nus, table = self._nus, self._table
         j = np.clip(np.searchsorted(nus, nu) - 1, 1, nus.size - 2)
-        x0, x1, x2 = nus[j - 1], nus[j], nus[j + 1]
-        w0 = (nu - x1) * (nu - x2) / ((x0 - x1) * (x0 - x2))
-        w1 = (nu - x0) * (nu - x2) / ((x1 - x0) * (x1 - x2))
-        w2 = (nu - x0) * (nu - x1) / ((x2 - x0) * (x2 - x1))
-        t = self._table
-        return w0 * t[rows, j - 1] + w1 * t[rows, j] + w2 * t[rows, j + 1]
+        t0, t1, t2 = table[rows, j - 1], table[rows, j], table[rows, j + 1]
+        weights = _lagrange3(nu, nus[j - 1], nus[j], nus[j + 1])[: order + 1]
+        return [w0 * t0 + w1 * t1 + w2 * t2 for w0, w1, w2 in weights]
 
-    def _value_at(self, xi, nu):
-        """Table value at broadcasting ``xi`` and ``nu``: the outcome index and
-        the nu-stencil are computed once per given value, not per cell."""
+    def _value_at(self, xi, nu, order=0):
+        """Table value at broadcasting ``xi`` and ``nu`` and its first ``order``
+        nu-derivatives: the outcome index and the nu-stencil are computed once
+        per given value, not per cell."""
+        xi, nu = np.asarray(xi, dtype=float), np.asarray(nu, dtype=float)
         if self.outcomes is not None:
             outs = np.asarray(self.outcomes, dtype=float)
-            idx = np.argmin(np.abs(xi[..., None] - outs), axis=-1)
-            return self._rows_at(nu, idx)
+            return self._rows_at(nu, np.argmin(np.abs(xi[..., None] - outs), axis=-1), order)
         grid = np.asarray(self.xi_grid, dtype=float)
         q = np.clip(np.searchsorted(grid, xi) - 1, 0, grid.size - 2)
         t = np.clip((xi - grid[q]) / (grid[q + 1] - grid[q]), 0.0, 1.0)
-        return (1.0 - t) * self._rows_at(nu, q) + t * self._rows_at(nu, q + 1)
+        q = q[(None,) * (nu.ndim - q.ndim)]  # the cell pair stacks ahead of nu's axes
+        pairs = self._rows_at(nu, np.stack([q, q + 1]), order)
+        return [(1.0 - t) * below + t * above for below, above in pairs]
 
     def density(self, xi, nu):
-        xi = np.asarray(xi, dtype=float)
-        nu = np.asarray(nu, dtype=float)
-        return np.clip(self._value_at(xi, nu), 0.0, None)
+        return np.clip(self._value_at(xi, nu)[0], 0.0, None)
+
+    def density_derivs(self, xi, nu):
+        """The interpolant's exact nu-derivatives (one-sided at a ``nu_grid``
+        knot), 0 where the density is clipped to 0."""
+        value, slope, curve = self._value_at(xi, nu, 2)
+        f = np.clip(value, 0.0, None)
+        return f, np.where(f > 0, slope, 0.0), np.where(f > 0, curve, 0.0)
 
     def sample(self, nu, size, rng):
-        rows = np.clip(self._rows_at(np.float64(nu)), 0.0, None)
+        rows = np.clip(self._rows_at(np.float64(nu))[0], 0.0, None)
         if not rows.sum() > 0:  # the interpolated law between nu_grid points
             raise ProbeError(f"the tabulated law at nu={nu:g} has no mass to sample")
         if self.outcomes is not None:
@@ -715,7 +698,6 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
     """
     nodes = model.nodes
     checks: list[AssumptionCheck] = []
-    caveats: list[str] = []
 
     # log-density extremes stay finite where a narrow density underflows to
     # 0 (a genuine zero is log 0 = -inf); f is written straight into fmat
@@ -796,15 +778,8 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
             np.inf,
         )
     )
-    if isinstance(probe, TabulatedProbe):
-        caveats.append(
-            "dominance is certified on the grid only; off-grid behaviour of a "
-            "tabulated family is interpolation, not evidence"
-        )
-        caveats.append(
-            "derivatives of a tabulated family are finite differences of the "
-            "interpolated table"
-        )
+    caveat = ("dominance is certified on the grid only; off-grid behaviour of a "
+              "tabulated family is interpolation, not evidence")
 
     # differentiability: analytic derivatives match central differences.  The pairs
     # are drawn as a loop over them would; one call gives the densities at nu, nu +- FD_STEP
@@ -815,8 +790,7 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
         nu = float(rng.uniform(lo, hi))
         pairs.append((nu, float(probe.sample(nu, 1, rng)[0])))
     nu, xi = np.reshape(pairs, (-1, 2)).T
-    f, f1, _ = probe.density_derivs(np.tile(xi, 3), (nu + [[0.0], [FD_STEP], [-FD_STEP]]).ravel())
-    f, f1 = f.reshape(3, -1), f1.reshape(3, -1)
+    f, f1, _ = probe.density_derivs(xi, nu + [[0.0], [FD_STEP], [-FD_STEP]])
     kept, note = ~(f[0] <= 0.0), ""  # a vanishing density has no log-derivative
     if isinstance(probe, TabulatedProbe):  # only piecewise smooth: its stencil changes at knots
         straddles = (np.searchsorted(probe._nus, nu - FD_STEP)
@@ -851,7 +825,8 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
         )
     )
 
-    return ProbeValidationReport(tuple(checks), tuple(caveats))
+    return ProbeValidationReport(
+        tuple(checks), (caveat,) if isinstance(probe, TabulatedProbe) else ())
 
 
 # ---------------------------------------------------------------------------
@@ -877,13 +852,10 @@ def probe_from_config(config: dict) -> ProbeModel:
                 offset=float(config.get("offset", 0.0)),
                 slope=float(config.get("slope", 1.0)),
             )
-        source = embed["source"] if isinstance(embed, dict) else embed
-        target = (
-            embed.get("target", (np.pi / 4, 3 * np.pi / 4))
-            if isinstance(embed, dict)
-            else (np.pi / 4, 3 * np.pi / 4)
-        )
-        return BinaryPhase.embedded(*_number_pair("embed source", source),
+        if not isinstance(embed, dict):  # a bare source pair
+            embed = {"source": embed}
+        target = embed.get("target", (np.pi / 4, 3 * np.pi / 4))
+        return BinaryPhase.embedded(*_number_pair("embed source", embed["source"]),
                                     *_number_pair("embed target", target))
     if kind == "tabulated":
         return TabulatedProbe(

@@ -118,6 +118,21 @@ def _composite_gauss(edges: np.ndarray, rule=_GL32):
     return xq, wq
 
 
+def _lagrange3(x, x0, x1, x2):
+    """Weights on (x0, x1, x2) of the parabola through them at x: one triple
+    each for its value and its first and second derivatives in x."""
+    d0, d1, d2 = (x0 - x1) * (x0 - x2), (x1 - x0) * (x1 - x2), (x2 - x0) * (x2 - x1)
+    a0, a1, a2 = x - x0, x - x1, x - x2
+    return ((a1 * a2 / d0, a0 * a2 / d1, a0 * a1 / d2),
+            ((a1 + a2) / d0, (a0 + a2) / d1, (a0 + a1) / d2), (2.0 / d0, 2.0 / d1, 2.0 / d2))
+
+
+def _distinct(values) -> np.ndarray:
+    """Sorted distinct values, as ``np.unique`` (which imports ``numpy.ma``) gives them."""
+    values = np.sort(np.asarray(values, dtype=float).ravel())
+    return values[np.insert(values[1:] != values[:-1], 0, True)]
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
@@ -354,7 +369,7 @@ def build_spectral_model(
         dx = (b - a) / nodes_per_interval
         if knots is not None:
             # trapezoid over the knots is exact for a linear interpolant
-            pts = np.unique(np.concatenate([[a, b], knots[(knots > a) & (knots < b)]]))
+            pts = _distinct(np.concatenate([[a, b], knots[(knots > a) & (knots < b)]]))
             ref = float(np.trapezoid(h_fn(pts), pts))
         else:
             xq, wq = _composite_gauss(edges)
@@ -544,8 +559,7 @@ def spectral_probability(state: StateKernel, region) -> float:
     after snapping; see ``SpectralModel.region_mask`` for the rule.
     """
     mask = state.grid.region_mask(region)
-    p = float(np.dot(state.grid.mass[mask], state.block_traces()[mask]))
-    return p
+    return float(np.dot(state.grid.mass[mask], state.block_traces()[mask]))
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,10 @@ def _logsumexp(a, axis=None):
         t = np.where(mask, -np.inf, a)  # one table, shifted and exponentiated in place
         s = np.sum(np.exp(np.subtract(t, a_max, out=t), out=t), axis=axes, keepdims=True)
         out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
-        direct = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))
-    out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axes)
+        if not np.all(np.isfinite(out)):  # the direct form only where it is read
+            direct = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))
+            out = np.where(np.isfinite(out), out, direct)
+    out = np.squeeze(out, axis=axes)
     return out[()] if out.ndim == 0 else out
 
 

@@ -457,6 +457,26 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
             )
         ),
         ({"region": [float("nan")]}, "region point nan is not finite"),
+        (  # the chain-rule sampler records no hidden values to standardise against
+            {
+                "kind": "clt",
+                "sampler": "sequential",
+                "spectral": {"intervals": [[0.0, 1.0]], "nodes_per_interval": 40},
+                "probe": {"kind": "gaussian-readout", "sigma": 1.0},
+                "state": {"type": "pure"},
+                "ensemble": 60,
+                "region": [],
+            },
+            "kind clt needs sampler de-finetti: sequential draws no hidden value",
+        ),
+        (
+            {"sampler": "sequential", "hidden_nu": 1.0},
+            "hidden_nu needs sampler de-finetti: sequential draws no hidden value",
+        ),
+        (
+            {"persist_trajectories": "false"},
+            "persist_trajectories must be true or false",
+        ),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -543,6 +563,9 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "rate-region-nan-end",
         "rate-region-inf-end",
         "born-region-point-nan",
+        "clt-sequential",
+        "hidden-nu-sequential",
+        "persist-trajectories-string",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, message):

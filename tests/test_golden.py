@@ -56,8 +56,8 @@ GOLDEN = {
 }
 
 VARIANTS = {
-    # the chain-rule sampler (it pins no hidden value, so a rate_convergence
-    # variant would fail its own verdict)
+    # the chain-rule sampler (it draws no hidden value, so a declaration that
+    # pins one, as rate_convergence does, is refused with it)
     "born_frequency_sequential": (
         "born_frequency",
         {"sampler": "sequential", "ensemble": 200, "k_max": 50, "checkpoints": [10, 50]},

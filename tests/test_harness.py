@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtr
 
-from qndsim import estimators, spectral
+from qndsim import estimators, harness, spectral
 from qndsim.harness import (
     ConfigError,
     DEFAULT_SEED,
@@ -97,6 +97,24 @@ def test_ks_agrees_with_scipy():
 
 # ---------------------------------------------------------------------------
 # determinism, persistence
+
+_MEDIAN_VALUE = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.integers(-2, 2).map(float),  # ties
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(_MEDIAN_VALUE, min_size=1, max_size=9))
+def test_median_is_bitwise_numpy(values):
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e308 + 1e308, inf - inf
+        ours, want = harness._median(values), np.median(values)
+    assert type(ours) is float
+    assert np.isnan(ours) == np.isnan(want)
+    if not np.isnan(want):
+        assert np.float64(ours).tobytes() == np.float64(want).tobytes()
+
 
 def test_run_experiment_is_byte_deterministic(tmp_path):
     cfg = _born_config()

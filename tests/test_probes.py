@@ -380,7 +380,6 @@ def test_blocked_loglik_sums_match_unblocked(name, data):
 
 def _outcome_expectations(probe, nu=0.3):
     return {
-        "expected_loglik": probe.expected_loglik(nu, BLOCK_NODES),
         "relative_entropy": relative_entropy(probe, nu, BLOCK_NODES[2:]),
         **probe._expect(BLOCK_NODES, ("norm", "score", "fisher", "d2")),
     }
@@ -535,17 +534,16 @@ def test_tabulated_rule_has_one_panel_per_knot_cell(knots, seed):
     )
     nodes = TABLE_MODEL.nodes
     assert probe._quadrature(nodes)[0].size == 32 * (knots - 1)
-    # reference: 200 Gauss-Legendre points on each knot cell; d2 carries
-    # finite-difference noise near 1e-6 under every rule, so it is left out
+    # reference: 200 Gauss-Legendre points on each knot cell
     x200, w200 = np.polynomial.legendre.leggauss(200)
     mid, half = 0.5 * (xi_grid[:-1] + xi_grid[1:]), 0.5 * np.diff(xi_grid)
     reference_rule = ((mid[:, None] + half[:, None] * x200).ravel(), (half[:, None] * w200).ravel())
-    quantities = ("norm", "score", "fisher")
+    quantities = ("norm", "score", "fisher", "d2")
     reference = _expect_on(reference_rule, probe, nodes, quantities)
     got = probe._expect(nodes, quantities)
     _assert_close(got, reference, 1e-10)
     # the fixed uniform rule puts knots inside its panels and does no better,
-    # down to the rounding noise of central differences with step 1e-5
+    # down to rounding
     uniform = _expect_on(_uniform_rule(xi_grid[0], xi_grid[-1]), probe, nodes, quantities)
     for key in quantities:
         err_uniform = np.abs(uniform[key] - reference[key]).max()
@@ -1175,7 +1173,7 @@ def _all_rows_value_at(probe, xi, nu):
     shape = xi.shape
     xi = np.atleast_1d(xi).ravel()
     nu = np.atleast_1d(nu).ravel()
-    rows = probe._rows_at(nu)  # (R, M)
+    rows = probe._rows_at(nu)[0]  # (R, M)
     cols = np.arange(xi.size)
     if probe.outcomes is not None:
         outs = np.asarray(probe.outcomes, dtype=float)
@@ -1210,7 +1208,7 @@ def test_tabulated_value_at_matches_all_rows_formula(finite, n_rows, n_nus, seed
     # cells inside, between and beyond both grids
     xi = rng.uniform(points[0] - 1.0, points[-1] + 1.0, (7, 5))
     nu = rng.uniform(nu_grid[0] - 1.0, nu_grid[-1] + 1.0, (7, 5))
-    np.testing.assert_array_equal(probe._value_at(xi, nu), _all_rows_value_at(probe, xi, nu))
+    np.testing.assert_array_equal(probe._value_at(xi, nu)[0], _all_rows_value_at(probe, xi, nu))
 
 
 def test_tabulated_tables_are_built_once():
@@ -1234,38 +1232,48 @@ def test_tabulated_value_at_memory_is_per_cell():
     assert peak < 24e6
 
 
-def _per_cell_density(probe, xi, nu):
-    """The per-cell formula: broadcast, then one nu-stencil per (xi, nu) cell."""
+def _per_cell(probe, xi, nu):
+    """The per-cell formula: broadcast, then one nu-stencil per (xi, nu) cell.
+
+    Returns the density, its nu-derivatives (0 where the density is clipped
+    to 0), and the interpolant with every value weight taken in magnitude,
+    which scales the rounding of a density value."""
     xi, nu = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(nu, dtype=float))
     shape = xi.shape
     xi, nu = np.atleast_1d(xi).ravel(), np.atleast_1d(nu).ravel()
     nus, table = probe._nus, probe._table
     j = np.clip(np.searchsorted(nus, nu) - 1, 1, nus.size - 2)
     x0, x1, x2 = nus[j - 1], nus[j], nus[j + 1]
-    w0 = (nu - x1) * (nu - x2) / ((x0 - x1) * (x0 - x2))
-    w1 = (nu - x0) * (nu - x2) / ((x1 - x0) * (x1 - x2))
-    w2 = (nu - x0) * (nu - x1) / ((x2 - x0) * (x2 - x1))
+    d0, d1, d2 = (x0 - x1) * (x0 - x2), (x1 - x0) * (x1 - x2), (x2 - x0) * (x2 - x1)
+    value = ((nu - x1) * (nu - x2) / d0, (nu - x0) * (nu - x2) / d1, (nu - x0) * (nu - x1) / d2)
+    slope = (((nu - x1) + (nu - x2)) / d0, ((nu - x0) + (nu - x2)) / d1,
+             ((nu - x0) + (nu - x1)) / d2)
+    curve = (2.0 / d0, 2.0 / d1, 2.0 / d2)
 
-    def rows_at(rows):
-        return w0 * table[rows, j - 1] + w1 * table[rows, j] + w2 * table[rows, j + 1]
+    def interpolant(w):
+        def rows_at(rows):
+            return w[0] * table[rows, j - 1] + w[1] * table[rows, j] + w[2] * table[rows, j + 1]
 
-    if probe.outcomes is not None:
-        outs = np.asarray(probe.outcomes, dtype=float)
-        vals = rows_at(np.argmin(np.abs(xi[:, None] - outs[None, :]), axis=1))
-    else:
+        if probe.outcomes is not None:
+            outs = np.asarray(probe.outcomes, dtype=float)
+            return rows_at(np.argmin(np.abs(xi[:, None] - outs[None, :]), axis=1)).reshape(shape)
         grid = np.asarray(probe.xi_grid, dtype=float)
         q = np.clip(np.searchsorted(grid, xi) - 1, 0, grid.size - 2)
         t = np.clip((xi - grid[q]) / (grid[q + 1] - grid[q]), 0.0, 1.0)
         below, above = rows_at(np.stack([q, q + 1]))
-        vals = (1.0 - t) * below + t * above
-    return np.clip(vals.reshape(shape), 0.0, None)
+        return ((1.0 - t) * below + t * above).reshape(shape)
+
+    f = np.clip(interpolant(value), 0.0, None)
+    f1, f2 = (np.where(f > 0, interpolant(w), 0.0) for w in (slope, curve))
+    return f, f1, f2, interpolant(tuple(np.abs(w) for w in value))
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), finite=st.booleans())
-def test_tabulated_density_equals_the_per_cell_formula(data, finite):
+def _table_probe(data, finite):
+    """A drawn finite or continuous table (one of its values 0 or not), its
+    outcome points and drawn nu: knots, points between and beyond them, and
+    one value repeated."""
     rows = data.draw(st.integers(2, 12), label="rows")
-    nu_grid, values, rng = _draw_table(data, rows)
+    nu_grid, values, rng = _draw_table(data, rows, data.draw(st.booleans(), label="zero"))
     if finite:
         probe = TabulatedProbe(nu_grid=nu_grid, values=values,
                                outcomes=tuple(float(o) for o in range(rows)))
@@ -1274,22 +1282,80 @@ def test_tabulated_density_equals_the_per_cell_formula(data, finite):
         xi_grid = np.sort(rng.uniform(-5.0, 6.0, rows)) + np.arange(rows) * 1e-3
         probe = TabulatedProbe(nu_grid=nu_grid, values=values, xi_grid=tuple(xi_grid))
         xi = np.concatenate([xi_grid, rng.uniform(-7.0, 8.0, 9)])
-    # knots, points between and beyond them, and one value repeated
     nu = np.concatenate([nu_grid, rng.uniform(-1.0, 2.0, 7), [0.25, 0.25]])
+    return probe, xi, nu, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), finite=st.booleans())
+def test_tabulated_density_equals_the_per_cell_formula(data, finite):
+    probe, xi, nu, _ = _table_probe(data, finite)
     for x, v in ((xi[:, None], nu[None, :]), (xi[:9], nu[:9]), (xi[:, None], nu[3]),
                  (xi[2], nu[None, :]), (xi[2], nu[3])):
-        got = probe.density(x, v)
-        want = _per_cell_density(probe, x, v)
-        assert np.shape(got) == want.shape
-        assert np.array_equal(got, want)
-    # the finite-difference derivatives evaluate the density at shifted nu
-    f, f1, f2 = probe.density_derivs(xi[:, None], nu[None, :])
-    e = probes.FD_STEP
-    plus = _per_cell_density(probe, xi[:, None], nu[None, :] + e)
-    minus = _per_cell_density(probe, xi[:, None], nu[None, :] - e)
-    mid = _per_cell_density(probe, xi[:, None], nu[None, :])
-    assert np.array_equal(f1, (plus - minus) / (2.0 * e))
-    assert np.array_equal(f2, (plus - 2.0 * mid + minus) / e**2)
+        f, f1, f2, _ = _per_cell(probe, x, v)  # the density and its exact derivatives
+        for got, want in zip((probe.density(x, v), *probe.density_derivs(x, v)), (f, f, f1, f2)):
+            assert np.shape(got) == want.shape
+            assert np.array_equal(got, want)
+
+
+def test_tabulated_derivatives_vanish_where_the_density_is_clipped():
+    # the parabola through (0, 1), (1, 0), (2, 0) dips below 0 on (1, 2)
+    probe = TabulatedProbe(nu_grid=(0.0, 1.0, 2.0, 3.0), values=((1.0, 0.0, 0.0, 1.0),
+                                                                 (1.0, 1.0, 1.0, 1.0)),
+                           outcomes=(0.0, 1.0))
+    nu = np.array([1.25, 1.5, 1.75])
+    f, f1, f2 = probe.density_derivs(np.zeros(3), nu)
+    assert np.all(f == 0.0) and np.all(f1 == 0.0) and np.all(f2 == 0.0)
+    _, f1, f2 = probe.density_derivs(np.ones(3), nu)
+    assert np.all(f1 == 0.0) and np.all(f2 == 0.0)  # a constant row
+    f, f1, f2 = probe.density_derivs(np.zeros(1), np.array([0.5]))
+    assert f[0] > 0 and f1[0] != 0.0 and f2[0] != 0.0
+
+
+# roundings of one interpolated value: two subtractions, a product and a
+# quotient per weight (the denominator exact up to two more), a product and
+# two sums over the stencil, and three more for the blend in xi; each within
+# eps / 2 of the magnitude interpolant, so 16 eps bounds their sum
+VALUE_ROUNDING = 16 * np.finfo(float).eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), finite=st.booleans())
+def test_tabulated_derivatives_agree_with_central_differences_away_from_knots(data, finite):
+    probe, xi, _, rng = _table_probe(data, finite)
+    h, eps = probes.FD_STEP, np.finfo(float).eps
+    nu = rng.uniform(probe._nus[0], probe._nus[-1], 40)
+    # the interpolant is one parabola in nu on [nu - h, nu + h] when no knot
+    # lies inside, and its central differences are then exact but for rounding
+    straddles = np.searchsorted(probe._nus, nu - h) < np.searchsorted(probe._nus, nu + h, "right")
+    nu = nu[~straddles][None, :]
+    x = xi[:, None]
+    f, f1, f2, scale = _per_cell(probe, x, nu)
+    plus, minus = (_per_cell(probe, x, nu + s) for s in (h, -h))
+    kept = (f > 0) & (plus[0] > 0) & (minus[0] > 0)  # clipping is not a parabola
+    # value rounding, and nu +- h rounded to within eps / 2 of |nu| + h, which
+    # moves the points (through f1) and unbalances the two steps (through f2)
+    rounding = VALUE_ROUNDING * np.maximum.reduce([scale, plus[3], minus[3]])
+    shift = eps * (np.abs(nu) + h)
+    d1 = (plus[0] - minus[0]) / (2.0 * h)
+    d2 = (plus[0] - 2.0 * f + minus[0]) / h**2
+    got = probe.density_derivs(x, nu)
+    bound1 = rounding / h + np.abs(f1) * shift / h + np.abs(f2) * shift
+    bound2 = 4.0 * rounding / h**2 + np.abs(f1) * shift / h**2 + 2.0 * np.abs(f2) * shift / h
+    assert np.all(np.abs(got[1] - d1)[kept] <= bound1[kept])
+    assert np.all(np.abs(got[2] - d2)[kept] <= bound2[kept])
+
+
+def test_tabulated_derivatives_at_a_knot_follow_its_stencil():
+    probe = _knotted_table()
+    nus, table = probe._nus, probe._table
+    for i, knot in enumerate(nus):
+        j = min(max(i - 1, 1), nus.size - 2)  # the stencil _rows_at takes at the knot
+        for o in range(len(probe.outcomes)):
+            parabola = np.polyfit(nus[j - 1 : j + 2], table[o, j - 1 : j + 2], 2)
+            _, f1, f2 = probe.density_derivs(np.float64(o), knot)
+            assert f1 == pytest.approx(np.polyval(np.polyder(parabola), knot), rel=1e-9, abs=1e-12)
+            assert f2 == pytest.approx(2.0 * parabola[0], rel=1e-9, abs=1e-12)
 
 
 def test_tabulated_rejection_sampler_moments():

@@ -18,6 +18,7 @@ from qndsim.spectral import (
     RegionError,
     SpectralModelError,
     StateKernel,
+    _distinct,
     build_spectral_model,
     diagonal_state,
     model_from_dict,
@@ -405,3 +406,10 @@ def test_fine_pure_state_stays_a_vector():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0) | st.integers(-2, 2).map(float), min_size=1, max_size=12))
+def test_distinct_values_are_numpy_unique(values):
+    # ties (0.0 and -0.0 among them) collapse to one value, sorted
+    assert np.array_equal(_distinct(values), np.unique(values))

@@ -352,6 +352,8 @@ _LOG_TERM = st.one_of(
     st.floats(-1e3, 1e3),
     st.integers(-3, 3).map(float),  # ties at the maximum
     st.just(-np.inf),
+    st.just(np.inf),  # with nan, rows of the direct form beside finite rows
+    st.just(np.nan),
 )
 
 

@@ -294,6 +294,28 @@ MUTANTS = {
         "u = np.divide(d, self.sigma**2, out=f2)",
         "u = np.divide(z, self.sigma, out=f2)",
     ),
+    # the one quadratic rule: its derivative weights, and who reads which
+    "lagrange-slope-numerator-flipped": (
+        "spectral.py",
+        "((a1 + a2) / d0, (a0 + a2) / d1, (a0 + a1) / d2)",
+        "((a1 - a2) / d0, (a0 + a2) / d1, (a0 + a1) / d2)",
+    ),
+    "lagrange-curve-weight-one": (
+        "spectral.py",
+        "(2.0 / d0, 2.0 / d1, 2.0 / d2)",
+        "(1.0 / d0, 2.0 / d1, 2.0 / d2)",
+    ),
+    # a density clipped to 0 has derivatives 0, not those of the negative interpolant
+    "tabulated-derivs-where-clipped": (
+        "probes.py",
+        "return f, np.where(f > 0, slope, 0.0), np.where(f > 0, curve, 0.0)",
+        "return f, slope, curve",
+    ),
+    "stencil-reads-slope-weights": (
+        "estimators.py",
+        "_lagrange3(x, xs[c - 1], xs[c], xs[c + 1])[0]",
+        "_lagrange3(x, xs[c - 1], xs[c], xs[c + 1])[1]",
+    ),
 }
 
 EQUIVALENT = {
