@@ -27,6 +27,11 @@ structure of the log-likelihood near its maximum.  The zoom window spans
 ``8 / sqrt(F)`` rescaled units by default and is shrunk symmetrically when
 it would leave the spectrum; it must retain at least ``2 / sqrt(F)``.
 
+The CLT and the Gaussian limits hold on the absolutely continuous spectrum only:
+an estimator places all its values on the intervals with one ``interval_of`` call
+and carries each value's interval index, which selects the interval's nodes,
+bounds and edges and groups the values that share them.
+
 ``kernel_distances`` evaluates all windows of a run as one stack: all sized
 first, interpolated with one stencil per interval, and compared in groups of
 windows with the same live zoom columns and limit rank (never padded, as a
@@ -126,17 +131,18 @@ def _interpolate(xs: np.ndarray, ys: np.ndarray, x, domain) -> np.ndarray:
     return _apply_stencil(*_stencil(xs, x, domain), ys)
 
 
-def _interval_subgrid(model: SpectralModel, nu: float):
-    """Nodes of the interval containing nu, its slice, and its bounds."""
-    j = model.interval_index(nu)
-    if j is None:
-        raise WindowError(
-            f"nu={nu} has no absolutely continuous neighborhood in the spectrum"
-        )
-    sl = model.interval_node_range(j)
-    if sl.stop - sl.start < 3:
+def _intervals(model: SpectralModel, nus) -> np.ndarray:
+    """The interval holding each of ``nus``; the first value that lies on none,
+    or on an interval of fewer than 3 nodes, raises ``WindowError``."""
+    nus = np.atleast_1d(np.asarray(nus, dtype=float))
+    js = model.interval_of(nus)
+    for i in np.flatnonzero((js < 0) | (model.nodes_per_interval < 3))[:1]:
+        if js[i] < 0:
+            raise WindowError(
+                f"nu={float(nus[i])} has no absolutely continuous neighborhood in the spectrum"
+            )
         raise WindowError("interval has fewer than 3 nodes; refine the grid")
-    return sl, model.intervals[j]
+    return js
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +187,8 @@ def mle_table(
     Estimates never leave the spectrum.
     """
     lo, hi = np.empty(model.size), np.empty(model.size)  # the bracket of each interval node
-    for j, (a, b) in enumerate(model.intervals):
-        sl, delta = model.interval_node_range(j), (b - a) / model.nodes_per_interval
-        nodes = model.nodes[sl]
+    for (a, b), sl in zip(model.intervals, model.interval_slices):
+        delta, nodes = (b - a) / model.nodes_per_interval, model.nodes[sl]
         lo[sl], hi[sl] = np.maximum(a, nodes - delta), np.minimum(b, nodes + delta)
     best = np.empty((len(ensemble), len(checkpoints)), dtype=np.intp)
     for sl, sums in _sums_blocks(ensemble, checkpoints):
@@ -349,28 +354,18 @@ def clt_samples(
     """
     if ensemble.hidden is None:
         raise ValueError("clt_samples needs trajectories with hidden values")
-    residuals = []
-    excluded_boundary = 0
-    excluded_atoms = 0
-    fisher_cache: dict[float, float] = {}
-    for nu, estimate in zip(ensemble.hidden.tolist(), estimates):
-        j = model.interval_index(nu)
-        if j is None:
-            excluded_atoms += 1
-            continue
-        if nu not in fisher_cache:
-            fisher_cache[nu] = float(probe.fisher(np.asarray([nu]))[0])
-        fisher = fisher_cache[nu]
-        margin = margin_stds / math.sqrt(k * fisher)
-        a, b = model.intervals[j]
-        if nu - a < margin or b - nu < margin:
-            excluded_boundary += 1
-            continue
-        residuals.append(math.sqrt(k * fisher) * (float(estimate) - nu))
+    js = model.interval_of(ensemble.hidden)
+    on = js >= 0
+    nus, estimates = ensemble.hidden[on], np.asarray(estimates, dtype=float)[on]
+    # one one-value Fisher call per distinct hidden value: the rule may depend on the values
+    fisher = {nu: float(probe.fisher(np.asarray([nu]))[0]) for nu in dict.fromkeys(nus.tolist())}
+    root = np.sqrt(k * np.array([fisher[nu] for nu in nus.tolist()]))
+    margin, (lo, hi) = margin_stds / root, np.reshape(model.intervals, (-1, 2))[js[on]].T
+    inner = ~((nus - lo < margin) | (hi - nus < margin))
     return CltSamples(
-        residuals=np.asarray(residuals),
-        excluded_boundary=excluded_boundary,
-        excluded_atoms=excluded_atoms,
+        residuals=root[inner] * (estimates[inner] - nus[inner]),
+        excluded_boundary=int(np.count_nonzero(~inner)),
+        excluded_atoms=int(np.count_nonzero(~on)),
     )
 
 
@@ -407,15 +402,16 @@ def laplace_condition_check(
     nus = [float(nu) for nu in estimates]
     if len(nus) != len(ensemble):
         raise ValueError(f"{len(nus)} estimates for an ensemble of {len(ensemble)} rows")
-    rules = {}  # first node of an interval -> its stencil and rescaled weights
+    js = _intervals(model, nus).tolist()
+    rules = {}  # interval -> its stencil and rescaled weights
     checks = []
     for block, sums in _sums_blocks(ensemble, [k]):
-        for nu, row in zip(nus[block], sums[:, 0]):
-            sl, bounds = _interval_subgrid(model, nu)
-            if sl.start not in rules:
-                uq, wq = _composite_gauss(model.interval_edges[model.interval_index(nu)], _GL16)
-                rules[sl.start] = _stencil(model.nodes[sl], uq, bounds), math.sqrt(k) * wq
-            (first, w), wq = rules[sl.start]
+        for nu, j, row in zip(nus[block], js[block], sums[:, 0]):
+            sl, bounds = model.interval_slices[j], model.intervals[j]
+            if j not in rules:
+                uq, wq = _composite_gauss(model.interval_edges[j], _GL16)
+                rules[j] = _stencil(model.nodes[sl], uq, bounds), math.sqrt(k) * wq
+            (first, w), wq = rules[j]
             l_hat = float(_interpolate(model.nodes[sl], row[sl], nu, bounds)[0])
             expo = _apply_stencil(first, w, row[sl]) - l_hat
             numerator = float(wq @ np.exp(np.clip(expo, None, 50.0)))
@@ -467,21 +463,20 @@ class WindowGrid:
 
 def _window_sizes(model, nus, ks, fisher, window_sigmas, min_sigmas):
     """Half-widths of the zoom windows around ``nus`` after ``ks`` outcomes, and the
-    (node slice, bounds) of each window's interval; the first unsizable window raises."""
+    interval of each window; the first window that cannot be sized raises."""
     nus, ks, fisher = (np.atleast_1d(v) for v in (nus, ks, fisher))
-    halves, subgrids = [], []
-    for nu, k, f in zip(nus.tolist(), ks.tolist(), fisher.tolist()):
-        sl, (a, b) = _interval_subgrid(model, nu)
-        want, need = window_sigmas / math.sqrt(f), min_sigmas / math.sqrt(f)
-        fit = math.sqrt(k) * min(nu - a, b - nu)
-        if min(want, fit) < need:
-            raise WindowError(
-                f"rescaled window of half-width {want:.3g} exits the spectrum at "
-                f"k={k} (room for {fit:.3g}, need {need:.3g})"
-            )
-        halves.append(min(want, fit))
-        subgrids.append((sl, (a, b)))
-    return np.asarray(halves), subgrids
+    js = model.interval_of(nus)  # -1 reads the nan bounds past the last interval
+    lo, hi = np.append(np.reshape(model.intervals, (-1, 2)), [[np.nan] * 2], axis=0)[js].T
+    want, need = window_sigmas / np.sqrt(fisher), min_sigmas / np.sqrt(fisher)
+    fit = np.sqrt(ks) * np.minimum(nus - lo, hi - nus)
+    halves = np.minimum(want, fit)
+    for i in np.flatnonzero((js < 0) | (model.nodes_per_interval < 3) | (halves < need))[:1]:
+        _intervals(model, nus[i])  # raises for a window on no interval of 3 nodes
+        raise WindowError(
+            f"rescaled window of half-width {want[i]:.3g} exits the spectrum at "
+            f"k={ks[i]} (room for {fit[i]:.3g}, need {need[i]:.3g})"
+        )
+    return halves, js
 
 
 def _window_grids(model, nus, ks, halves, window_nodes) -> WindowGrid:
@@ -515,7 +510,7 @@ class RescaledKernelResult:
     window_mass: float
 
 
-def _zoom_stack(state: StateKernel, model: SpectralModel, sums, grids, subgrids, keys):
+def _zoom_stack(state: StateKernel, model: SpectralModel, sums, grids, js, keys):
     """Rescaled posterior kernels on stacked windows, one row of ``sums`` each: the
     (key, rows) groups of one live-column mask and ``keys`` row, each group's
     factors less the columns its windows miss, the raw traces, and each row's
@@ -523,9 +518,9 @@ def _zoom_stack(state: StateKernel, model: SpectralModel, sums, grids, subgrids,
     psi, d = state.factor
     shift = sums.max(axis=-1)
     phi = np.empty(grids.offsets.shape + psi.shape[1:], dtype=complex)
-    for _, rows in _groups([sl.start for sl, _ in subgrids]):  # one stencil an interval
-        sl, bounds = subgrids[rows[0]]
-        first, w = _stencil(model.nodes[sl], grids.positions[rows], bounds)
+    for (j,), rows in _groups(js):  # one stencil an interval
+        sl = model.interval_slices[j]
+        first, w = _stencil(model.nodes[sl], grids.positions[rows], model.intervals[j])
         local = sums[rows][:, sl]  # each window reads its own row, as take_along_axis
         along = first + local.shape[1] * np.arange(rows.size)[:, None]
         amp = np.exp(0.5 * (_apply_stencil(along, w, local.ravel()) - shift[rows, None]))
@@ -564,10 +559,10 @@ def rescaled_posterior_kernel(
     sums = _row_sums(trajectory, k)
     nu_hat = float(estimate)
     fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
-    halves, subgrids = _window_sizes(model, nu_hat, k, fisher, window_sigmas, min_sigmas)
+    halves, js = _window_sizes(model, nu_hat, k, fisher, window_sigmas, min_sigmas)
     grids = _window_grids(model, nu_hat, k, halves, window_nodes)
     [(live, _)], [phi], raw, grid_norm = _zoom_stack(
-        state, model, sums[None], grids, subgrids, np.empty((1, 0), dtype=bool)
+        state, model, sums[None], grids, js, np.empty((1, 0), dtype=bool)
     )
     raw_trace, window = float(raw[0]), grids.row(0)
     if raw_trace / window.scale <= 0:
@@ -581,16 +576,16 @@ def rescaled_posterior_kernel(
     )
 
 
-def _limit_stack(model: SpectralModel, state: StateKernel, nus, fisher, offsets, subgrids):
+def _limit_stack(model: SpectralModel, state: StateKernel, nus, fisher, offsets, js):
     """Gaussian limits on stacked windows: ``g`` times the eigenvectors of each
     normalized block, their eigenvalues (columns only where ``live``, the block
     trace positive), and the density at each estimate."""
     psi, d = state.factor
     n = psi.shape[1]
     block = np.empty((nus.size, n, n), dtype=complex)
-    for _, rows in _groups([sl.start for sl, _ in subgrids]):
-        sl, bounds = subgrids[rows[0]]
-        first, w = _stencil(model.nodes[sl], nus[rows], bounds)
+    for (j,), rows in _groups(js):
+        sl = model.interval_slices[j]
+        first, w = _stencil(model.nodes[sl], nus[rows], model.intervals[j])
         near = psi[sl][first[:, None] + np.arange(3)]  # K[i, i] = Psi[i] diag(d) Psi[i]*
         block[rows] = np.einsum("mi,miab->mab", w, (near * d) @ near.conj().swapaxes(-1, -2))
     trace = np.trace(block, axis1=1, axis2=2).real
@@ -623,9 +618,9 @@ def limit_kernel(
     """
     if fisher <= 0:
         raise ValueError("fisher must be positive")
-    subgrids = [_interval_subgrid(model, nu_hat)]
     (psi,), (lam,), (live,), (h_at,) = _limit_stack(
-        model, state, np.array([nu_hat]), np.array([fisher]), window.offsets[None], subgrids
+        model, state, np.array([nu_hat]), np.array([fisher]), window.offsets[None],
+        _intervals(model, nu_hat),
     )
     if h_at <= 0:
         raise WindowError(f"spectral density vanishes at nu={nu_hat}")
@@ -648,17 +643,17 @@ def kernel_distances(
     estimates = np.asarray(estimates, dtype=float)
     nus, all_ks = estimates.ravel(), np.tile(ks, len(estimates))
     fisher = np.array([probe.fisher(np.asarray([nu]))[0] for nu in nus.tolist()], dtype=float)
-    halves, subgrids = _window_sizes(model, nus, all_ks, fisher, window_sigmas, min_sigmas)
+    halves, js = _window_sizes(model, nus, all_ks, fisher, window_sigmas, min_sigmas)
     out = np.empty((2,) + estimates.shape)  # distances, window masses
     row_cells = ks.size * window_nodes * psi[0].size  # a row's zoom factors
     for block, sums in _sums_blocks(ensemble, ks, row_cells):
         w = slice(block.start * ks.size, block.stop * ks.size)  # the block's windows
         grids = _window_grids(model, nus[w], all_ks[w], halves[w], window_nodes)
         vecs, lam, rank, h_at = _limit_stack(
-            model, state, nus[w], fisher[w], grids.offsets, subgrids[w]
+            model, state, nus[w], fisher[w], grids.offsets, js[w]
         )
         groups, zooms, raw, grid_norm = _zoom_stack(
-            state, model, sums.reshape(-1, sums.shape[-1]), grids, subgrids[w], rank[:, None]
+            state, model, sums.reshape(-1, sums.shape[-1]), grids, js[w], rank[:, None]
         )
         trace = raw / grids.scale[:, 0]
         for i in np.flatnonzero((trace <= 0) | (h_at <= 0))[:1]:

@@ -609,14 +609,12 @@ def _estimate_assumptions(run: _Run, table, col, report):
     return results, {"assumptions": (["check", "passed", "worst_value", "location"], rows)}
 
 
-# kind -> (its estimator, whether it reads the estimates of every trajectory;
-# the others search only the rows of the estimator paths, the first 100)
-KINDS: dict[str, tuple[Callable, bool]] = {
-    "born-frequency": (_estimate_born, False),
-    "rate-convergence": (_estimate_rate, True),
-    "clt": (_estimate_clt, True),
-    "kernel-convergence": (_estimate_kernel, True),
-    "assumption-validation": (_estimate_assumptions, False),
+KINDS: dict[str, Callable] = {
+    "born-frequency": _estimate_born,
+    "rate-convergence": _estimate_rate,
+    "clt": _estimate_clt,
+    "kernel-convergence": _estimate_kernel,
+    "assumption-validation": _estimate_assumptions,
 }
 
 
@@ -639,12 +637,11 @@ def estimate_ensemble(
     # checkpoint, k_max last)
     columns = sorted(set(cps) | {config.k_max})
     col = {c: i for i, c in enumerate(columns)}
-    estimator, every_row = KINDS[config.kind]
-    table = est.mle_table(ensemble if every_row else ensemble[:100], columns, run.model, run.probe)
+    table = est.mle_table(ensemble, columns, run.model, run.probe)
 
     # posterior-mean diagnostic (no limit statement attached to it)
     report.posterior_means = posterior_means(run.state, ensemble[:100], config.k_max)
-    rows, tables = estimator(run, table, col, report)
+    rows, tables = KINDS[config.kind](run, table, col, report)
 
     # estimator paths are part of every report (first 100 trajectories)
     for row in table[:100]:

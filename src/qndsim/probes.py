@@ -445,6 +445,14 @@ class TabulatedProbe(ProbeModel):
             grid = np.asarray(grid, dtype=float)
             if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
                 raise ProbeError(f"{name} must be finite and strictly increasing")
+        if self.outcomes is not None:
+            try:
+                outs = np.asarray(self.outcomes, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ProbeError(f"outcomes must be numbers: {exc}") from exc
+            if not (outs.ndim == 1 and np.all(np.isfinite(outs))
+                    and _distinct(outs).size == outs.size):
+                raise ProbeError("outcomes must be a list of finite, distinct numbers")
         rows = "outcomes" if self.xi_grid is None else "xi_grid"
         shape = (len(getattr(self, rows)), len(self.nu_grid))
         if table.shape != shape:

@@ -15,6 +15,7 @@ Numeric contracts
   cell midpoints, so interval endpoints never appear as grid nodes.
 * Node mass: ``mass[i] = weights[i] * hvals[i]``, with ``hvals = 1`` at
   atoms so that an atom's mass is its weight itself.
+* Intervals are closed: an endpoint belongs to its interval (``interval_of``).
 * Region snapping: interval-region endpoints snap to the nearest cell
   boundary of the interval they land in; a point region selects the atom
   it names, or stands for the grid cell containing it.
@@ -160,6 +161,8 @@ class SpectralModel:
         Marks atom nodes.
     multiplicity : int
         Block size n of matrix-valued kernels over the grid.
+    interval_slices : tuple of slice
+        The grid indices of each interval's nodes (no atom lies among them).
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -171,6 +174,7 @@ class SpectralModel:
     multiplicity: int
     h_fn: Callable[[np.ndarray], np.ndarray]
     interval_edges: tuple[np.ndarray, ...]
+    interval_slices: tuple[slice, ...]
     nodes_per_interval: int
     quadrature_errors: tuple[float, ...]
 
@@ -190,17 +194,14 @@ class SpectralModel:
         hi = max([a for a, _ in self.atoms] + [b for _, b in self.intervals])
         return lo, hi
 
-    def interval_index(self, nu: float) -> int | None:
-        """Index of the interval containing ``nu``, or None."""
-        for j, (a, b) in enumerate(self.intervals):
-            if a <= nu <= b:
-                return j
-        return None
-
-    def interval_node_range(self, j: int) -> slice:
-        """Slice of grid indices belonging to interval ``j`` (no atom lies in it)."""
-        a, b = self.intervals[j]
-        return slice(int(np.searchsorted(self.nodes, a)), int(np.searchsorted(self.nodes, b, "right")))
+    def interval_of(self, values) -> np.ndarray:
+        """Index of the closed interval holding each value (an endpoint belongs
+        to its interval), -1 where none does, nan included."""
+        values = np.asarray(values, dtype=float)
+        lo, hi = np.reshape(self.intervals, (-1, 2)).T
+        j = np.searchsorted(lo, values, side="right") - 1
+        # j = -1, below every interval, reads the nan past the last upper end
+        return np.where(values <= np.append(hi, np.nan)[j], j, -1)
 
     def region_mask(self, region) -> np.ndarray:
         """Boolean node mask of a region after snapping.
@@ -227,13 +228,12 @@ class SpectralModel:
                     mask[int(np.argmin(d))] = True
                     hit_any = True
                     continue
-                j = self.interval_index(p)
-                if j is None:
+                j = int(self.interval_of(p))
+                if j < 0:
                     raise RegionError(f"point {p} lies outside the spectrum")
                 edges = self.interval_edges[j]
                 cell = int(np.clip(np.searchsorted(edges, p) - 1, 0, edges.size - 2))
-                sl = self.interval_node_range(j)
-                mask[sl.start + cell] = True
+                mask[self.interval_slices[j].start + cell] = True
                 hit_any = True
             elif len(comp) != 2:
                 raise RegionError(f"region component {list(comp)} is neither a point nor a pair")
@@ -246,13 +246,11 @@ class SpectralModel:
                 # atoms: closed containment, no snapping
                 sel = self.is_atom & (self.nodes >= r0) & (self.nodes <= r1)
                 # interval nodes: snap each endpoint to the nearest cell edge
-                for j, _ in enumerate(self.intervals):
-                    edges = self.interval_edges[j]
+                for edges, sl in zip(self.interval_edges, self.interval_slices):
                     if r1 < edges[0] or r0 > edges[-1]:
                         continue
                     s0 = edges[np.argmin(np.abs(edges - max(r0, edges[0])))]
                     s1 = edges[np.argmin(np.abs(edges - min(r1, edges[-1])))]
-                    sl = self.interval_node_range(j)
                     sel[sl] |= (self.nodes[sl] > s0) & (self.nodes[sl] < s1)
                 if sel.any():
                     hit_any = True
@@ -393,6 +391,7 @@ def build_spectral_model(
 
     order = np.argsort(node_list, kind="stable")
     nodes = _readonly(np.asarray(node_list, dtype=float)[order])
+    starts = np.searchsorted(nodes, [a for a, _ in intervals]).tolist()  # no atom lies inside
     if np.any(np.diff(nodes) <= 0):
         raise SpectralModelError("grid nodes are not strictly increasing")
     return SpectralModel(
@@ -405,6 +404,7 @@ def build_spectral_model(
         multiplicity=int(multiplicity),
         h_fn=h_fn,
         interval_edges=tuple(edges_list),
+        interval_slices=tuple(slice(s, s + int(nodes_per_interval)) for s in starts),
         nodes_per_interval=int(nodes_per_interval),
         quadrature_errors=tuple(quad_errors),
     )

@@ -423,6 +423,22 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
             "xi_grid needs at least 2 points",
         ),
         (
+            _on_unit({**TABLE, "outcomes": [0, "a"]}),
+            "outcomes must be numbers: could not convert string to float: 'a'",
+        ),
+        (
+            _on_unit({**TABLE, "outcomes": [0, float("inf")]}),
+            "outcomes must be a list of finite, distinct numbers",
+        ),
+        (
+            _on_unit({**TABLE, "outcomes": [0, float("nan")]}),
+            "outcomes must be a list of finite, distinct numbers",
+        ),
+        (
+            _on_unit({**TABLE, "outcomes": [0, 0, 1], "values": [[0.3] * 3, [0.2] * 3, [0.5] * 3]}),
+            "outcomes must be a list of finite, distinct numbers",
+        ),
+        (
             {"tolerances": {"kernel_distance_final": float("nan")}},
             "tolerance kernel_distance_final must be finite and at least 0, got nan",
         ),
@@ -550,6 +566,10 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "tabulated-value-nan",
         "tabulated-xi-grid-unsorted",
         "tabulated-xi-grid-one-point",
+        "tabulated-outcome-string",
+        "tabulated-outcome-inf",
+        "tabulated-outcome-nan",
+        "tabulated-outcomes-repeated",
         "tolerance-nan",
         "tolerance-negative",
         "tolerance-inf",
@@ -574,6 +594,9 @@ def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, m
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert not recwarn.list  # a warning would print a second line outside pytest
+    if message != "interval has fewer than 3 nodes":  # the only one refused by estimate
+        assert main(["validate", "--config", str(cfg)]) == 2  # refused where it is built
+        assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize(

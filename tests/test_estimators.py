@@ -21,7 +21,6 @@ from qndsim.estimators import (
     WindowError,
     WindowGrid,
     _interpolate,
-    _interval_subgrid,
     _stencil,
     clt_samples,
     kernel_distances,
@@ -189,14 +188,21 @@ def _scalar_objective(probe, outcomes, lo, hi):
     return objective
 
 
+def _subgrid(model, nu):
+    """Node slice and bounds of the interval holding ``nu``, as the per-window
+    loops read them; raises the estimators' ``WindowError`` where they do."""
+    j = int(estimators._intervals(model, nu)[0])
+    return model.interval_slices[j], model.intervals[j]
+
+
 def _oracle_mle(sums, prefix, model, probe, objective=_scalar_objective):
     """One refined estimate by one scalar search from the sums after the first
     k outcomes and those outcomes: grid argmax, bracketing cells, golden
     section on a closure of the outcomes, clip."""
     idx = int(np.argmax(sums))
     nu0 = float(model.nodes[idx])
-    j = None if model.is_atom[idx] else model.interval_index(nu0)
-    if j is None:
+    j = -1 if model.is_atom[idx] else int(model.interval_of(nu0))
+    if j < 0:
         return nu0
     a, b = model.intervals[j]
     delta = (b - a) / model.nodes_per_interval
@@ -619,7 +625,7 @@ def _oracle_laplace(sums, k, model, probe, nu_hat):
       the maximum (u |expo|), exp (4 u), the dot product (n u over n positive
       terms) and the ratio (2 u).
     """
-    sl, (a, b) = _interval_subgrid(model, nu_hat)
+    sl, (a, b) = _subgrid(model, nu_hat)
     xs, ys = model.nodes[sl], sums[sl]
     fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
     l_hat = float(_interpolate(xs, ys, nu_hat, (a, b))[0])
@@ -657,7 +663,7 @@ def test_laplace_check_equals_the_rescaled_variable_integral(name):
     checks = laplace_condition_check(ens, k, model, probe, estimates=estimates)
     assert len(checks) == len(ens)
     if name == "two-intervals":
-        assert {model.interval_index(nu) for nu in estimates} == {0, 1}
+        assert set(model.interval_of(estimates).tolist()) == {0, 1}
     for check, sums, nu in zip(checks, ens.sums_after([k])[:, 0], estimates):
         ratio, bound = _oracle_laplace(sums, k, model, probe, float(nu))
         assert check.estimate == nu
@@ -817,7 +823,7 @@ def test_limit_kernel_factor_matches_dense_formula(multiplicity, pure):
     limit = limit_kernel(model, state, nu_hat, fisher, window)
 
     # the dense g(x, y) c / h formula, block c interpolated at the estimate
-    sl, (a, b) = _interval_subgrid(model, nu_hat)
+    sl, (a, b) = _subgrid(model, nu_hat)
     first, w = _stencil(model.nodes[sl], nu_hat, (a, b))
     idx = sl.start + first[0] + np.arange(3)
     block = np.einsum("i,iab->ab", w[0], state.values[idx, idx])
@@ -1006,7 +1012,7 @@ def test_rescaled_kernel_equals_dense_einsum_oracle(
     )
 
     # the dense two-einsum formula the stencil replaced
-    sl, (a, b) = _interval_subgrid(model, zoom.estimate)
+    sl, (a, b) = _subgrid(model, zoom.estimate)
     xs = model.nodes[sl]
     wmat = _dense_weights(*_stencil(xs, zoom.window.positions, (a, b)), xs.size)
     base = np.einsum("qi,ijab->qjab", wmat, state.values[sl, sl])
@@ -1059,7 +1065,7 @@ def test_kernel_convergence_estimate_builds_no_dense_window_kernel(monkeypatch):
 # the per-window kernel loop the stacked kernel_distances replaced, kept as its oracle
 
 def _loop_window(model, nu_hat, k, fisher, window_sigmas, window_nodes, min_sigmas):
-    _, (a, b) = _interval_subgrid(model, nu_hat)
+    _, (a, b) = _subgrid(model, nu_hat)
     sqrt_k = math.sqrt(k)
     want = window_sigmas / math.sqrt(fisher)
     fit = sqrt_k * min(nu_hat - a, b - nu_hat)
@@ -1081,7 +1087,7 @@ def _loop_apply(first, w, values):
 
 
 def _loop_zoom(state, sums, model, nu_hat, grid):
-    sl, (a, b) = _interval_subgrid(model, nu_hat)
+    sl, (a, b) = _subgrid(model, nu_hat)
     first, w = _stencil(model.nodes[sl], grid.positions, (a, b))
     shift = float(sums.max())
     amp = np.exp(0.5 * (_loop_apply(first, w, sums[sl]) - shift))
@@ -1101,7 +1107,7 @@ def _loop_zoom(state, sums, model, nu_hat, grid):
 def _loop_limit(model, state, nu_hat, fisher, window):
     if fisher <= 0:
         raise ValueError("fisher must be positive")
-    sl, (a, b) = _interval_subgrid(model, nu_hat)
+    sl, (a, b) = _subgrid(model, nu_hat)
     h_at = float(np.asarray(model.h_fn(np.asarray([nu_hat])))[0])
     if h_at <= 0:
         raise WindowError(f"spectral density vanishes at nu={nu_hat}")
@@ -1216,7 +1222,7 @@ def test_kernel_distances_equal_the_window_loop_across_two_intervals():
     rows = [nu + 0.05 * rng.standard_normal(3000) for nu in (0.2, 0.8, 0.3, 0.7)]
     trajs = _manual_ensemble(probe, model, rows, cps)
     estimates = mle_table(trajs, cps, model, probe)
-    assert len({model.interval_index(nu) for nu in estimates.ravel()}) == 2
+    assert len(set(model.interval_of(estimates).ravel().tolist())) == 2
     got = _stacked(state, trajs, cps, model, probe, estimates, (8.0, 51, 2.0))
     assert got.tobytes() == _loop_kernel_distances(
         state, trajs.sums_after(cps), cps, model, probe, estimates, (8.0, 51, 2.0)

@@ -411,21 +411,22 @@ def test_runs_never_expand_a_state_to_dense_values(kind, state_type, monkeypatch
 
 
 @pytest.mark.parametrize("kind", sorted(_SMALL_RUNS))
-def test_estimate_searches_only_the_rows_its_kind_reads(kind, monkeypatch):
-    """Born and assumption runs read no estimate beyond the 100 estimator
-    paths; the other kinds read one per trajectory."""
-    searched = []
+def test_estimate_searches_every_row_once(kind, monkeypatch):
+    """Every kind reads one estimate table of all trajectories; its first 100
+    rows, the estimator paths, have the bits of a table of those rows alone."""
+    calls = []
 
     def mle_table(ensemble, *args):
-        searched.append(len(ensemble))
-        return table(ensemble, *args)
+        calls.append((ensemble, args, table(ensemble, *args)))
+        return calls[-1][-1]
 
     table = estimators.mle_table
     monkeypatch.setattr(estimators, "mle_table", mle_table)
     tree = {**_SMALL_RUNS[kind], "state": {"type": "pure"}, "ensemble": 101}
     run_experiment(ExperimentConfig.from_dict(tree))
-    paths_only = kind in ("born-frequency", "assumption-validation")
-    assert searched == [100 if paths_only else 101]
+    [(ensemble, args, got)] = calls
+    assert len(ensemble) == 101
+    assert got[:100].tobytes() == table(ensemble[:100], *args).tobytes()
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

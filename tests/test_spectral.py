@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -93,17 +93,54 @@ def test_probability_additive_over_disjoint_regions():
     assert abs(sum(parts) - total) < 1e-10
 
 
-def test_interval_node_range_holds_exactly_the_interval_nodes():
+def test_interval_slices_hold_exactly_the_interval_nodes():
     # atoms just outside each end of both intervals
     m = build_spectral_model(
         atoms=[(-0.5, 0.1), (1.0 + 1e-9, 0.1), (1.5, 0.1), (2.6, 0.1)],
         intervals=[(0.0, 1.0), (2.0, 2.5)],
         nodes_per_interval=5,
     )
-    for j, (a, b) in enumerate(m.intervals):
+    assert len(m.interval_slices) == len(m.intervals)
+    for (a, b), sl in zip(m.intervals, m.interval_slices):
         inside = np.flatnonzero(~m.is_atom & (m.nodes >= a) & (m.nodes <= b))
-        sl = m.interval_node_range(j)
         assert (sl.start, sl.stop) == (inside[0], inside[-1] + 1) and sl.stop - sl.start == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cuts=st.lists(st.integers(-40, 40), max_size=6, unique=True).map(sorted),
+    atoms=st.lists(st.integers(-50, 50), max_size=3, unique=True),
+    extra=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=4),
+)
+@example(cuts=[], atoms=[-3, 5], extra=[])  # atoms only
+@example(cuts=[-8, 0, 8, 16], atoms=[-20, 4, 30], extra=[])  # two intervals, a gap, atoms
+def test_interval_of_agrees_with_a_scalar_loop(cuts, atoms, extra):
+    # consecutive pairs of distinct sorted cuts are disjoint; fewer than two, none
+    ends = [c / 8 for c in cuts]
+    intervals = list(zip(ends[0::2], ends[1::2]))
+    # atoms at half steps, never on an end, and none inside an interval
+    atoms = [a / 8 + 1 / 16 for a in atoms]
+    atoms = [(p, 0.1) for p in atoms if not any(a <= p <= b for a, b in intervals)]
+    assume(intervals or atoms)
+    m = build_spectral_model(atoms=atoms, intervals=intervals, nodes_per_interval=4)
+    lo, hi = m.hull
+    flat = [e for pair in intervals for e in pair]
+    values = (
+        flat  # endpoints belong to their interval
+        + [np.nextafter(e, d) for e in flat for d in (-np.inf, np.inf)]
+        + [0.5 * (b + a) for (_, b), (a, _) in zip(intervals, intervals[1:])]  # gaps
+        + [p for p, _ in atoms]
+        + [lo - 1.0, hi + 1.0, np.nan, np.inf, -np.inf]
+        + extra
+    )
+
+    def oracle(v):
+        return next((j for j, (a, b) in enumerate(m.intervals) if a <= v <= b), -1)
+
+    got = m.interval_of(values)
+    assert got.shape == (len(values),)
+    assert got.tolist() == [oracle(v) for v in values]
+    assert int(m.interval_of(values[0])) == oracle(values[0])
 
 
 def test_point_region_in_interval_selects_cell():

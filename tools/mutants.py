@@ -53,22 +53,11 @@ MUTANTS = {
         "    model = build_model(config)\n    state = build_state(model, config.state)\n"
         "    probe = build_probe(config, model)\n    return validate_probe",
     ),
-    # the flag of the kind table: which kinds search every trajectory
-    "born-searches-every-row": (
-        "harness.py",
-        '"born-frequency": (_estimate_born, False)',
-        '"born-frequency": (_estimate_born, True)',
-    ),
-    "rate-searches-paths-only": (
-        "harness.py",
-        '"rate-convergence": (_estimate_rate, True)',
-        '"rate-convergence": (_estimate_rate, False)',
-    ),
-    # the dispatch itself
+    # the kind table's dispatch
     "clt-dispatches-to-kernel": (
         "harness.py",
-        '"clt": (_estimate_clt, True)',
-        '"clt": (_estimate_kernel, True)',
+        '"clt": _estimate_clt,',
+        '"clt": _estimate_kernel,',
     ),
     # estimate_ensemble derives the config hash from the config it estimates
     "config-hash-from-content": (
@@ -91,7 +80,7 @@ MUTANTS = {
     # block's window that cannot be sized, so the error depends on BLOCK_CELLS
     "sizing-inside-row-blocks": (
         "estimators.py",
-        "    halves, subgrids = _window_sizes(model, nus, all_ks, fisher, window_sigmas, min_sigmas)\n"
+        "    halves, js = _window_sizes(model, nus, all_ks, fisher, window_sigmas, min_sigmas)\n"
         "    out = np.empty((2,) + estimates.shape)  # distances, window masses\n"
         "    row_cells = ks.size * window_nodes * psi[0].size  # a row's zoom factors\n"
         "    for block, sums in _sums_blocks(ensemble, ks, row_cells):\n"
@@ -100,7 +89,7 @@ MUTANTS = {
         "    row_cells = ks.size * window_nodes * psi[0].size  # a row's zoom factors\n"
         "    for block, sums in _sums_blocks(ensemble, ks, row_cells):\n"
         "        w = slice(block.start * ks.size, block.stop * ks.size)  # the block's windows\n"
-        "        halves, subgrids = _window_sizes(\n"
+        "        halves, js = _window_sizes(\n"
         "            model, nus[: w.stop], all_ks[: w.stop], fisher[: w.stop],\n"
         "            window_sigmas, min_sigmas,\n"
         "        )\n",
@@ -116,8 +105,24 @@ MUTANTS = {
     # an interval's slice must stop at its last node, not take the atom after it
     "interval-range-off-by-one": (
         "spectral.py",
-        'int(np.searchsorted(self.nodes, b, "right")))',
-        'int(np.searchsorted(self.nodes, b, "right")) + 1)',
+        "slice(s, s + int(nodes_per_interval))",
+        "slice(s, s + int(nodes_per_interval) + 1)",
+    ),
+    # interval_of: a value on a lower end, on an upper end, and on no interval
+    "interval-of-lower-end-left": (
+        "spectral.py",
+        'j = np.searchsorted(lo, values, side="right") - 1',
+        'j = np.searchsorted(lo, values, side="left") - 1',
+    ),
+    "interval-of-upper-end-open": (
+        "spectral.py",
+        "np.where(values <= np.append(hi, np.nan)[j], j, -1)",
+        "np.where(values < np.append(hi, np.nan)[j], j, -1)",
+    ),
+    "interval-of-sentinel-zero": (
+        "spectral.py",
+        "np.where(values <= np.append(hi, np.nan)[j], j, -1)",
+        "np.where(values <= np.append(hi, np.nan)[j], j, 0)",
     ),
     # a hidden value off the spectrum (outside the hull or in a gap) must exit 2
     "hidden-nu-unchecked": (
@@ -197,12 +202,12 @@ MUTANTS = {
     # the Laplace rule and stencil of the first interval read for every interval
     "laplace-one-rule-for-all-intervals": (
         "estimators.py",
-        "            if sl.start not in rules:\n"
-        "                uq, wq = _composite_gauss(model.interval_edges[model.interval_index(nu)], _GL16)\n"
-        "                rules[sl.start] = _stencil(model.nodes[sl], uq, bounds), math.sqrt(k) * wq\n"
-        "            (first, w), wq = rules[sl.start]\n",
+        "            if j not in rules:\n"
+        "                uq, wq = _composite_gauss(model.interval_edges[j], _GL16)\n"
+        "                rules[j] = _stencil(model.nodes[sl], uq, bounds), math.sqrt(k) * wq\n"
+        "            (first, w), wq = rules[j]\n",
         "            if 0 not in rules:\n"
-        "                uq, wq = _composite_gauss(model.interval_edges[model.interval_index(nu)], _GL16)\n"
+        "                uq, wq = _composite_gauss(model.interval_edges[j], _GL16)\n"
         "                rules[0] = _stencil(model.nodes[sl], uq, bounds), math.sqrt(k) * wq\n"
         "            (first, w), wq = rules[0]\n",
     ),
