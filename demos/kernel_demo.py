@@ -37,13 +37,13 @@ def main():
         state, probe, max(checkpoints), 10, SEED, checkpoints=checkpoints, hidden_nu=0.5
     )
     table = q.mle_table(ensemble, checkpoints, model, probe)
-    # one zoom window per (trajectory, checkpoint): a 10 x 3 table of distances
-    by_row, _ = kernel_distances(state, ensemble, checkpoints, model, probe, estimates=table)
-    distances = dict(zip(checkpoints, by_row.T))
-    checks = q.laplace_condition_check(
-        ensemble, checkpoints[-1], model, probe, estimates=table[:, -1]
+    # one zoom window per (trajectory, checkpoint): 10 x 3 tables of distances and
+    # of Laplace ratios, read on the same windows
+    by_row, _, laplace = kernel_distances(
+        state, ensemble, checkpoints, model, probe, estimates=table
     )
-    ratios = [check.ratio for check in checks]
+    distances = dict(zip(checkpoints, by_row.T))
+    ratios = laplace[:, -1]
 
     OUT.mkdir(exist_ok=True)
     with open(OUT / "kernel_distance.csv", "w", newline="") as fh:

@@ -48,7 +48,6 @@ from .estimators import (
     CltSamples,
     ConsistencyResult,
     EstimatorReport,
-    LaplaceCheck,
     RateTrace,
     RescaledKernelResult,
     WindowError,

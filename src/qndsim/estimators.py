@@ -13,13 +13,14 @@ blocks of an ``Ensemble``:
 * posterior decay rates of excluded regions against relative entropy,
 * standardized residuals ``sqrt(k F) (estimate - hidden)`` for normality
   tests,
-* the Laplace-integral ratio that the Gaussian posterior limit rests on,
 * rescaled posterior kernels on a zoom window around the estimate, and the
   Gaussian kernel they converge to, compared in trace norm on the
   mass-weighted matrices.  All kernels are held as factors
   ``Psi diag(d) Psi*`` (rank one for a pure initial state), and the trace
   norm of a difference is the sum of absolute eigenvalues of a Hermitian
-  matrix as small as the two factors have columns.
+  matrix as small as the two factors have columns,
+* on the same windows, the Laplace-integral ratio that the Gaussian posterior
+  limit rests on.
 
 Sub-grid evaluation interpolates grid values by local three-point
 (piecewise-quadratic) Lagrange rules, matching the second-order Taylor
@@ -36,8 +37,10 @@ bounds and edges and groups the values that share them.
 first, interpolated with one stencil per interval, and compared in groups of
 windows with the same live zoom columns and limit rank (never padded, as a
 zero column changes the QR bits); the per-window functions are 1-row views.
-The Laplace check builds each interval's quadrature rule and its stencil once
-a call, and reads each trajectory's sums through them.
+Each window's Laplace ratio is a midpoint sum, on the window's own nodes, of the
+log-likelihood the kernel interpolates there, over the Gaussian value of the
+Fisher information that sized the window: no second quadrature rule and no
+second Fisher call.  ``laplace_condition_check`` is its one-checkpoint view.
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ from .spectral import (
     RegionError,
     SpectralModel,
     StateKernel,
-    _composite_gauss,
     _lagrange3,
     _weighted_gram,
+    pure_state,
     spectral_probability,
 )
 from .trajectories import Ensemble, _logsumexp, _sums_blocks, log_prior_weights
@@ -64,7 +67,6 @@ __all__ = [
     "RateTrace",
     "CltSamples",
     "ConsistencyResult",
-    "LaplaceCheck",
     "RescaledKernelResult",
     "WindowGrid",
     "WindowError",
@@ -124,11 +126,6 @@ def _apply_stencil(first: np.ndarray, w: np.ndarray, values: np.ndarray) -> np.n
     ``first`` may stack queries on any leading axes."""
     w = np.moveaxis(w, -1, 0).reshape((3,) + first.shape + (1,) * (values.ndim - 1))
     return w[0] * values[first] + w[1] * values[first + 1] + w[2] * values[first + 2]
-
-
-def _interpolate(xs: np.ndarray, ys: np.ndarray, x, domain) -> np.ndarray:
-    """Values at ``x`` of the three-point rule through ``(xs, ys)``."""
-    return _apply_stencil(*_stencil(xs, x, domain), ys)
 
 
 def _intervals(model: SpectralModel, nus) -> np.ndarray:
@@ -369,58 +366,6 @@ def clt_samples(
     )
 
 
-@dataclass(frozen=True)
-class LaplaceCheck:
-    """Ratio of the rescaled likelihood integral to its Gaussian value.
-
-    The numerator integrates ``exp(L(u) - L(nu_hat))`` over the interval owning
-    the estimate (other spectral components are exponentially suppressed) in
-    the rescaled variable ``x = sqrt(k)(u - nu_hat)``, as ``sqrt(k)`` times
-    the integral in ``u`` on the interval's grid cells; the denominator is
-    ``sqrt(2 pi / F(nu_hat))``.  Values near 1 support the Gaussian posterior
-    limit; this is a diagnostic, small-k values far from 1 are expected.
-    """
-
-    ratio: float
-    numerator: float
-    denominator: float
-    estimate: float
-    fisher: float
-
-
-_GL16 = np.polynomial.legendre.leggauss(16)
-
-
-def laplace_condition_check(
-    ensemble: Ensemble, k: int, model: SpectralModel, probe, *, estimates: Sequence[float],
-) -> list[LaplaceCheck]:
-    """``LaplaceCheck`` after k outcomes of each trajectory around ``estimates``,
-    its refined estimate at k (the ``mle_table`` column at k), with the bits of
-    its row alone.  The rule (16 Gauss-Legendre points a grid cell) of each
-    interval an estimate falls in, and its stencil on the interval's nodes, are
-    built once; a row then takes one stencil of its sums, one exp and one dot."""
-    nus = [float(nu) for nu in estimates]
-    if len(nus) != len(ensemble):
-        raise ValueError(f"{len(nus)} estimates for an ensemble of {len(ensemble)} rows")
-    js = _intervals(model, nus).tolist()
-    rules = {}  # interval -> its stencil and rescaled weights
-    checks = []
-    for block, sums in _sums_blocks(ensemble, [k]):
-        for nu, j, row in zip(nus[block], js[block], sums[:, 0]):
-            sl, bounds = model.interval_slices[j], model.intervals[j]
-            if j not in rules:
-                uq, wq = _composite_gauss(model.interval_edges[j], _GL16)
-                rules[j] = _stencil(model.nodes[sl], uq, bounds), math.sqrt(k) * wq
-            (first, w), wq = rules[j]
-            l_hat = float(_interpolate(model.nodes[sl], row[sl], nu, bounds)[0])
-            expo = _apply_stencil(first, w, row[sl]) - l_hat
-            numerator = float(wq @ np.exp(np.clip(expo, None, 50.0)))
-            fisher = float(probe.fisher(np.asarray([nu]))[0])
-            denominator = math.sqrt(2.0 * math.pi / fisher)
-            checks.append(LaplaceCheck(numerator / denominator, numerator, denominator, nu, fisher))
-    return checks
-
-
 # ---------------------------------------------------------------------------
 # rescaled posterior kernels and the Gaussian limit
 
@@ -513,19 +458,25 @@ class RescaledKernelResult:
 def _zoom_stack(state: StateKernel, model: SpectralModel, sums, grids, js, keys):
     """Rescaled posterior kernels on stacked windows, one row of ``sums`` each: the
     (key, rows) groups of one live-column mask and ``keys`` row, each group's
-    factors less the columns its windows miss, the raw traces, and each row's
-    posterior normalizer over the whole grid."""
+    factors less the columns its windows miss, the raw traces, each row's
+    posterior normalizer over the whole grid, and each window's sum of
+    ``exp(L(x) - L(center))`` over its nodes."""
     psi, d = state.factor
     shift = sums.max(axis=-1)
     phi = np.empty(grids.offsets.shape + psi.shape[1:], dtype=complex)
+    laplace = np.empty(len(sums))
     for (j,), rows in _groups(js):  # one stencil an interval
         sl = model.interval_slices[j]
-        first, w = _stencil(model.nodes[sl], grids.positions[rows], model.intervals[j])
+        at = np.concatenate([grids.positions[rows], grids.center[rows]], axis=1)  # center last
+        first, w = _stencil(model.nodes[sl], at, model.intervals[j])
         local = sums[rows][:, sl]  # each window reads its own row, as take_along_axis
         along = first + local.shape[1] * np.arange(rows.size)[:, None]
-        amp = np.exp(0.5 * (_apply_stencil(along, w, local.ravel()) - shift[rows, None]))
+        logl = _apply_stencil(along, w, local.ravel())
+        amp = np.exp(0.5 * (logl[:, :-1] - shift[rows, None]))
+        with np.errstate(over="ignore"):  # inf only around an estimate far below the maximum
+            laplace[rows] = np.exp(logl[:, :-1] - logl[:, -1:]).sum(axis=-1)
         # K(x, y) = Phi(x) diag(d) Phi(y)*: the stencil acts on the factor's rows
-        phi[rows] = _apply_stencil(first, w, psi[sl]) * amp[..., None, None]
+        phi[rows] = _apply_stencil(first[:, :-1], w[:, :-1], psi[sl]) * amp[..., None, None]
     groups = _groups(np.column_stack([np.any(phi != 0, axis=(1, 2)), keys]))
     zooms = [np.ascontiguousarray(phi[rows][..., key[: d.size]]) for key, rows in groups]
     raw = np.empty(len(sums))
@@ -536,7 +487,7 @@ def _zoom_stack(state: StateKernel, model: SpectralModel, sums, grids, js, keys)
     norm = np.empty(len(sums))
     for finite, rows in _groups(np.isfinite(log_terms)):  # finite terms, as a row alone
         norm[rows] = _logsumexp(np.ascontiguousarray(log_terms[rows][:, finite]), axis=-1)
-    return groups, zooms, raw, np.exp(norm)
+    return groups, zooms, raw, np.exp(norm), laplace
 
 
 def rescaled_posterior_kernel(
@@ -561,7 +512,7 @@ def rescaled_posterior_kernel(
     fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
     halves, js = _window_sizes(model, nu_hat, k, fisher, window_sigmas, min_sigmas)
     grids = _window_grids(model, nu_hat, k, halves, window_nodes)
-    [(live, _)], [phi], raw, grid_norm = _zoom_stack(
+    [(live, _)], [phi], raw, grid_norm, _ = _zoom_stack(
         state, model, sums[None], grids, js, np.empty((1, 0), dtype=bool)
     )
     raw_trace, window = float(raw[0]), grids.row(0)
@@ -632,19 +583,28 @@ def kernel_distances(
     state: StateKernel, ensemble: Ensemble, checkpoints: Sequence[int],
     model: SpectralModel, probe, *, estimates, window_sigmas: float = DEFAULT_WINDOW_SIGMAS,
     window_nodes: int = 201, min_sigmas: float = MIN_WINDOW_SIGMAS,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trace-norm distances of the rescaled posterior kernels to their Gaussian
-    limits, and the window masses, at the refined ``estimates`` (E x C) after each
-    checkpoint of each trajectory: two E x C arrays, bit for bit the per-window
-    functions'.  All windows are sized first: the first that cannot be sized raises
-    ``WindowError``, else the first with zero kernel trace or density at its estimate."""
+    limits, the window masses and the Laplace ratios, at the refined ``estimates``
+    (E x C) after each checkpoint of each trajectory: three E x C arrays, the first
+    two bit for bit the per-window functions'.  All windows are sized first: the
+    first that cannot be sized raises ``WindowError``, else the first with zero
+    kernel trace or density at its estimate.
+
+    A Laplace ratio is the window's midpoint sum of ``exp(L(u) - L(nu_hat))`` in
+    ``x = sqrt(k)(u - nu_hat)``, L the sums interpolated as for the kernel, over
+    ``sqrt(2 pi / F)``; near 1 it supports the Gaussian limit.  A window cut by the
+    spectrum edge reports the mass it holds, missing the tails past both ends."""
     psi, d = state.factor
     ks = np.asarray(checkpoints)
     estimates = np.asarray(estimates, dtype=float)
+    if estimates.shape != (len(ensemble), ks.size):
+        raise ValueError(f"estimates of shape {estimates.shape} for an ensemble of "
+                         f"{len(ensemble)} rows and {ks.size} checkpoints")
     nus, all_ks = estimates.ravel(), np.tile(ks, len(estimates))
     fisher = np.array([probe.fisher(np.asarray([nu]))[0] for nu in nus.tolist()], dtype=float)
     halves, js = _window_sizes(model, nus, all_ks, fisher, window_sigmas, min_sigmas)
-    out = np.empty((2,) + estimates.shape)  # distances, window masses
+    out = np.empty((3,) + estimates.shape)  # distances, window masses, Laplace ratios
     row_cells = ks.size * window_nodes * psi[0].size  # a row's zoom factors
     for block, sums in _sums_blocks(ensemble, ks, row_cells):
         w = slice(block.start * ks.size, block.stop * ks.size)  # the block's windows
@@ -652,7 +612,7 @@ def kernel_distances(
         vecs, lam, rank, h_at = _limit_stack(
             model, state, nus[w], fisher[w], grids.offsets, js[w]
         )
-        groups, zooms, raw, grid_norm = _zoom_stack(
+        groups, zooms, raw, grid_norm, laplace = _zoom_stack(
             state, model, sums.reshape(-1, sums.shape[-1]), grids, js[w], rank[:, None]
         )
         trace = raw / grids.scale[:, 0]
@@ -666,8 +626,20 @@ def kernel_distances(
             limit = (vecs[rows][..., :n], lam[rows, :n] / h_at[rows, None])
             zoom = (zoom, d[key[:-1]] / raw[rows, None])
             dist[rows] = _trace_norms(grids.mass[rows], zoom, limit)
-        out[:, block] = np.stack([dist, trace / grid_norm]).reshape(2, -1, ks.size)
-    return out[0], out[1]
+        ratio = laplace * grids.spacing[:, 0] / np.sqrt(2.0 * math.pi / fisher[w])
+        out[:, block] = np.stack([dist, trace / grid_norm, ratio]).reshape(3, -1, ks.size)
+    return tuple(out)
+
+
+def laplace_condition_check(
+    ensemble: Ensemble, k: int, model: SpectralModel, probe, *, estimates: Sequence[float],
+) -> np.ndarray:
+    """The Laplace ratio after k outcomes of each trajectory around ``estimates``,
+    its refined estimate at k (the ``mle_table`` column at k), as an (E,) array: the
+    ratio column of a one-checkpoint ``kernel_distances`` under a flat pure state."""
+    state = pure_state(model, np.ones(model.size))
+    estimates = np.asarray(estimates, dtype=float)[:, None]
+    return kernel_distances(state, ensemble, [k], model, probe, estimates=estimates)[2][:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ seed, and the kind of statistical question being asked:
   against the relative-entropy target,
 * ``clt``: normality of standardized estimator residuals,
 * ``kernel-convergence``: trace-norm approach of the rescaled posterior
-  kernel to its Gaussian limit, gated by the Laplace-integral diagnostic,
+  kernel to its Gaussian limit, gated by the Laplace ratios of its k_max windows,
 * ``assumption-validation``: the probe and state validator suites.
 
 ``KINDS`` maps each kind to its estimator.  Every command builds a config's
@@ -528,18 +528,15 @@ def _estimate_clt(run: _Run, table, col, report):
 
 def _estimate_kernel(run: _Run, table, col, report):
     config, ensemble, cps = run.config, run.ensemble, run.config.checkpoints
-    distances, _ = est.kernel_distances(
-        run.state, ensemble, cps, run.model, run.probe,
-        estimates=table[:, [col[c] for c in cps]],
+    # one window a table entry: the distances read the checkpoints, the Laplace ratios k_max
+    distances, _, ratios = est.kernel_distances(
+        run.state, ensemble, list(col), run.model, run.probe, estimates=table,
         window_sigmas=config.window["sigmas"],
         window_nodes=int(config.window["nodes"]),
         min_sigmas=config.window["min_sigmas"],
     )
-    checks = est.laplace_condition_check(
-        ensemble, config.k_max, run.model, run.probe, estimates=table[:, col[config.k_max]]
-    )
-    ratios = [check.ratio for check in checks]
-    medians = [_median(d) for d in distances.T]
+    ratios = ratios[:, col[config.k_max]].tolist()
+    medians = [_median(distances[:, col[c]]) for c in cps]
     report.distance_series = [
         {"checkpoint": c, "median_distance": m} for c, m in zip(cps, medians)
     ]

@@ -530,7 +530,7 @@ class TabulatedProbe(ProbeModel):
             m = 2 * (size - filled) + 16
             cells = np.searchsorted(cdf, rng.random(m))
             xi = grid[cells] + rng.random(m) * np.diff(grid)[cells]
-            accept = rng.random(m) * env[cells] <= self.density(xi, np.float64(nu))
+            accept = rng.random(m) * env[cells] < self.density(xi, np.float64(nu))  # never f = 0
             take = xi[accept][: size - filled]
             out[filled : filled + take.size] = take
             filled += take.size

@@ -4,7 +4,6 @@ rescaled kernels, the Gaussian limit, and the trace-norm distance."""
 import functools
 import json
 import math
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from qndsim.estimators import (
     REFINE_TOL_FACTOR,
     WindowError,
     WindowGrid,
-    _interpolate,
+    _apply_stencil,
     _stencil,
     clt_samples,
     kernel_distances,
@@ -61,6 +60,11 @@ from test_probes import UNBLOCKED, _with_cells
 
 SEED = 20260810
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _interpolate(xs, ys, x, domain):
+    """Values at ``x`` of the estimators' three-point rule through ``(xs, ys)``."""
+    return _apply_stencil(*_stencil(xs, x, domain), ys)
 
 
 def _gaussian_setup(n=100, sigma=1.0, psi=None):
@@ -561,11 +565,14 @@ def test_clt_requires_hidden_values():
 @functools.lru_cache(maxsize=None)
 def _laplace_cases():
     """name -> (ensemble, k, model, probe, estimates at k) of the Laplace cases: a
-    Gaussian readout at k = 400, the binary probe at k = 10^4 and k = 1, and a
-    two-interval spectrum with estimates in both intervals."""
+    Gaussian readout at k = 400, the binary probe at k = 10^4 and k = 1, a
+    two-interval spectrum with estimates in both intervals (some windows cut by an
+    interval's end), and estimates whose windows the spectrum's lower end cuts."""
     model, probe, state = _gaussian_setup(200)
     ens = sample_ensemble(state, probe, 400, 3, SEED, hidden_nu=0.5)
     cases = {"gaussian": (ens, 400, model, probe)}
+    ens = sample_ensemble(state, probe, 400, 3, SEED, hidden_nu=0.2)
+    cases["cut-window"] = (ens, 400, model, probe)  # half-widths 6.0, 4.2 and 2.8
     model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=200)
     binary = BinaryPhase.embedded(0.0, 1.0)
     state = pure_state(model, lambda nu: np.ones_like(nu))
@@ -576,8 +583,10 @@ def _laplace_cases():
     cases["small-k"] = (ens, 1, model, probe)
     model = build_spectral_model(intervals=[(0.0, 0.45), (0.55, 1.0)], nodes_per_interval=60)
     probe = GaussianReadout(sigma=0.2)
-    state = pure_state(model, lambda nu: np.ones_like(nu))
-    cases["two-intervals"] = (sample_ensemble(state, probe, 50, 8, SEED), 50, model, probe)
+    rng = np.random.default_rng(SEED)
+    nus = (0.12, 0.2, 0.3, 0.33, 0.67, 0.7, 0.8, 0.88)
+    rows = [nu + 0.2 * rng.standard_normal(200) for nu in nus]
+    cases["two-intervals"] = (_manual_ensemble(probe, model, rows), 200, model, probe)
     return {
         name: (ens, k, model, probe, mle_table(ens, [k], model, probe)[:, 0])
         for name, (ens, k, model, probe) in cases.items()
@@ -586,114 +595,206 @@ def _laplace_cases():
 
 def test_laplace_ratio_exact_for_gaussian():
     ens, k, model, probe, estimates = _laplace_cases()["gaussian"]
-    for check in laplace_condition_check(ens, k, model, probe, estimates=estimates):
-        assert check.ratio == pytest.approx(1.0, abs=1e-8)
-        assert check.fisher == pytest.approx(1.0, abs=1e-9)
+    for ratio in laplace_condition_check(ens, k, model, probe, estimates=estimates):
+        assert ratio == pytest.approx(1.0, abs=1e-8)
 
 
 def test_laplace_ratio_binary_near_one_at_large_k():
     ens, k, model, probe, estimates = _laplace_cases()["binary-large-k"]
-    [check] = laplace_condition_check(ens, k, model, probe, estimates=estimates)
-    assert abs(check.ratio - 1.0) < 0.05
+    [ratio] = laplace_condition_check(ens, k, model, probe, estimates=estimates)
+    assert abs(ratio - 1.0) < 0.05
 
 
-def test_laplace_small_k_is_diagnostic_only():
+def test_laplace_small_k_window_cannot_be_sized():
+    # at k = 1 a window of 2 / sqrt(F) = 2 rescaled units does not fit in [0, 1]
     ens, k, model, probe, estimates = _laplace_cases()["small-k"]
-    for check in laplace_condition_check(ens, k, model, probe, estimates=estimates):
-        assert np.isfinite(check.ratio) and check.ratio > 0
+    with pytest.raises(WindowError, match="exits the spectrum at k=1 "):
+        laplace_condition_check(ens, k, model, probe, estimates=estimates)
 
 
-def _oracle_laplace(sums, k, model, probe, nu_hat):
-    """One row's ratio as an integral in x = sqrt(k)(u - nu_hat): a rule on the
-    rescaled cell edges around the estimate, the sums interpolated at
-    ``nu_hat + x / sqrt(k)``; and a bound on its distance to the same integral
-    on the original variable's rule, from the rounding of the two rules.
+_GL16 = np.polynomial.legendre.leggauss(16)
+_EPS = np.finfo(float).eps / 2  # the unit roundoff
 
-    Both rules take the same edges, 16 points a cell and the same stencils (no
-    point lies near a cell edge, where the nearest node would change), and the
-    same maximum ``l_hat``.  With u the unit roundoff, M = max(|a|, |b|) and
-    h the cell width:
-    * a point's position: the oracle's carries at most 15 u M (the rounding of
-      edges, midpoints and offsets of size up to 2 M, scaled by sqrt(k) and
-      back), the original-variable rule's 3 u M, so the two differ by at most
-      ``du = 20 u M``, and the exponent by ``|p'| du`` (p the stencil's
-      parabola);
-    * a weight: the oracle's half-width is a difference of rescaled edges that
-      each carry 4 u M sqrt(k), so the weights differ relatively by at most
-      ``8 u M / h + 5 u``;
-    * each side rounds the stencil sum (9 u of sum |w y|), the subtraction of
-      the maximum (u |expo|), exp (4 u), the dot product (n u over n positive
-      terms) and the ratio (2 u).
+
+def _oracle_laplace(sums, k, model, probe, nu_hat, half=None):
+    """One row's ratio as an integral in x = sqrt(k)(u - nu_hat) over the interval
+    holding ``nu_hat``, or over [-half, half]: 16 Gauss-Legendre points on each
+    rescaled grid cell (cut at the window's ends), the sums interpolated at
+    ``nu_hat + x / sqrt(k)``; and a bound on its rounding relative to the ratio.
+
+    The interpolant is one parabola on each grid cell (the nearest node of a point
+    is its cell's node), so the rule is exact to rounding on each piece.  With u
+    the unit roundoff, M = max(|a|, |b|) and h a segment's width in the original
+    variable, a term carries: its point's position, at most 15 u M (the rounding of
+    edges and offsets of size up to 2 M, scaled by sqrt(k) and back), times the
+    parabola's slope; the stencil sum (9 u of sum |w y|) and the subtraction of
+    ``l_hat`` (u |expo|); its weight, a half-difference of rescaled edges that each
+    carry 4 u M sqrt(k) (8 u M / h + 5 u); and exp (4 u).  The sum adds n u over
+    n positive terms and the ratio 2 u.
     """
     sl, (a, b) = _subgrid(model, nu_hat)
     xs, ys = model.nodes[sl], sums[sl]
     fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
     l_hat = float(_interpolate(xs, ys, nu_hat, (a, b))[0])
     sqrt_k = math.sqrt(k)
-    edges = sqrt_k * (np.linspace(a, b, (sl.stop - sl.start) + 1) - nu_hat)
-    xq, wq = spectral._composite_gauss(edges, estimators._GL16)
+    edges = sqrt_k * (model.interval_edges[int(model.interval_of([nu_hat])[0])] - nu_hat)
+    if half is not None:
+        edges = np.concatenate([[-half], edges[(edges > -half) & (edges < half)], [half]])
+    xq, wq = spectral._composite_gauss(edges, _GL16)
     uq = nu_hat + xq / sqrt_k
     expo = _interpolate(xs, ys, uq, (a, b)) - l_hat
-    terms = wq * np.exp(np.clip(expo, None, 50.0))
-    ratio = float(wq @ np.exp(np.clip(expo, None, 50.0))) / math.sqrt(2.0 * math.pi / fisher)
+    terms = wq * np.exp(expo)
+    ratio = float(terms.sum()) / math.sqrt(2.0 * math.pi / fisher)
 
-    eps, m, h = np.finfo(float).eps / 2, max(abs(a), abs(b)), (b - a) / (sl.stop - sl.start)
-    first, w = _stencil(xs, uq, (a, b))
-    x0, x1, x2 = (xs[first + s] for s in range(3))
-    y0, y1, y2 = (ys[first + s] for s in range(3))
-    slope = (
-        y0 * (2 * uq - x1 - x2) / ((x0 - x1) * (x0 - x2))
-        + y1 * (2 * uq - x0 - x2) / ((x1 - x0) * (x1 - x2))
-        + y2 * (2 * uq - x0 - x1) / ((x2 - x0) * (x2 - x1))
-    )
-    stencil_size = estimators._apply_stencil(first, np.abs(w), np.abs(ys))
+    m, h = max(abs(a), abs(b)), np.repeat(np.diff(edges) / sqrt_k, 16)
+    slope = _quadratic(xs, ys, _stencil(xs, uq, (a, b))[0] + 1, uq)[1]
     per_term = (
-        np.abs(slope) * 20 * eps * m                           # the point's position
-        + 2 * (9 * eps * stencil_size + eps * np.abs(expo))    # the exponent
-        + 8 * eps * m / h + 5 * eps                            # the weight
-        + 2 * 4 * eps                                          # exp
+        np.abs(slope) * 15 * _EPS * m + 9 * _EPS * _stencil_size(xs, ys, uq, (a, b))
+        + _EPS * np.abs(expo) + 8 * _EPS * m / h + 5 * _EPS + 4 * _EPS
     )
-    bound = float(terms @ per_term) / float(terms.sum()) + 2 * terms.size * eps + 4 * eps
-    return ratio, bound
+    return ratio, float(terms @ per_term) / float(terms.sum()) + (terms.size + 2) * _EPS
 
 
-@pytest.mark.parametrize("name", ["gaussian", "binary-large-k", "small-k", "two-intervals"])
+def _stencil_size(xs, ys, at, domain):
+    """``sum |w y|`` of the stencil at each of ``at``, the scale of its rounding."""
+    first, w = _stencil(xs, at, domain)
+    return _apply_stencil(first, np.abs(w), np.abs(ys))
+
+
+def _quadratic(xs, ys, c, at):
+    """Value, slope and half curvature, at ``at``, of the parabola through nodes
+    c - 1, c and c + 1 (``c`` clipped into the interior)."""
+    c = np.clip(c, 1, xs.size - 2)
+    (x0, x1, x2), (y0, y1, y2) = (xs[c + s] for s in (-1, 0, 1)), (ys[c + s] for s in (-1, 0, 1))
+    d01, d12 = (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
+    curve = (d12 - d01) / (x2 - x0)
+    t = at - x1
+    slope = d01 + curve * (x1 - x0) + 2 * curve * t
+    return y1 + (d01 + curve * (x1 - x0)) * t + curve * t * t, slope, curve
+
+
+def _window_error(sums, k, model, nu_hat, half, nodes):
+    """Bounds on the midpoint sum of ``exp(L - l_hat)`` over the window [-half, half]
+    of ``nodes`` cells: on its distance to the integral over the window, on the
+    integral over the rest of the interval (the tails), and on its rounding
+    relative to the sum, by the same pieces as ``_oracle_laplace``.
+
+    On a window cell of width s whose midpoint lies on grid cell j, the midpoint
+    rule errs by at most ``s^3 / 24 max |f_j''|`` for f_j = exp(q_j - l_hat), q_j
+    the parabola of cell j (``f'' = (q'^2 + q'') f / k`` in x), plus, for each other
+    grid cell i that the window cell meets, ``s max |f_i - f_j|`` (the integrand
+    is f_i there) and that again (the sum may read f_i at a midpoint on an edge),
+    with ``|f_i - f_j| <= exp(max(q_i, q_j) - l_hat) |q_i - q_j|``.  A parabola's
+    bounds on a segment of center m and half-width r come from its Taylor form at
+    m: ``q <= q(m) + |q'(m)| r + max(c, 0) r^2``, ``|q'| <= |q'(m)| + 2 |c| r``.
+    A tail piece adds its width times ``exp(max q_j - l_hat)``.
+
+    The computed midpoints carry at most ``10 u (half / sqrt(k) + |nu_hat|)`` in
+    the original variable (spacing, offsets, the division by sqrt(k) and the
+    shift by ``nu_hat``), times the parabola's slope; the stencil sums at the
+    midpoint and at ``nu_hat`` carry 9 u of their ``sum |w y|``, the subtraction
+    u |expo|, exp 4 u, the sum n u and the spacing and the ratio 5 u.
+    """
+    sl, (a, b) = _subgrid(model, nu_hat)
+    xs, ys = model.nodes[sl], sums[sl]
+    cells = model.interval_edges[int(model.interval_of([nu_hat])[0])]
+    l_hat = float(_interpolate(xs, ys, nu_hat, (a, b))[0])
+    sqrt_k, s = math.sqrt(k), 2.0 * half / nodes
+    mid = nu_hat + (-half + (np.arange(nodes) + 0.5) * s) / sqrt_k
+    r = s / (2 * sqrt_k)  # a window cell's half-width in u
+
+    def top(j, at, r):  # upper bound of q_j - l_hat on [at - r, at + r]
+        q, slope, curve = _quadratic(xs, ys, j, at)
+        return q + np.abs(slope) * r + np.maximum(curve, 0) * r * r - l_hat
+
+    home = np.clip(np.searchsorted(cells, mid) - 1, 0, xs.size - 1)  # the midpoint's cell
+    q_home, slope_home, curve = _quadratic(xs, ys, home, mid)
+    steep = np.abs(slope_home) + 2 * np.abs(curve) * r  # bounds |q'| on the window cell
+    error = s**3 / 24 * np.exp(top(home, mid, r)) * (steep**2 + 2 * np.abs(curve)) / k
+    reach = int(math.ceil(2 * r / np.diff(cells).min())) + 1
+    for step in range(-reach, reach + 1):
+        other = home + step
+        meets = (step != 0) & (other >= 0) & (other < xs.size)
+        other = np.clip(other, 0, xs.size - 1)
+        meets &= (cells[other] < mid + r) & (cells[other + 1] > mid - r)
+        q, slope, c = _quadratic(xs, ys, other, mid)
+        gap = np.abs(q - q_home) + np.abs(slope - slope_home) * r + np.abs(c - curve) * r * r
+        highest = np.maximum(top(home, mid, r), top(other, mid, r))
+        error += np.where(meets, 2 * s * np.exp(highest) * gap, 0.0)
+
+    lo, hi = nu_hat - half / sqrt_k, nu_hat + half / sqrt_k  # the tails, cell by cell
+    tail = 0.0
+    for left, right in ((np.maximum(cells[:-1], a), np.minimum(cells[1:], lo)),
+                        (np.maximum(cells[:-1], hi), np.minimum(cells[1:], b))):
+        j = np.flatnonzero(right > left)
+        centre, width = 0.5 * (left[j] + right[j]), right[j] - left[j]
+        tail += float(sqrt_k * width @ np.exp(top(j, centre, width / 2)))
+
+    expo = _interpolate(xs, ys, mid, (a, b)) - l_hat
+    terms = np.exp(expo)
+    per_term = (
+        np.abs(slope_home) * 10 * _EPS * (half / sqrt_k + abs(nu_hat))
+        + 9 * _EPS * (_stencil_size(xs, ys, mid, (a, b)) + _stencil_size(xs, ys, [nu_hat], (a, b)))
+        + _EPS * np.abs(expo) + 4 * _EPS
+    )
+    rounding = float(terms @ per_term) / float(terms.sum()) + (nodes + 5) * _EPS
+    return float(error.sum()), tail, rounding
+
+
+def _window_half(model, probe, nu_hat, k, sigmas=8.0):
+    _, (a, b) = _subgrid(model, nu_hat)
+    fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
+    return min(sigmas / math.sqrt(fisher), math.sqrt(k) * min(nu_hat - a, b - nu_hat)), fisher
+
+
+@pytest.mark.parametrize("name", ["gaussian", "binary-large-k", "two-intervals", "cut-window"])
 def test_laplace_check_equals_the_rescaled_variable_integral(name):
+    """The window's midpoint sum against the oracle over the whole interval, within
+    the midpoint error, the tails past the window and the rounding of both; a cut
+    window against the oracle over the same window, within the first and the
+    last."""
     ens, k, model, probe, estimates = _laplace_cases()[name]
-    checks = laplace_condition_check(ens, k, model, probe, estimates=estimates)
-    assert len(checks) == len(ens)
+    got = laplace_condition_check(ens, k, model, probe, estimates=estimates)
+    assert got.shape == (len(ens),)
     if name == "two-intervals":
         assert set(model.interval_of(estimates).tolist()) == {0, 1}
-    for check, sums, nu in zip(checks, ens.sums_after([k])[:, 0], estimates):
-        ratio, bound = _oracle_laplace(sums, k, model, probe, float(nu))
-        assert check.estimate == nu
-        assert abs(check.ratio - ratio) <= bound * ratio, (check.ratio, ratio, bound)
+    cuts = []
+    for ratio, sums, nu in zip(got, ens.sums_after([k])[:, 0], estimates.tolist()):
+        half, fisher = _window_half(model, probe, nu, k)
+        cuts.append(cut := half < 8.0 / math.sqrt(fisher))
+        want, want_rounding = _oracle_laplace(sums, k, model, probe, nu, half if cut else None)
+        error, tail, rounding = _window_error(sums, k, model, nu, half, 201)
+        bound = (error + (0.0 if cut else tail)) / math.sqrt(2.0 * math.pi / fisher)
+        bound += rounding * ratio + want_rounding * want
+        assert abs(ratio - want) <= bound, (ratio, want, bound)
+        if name == "cut-window":  # the window misses the tails past both of its ends
+            assert ratio < _oracle_laplace(sums, k, model, probe, nu)[0]
+    assert all(cuts) if name == "cut-window" else not all(cuts)
 
 
 @pytest.mark.parametrize("rows_a_block", [1, 3, None], ids=["one-row", "three-rows", "one-block"])
 def test_laplace_check_of_a_row_has_the_bits_of_the_row_alone(rows_a_block):
     ens, k, model, probe, estimates = _laplace_cases()["two-intervals"]
-    cells = 4 * model.size * rows_a_block if rows_a_block else UNBLOCKED
-    blocks = _with_cells(cells, lambda: list(_sums_blocks(ens, [k])))
+    row_cells = max(model.size, 201)  # a row's sums or its window, as kernel_distances stacks them
+    cells = 4 * row_cells * rows_a_block if rows_a_block else UNBLOCKED
+    blocks = _with_cells(cells, lambda: list(_sums_blocks(ens, [k], row_cells)))
     assert len(blocks) == -(-len(ens) // (rows_a_block or len(ens)))
-
-    def bits(checks):
-        return np.array([astuple(c) for c in checks]).tobytes()
-
     stacked = _with_cells(
         cells, lambda: laplace_condition_check(ens, k, model, probe, estimates=estimates)
     )
-    for i, check in enumerate(stacked):
+    for i, ratio in enumerate(stacked):
         alone = laplace_condition_check(
             ens[i : i + 1], k, model, probe, estimates=estimates[i : i + 1]
         )
-        assert bits(alone) == bits([check]), i
+        assert alone.tobytes() == ratio.tobytes(), i
 
 
 def test_laplace_check_takes_one_estimate_a_row():
     ens, k, model, probe, estimates = _laplace_cases()["gaussian"]
     for wrong in (estimates[:-1], np.append(estimates, 0.5), []):
-        with pytest.raises(ValueError, match=f"{len(wrong)} estimates for an ensemble of 3 rows"):
+        with pytest.raises(
+            ValueError, match=rf"shape \({len(wrong)}, 1\) for an ensemble of 3 rows"
+        ):
             laplace_condition_check(ens, k, model, probe, estimates=wrong)
 
 
@@ -1090,7 +1191,10 @@ def _loop_zoom(state, sums, model, nu_hat, grid):
     sl, (a, b) = _subgrid(model, nu_hat)
     first, w = _stencil(model.nodes[sl], grid.positions, (a, b))
     shift = float(sums.max())
-    amp = np.exp(0.5 * (_loop_apply(first, w, sums[sl]) - shift))
+    logl = _loop_apply(first, w, sums[sl])
+    amp = np.exp(0.5 * (logl - shift))
+    l_hat = float(_interpolate(model.nodes[sl], sums[sl], nu_hat, (a, b))[0])
+    laplace = float(np.exp(logl - l_hat).sum()) * grid.spacing
     psi, d = state.factor
     phi = _loop_apply(first, w, psi[sl]) * amp[:, None, None]
     live = np.any(phi != 0, axis=(0, 1))
@@ -1101,7 +1205,7 @@ def _loop_zoom(state, sums, model, nu_hat, grid):
     grid_norm = float(np.exp(_logsumexp(log_terms[np.isfinite(log_terms)])))
     if window_trace <= 0:
         raise WindowError("rescaled kernel has zero trace on its window")
-    return StateKernel(None, grid, factor=(phi, d / raw_trace)), window_trace / grid_norm
+    return StateKernel(None, grid, factor=(phi, d / raw_trace)), window_trace / grid_norm, laplace
 
 
 def _loop_limit(model, state, nu_hat, fisher, window):
@@ -1137,20 +1241,21 @@ def _loop_trace_norm(a, b):
 
 
 def _loop_kernel_distances(state, sums, cps, model, probe, estimates, window=(8.0, 201, 2.0)):
-    """Distances and window masses from the sums (E x C x N) after each of ``cps``:
-    every window sized first, then built one at a time, in (trajectory, checkpoint)
-    order."""
+    """Distances, window masses and Laplace ratios from the sums (E x C x N) after
+    each of ``cps``: every window sized first, then built one at a time, in
+    (trajectory, checkpoint) order."""
     windows = {}  # (e, i) -> (estimate, fisher, grid)
     for e, row in enumerate(estimates):
         for i, c in enumerate(cps):
             nu_hat = float(row[i])
             fisher = float(probe.fisher(np.asarray([nu_hat]))[0])
             windows[e, i] = nu_hat, fisher, _loop_window(model, nu_hat, c, fisher, *window)
-    out = np.empty((2, len(sums), len(cps)))
+    out = np.empty((3, len(sums), len(cps)))
     for (e, i), (nu_hat, fisher, grid) in windows.items():
-        zoom, mass = _loop_zoom(state, sums[e, i], model, nu_hat, grid)
+        zoom, mass, laplace = _loop_zoom(state, sums[e, i], model, nu_hat, grid)
         limit = _loop_limit(model, state, nu_hat, fisher, grid)
-        out[:, e, i] = _loop_trace_norm(zoom, limit), mass
+        ratio = laplace / math.sqrt(2.0 * math.pi / fisher)
+        out[:, e, i] = _loop_trace_norm(zoom, limit), mass, ratio
     return out
 
 
@@ -1299,3 +1404,27 @@ def test_kernel_run_takes_one_qr_for_the_whole_stack(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(a[0].shape) or qr(*a, **kw))
     run_experiment(ExperimentConfig.from_dict(tree))
     assert calls == [(60, 201, 2)]  # 20 trajectories x 3 checkpoints, the loop took 60
+
+
+def test_kernel_run_reads_the_laplace_ratios_at_k_max_outside_its_checkpoints(monkeypatch):
+    """A run whose checkpoints leave k_max out makes one ``kernel_distances`` call
+    over its checkpoints and k_max: its distance series covers its own checkpoints
+    only, and its Laplace ratios are those of the k_max windows, bit for bit the
+    shipped run's (whose checkpoints end at k_max)."""
+    tree = json.loads((CONFIGS / "kernel_convergence.json").read_text())
+    shipped = run_experiment(ExperimentConfig.from_dict(tree)).report
+    calls = []
+
+    def spy(state, ensemble, checkpoints, *args, **kwargs):
+        calls.append(list(checkpoints))
+        return distances(state, ensemble, checkpoints, *args, **kwargs)
+
+    distances = estimators.kernel_distances
+    monkeypatch.setattr(estimators, "kernel_distances", spy)
+    bundle = run_experiment(ExperimentConfig.from_dict({**tree, "checkpoints": [100, 1000]}))
+    assert calls == [[100, 1000, 10_000]]
+    report = bundle.report
+    assert [row["checkpoint"] for row in report.distance_series] == [100, 1000]
+    assert report.distance_series == shipped.distance_series[:2]
+    assert len(report.laplace_checks) == 20 and report.laplace_checks == shipped.laplace_checks
+    assert [r.passed for r in bundle.results] == [True] * 3

@@ -1366,6 +1366,39 @@ def test_tabulated_rejection_sampler_moments():
     assert abs(draws.var() - 1.0) < 0.05
 
 
+class _Draws:
+    """A generator stand-in: ``random(m)`` returns m copies of the next listed value
+    (the last one once the list runs out)."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self, m):
+        return np.full(m, self.values.pop(0) if len(self.values) > 1 else self.values[0])
+
+
+def test_rejection_sampler_never_accepts_an_outcome_of_zero_density():
+    # Generator.random can draw 0.0 exactly: the first round then picks the first
+    # cell, which holds no mass, at its left end, where the density is 0, and a
+    # u * env <= f test would accept it
+    probe = TabulatedProbe(
+        nu_grid=(0.0, 0.5, 1.0), values=((0.0,) * 3, (0.0,) * 3, (2 / 3,) * 3, (2 / 3,) * 3),
+        xi_grid=(0.0, 1.0, 2.0, 3.0),
+    )
+    draws = probe.sample(0.5, 4, _Draws(0.0, 0.0, 0.0, 0.9))
+    assert draws.tolist() == [2.9] * 4 and np.all(probe.density(draws, 0.5) > 0)
+
+
+def test_binary_sample_is_one_exactly_below_p1():
+    # outcome 1 iff u < p1 gives P(1) = p1 on the 2^-53 grid Generator.random draws
+    # from, and never the impossible outcome 1 where p1 = 0 (a draw of 0.0)
+    probe = BinaryPhase(offset=0.0, slope=1.0)
+    p1 = float(np.sin(0.5 * 0.5) ** 2)  # at nu = 0.5
+    assert probe.sample(0.0, 3, _Draws(0.0)).tolist() == [0.0] * 3
+    for u, outcome in ((np.nextafter(p1, 0.0), 1.0), (p1, 0.0)):
+        assert probe.sample(0.5, 3, _Draws(u)).tolist() == [outcome] * 3
+
+
 def test_tabulated_finite_outcome_sampler():
     probe = TabulatedProbe(
         nu_grid=(0.0, 0.5, 1.0),

@@ -5,14 +5,17 @@ usage: python tools/mutants.py [NAME ...]
 Each mutant replaces one piece of text, which must occur exactly once, in a
 temporary copy of the working tree.  The tier-1 suite then runs in that copy
 with ``-x``: a mutant the suite passes survives.  Mutants judged equivalent
-are listed with the reason and not run.  Names select mutants; none selects
-all.  Prints one line per mutant, then the score.  Not part of tier-1.
+are listed with the reason and not run.  A run longer than ``TIME_LIMIT_S``
+is stopped, with every process it started, and reported as ``timed out``: the
+suite did not pass, but it did not fail either.  Names select mutants; none
+selects all.  Prints one line per mutant, then the score.  Not part of tier-1.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -20,6 +23,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIME_LIMIT_S = 300  # a mutant's tier-1 run; an unmutated run takes under a minute
 
 # name -> (file under src/qndsim, text, replacement)
 MUTANTS = {
@@ -81,11 +85,11 @@ MUTANTS = {
     "sizing-inside-row-blocks": (
         "estimators.py",
         "    halves, js = _window_sizes(model, nus, all_ks, fisher, window_sigmas, min_sigmas)\n"
-        "    out = np.empty((2,) + estimates.shape)  # distances, window masses\n"
+        "    out = np.empty((3,) + estimates.shape)  # distances, window masses, Laplace ratios\n"
         "    row_cells = ks.size * window_nodes * psi[0].size  # a row's zoom factors\n"
         "    for block, sums in _sums_blocks(ensemble, ks, row_cells):\n"
         "        w = slice(block.start * ks.size, block.stop * ks.size)  # the block's windows\n",
-        "    out = np.empty((2,) + estimates.shape)  # distances, window masses\n"
+        "    out = np.empty((3,) + estimates.shape)  # distances, window masses, Laplace ratios\n"
         "    row_cells = ks.size * window_nodes * psi[0].size  # a row's zoom factors\n"
         "    for block, sums in _sums_blocks(ensemble, ks, row_cells):\n"
         "        w = slice(block.start * ks.size, block.stop * ks.size)  # the block's windows\n"
@@ -199,18 +203,6 @@ MUTANTS = {
         "psi = psi[:, None] if n == 1 else np.tile(psi[:, None], (1, n))",
         "psi = psi[:, None] if n != 1 else np.tile(psi[:, None], (1, n))",
     ),
-    # the Laplace rule and stencil of the first interval read for every interval
-    "laplace-one-rule-for-all-intervals": (
-        "estimators.py",
-        "            if j not in rules:\n"
-        "                uq, wq = _composite_gauss(model.interval_edges[j], _GL16)\n"
-        "                rules[j] = _stencil(model.nodes[sl], uq, bounds), math.sqrt(k) * wq\n"
-        "            (first, w), wq = rules[j]\n",
-        "            if 0 not in rules:\n"
-        "                uq, wq = _composite_gauss(model.interval_edges[j], _GL16)\n"
-        "                rules[0] = _stencil(model.nodes[sl], uq, bounds), math.sqrt(k) * wq\n"
-        "            (first, w), wq = rules[0]\n",
-    ),
     # a bracket reaching down to its interval's lower end, or below the spectrum
     "bracket-lower-end-by-minimum": (
         "estimators.py",
@@ -321,16 +313,49 @@ MUTANTS = {
         "_lagrange3(x, xs[c - 1], xs[c], xs[c + 1])[0]",
         "_lagrange3(x, xs[c - 1], xs[c], xs[c + 1])[1]",
     ),
+    # the Laplace ratio of a window: L-hat is the sums interpolated at the estimate,
+    # not the grid maximum; the run reads the k_max column; the sum is times spacing
+    "laplace-l-hat-from-grid-max": (
+        "estimators.py",
+        "np.exp(logl[:, :-1] - logl[:, -1:])",
+        "np.exp(logl[:, :-1] - shift[rows, None])",
+    ),
+    "laplace-ratio-at-first-checkpoint": (
+        "harness.py",
+        "ratios = ratios[:, col[config.k_max]].tolist()",
+        "ratios = ratios[:, 0].tolist()",
+    ),
+    "laplace-spacing-dropped": (
+        "estimators.py",
+        "ratio = laplace * grids.spacing[:, 0] / np.sqrt(",
+        "ratio = laplace / np.sqrt(",
+    ),
+    # exact ties of a uniform draw: Generator.random can return 0.0 exactly
+    "binary-one-at-p1": (
+        "probes.py",
+        "return (rng.random(size) < p1).astype(float)",
+        "return (rng.random(size) <= p1).astype(float)",
+    ),
+    "tabulated-accepts-zero-density": (
+        "probes.py",
+        "accept = rng.random(m) * env[cells] < self.density(",
+        "accept = rng.random(m) * env[cells] <= self.density(",
+    ),
+    # a rejection loop that never exits: the time limit reports it
+    "tabulated-rejection-loop-never-ends": (
+        "probes.py",
+        "        while filled < size:\n",
+        "        while filled <= size:\n",
+    ),
 }
 
 EQUIVALENT = {
-    "laplace-clip-30": (
+    "golden-width-at-tol": (
         "estimators.py",
-        "np.exp(np.clip(expo, None, 50.0))",
-        "np.exp(np.clip(expo, None, 30.0))",
-        "expo is the log-likelihood less its value at the refined maximum, so it is at "
-        "most the quadratic stencil's overshoot inside one cell, far below 30; either "
-        "clip only guards an estimate that is not a maximum",
+        "if w > tol else 0 for w in h",
+        "if w >= tol else 0 for w in h",
+        "a width equal to tol gives log(tol / w) = 0, so ceil(0 / log(1 / phi)) = 0 steps, "
+        "as the else branch does",
     ),
     "gaussian-hook-regroups-exponent": (
         "probes.py",
@@ -362,7 +387,8 @@ def _ignore(_dir, names):
 
 
 def run_mutant(path: str, text: str, replacement: str) -> tuple[str, float]:
-    """'killed' or 'survived' (or 'stale' if the text is not found once), and seconds."""
+    """'killed', 'survived' or 'timed out' (or 'stale' if the text is not found
+    once), and seconds."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=_ignore)
@@ -373,11 +399,18 @@ def run_mutant(path: str, text: str, replacement: str) -> tuple[str, float]:
         source.write_text(code.replace(text, replacement))
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         start = time.monotonic()
-        proc = subprocess.run(
+        proc = subprocess.Popen(  # its own process group: the suite starts subprocesses
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
             cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
-        return ("survived" if proc.returncode == 0 else "killed"), time.monotonic() - start
+        try:
+            status = proc.wait(timeout=TIME_LIMIT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return "timed out", time.monotonic() - start
+        return ("survived" if status == 0 else "killed"), time.monotonic() - start
 
 
 def main(argv) -> int:
@@ -394,8 +427,9 @@ def main(argv) -> int:
         if not argv or name in argv:
             print(f"{name}: equivalent, not run ({reason})")
     killed = sum(v == "killed" for v in outcomes.values())
-    print(f"score: {killed} of {len(outcomes)} killed")
-    survivors = [n for n, v in outcomes.items() if v != "killed"]
+    timed_out = sum(v == "timed out" for v in outcomes.values())
+    print(f"score: {killed} of {len(outcomes)} killed, {timed_out} timed out")
+    survivors = [n for n, v in outcomes.items() if v not in ("killed", "timed out")]
     if survivors:
         print("not killed: " + ", ".join(survivors))
     return 1 if survivors else 0
