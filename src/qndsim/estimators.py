@@ -178,10 +178,10 @@ def mle_table(
     maxima are polished by golden-section search over the bracketing cells
     (tolerance 1e-8 of the hull width) on the exact log-likelihood of the
     first k outcomes, all searches in one lock-step loop on
-    ``probe.stat_loglik`` of one statistic table (O(1) per step for finite
-    outcome spaces and the Gaussian readout, O(k) otherwise), built one k and
-    one run of consecutive rows at a time from views of ``ensemble.outcomes``.
-    Estimates never leave the spectrum.
+    ``probe.stat_loglik`` of the statistics the ensemble holds after each k
+    (``Ensemble.stats``, gathered once; O(1) per step for finite outcome
+    spaces and the Gaussian readout, O(k) otherwise).  Estimates never leave
+    the spectrum.
     """
     lo, hi = np.empty(model.size), np.empty(model.size)  # the bracket of each interval node
     for (a, b), sl in zip(model.intervals, model.interval_slices):
@@ -194,11 +194,7 @@ def mle_table(
     cols, rows = np.nonzero(~model.is_atom[best].T)  # the searches, by k, then row
     if rows.size:
         lo, hi = lo[best[rows, cols]], hi[best[rows, cols]]
-        runs = np.flatnonzero((np.diff(cols) != 0) | (np.diff(rows) != 1)) + 1
-        stats = np.concatenate([
-            probe.statistic(ensemble.outcomes[run[0] : run[-1] + 1, : checkpoints[col[0]]])
-            for run, col in zip(np.split(rows, runs), np.split(cols, runs))
-        ])
+        stats = ensemble.stats[rows, np.asarray(ensemble._columns(checkpoints))[cols]]
         tol = REFINE_TOL_FACTOR * max(model.hull[1] - model.hull[0], 1.0)
         found = _golden_table(
             lambda idx, nus: probe.stat_loglik(stats[idx], nus[:, None])[:, 0], lo, hi, tol
@@ -301,8 +297,7 @@ def rate_traces(
     entropy from its law to the region.
     """
     mask, log_prior = rate_region(model, state, region)
-    k = ensemble.outcomes.shape[1]
-    cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= k})
+    cps = sorted({int(c) for c in checkpoints if 0 < int(c) <= ensemble.k})
     values = np.empty((len(ensemble), len(cps)))
     for sl, sums in _sums_blocks(ensemble, cps):
         logw = np.add(log_prior, sums, out=sums)  # (rows x checkpoints x nodes), a copy

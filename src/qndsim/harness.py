@@ -663,13 +663,21 @@ def _manifest(config: ExperimentConfig) -> dict:
 
 
 def persist_trajectories(out_dir, ensemble: Ensemble, config: ExperimentConfig):
-    """The ensemble arrays as ``trajectories/{outcomes,sums,hidden}.npy`` (float64;
-    ``hidden`` only from the mixture sampler), with a manifest naming the config."""
+    """The ensemble arrays as ``trajectories/{stats,sums,hidden}.npy`` (``hidden``
+    only from the mixture sampler), with a manifest naming the config.  ``stats``
+    holds each row's statistic after each checkpoint and k (int64 counts or the
+    float64 Gaussian statistic); a statistic that is the row itself is written
+    once, as the (E x k) float64 rows, whose prefixes are the others.  An
+    ``outcomes.npy`` of the old layout goes."""
     base = Path(out_dir) / "trajectories"
     base.mkdir(parents=True, exist_ok=True)
-    for name in ("outcomes", "sums", "hidden"):
-        if getattr(ensemble, name) is not None:
-            np.save(base / f"{name}.npy", getattr(ensemble, name))
+    (base / "outcomes.npy").unlink(missing_ok=True)
+    stats = ensemble.stats
+    arrays = {"stats": np.stack(stats[:, -1, 0]) if stats.dtype == object else stats,
+              "sums": ensemble.sums, "hidden": ensemble.hidden}
+    for name, array in arrays.items():
+        if array is not None:
+            np.save(base / f"{name}.npy", array)
     with open(base / "manifest.json", "w") as fh:
         json.dump(_manifest(config), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -677,8 +685,8 @@ def persist_trajectories(out_dir, ensemble: Ensemble, config: ExperimentConfig):
 
 def load_trajectories(out_dir, config: ExperimentConfig) -> Ensemble:
     """Round-trip of ``persist_trajectories``, bit for bit.  A manifest written for
-    another config or in the old CSV layout, and arrays that are missing,
-    unreadable or of another shape, raise ``ConfigError``."""
+    another config, the old CSV and outcome-block layouts, and arrays that are
+    missing, unreadable or of another dtype or shape, raise ``ConfigError``."""
     base = Path(out_dir) / "trajectories"
     manifest_path = base / "manifest.json"
     if not manifest_path.exists():
@@ -689,6 +697,9 @@ def load_trajectories(out_dir, config: ExperimentConfig) -> Ensemble:
     keys = set(manifest) if isinstance(manifest, dict) else set()
     if "entries" in keys:
         raise ConfigError(f"trajectories under {out_dir} are in the old CSV layout{again}")
+    if (base / "outcomes.npy").exists():
+        raise ConfigError(f"trajectories under {out_dir} are in the old outcome-block "
+                          f"layout{again}")
     missing = [key for key in wanted if key not in keys]
     if missing:
         raise ConfigError(f"{manifest_path} lacks the keys {missing}{again}")
@@ -696,18 +707,29 @@ def load_trajectories(out_dir, config: ExperimentConfig) -> Ensemble:
     if stale:
         raise ConfigError(f"trajectories under {out_dir} were simulated for another "
                           f"config ({', '.join(stale)}){again}")
-    e, cps, n = config.ensemble, config.checkpoints, _build_cached(config.canonical_json())[0].size
-    shapes = {"outcomes": (e, config.k_max), "sums": (e, len(cps) + 1, n), "hidden": (e,)}
-    arrays = dict.fromkeys(shapes)
-    for name in shapes if config.sampler == "de-finetti" else ("outcomes", "sums"):
+    model, _, probe = _build_cached(config.canonical_json())
+    e, k, ends = config.ensemble, config.k_max, [*config.checkpoints, config.k_max]
+    stat = probe.statistic(np.empty((1, 0)))  # the family's statistic: its dtype and width
+    rows = stat.dtype == object  # the row itself
+    specs = {
+        "stats": (np.dtype(float), (e, k)) if rows else (stat.dtype, (e, len(ends), stat.shape[1])),
+        "sums": (np.dtype(float), (e, len(ends), model.size)),
+        "hidden": (np.dtype(float), (e,)),
+    }
+    arrays = dict.fromkeys(specs)
+    for name in specs if config.sampler == "de-finetti" else ("stats", "sums"):
         path = base / f"{name}.npy"
         try:
             arrays[name] = a = np.load(path, allow_pickle=False)
         except (OSError, ValueError, EOFError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}{again}") from exc
-        if (a.dtype, a.shape) != (np.float64, shapes[name]):
-            raise ConfigError(f"{path} holds {a.dtype} {a.shape}, not float64 {shapes[name]}{again}")
-    return Ensemble(arrays["outcomes"], arrays["sums"], cps, arrays["hidden"], config.seed)
+        if (a.dtype, a.shape) != specs[name]:
+            raise ConfigError(f"{path} holds {a.dtype} {a.shape}, not "
+                              f"{specs[name][0]} {specs[name][1]}{again}")
+    stats = arrays["stats"]
+    if rows:
+        stats = np.stack([probe.statistic(stats[:, :c]) for c in ends], 1)
+    return Ensemble(stats, arrays["sums"], k, config.checkpoints, arrays["hidden"], config.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -95,16 +95,18 @@ def _centred_sums(xi: np.ndarray):
     return m, r.sum(axis=-1), (r * r).sum(axis=-1)
 
 
-def _add_expectations(out: dict, w, f, f1, f2, ratio) -> None:
+def _add_expectations(out: dict, w, f, f1, f2) -> None:
     """Add one block of outcome rows to the expectations in ``out``: ``norm``
     sums f, ``score`` f1, ``fisher`` f1^2 / f and ``d2`` f2 - f1^2 / f, each
-    weighted by ``w``.  The ratio is written into ``ratio``, a table of zeros
-    of f's shape, and stays 0 where f vanishes; f1 and f2 are overwritten."""
+    weighted by ``w``.  The ratio is written over f1 and is 0 wherever f is
+    not positive; f1 and f2 are overwritten."""
     if "norm" in out:
         out["norm"] += w @ f
     if "score" in out:
         out["score"] += w @ f1
-    np.divide(np.multiply(f1, f1, out=f1), f, out=ratio, where=f > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(np.multiply(f1, f1, out=f1), f, out=f1)
+    ratio[~(f > 0)] = 0.0
     if "fisher" in out:
         out["fisher"] += w @ ratio
     if "d2" in out:
@@ -187,17 +189,24 @@ class ProbeModel:
         one block of outcome rows, all of one length."""
         return self.stat_loglik(stats, nodes[None, :])
 
+    def _stat_sums(self, stats: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """``_node_sums`` of statistic rows (R x N), in row blocks of at most
+        BLOCK_CELLS // 4 cells (S x N a row)."""
+        total = np.empty((len(stats), nodes.size))
+        for sl in _blocks(len(stats), stats.shape[1] * nodes.size, 4):
+            total[sl] = self._node_sums(stats[sl], nodes)
+        return total
+
     def loglik_node_sums(self, nodes: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
         """Summed log-likelihood over outcomes, one entry per grid node (per row of a
         2-D block, with the bits of the row alone), from the rows' statistics."""
         nodes = np.asarray(nodes, dtype=float)
         outcomes = np.asarray(outcomes, dtype=float)
         rows = np.atleast_2d(outcomes)
-        total = np.zeros((rows.shape[0], nodes.size))
-        if rows.size:  # rows of no outcomes sum to 0
-            stats = self.statistic(rows)
-            for sl in _blocks(len(stats), stats.shape[1] * nodes.size, 4):
-                total[sl] = self._node_sums(stats[sl], nodes)
+        if rows.size:
+            total = self._stat_sums(self.statistic(rows), nodes)
+        else:  # rows of no outcomes sum to 0
+            total = np.zeros((rows.shape[0], nodes.size))
         return total if outcomes.ndim == 2 else total[0]
 
     # -- expectations over outcomes -------------------------------------------
@@ -228,7 +237,7 @@ class ProbeModel:
         out = {q: np.zeros(nus.size) for q in quantities}
         for sl in _blocks(xq.size, nus.size):
             f, f1, f2 = self.density_derivs(xq[sl, None], nus[None, :])
-            _add_expectations(out, wq[sl], f, f1, f2, np.zeros_like(f))
+            _add_expectations(out, wq[sl], f, f1, f2)
         return out
 
     def fisher(self, nus) -> np.ndarray:
@@ -620,6 +629,20 @@ def _pair_distances(fmat, wq, first, second) -> np.ndarray:
     return out
 
 
+def _adjacent_distances(fmat, wq) -> np.ndarray:
+    """``_pair_distances`` of the node pairs (i, i + 1), read from contiguous
+    row slices of the table instead of column gathers: each block of
+    differences is transposed to one pair a row and summed along it, as
+    ``_pair_distances`` sums a pair, with the same bits (|a - b| = |b - a|)."""
+    right, left = fmat[:, 1:], fmat[:, :-1]
+    out = np.empty(left.shape[1])
+    for sl in _blocks(out.size, fmat.shape[0]):
+        diff = np.subtract(right[:, sl], left[:, sl])
+        np.multiply(np.abs(diff, out=diff), wq[:, None], out=diff)
+        out[sl] = diff.T.copy().sum(axis=1)
+    return out
+
+
 def _pair_bounds(cdf, total, first, second) -> np.ndarray:
     """Lower bounds ``2 max_m |G_first(m) - G_second(m)| - |n_first - n_second|``
     of the given node pairs, gathered in blocks of at most BLOCK_CELLS cells."""
@@ -714,14 +737,13 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
     sup_abs, row_min = np.empty(xs.size), np.empty(xs.size)
     stats = {q: np.zeros(nodes.size) for q in ("norm", "score", "d2")}
     blocks = _blocks(xs.size, nodes.size)
-    work = np.empty((3, min(blocks[0].stop, xs.size), nodes.size))
+    work = np.empty((2, min(blocks[0].stop, xs.size), nodes.size))
     for sl in blocks:
         f = fmat[sl]
-        f1, f2, ratio = work[:, : len(f)]
+        f1, f2 = work[:, : len(f)]
         row_min[sl], sup_abs[sl] = probe._rule_block(xs[sl], nodes, f, f1, f2)
-        ratio[...] = 0.0
-        _add_expectations(stats, wq[sl], f, f1, f2, ratio)
-    del work, f1, f2, ratio  # identifiability peaks beside fmat alone
+        _add_expectations(stats, wq[sl], f, f1, f2)
+    del work, f1, f2  # identifiability peaks beside fmat alone
 
     def defect_check(name, defects, tol):
         worst = float(defects.max())
@@ -752,8 +774,7 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
     # summed once.  A nan distance is the worst, as in the loop over all pairs
     worst, i, j = np.inf, 0, 0
     if nodes.size > 1:
-        adjacent = np.arange(nodes.size - 1)
-        near = _pair_distances(fmat, wq, adjacent, adjacent + 1)
+        near = _adjacent_distances(fmat, wq)
         panel = 1 if probe.outcomes is not None else _GL32[0].size
         first, second = _unpruned_pairs(fmat, wq, panel, near.min() * (1.0 + PRUNE_SLACK))
         distances = near[first]

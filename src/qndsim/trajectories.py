@@ -1,4 +1,4 @@
-"""Trajectory engine: outcome records and posterior evolution over the grid.
+"""Trajectory engine: sampled outcome statistics and posterior evolution over the grid.
 
 ``sample_ensemble`` draws E independent trajectories; row i draws from
 ``trajectory_rng(master, i)``.  Two samplers give outcome sequences with
@@ -10,18 +10,21 @@ provably identical laws:
 * ``sequential`` draws each outcome from the one-step predictive density
   given the running posterior — the chain-rule form.
 
-The result is an ``Ensemble``: one (E x k) outcome block and one
-(E x C+1 x N) stack of the per-node log-likelihood sums
-``L_k[i] = sum_{j<=k} log f(xi_j | nu_i)`` after each checkpoint and k,
-summed segment by segment from the probe's sufficient statistic
-(``ProbeModel.statistic``), so the sums depend on the outcomes alone.  The
-sums are all the posterior needs: ``posterior_weights`` gives each row's
-``prior * exp(L_k)`` renormalized (E x N), in log space with max
-subtraction, so sequences of length 1e4 and beyond are safe from underflow,
-and ``posterior_means`` reads them.  ``Ensemble.sums_after`` reads the sums
-after chosen k, the estimators read them in row blocks, and each row's
-result has the bits it has alone (``ensemble[i]`` is row i as a one-row
-ensemble).
+The result is an ``Ensemble``: the (E x C+1 x N) stack of the per-node
+log-likelihood sums ``L_k[i] = sum_{j<=k} log f(xi_j | nu_i)`` after each
+checkpoint and k, and the probe's sufficient statistic
+(``ProbeModel.statistic``) of the same prefixes, (E x C+1 x S).  Rows are
+drawn a block at a time into one scratch table of at most ``BLOCK_CELLS``
+cells; ``_summarize`` sums the block segment by segment from the statistic,
+so the sums depend on the outcomes alone, and keeps the prefix statistics.
+The outcomes are not kept (a continuous tabulated family's statistic is the
+row itself, a view of its block).  The sums are all the posterior needs:
+``posterior_weights`` gives each row's ``prior * exp(L_k)`` renormalized
+(E x N), in log space with max subtraction, so sequences of length 1e4 and
+beyond are safe from underflow, and ``posterior_means`` reads them.
+``Ensemble.sums_after`` reads the sums after chosen k, the estimators read
+them in row blocks, and each row's result has the bits it has alone
+(``ensemble[i]`` is row i as a one-row ensemble).
 
 Reproducibility: per-trajectory generators are spawned from a master seed
 as ``default_rng(SeedSequence(master, spawn_key=(index,)))``; identical
@@ -80,40 +83,47 @@ def trajectory_rng(master: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """E trajectories of one length k as arrays.
+    """E trajectories of one length ``k`` as arrays.
 
-    ``outcomes`` is (E x k); ``sums`` (E x C+1 x N) holds each row's
-    log-likelihood sums after each of the C ``checkpoints`` and then after k;
-    ``hidden`` holds the mixture sampler's hidden values (None for the
-    sequential sampler) and ``master`` the master seed (row i of a sampled
+    ``sums`` (E x C+1 x N) holds each row's log-likelihood sums after each of
+    the C ``checkpoints`` and then after k, and ``stats`` (E x C+1 x S) the
+    probe's sufficient statistic of the same prefixes (``ProbeModel.statistic``:
+    counts, the Gaussian ``(k, m, sum r, sum r^2)``, or the row prefix
+    itself); ``hidden`` holds the mixture sampler's hidden values (None for
+    the sequential sampler) and ``master`` the master seed (row i of a sampled
     ensemble draws from ``trajectory_rng(master, i)``).  ``ensemble[i]`` is
     row i as a one-row ensemble, ``ensemble[a:b]`` the ensemble of rows a to b.
     """
 
-    outcomes: np.ndarray
+    stats: np.ndarray
     sums: np.ndarray
+    k: int
     checkpoints: tuple[int, ...]
     hidden: np.ndarray | None
     master: int | None = None
 
     def __len__(self) -> int:
-        return len(self.outcomes)
+        return len(self.sums)
 
     def __getitem__(self, i):
         if not isinstance(i, slice):
             i = range(len(self))[i]  # negatives from the end; IndexError past it ends iteration
             i = slice(i, i + 1)
         hidden = None if self.hidden is None else self.hidden[i]
-        return Ensemble(self.outcomes[i], self.sums[i], self.checkpoints, hidden, self.master)
+        return Ensemble(self.stats[i], self.sums[i], self.k, self.checkpoints, hidden, self.master)
 
-    def sums_after(self, ks: Sequence[int]) -> np.ndarray:
-        """Copy of each row's sums after each k in ``ks`` (rows x len(ks) x N);
-        a k that is neither a checkpoint nor the length raises ``ValueError``."""
-        k, cps = self.outcomes.shape[1], list(self.checkpoints)
+    def _columns(self, ks: Sequence[int]) -> list[int]:
+        """The column of ``sums`` and ``stats`` after each k in ``ks``; a k that
+        is neither a checkpoint nor the length raises ``ValueError``."""
+        k, cps = self.k, list(self.checkpoints)
         missing = sorted({int(c) for c in ks} - {*cps, k})
         if missing:
             raise ValueError(f"the ensemble holds no sums after k={missing} (only {cps} and {k})")
-        return self.sums[:, [-1 if c == k else cps.index(c) for c in ks]]
+        return [-1 if c == k else cps.index(c) for c in ks]
+
+    def sums_after(self, ks: Sequence[int]) -> np.ndarray:
+        """Copy of each row's sums after each k in ``ks`` (rows x len(ks) x N)."""
+        return self.sums[:, self._columns(ks)]
 
 
 def log_prior_weights(state: StateKernel) -> np.ndarray:
@@ -144,38 +154,59 @@ def definetti_sample(
 
 
 def _sample(state, probe, k, rngs, sampler, checkpoints, hidden_nu=None, master=None) -> Ensemble:
-    """One row per generator.  A chain-rule row keeps running sums only to draw
-    its next node; the sums of either sampler's outcome block take one
-    ``loglik_node_sums`` call over the block per segment."""
+    """One row per generator, drawn a block of rows at a time into one scratch
+    table of at most BLOCK_CELLS cells (at least one row) that ``_summarize``
+    reads.  A chain-rule row keeps running sums only to draw its next node."""
     nodes, k = state.grid.nodes, int(k)
     cps = sorted({int(c) for c in checkpoints if 0 <= int(c) <= k})
-    hidden, outcomes = None, np.empty((len(rngs), k))
     if sampler == "de-finetti":
         if hidden_nu is None:
             prior = np.exp(log_prior_weights(state))
             prior = prior / prior.sum()
         hidden = np.empty(len(rngs))
-        for e, rng in enumerate(rngs):
-            nu = float(nodes[rng.choice(nodes.size, p=prior)]) if hidden_nu is None else hidden_nu
-            hidden[e] = nu
-            outcomes[e] = probe.sample(nu, k, rng)
     elif sampler == "sequential":
-        log_prior, one = log_prior_weights(state), np.empty(1)
-        for row, rng in zip(outcomes, rngs):
-            running = np.zeros(nodes.size)
-            for step in range(k):
-                logw = log_prior + running
-                cdf = np.cumsum(np.exp(logw - logw.max()))
-                node = int(np.searchsorted(cdf, rng.random() * cdf[-1]))
-                row[step] = one[0] = probe.sample(float(nodes[node]), 1, rng)[0]
-                running += probe.loglik_values(nodes, one)[0]
+        log_prior, one, hidden = log_prior_weights(state), np.empty(1), None
     else:
         raise ValueError(f"unknown sampler: {sampler!r}")
-    sums = np.empty((len(rngs), len(cps) + 1, nodes.size))
-    for j, (a, b) in enumerate(zip([0, *cps], [*cps, k])):  # in a single trajectory's order
-        np.add(sums[:, j - 1] if j else 0.0, probe.loglik_node_sums(nodes, outcomes[:, a:b]),
-               out=sums[:, j])
-    return Ensemble(outcomes, sums, tuple(cps), hidden, master)
+    sums, stats = np.empty((len(rngs), len(cps) + 1, nodes.size)), []
+    for sl in _blocks(len(rngs), k):
+        block = np.empty((len(rngs[sl]), k))  # new each block: a statistic may be a view of it
+        for e, (row, rng) in enumerate(zip(block, rngs[sl]), sl.start):
+            if hidden is not None:
+                nu = (float(nodes[rng.choice(nodes.size, p=prior)]) if hidden_nu is None
+                      else hidden_nu)
+                hidden[e] = nu
+                row[:] = probe.sample(nu, k, rng)
+            else:
+                running = np.zeros(nodes.size)
+                for step in range(k):
+                    logw = log_prior + running
+                    cdf = np.cumsum(np.exp(logw - logw.max()))
+                    node = int(np.searchsorted(cdf, rng.random() * cdf[-1]))
+                    row[step] = one[0] = probe.sample(float(nodes[node]), 1, rng)[0]
+                    running += probe.loglik_values(nodes, one)[0]
+        stats.append(_summarize(probe, nodes, block, cps, sums[sl]))
+    return Ensemble(np.concatenate(stats), sums, k, tuple(cps), hidden, master)
+
+
+def _summarize(probe, nodes, block, cps, sums) -> np.ndarray:
+    """The one reader of a block of outcome rows (rows x k): writes their sums
+    after each checkpoint and k into ``sums`` (rows x C+1 x N), segment by
+    segment in a single trajectory's order, and returns the statistic of the
+    same prefixes (rows x C+1 x S).  Counts of a prefix are its segments'
+    counts summed, exactly; any other statistic is taken of the prefix (once
+    for k, also a checkpoint)."""
+    stats = []
+    for j, (a, b) in enumerate(zip([0, *cps], [*cps, block.shape[1]])):
+        if probe.outcomes is None:
+            part = probe.loglik_node_sums(nodes, block[:, a:b])
+            stats.append(stats[-1] if a == b and j else probe.statistic(block[:, :b]))
+        else:
+            counts = probe.statistic(block[:, a:b])
+            part = probe._stat_sums(counts, nodes)
+            stats.append(stats[-1] + counts if j else counts)
+        np.add(sums[:, j - 1] if j else 0.0, part, out=sums[:, j])
+    return np.stack(stats, 1)
 
 
 def sample_ensemble(

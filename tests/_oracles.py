@@ -4,13 +4,17 @@
 tuples in the mixture and the chain-rule form; ``weighted_matrix`` expands
 a kernel's factor into its dense mass-weighted matrix; ``rule_blocks`` is
 the validator's sweep over its outcome rule with new tables for each block;
-``build_window_grid`` sizes and builds one zoom window.
+``build_window_grid`` sizes and builds one zoom window;
+``sampled_with_outcomes`` returns a sampler's ensemble with the outcomes
+it drew and did not keep.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 
+from qndsim import trajectories
 from qndsim.estimators import (
     DEFAULT_WINDOW_SIGMAS,
     MIN_WINDOW_SIGMAS,
@@ -21,6 +25,21 @@ from qndsim.estimators import (
 from qndsim.probes import _blocks
 from qndsim.spectral import StateKernel
 from qndsim.trajectories import log_prior_weights
+
+
+def sampled_with_outcomes(sample, *args, **kwargs):
+    """A sampler call (``sample_ensemble``, ``definetti_sample`` or a run that
+    makes one) and the (E x k) outcomes its rows drew: the row blocks given to
+    ``trajectories._summarize``, the sampler's one reader of them, stacked."""
+    blocks, summarize = [], trajectories._summarize
+
+    def spy(probe, nodes, block, cps, sums):
+        blocks.append(block.copy())
+        return summarize(probe, nodes, block, cps, sums)
+
+    with mock.patch.object(trajectories, "_summarize", spy):
+        result = sample(*args, **kwargs)
+    return result, np.concatenate(blocks)
 
 
 def weighted_matrix(state: StateKernel) -> np.ndarray:

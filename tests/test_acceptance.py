@@ -17,7 +17,7 @@ from scipy import integrate, stats
 from scipy.special import ndtr
 
 import qndsim as q
-from _oracles import exact_tuple_distribution
+from _oracles import exact_tuple_distribution, sampled_with_outcomes
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SEED = 20260810
@@ -87,7 +87,7 @@ def test_criterion_3_central_limit_theorem():
     model = q.build_model(cfg)
     state = q.build_state(model, cfg.state)
     probe = q.build_probe(cfg, model)
-    trajs = q.simulate_ensemble(cfg)
+    trajs, drawn = sampled_with_outcomes(q.simulate_ensemble, cfg)
     estimates = q.mle_table(trajs, [cfg.k_max], model, probe)[:, 0]
     samples = q.clt_samples(trajs, cfg.k_max, model, probe, estimates=estimates)
     sigma = 0.05
@@ -95,7 +95,7 @@ def test_criterion_3_central_limit_theorem():
     analytic = np.sort(
         [
             np.sqrt(cfg.k_max) * (outcomes.mean() - nu) / sigma
-            for outcomes, nu in zip(trajs.outcomes, trajs.hidden)
+            for outcomes, nu in zip(drawn, trajs.hidden)
             if margin < nu < 1.0 - margin
         ]
     )
@@ -185,9 +185,10 @@ def test_criterion_6_sampler_equivalence():
     keys = sorted(mixture)
     gap = max(abs(mixture[key] - chain[key]) for key in keys)
 
-    trajs = q.sample_ensemble(state, probe, 3, 100_000, SEED, sampler="sequential")
+    _, drawn = sampled_with_outcomes(q.sample_ensemble, state, probe, 3, 100_000, SEED,
+                                     sampler="sequential")
     counts = {}
-    for row in trajs.outcomes:
+    for row in drawn:
         key = tuple(row.tolist())
         counts[key] = counts.get(key, 0) + 1
     observed = np.array([counts.get(key, 0) for key in keys], dtype=float)
@@ -219,9 +220,10 @@ def test_criterion_7_invariant_suites(tmp_path):
         assert q.relative_entropy(probe, nu, region) >= -1e-10
 
     # batch posterior equals iterated one-step updates
-    traj = q.definetti_sample(state, probe, 50, q.trajectory_rng(SEED, 0))
+    traj, drawn = sampled_with_outcomes(q.definetti_sample, state, probe, 50,
+                                        q.trajectory_rng(SEED, 0))
     w = np.exp(q.log_prior_weights(state))
-    for xi in traj.outcomes[0]:
+    for xi in drawn[0]:
         f = probe.density(np.asarray([xi])[:, None], model.nodes[None, :])[0]
         w = w * f
         w /= w.sum()
@@ -247,7 +249,7 @@ def test_criterion_7_invariant_suites(tmp_path):
 
     # estimator invariance under log-likelihood shifts
     base = q.mle(traj, 50, model, probe)
-    shifted = q.Ensemble(traj.outcomes, traj.sums + 1e7, traj.checkpoints, None)
+    shifted = q.Ensemble(traj.stats, traj.sums + 1e7, traj.k, traj.checkpoints, None)
     assert q.mle(shifted, 50, model, probe) == base
 
     # determinism and replay audit

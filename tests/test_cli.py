@@ -737,6 +737,11 @@ def _old_csv_layout(base: Path) -> None:
     (base / "traj_00000.csv").write_text("step,outcome\n1,1.0\n")
 
 
+def _old_outcome_block_layout(base: Path) -> None:
+    (base / "stats.npy").unlink()
+    np.save(base / "outcomes.npy", np.zeros((40, 50)))
+
+
 def _truncate(path: Path) -> None:
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
@@ -753,20 +758,25 @@ def _drop_key(base: Path, key: str) -> None:
         (_old_csv_layout, "old CSV layout"),
         (lambda base: (base / "sums.npy").unlink(), "sums.npy"),
         (lambda base: (base / "hidden.npy").unlink(), "hidden.npy"),
-        (lambda base: _truncate(base / "outcomes.npy"), "outcomes.npy"),
+        (_old_outcome_block_layout, "old outcome-block layout"),
+        (lambda base: _truncate(base / "stats.npy"), "stats.npy"),
         (lambda base: _truncate(base / "sums.npy"), "sums.npy"),
         (lambda base: np.save(base / "sums.npy", np.load(base / "sums.npy")[1:]), "(39, 4, 2)"),
-        (lambda base: np.save(base / "outcomes.npy", np.zeros((40, 49))), "(40, 49)"),
+        (lambda base: np.save(base / "stats.npy", np.zeros((40, 3, 2), dtype=int)), "(40, 3, 2)"),
+        (lambda base: np.save(base / "stats.npy", np.load(base / "stats.npy") * 1.0),
+         "holds float64 (40, 4, 2), not int64 (40, 4, 2)"),
         (lambda base: _drop_key(base, "config_hash"), "lacks the keys ['config_hash']"),
     ],
     ids=[
         "old-csv-layout",
         "missing-sums",
         "missing-hidden",
-        "truncated-outcomes",
+        "old-outcome-block-layout",
+        "truncated-stats",
         "truncated-sums",
         "sums-rows",
-        "outcomes-length",
+        "stats-shape",
+        "stats-dtype",
         "manifest-key",
     ],
 )

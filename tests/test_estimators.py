@@ -55,7 +55,7 @@ from qndsim.trajectories import (
     trajectory_rng,
 )
 
-from _oracles import build_window_grid, weighted_matrix
+from _oracles import build_window_grid, sampled_with_outcomes, weighted_matrix
 from test_probes import UNBLOCKED, _with_cells
 
 SEED = 20260810
@@ -75,12 +75,14 @@ def _gaussian_setup(n=100, sigma=1.0, psi=None):
 
 
 def _manual_ensemble(probe, model, rows, checkpoints=()):
-    """Outcome rows (one row for a 1-D input) with their sums after each
-    checkpoint and k, each summed from the outcomes in one call."""
+    """The ensemble of outcome rows (one row for a 1-D input): their sums after
+    each checkpoint and k, each summed from the outcomes in one call, and the
+    statistics of the same prefixes."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     ks = [*checkpoints, rows.shape[1]]
     sums = np.array([[probe.loglik_node_sums(model.nodes, row[:c]) for c in ks] for row in rows])
-    return Ensemble(rows, sums, tuple(checkpoints), None)
+    stats = np.stack([probe.statistic(rows[:, :c]) for c in ks], 1)
+    return Ensemble(stats, sums, rows.shape[1], tuple(checkpoints), None)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +103,7 @@ def test_mle_clamps_to_spectrum_boundary():
 def test_mle_tie_breaks_to_smallest_node():
     model = build_spectral_model(atoms=[(0.0, 0.5), (1.0, 0.5)])
     probe = BinaryPhase.embedded(0.0, 1.0)
-    traj = Ensemble(np.empty((1, 0)), np.full((1, 1, 2), -1.0), (), None)
+    traj = Ensemble(np.zeros((1, 1, 2), dtype=int), np.full((1, 1, 2), -1.0), 0, (), None)
     assert mle(traj, 0, model, probe) == 0.0
 
 
@@ -110,7 +112,7 @@ def test_mle_shift_invariance():
     traj = _manual_ensemble(probe, model, [0.1, 0.6, 0.5])
     base = mle(traj, 3, model, probe)
     for shift in (-1e6, -3.0, 7.5, 1e8):
-        shifted = Ensemble(traj.outcomes, traj.sums + shift, (), None)
+        shifted = Ensemble(traj.stats, traj.sums + shift, traj.k, (), None)
         assert mle(shifted, 3, model, probe) == base
 
 
@@ -121,12 +123,12 @@ def test_binary_mle_table_is_the_closed_form_maximum_for_every_count(k):
     model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=200)
     probe = BinaryPhase.embedded(0.0, 1.0)
     counts = np.arange(k + 1)
-    outcomes = (np.arange(k)[None, :] < counts[:, None]).astype(float)
+    stats = np.stack([k - counts, counts], -1)[:, None, :]  # zeros and ones
     half = 0.5 * (probe.offset + probe.slope * model.nodes)
     sums = counts[:, None] * np.log(np.sin(half) ** 2) + (k - counts)[:, None] * np.log(
         np.cos(half) ** 2
     )
-    ensemble = Ensemble(outcomes, sums[:, None, :], (), None)
+    ensemble = Ensemble(stats, sums[:, None, :], k, (), None)
     exact = np.clip((2.0 * np.arcsin(np.sqrt(counts / k)) - probe.offset) / probe.slope, 0.0, 1.0)
     # the golden-section tolerance plus the sqrt(eps) flatness at the maximum
     assert np.abs(mle_table(ensemble, [k], model, probe)[:, 0] - exact).max() <= 5e-8
@@ -240,13 +242,15 @@ def test_refined_mle_equals_the_per_outcome_objective_bitwise(name):
     probe = families[name]
     state = pure_state(model, lambda nu: np.ones_like(nu))
     trajs = [
-        definetti_sample(state, probe, 300, trajectory_rng(SEED, i), checkpoints=[30])
+        sampled_with_outcomes(
+            definetti_sample, state, probe, 300, trajectory_rng(SEED, i), checkpoints=[30]
+        )
         for i in range(5)
     ]
-    got = [mle(t, k, model, probe) for t in trajs for k in (30, 300)]
+    got = [mle(t, k, model, probe) for t, _ in trajs for k in (30, 300)]
     oracle = [
-        _oracle_mle(t.sums_after([k])[0, 0], t.outcomes[0, :k], model, probe, _per_outcome_objective)
-        for t in trajs for k in (30, 300)
+        _oracle_mle(t.sums_after([k])[0, 0], drawn[0, :k], model, probe, _per_outcome_objective)
+        for t, drawn in trajs for k in (30, 300)
     ]
     assert np.array(got).tobytes() == np.array(oracle).tobytes()
 
@@ -301,8 +305,8 @@ def _zero_table_probe():
     sigma=st.floats(0.02, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-# a row whose estimate is an atom between searched rows, where a run of the
-# statistic table must break
+# a row whose estimate is an atom between searched rows, whose statistic the
+# gather must skip
 @example(
     family="binary", two_intervals=False, atoms=(-0.25, 1.25), nodes=5, k_max=30, extra=[],
     ensemble=4, sigma=0.5, seed=0,
@@ -373,7 +377,7 @@ def test_a_run_searches_each_estimate_once_in_one_table(kind, searches, monkeypa
     cfg = _reduced_run(kind)
     probe_cls = GaussianReadout if cfg.probe["kind"] == "gaussian-readout" else BinaryPhase
     table, statistic, golden = estimators.mle_table, probe_cls.statistic, estimators._golden_table
-    tabled, asked = [], []  # statistic rows each table read; brackets each search took
+    tabled, asked = [], []  # statistic rows each table computed; brackets each search took
 
     def counting_table(*args):
         tabled.append(0)
@@ -392,7 +396,8 @@ def test_a_run_searches_each_estimate_once_in_one_table(kind, searches, monkeypa
     monkeypatch.setattr(probe_cls, "statistic", counting_statistic)
     monkeypatch.setattr(estimators, "_golden_table", counting_search)
     run_experiment(cfg)
-    assert tabled == [searches] and asked == [searches]
+    # the table reads the statistics the sampler kept and computes none
+    assert tabled == [0] and asked == [searches]
 
 
 ACCURACY_MODEL = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=50)
@@ -493,12 +498,14 @@ def test_rate_traces_equal_the_exact_gaussian_posterior(sigma):
     wave = lambda nu: np.exp(nu) * (1.0 + 0.5 * nu)  # noqa: E731
     model, probe, state = _gaussian_setup(100, sigma=sigma, psi=wave)
     cps = [3, 10, 30, 100, 300, 1000, 3000]
-    ensemble = sample_ensemble(state, probe, 3000, 20, SEED, checkpoints=cps, hidden_nu=0.2)
+    ensemble, drawn = sampled_with_outcomes(
+        sample_ensemble, state, probe, 3000, 20, SEED, checkpoints=cps, hidden_nu=0.2
+    )
     region = [(0.6, 1.0)]
     traces = rate_traces(state, ensemble, region, cps, model, probe, estimates=np.full(20, 0.2))
     mask = model.region_mask(region)
     log_prior = np.log(model.mass * np.abs(wave(model.nodes)) ** 2)
-    for trace, outcomes in zip(traces, ensemble.outcomes):
+    for trace, outcomes in zip(traces, drawn):
         exact = []
         for c in cps:
             logw = log_prior - c * (outcomes[:c].mean() - model.nodes) ** 2 / (2.0 * sigma**2)
@@ -521,14 +528,14 @@ def test_rate_trace_rejects_zero_prior_region():
 
 def test_gaussian_residuals_reduce_to_sample_mean():
     model, probe, state = _gaussian_setup(120, sigma=0.05)
-    trajs = sample_ensemble(state, probe, 100, 80, SEED)
+    trajs, drawn = sampled_with_outcomes(sample_ensemble, state, probe, 100, 80, SEED)
     estimates = mle_table(trajs, [100], model, probe)[:, 0]
     samples = clt_samples(trajs, 100, model, probe, estimates=estimates)
     margin = 5.0 / np.sqrt(100 * 400)  # five estimator sigmas off the boundary
     analytic = np.array(
         [
             np.sqrt(100 * 400) * (outcomes.mean() - nu)
-            for outcomes, nu in zip(trajs.outcomes, trajs.hidden)
+            for outcomes, nu in zip(drawn, trajs.hidden)
             if margin < nu < 1.0 - margin
         ]
     )
@@ -554,7 +561,8 @@ def test_clt_exclusions_are_reported():
 
 def test_clt_requires_hidden_values():
     model, probe, state = _gaussian_setup(30)
-    traj = Ensemble(np.zeros((1, 5)), np.zeros((1, 1, model.size)), (), None)
+    traj = Ensemble(probe.statistic(np.zeros((1, 5)))[:, None], np.zeros((1, 1, model.size)), 5,
+                    (), None)
     with pytest.raises(ValueError):
         clt_samples(traj, 5, model, probe, estimates=[mle(traj, 5, model, probe)])
 

@@ -130,9 +130,10 @@ def test_trajectory_persistence_round_trip(tmp_path):
     persist_trajectories(tmp_path, trajs, cfg)
     loaded = load_trajectories(tmp_path, cfg)
     assert len(loaded) == 8 and loaded.master == trajs.master == cfg.seed
-    assert loaded.checkpoints == trajs.checkpoints
-    for name in ("outcomes", "sums", "hidden"):
+    assert loaded.checkpoints == trajs.checkpoints and loaded.k == trajs.k == 30
+    for name in ("stats", "sums", "hidden"):
         assert np.array_equal(getattr(trajs, name), getattr(loaded, name))
+    assert not (tmp_path / "trajectories" / "outcomes.npy").exists()
 
 
 @settings(max_examples=25, deadline=None)
@@ -140,6 +141,11 @@ def test_trajectory_persistence_round_trip(tmp_path):
     probe=st.sampled_from([
         {"kind": "binary-phase", "embed": {"source": [0.0, 1.0]}},
         {"kind": "gaussian-readout", "sigma": 0.3},
+        {"kind": "tabulated", "nu_grid": [-0.5, 0.25, 0.75, 1.5], "outcomes": [0, 1, 2],
+         "values": [[0.2, 0.3, 0.5, 0.6], [0.7, 0.6, 0.1, 0.3], [0.1, 0.1, 0.4, 0.1]]},
+        {"kind": "tabulated", "nu_grid": [-0.5, 0.5, 1.0, 2.0], "xi_grid": [-1, 0, 1, 2, 3],
+         "values": [[0.1, 0.2, 0.2, 0.3], [0.3, 0.2, 0.2, 0.2], [0.2, 0.3, 0.2, 0.1],
+                    [0.3, 0.2, 0.3, 0.2], [0.1, 0.1, 0.1, 0.2]]},
     ]),
     k_max=st.integers(1, 40),
     checkpoints=st.lists(st.integers(1, 40), min_size=1, max_size=4),
@@ -174,7 +180,15 @@ def test_persisted_trajectories_load_back_bitwise(
         loaded = load_trajectories(out, cfg)
     assert len(loaded) == len(trajs) and loaded.master == trajs.master == seed
     assert loaded.checkpoints == trajs.checkpoints == tuple(cfg.checkpoints)
-    assert loaded.outcomes.tobytes() == trajs.outcomes.tobytes()
+    assert loaded.k == trajs.k == k_max and loaded.stats.dtype == trajs.stats.dtype
+    assert loaded.stats.shape == trajs.stats.shape == (ensemble, len(cfg.checkpoints) + 1,
+                                                       trajs.stats.shape[2])
+    if trajs.stats.dtype == object:  # the row prefixes themselves
+        assert [s.tobytes() for s in loaded.stats.ravel()] == [
+            s.tobytes() for s in trajs.stats.ravel()
+        ]
+    else:
+        assert loaded.stats.tobytes() == trajs.stats.tobytes()
     assert loaded.sums.tobytes() == trajs.sums.tobytes()
     if sampler == "sequential":
         assert trajs.hidden is None and loaded.hidden is None
@@ -468,6 +482,24 @@ def test_simulate_and_estimate_stay_below_the_validator_peak(name):
     assert not over, f"stages over budget (MB): {over}"
 
 
+def test_a_clt_binary_ensemble_holds_no_outcome_block():
+    """The sampler draws a block of rows at a time and keeps their statistics:
+    its tracemalloc peak stays below the ensemble's own arrays plus half a
+    byte an outcome, which any (E x k) block, even of one byte a cell, exceeds
+    (the float64 one is 160 MB here)."""
+    config = ExperimentConfig.from_dict(json.loads((CONFIGS / "clt_binary.json").read_text()))
+    tracemalloc.start()
+    try:
+        ensemble = simulate_ensemble(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outcomes = config.ensemble * config.k_max
+    held = ensemble.sums.nbytes + ensemble.stats.nbytes + ensemble.hidden.nbytes
+    assert ensemble.stats.shape == (config.ensemble, 2, 2) and outcomes == 2 * 10**7
+    assert peak < held + outcomes // 2 < outcomes, (peak, held)
+
+
 def test_coldrun_reports_the_stages_of_one_cold_run():
     tool = CONFIGS.parent / "tools" / "coldrun.py"
     proc = subprocess.run(
@@ -480,8 +512,11 @@ def test_coldrun_reports_the_stages_of_one_cold_run():
     assert report.pop("config") == "kernel_convergence"
     assert list(report) == ["validate", "simulate", "estimate", "write", "run"]
     for stage in report.values():
-        assert list(stage) == ["minflt", "user_ms", "sys_ms", "wall_ms"]
-        assert all(value >= 0 for value in stage.values())
+        assert list(stage) == ["minflt", "maxrss_mb", "user_ms", "sys_ms", "wall_ms"]
+        assert all(value >= 0 for value in stage.values()) and stage["maxrss_mb"] > 0
+    # the high-water mark after each stage, in the order they ran, never falls
+    peaks = [stage["maxrss_mb"] for stage in report.values()]
+    assert peaks == sorted(peaks)
     run = report.pop("run")
     for key in ("minflt", "wall_ms"):  # the stages nest inside the run
         assert sum(stage[key] for stage in report.values()) <= run[key]

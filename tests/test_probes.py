@@ -1057,17 +1057,22 @@ def _counted_identifiability(probe, model):
     """The identifiability check, with the node pairs it sums and the number
     of pair bounds it builds."""
     summed, bounds = [], []
-    exact, bound = probes._pair_distances, probes._pair_bounds
+    exact, adjacent, bound = probes._pair_distances, probes._adjacent_distances, probes._pair_bounds
 
     def counted(fmat, wq, first, second):
         summed.extend(zip(first.tolist(), second.tolist()))
         return exact(fmat, wq, first, second)
+
+    def counted_adjacent(fmat, wq):
+        summed.extend((i, i + 1) for i in range(fmat.shape[1] - 1))
+        return adjacent(fmat, wq)
 
     def counted_bounds(cdf, total, first, second):
         bounds.append(first.size)
         return bound(cdf, total, first, second)
 
     with mock.patch.object(probes, "_pair_distances", counted), \
+            mock.patch.object(probes, "_adjacent_distances", counted_adjacent), \
             mock.patch.object(probes, "_pair_bounds", counted_bounds):
         check = _validate(probe, model, pairs=0)["identifiability"]
     return check, summed, sum(bounds)
@@ -1123,6 +1128,10 @@ def test_a_pair_distance_has_the_bits_of_the_pair_alone(rule, nodes, pairs, seed
     whole = _with_cells(UNBLOCKED, lambda: probes._pair_distances(fmat, wq, first, second))
     bits = {d.tobytes() for d in (alone[0], block[-1], blocked[k], whole[k])}
     assert len(bits) == 1
+    # the adjacent pairs, read as contiguous row slices, have the same bits
+    i = np.arange(nodes - 1)
+    adjacent = _with_cells(cells, lambda: probes._adjacent_distances(fmat, wq))
+    assert adjacent.tobytes() == probes._pair_distances(fmat, wq, i, i + 1).tobytes()
 
 
 def test_validator_memory_on_the_rate_grid():

@@ -11,6 +11,7 @@ from scipy import integrate
 
 from _oracles import build_window_grid, weighted_matrix
 
+from qndsim import spectral
 from qndsim.estimators import limit_kernel
 from qndsim.probes import GaussianReadout
 from qndsim.trajectories import Ensemble, log_prior_weights, posterior_weights
@@ -430,7 +431,7 @@ def test_fine_pure_state_stays_a_vector():
     probe = GaussianReadout(sigma=1.0)
     outcomes = 0.4 + np.random.default_rng(7).standard_normal(1000)
     sums = probe.loglik_node_sums(model.nodes, outcomes)
-    traj = Ensemble(outcomes[None], sums[None, None], (), None)
+    traj = Ensemble(probe.statistic(outcomes[None])[:, None], sums[None, None], 1000, (), None)
     window = build_window_grid(model, 0.4, 1000, 1.0)
     tracemalloc.start()
     try:
@@ -450,3 +451,9 @@ def test_fine_pure_state_stays_a_vector():
 def test_distinct_values_are_numpy_unique(values):
     # ties (0.0 and -0.0 among them) collapse to one value, sorted
     assert np.array_equal(_distinct(values), np.unique(values))
+
+
+def test_gauss_legendre_rule_is_numpys_bit_for_bit():
+    x, w = np.polynomial.legendre.leggauss(32)
+    assert spectral._GL32[0].tobytes() == x.tobytes()
+    assert spectral._GL32[1].tobytes() == w.tobytes()

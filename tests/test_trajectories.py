@@ -36,7 +36,7 @@ from qndsim.trajectories import (
     sample_ensemble,
     trajectory_rng,
 )
-from _oracles import exact_tuple_distribution
+from _oracles import exact_tuple_distribution, sampled_with_outcomes
 from test_estimators import _oracle_mle, _tabulated_probes, _zero_table_probe
 from test_probes import UNBLOCKED, _with_cells
 
@@ -81,10 +81,10 @@ def test_hidden_value_frequencies():
 
 def test_outcome_mean_at_fixed_hidden_value():
     _, probe, state = _gaussian_setup()
-    traj = definetti_sample(
-        state, probe, 10_000, trajectory_rng(SEED, 0), hidden_nu=0.37
+    _, outcomes = sampled_with_outcomes(
+        definetti_sample, state, probe, 10_000, trajectory_rng(SEED, 0), hidden_nu=0.37
     )
-    assert abs(traj.outcomes.mean() - 0.37) <= 3.0 / np.sqrt(10_000)
+    assert abs(outcomes.mean() - 0.37) <= 3.0 / np.sqrt(10_000)
 
 
 def test_degenerate_spectral_weights_raise():
@@ -166,8 +166,9 @@ def test_first_outcome_marginal():
     target = float(np.array([0.25, 0.75]) @ f)
     m = 20_000
     # row i draws from trajectory_rng(SEED, i)
-    ens = sample_ensemble(state, probe, 1, m, SEED, sampler="sequential")
-    hits = int(np.count_nonzero(ens.outcomes[:, 0] == 0.0))
+    _, outcomes = sampled_with_outcomes(sample_ensemble, state, probe, 1, m, SEED,
+                                        sampler="sequential")
+    hits = int(np.count_nonzero(outcomes[:, 0] == 0.0))
     assert abs(hits / m - target) <= 4.0 * np.sqrt(target * (1 - target) / m)
 
 
@@ -183,8 +184,9 @@ def test_posterior_weights_at_zero_steps():
 
 def test_single_step_bayes_ratio():
     model, probe, state = _two_atoms(0.3, 0.7)
-    traj = definetti_sample(state, probe, 1, trajectory_rng(SEED, 1))
-    xi = traj.outcomes[0, 0]
+    traj, outcomes = sampled_with_outcomes(definetti_sample, state, probe, 1,
+                                           trajectory_rng(SEED, 1))
+    xi = outcomes[0, 0]
     f = probe.density(np.array([xi])[:, None], model.nodes[None, :])[0]
     w = posterior_weights(state, traj, 1)[0]
     expected_ratio = (0.7 / 0.3) * (f[1] / f[0])
@@ -193,10 +195,11 @@ def test_single_step_bayes_ratio():
 
 def test_iterative_updates_match_batch_formula():
     model, probe, state = _gaussian_setup(60)
-    traj = definetti_sample(state, probe, 50, trajectory_rng(SEED, 2))
+    traj, outcomes = sampled_with_outcomes(definetti_sample, state, probe, 50,
+                                           trajectory_rng(SEED, 2))
     # iterate one-step Bayes updates by hand in plain probability space
     w = np.exp(log_prior_weights(state))
-    for xi in traj.outcomes[0]:
+    for xi in outcomes[0]:
         f = probe.density(np.array([xi])[:, None], model.nodes[None, :])[0]
         w = w * f
         w = w / w.sum()
@@ -251,19 +254,24 @@ def test_purification_onto_hidden_atom():
 
 def test_identical_seeds_reproduce_bitwise():
     _, probe, state = _gaussian_setup(20)
-    a = definetti_sample(state, probe, 100, trajectory_rng(123, 4), checkpoints=[50])
-    b = definetti_sample(state, probe, 100, trajectory_rng(123, 4), checkpoints=[50])
-    assert np.array_equal(a.outcomes, b.outcomes)
+    (a, xa), (b, xb), (c, xc) = (
+        sampled_with_outcomes(definetti_sample, state, probe, 100, trajectory_rng(123, i),
+                              checkpoints=[50])
+        for i in (4, 4, 5)
+    )
+    assert np.array_equal(xa, xb) and np.array_equal(a.stats, b.stats)
     assert np.array_equal(a.sums, b.sums) and a.checkpoints == b.checkpoints == (50,)
-    c = definetti_sample(state, probe, 100, trajectory_rng(123, 5))
-    assert not np.array_equal(a.outcomes, c.outcomes)
+    assert not np.array_equal(xa, xc) and not np.array_equal(a.stats, c.stats)
 
 
 def test_sequential_reproducible_and_checkpointed():
     _, probe, state = _two_atoms()
-    a = sample_ensemble(state, probe, 40, 1, 9, sampler="sequential", checkpoints=[0, 20])
-    b = sample_ensemble(state, probe, 40, 1, 9, sampler="sequential", checkpoints=[0, 20])
-    assert np.array_equal(a.outcomes, b.outcomes)
+    (a, xa), (b, xb) = (
+        sampled_with_outcomes(sample_ensemble, state, probe, 40, 1, 9, sampler="sequential",
+                              checkpoints=[0, 20])
+        for _ in range(2)
+    )
+    assert np.array_equal(xa, xb) and np.array_equal(a.stats, b.stats)
     assert a.hidden is None and a.checkpoints == (0, 20)
     assert np.array_equal(a.sums, b.sums)
     assert np.array_equal(a.sums_after([0]), np.zeros((1, 1, 2)))
@@ -316,10 +324,10 @@ def test_posterior_weights_are_prior_times_likelihood(family, k, n_nodes, size, 
     probe = BinaryPhase.embedded(0.0, 1.0) if family == "binary" else GaussianReadout(sigma=0.3)
     psi = rng.standard_normal(model.size) + 1j * rng.standard_normal(model.size)
     state = pure_state(model, psi)
-    ens = sample_ensemble(state, probe, k, size, seed)
+    ens, drawn = sampled_with_outcomes(sample_ensemble, state, probe, k, size, seed)
     prior = model.mass * np.abs(psi) ** 2
     likelihood = np.ones((size, model.size))
-    for row, outcomes in zip(likelihood, ens.outcomes):
+    for row, outcomes in zip(likelihood, drawn):
         for xi in outcomes:
             row *= probe.density(np.asarray([[xi]]), model.nodes[None, :])[0]
     direct = prior / prior.sum() * likelihood
@@ -480,7 +488,9 @@ def test_ensemble_arrays_equal_the_per_trajectory_loops_bitwise(
     state = pure_state(model, lambda nu: 1.0 + nu)
     hidden = data.draw(st.floats(0.0, 1.0), label="hidden") if pin else None
     checkpoints = [0, k, k, *extra]  # duplicates, both ends, and some past k
-    got = sample_ensemble(state, probe, k, size, seed, checkpoints=checkpoints, hidden_nu=hidden)
+    got, drawn = sampled_with_outcomes(
+        sample_ensemble, state, probe, k, size, seed, checkpoints=checkpoints, hidden_nu=hidden
+    )
     want = [
         _oracle_definetti(state, probe, k, trajectory_rng(seed, i), checkpoints, hidden)
         for i in range(size)
@@ -488,7 +498,7 @@ def test_ensemble_arrays_equal_the_per_trajectory_loops_bitwise(
     columns = sorted({c for c in checkpoints if c <= k})
     assert got.master == seed and len(got) == size and got.checkpoints == tuple(columns)
     for i, (outcomes, at, hidden_nu) in enumerate(want):
-        assert _bits(got.outcomes[i]) == _bits(outcomes)
+        assert _bits(drawn[i]) == _bits(outcomes)
         assert got.hidden[i] == hidden_nu
         assert _bits(got.sums[i]) == _bits([at[c] for c in [*columns, k]])
 
@@ -509,6 +519,42 @@ def test_ensemble_arrays_equal_the_per_trajectory_loops_bitwise(
         assert [vars(t) for t in traces] == [vars(t) for t in oracle]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["gaussian", "binary", "tabulated-finite", "tabulated-continuous"]),
+    sampler=st.sampled_from(["de-finetti", "sequential"]),
+    k=st.integers(0, 30),
+    extra=st.lists(st.integers(0, 30), max_size=3),
+    size=st.integers(1, 6),
+    cells=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stored_statistics_are_the_statistics_of_the_drawn_prefixes(
+    family, sampler, k, extra, size, cells, seed
+):
+    model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=8)
+    probe = {
+        "gaussian": GaussianReadout(sigma=0.3),
+        "binary": BinaryPhase.embedded(0.0, 1.0),
+        **_tabulated_probes(),
+    }[family]
+    state = pure_state(model, lambda nu: 1.0 + nu)
+    # row blocks of cells // k rows (at least one)
+    ens, drawn = _with_cells(cells, lambda: sampled_with_outcomes(
+        sample_ensemble, state, probe, k, size, seed, sampler=sampler, checkpoints=[0, k, *extra]
+    ))
+    ends = [*ens.checkpoints, k]
+    assert ens.k == k and drawn.shape == (size, k) and ens.stats.shape[:2] == (size, len(ends))
+    assert ens.checkpoints[0] == 0 and ends[-2:] == [k, k]
+    for j, c in enumerate(ends):
+        got, want = ens.stats[:, j], probe.statistic(drawn[:, :c])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if want.dtype == object:  # the row prefix itself
+            assert [_bits(g) for g in got[:, 0]] == [_bits(w) for w in want[:, 0]]
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
 def _oracle_sequential(state, probe, k, rng):
     """The chain-rule sampler one trajectory at a time, on its running sums."""
     nodes, log_prior = state.grid.nodes, log_prior_weights(state)
@@ -525,8 +571,9 @@ def _oracle_sequential(state, probe, k, rng):
 @pytest.mark.parametrize("family", ["binary", "gaussian"])
 def test_sequential_sums_are_the_segment_sums_of_its_own_outcomes(family):
     model, probe, state = _two_atoms() if family == "binary" else _gaussian_setup(30)
-    ens = sample_ensemble(state, probe, 40, 5, SEED, sampler="sequential", checkpoints=[0, 7, 25])
-    for i, (outcomes, sums) in enumerate(zip(ens.outcomes, ens.sums)):
+    ens, drawn = sampled_with_outcomes(sample_ensemble, state, probe, 40, 5, SEED,
+                                       sampler="sequential", checkpoints=[0, 7, 25])
+    for i, (outcomes, sums) in enumerate(zip(drawn, ens.sums)):
         oracle = _oracle_sequential(state, probe, 40, trajectory_rng(SEED, i))
         assert _bits(outcomes) == _bits(oracle)
         at = _oracle_segment_sums(probe, model.nodes, outcomes, ens.checkpoints)
@@ -539,7 +586,7 @@ def test_ensemble_views_slices_and_stacking_agree():
     assert ens.checkpoints == (0, 5, 30) and ens.sums.shape == (6, 4, model.size)
     rows = list(ens)
     assert [len(r) for r in rows] == [1] * 6 and {r.checkpoints for r in rows} == {ens.checkpoints}
-    for name in ("outcomes", "sums", "hidden"):  # the one-row views stack back to the ensemble
+    for name in ("stats", "sums", "hidden"):  # the one-row views stack back to the ensemble
         assert _bits(np.concatenate([getattr(r, name) for r in rows])) == _bits(getattr(ens, name))
     part = ens[2:4]
     assert len(part) == 2 and part.master == SEED
@@ -549,10 +596,11 @@ def test_ensemble_views_slices_and_stacking_agree():
     for out_of_range in (6, -7):
         with pytest.raises(IndexError):
             ens[out_of_range]
-    seq = sample_ensemble(state, probe, 4, 3, SEED, sampler="sequential", checkpoints=[2])
+    seq, drawn = sampled_with_outcomes(sample_ensemble, state, probe, 4, 3, SEED,
+                                       sampler="sequential", checkpoints=[2])
     assert seq.hidden is None and seq.master == SEED and [t.hidden for t in seq] == [None] * 3
     alone = _oracle_sequential(state, probe, 4, trajectory_rng(SEED, 1))
-    assert _bits(seq[1].outcomes) == _bits(alone[None])
+    assert _bits(drawn[1]) == _bits(alone) and _bits(seq[1].stats) == _bits(seq.stats[1:2])
 
 
 def test_multi_row_slices_hold_the_parent_rows():
@@ -561,7 +609,7 @@ def test_multi_row_slices_hold_the_parent_rows():
     for a in range(6):
         for b in range(a + 2, 7):
             part = ens[a:b]
-            for name in ("outcomes", "sums", "hidden"):
+            for name in ("stats", "sums", "hidden"):
                 assert _bits(getattr(part, name)) == _bits(getattr(ens, name)[a:b]), (a, b, name)
 
 

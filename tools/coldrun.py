@@ -6,7 +6,9 @@ CONFIG names a file in ``configs/`` (``kernel_convergence``).  In this
 fresh interpreter, runs ``run_experiment`` once as ``qndsim verify`` does,
 with the bundle in a temporary directory, and prints one JSON line: for
 each of the stages validate, simulate, estimate and write, and for the
-whole run, the minor page faults (``ru_minflt``), user and system CPU
+whole run, the minor page faults (``ru_minflt``), the high-water resident
+set size in MB after it (``ru_maxrss``: the process's peak so far, so the
+stage where it grows is the one that set the peak), user and system CPU
 milliseconds and wall milliseconds.  A stage is timed around the harness
 call that does it, which is looked up by name, as a tracer would; nothing
 in the run changes.  Not part of tier-1 (its smoke test is).
@@ -26,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _usage():
     r = resource.getrusage(resource.RUSAGE_SELF)
-    return r.ru_minflt, r.ru_utime, r.ru_stime, time.perf_counter()
+    return r.ru_minflt, r.ru_utime, r.ru_stime, time.perf_counter(), r.ru_maxrss
 
 
 def _record(stages: dict, name: str, func):
@@ -36,9 +38,10 @@ def _record(stages: dict, name: str, func):
             return func(*args, **kwargs)
         finally:
             end = _usage()
-            faults, user, sys_, wall = (b - a for a, b in zip(start, end))
+            faults, user, sys_, wall, _ = (b - a for a, b in zip(start, end))
             stages[name] = {
                 "minflt": faults,
+                "maxrss_mb": round(end[-1] / 1024, 2),  # ru_maxrss is in KiB on Linux
                 "user_ms": round(1e3 * user, 3),
                 "sys_ms": round(1e3 * sys_, 3),
                 "wall_ms": round(1e3 * wall, 3),

@@ -152,11 +152,11 @@ MUTANTS = {
         "np.where(stats[:, :, None] > 0, np.moveaxis(logf, 0, 1), 0.0)",
         "np.where(stats[:, :, None] >= 0, np.moveaxis(logf, 0, 1), 0.0)",
     ),
-    # a run of the statistic table stops at a row that takes no search
-    "statistic-runs-span-gaps": (
+    # each search reads the statistic after its own k, not after the last one
+    "statistics-gathered-after-k": (
         "estimators.py",
-        "runs = np.flatnonzero((np.diff(cols) != 0) | (np.diff(rows) != 1)) + 1",
-        "runs = np.flatnonzero(np.diff(cols) != 0) + 1",
+        "stats = ensemble.stats[rows, np.asarray(ensemble._columns(checkpoints))[cols]]",
+        "stats = ensemble.stats[rows, -1]",
     ),
     # a Gaussian record of no outcomes has log-likelihood 0 at every nu
     "gaussian-empty-statistic-nan": (
@@ -273,17 +273,35 @@ MUTANTS = {
         "        straddles = (np.searchsorted(knots, nu - FD_STEP)\n"
         '                     < np.searchsorted(knots, nu + FD_STEP, "right"))\n',
     ),
-    # the validator's blocks share one workspace: a stale ratio plane adds the
-    # last block's f1^2 / f where f now vanishes (sigma = 0.01)
-    "ratio-plane-not-zeroed": (
+    # f1^2 / f is divided everywhere: where a narrow density underflows to 0
+    # (sigma = 0.01) it is 0 / 0 unless zeroed
+    "ratio-not-zeroed-where-f-vanishes": (
         "probes.py",
-        "        ratio[...] = 0.0\n",
+        "    ratio[~(f > 0)] = 0.0\n",
         "",
     ),
     "workspace-row-too-long": (
         "probes.py",
-        "f1, f2, ratio = work[:, : len(f)]",
-        "f1, f2, ratio = work[:, : len(f) + 1]",
+        "f1, f2 = work[:, : len(f)]",
+        "f1, f2 = work[:, : len(f) + 1]",
+    ),
+    # a C-ordered (rule x pairs) block summed down its columns rounds row after row
+    "adjacent-sums-down-columns": (
+        "probes.py",
+        "        out[sl] = diff.T.copy().sum(axis=1)\n",
+        "        out[sl] = diff.sum(axis=0)\n",
+    ),
+    # the ensemble keeps each prefix's statistic: counts accumulate over segments,
+    # and any other statistic is taken of the whole prefix
+    "prefix-counts-of-one-segment": (
+        "trajectories.py",
+        "stats.append(stats[-1] + counts if j else counts)",
+        "stats.append(counts)",
+    ),
+    "prefix-statistic-of-one-segment": (
+        "trajectories.py",
+        "else probe.statistic(block[:, :b]))",
+        "else probe.statistic(block[:, a:b]))",
     ),
     # the Gaussian hook must round as density_derivs does: u = d / sigma^2, not z / sigma
     "gaussian-hook-score-from-z": (
