@@ -88,7 +88,7 @@ DEFAULT_TOLERANCES = {
 DEFAULT_WINDOW = {"sigmas": 8.0, "nodes": 201, "min_sigmas": 2.0}
 KS_MIN_SAMPLES = 50  # below this the asymptotic Kolmogorov p-value is not used
 # declared sizes that reach an allocation, refused before anything is built
-MAX_OUTCOMES = 10**8  # ensemble x k_max: an 800 MB float64 outcome block, 5x clt_binary's
+MAX_OUTCOMES = 10**8  # ensemble x k_max draws, 5x clt_binary's: a continuous table keeps 800 MB
 MAX_SUM_CELLS = 10**8  # ensemble x (checkpoints + 1) x nodes: 800 MB of float64, as MAX_OUTCOMES
 MAX_WINDOW_NODES = 10_000  # a window factor, nodes x columns: 64 MB for a 400-node diagonal state
 

@@ -149,17 +149,15 @@ class ProbeModel:
 
     def statistic(self, rows: np.ndarray) -> np.ndarray:
         """Sufficient statistic of each row of outcomes (R x k) as an (R x S) table,
-        with the bits of the row alone: the count of each value of a finite
-        outcome space, else the row itself (one object, a view of it)."""
+        with the bits of the row alone: the count of each value of a finite outcome
+        space (a pass over the table a value), else the row itself (a view, one object)."""
         if self.outcomes is None:
             stats = np.empty((len(rows), 1), dtype=object)
             for r, row in enumerate(rows):
                 stats[r, 0] = row
             return stats
         values = _distinct(self.outcomes)
-        counts = np.empty((len(rows), values.size), dtype=int)
-        for sl in _blocks(*rows.shape):  # one pass per value
-            counts[sl] = np.stack([np.count_nonzero(rows[sl] == v, axis=-1) for v in values], -1)
+        counts = np.stack([np.count_nonzero(rows == v, axis=-1) for v in values], -1)
         if not np.all(counts.sum(axis=-1) == rows.shape[-1]):
             raise ProbeError("outcomes must be values of the finite outcome space")
         return counts
@@ -188,26 +186,6 @@ class ProbeModel:
         """Summed log-likelihood at each node (R x N) of the statistic rows of
         one block of outcome rows, all of one length."""
         return self.stat_loglik(stats, nodes[None, :])
-
-    def _stat_sums(self, stats: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """``_node_sums`` of statistic rows (R x N), in row blocks of at most
-        BLOCK_CELLS // 4 cells (S x N a row)."""
-        total = np.empty((len(stats), nodes.size))
-        for sl in _blocks(len(stats), stats.shape[1] * nodes.size, 4):
-            total[sl] = self._node_sums(stats[sl], nodes)
-        return total
-
-    def loglik_node_sums(self, nodes: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-        """Summed log-likelihood over outcomes, one entry per grid node (per row of a
-        2-D block, with the bits of the row alone), from the rows' statistics."""
-        nodes = np.asarray(nodes, dtype=float)
-        outcomes = np.asarray(outcomes, dtype=float)
-        rows = np.atleast_2d(outcomes)
-        if rows.size:
-            total = self._stat_sums(self.statistic(rows), nodes)
-        else:  # rows of no outcomes sum to 0
-            total = np.zeros((rows.shape[0], nodes.size))
-        return total if outcomes.ndim == 2 else total[0]
 
     # -- expectations over outcomes -------------------------------------------
 
@@ -302,13 +280,12 @@ class GaussianReadout(ProbeModel):
         return extremes
 
     def statistic(self, rows):
-        """``(k, m, sum r, sum r^2)`` of each row, m its mean and r = xi - m, in
-        row blocks of at most BLOCK_CELLS // 4 cells; zeros for rows of no outcomes."""
+        """``(k, m, sum r, sum r^2)`` of each row, m its mean and r = xi - m (two
+        temporaries the size of the table); zeros for rows of no outcomes."""
         stats = np.zeros((len(rows), 4))
         if rows.shape[1]:
             stats[:, 0] = rows.shape[1]
-            for sl in _blocks(len(rows), rows.shape[1], 4):
-                stats[sl, 1:] = np.column_stack(_centred_sums(rows[sl]))
+            stats[:, 1:] = np.column_stack(_centred_sums(rows))
         return stats
 
     def stat_loglik(self, stats, nus):

@@ -14,14 +14,15 @@ The result is an ``Ensemble``: the (E x C+1 x N) stack of the per-node
 log-likelihood sums ``L_k[i] = sum_{j<=k} log f(xi_j | nu_i)`` after each
 checkpoint and k, and the probe's sufficient statistic
 (``ProbeModel.statistic``) of the same prefixes, (E x C+1 x S).  Rows are
-drawn a block at a time into one scratch table of at most ``BLOCK_CELLS``
-cells; ``_summarize`` sums the block segment by segment from the statistic,
-so the sums depend on the outcomes alone, and keeps the prefix statistics.
-The outcomes are not kept (a continuous tabulated family's statistic is the
-row itself, a view of its block).  The sums are all the posterior needs:
-``posterior_weights`` gives each row's ``prior * exp(L_k)`` renormalized
-(E x N), in log space with max subtraction, so sequences of length 1e4 and
-beyond are safe from underflow, and ``posterior_means`` reads them.
+drawn a block at a time, at most ``BLOCK_CELLS`` cells of its widest table
+(outcomes, or statistic x node sums); ``_summarize`` sums each segment at
+every node from its statistic, so the sums depend on the outcomes alone, and
+keeps the prefix statistics.  The outcomes are not kept (a continuous
+tabulated family's statistic is the row itself, a view of its block).  The
+sums are all the posterior needs: ``posterior_weights`` gives each row's
+``prior * exp(L_k)`` renormalized (E x N), in log space with max
+subtraction, so sequences of length 1e4 and beyond are safe from underflow,
+and ``posterior_means`` reads them.
 ``Ensemble.sums_after`` reads the sums after chosen k, the estimators read
 them in row blocks, and each row's result has the bits it has alone
 (``ensemble[i]`` is row i as a one-row ensemble).
@@ -155,9 +156,11 @@ def definetti_sample(
 
 def _sample(state, probe, k, rngs, sampler, checkpoints, hidden_nu=None, master=None) -> Ensemble:
     """One row per generator, drawn a block of rows at a time into one scratch
-    table of at most BLOCK_CELLS cells (at least one row) that ``_summarize``
-    reads.  A chain-rule row keeps running sums only to draw its next node."""
+    table that ``_summarize`` reads: at most BLOCK_CELLS cells of its widest
+    table, ``max(k, S x N)`` a row (at least one row).  A chain-rule row keeps
+    running sums only to draw its next node."""
     nodes, k = state.grid.nodes, int(k)
+    width = probe.statistic(np.empty((1, 0))).shape[1]
     cps = sorted({int(c) for c in checkpoints if 0 <= int(c) <= k})
     if sampler == "de-finetti":
         if hidden_nu is None:
@@ -169,7 +172,7 @@ def _sample(state, probe, k, rngs, sampler, checkpoints, hidden_nu=None, master=
     else:
         raise ValueError(f"unknown sampler: {sampler!r}")
     sums, stats = np.empty((len(rngs), len(cps) + 1, nodes.size)), []
-    for sl in _blocks(len(rngs), k):
+    for sl in _blocks(len(rngs), max(k, width * nodes.size)):
         block = np.empty((len(rngs[sl]), k))  # new each block: a statistic may be a view of it
         for e, (row, rng) in enumerate(zip(block, rngs[sl]), sl.start):
             if hidden is not None:
@@ -192,20 +195,18 @@ def _sample(state, probe, k, rngs, sampler, checkpoints, hidden_nu=None, master=
 def _summarize(probe, nodes, block, cps, sums) -> np.ndarray:
     """The one reader of a block of outcome rows (rows x k): writes their sums
     after each checkpoint and k into ``sums`` (rows x C+1 x N), segment by
-    segment in a single trajectory's order, and returns the statistic of the
-    same prefixes (rows x C+1 x S).  Counts of a prefix are its segments'
-    counts summed, exactly; any other statistic is taken of the prefix (once
-    for k, also a checkpoint)."""
+    segment in a single trajectory's order, each segment's from its statistic,
+    and returns the statistic of the same prefixes (rows x C+1 x S).  Counts
+    of a prefix are its segments' counts summed, exactly; any other statistic
+    is taken of the prefix (once for k, also a checkpoint)."""
     stats = []
     for j, (a, b) in enumerate(zip([0, *cps], [*cps, block.shape[1]])):
-        if probe.outcomes is None:
-            part = probe.loglik_node_sums(nodes, block[:, a:b])
-            stats.append(stats[-1] if a == b and j else probe.statistic(block[:, :b]))
+        seg = probe.statistic(block[:, a:b])
+        np.add(sums[:, j - 1] if j else 0.0, probe._node_sums(seg, nodes), out=sums[:, j])
+        if probe.outcomes is not None:
+            stats.append(stats[-1] + seg if j else seg)
         else:
-            counts = probe.statistic(block[:, a:b])
-            part = probe._stat_sums(counts, nodes)
-            stats.append(stats[-1] + counts if j else counts)
-        np.add(sums[:, j - 1] if j else 0.0, part, out=sums[:, j])
+            stats.append(stats[-1] if a == b and j else probe.statistic(block[:, :b]))
     return np.stack(stats, 1)
 
 

@@ -6,7 +6,8 @@ a kernel's factor into its dense mass-weighted matrix; ``rule_blocks`` is
 the validator's sweep over its outcome rule with new tables for each block;
 ``build_window_grid`` sizes and builds one zoom window;
 ``sampled_with_outcomes`` returns a sampler's ensemble with the outcomes
-it drew and did not keep.
+it drew and did not keep; ``loglik_node_sums`` sums outcome rows at each
+node from their statistic, as the sampler sums a segment.
 """
 
 import itertools
@@ -40,6 +41,20 @@ def sampled_with_outcomes(sample, *args, **kwargs):
     with mock.patch.object(trajectories, "_summarize", spy):
         result = sample(*args, **kwargs)
     return result, np.concatenate(blocks)
+
+
+def loglik_node_sums(probe, nodes, outcomes):
+    """Summed log-likelihood of the outcomes at each node, (N,) for one row and
+    (R x N) for a 2-D block: ``probe._node_sums`` of the rows' statistic, with
+    the bits of each row alone; rows of no outcomes sum to 0."""
+    nodes = np.asarray(nodes, dtype=float)
+    outcomes = np.asarray(outcomes, dtype=float)
+    rows = np.atleast_2d(outcomes)
+    if rows.size:
+        total = probe._node_sums(probe.statistic(rows), nodes)
+    else:
+        total = np.zeros((rows.shape[0], nodes.size))
+    return total if outcomes.ndim == 2 else total[0]
 
 
 def weighted_matrix(state: StateKernel) -> np.ndarray:

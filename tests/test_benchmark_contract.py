@@ -21,6 +21,10 @@ OWNERS = {
     "trajectories": trajectories,
     "estimators": estimators,
 }
+# methods the tracer wraps on a family that defines them, which no family does
+# any more: their spans read 0 until the benchmark stops looking them up (the
+# sampler sums every family through ``statistic`` and ``_node_sums``)
+RETIRED = {"loglik_node_sums"}
 
 
 def test_every_name_the_benchmark_looks_up_exists():
@@ -35,7 +39,7 @@ def test_every_name_the_benchmark_looks_up_exists():
         c for c in vars(probes).values() if isinstance(c, type) and issubclass(c, probes.ProbeModel)
     ]
     for method in re.findall(r"if \"(\w+)\" in vars\(cls\)", SPANS):
-        assert any(method in vars(c) for c in families), method
+        assert any(method in vars(c) for c in families) != (method in RETIRED), method
     assert "probe._quadrature" in SPANS and callable(probes.ProbeModel._quadrature)
 
 

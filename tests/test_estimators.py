@@ -55,7 +55,7 @@ from qndsim.trajectories import (
     trajectory_rng,
 )
 
-from _oracles import build_window_grid, sampled_with_outcomes, weighted_matrix
+from _oracles import build_window_grid, loglik_node_sums, sampled_with_outcomes, weighted_matrix
 from test_probes import UNBLOCKED, _with_cells
 
 SEED = 20260810
@@ -80,7 +80,7 @@ def _manual_ensemble(probe, model, rows, checkpoints=()):
     statistics of the same prefixes."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     ks = [*checkpoints, rows.shape[1]]
-    sums = np.array([[probe.loglik_node_sums(model.nodes, row[:c]) for c in ks] for row in rows])
+    sums = np.array([[loglik_node_sums(probe, model.nodes, row[:c]) for c in ks] for row in rows])
     stats = np.stack([probe.statistic(rows[:, :c]) for c in ks], 1)
     return Ensemble(stats, sums, rows.shape[1], tuple(checkpoints), None)
 
@@ -331,7 +331,7 @@ def test_mle_table_equals_the_scalar_search_bitwise(
     checkpoints = sorted({0, k_max, *(c for c in extra if c <= k_max)})
     table = mle_table(_manual_ensemble(probe, model, rows, checkpoints), checkpoints, model, probe)
     oracle = [
-        [_oracle_mle(probe.loglik_node_sums(model.nodes, o[:k]), o[:k], model, probe)
+        [_oracle_mle(loglik_node_sums(probe, model.nodes, o[:k]), o[:k], model, probe)
          for k in checkpoints]
         for o in rows
     ]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtr
 
-from qndsim import estimators, harness, spectral
+from qndsim import estimators, harness, probes, spectral
 from qndsim.harness import (
     ConfigError,
     DEFAULT_SEED,
@@ -498,6 +498,33 @@ def test_a_clt_binary_ensemble_holds_no_outcome_block():
     held = ensemble.sums.nbytes + ensemble.stats.nbytes + ensemble.hidden.nbytes
     assert ensemble.stats.shape == (config.ensemble, 2, 2) and outcomes == 2 * 10**7
     assert peak < held + outcomes // 2 < outcomes, (peak, held)
+
+
+def test_a_clt_gaussian_block_is_sized_by_its_widest_table():
+    """The sampler's row blocks hold at most BLOCK_CELLS cells of the widest
+    table they make, here the (rows x N) node sums (S x N = 800 cells a row
+    against k = 10), not the (rows x k) outcomes alone.  Beyond the ensemble's
+    own arrays, the per-block statistic pieces and the generators, a block
+    holds its outcomes and the Gaussian statistic's two temporaries (three
+    tables of at most BLOCK_CELLS float64 cells); the node sums, taken after
+    the statistic, hold at most three of BLOCK_CELLS / S.  Four tables bound
+    both; an (E x N) sum table of one 2,000-row block is 3.2 MB on its own."""
+    config = ExperimentConfig.from_dict(json.loads((CONFIGS / "clt_gaussian.json").read_text()))
+    prepare_run(config)  # the cached model, state and probe are not the sampler's
+    tracemalloc.start()
+    try:
+        rngs = [trajectory_rng(config.seed, i) for i in range(config.ensemble)]
+        generators = tracemalloc.get_traced_memory()[0]
+        del rngs
+        tracemalloc.reset_peak()
+        ensemble = simulate_ensemble(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (config.k_max, config.ensemble, ensemble.sums.shape[-1]) == (10, 2000, 200)
+    held = ensemble.sums.nbytes + 2 * ensemble.stats.nbytes + ensemble.hidden.nbytes
+    tables = 4 * probes.BLOCK_CELLS * 8
+    assert peak <= held + generators + tables, (peak, held, generators)
 
 
 def test_coldrun_reports_the_stages_of_one_cold_run():

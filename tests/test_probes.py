@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import erf, kolmogorov
 
-from _oracles import rule_blocks
+from _oracles import loglik_node_sums, rule_blocks
 from qndsim import probes
 from qndsim.harness import ExperimentConfig, build_model, build_probe
 from qndsim.probes import (
@@ -29,7 +29,8 @@ from qndsim.probes import (
     relative_entropy,
     validate_probe,
 )
-from qndsim.spectral import build_spectral_model
+from qndsim.spectral import build_spectral_model, pure_state
+from qndsim.trajectories import sample_ensemble
 
 RNG_SEED = 20260810
 
@@ -308,7 +309,7 @@ def test_gaussian_loglik_sums_from_sufficient_statistics(log10_sigma, k, mean, s
     probe = GaussianReadout(sigma=sigma)
     nodes = KL_MODEL.nodes
     outcomes = mean + sigma * np.random.default_rng(seed).standard_normal(k)
-    fast = probe.loglik_node_sums(nodes, outcomes)
+    fast = loglik_node_sums(probe, nodes, outcomes)
     cells = sum(
         probe.loglik_values(nodes, outcomes[sl]).sum(axis=0)
         for sl in probes._blocks(outcomes.size, nodes.size)
@@ -368,14 +369,21 @@ def _validate(probe, model, pairs=probes.DERIVATIVE_PAIRS, seed=probes.DERIVATIV
 @given(name=st.sampled_from(sorted(BLOCK_PROBES)), data=st.data())
 def test_blocked_loglik_sums_match_unblocked(name, data):
     probe = BLOCK_PROBES[name]
-    outcomes = np.random.default_rng(RNG_SEED).normal(0.4, 1.0, 40)
-    cells = _cells_splitting(data, outcomes.size, BLOCK_NODES.size)
+    state = pure_state(BLOCK_MODEL, lambda nu: 1.0 + nu)
+    size, k = 9, 40
+    # the sampler's row blocks, max(k, S x N) cells a row, end inside the rows
+    stat = probe.statistic(np.empty((1, 0)))
+    cells = _cells_splitting(data, size, max(k, stat.shape[1] * BLOCK_MODEL.size))
 
     def run():
-        return probe.loglik_node_sums(BLOCK_NODES, outcomes)
+        return sample_ensemble(state, probe, k, size, RNG_SEED, checkpoints=[13, 27])
 
     blocked, whole = _with_cells(cells, run), _with_cells(UNBLOCKED, run)
-    np.testing.assert_allclose(blocked, whole, rtol=1e-12)
+    assert blocked.hidden.tobytes() == whole.hidden.tobytes()
+    if stat.dtype == object:  # a row's cells are summed in blocks of outcomes
+        np.testing.assert_allclose(blocked.sums, whole.sums, rtol=1e-12)
+    else:  # a row's sums have its own bits, whatever its block
+        assert blocked.sums.tobytes() == whole.sums.tobytes()
 
 
 def _outcome_expectations(probe, nu=0.3):
@@ -441,7 +449,7 @@ def test_a_record_of_no_outcomes_has_log_likelihood_zero(name):
     probe = FAMILY_PROBES[name]
     nus = np.array([[0.0, 0.3, 1.0]])
     assert np.all(probe.stat_loglik(probe.statistic(np.empty((2, 0))), nus) == 0.0)
-    assert np.all(probe.loglik_node_sums(nus[0], np.empty((2, 0))) == 0.0)
+    assert np.all(probe._node_sums(probe.statistic(np.empty((2, 0))), nus[0]) == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from _oracles import build_window_grid, weighted_matrix
+from _oracles import build_window_grid, loglik_node_sums, weighted_matrix
 
 from qndsim import spectral
 from qndsim.estimators import limit_kernel
@@ -430,7 +430,7 @@ def test_fine_pure_state_stays_a_vector():
     model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=10_000)
     probe = GaussianReadout(sigma=1.0)
     outcomes = 0.4 + np.random.default_rng(7).standard_normal(1000)
-    sums = probe.loglik_node_sums(model.nodes, outcomes)
+    sums = loglik_node_sums(probe, model.nodes, outcomes)
     traj = Ensemble(probe.statistic(outcomes[None])[:, None], sums[None, None], 1000, (), None)
     window = build_window_grid(model, 0.4, 1000, 1.0)
     tracemalloc.start()

@@ -523,14 +523,14 @@ def test_ensemble_arrays_equal_the_per_trajectory_loops_bitwise(
 @given(
     family=st.sampled_from(["gaussian", "binary", "tabulated-finite", "tabulated-continuous"]),
     sampler=st.sampled_from(["de-finetti", "sequential"]),
-    k=st.integers(0, 30),
-    extra=st.lists(st.integers(0, 30), max_size=3),
+    k=st.integers(0, 50),
+    extra=st.lists(st.integers(0, 50), max_size=3),
     size=st.integers(1, 6),
-    cells=st.integers(1, 120),
     seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
 )
 def test_stored_statistics_are_the_statistics_of_the_drawn_prefixes(
-    family, sampler, k, extra, size, cells, seed
+    family, sampler, k, extra, size, seed, data
 ):
     model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=8)
     probe = {
@@ -539,13 +539,25 @@ def test_stored_statistics_are_the_statistics_of_the_drawn_prefixes(
         **_tabulated_probes(),
     }[family]
     state = pure_state(model, lambda nu: 1.0 + nu)
-    # row blocks of cells // k rows (at least one)
+    # row blocks of max(k, S x N) cells a row, ending inside the rows (of two
+    # or more): k sets the width of a long row, and the statistic x node sums
+    # that of a short one (S x N is 8 to 32 here)
+    width = max(k, probe.statistic(np.empty((1, 0))).shape[1] * model.size)
+    rows = data.draw(st.integers(1, max(size - 1, 1)), label="rows per block")
+    cells = rows * width + data.draw(st.integers(0, width - 1), label="spare cells")
+    checkpoints = [0, k, *extra]
     ens, drawn = _with_cells(cells, lambda: sampled_with_outcomes(
-        sample_ensemble, state, probe, k, size, seed, sampler=sampler, checkpoints=[0, k, *extra]
+        sample_ensemble, state, probe, k, size, seed, sampler=sampler, checkpoints=checkpoints
     ))
     ends = [*ens.checkpoints, k]
     assert ens.k == k and drawn.shape == (size, k) and ens.stats.shape[:2] == (size, len(ends))
     assert ens.checkpoints[0] == 0 and ends[-2:] == [k, k]
+    # the sums of each row, segment by segment, with a row's cells summed in the
+    # same outcome blocks
+    oracle = _with_cells(cells, lambda: [
+        _oracle_segment_sums(probe, model.nodes, row, checkpoints) for row in drawn
+    ])
+    assert _bits(ens.sums) == _bits([[at[c] for c in ends] for at in oracle])
     for j, c in enumerate(ends):
         got, want = ens.stats[:, j], probe.statistic(drawn[:, :c])
         assert got.dtype == want.dtype and got.shape == want.shape

@@ -295,13 +295,20 @@ MUTANTS = {
     # and any other statistic is taken of the whole prefix
     "prefix-counts-of-one-segment": (
         "trajectories.py",
-        "stats.append(stats[-1] + counts if j else counts)",
-        "stats.append(counts)",
+        "stats.append(stats[-1] + seg if j else seg)",
+        "stats.append(seg)",
     ),
     "prefix-statistic-of-one-segment": (
         "trajectories.py",
         "else probe.statistic(block[:, :b]))",
         "else probe.statistic(block[:, a:b]))",
+    ),
+    # a block sized by its outcomes alone builds a (rows x N) sum table of
+    # every row when k is short (clt_gaussian: one 2,000-row block)
+    "sampler-block-sized-by-k": (
+        "trajectories.py",
+        "for sl in _blocks(len(rngs), max(k, width * nodes.size)):",
+        "for sl in _blocks(len(rngs), k):",
     ),
     # the Gaussian hook must round as density_derivs does: u = d / sigma^2, not z / sigma
     "gaussian-hook-score-from-z": (
