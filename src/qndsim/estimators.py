@@ -89,6 +89,7 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 DEFAULT_WINDOW_SIGMAS = 8.0    # captures all but ~1e-14 of the Gaussian mass
 MIN_WINDOW_SIGMAS = 2.0        # narrower zoom windows are rejected
+DEFAULT_WINDOW_NODES = 201     # nodes of a zoom window's grid
 REFINE_TOL_FACTOR = 1e-8       # golden-section tolerance, times hull width
 
 
@@ -487,8 +488,8 @@ def _zoom_stack(state: StateKernel, model: SpectralModel, sums, grids, js, keys)
 
 def rescaled_posterior_kernel(
     state: StateKernel, trajectory: Ensemble, k: int, model: SpectralModel, probe, *,
-    estimate: float, window_sigmas: float = DEFAULT_WINDOW_SIGMAS, window_nodes: int = 201,
-    min_sigmas: float = MIN_WINDOW_SIGMAS,
+    estimate: float, window_sigmas: float = DEFAULT_WINDOW_SIGMAS,
+    window_nodes: int = DEFAULT_WINDOW_NODES, min_sigmas: float = MIN_WINDOW_SIGMAS,
 ) -> RescaledKernelResult:
     """Posterior kernel of a one-row ensemble zoomed by sqrt(k) around
     ``estimate``, the refined estimate at k (its ``mle_table`` entry).
@@ -577,7 +578,7 @@ def limit_kernel(
 def kernel_distances(
     state: StateKernel, ensemble: Ensemble, checkpoints: Sequence[int],
     model: SpectralModel, probe, *, estimates, window_sigmas: float = DEFAULT_WINDOW_SIGMAS,
-    window_nodes: int = 201, min_sigmas: float = MIN_WINDOW_SIGMAS,
+    window_nodes: int = DEFAULT_WINDOW_NODES, min_sigmas: float = MIN_WINDOW_SIGMAS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trace-norm distances of the rescaled posterior kernels to their Gaussian
     limits, the window masses and the Laplace ratios, at the refined ``estimates``

@@ -45,7 +45,7 @@ from .spectral import (
     state_from_dict,
     validate_state,
 )
-from .trajectories import Ensemble, posterior_means, sample_ensemble
+from .trajectories import Ensemble, _held_prefixes, posterior_means, sample_ensemble
 
 __all__ = [
     "DEFAULT_SEED",
@@ -85,11 +85,12 @@ DEFAULT_TOLERANCES = {
     "laplace_rel_tol": 0.05,
 }
 
-DEFAULT_WINDOW = {"sigmas": 8.0, "nodes": 201, "min_sigmas": 2.0}
+DEFAULT_WINDOW = {"sigmas": est.DEFAULT_WINDOW_SIGMAS, "nodes": est.DEFAULT_WINDOW_NODES,
+                  "min_sigmas": est.MIN_WINDOW_SIGMAS}
 KS_MIN_SAMPLES = 50  # below this the asymptotic Kolmogorov p-value is not used
 # declared sizes that reach an allocation, refused before anything is built
 MAX_OUTCOMES = 10**8  # ensemble x k_max draws, 5x clt_binary's: a continuous table keeps 800 MB
-MAX_SUM_CELLS = 10**8  # ensemble x (checkpoints + 1) x nodes: 800 MB of float64, as MAX_OUTCOMES
+MAX_SUM_CELLS = 10**8  # ensemble x held prefix lengths x nodes: 800 MB of float64, as MAX_OUTCOMES
 MAX_WINDOW_NODES = 10_000  # a window factor, nodes x columns: 64 MB for a 400-node diagonal state
 
 
@@ -153,8 +154,7 @@ class ExperimentConfig:
                 f"a clt experiment needs an ensemble of at least {KS_MIN_SAMPLES}"
             )
         if not self.checkpoints:
-            cps = [c for c in DEFAULT_CHECKPOINTS if c <= self.k_max]
-            self.checkpoints = tuple(cps + ([self.k_max] if self.k_max not in cps else []))
+            self.checkpoints = _held_prefixes(DEFAULT_CHECKPOINTS, self.k_max)
         self.checkpoints = _coerced(
             "checkpoints", self.checkpoints, lambda v: tuple(sorted({int(c) for c in v}))
         )
@@ -318,9 +318,9 @@ def _build_cached(config_json: str) -> tuple[SpectralModel, StateKernel, ProbeMo
     """Model, state and probe of a config; the only place they are built."""
     config = ExperimentConfig.from_dict(json.loads(config_json))
     model = build_model(config)
-    cells = config.ensemble * (len(config.checkpoints) + 1) * model.size
+    cells = config.ensemble * len(_held_prefixes(config.checkpoints, config.k_max)) * model.size
     if cells > MAX_SUM_CELLS:
-        raise ConfigError(f"ensemble x (checkpoints + 1) x grid nodes must be at most "
+        raise ConfigError(f"ensemble x held prefix lengths x grid nodes must be at most "
                           f"{MAX_SUM_CELLS:.0e}, got {cells:.3g}")
     state = build_state(model, config.state)
     probe = build_probe(config, model)
@@ -630,11 +630,9 @@ def estimate_ensemble(
     )
     cps = config.checkpoints
     report.extra["checkpoints"] = list(cps)
-    # every estimate is read from one table, one search per (trajectory,
-    # checkpoint, k_max last)
-    columns = sorted(set(cps) | {config.k_max})
-    col = {c: i for i, c in enumerate(columns)}
-    table = est.mle_table(ensemble, columns, run.model, run.probe)
+    # every estimate is read from one table, one search per (trajectory, held prefix length)
+    col = {c: i for i, c in enumerate(_held_prefixes(cps, config.k_max))}
+    table = est.mle_table(ensemble, list(col), run.model, run.probe)
 
     # posterior-mean diagnostic (no limit statement attached to it)
     report.posterior_means = posterior_means(run.state, ensemble[:100], config.k_max)
@@ -665,10 +663,10 @@ def _manifest(config: ExperimentConfig) -> dict:
 def persist_trajectories(out_dir, ensemble: Ensemble, config: ExperimentConfig):
     """The ensemble arrays as ``trajectories/{stats,sums,hidden}.npy`` (``hidden``
     only from the mixture sampler), with a manifest naming the config.  ``stats``
-    holds each row's statistic after each checkpoint and k (int64 counts or the
-    float64 Gaussian statistic); a statistic that is the row itself is written
-    once, as the (E x k) float64 rows, whose prefixes are the others.  An
-    ``outcomes.npy`` of the old layout goes."""
+    holds each row's statistic after each held prefix length (int64 counts or
+    the float64 Gaussian statistic); a statistic that is the row itself is
+    written once, as the (E x k) float64 rows, whose prefixes are the others.
+    An ``outcomes.npy`` of the old layout goes."""
     base = Path(out_dir) / "trajectories"
     base.mkdir(parents=True, exist_ok=True)
     (base / "outcomes.npy").unlink(missing_ok=True)
@@ -708,7 +706,7 @@ def load_trajectories(out_dir, config: ExperimentConfig) -> Ensemble:
         raise ConfigError(f"trajectories under {out_dir} were simulated for another "
                           f"config ({', '.join(stale)}){again}")
     model, _, probe = _build_cached(config.canonical_json())
-    e, k, ends = config.ensemble, config.k_max, [*config.checkpoints, config.k_max]
+    e, k, ends = config.ensemble, config.k_max, _held_prefixes(config.checkpoints, config.k_max)
     stat = probe.statistic(np.empty((1, 0)))  # the family's statistic: its dtype and width
     rows = stat.dtype == object  # the row itself
     specs = {
@@ -729,7 +727,7 @@ def load_trajectories(out_dir, config: ExperimentConfig) -> Ensemble:
     stats = arrays["stats"]
     if rows:
         stats = np.stack([probe.statistic(stats[:, :c]) for c in ends], 1)
-    return Ensemble(stats, arrays["sums"], k, config.checkpoints, arrays["hidden"], config.seed)
+    return Ensemble(stats, arrays["sums"], k, ends, arrays["hidden"], config.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,19 @@ provably identical laws:
 * ``sequential`` draws each outcome from the one-step predictive density
   given the running posterior — the chain-rule form.
 
-The result is an ``Ensemble``: the (E x C+1 x N) stack of the per-node
-log-likelihood sums ``L_k[i] = sum_{j<=k} log f(xi_j | nu_i)`` after each
-checkpoint and k, and the probe's sufficient statistic
-(``ProbeModel.statistic``) of the same prefixes, (E x C+1 x S).  Rows are
-drawn a block at a time, at most ``BLOCK_CELLS`` cells of its widest table
-(outcomes, or statistic x node sums); ``_summarize`` sums each segment at
-every node from its statistic, so the sums depend on the outcomes alone, and
-keeps the prefix statistics.  The outcomes are not kept (a continuous
-tabulated family's statistic is the row itself, a view of its block).  The
-sums are all the posterior needs: ``posterior_weights`` gives each row's
-``prior * exp(L_k)`` renormalized (E x N), in log space with max
-subtraction, so sequences of length 1e4 and beyond are safe from underflow,
-and ``posterior_means`` reads them.
+The result is an ``Ensemble``: the (E x C x N) stack of the per-node
+log-likelihood sums ``L_k[i] = sum_{j<=k} log f(xi_j | nu_i)`` after each of
+the C held prefix lengths (``_held_prefixes``: the distinct checkpoints and
+k), and the probe's sufficient statistic (``ProbeModel.statistic``) of the
+same prefixes, (E x C x S).  Rows are drawn a block at a time, at most
+``BLOCK_CELLS`` cells of its widest table (outcomes, or statistic x node
+sums); ``_summarize`` sums each segment at every node from its statistic, so
+the sums depend on the outcomes alone, and keeps the prefix statistics.  The
+outcomes are not kept (a continuous tabulated family's statistic is the row
+itself, a view of its block).  The sums are all the posterior needs:
+``posterior_weights`` gives each row's ``prior * exp(L_k)`` renormalized
+(E x N), in log space with max subtraction, so sequences of length 1e4 and
+beyond are safe from underflow, and ``posterior_means`` reads them.
 ``Ensemble.sums_after`` reads the sums after chosen k, the estimators read
 them in row blocks, and each row's result has the bits it has alone
 (``ensemble[i]`` is row i as a one-row ensemble).
@@ -86,14 +86,13 @@ def trajectory_rng(master: int, index: int) -> np.random.Generator:
 class Ensemble:
     """E trajectories of one length ``k`` as arrays.
 
-    ``sums`` (E x C+1 x N) holds each row's log-likelihood sums after each of
-    the C ``checkpoints`` and then after k, and ``stats`` (E x C+1 x S) the
-    probe's sufficient statistic of the same prefixes (``ProbeModel.statistic``:
-    counts, the Gaussian ``(k, m, sum r, sum r^2)``, or the row prefix
-    itself); ``hidden`` holds the mixture sampler's hidden values (None for
-    the sequential sampler) and ``master`` the master seed (row i of a sampled
-    ensemble draws from ``trajectory_rng(master, i)``).  ``ensemble[i]`` is
-    row i as a one-row ensemble, ``ensemble[a:b]`` the ensemble of rows a to b.
+    ``sums`` (E x C x N) holds each row's log-likelihood sums after each of its
+    C held prefix lengths, the ``checkpoints`` (ascending, k last), and
+    ``stats`` (E x C x S) the probe's statistic of the same prefixes
+    (``ProbeModel.statistic``: counts, the Gaussian ``(k, m, sum r, sum r^2)``,
+    or the row prefix itself); ``hidden`` holds the mixture sampler's hidden
+    values (None for the sequential sampler) and ``master`` the master seed.
+    ``ensemble[i]`` is row i as a one-row ensemble, ``ensemble[a:b]`` rows a to b.
     """
 
     stats: np.ndarray
@@ -114,17 +113,20 @@ class Ensemble:
         return Ensemble(self.stats[i], self.sums[i], self.k, self.checkpoints, hidden, self.master)
 
     def _columns(self, ks: Sequence[int]) -> list[int]:
-        """The column of ``sums`` and ``stats`` after each k in ``ks``; a k that
-        is neither a checkpoint nor the length raises ``ValueError``."""
-        k, cps = self.k, list(self.checkpoints)
-        missing = sorted({int(c) for c in ks} - {*cps, k})
+        """The column of ``sums`` and ``stats`` after each k in ``ks`` (held, or ValueError)."""
+        missing = sorted({int(c) for c in ks} - set(self.checkpoints))
         if missing:
-            raise ValueError(f"the ensemble holds no sums after k={missing} (only {cps} and {k})")
-        return [-1 if c == k else cps.index(c) for c in ks]
+            raise ValueError(f"no sums after k={missing}; the ensemble holds {self.checkpoints}")
+        return [self.checkpoints.index(c) for c in ks]
 
     def sums_after(self, ks: Sequence[int]) -> np.ndarray:
         """Copy of each row's sums after each k in ``ks`` (rows x len(ks) x N)."""
         return self.sums[:, self._columns(ks)]
+
+
+def _held_prefixes(checkpoints: Iterable[int], k: int) -> tuple[int, ...]:
+    """The prefixes an ensemble of length k holds: its distinct checkpoints in [0, k], and k."""
+    return tuple(sorted({int(c) for c in checkpoints if 0 <= int(c) <= k} | {k}))
 
 
 def log_prior_weights(state: StateKernel) -> np.ndarray:
@@ -151,30 +153,30 @@ def definetti_sample(
     ensemble of the trajectory, hidden value recorded: the one-member
     ``sample_ensemble``.
     """
-    return _sample(state, probe, k, [rng], "de-finetti", checkpoints, hidden_nu)
+    return _sample(state, probe, k, 1, iter([rng]), "de-finetti", checkpoints, hidden_nu)
 
 
-def _sample(state, probe, k, rngs, sampler, checkpoints, hidden_nu=None, master=None) -> Ensemble:
-    """One row per generator, drawn a block of rows at a time into one scratch
-    table that ``_summarize`` reads: at most BLOCK_CELLS cells of its widest
-    table, ``max(k, S x N)`` a row (at least one row).  A chain-rule row keeps
-    running sums only to draw its next node."""
+def _sample(state, probe, k, size, rngs, sampler, checkpoints, hidden_nu=None, master=None):
+    """``size`` rows, each from the next generator ``rngs`` yields, a block of
+    rows at a time into one scratch table that ``_summarize`` reads: at most
+    BLOCK_CELLS cells of its widest table, ``max(k, S x N)`` a row (at least one
+    row).  A chain-rule row keeps running sums only to draw its next node."""
     nodes, k = state.grid.nodes, int(k)
     width = probe.statistic(np.empty((1, 0))).shape[1]
-    cps = sorted({int(c) for c in checkpoints if 0 <= int(c) <= k})
+    cps = _held_prefixes(checkpoints, k)
     if sampler == "de-finetti":
         if hidden_nu is None:
             prior = np.exp(log_prior_weights(state))
             prior = prior / prior.sum()
-        hidden = np.empty(len(rngs))
+        hidden = np.empty(size)
     elif sampler == "sequential":
         log_prior, one, hidden = log_prior_weights(state), np.empty(1), None
     else:
         raise ValueError(f"unknown sampler: {sampler!r}")
-    sums, stats = np.empty((len(rngs), len(cps) + 1, nodes.size)), []
-    for sl in _blocks(len(rngs), max(k, width * nodes.size)):
-        block = np.empty((len(rngs[sl]), k))  # new each block: a statistic may be a view of it
-        for e, (row, rng) in enumerate(zip(block, rngs[sl]), sl.start):
+    sums, stats = np.empty((size, len(cps), nodes.size)), []
+    for sl in _blocks(size, max(k, width * nodes.size)):
+        block = np.empty((len(sums[sl]), k))  # new each block: a statistic may be a view of it
+        for e, (row, rng) in enumerate(zip(block, rngs), sl.start):  # rngs: one a row, lazily
             if hidden is not None:
                 nu = (float(nodes[rng.choice(nodes.size, p=prior)]) if hidden_nu is None
                       else hidden_nu)
@@ -189,24 +191,23 @@ def _sample(state, probe, k, rngs, sampler, checkpoints, hidden_nu=None, master=
                     row[step] = one[0] = probe.sample(float(nodes[node]), 1, rng)[0]
                     running += probe.loglik_values(nodes, one)[0]
         stats.append(_summarize(probe, nodes, block, cps, sums[sl]))
-    return Ensemble(np.concatenate(stats), sums, k, tuple(cps), hidden, master)
+    return Ensemble(np.concatenate(stats), sums, k, cps, hidden, master)
 
 
 def _summarize(probe, nodes, block, cps, sums) -> np.ndarray:
     """The one reader of a block of outcome rows (rows x k): writes their sums
-    after each checkpoint and k into ``sums`` (rows x C+1 x N), segment by
-    segment in a single trajectory's order, each segment's from its statistic,
-    and returns the statistic of the same prefixes (rows x C+1 x S).  Counts
-    of a prefix are its segments' counts summed, exactly; any other statistic
-    is taken of the prefix (once for k, also a checkpoint)."""
+    after each held prefix length ``cps`` into ``sums`` (rows x C x N), segment
+    by segment in a single trajectory's order, each from its statistic, and
+    returns the statistic of each prefix (rows x C x S): its segments' counts
+    summed, exactly, or else the statistic of the prefix itself."""
     stats = []
-    for j, (a, b) in enumerate(zip([0, *cps], [*cps, block.shape[1]])):
+    for j, (a, b) in enumerate(zip([0, *cps], cps)):
         seg = probe.statistic(block[:, a:b])
         np.add(sums[:, j - 1] if j else 0.0, probe._node_sums(seg, nodes), out=sums[:, j])
         if probe.outcomes is not None:
             stats.append(stats[-1] + seg if j else seg)
         else:
-            stats.append(stats[-1] if a == b and j else probe.statistic(block[:, :b]))
+            stats.append(probe.statistic(block[:, :b]))
     return np.stack(stats, 1)
 
 
@@ -223,8 +224,8 @@ def sample_ensemble(
     """Independent trajectories; row i draws from ``trajectory_rng(master_seed, i)``."""
     if size < 1:
         raise ValueError("ensemble size must be at least 1")
-    rngs = [trajectory_rng(master_seed, i) for i in range(size)]
-    return _sample(state, probe, k, rngs, sampler, checkpoints, hidden_nu, master_seed)
+    rngs = (trajectory_rng(master_seed, i) for i in range(size))  # each made as its row is drawn
+    return _sample(state, probe, k, size, rngs, sampler, checkpoints, hidden_nu, master_seed)
 
 
 def _sums_blocks(ensemble: Ensemble, ks: Sequence[int], row_cells: int = 0):

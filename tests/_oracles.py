@@ -17,6 +17,7 @@ import numpy as np
 
 from qndsim import trajectories
 from qndsim.estimators import (
+    DEFAULT_WINDOW_NODES,
     DEFAULT_WINDOW_SIGMAS,
     MIN_WINDOW_SIGMAS,
     WindowGrid,
@@ -119,7 +120,7 @@ def build_window_grid(
     k: int,
     fisher: float,
     window_sigmas: float = DEFAULT_WINDOW_SIGMAS,
-    window_nodes: int = 201,
+    window_nodes: int = DEFAULT_WINDOW_NODES,
     min_sigmas: float = MIN_WINDOW_SIGMAS,
 ) -> WindowGrid:
     """Zoom window of half-width ``window_sigmas / sqrt(fisher)`` (rescaled), as

@@ -316,7 +316,7 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
             },
             "the cells of [0.0, 1e-308] are 1.56e-310 wide, not a positive normal float",
         ),
-        (  # 1e8 outcomes pass MAX_OUTCOMES; the (2e5, 6, 400) sums stack would take 3.6 GiB
+        (  # 1e8 outcomes pass MAX_OUTCOMES; the (2e5, 5, 400) sums stack would take 3.0 GiB
             {
                 "kind": "rate-convergence",
                 "spectral": {"intervals": [[0.0, 1.0]], "nodes_per_interval": 400},
@@ -325,7 +325,7 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
                 "k_max": 500,
                 "region": [[0.5, 1.0]],
             },
-            "ensemble x (checkpoints + 1) x grid nodes must be at most 1e+08, got 4.8e+08",
+            "ensemble x held prefix lengths x grid nodes must be at most 1e+08, got 4e+08",
         ),
         ({"kind": []}, "unknown experiment kind: []"),  # unhashable: no dict lookup
         (
@@ -645,7 +645,7 @@ def test_bad_region_exits_two_before_validation_and_sampling(
 
 
 def _rate_sums_stack_too_large(path: Path) -> Path:
-    # 200,000 x (5 default checkpoints + 1) x 400 nodes: 4.8e8 cells
+    # 200,000 x 5 held prefix lengths (the default checkpoints to k_max) x 400 nodes: 4e8 cells
     tree = json.loads((CONFIGS / "rate_convergence.json").read_text())
     del tree["checkpoints"]
     path.write_text(json.dumps({**tree, "ensemble": 200_000, "k_max": 500}))
@@ -657,7 +657,7 @@ def _rate_sums_stack_too_large(path: Path) -> Path:
     "write, message",
     [
         (lambda path: _write_config(path, region=[0.5]), "point 0.5 lies outside the spectrum"),
-        (_rate_sums_stack_too_large, "ensemble x (checkpoints + 1) x grid nodes must be at most"),
+        (_rate_sums_stack_too_large, "ensemble x held prefix lengths x grid nodes must be at most"),
         (
             lambda path: _write_config(
                 path,
@@ -742,6 +742,13 @@ def _old_outcome_block_layout(base: Path) -> None:
     np.save(base / "outcomes.npy", np.zeros((40, 50)))
 
 
+def _old_k_column_layout(base: Path) -> None:
+    # the layout that stored the prefix k twice: the checkpoints, then k again
+    for name in ("stats", "sums"):
+        held = np.load(base / f"{name}.npy")
+        np.save(base / f"{name}.npy", np.concatenate([held, held[:, -1:]], axis=1))
+
+
 def _truncate(path: Path) -> None:
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
@@ -761,10 +768,12 @@ def _drop_key(base: Path, key: str) -> None:
         (_old_outcome_block_layout, "old outcome-block layout"),
         (lambda base: _truncate(base / "stats.npy"), "stats.npy"),
         (lambda base: _truncate(base / "sums.npy"), "sums.npy"),
-        (lambda base: np.save(base / "sums.npy", np.load(base / "sums.npy")[1:]), "(39, 4, 2)"),
-        (lambda base: np.save(base / "stats.npy", np.zeros((40, 3, 2), dtype=int)), "(40, 3, 2)"),
+        (lambda base: np.save(base / "sums.npy", np.load(base / "sums.npy")[1:]), "(39, 3, 2)"),
+        (lambda base: np.save(base / "stats.npy", np.zeros((40, 3, 1), dtype=int)),
+         "holds int64 (40, 3, 1), not int64 (40, 3, 2)"),
         (lambda base: np.save(base / "stats.npy", np.load(base / "stats.npy") * 1.0),
-         "holds float64 (40, 4, 2), not int64 (40, 4, 2)"),
+         "holds float64 (40, 3, 2), not int64 (40, 3, 2)"),
+        (_old_k_column_layout, "holds int64 (40, 4, 2), not int64 (40, 3, 2)"),
         (lambda base: _drop_key(base, "config_hash"), "lacks the keys ['config_hash']"),
     ],
     ids=[
@@ -777,6 +786,7 @@ def _drop_key(base: Path, key: str) -> None:
         "sums-rows",
         "stats-shape",
         "stats-dtype",
+        "old-k-column-layout",
         "manifest-key",
     ],
 )

@@ -76,13 +76,13 @@ def _gaussian_setup(n=100, sigma=1.0, psi=None):
 
 def _manual_ensemble(probe, model, rows, checkpoints=()):
     """The ensemble of outcome rows (one row for a 1-D input): their sums after
-    each checkpoint and k, each summed from the outcomes in one call, and the
-    statistics of the same prefixes."""
+    each distinct checkpoint and k (each once, k last), each summed from the
+    outcomes in one call, and the statistics of the same prefixes."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    ks = [*checkpoints, rows.shape[1]]
+    ks = sorted({*checkpoints, rows.shape[1]})
     sums = np.array([[loglik_node_sums(probe, model.nodes, row[:c]) for c in ks] for row in rows])
     stats = np.stack([probe.statistic(rows[:, :c]) for c in ks], 1)
-    return Ensemble(stats, sums, rows.shape[1], tuple(checkpoints), None)
+    return Ensemble(stats, sums, rows.shape[1], tuple(ks), None)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_mle_clamps_to_spectrum_boundary():
 def test_mle_tie_breaks_to_smallest_node():
     model = build_spectral_model(atoms=[(0.0, 0.5), (1.0, 0.5)])
     probe = BinaryPhase.embedded(0.0, 1.0)
-    traj = Ensemble(np.zeros((1, 1, 2), dtype=int), np.full((1, 1, 2), -1.0), 0, (), None)
+    traj = Ensemble(np.zeros((1, 1, 2), dtype=int), np.full((1, 1, 2), -1.0), 0, (0,), None)
     assert mle(traj, 0, model, probe) == 0.0
 
 
@@ -112,7 +112,7 @@ def test_mle_shift_invariance():
     traj = _manual_ensemble(probe, model, [0.1, 0.6, 0.5])
     base = mle(traj, 3, model, probe)
     for shift in (-1e6, -3.0, 7.5, 1e8):
-        shifted = Ensemble(traj.stats, traj.sums + shift, traj.k, (), None)
+        shifted = Ensemble(traj.stats, traj.sums + shift, traj.k, traj.checkpoints, None)
         assert mle(shifted, 3, model, probe) == base
 
 
@@ -128,7 +128,7 @@ def test_binary_mle_table_is_the_closed_form_maximum_for_every_count(k):
     sums = counts[:, None] * np.log(np.sin(half) ** 2) + (k - counts)[:, None] * np.log(
         np.cos(half) ** 2
     )
-    ensemble = Ensemble(stats, sums[:, None, :], k, (), None)
+    ensemble = Ensemble(stats, sums[:, None, :], k, (k,), None)
     exact = np.clip((2.0 * np.arcsin(np.sqrt(counts / k)) - probe.offset) / probe.slope, 0.0, 1.0)
     # the golden-section tolerance plus the sqrt(eps) flatness at the maximum
     assert np.abs(mle_table(ensemble, [k], model, probe)[:, 0] - exact).max() <= 5e-8
@@ -562,7 +562,7 @@ def test_clt_exclusions_are_reported():
 def test_clt_requires_hidden_values():
     model, probe, state = _gaussian_setup(30)
     traj = Ensemble(probe.statistic(np.zeros((1, 5)))[:, None], np.zeros((1, 1, model.size)), 5,
-                    (), None)
+                    (5,), None)
     with pytest.raises(ValueError):
         clt_samples(traj, 5, model, probe, estimates=[mle(traj, 5, model, probe)])
 

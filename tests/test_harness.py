@@ -1,5 +1,6 @@
 """Experiment orchestration: statistical tests, determinism, persistence."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -179,9 +180,9 @@ def test_persisted_trajectories_load_back_bitwise(
         persist_trajectories(out, trajs, cfg)
         loaded = load_trajectories(out, cfg)
     assert len(loaded) == len(trajs) and loaded.master == trajs.master == seed
-    assert loaded.checkpoints == trajs.checkpoints == tuple(cfg.checkpoints)
+    assert loaded.checkpoints == trajs.checkpoints == tuple(cfg.checkpoints)  # k_max among them
     assert loaded.k == trajs.k == k_max and loaded.stats.dtype == trajs.stats.dtype
-    assert loaded.stats.shape == trajs.stats.shape == (ensemble, len(cfg.checkpoints) + 1,
+    assert loaded.stats.shape == trajs.stats.shape == (ensemble, len(cfg.checkpoints),
                                                        trajs.stats.shape[2])
     if trajs.stats.dtype == object:  # the row prefixes themselves
         assert [s.tobytes() for s in loaded.stats.ravel()] == [
@@ -496,16 +497,39 @@ def test_a_clt_binary_ensemble_holds_no_outcome_block():
         tracemalloc.stop()
     outcomes = config.ensemble * config.k_max
     held = ensemble.sums.nbytes + ensemble.stats.nbytes + ensemble.hidden.nbytes
-    assert ensemble.stats.shape == (config.ensemble, 2, 2) and outcomes == 2 * 10**7
+    assert ensemble.stats.shape == (config.ensemble, 1, 2) and outcomes == 2 * 10**7
     assert peak < held + outcomes // 2 < outcomes, (peak, held)
+
+
+def test_the_window_default_is_the_estimators_own():
+    """One stated default: the config's window is the estimators' keyword
+    defaults, with the values (and types) every config hash was taken with."""
+    assert harness.DEFAULT_WINDOW == {"sigmas": 8.0, "nodes": 201, "min_sigmas": 2.0}
+    assert [type(v) for v in harness.DEFAULT_WINDOW.values()] == [float, int, float]
+    for fn in (estimators.kernel_distances, estimators.rescaled_posterior_kernel):
+        params = inspect.signature(fn).parameters
+        defaults = [params[n].default for n in ("window_sigmas", "window_nodes", "min_sigmas")]
+        assert defaults == list(harness.DEFAULT_WINDOW.values()), fn.__name__
+
+
+def _block_generators(config, ensemble) -> int:
+    """Traced bytes of the generators of one of the sampler's row blocks:
+    ``BLOCK_CELLS // max(k, S x N)`` rows (tracemalloc must be tracing)."""
+    width = max(config.k_max, ensemble.stats.shape[-1] * ensemble.sums.shape[-1])
+    rows = range(config.ensemble)[probes._blocks(config.ensemble, width)[0]]
+    before = tracemalloc.get_traced_memory()[0]
+    rngs = [trajectory_rng(config.seed, i) for i in rows]
+    size = tracemalloc.get_traced_memory()[0] - before
+    del rngs
+    return size
 
 
 def test_a_clt_gaussian_block_is_sized_by_its_widest_table():
     """The sampler's row blocks hold at most BLOCK_CELLS cells of the widest
     table they make, here the (rows x N) node sums (S x N = 800 cells a row
     against k = 10), not the (rows x k) outcomes alone.  Beyond the ensemble's
-    own arrays, the per-block statistic pieces and the generators, a block
-    holds its outcomes and the Gaussian statistic's two temporaries (three
+    own arrays, the per-block statistic pieces and one block's generators, a
+    block holds its outcomes and the Gaussian statistic's two temporaries (three
     tables of at most BLOCK_CELLS float64 cells); the node sums, taken after
     the statistic, hold at most three of BLOCK_CELLS / S.  Four tables bound
     both; an (E x N) sum table of one 2,000-row block is 3.2 MB on its own."""
@@ -513,18 +537,37 @@ def test_a_clt_gaussian_block_is_sized_by_its_widest_table():
     prepare_run(config)  # the cached model, state and probe are not the sampler's
     tracemalloc.start()
     try:
-        rngs = [trajectory_rng(config.seed, i) for i in range(config.ensemble)]
-        generators = tracemalloc.get_traced_memory()[0]
-        del rngs
-        tracemalloc.reset_peak()
         ensemble = simulate_ensemble(config)
         _, peak = tracemalloc.get_traced_memory()
+        generators = _block_generators(config, ensemble)
     finally:
         tracemalloc.stop()
     assert (config.k_max, config.ensemble, ensemble.sums.shape[-1]) == (10, 2000, 200)
     held = ensemble.sums.nbytes + 2 * ensemble.stats.nbytes + ensemble.hidden.nbytes
     tables = 4 * probes.BLOCK_CELLS * 8
     assert peak <= held + generators + tables, (peak, held, generators)
+
+
+def test_a_born_frequency_run_holds_one_block_of_generators():
+    """Each row's generator is made as its row is drawn, so the sampler never
+    holds the generators of all rows (about 0.9 kB each under tracemalloc,
+    9 MB for born_frequency's 10^4 rows).  Its peak stays below the ensemble's
+    own arrays, the per-block statistic pieces, one block's generators and two
+    tables of BLOCK_CELLS float64 cells: the (rows x k) outcome block and, at
+    most as large, the temporaries of a pass that counts it."""
+    config = ExperimentConfig.from_dict(json.loads((CONFIGS / "born_frequency.json").read_text()))
+    prepare_run(config)
+    tracemalloc.start()
+    try:
+        ensemble = simulate_ensemble(config)
+        _, peak = tracemalloc.get_traced_memory()
+        generators = _block_generators(config, ensemble)
+    finally:
+        tracemalloc.stop()
+    held = ensemble.sums.nbytes + 2 * ensemble.stats.nbytes + ensemble.hidden.nbytes
+    tables = 2 * probes.BLOCK_CELLS * 8
+    assert peak <= held + generators + tables, (peak, held, generators)
+    assert (config.k_max, config.ensemble, ensemble.sums.shape[1:]) == (200, 10**4, (4, 2))
 
 
 def test_coldrun_reports_the_stages_of_one_cold_run():

@@ -431,7 +431,7 @@ def test_fine_pure_state_stays_a_vector():
     probe = GaussianReadout(sigma=1.0)
     outcomes = 0.4 + np.random.default_rng(7).standard_normal(1000)
     sums = loglik_node_sums(probe, model.nodes, outcomes)
-    traj = Ensemble(probe.statistic(outcomes[None])[:, None], sums[None, None], 1000, (), None)
+    traj = Ensemble(probe.statistic(outcomes[None])[:, None], sums[None, None], 1000, (1000,), None)
     window = build_window_grid(model, 0.4, 1000, 1.0)
     tracemalloc.start()
     try:

@@ -260,7 +260,7 @@ def test_identical_seeds_reproduce_bitwise():
         for i in (4, 4, 5)
     )
     assert np.array_equal(xa, xb) and np.array_equal(a.stats, b.stats)
-    assert np.array_equal(a.sums, b.sums) and a.checkpoints == b.checkpoints == (50,)
+    assert np.array_equal(a.sums, b.sums) and a.checkpoints == b.checkpoints == (50, 100)
     assert not np.array_equal(xa, xc) and not np.array_equal(a.stats, c.stats)
 
 
@@ -272,7 +272,7 @@ def test_sequential_reproducible_and_checkpointed():
         for _ in range(2)
     )
     assert np.array_equal(xa, xb) and np.array_equal(a.stats, b.stats)
-    assert a.hidden is None and a.checkpoints == (0, 20)
+    assert a.hidden is None and a.checkpoints == (0, 20, 40)
     assert np.array_equal(a.sums, b.sums)
     assert np.array_equal(a.sums_after([0]), np.zeros((1, 1, 2)))
 
@@ -446,11 +446,16 @@ def _oracle_rate_trace(state, at, region, checkpoints, model, probe, estimate):
     return RateTrace(tuple(cps), tuple(float(v) for v in values), float(target), float(estimate))
 
 
-def _oracle_posterior_mean(state, sums):
-    """One trajectory's posterior mean from its own weights."""
+def _oracle_posterior_weights(state, sums):
+    """One trajectory's posterior weights from its own sums."""
     logw = log_prior_weights(state) + sums
     w = np.exp(logw - _logsumexp(logw))
-    return float(np.dot(w / w.sum(), state.grid.nodes))
+    return w / w.sum()
+
+
+def _oracle_posterior_mean(state, sums):
+    """One trajectory's posterior mean from its own weights."""
+    return float(np.dot(_oracle_posterior_weights(state, sums), state.grid.nodes))
 
 
 def _bits(a):
@@ -500,7 +505,7 @@ def test_ensemble_arrays_equal_the_per_trajectory_loops_bitwise(
     for i, (outcomes, at, hidden_nu) in enumerate(want):
         assert _bits(drawn[i]) == _bits(outcomes)
         assert got.hidden[i] == hidden_nu
-        assert _bits(got.sums[i]) == _bits([at[c] for c in [*columns, k]])
+        assert _bits(got.sums[i]) == _bits([at[c] for c in columns])  # k among them, once
 
     table = mle_table(got, columns, model, probe)
     assert _bits(table) == _bits(
@@ -549,9 +554,9 @@ def test_stored_statistics_are_the_statistics_of_the_drawn_prefixes(
     ens, drawn = _with_cells(cells, lambda: sampled_with_outcomes(
         sample_ensemble, state, probe, k, size, seed, sampler=sampler, checkpoints=checkpoints
     ))
-    ends = [*ens.checkpoints, k]
+    ends = ens.checkpoints  # the distinct checkpoints in [0, k], k among them: held once
     assert ens.k == k and drawn.shape == (size, k) and ens.stats.shape[:2] == (size, len(ends))
-    assert ens.checkpoints[0] == 0 and ends[-2:] == [k, k]
+    assert ends == tuple(sorted({c for c in checkpoints if c <= k})) and ends[0] == 0
     # the sums of each row, segment by segment, with a row's cells summed in the
     # same outcome blocks
     oracle = _with_cells(cells, lambda: [
@@ -589,13 +594,47 @@ def test_sequential_sums_are_the_segment_sums_of_its_own_outcomes(family):
         oracle = _oracle_sequential(state, probe, 40, trajectory_rng(SEED, i))
         assert _bits(outcomes) == _bits(oracle)
         at = _oracle_segment_sums(probe, model.nodes, outcomes, ens.checkpoints)
-        assert _bits(sums) == _bits([at[c] for c in [*ens.checkpoints, 40]])
+        assert ens.checkpoints == (0, 7, 25, 40)
+        assert _bits(sums) == _bits([at[c] for c in ens.checkpoints])
+
+
+@pytest.mark.parametrize("family", ["binary", "gaussian", "tabulated-continuous"])
+def test_an_ensemble_holds_the_prefix_k_once(family):
+    """Checkpoints that name k (twice here) and 0 give one column each: the
+    sums, estimates and posterior weights read from them are the per-row
+    oracle's, bit for bit, and the prefix 0 holds the prior's zero sums."""
+    model = build_spectral_model(intervals=[(0.0, 1.0)], nodes_per_interval=12)
+    probe = {
+        "binary": BinaryPhase.embedded(0.0, 1.0),
+        "gaussian": GaussianReadout(sigma=0.4),
+        "tabulated-continuous": _tabulated_probes()["tabulated-continuous"],
+    }[family]
+    state, k, size, checkpoints = pure_state(model, lambda nu: 1.0 + nu), 30, 4, [30, 0, 10, 30]
+    ens, drawn = sampled_with_outcomes(
+        sample_ensemble, state, probe, k, size, SEED, checkpoints=checkpoints
+    )
+    assert ens.checkpoints == (0, 10, k) and ens.k == k
+    assert ens.sums.shape[:2] == ens.stats.shape[:2] == (size, 3)
+    want = [
+        _oracle_definetti(state, probe, k, trajectory_rng(SEED, i), checkpoints, None)
+        for i in range(size)
+    ]
+    assert _bits(drawn) == _bits([outcomes for outcomes, _, _ in want])
+    assert _bits(ens.sums_after([k, 0, 10])) == _bits([[at[k], at[0], at[10]] for _, at, _ in want])
+    assert _bits(ens.sums_after([0])) == _bits(np.zeros((size, 1, model.size)))
+    assert _bits(mle_table(ens, [0, 10, k], model, probe)) == _bits(
+        [[_oracle_mle(at[c], o[:c], model, probe) for c in (0, 10, k)] for o, at, _ in want]
+    )
+    for c in (0, k):
+        assert _bits(posterior_weights(state, ens, c)) == _bits(
+            [_oracle_posterior_weights(state, at[c]) for _, at, _ in want]
+        )
 
 
 def test_ensemble_views_slices_and_stacking_agree():
     model, probe, state = _gaussian_setup(12)
     ens = sample_ensemble(state, probe, 30, 6, SEED, checkpoints=[30, 5, 0])
-    assert ens.checkpoints == (0, 5, 30) and ens.sums.shape == (6, 4, model.size)
+    assert ens.checkpoints == (0, 5, 30) and ens.sums.shape == (6, 3, model.size)
     rows = list(ens)
     assert [len(r) for r in rows] == [1] * 6 and {r.checkpoints for r in rows} == {ens.checkpoints}
     for name in ("stats", "sums", "hidden"):  # the one-row views stack back to the ensemble

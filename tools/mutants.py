@@ -300,15 +300,27 @@ MUTANTS = {
     ),
     "prefix-statistic-of-one-segment": (
         "trajectories.py",
-        "else probe.statistic(block[:, :b]))",
-        "else probe.statistic(block[:, a:b]))",
+        "stats.append(probe.statistic(block[:, :b]))",
+        "stats.append(probe.statistic(block[:, a:b]))",
+    ),
+    # the prefix k held twice when it is a checkpoint, the layout before the held prefixes
+    "k-column-held-twice": (
+        "trajectories.py",
+        "return tuple(sorted({int(c) for c in checkpoints if 0 <= int(c) <= k} | {k}))",
+        "return (*sorted({int(c) for c in checkpoints if 0 <= int(c) <= k}), k)",
+    ),
+    # every row's generator made before the first block (9 MB for born_frequency)
+    "generators-before-first-block": (
+        "trajectories.py",
+        "rngs = (trajectory_rng(master_seed, i) for i in range(size))",
+        "rngs = iter([trajectory_rng(master_seed, i) for i in range(size)])",
     ),
     # a block sized by its outcomes alone builds a (rows x N) sum table of
     # every row when k is short (clt_gaussian: one 2,000-row block)
     "sampler-block-sized-by-k": (
         "trajectories.py",
-        "for sl in _blocks(len(rngs), max(k, width * nodes.size)):",
-        "for sl in _blocks(len(rngs), k):",
+        "for sl in _blocks(size, max(k, width * nodes.size)):",
+        "for sl in _blocks(size, k):",
     ),
     # the Gaussian hook must round as density_derivs does: u = d / sigma^2, not z / sigma
     "gaussian-hook-score-from-z": (
