@@ -89,10 +89,11 @@ def _blocks(n: int, width: int, share: int = 1) -> list[slice]:
 
 def _centred_sums(xi: np.ndarray):
     """Mean m of nonempty outcomes, and sum r and sum r^2 of r = xi - m, along
-    the last axis (a row of a block gives the bits of the row alone)."""
+    the last axis (a row of a block gives the bits of the row alone); r is
+    squared in place once summed."""
     m = xi.mean(axis=-1)
     r = xi - m[..., None]
-    return m, r.sum(axis=-1), (r * r).sum(axis=-1)
+    return m, r.sum(axis=-1), np.square(r, out=r).sum(axis=-1)
 
 
 def _add_expectations(out: dict, w, f, f1, f2) -> None:
@@ -594,29 +595,41 @@ def _first_near(values: np.ndarray, worst: float) -> int:
     return int(np.argmax(near))
 
 
-def _pair_distances(fmat, wq, first, second) -> np.ndarray:
-    """L1 distances ``sum_q w_q |f_q,first - f_q,second|`` of the given node
-    pairs in blocks of at most BLOCK_CELLS cells, each summed along its own
-    contiguous row: unlike a matrix product, its bits depend on the pair alone."""
-    out = np.empty(first.size)
-    for sl in _blocks(first.size, fmat.shape[0]):
-        diff = fmat.T[first[sl]]  # one law per row
-        diff -= fmat.T[second[sl]]
-        out[sl] = np.multiply(np.abs(diff, out=diff), wq, out=diff).sum(axis=1)
-    return out
+def _plane(flat, rows: int, cols: int) -> np.ndarray:
+    """A (rows x cols) view of the flat array, in rows of at least two cells:
+    ``np.einsum`` sums a contiguous lone column in unrolled order, a strided
+    one row after row."""
+    return flat[: rows * max(cols, 2)].reshape(rows, -1)[:, :cols]
 
 
-def _adjacent_distances(fmat, wq) -> np.ndarray:
-    """``_pair_distances`` of the node pairs (i, i + 1), read from contiguous
-    row slices of the table instead of column gathers: each block of
-    differences is transposed to one pair a row and summed along it, as
-    ``_pair_distances`` sums a pair, with the same bits (|a - b| = |b - a|)."""
-    right, left = fmat[:, 1:], fmat[:, :-1]
-    out = np.empty(left.shape[1])
-    for sl in _blocks(out.size, fmat.shape[0]):
-        diff = np.subtract(right[:, sl], left[:, sl])
-        np.multiply(np.abs(diff, out=diff), wq[:, None], out=diff)
-        out[sl] = diff.T.copy().sum(axis=1)
+def _l1_sums(w, a, b, scratch) -> np.ndarray:
+    """``sum_r w_r |a_rc - b_rc|`` of each column c of two equal tables, added
+    row after row from 0, so the bits of a column are its own at any width:
+    ``np.einsum`` adds in that order down the columns of a ``_plane`` of the
+    flat ``scratch`` (a BLAS matrix-vector product rounds by width)."""
+    d = np.subtract(a, b, out=_plane(scratch, *a.shape))
+    return np.einsum("r,rc->c", w, np.abs(d, out=d))
+
+
+def _far_distances(probe, xs, wq, nodes, first, second) -> np.ndarray:
+    """L1 distances of the given node pairs, summed as the validator sums the
+    adjacent ones: over each of its row blocks, then block after block.  The
+    density at the nodes they read is made again a block at a time, in three
+    (block rows x grid) planes, and the pairs are taken a plane at a time."""
+    n = nodes.size
+    # the columns the pairs read, and each pair's two among them (np.unique loads numpy.ma)
+    cols = np.flatnonzero(np.bincount(np.concatenate([first, second]), minlength=n))
+    left, right = np.searchsorted(cols, first), np.searchsorted(cols, second)
+    blocks, out = _blocks(xs.size, n), np.zeros(first.size)
+    work = np.empty((3, len(xs[blocks[0]]) * n))
+    for sl in blocks:
+        rows = len(xs[sl])
+        f, f1, f2 = (_plane(plane, rows, cols.size) for plane in work)
+        probe._rule_block(xs[sl], nodes[cols], f, f1, f2)
+        for pc in (slice(start, start + n) for start in range(0, first.size, n)):
+            a, b = (np.take(f, at[pc], axis=1, mode="clip", out=_plane(plane, rows, len(at[pc])))
+                    for at, plane in ((left, work[1]), (right, work[2])))
+            out[pc] += _l1_sums(wq[sl], a, b, work[1])  # a - b is written over a
     return out
 
 
@@ -631,9 +644,10 @@ def _pair_bounds(cdf, total, first, second) -> np.ndarray:
     return out
 
 
-def _unpruned_pairs(fmat, wq, panel: int, limit: float):
+def _unpruned_pairs(sums, terms: int, limit: float):
     """Node pairs i < j whose L1 lower bound is not above ``limit``, in
-    (i, j) order.
+    (i, j) order, from the weighted sums ``sums`` (panels x N) of each law
+    over each rule panel, ``terms`` rule points in all.
 
     With G_i(m) the weighted partial sum of column i over the first m rule
     points and n_i its total, the triangle inequality gives
@@ -647,8 +661,7 @@ def _unpruned_pairs(fmat, wq, panel: int, limit: float):
     those of the full bound over all pairs; with a non-finite G, n or limit
     every pair gets the full bound, and a nan bound is kept.
     """
-    n = fmat.shape[1]
-    sums = np.einsum("ps,psn->pn", wq.reshape(-1, panel), fmat.reshape(-1, panel, n))
+    n = sums.shape[1]
     cdf = np.cumsum(sums, axis=0)
     total = cdf[-1]
     # the bound is summed in floating point; allow for the rounding of G and
@@ -656,7 +669,7 @@ def _unpruned_pairs(fmat, wq, panel: int, limit: float):
     # subnormal range and rounds within that allowance.
     scale = np.abs(total).max()
     eps = np.finfo(float).eps
-    limit = limit + 8 * wq.size * eps * scale
+    limit = limit + 8 * terms * eps * scale
     cdf = cdf + scale
     if np.all(np.isfinite(cdf)) and np.isfinite(limit):
         g = cdf[np.argmax(np.ptp(cdf, axis=1))]
@@ -686,41 +699,50 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
     and finite-difference derivatives, mean-zero score, and strictly
     positive expected curvature.  Always returns a report; nothing raises.
 
-    One sweep over the rule's row blocks, through one workspace, gives every
-    table the checks read: log-density row extremes, the density table, and
-    normalization, mean score and curvature summed as ``_expect`` sums them.
+    One sweep over the rule's row blocks, through three (block rows x N)
+    planes and no (rule x N) table, adds each block's part to every result
+    the checks read: log-density row extremes; normalization, mean score and
+    curvature in ``_expect``'s blocks and order; the dominance sums; the
+    adjacent pairs' L1 sums; and each law's weighted sums over each panel.
 
     Identifiability is the smallest L1 distance ``sum_q w_q |f_qi - f_qj|``
-    over node pairs on the outcome rule, found without summing every pair.
-    The smallest adjacent distance U bounds it from above.  The partial sums
-    of each law at the rule's panel ends bound every pair from below
-    (``2 |G_i - G_j| - |n_i - n_j|``, total variation over the Kolmogorov
-    distance); pairs whose bound exceeds U by more than ``PRUNE_SLACK`` (and
-    a rounding allowance) are dropped.  A pair's sum depends on the pair
-    alone, so adjacent survivors keep the sums that gave U and only the
-    others are summed.  The worst value and its location (the first pair in
-    (i, j) order near it) are those of the loop over all pairs, bit for bit.
-    The bound is built only for the pairs a sorted screen at one panel end
-    cannot drop (``_unpruned_pairs``); for a location family those are near
-    neighbours: O(N x panels) bound work and O(N) sums, not N (N - 1) / 2.
+    over node pairs, summed over each row block one row after another and
+    then block after block, so its bits depend on the pair alone.  The
+    smallest adjacent distance U bounds it from above; the partial sums G at
+    the panel ends bound every pair from below (``_unpruned_pairs``), and
+    pairs whose bound exceeds U by more than ``PRUNE_SLACK`` are dropped.
+    Adjacent survivors keep their sums; the others are summed from the
+    density made again at their nodes (``_far_distances``).  The worst value
+    and its location (the first pair in (i, j) order near it) are those of
+    the loop over all pairs, bit for bit; for a location family only near
+    neighbours survive: O(N x panels) bound work and O(N) sums.
     """
     nodes = model.nodes
     checks: list[AssumptionCheck] = []
 
     # log-density extremes stay finite where a narrow density underflows to
-    # 0 (a genuine zero is log 0 = -inf); f is written straight into fmat
+    # 0 (a genuine zero is log 0 = -inf).  Each block of whole rule rows adds
+    # its part to every table the checks read; its three planes are reused
     xs, wq = probe._quadrature(nodes)
-    fmat = np.empty((xs.size, nodes.size))
+    n, panel = nodes.size, 1 if probe.outcomes is not None else _GL32[0].size
     sup_abs, row_min = np.empty(xs.size), np.empty(xs.size)
-    stats = {q: np.zeros(nodes.size) for q in ("norm", "score", "d2")}
-    blocks = _blocks(xs.size, nodes.size)
-    work = np.empty((2, min(blocks[0].stop, xs.size), nodes.size))
+    stats = {q: np.zeros(n) for q in ("norm", "score", "d2")}
+    dom, near, sums = np.zeros(n), np.zeros(n - 1), np.zeros((xs.size // panel, n))
+    blocks = _blocks(xs.size, n)
+    work = np.empty((3, len(xs[blocks[0]]) * n))
     for sl in blocks:
-        f = fmat[sl]
-        f1, f2 = work[:, : len(f)]
+        w, rows = wq[sl], len(xs[sl])
+        f, f1, f2 = (plane[: rows * n].reshape(rows, n) for plane in work)
         row_min[sl], sup_abs[sl] = probe._rule_block(xs[sl], nodes, f, f1, f2)
-        _add_expectations(stats, wq[sl], f, f1, f2)
-    del work, f1, f2  # identifiability peaks beside fmat alone
+        _add_expectations(stats, w, f, f1, f2)
+        with np.errstate(invalid="ignore"):  # inf * 0 marks a genuine failure
+            dom += (w * sup_abs[sl]) @ f
+        if n > 1:
+            near += _l1_sums(w, f[:, 1:], f[:, :-1], work[1])
+        cuts = np.flatnonzero(np.diff((np.arange(rows) + sl.start) // panel, prepend=-1))
+        at = sl.start // panel  # a block holds whole rows, and adds to the panels they meet
+        sums[at : at + cuts.size] += np.add.reduceat(np.multiply(f, w[:, None], out=f1), cuts)
+    del work, f, f1, f2  # the screen and the far pairs peak without it
 
     def defect_check(name, defects, tol):
         worst = float(defects.max())
@@ -730,60 +752,34 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
         return AssumptionCheck(name, bool(worst <= tol), worst, where, tol)
 
     # normalization: int f(.|nu) dmu = 1 on the spectrum
-    checks.append(
-        defect_check("normalization", np.abs(stats["norm"] - 1.0), NORMALIZATION_TOL)
-    )
+    checks.append(defect_check("normalization", np.abs(stats["norm"] - 1.0), NORMALIZATION_TOL))
 
     worst = float(row_min.min())
     qi = _first_near(row_min, worst)
     ni = _first_near(probe.loglik_values(nodes, xs[qi : qi + 1])[0], worst)
-    checks.append(
-        AssumptionCheck(
-            "positivity",
-            bool(worst > -np.inf),
-            worst,
-            f"xi={xs[qi]:.6g}, nu={nodes[ni]:.6g}",
-            -np.inf,
-        )
-    )
+    checks.append(AssumptionCheck("positivity", bool(worst > -np.inf), worst,
+                                  f"xi={xs[qi]:.6g}, nu={nodes[ni]:.6g}", -np.inf))
 
     # identifiability: pairwise L1 distances above the threshold, each pair
     # summed once.  A nan distance is the worst, as in the loop over all pairs
     worst, i, j = np.inf, 0, 0
-    if nodes.size > 1:
-        near = _adjacent_distances(fmat, wq)
-        panel = 1 if probe.outcomes is not None else _GL32[0].size
-        first, second = _unpruned_pairs(fmat, wq, panel, near.min() * (1.0 + PRUNE_SLACK))
+    if n > 1:
+        first, second = _unpruned_pairs(sums, xs.size, near.min() * (1.0 + PRUNE_SLACK))
         distances = near[first]
         far = second > first + 1
-        distances[far] = _pair_distances(fmat, wq, first[far], second[far])
+        if np.any(far):
+            distances[far] = _far_distances(probe, xs, wq, nodes, first[far], second[far])
         worst = float(distances.min())
         k = _first_near(distances, worst)
         i, j = first[k], second[k]
-    checks.append(
-        AssumptionCheck(
-            "identifiability",
-            bool(worst > IDENTIFIABILITY_THRESHOLD),
-            worst,
-            f"nu={nodes[i]:.6g} vs nu={nodes[j]:.6g}",
-            IDENTIFIABILITY_THRESHOLD,
-        )
-    )
+    checks.append(AssumptionCheck("identifiability", bool(worst > IDENTIFIABILITY_THRESHOLD),
+                                  worst, f"nu={nodes[i]:.6g} vs nu={nodes[j]:.6g}",
+                                  IDENTIFIABILITY_THRESHOLD))
 
-    # dominance: E_nu[ sup_nu' |l(nu'|xi)| ] finite for all grid nu; inf * 0
-    # marks a genuine failure
-    with np.errstate(invalid="ignore"):
-        dom = (wq * sup_abs) @ fmat
+    # dominance: E_nu[ sup_nu' |l(nu'|xi)| ] finite for all grid nu
     worst = float(dom[np.argmax(dom)])  # argmax meets a nan first
-    checks.append(
-        AssumptionCheck(
-            "dominance",
-            bool(np.all(np.isfinite(dom))),
-            worst,
-            f"nu={nodes[_first_near(dom, worst)]:.6g}",
-            np.inf,
-        )
-    )
+    checks.append(AssumptionCheck("dominance", bool(np.all(np.isfinite(dom))), worst,
+                                  f"nu={nodes[_first_near(dom, worst)]:.6g}", np.inf))
     caveat = ("dominance is certified on the grid only; off-grid behaviour of a "
               "tabulated family is interpolation, not evidence")
 
@@ -812,24 +808,14 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
     if np.any(err > 0):  # the first largest error; nan is never the worst
         j = int(np.argmax(np.where(err > 0, err, 0.0)))
         worst_d, worst_where = float(err[j]), f"nu={nu[kept[j]]:.6g}, xi={xi[kept[j]]:.6g}"
-    checks.append(
-        AssumptionCheck(
-            "differentiability", ok, worst_d, worst_where or "n/a", DERIVATIVE_TOL, note
-        )
-    )
+    checks.append(AssumptionCheck("differentiability", ok, worst_d, worst_where or "n/a",
+                                  DERIVATIVE_TOL, note))
 
     # score mean-zero and strictly positive curvature
     checks.append(defect_check("score-mean-zero", np.abs(stats["score"]), SCORE_TOL))
     worst = float(stats["d2"].max())
-    checks.append(
-        AssumptionCheck(
-            "positive-curvature",
-            bool(np.all(stats["d2"] < 0.0)),
-            -worst,
-            f"nu={nodes[_first_near(stats['d2'], worst)]:.6g}",
-            0.0,
-        )
-    )
+    checks.append(AssumptionCheck("positive-curvature", bool(np.all(stats["d2"] < 0.0)), -worst,
+                                  f"nu={nodes[_first_near(stats['d2'], worst)]:.6g}", 0.0))
 
     return ProbeValidationReport(
         tuple(checks), (caveat,) if isinstance(probe, TabulatedProbe) else ())

@@ -7,7 +7,9 @@ the validator's sweep over its outcome rule with new tables for each block;
 ``build_window_grid`` sizes and builds one zoom window;
 ``sampled_with_outcomes`` returns a sampler's ensemble with the outcomes
 it drew and did not keep; ``loglik_node_sums`` sums outcome rows at each
-node from their statistic, as the sampler sums a segment.
+node from their statistic, as the sampler sums a segment;
+``blocked_distances`` is the L1 distance of every node pair as the
+validator sums it, and ``contiguous_distances`` the former dense form.
 """
 
 import itertools
@@ -112,6 +114,42 @@ def rule_blocks(probe, nodes):
         logf = probe.loglik_values(nodes, xs[sl])
         lo, hi = logf.min(axis=1), np.abs(logf).max(axis=1)
         yield (sl, lo, hi, *probe.density_derivs(xs[sl, None], nodes[None, :]))
+
+
+def density_table(probe, nodes):
+    """The (rule x N) density table of the probe's outcome rule, built in the
+    validator's row blocks, and the rule's weights."""
+    xs, wq = probe._quadrature(nodes)
+    fmat = np.empty((xs.size, nodes.size))
+    for sl in _blocks(xs.size, nodes.size):
+        fmat[sl] = probe.density(xs[sl, None], nodes[None, :])
+    return fmat, wq
+
+
+def blocked_distances(fmat, wq):
+    """(N x N) L1 distances ``sum_q w_q |f_qi - f_qj|`` of every column pair of
+    the table, summed as ``validate_probe`` sums them: over each of its row
+    blocks (``_blocks(rule, N)``) the terms are added one row after another
+    from 0, then the block sums one block after another.  An explicit row
+    loop, vectorised over the pairs."""
+    total = np.zeros((fmat.shape[1],) * 2)
+    for sl in _blocks(*fmat.shape):
+        part = np.zeros_like(total)
+        for w, row in zip(wq[sl], fmat[sl]):
+            part += w * np.abs(row[:, None] - row[None, :])
+        total += part
+    return total
+
+
+def contiguous_distances(fmat, wq, first, second):
+    """The former L1 distances of the given column pairs: each pair's terms in
+    one contiguous row of rule length, summed by numpy's pairwise rule."""
+    out = np.empty(first.size)
+    for sl in _blocks(first.size, fmat.shape[0]):
+        diff = fmat.T[first[sl]]  # one law per row
+        diff -= fmat.T[second[sl]]
+        out[sl] = np.multiply(np.abs(diff, out=diff), wq, out=diff).sum(axis=1)
+    return out
 
 
 def build_window_grid(

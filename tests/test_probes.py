@@ -7,6 +7,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,13 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import erf, kolmogorov
 
-from _oracles import loglik_node_sums, rule_blocks
+from _oracles import (
+    blocked_distances,
+    contiguous_distances,
+    density_table,
+    loglik_node_sums,
+    rule_blocks,
+)
 from qndsim import probes
 from qndsim.harness import ExperimentConfig, build_model, build_probe
 from qndsim.probes import (
@@ -706,18 +713,20 @@ def test_rule_blocks_are_the_allocating_sweep_bitwise(family, log10_sigma, nodes
     assert _bits(*sweeps[0].values()) == _bits(*expected.values())
 
 
-# sha256 of repr(validate_probe(...)), recorded before the sweep shared a workspace
+# sha256 of repr(validate_probe(...)).  The finite probes' were recorded before the
+# sweep shared a workspace; the continuous ones when identifiability and dominance
+# were summed a row block at a time (values within 3e-15 relative, same locations)
 VALIDATOR_DIGESTS = {
-    "assumption_validation": "4a6cd8451956308b2f553a9a1f641c357936bad1e1b929247c271c8c3aacd49d",
+    "assumption_validation": "eb3b055bda24298b0498e5570d0df6ab0abc526ef7e682319f98303b2f6fae46",
     "born_frequency": "1da5dca4712c9fb04b7a3519fe1fb50ecd712737347e6857ca9ef257ac8a781d",
     "clt_binary": "4ae119c4b0dfe9705d19180b600cc7b9c0b5b7f48d3f47638ce19d40da4b2831",
-    "clt_gaussian": "4c9bf64304eb6add58e193ba58aa5cf184f5022d2da343495d28e03ad9f86def",
-    "kernel_convergence": "351f5b7f119c194acaa105cd299f9eac4334a7dcdf833397acd7f359cce3d546",
-    "rate_convergence": "351f5b7f119c194acaa105cd299f9eac4334a7dcdf833397acd7f359cce3d546",
-    0.01: "36223f63b02896daea33571c7b222c7e860ade6e07896b10012264f4403d7254",
-    0.05: "cfb7f368b0d4c3f5d39f7cdfad43c75fde7fc45a19d064c2ade460b1e23f0741",
-    0.3: "53483947c42dacaae7b8dc596b13999c26c8f19968ce26b492167159545dc075",
-    3.0: "45650e1a363a6f732e39c0f282cc35cdf0f95246a522bf85095224e59ef060f8",
+    "clt_gaussian": "7f33745524cb5f2bfd770f16077a47c2ec6815d999a9223469f2d8546ad4bed4",
+    "kernel_convergence": "9f6b49b1327a7c6d01784ce5cb61dd17571327a2ddd6571923f914298804bdeb",
+    "rate_convergence": "9f6b49b1327a7c6d01784ce5cb61dd17571327a2ddd6571923f914298804bdeb",
+    0.01: "aff2bc18ecdb4c528196b144cacda88a249d9dc5378ae28454fbaec4a918762a",
+    0.05: "859d7d4632f3de53dac44cd556862a673c88abaf12106ea8cac23eb129bd14c5",
+    0.3: "f6d682bd8578131c4e12d6f9fd45d21c0479a545a590bb35c0b1f2dada573e76",
+    3.0: "d8541225e3d10ddcc8c0afe52b1872602de6bc302d78372838e8609090268054",
 }
 
 
@@ -829,21 +838,13 @@ def test_validator_locations_do_not_follow_rounding():
 # pruned identifiability against the loop over all pairs
 
 def _exhaustive_identifiability(probe, model):
-    """Worst pairwise L1 distance and its location, from every node pair.
-
-    Each pair is summed along one contiguous row of a (pairs x rule) block,
-    whose bits depend on the pair alone, as ``_pair_distances`` sums it.
-    """
+    """Worst pairwise L1 distance and its location, from every node pair
+    summed as the validator sums a pair (``blocked_distances``)."""
     nodes = model.nodes
-    xs, wq = probe._quadrature(nodes)
-    fmat = np.empty((xs.size, nodes.size))
-    for sl in probes._blocks(xs.size, nodes.size):
-        fmat[sl] = probe.density(xs[sl, None], nodes[None, :])
-    laws = fmat.T
+    table = blocked_distances(*density_table(probe, nodes))
 
     def distances_from(i):
-        diff = np.ascontiguousarray(laws[i + 1 :]) - laws[i]
-        return (np.abs(diff) * wq).sum(axis=1)
+        return table[i, i + 1 :]
 
     nearest = np.array([distances_from(i).min() for i in range(nodes.size - 1)])
     worst = float(nearest.min())
@@ -971,6 +972,12 @@ def test_pruned_identifiability_finds_distant_equal_laws(name):
     assert (repr(check.worst_value), location) == _exhaustive_identifiability(probe, model)
 
 
+def _panel_sums(fmat, wq, panel):
+    """The weighted sums (panels x N) of each column over each rule panel."""
+    n = fmat.shape[1]
+    return np.einsum("ps,psn->pn", wq.reshape(-1, panel), fmat.reshape(-1, panel, n))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     panel=st.sampled_from([1, 32]),
@@ -986,23 +993,23 @@ def test_pair_bound_never_exceeds_the_discrete_l1(panel, panels, nodes, seed):
     fmat[:, -1] = np.nextafter(fmat[:, 0], np.inf)
     wq = rng.uniform(0.1, 1.0, panel * panels)
     first, second = np.triu_indices(nodes, 1)
-    distances = probes._pair_distances(fmat, wq, first, second)
-    # a pair survives a limit at its own distance: its bound lies below it
-    # (up to the rounding allowance of the bound, near 1e-13 here)
-    for i, j, d in zip(first, second, distances):
-        kept = probes._unpruned_pairs(fmat, wq, panel, d)
-        assert (i, j) in set(zip(*kept))
+    sums = _panel_sums(fmat, wq, panel)
+    # a pair survives a limit at its own distance, summed either way: its
+    # bound lies below it (up to the rounding allowance, near 1e-13 here)
+    for i, j, *distances in zip(first, second, blocked_distances(fmat, wq)[first, second],
+                                contiguous_distances(fmat, wq, first, second)):
+        for d in distances:
+            assert (i, j) in set(zip(*probes._unpruned_pairs(sums, wq.size, d)))
 
 
-def _every_pair_bound(fmat, wq, panel, limit):
+def _every_pair_bound(sums, terms, limit):
     """The lower bound of every node pair, built in blocks of node rows, and
     the limit with its rounding allowance (the former ``_unpruned_pairs``)."""
-    n = fmat.shape[1]
-    sums = np.einsum("ps,psn->pn", wq.reshape(-1, panel), fmat.reshape(-1, panel, n))
+    n = sums.shape[1]
     cdf = np.cumsum(sums, axis=0)
     total = cdf[-1]
     scale = np.abs(total).max()
-    limit = limit + 8 * wq.size * np.finfo(float).eps * scale
+    limit = limit + 8 * terms * np.finfo(float).eps * scale
     cdf = cdf + scale
     bounds = np.empty((n, n))
     for sl in probes._blocks(n, n * cdf.shape[0]):
@@ -1013,11 +1020,11 @@ def _every_pair_bound(fmat, wq, panel, limit):
     return bounds[np.triu_indices(n, 1)], limit
 
 
-def _unpruned_pairs_of_every_pair(fmat, wq, panel, limit):
+def _unpruned_pairs_of_every_pair(sums, terms, limit):
     """The oracle of the sorted screen in ``_unpruned_pairs``: pairs i < j
     whose bound, built for every pair, is not above the limit."""
-    bounds, limit = _every_pair_bound(fmat, wq, panel, limit)
-    first, second = np.triu_indices(fmat.shape[1], 1)
+    bounds, limit = _every_pair_bound(sums, terms, limit)
+    first, second = np.triu_indices(sums.shape[1], 1)
     keep = ~(bounds > limit)
     return first[keep], second[keep]
 
@@ -1046,44 +1053,50 @@ def test_sorted_screen_keeps_the_pairs_of_every_pair_bound(panel, panels, nodes,
     elif table == "nan":
         fmat[rng.integers(rows), rng.integers(nodes)] = np.nan
     wq = rng.uniform(0.1, 1.0, rows)
+    sums = _panel_sums(fmat, wq, panel)
     first, second = np.triu_indices(nodes, 1)
-    distances = probes._pair_distances(fmat, wq, first, second)
+    distances = contiguous_distances(fmat, wq, first, second)
     # limits at a pair's own distance or bound, between the distances, and at
     # 0; a pair's own bound puts it on the edge of the screen
     limit = np.nanquantile(distances, share) if np.any(distances >= 0) else share
-    bounds, allowance = _every_pair_bound(fmat, wq, panel, 0.0)
+    bounds, allowance = _every_pair_bound(sums, rows, 0.0)
     edge = bounds[rng.integers(bounds.size)] - allowance
     for cut in (limit, 0.0, distances[rng.integers(distances.size)],
                 edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)):
-        got = probes._unpruned_pairs(fmat, wq, panel, cut)
-        want = _unpruned_pairs_of_every_pair(fmat, wq, panel, cut)
+        got = probes._unpruned_pairs(sums, rows, cut)
+        want = _unpruned_pairs_of_every_pair(sums, rows, cut)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
 
 def _counted_identifiability(probe, model):
-    """The identifiability check, with the node pairs it sums and the number
-    of pair bounds it builds."""
-    summed, bounds = [], []
-    exact, adjacent, bound = probes._pair_distances, probes._adjacent_distances, probes._pair_bounds
+    """The identifiability check, with the node pairs it sums (the adjacent
+    ones in the sweep, then the others), the pair columns ``_l1_sums`` sums
+    over all row blocks, and the number of pair bounds it builds."""
+    summed, columns, bounds = [(i, i + 1) for i in range(model.size - 1)], [], []
+    far, l1, bound = probes._far_distances, probes._l1_sums, probes._pair_bounds
 
-    def counted(fmat, wq, first, second):
+    def counted_far(probe, xs, wq, nodes, first, second):
         summed.extend(zip(first.tolist(), second.tolist()))
-        return exact(fmat, wq, first, second)
+        return far(probe, xs, wq, nodes, first, second)
 
-    def counted_adjacent(fmat, wq):
-        summed.extend((i, i + 1) for i in range(fmat.shape[1] - 1))
-        return adjacent(fmat, wq)
+    def counted_l1(w, a, b, scratch):
+        columns.append(a.shape[1])
+        return l1(w, a, b, scratch)
 
     def counted_bounds(cdf, total, first, second):
         bounds.append(first.size)
         return bound(cdf, total, first, second)
 
-    with mock.patch.object(probes, "_pair_distances", counted), \
-            mock.patch.object(probes, "_adjacent_distances", counted_adjacent), \
+    with mock.patch.object(probes, "_far_distances", counted_far), \
+            mock.patch.object(probes, "_l1_sums", counted_l1), \
             mock.patch.object(probes, "_pair_bounds", counted_bounds):
         check = _validate(probe, model, pairs=0)["identifiability"]
-    return check, summed, sum(bounds)
+    return check, summed, sum(columns), sum(bounds)
+
+
+def _row_blocks(probe, model):
+    return len(probes._blocks(probe._quadrature(model.nodes)[0].size, model.size))
 
 
 def test_identifiability_work_is_linear_on_the_rate_grid():
@@ -1092,12 +1105,12 @@ def test_identifiability_work_is_linear_on_the_rate_grid():
     )
     model = build_model(cfg)
     probe = build_probe(cfg, model)
-    check, summed, bounds = _counted_identifiability(probe, model)
+    check, summed, columns, bounds = _counted_identifiability(probe, model)
     assert check.passed
     # the loop over all pairs would sum 79,800, and bound as many; each pair
-    # is summed once, the adjacent ones first
+    # is summed once in each row block, the adjacent ones in the sweep
     assert len(set(summed)) == len(summed) <= 2 * model.size
-    assert summed[: model.size - 1] == [(i, i + 1) for i in range(model.size - 1)]
+    assert columns == len(summed) * _row_blocks(probe, model)
     assert 0 < bounds <= 2 * model.size
 
 
@@ -1106,12 +1119,32 @@ def test_identifiability_of_tied_adjacent_laws_sums_each_pair_once():
     # adjacent distance ties to rounding; none is summed again
     model = _grid(0.0, 1.0, 200)
     probe = GaussianReadout(sigma=0.01)
-    check, summed, _ = _counted_identifiability(probe, model)
+    check, summed, columns, _ = _counted_identifiability(probe, model)
     assert len(set(summed)) == len(summed) <= 2 * model.size
+    assert columns == len(summed) * _row_blocks(probe, model)
     assert check.worst_location == "nu=0.0025 vs nu=0.0075"
     assert (repr(check.worst_value), check.worst_location) == _exhaustive_identifiability(
         probe, model
     )
+
+
+class _TableLaws(ProbeModel):
+    """The law at node j is column j of a table over the finite outcomes 0,
+    1, ... with the given weights (nodes are the column numbers)."""
+
+    def __init__(self, table, wq):
+        self.table, self.wq = table, wq
+        self.outcomes = tuple(range(len(table)))
+
+    def _quadrature(self, nus):
+        return np.arange(len(self.table), dtype=float), self.wq
+
+    def density(self, xi, nu):
+        return self.table[np.asarray(xi, dtype=int), np.asarray(nu, dtype=int)]
+
+    def density_derivs(self, xi, nu):
+        f = self.density(xi, nu)
+        return f, np.zeros_like(f), np.zeros_like(f)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1123,40 +1156,108 @@ def test_identifiability_of_tied_adjacent_laws_sums_each_pair_once():
     data=st.data(),
 )
 def test_a_pair_distance_has_the_bits_of_the_pair_alone(rule, nodes, pairs, seed, data):
+    # the row blocks are the validator's; the pairs summed beside a pair, how
+    # many there are (so the width of each plane of pairs), and whether the
+    # pair is adjacent, must not move its bits
     rng = np.random.default_rng(seed)
     fmat = rng.uniform(0.0, 1.0, (rule, nodes)) * rng.uniform(0.1, 2.0, nodes)
     wq = rng.uniform(0.1, 1.0, rule)
+    probe, grid = _TableLaws(fmat, wq), np.arange(nodes, dtype=float)
     first, second = rng.integers(0, nodes, (2, pairs))
     k = data.draw(st.integers(0, pairs - 1), label="pair")
-    cells = data.draw(st.integers(1, pairs * rule), label="BLOCK_CELLS")
-    alone = probes._pair_distances(fmat, wq, first[k : k + 1], second[k : k + 1])
-    window = slice(data.draw(st.integers(0, k), label="block start"), k + 1)
-    block = probes._pair_distances(fmat, wq, first[window], second[window])
-    blocked = _with_cells(cells, lambda: probes._pair_distances(fmat, wq, first, second))
-    whole = _with_cells(UNBLOCKED, lambda: probes._pair_distances(fmat, wq, first, second))
-    bits = {d.tobytes() for d in (alone[0], block[-1], blocked[k], whole[k])}
+    start = data.draw(st.integers(0, k), label="block start")
+    cells = data.draw(st.integers(1, 2 * rule * nodes), label="BLOCK_CELLS")
+
+    def far(sl):
+        xs = np.arange(rule, dtype=float)
+        return _with_cells(cells, lambda: probes._far_distances(
+            probe, xs, wq, grid, first[sl], second[sl]))
+
+    table = _with_cells(cells, lambda: blocked_distances(fmat, wq))
+    alone, block, every = far(slice(k, k + 1)), far(slice(start, k + 1)), far(slice(None))
+    bits = {d.tobytes() for d in (alone[0], block[-1], every[k], table[first[k], second[k]])}
     assert len(bits) == 1
-    # the adjacent pairs, read as contiguous row slices, have the same bits
-    i = np.arange(nodes - 1)
-    adjacent = _with_cells(cells, lambda: probes._adjacent_distances(fmat, wq))
-    assert adjacent.tobytes() == probes._pair_distances(fmat, wq, i, i + 1).tobytes()
+    # the validator's adjacent sums and far sums are the oracle's, bit for bit
+    model = SimpleNamespace(nodes=grid, hull=(0.0, nodes - 1.0), size=nodes)
+    check = _with_cells(cells, lambda: _validate(probe, model, pairs=0))["identifiability"]
+    got = (repr(check.worst_value), check.worst_location)
+    assert got == _with_cells(cells, lambda: _exhaustive_identifiability(probe, model))
 
 
-def test_validator_memory_on_the_rate_grid():
-    # one rule x grid density table (3.5 MB) and one block of temporaries at
-    # a time; keeping every derivative block beside the table peaks near 10 MB
-    cfg = ExperimentConfig.from_dict(
-        json.loads((CONFIGS / "rate_convergence.json").read_text())
-    )
-    model = build_model(cfg)
-    probe = build_probe(cfg, model)
+def _gamma(m):
+    """Higham's gamma_m = m u / (1 - m u): the relative error bound of a sum
+    of m + 1 nonnegative terms, in any order, with unit roundoff u."""
+    u = np.finfo(float).eps / 2
+    return m * u / (1 - m * u)
+
+
+@pytest.mark.parametrize("name", sorted(IDENTIFIABILITY_CASES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_blocked_pair_sums_are_the_contiguous_sums_up_to_rounding(name, data):
+    # the terms w_q |f_qi - f_qj| are the same and nonnegative; a block sums
+    # its rows in order (L - 1 additions), the blocks are then added (B more),
+    # and the former row sum adds pairwise (at most n - 1 deep)
+    probe, model = IDENTIFIABILITY_CASES[name](data)
+    fmat, wq = density_table(probe, model.nodes)
+    first, second = np.triu_indices(model.size, 1)
+    xs = probe._quadrature(model.nodes)[0]
+    blocked = probes._far_distances(probe, xs, wq, model.nodes, first, second)
+    former = contiguous_distances(fmat, wq, first, second)
+    blocks = probes._blocks(xs.size, model.size)
+    rows = len(xs[blocks[0]])
+    # the exact sum of the terms is at most either sum over 1 - gamma
+    mass = np.maximum(blocked, former) / (1 - _gamma(rows + len(blocks) + xs.size))
+    bound = (_gamma(rows + len(blocks)) + _gamma(xs.size)) * mass
+    assert np.all(np.abs(blocked - former) <= bound)
+
+
+def _assert_validator_memory(probe, model):
+    """No (rule x N) table: the validator's tracemalloc peak stays below its
+    three (block rows x N) planes (or the screen's three blocks of pair
+    bounds, no larger), the mask pair of one block, the family's own
+    temporaries on one block (measured here), and vectors: a few of rule
+    length, four (panels x N) tables of partial sums, a dozen index arrays
+    of the pairs the screen bounds, and a few of grid length."""
+    xs = probe._quadrature(model.nodes)[0]
+    n, rows = model.size, len(xs[probes._blocks(xs.size, model.size)[0]])
+    panels = xs.size // (1 if probe.outcomes is not None else 32)
+    planes = np.empty((3, rows, n))
+    tracemalloc.start()
+    try:
+        probe._rule_block(xs[:rows], model.nodes, *planes)
+        _, evaluation = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del planes
+    candidates = _counted_identifiability(probe, model)[-1]
     tracemalloc.start()
     try:
         validate_probe(probe, model)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 7 * 2**20
+    cells = 3 * probes.BLOCK_CELLS + 6 * xs.size + 4 * panels * n + 12 * candidates + 8 * n
+    bound = 8 * cells + probes.BLOCK_CELLS // 4 + evaluation
+    assert peak <= bound, (peak, bound)
+    return peak
+
+
+def test_validator_memory_on_the_rate_grid():
+    # the rule x grid density table alone was 3.5 MB here, and the peak 5.3 MB
+    cfg = ExperimentConfig.from_dict(json.loads((CONFIGS / "rate_convergence.json").read_text()))
+    model = build_model(cfg)
+    assert _assert_validator_memory(build_probe(cfg, model), model) <= 3.1e6
+
+
+@pytest.mark.parametrize("case", ["sigma-0.01", "knot-dense-table"])
+def test_validator_memory_beyond_the_rate_grid(case):
+    # a narrow law: 232 panels, and 39,780 pairs reach the full bound on 400
+    # nodes; a 521-knot table: a rule of 16,640 rows, 0.14 s on 20 nodes
+    if case == "sigma-0.01":
+        _assert_validator_memory(GaussianReadout(sigma=0.01), _grid(0.0, 1.0, 400))
+    else:
+        _assert_validator_memory(_tabulated_gaussian(), _grid(0.0, 1.0, 20))
 
 
 # ---------------------------------------------------------------------------

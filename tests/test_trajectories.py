@@ -28,6 +28,7 @@ from qndsim.spectral import (
     pure_state,
 )
 from qndsim.trajectories import (
+    Ensemble,
     _logsumexp,
     definetti_sample,
     log_prior_weights,
@@ -662,6 +663,29 @@ def test_multi_row_slices_hold_the_parent_rows():
             part = ens[a:b]
             for name in ("stats", "sums", "hidden"):
                 assert _bits(getattr(part, name)) == _bits(getattr(ens, name)[a:b]), (a, b, name)
+
+
+def test_an_ensemble_refuses_checkpoints_that_are_not_its_columns():
+    """An ensemble holds one column a checkpoint, ascending, distinct and
+    ending at k.  A hand-built one that names the columns of (5, 10) as (10,)
+    would read the sums after 5 as the sums after 10; it is refused instead."""
+    _, probe, state = _gaussian_setup(12)
+    e = sample_ensemble(state, probe, 10, 3, SEED, checkpoints=[5])
+    assert e.checkpoints == (5, 10)
+    for k, checkpoints, sums in [
+        (10, (10,), e.sums),  # fewer checkpoints than columns
+        (10, (10, 5), e.sums),  # descending
+        (10, (5, 5, 10), e.sums),  # repeated
+        (10, (5, 8), e.sums),  # not ending at k
+        (12, (5, 10), e.sums),
+        (10, (), e.sums[:, :0]),
+        (10, (5, 10), e.sums[:, 1:]),  # the sums hold fewer columns than the statistics
+    ]:
+        with pytest.raises(ValueError, match="one column a checkpoint"):
+            Ensemble(e.stats, sums, k, checkpoints, None)
+    same = Ensemble(e.stats, e.sums, 10, (5, 10), e.hidden, SEED)
+    assert _bits(same.sums_after([10])) == _bits(e.sums[:, 1:])
+    assert [r.checkpoints for r in same] == [(5, 10)] * 3 and len(same[1:1]) == 0
 
 
 def test_per_trajectory_functions_take_one_row():

@@ -173,8 +173,8 @@ MUTANTS = {
     # a non-adjacent survivor needs its own sum, not its row's adjacent one
     "far-pairs-read-adjacent-sums": (
         "probes.py",
-        "        distances[far] = _pair_distances(fmat, wq, first[far], second[far])\n",
-        "",
+        "            distances[far] = _far_distances(probe, xs, wq, nodes, first[far], second[far])\n",
+        "            pass\n",
     ),
     # near-equal distances are located at the first pair in (i, j) order
     "identifiability-last-near-pair": (
@@ -182,14 +182,23 @@ MUTANTS = {
         "        k = _first_near(distances, worst)\n",
         "        k = distances.size - 1 - _first_near(distances[::-1], worst)\n",
     ),
-    # a matrix-vector product over a (rule x pairs) block rounds by block
+    # a matrix-vector product over a (block rows x pairs) table rounds by width
     "pair-sums-by-matrix-product": (
         "probes.py",
-        "        diff = fmat.T[first[sl]]  # one law per row\n"
-        "        diff -= fmat.T[second[sl]]\n"
-        "        out[sl] = np.multiply(np.abs(diff, out=diff), wq, out=diff).sum(axis=1)\n",
-        "        diff = fmat[:, first[sl]] - fmat[:, second[sl]]\n"
-        "        out[sl] = wq @ np.abs(diff)\n",
+        'return np.einsum("r,rc->c", w, np.abs(d, out=d))',
+        "return w @ np.abs(d, out=d)",
+    ),
+    # a contiguous lone column is summed in unrolled order, not row after row
+    "lone-column-contiguous": (
+        "probes.py",
+        "return flat[: rows * max(cols, 2)].reshape(rows, -1)[:, :cols]",
+        "return flat[: rows * cols].reshape(rows, -1)[:, :cols]",
+    ),
+    # every row block adds its part of each adjacent distance
+    "sweep-drops-a-blocks-adjacent-sums": (
+        "probes.py",
+        "        if n > 1:\n            near += _l1_sums(",
+        "        if n > 1 and sl.start > 0:\n            near += _l1_sums(",
     ),
     # a region component is closed: an atom on its lower end belongs to it
     "region-open-at-lower-atom": (
@@ -282,14 +291,14 @@ MUTANTS = {
     ),
     "workspace-row-too-long": (
         "probes.py",
-        "f1, f2 = work[:, : len(f)]",
-        "f1, f2 = work[:, : len(f) + 1]",
+        "f, f1, f2 = (plane[: rows * n].reshape(rows, n) for plane in work)",
+        "f, f1, f2 = (plane.reshape(-1, n) for plane in work)",
     ),
-    # a C-ordered (rule x pairs) block summed down its columns rounds row after row
-    "adjacent-sums-down-columns": (
+    # each panel's partial sums hold its own rows: one row later drops the first row
+    "panel-sums-one-row-late": (
         "probes.py",
-        "        out[sl] = diff.T.copy().sum(axis=1)\n",
-        "        out[sl] = diff.sum(axis=0)\n",
+        "np.diff((np.arange(rows) + sl.start) // panel, prepend=-1)",
+        "np.diff((np.arange(rows) + sl.start - 1) // panel, prepend=-1)",
     ),
     # the ensemble keeps each prefix's statistic: counts accumulate over segments,
     # and any other statistic is taken of the whole prefix
@@ -401,17 +410,6 @@ EQUIVALENT = {
         "halving is exact, so (-0.5 z) z and -0.5 (z z) round alike unless z z is "
         "subnormal or overflows; there the exponent is below 1e-300 in size, or past "
         "-1e308, and exp gives 1.0, or 0.0, either way",
-    ),
-    "pair-sums-down-columns": (
-        "probes.py",
-        "        diff = fmat.T[first[sl]]  # one law per row\n"
-        "        diff -= fmat.T[second[sl]]\n"
-        "        out[sl] = np.multiply(np.abs(diff, out=diff), wq, out=diff).sum(axis=1)\n",
-        "        diff = fmat[:, first[sl]] - fmat[:, second[sl]]\n"
-        "        out[sl] = (wq[:, None] * np.abs(diff)).sum(axis=0)\n",
-        "gathering columns gives a Fortran-ordered (rule x pairs) block, so each column "
-        "is summed on its own, contiguously and pairwise, as the row sum is: the bits "
-        "agree (a C-ordered block would be summed row after row and round by block)",
     ),
 }
 
