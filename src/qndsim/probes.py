@@ -595,40 +595,38 @@ def _first_near(values: np.ndarray, worst: float) -> int:
     return int(np.argmax(near))
 
 
-def _plane(flat, rows: int, cols: int) -> np.ndarray:
-    """A (rows x cols) view of the flat array, in rows of at least two cells:
-    ``np.einsum`` sums a contiguous lone column in unrolled order, a strided
-    one row after row."""
-    return flat[: rows * max(cols, 2)].reshape(rows, -1)[:, :cols]
-
-
 def _l1_sums(w, a, b, scratch) -> np.ndarray:
     """``sum_r w_r |a_rc - b_rc|`` of each column c of two equal tables, added
-    row after row from 0, so the bits of a column are its own at any width:
-    ``np.einsum`` adds in that order down the columns of a ``_plane`` of the
-    flat ``scratch`` (a BLAS matrix-vector product rounds by width)."""
-    d = np.subtract(a, b, out=_plane(scratch, *a.shape))
-    return np.einsum("r,rc->c", w, np.abs(d, out=d))
+    row after row from 0 by ``np.add.accumulate``, so the bits of a column are
+    its own at any width or layout (a BLAS matrix-vector product rounds by
+    width).  The terms are written over the flat ``scratch``."""
+    d = np.subtract(a, b, out=scratch[: a.size].reshape(a.shape))
+    np.multiply(np.abs(d, out=d), w[:, None], out=d)
+    return np.add.accumulate(d, axis=0, out=d)[-1]
+
+
+def _rule_planes(probe, xs, nodes):
+    """Each row block of the outcome rule (``_blocks(xs.size, N)``): its slice,
+    its log-density row extremes and its density and two nu-derivatives at
+    ``nodes`` (``_rule_block``) in three (block rows x N) planes, and the flat
+    workspace the planes view, made once and reused by every block."""
+    blocks, n = _blocks(xs.size, nodes.size), nodes.size
+    work = np.empty((3, len(xs[blocks[0]]) * n))
+    for sl in blocks:
+        planes = [plane[: len(xs[sl]) * n].reshape(-1, n) for plane in work]
+        yield sl, probe._rule_block(xs[sl], nodes, *planes), planes, work
 
 
 def _far_distances(probe, xs, wq, nodes, first, second) -> np.ndarray:
     """L1 distances of the given node pairs, summed as the validator sums the
-    adjacent ones: over each of its row blocks, then block after block.  The
-    density at the nodes they read is made again a block at a time, in three
-    (block rows x grid) planes, and the pairs are taken a plane at a time."""
-    n = nodes.size
-    # the columns the pairs read, and each pair's two among them (np.unique loads numpy.ma)
-    cols = np.flatnonzero(np.bincount(np.concatenate([first, second]), minlength=n))
-    left, right = np.searchsorted(cols, first), np.searchsorted(cols, second)
-    blocks, out = _blocks(xs.size, n), np.zeros(first.size)
-    work = np.empty((3, len(xs[blocks[0]]) * n))
-    for sl in blocks:
-        rows = len(xs[sl])
-        f, f1, f2 = (_plane(plane, rows, cols.size) for plane in work)
-        probe._rule_block(xs[sl], nodes[cols], f, f1, f2)
+    adjacent ones: over each of its row blocks, then block after block, from
+    the density made again a block at a time; the pairs are taken N at a time."""
+    n, out = nodes.size, np.zeros(first.size)
+    for sl, _, (f, _, _), work in _rule_planes(probe, xs, nodes):
         for pc in (slice(start, start + n) for start in range(0, first.size, n)):
-            a, b = (np.take(f, at[pc], axis=1, mode="clip", out=_plane(plane, rows, len(at[pc])))
-                    for at, plane in ((left, work[1]), (right, work[2])))
+            cells = len(f) * len(first[pc])  # unbuffered takes (mode="clip") into two planes
+            a, b = (np.take(f, at[pc], axis=1, mode="clip", out=plane[:cells].reshape(len(f), -1))
+                    for at, plane in ((first, work[1]), (second, work[2])))
             out[pc] += _l1_sums(wq[sl], a, b, work[1])  # a - b is written over a
     return out
 
@@ -699,11 +697,13 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
     and finite-difference derivatives, mean-zero score, and strictly
     positive expected curvature.  Always returns a report; nothing raises.
 
-    One sweep over the rule's row blocks, through three (block rows x N)
-    planes and no (rule x N) table, adds each block's part to every result
-    the checks read: log-density row extremes; normalization, mean score and
+    One sweep over the rule's row blocks (``_rule_planes``), through three
+    (block rows x N) planes, adds each block's part to every result the
+    checks read: log-density row extremes; normalization, mean score and
     curvature in ``_expect``'s blocks and order; the dominance sums; the
     adjacent pairs' L1 sums; and each law's weighted sums over each panel.
+    A continuous rule keeps no (rule x N) table; a finite outcome space has
+    one outcome a panel, so its panel sums are its (outcomes x N) table.
 
     Identifiability is the smallest L1 distance ``sum_q w_q |f_qi - f_qj|``
     over node pairs, summed over each row block one row after another and
@@ -711,8 +711,8 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
     smallest adjacent distance U bounds it from above; the partial sums G at
     the panel ends bound every pair from below (``_unpruned_pairs``), and
     pairs whose bound exceeds U by more than ``PRUNE_SLACK`` are dropped.
-    Adjacent survivors keep their sums; the others are summed from the
-    density made again at their nodes (``_far_distances``).  The worst value
+    Adjacent survivors keep their sums; the others are summed in a second
+    sweep that makes the density again (``_far_distances``).  The worst value
     and its location (the first pair in (i, j) order near it) are those of
     the loop over all pairs, bit for bit; for a location family only near
     neighbours survive: O(N x panels) bound work and O(N) sums.
@@ -728,17 +728,13 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
     sup_abs, row_min = np.empty(xs.size), np.empty(xs.size)
     stats = {q: np.zeros(n) for q in ("norm", "score", "d2")}
     dom, near, sums = np.zeros(n), np.zeros(n - 1), np.zeros((xs.size // panel, n))
-    blocks = _blocks(xs.size, n)
-    work = np.empty((3, len(xs[blocks[0]]) * n))
-    for sl in blocks:
-        w, rows = wq[sl], len(xs[sl])
-        f, f1, f2 = (plane[: rows * n].reshape(rows, n) for plane in work)
-        row_min[sl], sup_abs[sl] = probe._rule_block(xs[sl], nodes, f, f1, f2)
+    for sl, extremes, (f, f1, f2), work in _rule_planes(probe, xs, nodes):
+        w, rows = wq[sl], len(f)
+        row_min[sl], sup_abs[sl] = extremes
         _add_expectations(stats, w, f, f1, f2)
         with np.errstate(invalid="ignore"):  # inf * 0 marks a genuine failure
             dom += (w * sup_abs[sl]) @ f
-        if n > 1:
-            near += _l1_sums(w, f[:, 1:], f[:, :-1], work[1])
+        near += _l1_sums(w, f[:, 1:], f[:, :-1], work[1])
         cuts = np.flatnonzero(np.diff((np.arange(rows) + sl.start) // panel, prepend=-1))
         at = sl.start // panel  # a block holds whole rows, and adds to the panels they meet
         sums[at : at + cuts.size] += np.add.reduceat(np.multiply(f, w[:, None], out=f1), cuts)
@@ -752,13 +748,22 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
         return AssumptionCheck(name, bool(worst <= tol), worst, where, tol)
 
     # normalization: int f(.|nu) dmu = 1 on the spectrum
-    checks.append(defect_check("normalization", np.abs(stats["norm"] - 1.0), NORMALIZATION_TOL))
+    checks.append(
+        defect_check("normalization", np.abs(stats["norm"] - 1.0), NORMALIZATION_TOL)
+    )
 
     worst = float(row_min.min())
     qi = _first_near(row_min, worst)
     ni = _first_near(probe.loglik_values(nodes, xs[qi : qi + 1])[0], worst)
-    checks.append(AssumptionCheck("positivity", bool(worst > -np.inf), worst,
-                                  f"xi={xs[qi]:.6g}, nu={nodes[ni]:.6g}", -np.inf))
+    checks.append(
+        AssumptionCheck(
+            "positivity",
+            bool(worst > -np.inf),
+            worst,
+            f"xi={xs[qi]:.6g}, nu={nodes[ni]:.6g}",
+            -np.inf,
+        )
+    )
 
     # identifiability: pairwise L1 distances above the threshold, each pair
     # summed once.  A nan distance is the worst, as in the loop over all pairs
@@ -772,14 +777,27 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
         worst = float(distances.min())
         k = _first_near(distances, worst)
         i, j = first[k], second[k]
-    checks.append(AssumptionCheck("identifiability", bool(worst > IDENTIFIABILITY_THRESHOLD),
-                                  worst, f"nu={nodes[i]:.6g} vs nu={nodes[j]:.6g}",
-                                  IDENTIFIABILITY_THRESHOLD))
+    checks.append(
+        AssumptionCheck(
+            "identifiability",
+            bool(worst > IDENTIFIABILITY_THRESHOLD),
+            worst,
+            f"nu={nodes[i]:.6g} vs nu={nodes[j]:.6g}",
+            IDENTIFIABILITY_THRESHOLD,
+        )
+    )
 
     # dominance: E_nu[ sup_nu' |l(nu'|xi)| ] finite for all grid nu
     worst = float(dom[np.argmax(dom)])  # argmax meets a nan first
-    checks.append(AssumptionCheck("dominance", bool(np.all(np.isfinite(dom))), worst,
-                                  f"nu={nodes[_first_near(dom, worst)]:.6g}", np.inf))
+    checks.append(
+        AssumptionCheck(
+            "dominance",
+            bool(np.all(np.isfinite(dom))),
+            worst,
+            f"nu={nodes[_first_near(dom, worst)]:.6g}",
+            np.inf,
+        )
+    )
     caveat = ("dominance is certified on the grid only; off-grid behaviour of a "
               "tabulated family is interpolation, not evidence")
 
@@ -808,14 +826,24 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
     if np.any(err > 0):  # the first largest error; nan is never the worst
         j = int(np.argmax(np.where(err > 0, err, 0.0)))
         worst_d, worst_where = float(err[j]), f"nu={nu[kept[j]]:.6g}, xi={xi[kept[j]]:.6g}"
-    checks.append(AssumptionCheck("differentiability", ok, worst_d, worst_where or "n/a",
-                                  DERIVATIVE_TOL, note))
+    checks.append(
+        AssumptionCheck(
+            "differentiability", ok, worst_d, worst_where or "n/a", DERIVATIVE_TOL, note
+        )
+    )
 
     # score mean-zero and strictly positive curvature
     checks.append(defect_check("score-mean-zero", np.abs(stats["score"]), SCORE_TOL))
     worst = float(stats["d2"].max())
-    checks.append(AssumptionCheck("positive-curvature", bool(np.all(stats["d2"] < 0.0)), -worst,
-                                  f"nu={nodes[_first_near(stats['d2'], worst)]:.6g}", 0.0))
+    checks.append(
+        AssumptionCheck(
+            "positive-curvature",
+            bool(np.all(stats["d2"] < 0.0)),
+            -worst,
+            f"nu={nodes[_first_near(stats['d2'], worst)]:.6g}",
+            0.0,
+        )
+    )
 
     return ProbeValidationReport(
         tuple(checks), (caveat,) if isinstance(probe, TabulatedProbe) else ())

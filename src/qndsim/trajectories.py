@@ -104,11 +104,11 @@ class Ensemble:
 
     def __post_init__(self):
         cps = tuple(self.checkpoints)
-        if not (cps and cps == tuple(sorted(set(cps))) and cps[-1] == self.k
+        if not (cps and cps == tuple(sorted(set(cps))) and cps[0] >= 0 and cps[-1] == self.k
                 and self.sums.shape[1:2] == self.stats.shape[1:2] == (len(cps),)):
             raise ValueError(
                 f"an ensemble of length {self.k} holds one column a checkpoint, ascending, "
-                f"distinct and ending at k: got checkpoints {cps} for sums of shape "
+                f"distinct, in [0, k] and ending at k: got checkpoints {cps} for sums of shape "
                 f"{self.sums.shape} and statistics of shape {self.stats.shape}")
 
     def __len__(self) -> int:

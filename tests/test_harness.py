@@ -585,7 +585,8 @@ def test_coldrun_reports_the_stages_of_one_cold_run():
     assert list(report) == ["setup", "validate", "simulate", "estimate", "write", "run"]
     for stage in report.values():
         assert list(stage) == ["minflt", "maxrss_mb", "vmrss_mb", "user_ms", "sys_ms", "wall_ms"]
-        assert all(value >= 0 for value in stage.values()) and stage["vmrss_mb"] > 0
+        assert all(value >= 0 for value in stage.values())
+        assert stage["maxrss_mb"] > 0 and stage["vmrss_mb"] > 0
     # the high-water mark after each stage, in the order they ran, never falls
     peaks = [stage["maxrss_mb"] for stage in report.values()]
     assert peaks == sorted(peaks)

@@ -666,8 +666,8 @@ def test_multi_row_slices_hold_the_parent_rows():
 
 
 def test_an_ensemble_refuses_checkpoints_that_are_not_its_columns():
-    """An ensemble holds one column a checkpoint, ascending, distinct and
-    ending at k.  A hand-built one that names the columns of (5, 10) as (10,)
+    """An ensemble holds one column a checkpoint, ascending, distinct, in
+    [0, k] and ending at k.  A hand-built one that names the columns of (5, 10) as (10,)
     would read the sums after 5 as the sums after 10; it is refused instead."""
     _, probe, state = _gaussian_setup(12)
     e = sample_ensemble(state, probe, 10, 3, SEED, checkpoints=[5])
@@ -677,6 +677,7 @@ def test_an_ensemble_refuses_checkpoints_that_are_not_its_columns():
         (10, (10, 5), e.sums),  # descending
         (10, (5, 5, 10), e.sums),  # repeated
         (10, (5, 8), e.sums),  # not ending at k
+        (10, (-1, 10), e.sums),  # a prefix shorter than none
         (12, (5, 10), e.sums),
         (10, (), e.sums[:, :0]),
         (10, (5, 10), e.sums[:, 1:]),  # the sums hold fewer columns than the statistics

@@ -185,20 +185,20 @@ MUTANTS = {
     # a matrix-vector product over a (block rows x pairs) table rounds by width
     "pair-sums-by-matrix-product": (
         "probes.py",
-        'return np.einsum("r,rc->c", w, np.abs(d, out=d))',
-        "return w @ np.abs(d, out=d)",
+        "return np.add.accumulate(d, axis=0, out=d)[-1]",
+        "return np.ones(len(d)) @ d",
     ),
-    # a contiguous lone column is summed in unrolled order, not row after row
-    "lone-column-contiguous": (
+    # a sum along axis 0 adds a contiguous lone column in unrolled order, not row after row
+    "pair-sums-along-axis-0": (
         "probes.py",
-        "return flat[: rows * max(cols, 2)].reshape(rows, -1)[:, :cols]",
-        "return flat[: rows * cols].reshape(rows, -1)[:, :cols]",
+        "return np.add.accumulate(d, axis=0, out=d)[-1]",
+        "return d.sum(axis=0)",
     ),
     # every row block adds its part of each adjacent distance
     "sweep-drops-a-blocks-adjacent-sums": (
         "probes.py",
-        "        if n > 1:\n            near += _l1_sums(",
-        "        if n > 1 and sl.start > 0:\n            near += _l1_sums(",
+        "        near += _l1_sums(w, f[:, 1:], f[:, :-1], work[1])\n",
+        "        near += _l1_sums(w, f[:, 1:], f[:, :-1], work[1]) * (sl.start > 0)\n",
     ),
     # a region component is closed: an atom on its lower end belongs to it
     "region-open-at-lower-atom": (
@@ -291,8 +291,8 @@ MUTANTS = {
     ),
     "workspace-row-too-long": (
         "probes.py",
-        "f, f1, f2 = (plane[: rows * n].reshape(rows, n) for plane in work)",
-        "f, f1, f2 = (plane.reshape(-1, n) for plane in work)",
+        "planes = [plane[: len(xs[sl]) * n].reshape(-1, n) for plane in work]",
+        "planes = [plane.reshape(-1, n) for plane in work]",
     ),
     # each panel's partial sums hold its own rows: one row later drops the first row
     "panel-sums-one-row-late": (
