@@ -51,12 +51,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .probes import relative_entropy
+from .probes import _blocks, relative_entropy
 from .spectral import (
     RegionError,
     SpectralModel,
     StateKernel,
-    _lagrange3,
     _weighted_gram,
     pure_state,
     spectral_probability,
@@ -106,9 +105,10 @@ def _stencil(xs: np.ndarray, x, domain) -> tuple[np.ndarray, np.ndarray]:
 
     Each query uses the parabola through the three nodes nearest to it, the
     standard second-order reconstruction: query ``m`` is interpolated by
-    weights ``w[m]`` (shape (M, 3), or x.shape + (3,); ``spectral._lagrange3``)
-    on nodes ``first[m] + (0, 1, 2)``.  Queries outside ``domain`` (the node
-    hull widened to the owning interval) raise.
+    weights ``w[m]`` (shape (M, 3), or x.shape + (3,)) on nodes
+    ``first[m] + (0, 1, 2)``, the value triple of ``spectral._lagrange3``
+    written one node at a time.  Queries outside ``domain`` (the node hull
+    widened to the owning interval) raise.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = domain
@@ -116,17 +116,29 @@ def _stencil(xs: np.ndarray, x, domain) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"interpolation bracket failure: query outside [{lo}, {hi}]")
     j = np.searchsorted(xs, x)
     left = np.clip(j - 1, 0, xs.size - 1)
-    right = np.clip(j, 0, xs.size - 1)
-    c = np.where(np.abs(x - xs[left]) <= np.abs(x - xs[right]), left, right)
-    c = np.clip(c, 1, xs.size - 2)
-    return c - 1, np.stack(_lagrange3(x, xs[c - 1], xs[c], xs[c + 1])[0], axis=-1)
+    right = np.clip(j, 0, xs.size - 1, out=j)
+    first = np.where(np.abs(x - xs[left]) <= np.abs(x - xs[right]), left, right)
+    first = np.subtract(np.clip(first, 1, xs.size - 2, out=first), 1, out=first)
+    m = xs.size - 2  # stencils; w[s] = (x - x_t)(x - x_u) / ((x_s - x_t)(x_s - x_u))
+    w = np.empty((3,) + x.shape)  # each node's weights contiguous, seen as (..., 3)
+    for s, (t, u) in enumerate([(1, 2), (0, 2), (0, 1)]):
+        den = (xs[s : s + m] - xs[t : t + m]) * (xs[s : s + m] - xs[u : u + m])
+        np.multiply(np.subtract(x, xs[t:][first], out=w[s]), x - xs[u:][first], out=w[s])
+        np.divide(w[s], den[first], out=w[s])
+    return first, np.moveaxis(w, 0, -1)
 
 
 def _apply_stencil(first: np.ndarray, w: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``sum_s w[..., s] * values[first + s]`` along axis 0, in index order;
-    ``first`` may stack queries on any leading axes."""
+    """``sum_s w[..., s] * values[first + s]`` along axis 0, in index order
+    (``(w0 v0 + w1 v1) + w2 v2``) through two tables; ``first`` may stack
+    queries on any leading axes."""
     w = np.moveaxis(w, -1, 0).reshape((3,) + first.shape + (1,) * (values.ndim - 1))
-    return w[0] * values[first] + w[1] * values[first + 1] + w[2] * values[first + 2]
+    term = values[first]
+    out = np.multiply(w[0], term)
+    for s in (1, 2):
+        np.take(values[s:], first, axis=0, out=term, mode="clip")  # "raise" copies out
+        out += np.multiply(w[s], term, out=term)
+    return out
 
 
 def _intervals(model: SpectralModel, nus) -> np.ndarray:
@@ -461,28 +473,38 @@ def _zoom_stack(state: StateKernel, model: SpectralModel, sums, grids, js, keys)
     shift = sums.max(axis=-1)
     phi = np.empty(grids.offsets.shape + psi.shape[1:], dtype=complex)
     laplace = np.empty(len(sums))
-    for (j,), rows in _groups(js):  # one stencil an interval
+    positions = grids.positions
+    for (j,), rows in _groups(js):  # one stencil an interval, in sub-stacks of windows
         sl = model.interval_slices[j]
-        at = np.concatenate([grids.positions[rows], grids.center[rows]], axis=1)  # center last
-        first, w = _stencil(model.nodes[sl], at, model.intervals[j])
-        local = sums[rows][:, sl]  # each window reads its own row, as take_along_axis
-        along = first + local.shape[1] * np.arange(rows.size)[:, None]
-        logl = _apply_stencil(along, w, local.ravel())
-        amp = np.exp(0.5 * (logl[:, :-1] - shift[rows, None]))
-        with np.errstate(over="ignore"):  # inf only around an estimate far below the maximum
-            laplace[rows] = np.exp(logl[:, :-1] - logl[:, -1:]).sum(axis=-1)
-        # K(x, y) = Phi(x) diag(d) Phi(y)*: the stencil acts on the factor's rows
-        phi[rows] = _apply_stencil(first[:, :-1], w[:, :-1], psi[sl]) * amp[..., None, None]
+        # a window's tables: its queries, their stencil (4), log-likelihood, amplitude
+        # and two transients, two complex ones of factor rows, and its row of sums
+        cells = (9 + 4 * psi[0].size) * (positions.shape[1] + 1) + sl.stop - sl.start
+        for sub in _blocks(rows.size, cells):
+            r = rows[sub]
+            at = np.concatenate([positions[r], grids.center[r]], axis=1)  # center last
+            first, w = _stencil(model.nodes[sl], at, model.intervals[j])
+            local = sums[r, sl]  # each window reads its own row, as take_along_axis
+            along = first + local.shape[1] * np.arange(r.size)[:, None]
+            logl = _apply_stencil(along, w, local.ravel())
+            amp = np.exp(0.5 * (logl[:, :-1] - shift[r, None]))
+            with np.errstate(over="ignore"):  # inf only around an estimate far below the maximum
+                laplace[r] = np.exp(logl[:, :-1] - logl[:, -1:]).sum(axis=-1)
+            # K(x, y) = Phi(x) diag(d) Phi(y)*: the stencil acts on the factor's rows
+            terms = _apply_stencil(first[:, :-1], w[:, :-1], psi[sl])
+            phi[r] = np.multiply(terms, amp[..., None, None], out=terms)
+            del at, first, w, local, along, logl, amp, terms  # before the next sub-stack's
     groups = _groups(np.column_stack([np.any(phi != 0, axis=(1, 2)), keys]))
     zooms = [np.ascontiguousarray(phi[rows][..., key[: d.size]]) for key, rows in groups]
+    del phi  # the zooms hold what the windows read
     raw = np.empty(len(sums))
     for (key, rows), zoom in zip(groups, zooms):  # StateKernel.trace, one np.dot a row
         block_traces = (np.abs(zoom) ** 2).sum(axis=-2) @ d[key[: d.size]]
         raw[rows] = [np.dot(m, t) for m, t in zip(grids.mass[rows], block_traces)]
-    log_terms = sums - shift[:, None] + state.log_weights[0]
+    log_terms = sums - shift[:, None]
+    log_terms += state.log_weights[0]
     norm = np.empty(len(sums))
     for finite, rows in _groups(np.isfinite(log_terms)):  # finite terms, as a row alone
-        norm[rows] = _logsumexp(np.ascontiguousarray(log_terms[rows][:, finite]), axis=-1)
+        norm[rows] = _logsumexp(log_terms[np.ix_(rows, np.flatnonzero(finite))], axis=-1)
     return groups, zooms, raw, np.exp(norm), laplace
 
 

@@ -155,18 +155,22 @@ class ExperimentConfig:
             )
         if not self.checkpoints:
             self.checkpoints = _held_prefixes(DEFAULT_CHECKPOINTS, self.k_max)
-        self.checkpoints = _coerced(
+        raw_checkpoints, self.checkpoints = self.checkpoints, _coerced(
             "checkpoints", self.checkpoints, lambda v: tuple(sorted({int(c) for c in v}))
         )
         if self.checkpoints[-1] > self.k_max:
             raise ConfigError("checkpoints must not exceed k_max")
         if self.checkpoints[0] < 1:
             raise ConfigError(f"checkpoints must be positive, got {list(self.checkpoints)}")
+        for c in raw_checkpoints:  # int() above truncates 10.7, True and "10"
+            _require_count("checkpoints", c, 1)
         self.region = _coerced("region", self.region, lambda v: tuple(
             tuple(map(float, c)) if isinstance(c, (list, tuple)) else float(c) for c in v
         ))
         if self.hidden_nu is not None:
             self.hidden_nu = _coerced("hidden_nu", self.hidden_nu, float)
+            if not math.isfinite(self.hidden_nu):
+                raise ConfigError(f"hidden_nu must be finite, got {self.hidden_nu!r}")
         _require_known("tolerance", self.tolerances, DEFAULT_TOLERANCES)
         _require_known("window", self.window, DEFAULT_WINDOW)
         tol = {**DEFAULT_TOLERANCES, **self.tolerances}

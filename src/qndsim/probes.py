@@ -471,7 +471,7 @@ class TabulatedProbe(ProbeModel):
         nus, table = self._nus, self._table
         j = np.clip(np.searchsorted(nus, nu) - 1, 1, nus.size - 2)
         t0, t1, t2 = table[rows, j - 1], table[rows, j], table[rows, j + 1]
-        weights = _lagrange3(nu, nus[j - 1], nus[j], nus[j + 1])[: order + 1]
+        weights = _lagrange3(nu, nus[j - 1], nus[j], nus[j + 1], order)
         return [w0 * t0 + w1 * t1 + w2 * t2 for w0, w1, w2 in weights]
 
     def _value_at(self, xi, nu, order=0):

@@ -135,13 +135,17 @@ def _composite_gauss(edges: np.ndarray, rule=_GL32):
     return xq, wq
 
 
-def _lagrange3(x, x0, x1, x2):
-    """Weights on (x0, x1, x2) of the parabola through them at x: one triple
-    each for its value and its first and second derivatives in x."""
+def _lagrange3(x, x0, x1, x2, order=0):
+    """Weights on (x0, x1, x2) of the parabola through them at x: a list of one
+    triple each for its value and its first ``order`` (at most 2) derivatives in x."""
     d0, d1, d2 = (x0 - x1) * (x0 - x2), (x1 - x0) * (x1 - x2), (x2 - x0) * (x2 - x1)
     a0, a1, a2 = x - x0, x - x1, x - x2
-    return ((a1 * a2 / d0, a0 * a2 / d1, a0 * a1 / d2),
-            ((a1 + a2) / d0, (a0 + a2) / d1, (a0 + a1) / d2), (2.0 / d0, 2.0 / d1, 2.0 / d2))
+    triples = [(a1 * a2 / d0, a0 * a2 / d1, a0 * a1 / d2)]
+    if order > 0:
+        triples.append(((a1 + a2) / d0, (a0 + a2) / d1, (a0 + a1) / d2))
+    if order > 1:
+        triples.append((2.0 / d0, 2.0 / d1, 2.0 / d2))
+    return triples
 
 
 def _distinct(values) -> np.ndarray:
@@ -222,7 +226,7 @@ class SpectralModel:
     def region_mask(self, region) -> np.ndarray:
         """Boolean node mask of a region after snapping.
 
-        ``region`` is an iterable of components, each either a point
+        ``region`` is a nonempty sequence of components, each either a point
         (scalar) or an interval (pair).  Interval endpoints snap to the
         nearest cell boundary; atoms are selected by closed containment.
         A point selects the atom it names exactly (within 1e-9 of the
@@ -274,7 +278,8 @@ class SpectralModel:
                     hit_any = True  # inside hull but between components
                 mask |= sel
         if not hit_any:
-            raise RegionError("region lies outside the grid hull")
+            raise RegionError("region is empty" if len(region) == 0 else
+                              "region lies outside the grid hull")
         return mask
 
 
@@ -521,7 +526,10 @@ def _weighted_gram(mass, *factors) -> np.ndarray:
     of ``mass`` (..., N), ``Psi_j`` (..., N, n, r_j) and ``d_j`` stack Grams.
     """
     s = np.sqrt(mass)[..., None, None]
-    w = np.concatenate([psi * s for psi, _ in factors], axis=-1)
+    psis, ends = [psi for psi, _ in factors], np.cumsum([psi.shape[-1] for psi, _ in factors])
+    w = np.empty(psis[0].shape[:-1] + (ends[-1],), dtype=np.result_type(s, *psis))
+    for psi, end in zip(psis, ends):  # each weighted factor straight into its columns
+        np.multiply(psi, s, out=w[..., end - psi.shape[-1] : end])
     r = np.linalg.qr(w.reshape(w.shape[:-3] + (w.shape[-3] * w.shape[-2], w.shape[-1])), mode="r")
     d = np.concatenate([d for _, d in factors], axis=-1)
     return (r * d[..., None, :]) @ r.conj().swapaxes(-1, -2)

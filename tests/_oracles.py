@@ -9,7 +9,10 @@ the validator's sweep over its outcome rule with new tables for each block;
 it drew and did not keep; ``loglik_node_sums`` sums outcome rows at each
 node from their statistic, as the sampler sums a segment;
 ``blocked_distances`` is the L1 distance of every node pair as the
-validator sums it, and ``contiguous_distances`` the former dense form.
+validator sums it, and ``contiguous_distances`` the former dense form;
+``lagrange3``, ``stencil`` and ``apply_stencil`` are the quadratic rule, the
+estimators' stencil and its application as they were before the stencil
+wrote its weights one node at a time and the application used two tables.
 """
 
 import itertools
@@ -171,3 +174,33 @@ def build_window_grid(
     """
     halves, _ = _window_sizes(model, nu_hat, k, fisher, window_sigmas, min_sigmas)
     return _window_grids(model, nu_hat, k, halves, window_nodes).row(0)
+
+
+def lagrange3(x, x0, x1, x2):
+    """Weights on (x0, x1, x2) of the parabola through them at x: one triple
+    each for its value and its first and second derivatives in x."""
+    d0, d1, d2 = (x0 - x1) * (x0 - x2), (x1 - x0) * (x1 - x2), (x2 - x0) * (x2 - x1)
+    a0, a1, a2 = x - x0, x - x1, x - x2
+    return ((a1 * a2 / d0, a0 * a2 / d1, a0 * a1 / d2),
+            ((a1 + a2) / d0, (a0 + a2) / d1, (a0 + a1) / d2), (2.0 / d0, 2.0 / d1, 2.0 / d2))
+
+
+def stencil(xs, x, domain):
+    """The nearest node's three-point stencil of each query, (first, (M, 3)
+    weights), from the value triple of all three of ``lagrange3``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi = domain
+    if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
+        raise ValueError(f"interpolation bracket failure: query outside [{lo}, {hi}]")
+    j = np.searchsorted(xs, x)
+    left = np.clip(j - 1, 0, xs.size - 1)
+    right = np.clip(j, 0, xs.size - 1)
+    c = np.where(np.abs(x - xs[left]) <= np.abs(x - xs[right]), left, right)
+    c = np.clip(c, 1, xs.size - 2)
+    return c - 1, np.stack(lagrange3(x, xs[c - 1], xs[c], xs[c + 1])[0], axis=-1)
+
+
+def apply_stencil(first, w, values):
+    """``sum_s w[..., s] * values[first + s]`` along axis 0 in one expression."""
+    w = np.moveaxis(w, -1, 0).reshape((3,) + first.shape + (1,) * (values.ndim - 1))
+    return w[0] * values[first] + w[1] * values[first + 1] + w[2] * values[first + 2]

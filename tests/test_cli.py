@@ -493,6 +493,12 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
             {"persist_trajectories": "false"},
             "persist_trajectories must be true or false",
         ),
+        # checkpoints that int() would truncate to a count
+        ({"checkpoints": [10.7, 30]}, "checkpoints must be an integer of at least 1, got 10.7"),
+        ({"checkpoints": [True, 30]}, "checkpoints must be an integer of at least 1, got True"),
+        ({"checkpoints": ["10", 30]}, "checkpoints must be an integer of at least 1, got '10'"),
+        ({"hidden_nu": float("nan")}, "hidden_nu must be finite, got nan"),
+        ({"region": []}, "region is empty"),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -586,6 +592,11 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "clt-sequential",
         "hidden-nu-sequential",
         "persist-trajectories-string",
+        "checkpoint-fractional",
+        "checkpoint-bool",
+        "checkpoint-string-digits",
+        "hidden-nu-nan",
+        "born-region-empty",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, message):

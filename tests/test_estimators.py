@@ -55,6 +55,7 @@ from qndsim.trajectories import (
     trajectory_rng,
 )
 
+import _oracles
 from _oracles import build_window_grid, loglik_node_sums, sampled_with_outcomes, weighted_matrix
 from test_probes import UNBLOCKED, _with_cells
 
@@ -1075,6 +1076,42 @@ def test_quadratic_interpolant_reproduces_parabolas():
     qs = np.linspace(0.0, 1.0, 57)
     got = _interpolate(xs, ys, qs, (0.0, 1.0))
     assert np.max(np.abs(got - (3.0 * qs**2 - 2.0 * qs + 0.5))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=30),
+    lo=st.floats(-2.0, 2.0),
+    inner=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    stack=st.integers(1, 3),
+    shape=st.sampled_from([(), (2,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stencil_and_its_application_equal_the_former_forms_bitwise(
+    cells, lo, inner, stack, shape, seed
+):
+    # midpoint nodes of uneven cells, as an interval holds them; queries at the
+    # interval's edges and its nodes (the clip at both ends), halfway between
+    # nodes (a tie goes left), and anywhere inside
+    edges = lo + np.concatenate([[0.0], np.cumsum(cells)])
+    xs = 0.5 * (edges[:-1] + edges[1:])
+    domain = (edges[0], edges[-1])
+    anywhere = edges[0] + np.multiply(inner, edges[-1] - edges[0])
+    queries = np.concatenate([domain, xs, edges[1:-1], anywhere])
+    x = np.resize(queries, (stack, queries.size))
+    (first, w), (first_o, w_o) = _stencil(xs, x, domain), _oracles.stencil(xs, x, domain)
+    assert w.shape == x.shape + (3,) and first.tobytes() == first_o.tobytes()
+    assert w.tobytes() == np.ascontiguousarray(w_o).tobytes()
+    x0, x1, x2 = xs[first], xs[first + 1], xs[first + 2]
+    for order in range(3):  # the triples asked for, of all three
+        got, want = spectral._lagrange3(x, x0, x1, x2, order), _oracles.lagrange3(x, x0, x1, x2)
+        assert np.array(got).tobytes() == np.array(want[: order + 1]).tobytes()
+    rng = np.random.default_rng(seed)
+    for values in (rng.standard_normal((xs.size,) + shape),
+                   rng.standard_normal((xs.size,) + shape) + 1j * rng.standard_normal(shape)):
+        for f, ww in ((first, w), (first[:, :-1], w[:, :-1])):  # a view, as the zoom reads it
+            got, want = _apply_stencil(f, ww, values), _oracles.apply_stencil(f, ww, values)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_quadratic_interpolant_bracket_failure():

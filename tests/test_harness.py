@@ -452,11 +452,15 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # from when every stage was bounded by it.  The validator holds no (rule x grid)
 # table since it sums identifiability and dominance a row block at a time: its
 # budget is its peak there, 2,762,776 bytes, plus 5 %.  A fixed budget keeps each
-# bound from moving with another stage's peak.
+# bound from moving with another stage's peak.  The kernel estimate holds a few
+# window-stack tables at a time: its budget is its peak, 2,174,720 bytes, plus half
+# of one (60 windows x 201 nodes) complex table, 96,480 bytes, so one more such
+# table held at the peak fails it (the peak moves by about 200 bytes run to run).
 STAGE_BUDGETS = {
     name: {"validate": 2_900_000, "simulate": 6_057_840, "estimate": 6_057_840}
     for name in ("rate_convergence", "kernel_convergence")
 }
+STAGE_BUDGETS["kernel_convergence"]["estimate"] = 2_271_200
 
 
 @pytest.mark.parametrize("name", sorted(STAGE_BUDGETS))

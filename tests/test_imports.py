@@ -94,7 +94,7 @@ def test_clt_run_loads_scipy_special_only(tmp_path):
 
 
 MAX_EXPORTS = 63  # names qndsim/__init__ may import
-MAX_SRC_LINES = 3583  # newline count of src/qndsim/*.py, as ``wc -l``
+MAX_SRC_LINES = 3617  # newline count of src/qndsim/*.py, as ``wc -l``
 
 
 def test_exports_exist_and_stay_few():

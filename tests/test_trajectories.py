@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -391,14 +391,16 @@ def test_logsumexp_is_bitwise_scipy(rows, cols, whole, dead_row, data):
 # the ensemble arrays against the per-trajectory loops they replaced
 
 def _oracle_node_sums(probe, nodes, outcomes):
-    """One segment's log-likelihood sums as the per-trajectory sampler took them:
-    counts of the distinct outcomes, the Gaussian closed form, or the blocked
-    cell sums."""
+    """One segment's log-likelihood sums as README defines them for one row:
+    its own ``counts @ logf`` over every outcome value, absent values masked to
+    exactly 0, the Gaussian closed form, or the blocked cell sums."""
     if outcomes.size == 0:
         return np.zeros(nodes.size)
     if probe.outcomes is not None:
-        vals, counts = np.unique(outcomes, return_counts=True)
-        return counts @ probe.loglik_values(nodes, vals)
+        values = np.unique(np.asarray(probe.outcomes, dtype=float))
+        counts = np.array([np.count_nonzero(outcomes == v) for v in values])
+        logf = probe.loglik_values(nodes, values)
+        return counts @ np.where(counts[:, None] > 0, logf, 0.0)
     if isinstance(probe, GaussianReadout):
         m = outcomes.mean()
         r = outcomes - m
@@ -478,6 +480,10 @@ def _bits(a):
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
+# a row whose two present values make a 2-row product in np.unique's oracle, a
+# last bit away from the masked product over all three values (row 2, segment 20:29)
+@example(family="tabulated-zero", atoms=(1.25,), nodes=3, k=29, extra=[20], size=3,
+         pin=False, sigma=1.0, seed=3306, data=None)
 def test_ensemble_arrays_equal_the_per_trajectory_loops_bitwise(
     family, atoms, nodes, k, extra, size, pin, sigma, seed, data
 ):

@@ -354,10 +354,29 @@ MUTANTS = {
         "return f, np.where(f > 0, slope, 0.0), np.where(f > 0, curve, 0.0)",
         "return f, slope, curve",
     ),
-    "stencil-reads-slope-weights": (
+    # the stencil's weight of each node, one node at a time, and their sum in index
+    # order: (w0 v0 + w2 v2) + w1 v1 rounds differently
+    "stencil-weight-of-wrong-node": (
         "estimators.py",
-        "_lagrange3(x, xs[c - 1], xs[c], xs[c + 1])[0]",
-        "_lagrange3(x, xs[c - 1], xs[c], xs[c + 1])[1]",
+        "enumerate([(1, 2), (0, 2), (0, 1)])",
+        "enumerate([(1, 2), (0, 1), (0, 2)])",
+    ),
+    "stencil-sum-reordered": (
+        "estimators.py",
+        "    for s in (1, 2):\n",
+        "    for s in (2, 1):\n",
+    ),
+    # the zoom windows interpolated in sub-stacks: each window once
+    "zoom-sub-stack-off-by-one": (
+        "estimators.py",
+        "r = rows[sub]",
+        "r = rows[sub.start : sub.stop - 1]",
+    ),
+    # each weighted factor in its own columns of the Gram's one buffer
+    "gram-buffer-column-off-by-one": (
+        "spectral.py",
+        "out=w[..., end - psi.shape[-1] : end]",
+        "out=w[..., end - psi.shape[-1] + 1 : end + 1]",
     ),
     # the Laplace ratio of a window: L-hat is the sums interpolated at the estimate,
     # not the grid maximum; the run reads the k_max column; the sum is times spacing
