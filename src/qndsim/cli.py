@@ -19,6 +19,7 @@ from .harness import (
     ExperimentConfig,
     TestResult,
     ValidationFailure,
+    _write_json,
     estimate_ensemble,
     git_blob_sha1,
     load_trajectories,
@@ -64,17 +65,14 @@ def _cmd_validate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        payload = {
+        _write_json(out / "validation_report.json", {
             "config_hash": config.config_hash(),
             "content_hash": content_hash,
             "probe_checks": [c.__dict__ for c in probe_report.checks],
             "probe_caveats": list(probe_report.caveats),
             "state": state_report.__dict__,
             "passed": probe_report.passed and state_report.passed,
-        }
-        with open(out / "validation_report.json", "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        })
     return EXIT_OK if (probe_report.passed and state_report.passed) else EXIT_FAIL
 
 
@@ -93,11 +91,7 @@ def _cmd_estimate(args) -> int:
     config, content_hash = _read_config(args.config, args.seed)
     if args.out is None:
         raise ConfigError("estimate needs --out with persisted trajectories")
-    try:
-        ensemble = load_trajectories(args.out, config)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}; run simulate first", file=sys.stderr)
-        return EXIT_USAGE
+    ensemble = load_trajectories(args.out, config)
     bundle = estimate_ensemble(config, ensemble, content_hash)
     bundle.write(args.out)
     print(bundle.summary_text())
@@ -116,10 +110,8 @@ def _cmd_report(args) -> int:
         raise ConfigError("report needs --out pointing at a report bundle")
     summary = Path(args.out) / "summary.json"
     if not summary.exists():
-        print(f"error: no summary.json under {args.out}", file=sys.stderr)
-        return EXIT_USAGE
-    with open(summary) as fh:
-        tree = json.load(fh)
+        raise FileNotFoundError(f"no summary.json under {args.out}")
+    tree = json.loads(summary.read_text())
     try:
         lines = [
             f"experiment: {tree['config']['kind']} (seed {tree['config']['seed']})",

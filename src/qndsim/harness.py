@@ -45,7 +45,9 @@ from .spectral import (
     state_from_dict,
     validate_state,
 )
-from .trajectories import Ensemble, _held_prefixes, posterior_means, sample_ensemble
+from .trajectories import (
+    Ensemble, _held_prefixes, log_prior_weights, posterior_means, sample_ensemble,
+)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -198,14 +200,8 @@ class ExperimentConfig:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         return cls(**d)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["checkpoints"] = list(self.checkpoints)
-        d["region"] = [list(c) if isinstance(c, tuple) else c for c in self.region]
-        return d
-
     def canonical_json(self) -> str:
-        return canonical_json(self.to_dict())
+        return canonical_json(asdict(self))
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
@@ -245,6 +241,11 @@ def canonical_json(tree) -> str:
     return json.dumps(tree, sort_keys=True, separators=(",", ":"))
 
 
+def _write_json(path, tree) -> None:
+    """``tree`` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(tree, sort_keys=True, indent=2) + "\n")
+
+
 def git_blob_sha1(data: bytes) -> str:
     """Content hash the way git hashes a blob."""
     h = hashlib.sha1()
@@ -256,11 +257,17 @@ def git_blob_sha1(data: bytes) -> str:
 # ---------------------------------------------------------------------------
 # builders
 
-def build_model(config: ExperimentConfig) -> SpectralModel:
+def _declared(part: str, build, *args):
+    """``build(*args)``, a KeyError, TypeError or ValueError raised as a ConfigError."""
     try:
-        return model_from_dict(config.spectral)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad spectral declaration: {exc}") from exc
+        with np.errstate(over="ignore", invalid="ignore"):  # a value not finite raises
+            return build(*args)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {part} declaration: {exc}") from exc
+
+
+def build_model(config: ExperimentConfig) -> SpectralModel:
+    return _declared("spectral", model_from_dict, config.spectral)
 
 
 def _psi_from_spec(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
@@ -282,11 +289,7 @@ def _psi_from_spec(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def build_state(model: SpectralModel, spec: dict) -> StateKernel:
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state raises
-            return _state_from_spec(model, spec)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad state declaration: {exc}") from exc
+    return _declared("state", _state_from_spec, model, spec)
 
 
 def _state_from_spec(model: SpectralModel, spec: dict) -> StateKernel:
@@ -304,15 +307,14 @@ def _state_from_spec(model: SpectralModel, spec: dict) -> StateKernel:
     if kind == "diagonal":
         return diagonal_state(model, np.asarray(spec["weights"], dtype=float))
     if kind == "kernel":
-        return state_from_dict(model, spec)
+        state = state_from_dict(model, spec)
+        log_prior_weights(state)  # a kernel without weight on any node raises
+        return state
     raise ConfigError(f"unknown state type: {kind!r}")
 
 
 def build_probe(config: ExperimentConfig, model: SpectralModel) -> ProbeModel:
-    try:
-        probe = probe_from_config(config.probe)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad probe declaration: {exc}") from exc
+    probe = _declared("probe", probe_from_config, config.probe)
     probe._quadrature(np.array(model.hull))  # the outcome rule of the laws on the hull must fit
     return probe
 
@@ -669,39 +671,29 @@ def persist_trajectories(out_dir, ensemble: Ensemble, config: ExperimentConfig):
     only from the mixture sampler), with a manifest naming the config.  ``stats``
     holds each row's statistic after each held prefix length (int64 counts or
     the float64 Gaussian statistic); a statistic that is the row itself is
-    written once, as the (E x k) float64 rows, whose prefixes are the others.
-    An ``outcomes.npy`` of the old layout goes."""
+    written once, as the (E x k) float64 rows, whose prefixes are the others."""
     base = Path(out_dir) / "trajectories"
     base.mkdir(parents=True, exist_ok=True)
-    (base / "outcomes.npy").unlink(missing_ok=True)
     stats = ensemble.stats
     arrays = {"stats": np.stack(stats[:, -1, 0]) if stats.dtype == object else stats,
               "sums": ensemble.sums, "hidden": ensemble.hidden}
     for name, array in arrays.items():
         if array is not None:
             np.save(base / f"{name}.npy", array)
-    with open(base / "manifest.json", "w") as fh:
-        json.dump(_manifest(config), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(base / "manifest.json", _manifest(config))
 
 
 def load_trajectories(out_dir, config: ExperimentConfig) -> Ensemble:
     """Round-trip of ``persist_trajectories``, bit for bit.  A manifest written for
-    another config, the old CSV and outcome-block layouts, and arrays that are
-    missing, unreadable or of another dtype or shape, raise ``ConfigError``."""
+    another config, and arrays that are missing (as in every earlier layout, which
+    has no ``stats.npy``), unreadable or of another dtype or shape, raise ``ConfigError``."""
     base = Path(out_dir) / "trajectories"
     manifest_path = base / "manifest.json"
     if not manifest_path.exists():
-        raise FileNotFoundError(f"no persisted trajectories under {out_dir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        raise FileNotFoundError(f"no persisted trajectories under {out_dir}; run simulate first")
+    manifest = json.loads(manifest_path.read_text())
     again, wanted = "; run simulate again", _manifest(config)
     keys = set(manifest) if isinstance(manifest, dict) else set()
-    if "entries" in keys:
-        raise ConfigError(f"trajectories under {out_dir} are in the old CSV layout{again}")
-    if (base / "outcomes.npy").exists():
-        raise ConfigError(f"trajectories under {out_dir} are in the old outcome-block "
-                          f"layout{again}")
     missing = [key for key in wanted if key not in keys]
     if missing:
         raise ConfigError(f"{manifest_path} lacks the keys {missing}{again}")
@@ -752,7 +744,7 @@ class ReportBundle:
 
     def summary_dict(self) -> dict:
         return {
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "config_hash": self.config_hash,
             "content_hash": self.content_hash,
             "passed": self.passed,
@@ -768,13 +760,9 @@ class ReportBundle:
     def write(self, out_dir) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "summary.json", "w") as fh:
-            json.dump(self.summary_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        with open(out / "estimator_report.json", "w") as fh:
-            # report fields hold plain values (vars, unlike asdict, copies none)
-            json.dump(vars(self.report), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(out / "summary.json", self.summary_dict())
+        # report fields hold plain values (vars, unlike asdict, copies none)
+        _write_json(out / "estimator_report.json", vars(self.report))
         tables = out / "tables"
         tables.mkdir(exist_ok=True)
         for name, (header, rows) in sorted(self.tables.items()):

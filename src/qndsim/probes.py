@@ -66,6 +66,7 @@ GAUSS_PANEL_SIGMAS = 0.5         # widest Gauss-Legendre panel, in sigmas
 MAX_RULE_PANELS = 100_000        # panels of one Gaussian outcome rule (3.2e6 nodes)
 FD_STEP = 1e-5                   # declared central-difference step
 BLOCK_CELLS = 100_000            # cells per outcome x node block (0.8 MB of float64)
+MAX_REJECTIONS = 10_000          # proposals an outcome of the tabulated rejection sampler may take
 LOCATION_RTOL = 1e-12            # values this close to the worst share its location
 PRUNE_SLACK = 1e3 * LOCATION_RTOL  # pruning margin: every pair the near-tie rule names survives
 ROUNDING_SHARE = 1e-3            # defects below this share of their tolerance are rounding
@@ -80,10 +81,10 @@ class ProbeError(ValueError):
     """Raised for invalid probe construction or use."""
 
 
-def _blocks(n: int, width: int, share: int = 1) -> list[slice]:
-    """Slices of range(n), each holding at most BLOCK_CELLS // share cells of
-    ``width`` columns (but at least one row)."""
-    step = max(BLOCK_CELLS // share // max(width, 1), 1)
+def _blocks(n: int, width: int) -> list[slice]:
+    """Slices of range(n), each holding at most BLOCK_CELLS cells of ``width``
+    columns (but at least one row)."""
+    step = max(BLOCK_CELLS // max(width, 1), 1)
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
@@ -430,14 +431,14 @@ class TabulatedProbe(ProbeModel):
             raise ProbeError("xi_grid needs at least 2 points")
         for name, grid in (("nu_grid", self.nu_grid), ("xi_grid", self.xi_grid or ())):
             grid = np.asarray(grid, dtype=float)
-            if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
-                raise ProbeError(f"{name} must be finite and strictly increasing")
+            if not (grid.ndim == 1 and np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+                raise ProbeError(f"{name} must be finite and strictly increasing, a flat list")
         if self.outcomes is not None:
             try:
                 outs = np.asarray(self.outcomes, dtype=float)
             except (TypeError, ValueError) as exc:
                 raise ProbeError(f"outcomes must be numbers: {exc}") from exc
-            if not (outs.ndim == 1 and np.all(np.isfinite(outs))
+            if not (outs.ndim == 1 and outs.size and np.all(np.isfinite(outs))
                     and _distinct(outs).size == outs.size):
                 raise ProbeError("outcomes must be a list of finite, distinct numbers")
         rows = "outcomes" if self.xi_grid is None else "xi_grid"
@@ -471,8 +472,9 @@ class TabulatedProbe(ProbeModel):
         nus, table = self._nus, self._table
         j = np.clip(np.searchsorted(nus, nu) - 1, 1, nus.size - 2)
         t0, t1, t2 = table[rows, j - 1], table[rows, j], table[rows, j + 1]
-        weights = _lagrange3(nu, nus[j - 1], nus[j], nus[j + 1], order)
-        return [w0 * t0 + w1 * t1 + w2 * t2 for w0, w1, w2 in weights]
+        with np.errstate(over="ignore", invalid="ignore"):  # the validators judge an overflow
+            weights = _lagrange3(nu, nus[j - 1], nus[j], nus[j + 1], order)
+            return [w0 * t0 + w1 * t1 + w2 * t2 for w0, w1, w2 in weights]
 
     def _value_at(self, xi, nu, order=0):
         """Table value at broadcasting ``xi`` and ``nu`` and its first ``order``
@@ -501,7 +503,7 @@ class TabulatedProbe(ProbeModel):
 
     def sample(self, nu, size, rng):
         rows = np.clip(self._rows_at(np.float64(nu))[0], 0.0, None)
-        if not rows.sum() > 0:  # the interpolated law between nu_grid points
+        if not 0 < rows.sum() < np.inf:  # the interpolated law between nu_grid points
             raise ProbeError(f"the tabulated law at nu={nu:g} has no mass to sample")
         if self.outcomes is not None:
             return np.asarray(self.outcomes, dtype=float)[
@@ -512,9 +514,12 @@ class TabulatedProbe(ProbeModel):
         cell_mass = env * np.diff(grid)
         cdf = np.cumsum(cell_mass) / cell_mass.sum()
         out = np.empty(size)
-        filled = 0
+        filled = proposed = 0
         while filled < size:
             m = 2 * (size - filled) + 16
+            proposed += m
+            if proposed > MAX_REJECTIONS * (size + 16):  # its envelope far above its mass
+                raise ProbeError(f"the tabulated law at nu={nu:g} accepts almost no draws")
             cells = np.searchsorted(cdf, rng.random(m))
             xi = grid[cells] + rng.random(m) * np.diff(grid)[cells]
             accept = rng.random(m) * env[cells] < self.density(xi, np.float64(nu))  # never f = 0
@@ -689,6 +694,7 @@ def _unpruned_pairs(sums, terms: int, limit: float):
     return first[keep], second[keep]
 
 
+@np.errstate(all="ignore")  # a value that is not finite fails its check
 def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
     """Check the estimation-theoretic assumptions on the model grid.
 
@@ -732,8 +738,7 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
         w, rows = wq[sl], len(f)
         row_min[sl], sup_abs[sl] = extremes
         _add_expectations(stats, w, f, f1, f2)
-        with np.errstate(invalid="ignore"):  # inf * 0 marks a genuine failure
-            dom += (w * sup_abs[sl]) @ f
+        dom += (w * sup_abs[sl]) @ f  # inf * 0 marks a genuine failure
         near += _l1_sums(w, f[:, 1:], f[:, :-1], work[1])
         cuts = np.flatnonzero(np.diff((np.arange(rows) + sl.start) // panel, prepend=-1))
         at = sl.start // panel  # a block holds whole rows, and adds to the panels they meet
@@ -818,9 +823,8 @@ def validate_probe(probe: ProbeModel, model) -> ProbeValidationReport:
         kept &= ~straddles
         note = f"{straddles.sum()} of {nu.size} points within FD_STEP of a knot left out"
     kept = np.flatnonzero(kept)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logf = np.log(f[:, kept])
-        err = np.abs((logf[1] - logf[2]) / (2 * FD_STEP) - f1[0, kept] / f[0, kept])
+    logf = np.log(f[:, kept])
+    err = np.abs((logf[1] - logf[2]) / (2 * FD_STEP) - f1[0, kept] / f[0, kept])
     ok = bool(np.all(err <= DERIVATIVE_TOL))
     worst_d, worst_where = 0.0, ""
     if np.any(err > 0):  # the first largest error; nan is never the worst

@@ -332,11 +332,13 @@ def build_spectral_model(
         raise SpectralModelError(
             f"quadrature_tol must be finite and positive, got {quadrature_tol}"
         )
-    for p, w in atoms:
+    for i, (p, w) in enumerate(atoms):
         if not (np.isfinite(p) and np.isfinite(w) and w > 0):
             raise SpectralModelError(
                 f"atom ({p}, {w}): atom positions must be finite and weights finite and positive"
             )
+        if p in [q for q, _ in atoms[:i]]:
+            raise SpectralModelError(f"atom at {p} is declared twice")
     for (a, b) in intervals:
         if not (np.isfinite(a) and np.isfinite(b)):
             raise SpectralModelError(f"interval endpoints must be finite, got [{a}, {b}]")
@@ -363,22 +365,16 @@ def build_spectral_model(
 
     h_fn, knots = _h_from_spec(h)
 
-    node_list: list[float] = []
-    weight_list: list[float] = []
-    hval_list: list[float] = []
-    atom_list: list[bool] = []
+    # (node, weight, density) columns: the atoms first, then each interval's cells
+    columns = [np.reshape([(p, w, 1.0) for p, w in atoms], (-1, 3)).T]
     edges_list: list[np.ndarray] = []
     quad_errors: list[float] = []
-
-    for p, w in atoms:
-        node_list.append(p)
-        weight_list.append(w)
-        hval_list.append(1.0)
-        atom_list.append(True)
 
     for a, b in intervals:
         edges = np.linspace(a, b, nodes_per_interval + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
+        if not (np.all(np.diff(mids) > 0) and mids[-1] <= b):  # each node once, inside [a, b]
+            raise SpectralModelError(f"the cells of [{a}, {b}] fall below float64 resolution")
         hv = np.asarray(h_fn(mids), dtype=float)
         if not np.all(np.isfinite(hv) & (hv > 0)):
             bad = mids[np.flatnonzero(~(np.isfinite(hv) & (hv > 0)))[0]]
@@ -404,24 +400,21 @@ def build_spectral_model(
                 "increase nodes_per_interval or quadrature_tol"
             )
         quad_errors.append(err)
-        node_list.extend(mids.tolist())
-        weight_list.extend([dx] * nodes_per_interval)
-        hval_list.extend(hv.tolist())
-        atom_list.extend([False] * nodes_per_interval)
+        columns.append((mids, [dx] * nodes_per_interval, hv))
         edges_list.append(_readonly(edges))
 
-    order = np.argsort(node_list, kind="stable")
-    nodes = _readonly(np.asarray(node_list, dtype=float)[order])
+    # distinct atoms outside disjoint intervals of distinct cells: nodes increase strictly
+    grid = np.concatenate(columns, axis=1, dtype=float)
+    order = np.argsort(grid[0], kind="stable")
+    nodes, weights, hvals = (_readonly(row) for row in grid[:, order])
     starts = np.searchsorted(nodes, [a for a, _ in intervals]).tolist()  # no atom lies inside
-    if np.any(np.diff(nodes) <= 0):
-        raise SpectralModelError("grid nodes are not strictly increasing")
     return SpectralModel(
         atoms=atoms,
         intervals=intervals,
         nodes=nodes,
-        weights=_readonly(np.asarray(weight_list, dtype=float)[order]),
-        hvals=_readonly(np.asarray(hval_list, dtype=float)[order]),
-        is_atom=_readonly(np.asarray(atom_list, dtype=bool)[order]),
+        weights=weights,
+        hvals=hvals,
+        is_atom=_readonly(order < len(atoms)),
         multiplicity=int(multiplicity),
         h_fn=h_fn,
         interval_edges=tuple(edges_list),

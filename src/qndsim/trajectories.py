@@ -241,7 +241,7 @@ def _sums_blocks(ensemble: Ensemble, ks: Sequence[int], row_cells: int = 0):
     """(slice, ``sums_after(ks)`` of its rows) for row blocks of the ensemble of
     at most BLOCK_CELLS // 4 cells (rows x len(ks) x nodes, or ``row_cells`` a
     row where the caller stacks more)."""
-    for sl in _blocks(len(ensemble), max(len(ks) * ensemble.sums.shape[-1], row_cells), 4):
+    for sl in _blocks(len(ensemble), 4 * max(len(ks) * ensemble.sums.shape[-1], row_cells)):
         yield sl, ensemble[sl].sums_after(ks)
 
 

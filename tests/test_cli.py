@@ -499,6 +499,58 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         ({"checkpoints": ["10", 30]}, "checkpoints must be an integer of at least 1, got '10'"),
         ({"hidden_nu": float("nan")}, "hidden_nu must be finite, got nan"),
         ({"region": []}, "region is empty"),
+        # density parameters and tables that are not numbers: one declaration boundary
+        *(
+            (
+                {"spectral": {"intervals": [[0.0, 1.0]], "h": h}, "state": {"type": "pure"}},
+                f"bad spectral declaration: {message}",
+            )
+            for h, message in (
+                ({"name": "uniform", "value": "x"}, "could not convert string to float: 'x'"),
+                ({"name": "linear", "slope": "x"}, "could not convert string to float: 'x'"),
+                ({"name": "linear", "intercept": "x"}, "could not convert string to float: 'x'"),
+                *(
+                    ({"name": "cosine", key: "x"}, "could not convert string to float: 'x'")
+                    for key in ("offset", "amplitude", "frequency", "phase")
+                ),
+                ({"table": "abc"}, "could not convert string to float: 'abc'"),
+                ({"table": [["a", 1]]}, "could not convert string to float: 'a'"),
+                ({"table": [[0, 1], [1]]}, "setting an array element with a sequence"),
+                ("abc", "unrecognized density spec: 'abc'"),
+            )
+        ),
+        (
+            _on_unit({"kind": "tabulated", "nu_grid": [0, 0.5, 1], "values": [[0.5] * 3] * 2}),
+            "bad probe declaration: provide exactly one of outcomes or xi_grid",
+        ),
+        (
+            _on_unit({**TABLE, "xi_grid": [0, 1]}),
+            "bad probe declaration: provide exactly one of outcomes or xi_grid",
+        ),
+        (
+            _on_unit({**TABLE, "nu_grid": [0, 1], "values": [[0.5] * 2] * 2}),
+            "nu_grid needs at least 3 points",
+        ),
+        (  # a nested grid has no differences along its last axis
+            _on_unit({**TABLE, "nu_grid": [[0], [0.5], [1]]}),
+            "nu_grid must be finite and strictly increasing, a flat list",
+        ),
+        (
+            _on_unit({**DENSITY, "xi_grid": [[0], [1]], "values": [[0.5] * 3] * 2}),
+            "xi_grid must be finite and strictly increasing, a flat list",
+        ),
+        (
+            {"state": {"type": "kernel", "re": [1.0] * 9, "im": [0.0] * 9, "shape": [3, 3, 1, 1]}},
+            "bad state declaration: kernel shape does not match its grid",
+        ),
+        (
+            {"spectral": {"atoms": [[0.0, 0.3], [0.0, 0.7]]}},
+            "bad spectral declaration: atom at 0.0 is declared twice",
+        ),
+        (  # 64 cells of width 1/64 where float64 steps by 1/8
+            {"spectral": {"intervals": [[1e15, 1e15 + 1]]}, "state": {"type": "pure"}},
+            "the cells of [1000000000000000.0, 1000000000000001.0] fall below float64 resolution",
+        ),
     ],
     ids=[
         "tabulated-without-nu-grid",
@@ -597,6 +649,25 @@ _TABLE = {"values": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]], "outcomes": [0.0, 1.0]}
         "checkpoint-string-digits",
         "hidden-nu-nan",
         "born-region-empty",
+        "h-value-string",
+        "h-slope-string",
+        "h-intercept-string",
+        "h-offset-string",
+        "h-amplitude-string",
+        "h-frequency-string",
+        "h-phase-string",
+        "h-table-string",
+        "h-table-string-entry",
+        "h-table-ragged",
+        "h-string",
+        "tabulated-neither-outcomes-nor-xi-grid",
+        "tabulated-outcomes-and-xi-grid",
+        "tabulated-nu-grid-two-points",
+        "tabulated-nu-grid-nested",
+        "tabulated-xi-grid-nested",
+        "kernel-state-shape",
+        "atom-repeated",
+        "interval-below-resolution",
     ],
 )
 def test_malformed_declarations_exit_two(tmp_path, capsys, recwarn, overrides, message):
@@ -773,10 +844,10 @@ def _drop_key(base: Path, key: str) -> None:
 @pytest.mark.parametrize(
     "damage, message",
     [
-        (_old_csv_layout, "old CSV layout"),
+        (_old_csv_layout, "stats.npy"),  # every earlier layout lacks it
         (lambda base: (base / "sums.npy").unlink(), "sums.npy"),
         (lambda base: (base / "hidden.npy").unlink(), "hidden.npy"),
-        (_old_outcome_block_layout, "old outcome-block layout"),
+        (_old_outcome_block_layout, "stats.npy"),
         (lambda base: _truncate(base / "stats.npy"), "stats.npy"),
         (lambda base: _truncate(base / "sums.npy"), "sums.npy"),
         (lambda base: np.save(base / "sums.npy", np.load(base / "sums.npy")[1:]), "(39, 3, 2)"),
@@ -950,6 +1021,36 @@ def _shipped_capped():
 
 
 SHIPPED = _shipped_capped()
+# small valid trees that set the keys no shipped config sets: density
+# parameters, tabulated grids, the other wave functions and a kernel state
+_UNIT = {"intervals": [[0.0, 1.0]], "nodes_per_interval": 40}
+_RATE = {"kind": "rate-convergence", "probe": {"kind": "gaussian-readout", "sigma": 1.0},
+         "state": {"type": "pure"}, "k_max": 100, "checkpoints": [10, 100], "ensemble": 20,
+         "seed": SEED, "hidden_nu": 0.2, "region": [[0.6, 1.0]]}
+_BORN = {"kind": "born-frequency", "spectral": _UNIT, "k_max": 20, "ensemble": 10, "seed": SEED,
+         "region": [[0.5, 1.0]]}
+SEEDS = {
+    "cosine-h": {**_RATE, "spectral": {**_UNIT, "h": {
+        "name": "cosine", "offset": 1.0, "amplitude": 0.5, "frequency": 3.0, "phase": 0.2}}},
+    "table-h": {**_RATE, "spectral": {**_UNIT, "h": {"table": [[0, 1.0], [0.5, 2.0], [1, 1.0]]}}},
+    "tabulated-finite": {
+        **_BORN,
+        "probe": {"kind": "tabulated", "nu_grid": [0, 0.5, 1], "outcomes": [0, 1],
+                  "values": [[0.8, 0.5, 0.2], [0.2, 0.5, 0.8]]},
+        "state": {"type": "pure", "psi": {"name": "linear", "intercept": 1.0, "slope": 0.5}},
+    },
+    "tabulated-continuous": {
+        **_BORN,
+        "probe": {"kind": "tabulated", "nu_grid": [0, 0.5, 1], "xi_grid": [0, 1, 2],
+                  "values": [[0.9, 0.5, 0.1], [0.5, 0.5, 0.5], [0.1, 0.5, 0.9]]},
+        "state": {"type": "pure", "psi": {"name": "cosine", "amplitude": 0.5, "frequency": 3.0}},
+    },
+    "kernel-state": {
+        **SHIPPED["born_frequency"], "ensemble": 40, "k_max": 50, "checkpoints": [10, 50],
+        "state": {"type": "kernel", "re": [1.0, 0, 0, 1.0], "im": [0.0] * 4, "shape": [2, 2, 1, 1]},
+    },
+}
+TREES = {**SHIPPED, **SEEDS}
 DELETE = "<delete>"
 # no large valid size: nodes_per_interval 1e6 or multiplicity 1000 would
 # allocate gigabytes in validate_probe or the kernel stack
@@ -990,19 +1091,53 @@ def _main_exits_cleanly(argv) -> tuple[int, str, str]:
 
 @settings(max_examples=300, deadline=None)
 @given(
-    where=st.sampled_from([(name, p) for name, tree in SHIPPED.items() for p in _paths(tree)]),
+    where=st.sampled_from([(name, p) for name, tree in TREES.items() for p in _paths(tree)]),
     value=st.sampled_from([DELETE, *REPLACEMENTS]),
 )
 def test_every_mutated_declaration_exits_cleanly(where, value):
     name, path = where
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "cfg.json"
-        config.write_text(json.dumps(_mutated(SHIPPED[name], path, value)))
+        config.write_text(json.dumps(_mutated(TREES[name], path, value)))
         code, out, err = _main_exits_cleanly(
             ["verify", "--config", str(config), "--out", str(Path(tmp) / "out")]
         )
     if code == 1:  # a failed verdict, or a probe that failed its validators
         assert "overall: FAIL" in out or err.startswith("error: probe failed assumption validation")
+
+
+@pytest.mark.parametrize(
+    "name, path, value, code, message",
+    [
+        ("cosine-h", ("spectral", "h", "frequency"), math.inf, 2, "density is not finite"),
+        # the stencil's denominator overflows to inf, and its weight is 0
+        ("tabulated-finite", ("probe", "nu_grid", 0), -1e308, 0, ""),
+        ("tabulated-finite", ("probe", "nu_grid", 1), 1e-308, 1, "score-mean-zero: FAIL"),
+        ("tabulated-finite", ("probe", "values", 0, 0), 1e308, 1, "normalization: FAIL"),
+        ("tabulated-finite", ("probe", "outcomes"), [], 2, "outcomes must be a list of finite"),
+        # between nu_grid points the middle row interpolates to -8e306: no draw is accepted
+        ("tabulated-continuous", ("probe", "values", 1, 0), 1e308, 2, "accepts almost no draws"),
+        ("kernel-state", ("state", "re", 0), math.nan, 2, "degenerate spectral weights"),
+        ("kernel-state", ("state", "re"), 0, 2, "degenerate spectral weights"),
+    ],
+    ids=[
+        "h-frequency-inf",
+        "nu-grid-huge",
+        "nu-grid-subnormal",
+        "value-huge",
+        "outcomes-empty",
+        "continuous-value-huge",
+        "kernel-nan",
+        "kernel-zero",
+    ],
+)
+def test_mutations_the_sweep_found_exit_cleanly(name, path, value, code, message):
+    # each warned, raised or never returned before the fix
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(_mutated(SEEDS[name], path, value)))
+        result = _main_exits_cleanly(["verify", "--config", str(config), "--out", f"{tmp}/o"])
+    assert result[0] == code and message in result[1] + result[2]
 
 
 @pytest.fixture(scope="module")

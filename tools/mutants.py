@@ -412,6 +412,32 @@ MUTANTS = {
         "        while filled < size:\n",
         "        while filled <= size:\n",
     ),
+    # the grid's atoms come first, so its first len(atoms) sorted positions name them
+    "grid-atom-mask-takes-one-more": (
+        "spectral.py",
+        "is_atom=_readonly(order < len(atoms)),",
+        "is_atom=_readonly(order <= len(atoms)),",
+    ),
+    # one declaration boundary: a ValueError of a malformed declaration exits 2
+    "declaration-boundary-misses-value-error": (
+        "harness.py",
+        "    except (KeyError, TypeError, ValueError) as exc:\n"
+        "        raise ConfigError(f\"bad {part} declaration: {exc}\") from exc",
+        "    except (KeyError, TypeError) as exc:\n"
+        "        raise ConfigError(f\"bad {part} declaration: {exc}\") from exc",
+    ),
+    # the posterior row blocks hold a quarter of BLOCK_CELLS
+    "sums-blocks-full-width": (
+        "trajectories.py",
+        "_blocks(len(ensemble), 4 * max(",
+        "_blocks(len(ensemble), max(",
+    ),
+    # every JSON file ends in a newline
+    "json-without-final-newline": (
+        "harness.py",
+        'json.dumps(tree, sort_keys=True, indent=2) + "\\n")',
+        "json.dumps(tree, sort_keys=True, indent=2))",
+    ),
 }
 
 EQUIVALENT = {
